@@ -4,12 +4,11 @@
 // between coverage areas (its A3 handovers show up in the table), and the
 // closed steering loop drains a morning hot spot by walking CIOs.
 //
-// This replaces the old MultiSkyRan demo, which statically partitioned the
-// UEs into per-UAV clusters at epoch 0 and never re-attached them — a UE
-// that walked away from its cluster stayed camped on a cell it could barely
-// hear, and no handover was ever visible. The fleet layer re-evaluates
-// attachment every epoch (measure -> A3 decide -> apply), so the same
-// commuter now hands over, deterministically, mid-run.
+// A static partition of the UEs into per-UAV clusters at epoch 0 would
+// leave a UE that walked away from its cluster camped on a cell it could
+// barely hear, with no handover ever visible. The fleet layer re-evaluates
+// attachment every epoch (measure -> A3 decide -> apply), so the commuter
+// hands over, deterministically, mid-run.
 //
 // A SIGINT/SIGTERM between epochs exits cleanly: the fleet's dynamic state
 // is persisted to $SKYRAN_CKPT_DIR/fleet_state.bin when that directory is

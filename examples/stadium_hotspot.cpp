@@ -1,8 +1,9 @@
 // Stadium hotspot: the capacity-augmentation use case from the paper's
 // introduction. A crowd pocket forms in a semi-urban area; the SkyRAN UAV
 // places itself, then actually serves TTI-by-TTI: CBR video flows per UE,
-// round-robin vs proportional-fair scheduling, and a mmWave backhaul to a
-// gateway truck - showing queueing delay and the backhaul bottleneck.
+// round-robin vs proportional-fair scheduling with HARQ, and a mmWave
+// backhaul to a gateway truck - showing queueing delay and the backhaul
+// bottleneck.
 //
 //   ./example_stadium_hotspot [seed]
 #include <cstdlib>
@@ -42,31 +43,32 @@ int main(int argc, char** argv) {
             << sim::Table::num(r.flight_time_s, 0) << " s of flights\n\n";
 
   // 2. Serve 8 Mbit/s video per UE for 4 seconds under both schedulers.
-  std::vector<sim::Traffic> traffic(8);
-  for (auto& t : traffic) {
-    t.kind = sim::Traffic::Kind::kCbr;
-    t.rate_bps = 8e6;
-  }
+  lte::TrafficSpec video;
+  video.model = lte::TrafficModel::kCbr;
+  video.rate_bps = 8e6;
+  const std::vector<lte::TrafficSpec> traffic(world.ue_positions().size(), video);
   const geo::Vec3 uav{r.position, r.altitude_m};
 
-  sim::Table table({"scheduler", "agg. served (Mbit/s)", "worst-UE served", "worst delay (ms)"});
+  sim::Table table(
+      {"scheduler", "agg. served (Mbit/s)", "p50-UE served", "p99 delay (ms)", "HARQ retx"});
   for (const lte::SchedulerPolicy policy :
        {lte::SchedulerPolicy::kRoundRobin, lte::SchedulerPolicy::kProportionalFair}) {
     sim::ServiceConfig sc;
     sc.policy = policy;
     sc.duration_s = 4.0;
     std::mt19937_64 rng(seed + 3);
-    const sim::ServiceReport rep = sim::run_service_hovering(world, uav, traffic, sc, rng);
-    double worst_tput = 1e18;
-    double worst_delay = 0.0;
-    for (const sim::UeServiceStats& u : rep.per_ue) {
-      worst_tput = std::min(worst_tput, u.throughput_bps);
-      worst_delay = std::max(worst_delay, u.mean_queue_delay_ms);
-    }
+    const lte::TrafficPlaneReport rep =
+        sim::run_service_hovering(world, uav, traffic, sc, rng).traffic;
+    const double retx_share =
+        rep.harq_first_tx > 0
+            ? static_cast<double>(rep.harq_retx) / static_cast<double>(rep.harq_first_tx)
+            : 0.0;
     table.add_row({policy == lte::SchedulerPolicy::kRoundRobin ? "round robin"
                                                                : "proportional fair",
                    sim::Table::num(rep.aggregate_throughput_bps / 1e6, 1),
-                   sim::Table::num(worst_tput / 1e6, 1), sim::Table::num(worst_delay, 0)});
+                   sim::Table::num(rep.p50_throughput_bps / 1e6, 1),
+                   sim::Table::num(rep.p99_delay_ms, 0),
+                   sim::Table::num(100.0 * retx_share, 1) + " %"});
   }
   table.print(std::cout);
 

@@ -361,7 +361,10 @@ EpochReport SkyRan::run_epoch() {
                    config_.service.ue_traffic);
     // An SRS SNR-sag window still open when service starts sags the true
     // channel below the CQI reports the scheduler works from.
-    if (faults != nullptr) plane.set_snr_offset_db(-faults->srs_snr_sag_db(epoch_time_s));
+    if (faults != nullptr) {
+      const double sag_db = faults->srs_snr_sag_db(epoch_time_s);
+      for (std::size_t i = 0; i < plane.ue_count(); ++i) plane.set_snr_offset_db(i, -sag_db);
+    }
     plane.run_ttis(config_.service.ttis);
     report.traffic = plane.report();
     if (config_.service.load_weighted_placement) {

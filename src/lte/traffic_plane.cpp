@@ -87,6 +87,7 @@ std::size_t TrafficPlane::add_ue(std::uint32_t rnti, double snr_db,
   const std::size_t i = n_ues_++;
   rnti_.push_back(rnti);
   snr_db_.push_back(snr_db);
+  snr_offset_db_.push_back(0.0);
   const int cqi = snr_to_cqi(snr_db);
   cqi_.push_back(cqi);
   rate_1prb_.push_back(cqi_efficiency(cqi) * kPrbBandwidthHz * kTtiSeconds *
@@ -134,6 +135,12 @@ void TrafficPlane::set_snr(std::size_t ue, double snr_db) {
   cqi_[ue] = cqi;
   rate_1prb_[ue] = cqi_efficiency(cqi) * kPrbBandwidthHz * kTtiSeconds *
                    (1.0 - kL1OverheadFraction);
+}
+
+void TrafficPlane::set_snr_offset_db(std::size_t ue, double offset_db) {
+  expects(ue < n_ues_, "TrafficPlane::set_snr_offset_db: UE index out of range");
+  expects(std::isfinite(offset_db), "TrafficPlane::set_snr_offset_db: offset must be finite");
+  snr_offset_db_[ue] = offset_db;
 }
 
 double TrafficPlane::in_flight_bits(std::size_t ue) const {
@@ -420,7 +427,7 @@ void TrafficPlane::phase3_transmit(std::int64_t t) {
       // Chase combining: every flown copy adds combining gain. The block is
       // re-decoded against the current CQI's threshold (the reported SNR is
       // assumed quasi-static over a HARQ round trip).
-      const double margin = snr_db_[i] + snr_offset_db_ +
+      const double margin = snr_db_[i] + snr_offset_db_[i] +
                             config_.harq_combining_gain_db * retx_no - threshold;
       ++harq_retx_tx_;
       if (u >= p_fail(margin)) {
@@ -447,7 +454,7 @@ void TrafficPlane::phase3_transmit(std::int64_t t) {
     if (tb <= 0.0) continue;
     if (!full_buffer) backlog_bits_[i] -= tb;
     ++harq_first_tx_;
-    const double margin = snr_db_[i] + snr_offset_db_ - threshold;
+    const double margin = snr_db_[i] + snr_offset_db_[i] - threshold;
     if (u >= p_fail(margin)) {
       served_bits_[i] += tb;
       ewma_add_[i] += tb;

@@ -1,7 +1,7 @@
-// Batched per-TTI downlink traffic plane: the massive-UE successor to the
-// per-epoch lte::Scheduler. All per-UE state lives in flat structure-of-
-// arrays slabs (rnti/snr/backlog/ewma/HARQ), so one TTI is a handful of
-// linear passes instead of 10^5 small-object updates:
+// Batched per-TTI downlink traffic plane: the repo's one MAC. All per-UE
+// state lives in flat structure-of-arrays slabs (rnti/snr/backlog/ewma/
+// HARQ), so one TTI is a handful of linear passes instead of 10^5
+// small-object updates:
 //
 //   phase 1 (parallel over UEs)  traffic arrivals, eligibility, PF metric
 //   phase 2 (serial, O(N))       PRB allocation: HARQ retransmissions first,
@@ -30,9 +30,13 @@
 
 #include "lte/amc.hpp"
 #include "lte/sampling.hpp"
-#include "lte/scheduler.hpp"
 
 namespace skyran::lte {
+
+enum class SchedulerPolicy {
+  kRoundRobin,        ///< equal PRB share regardless of channel
+  kProportionalFair,  ///< weight by instantaneous rate / long-term average
+};
 
 /// Per-UE downlink traffic model.
 enum class TrafficModel : std::uint8_t {
@@ -124,11 +128,11 @@ class TrafficPlane {
   /// Update a UE's reported SNR (a fresh CQI report).
   void set_snr(std::size_t ue, double snr_db);
 
-  /// Offset between the true channel and what the scheduler believes, dB
+  /// Offset between a UE's true channel and what the scheduler believes, dB
   /// (negative = the channel sagged below the CQI reports, e.g. a
-  /// sim::FaultInjector SNR-sag window). Affects transmission outcomes
-  /// only, never scheduling decisions.
-  void set_snr_offset_db(double offset_db) { snr_offset_db_ = offset_db; }
+  /// sim::FaultInjector SNR-sag window or fading since the last report).
+  /// Affects transmission outcomes only, never scheduling decisions.
+  void set_snr_offset_db(std::size_t ue, double offset_db);
 
   /// Advance `n` TTIs (1 ms each). Parallel passes shard over the shared
   /// thread pool; results are bit-identical for any worker count.
@@ -181,11 +185,11 @@ class TrafficPlane {
   TrafficPlaneConfig config_;
   std::size_t n_ues_ = 0;
   std::int64_t tti_ = 0;
-  double snr_offset_db_ = 0.0;
 
   // Identity + channel slabs.
   std::vector<std::uint32_t> rnti_;
   std::vector<double> snr_db_;
+  std::vector<double> snr_offset_db_;  ///< true minus reported; not hashed
   std::vector<int> cqi_;             ///< cached snr_to_cqi(snr_db_)
   std::vector<double> rate_1prb_;    ///< cached bits per PRB per TTI at cqi_
 

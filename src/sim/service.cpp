@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 
 #include "geo/contract.hpp"
-#include "lte/amc.hpp"
 
 namespace skyran::sim {
 
@@ -12,46 +12,33 @@ namespace {
 
 constexpr double kTtiMs = 1.0;
 
-/// Per-UE simulation state across TTIs.
-struct UeState {
-  std::uint32_t rnti = 0;
-  Traffic traffic;
-  double backlog_bits = 0.0;
-  double arrival_accumulator = 0.0;  ///< fractional CBR arrivals
-  double reported_snr_db = 0.0;      ///< what the scheduler believes
-  double offered_bits = 0.0;
-  double served_bits = 0.0;
-  int scheduled_ttis = 0;
-  int failed_ttis = 0;
-  double queue_delay_sum_ms = 0.0;  ///< backlog-weighted (Little's law)
-  double backlog_sum_bits = 0.0;
-};
-
 ServiceReport run_service(const World& world,
                           const std::function<geo::Vec3(double)>& position_at,
-                          double duration_s, const std::vector<Traffic>& traffic,
+                          double duration_s, const std::vector<lte::TrafficSpec>& traffic,
                           const ServiceConfig& config, std::mt19937_64& rng) {
-  expects(!world.ue_positions().empty(), "run_service: no UEs");
-  expects(traffic.size() == world.ue_positions().size(),
-          "run_service: one traffic model per UE");
-  expects(config.duration_s > 0.0 || duration_s > 0.0, "run_service: duration must be positive");
+  const std::vector<geo::Vec3>& ues = world.ue_positions();
+  expects(!ues.empty(), "run_service: no UEs");
+  expects(traffic.size() == ues.size(), "run_service: one traffic model per UE");
+  const int ttis = static_cast<int>(duration_s * 1000.0 / kTtiMs);
+  expects(ttis >= 1, "run_service: duration must cover at least one TTI");
   expects(config.cqi_period_ms >= kTtiMs, "run_service: CQI period below one TTI");
 
-  std::vector<UeState> ues(traffic.size());
-  for (std::size_t i = 0; i < ues.size(); ++i) {
-    ues[i].rnti = static_cast<std::uint32_t>(61 + i);
-    ues[i].traffic = traffic[i];
-  }
+  lte::TrafficPlaneConfig plane_config;
+  plane_config.carrier = world.carrier();
+  plane_config.policy = config.policy;
+  plane_config.seed = rng();
+  lte::TrafficPlane plane(plane_config);
+  // Reported SNRs are placeholders until the first CQI report at t = 0.
+  for (std::size_t i = 0; i < ues.size(); ++i)
+    plane.add_ue(static_cast<std::uint32_t>(61 + i), 0.0, traffic[i]);
 
-  lte::Scheduler scheduler(world.carrier(), config.policy);
   std::normal_distribution<double> unit(0.0, 1.0);
-  const int ttis = static_cast<int>(duration_s * 1000.0);
   const int cqi_every = std::max(1, static_cast<int>(config.cqi_period_ms / kTtiMs));
   const double wavelength = rf::kSpeedOfLight / world.channel().frequency_hz();
 
   double staleness_sum = 0.0;
-  std::size_t staleness_n = 0;
   std::vector<double> fade_state(ues.size(), 0.0);
+  std::vector<double> reported_snr_db(ues.size(), 0.0);
   geo::Vec3 prev_pos = position_at(0.0);
 
   for (int t = 0; t < ttis; ++t) {
@@ -71,100 +58,38 @@ ServiceReport run_service(const World& world,
       f = rho * f + std::sqrt(std::max(0.0, 1.0 - rho * rho)) *
                         config.fading_sigma_db * unit(rng);
 
-    // Traffic arrivals.
-    for (UeState& ue : ues) {
-      switch (ue.traffic.kind) {
-        case Traffic::Kind::kFullBuffer:
-          ue.backlog_bits = 1e12;
-          break;
-        case Traffic::Kind::kCbr: {
-          ue.arrival_accumulator += ue.traffic.rate_bps * kTtiMs / 1000.0;
-          ue.backlog_bits += ue.arrival_accumulator;
-          ue.offered_bits += ue.arrival_accumulator;
-          ue.arrival_accumulator = 0.0;
-          break;
-        }
-        case Traffic::Kind::kPoisson: {
-          const double mean_packets =
-              ue.traffic.rate_bps * (kTtiMs / 1000.0) / ue.traffic.packet_bits;
-          std::poisson_distribution<int> arrivals(mean_packets);
-          const double bits = arrivals(rng) * ue.traffic.packet_bits;
-          ue.backlog_bits += bits;
-          ue.offered_bits += bits;
-          break;
-        }
-      }
-    }
-
-    // True channel this TTI, and (possibly stale) CQI state.
-    std::vector<double> true_snr(ues.size());
-    std::vector<lte::UeChannelState> sched_in(ues.size());
+    // The scheduler sees the SNR of the last CQI report; transmissions
+    // succeed or fail on the true channel this TTI.
     for (std::size_t i = 0; i < ues.size(); ++i) {
-      true_snr[i] = world.snr_db(uav, world.ue_positions()[i]) + fade_state[i];
-      if (t % cqi_every == 0) ues[i].reported_snr_db = true_snr[i];
-      staleness_sum += std::abs(true_snr[i] - ues[i].reported_snr_db);
-      ++staleness_n;
-      sched_in[i] = {ues[i].rnti, ues[i].reported_snr_db, ues[i].backlog_bits > 0.0};
-    }
-
-    const std::vector<lte::UeAllocation> alloc = scheduler.schedule_tti(sched_in);
-    for (std::size_t i = 0; i < ues.size(); ++i) {
-      UeState& ue = ues[i];
-      ue.backlog_sum_bits +=
-          ue.traffic.kind == Traffic::Kind::kFullBuffer ? 0.0 : ue.backlog_bits;
-      if (alloc[i].prb == 0 || alloc[i].bits <= 0.0) continue;
-      ++ue.scheduled_ttis;
-      // The MCS came from the reported SNR; it survives only when the true
-      // channel supports it (HARQ otherwise).
-      const int chosen_cqi = lte::snr_to_cqi(ue.reported_snr_db - config.bler_margin_db);
-      const int true_cqi = lte::snr_to_cqi(true_snr[i]);
-      if (chosen_cqi > true_cqi) {
-        ++ue.failed_ttis;
-        continue;  // transport block lost this TTI
+      const double true_snr = world.snr_db(uav, ues[i]) + fade_state[i];
+      if (t % cqi_every == 0) {
+        reported_snr_db[i] = true_snr;
+        plane.set_snr(i, true_snr);
       }
-      const double bits = std::min(alloc[i].bits, ue.backlog_bits);
-      ue.served_bits += bits;
-      if (ue.traffic.kind != Traffic::Kind::kFullBuffer) ue.backlog_bits -= bits;
+      staleness_sum += std::abs(true_snr - reported_snr_db[i]);
+      plane.set_snr_offset_db(i, true_snr - reported_snr_db[i]);
     }
+    plane.run_ttis(1);
   }
 
   ServiceReport report;
-  report.ttis = ttis;
+  report.traffic = plane.report();
   report.mean_cqi_staleness_db =
-      staleness_n > 0 ? staleness_sum / static_cast<double>(staleness_n) : 0.0;
-  double total = 0.0;
-  for (const UeState& ue : ues) {
-    UeServiceStats s;
-    s.rnti = ue.rnti;
-    s.offered_bits = ue.offered_bits;
-    s.served_bits = ue.served_bits;
-    s.throughput_bps = ue.served_bits / (ttis * kTtiMs / 1000.0);
-    s.harq_failure_rate =
-        ue.scheduled_ttis > 0
-            ? static_cast<double>(ue.failed_ttis) / static_cast<double>(ue.scheduled_ttis)
-            : 0.0;
-    s.mean_backlog_bits = ue.backlog_sum_bits / ttis;
-    // Little's law: mean delay = mean backlog / arrival rate.
-    if (ue.traffic.kind != Traffic::Kind::kFullBuffer && ue.traffic.rate_bps > 0.0)
-      s.mean_queue_delay_ms = 1000.0 * s.mean_backlog_bits / ue.traffic.rate_bps;
-    total += s.throughput_bps;
-    report.per_ue.push_back(s);
-  }
-  report.aggregate_throughput_bps = total;
+      staleness_sum / (static_cast<double>(ttis) * static_cast<double>(ues.size()));
   return report;
 }
 
 }  // namespace
 
 ServiceReport run_service_hovering(const World& world, geo::Vec3 uav_position,
-                                   const std::vector<Traffic>& traffic,
+                                   const std::vector<lte::TrafficSpec>& traffic,
                                    const ServiceConfig& config, std::mt19937_64& rng) {
   return run_service(
       world, [&](double) { return uav_position; }, config.duration_s, traffic, config, rng);
 }
 
 ServiceReport run_service_flying(const World& world, const uav::FlightPlan& plan,
-                                 const std::vector<Traffic>& traffic,
+                                 const std::vector<lte::TrafficSpec>& traffic,
                                  const ServiceConfig& config, std::mt19937_64& rng) {
   expects(!plan.waypoints.empty(), "run_service_flying: empty plan");
   const double duration = std::min(config.duration_s, plan.duration_s());

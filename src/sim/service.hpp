@@ -1,33 +1,21 @@
 // TTI-level LTE service simulation: what the UEs actually experience while
-// the UAV serves (hovering) or probes (moving). The eNodeB schedules on the
-// SNR it knew at the last CQI report; when the UAV moves, that knowledge is
-// stale - overshooting MCS costs HARQ failures, undershooting wastes
-// capacity - which is exactly why the paper limits probing time (Sec 2.5).
+// the UAV serves (hovering) or probes (moving). The MAC is lte::TrafficPlane;
+// this layer adds only what the plane does not model: the UAV's position
+// over time, fast fading whose coherence depends on motion, and the CQI
+// report cadence. The scheduler works from the SNR it knew at the last CQI
+// report; when the UAV moves, that knowledge is stale - overshooting MCS
+// costs HARQ retransmissions, undershooting wastes capacity - which is
+// exactly why the paper limits probing time (Sec 2.5).
 #pragma once
 
-#include <cstdint>
-#include <functional>
-#include <optional>
 #include <random>
 #include <vector>
 
-#include "lte/scheduler.hpp"
+#include "lte/traffic_plane.hpp"
 #include "sim/world.hpp"
 #include "uav/flight.hpp"
 
 namespace skyran::sim {
-
-/// Per-UE downlink traffic.
-struct Traffic {
-  enum class Kind {
-    kFullBuffer,  ///< always backlogged
-    kCbr,         ///< constant-bit-rate arrivals (rate_bps)
-    kPoisson,     ///< Poisson packet arrivals (rate_bps, packet_bits)
-  };
-  Kind kind = Kind::kFullBuffer;
-  double rate_bps = 2e6;
-  double packet_bits = 12000.0;  ///< 1500 B packets
-};
 
 struct ServiceConfig {
   lte::SchedulerPolicy policy = lte::SchedulerPolicy::kRoundRobin;
@@ -42,37 +30,23 @@ struct ServiceConfig {
   /// motion breaks the CQI loop (Sec 2.5).
   double fading_sigma_db = 1.8;
   double hover_coherence_s = 0.2;
-  /// An MCS chosen for `margin_db` more SNR than the channel truly has
-  /// fails (HARQ loss). 0 = exact threshold.
-  double bler_margin_db = 0.0;
-};
-
-struct UeServiceStats {
-  std::uint32_t rnti = 0;
-  double offered_bits = 0.0;
-  double served_bits = 0.0;
-  double throughput_bps = 0.0;
-  double harq_failure_rate = 0.0;  ///< failed TTIs / scheduled TTIs
-  double mean_queue_delay_ms = 0.0;  ///< CBR/Poisson only; 0 for full buffer
-  double mean_backlog_bits = 0.0;
 };
 
 struct ServiceReport {
-  std::vector<UeServiceStats> per_ue;
-  double aggregate_throughput_bps = 0.0;
+  lte::TrafficPlaneReport traffic;     ///< throughput, HARQ, delay percentiles
   double mean_cqi_staleness_db = 0.0;  ///< mean |true - reported| SNR gap
-  int ttis = 0;
 };
 
-/// Serve the world's UEs for `config.duration_s` from a hovering UAV.
+/// Serve the world's UEs for `config.duration_s` from a hovering UAV, one
+/// traffic spec per UE. The plane's seed is drawn from `rng`.
 ServiceReport run_service_hovering(const World& world, geo::Vec3 uav_position,
-                                   const std::vector<Traffic>& traffic,
+                                   const std::vector<lte::TrafficSpec>& traffic,
                                    const ServiceConfig& config, std::mt19937_64& rng);
 
 /// Serve while flying `plan` (service continues during a measurement
 /// flight); the plan's duration bounds the simulated time.
 ServiceReport run_service_flying(const World& world, const uav::FlightPlan& plan,
-                                 const std::vector<Traffic>& traffic,
+                                 const std::vector<lte::TrafficSpec>& traffic,
                                  const ServiceConfig& config, std::mt19937_64& rng);
 
 }  // namespace skyran::sim

@@ -3,7 +3,6 @@
 #pragma once
 
 #include "core/config.hpp"        // SkyRanConfig, LocalizationMode
-#include "core/multi_uav.hpp"     // MultiSkyRan (fleet operation)
 #include "fleet/fleet.hpp"        // multi-cell SINR/handover/steering fleet
 #include "core/skyran.hpp"        // SkyRan: the epoch state machine
 #include "core/timeline.hpp"      // continuous-time mission runner

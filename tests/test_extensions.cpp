@@ -1,7 +1,6 @@
 // Tests for the release-surface extensions: ESRI ASCII-grid terrain
-// interchange, CSV table export, the coverage placement objective,
-// RSRP-based multi-UAV association, the battery reserve guard, and the
-// umbrella header.
+// interchange, CSV table export, the coverage placement objective, the
+// battery reserve guard, and the umbrella header.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -92,34 +91,6 @@ TEST(CoverageObjectiveTest, PlacementPrefersServingMore) {
   const rem::Placement p = rem::choose_placement(std::vector<geo::Grid2D<double>>{a, b},
                                                  rem::PlacementObjective::kMaxCoverage);
   EXPECT_LT(p.position.x, 50.0);
-}
-
-TEST(MultiUavAssociationTest, StrongestOverridesPartition) {
-  sim::WorldConfig wc;
-  wc.terrain_kind = terrain::TerrainKind::kFlat;
-  wc.seed = 21;
-  sim::World world(wc);
-  // Two pockets; one lone UE sits closer to the other pocket's UAV.
-  world.ue_positions() = {{30.0, 30.0, 1.5},  {35.0, 40.0, 1.5}, {40.0, 30.0, 1.5},
-                          {220.0, 220.0, 1.5}, {230.0, 230.0, 1.5}};
-  core::MultiSkyRanConfig cfg;
-  cfg.n_uavs = 2;
-  cfg.association = core::Association::kStrongest;
-  cfg.per_uav.measurement_budget_m = 300.0;
-  cfg.per_uav.localization_mode = core::LocalizationMode::kPerfect;
-  core::MultiSkyRan fleet(world, cfg, 22);
-  const core::MultiEpochReport r = fleet.run_epoch();
-  // Every UE's assigned UAV is (one of) its strongest cells.
-  for (std::size_t i = 0; i < r.assignment.size(); ++i) {
-    const auto a = static_cast<std::size_t>(r.assignment[i]);
-    const double mine = world.snr_db(
-        geo::Vec3{r.uav_positions[a], r.uav_altitudes_m[a]}, world.ue_positions()[i]);
-    for (std::size_t u = 0; u < r.uav_positions.size(); ++u) {
-      const double other = world.snr_db(
-          geo::Vec3{r.uav_positions[u], r.uav_altitudes_m[u]}, world.ue_positions()[i]);
-      EXPECT_LE(other, mine + 1e-9) << "ue " << i;
-    }
-  }
 }
 
 TEST(BatteryReserveTest, LowBatterySkipsMeasurement) {

@@ -7,8 +7,8 @@
 
 #include "localization/multilateration.hpp"
 #include "lte/ranging.hpp"
-#include "lte/scheduler.hpp"
 #include "lte/srs_channel.hpp"
+#include "lte/traffic_plane.hpp"
 #include "mobility/deployment.hpp"
 #include "rem/gradient.hpp"
 #include "rem/kriging.hpp"
@@ -51,21 +51,36 @@ TEST_P(SeedSweep, PlannerToursStayInsideAreaAndBudget) {
 TEST_P(SeedSweep, SchedulerConservesPrbs) {
   std::mt19937_64 rng(seed());
   std::uniform_real_distribution<double> snr(-20.0, 35.0);
+  std::uniform_real_distribution<double> offset(-15.0, 5.0);
   std::uniform_int_distribution<int> n_ues(1, 12);
-  lte::Scheduler sched(lte::bandwidth_config(10.0));
-  for (int round = 0; round < 30; ++round) {
-    std::vector<lte::UeChannelState> ues;
-    const int n = n_ues(rng);
-    for (int i = 0; i < n; ++i)
-      ues.push_back({static_cast<std::uint32_t>(i + 1), snr(rng), (rng() & 1) != 0});
-    const auto alloc = sched.schedule_tti(ues);
-    int total = 0;
-    for (const auto& a : alloc) {
-      EXPECT_GE(a.prb, 0);
-      EXPECT_GE(a.bits, 0.0);
-      total += a.prb;
+  lte::TrafficPlaneConfig cfg;
+  cfg.policy = seed() % 2 == 0 ? lte::SchedulerPolicy::kRoundRobin
+                               : lte::SchedulerPolicy::kProportionalFair;
+  cfg.seed = seed();
+  lte::TrafficPlane plane(cfg);
+  // Backlogged (full-buffer) and idle (0 bit/s CBR) UEs, fresh CQI reports
+  // and true-channel offsets every TTI so HARQ retransmissions compete with
+  // new transmissions for PRBs.
+  const int n = n_ues(rng);
+  for (int i = 0; i < n; ++i) {
+    lte::TrafficSpec spec;
+    if ((rng() & 1) != 0) {
+      spec.model = lte::TrafficModel::kCbr;
+      spec.rate_bps = 0.0;
     }
-    EXPECT_LE(total, 50);
+    plane.add_ue(static_cast<std::uint32_t>(61 + i), snr(rng), spec);
+  }
+  for (int t = 0; t < 30; ++t) {
+    for (std::size_t i = 0; i < plane.ue_count(); ++i) {
+      plane.set_snr(i, snr(rng));
+      plane.set_snr_offset_db(i, offset(rng));
+    }
+    plane.run_ttis(1);
+    const lte::TtiDebug& d = plane.last_tti();
+    int total = 0;
+    for (const std::uint16_t prb : plane.last_tti_prbs()) total += prb;
+    EXPECT_EQ(total, d.prb_allocated);
+    EXPECT_LE(d.prb_allocated, d.prb_total);
   }
 }
 

@@ -58,6 +58,11 @@ void expect_ledger_holds(const TrafficPlane& plane) {
   }
 }
 
+/// Sag every UE's true channel by the same offset.
+void set_all_offsets(TrafficPlane& plane, double offset_db) {
+  for (std::size_t i = 0; i < plane.ue_count(); ++i) plane.set_snr_offset_db(i, offset_db);
+}
+
 // ------------------------------------------------------------- ledgers ----
 
 TEST(TrafficPlaneLedger, ConservationAcrossModelsAndPolicies) {
@@ -80,7 +85,7 @@ TEST(TrafficPlaneLedger, LedgerHoldsUnderHeavyHarqLoss) {
   TrafficPlaneConfig cfg;
   cfg.seed = 33;
   TrafficPlane plane = make_mixed_plane(cfg);
-  plane.set_snr_offset_db(-12.0);  // deep in the retransmission regime
+  set_all_offsets(plane, -12.0);  // deep in the retransmission regime
   plane.run_ttis(2000);
   expect_ledger_holds(plane);
   EXPECT_GT(plane.report().harq_retx, 0u);
@@ -176,7 +181,7 @@ TEST(TrafficPlaneHarq, FirstTxFailureActivatesProcess) {
   cfg.seed = 51;
   TrafficPlane plane(cfg);
   plane.add_ue(61, 20.0, {TrafficModel::kFullBuffer});
-  plane.set_snr_offset_db(-60.0);  // every transmission fails
+  plane.set_snr_offset_db(0, -60.0);  // every transmission fails
   plane.run_ttis(1);
   EXPECT_TRUE(plane.harq_active(0, 0));
   EXPECT_EQ(plane.harq_retx_count(0, 0), 0);
@@ -189,7 +194,7 @@ TEST(TrafficPlaneHarq, ProcessIdRoundTripsAcrossTtis) {
   cfg.seed = 53;
   TrafficPlane plane(cfg);
   plane.add_ue(61, 20.0, {TrafficModel::kFullBuffer});
-  plane.set_snr_offset_db(-60.0);
+  plane.set_snr_offset_db(0, -60.0);
   // TTIs 0..7 open all 8 processes (synchronous HARQ: process = tti % 8).
   plane.run_ttis(8);
   for (int p = 0; p < 8; ++p) {
@@ -210,7 +215,7 @@ TEST(TrafficPlaneHarq, CombiningGainTurnsFailureIntoSuccess) {
   plane.add_ue(61, 20.0, {TrafficModel::kFullBuffer});
   // Margin -5 dB: p_fail = min(1, 0.1 * 2^5) = 1, the first copy always
   // fails. The retransmission sees -5 + 50 dB and always decodes.
-  plane.set_snr_offset_db(offset_for_margin(20.0, -5.0));
+  plane.set_snr_offset_db(0, offset_for_margin(20.0, -5.0));
   plane.run_ttis(8);
   const double in_flight = plane.in_flight_bits(0);
   EXPECT_GT(in_flight, 0.0);
@@ -229,7 +234,7 @@ TEST(TrafficPlaneHarq, MaxRetxDropAccounting) {
   cfg.harq_max_retx = 4;
   TrafficPlane plane(cfg);
   plane.add_ue(61, 20.0, {TrafficModel::kFullBuffer});
-  plane.set_snr_offset_db(-60.0);  // combining never rescues anything
+  plane.set_snr_offset_db(0, -60.0);  // combining never rescues anything
   // Process 0: first TX at t=0, retx at t=8,16,24,32 — dropped at the 4th
   // retransmission. By t=40 every process has dropped exactly one block.
   plane.run_ttis(33);
@@ -253,7 +258,7 @@ TEST(TrafficPlaneHarq, RetxDeferredWhenPrbsExhausted) {
   TrafficPlane plane(cfg);
   for (std::uint32_t i = 0; i < 60; ++i)
     plane.add_ue(61 + i, 20.0, {TrafficModel::kCbr, 5e6});
-  plane.set_snr_offset_db(-60.0);
+  set_all_offsets(plane, -60.0);
   plane.run_ttis(200);
   expect_ledger_holds(plane);
   const TrafficPlaneReport r = plane.report();
@@ -280,7 +285,7 @@ TEST(TrafficPlaneHarq, FaultInjectorSnrSagWindowDrivesRetx) {
   TrafficPlane sagged(cfg);
   sagged.add_ue(61, 30.0, {TrafficModel::kFullBuffer});
   // Inside the window the true channel sits 40 dB below the CQI reports.
-  sagged.set_snr_offset_db(-injector.srs_snr_sag_db(50.0));
+  sagged.set_snr_offset_db(0, -injector.srs_snr_sag_db(50.0));
   sagged.run_ttis(200);
   EXPECT_GT(sagged.report().harq_retx, 0u);
   EXPECT_GT(sagged.report().harq_drops, 0u);
@@ -289,9 +294,30 @@ TEST(TrafficPlaneHarq, FaultInjectorSnrSagWindowDrivesRetx) {
   // Outside the window the injector passes through: identical to clean.
   TrafficPlane after(cfg);
   after.add_ue(61, 30.0, {TrafficModel::kFullBuffer});
-  after.set_snr_offset_db(-injector.srs_snr_sag_db(150.0));
+  after.set_snr_offset_db(0, -injector.srs_snr_sag_db(150.0));
   after.run_ttis(200);
   EXPECT_EQ(after.state_hash(), clean.state_hash());
+}
+
+TEST(TrafficPlaneHarq, PerUeOffsetSagsOnlyThatUe) {
+  // Two UEs on the same reported channel; only UE 1's true channel sags.
+  TrafficPlaneConfig cfg;
+  cfg.seed = 63;
+  cfg.target_bler = 1e-4;  // clean channel: effectively loss-free
+  TrafficPlane plane(cfg);
+  plane.add_ue(61, 20.0, {TrafficModel::kFullBuffer});
+  plane.add_ue(62, 20.0, {TrafficModel::kFullBuffer});
+  plane.set_snr_offset_db(1, -60.0);
+  for (int t = 0; t < 200; ++t) {
+    plane.run_ttis(1);
+    for (int p = 0; p < cfg.harq_processes; ++p)
+      EXPECT_FALSE(plane.harq_active(0, p)) << "tti " << t << " process " << p;
+  }
+  EXPECT_GT(plane.served_bits(0), 0.0);
+  EXPECT_EQ(plane.dropped_bits(0), 0.0);
+  EXPECT_EQ(plane.served_bits(1), 0.0);
+  EXPECT_GT(plane.dropped_bits(1), 0.0);
+  EXPECT_GT(plane.report().harq_retx, 0u);
 }
 
 // --------------------------------------------------------------- MBSFN ----
@@ -483,6 +509,7 @@ TEST(TrafficPlaneReportTest, ContractsRejectBadInputs) {
   spec.rate_bps = -1.0;
   EXPECT_THROW(plane.add_ue(61, 10.0, spec), ContractViolation);
   EXPECT_THROW(plane.set_snr(5, 10.0), ContractViolation);
+  EXPECT_THROW(plane.set_snr_offset_db(5, -3.0), ContractViolation);
   EXPECT_THROW(plane.run_ttis(-1), ContractViolation);
 }
 
