@@ -32,7 +32,7 @@ int main(int argc, char** argv) {
         const geo::Grid2D<double> gt =
             sim::ground_truth_rem(world, ue, ladder[li], bench::eval_cell(kind));
         gt.for_each([&](geo::CellIndex c, const double& v) {
-          stack.layer(li).add_measurement(gt.center_of(c), v);
+          stack.layer(li).add_measurement(0, gt.center_of(c), v);
         });
       }
       stacks.push_back(std::move(stack));
@@ -48,7 +48,7 @@ int main(int argc, char** argv) {
     const std::size_t single_layer = stacks.front().nearest_layer(alt.altitude_m);
     std::vector<geo::Grid2D<double>> single_maps;
     for (const rem::LayeredRem& st : stacks)
-      single_maps.push_back(st.layer(single_layer).estimate());
+      single_maps.push_back(st.layer_estimate(single_layer));
     const rem::Placement p1 = rem::choose_placement_feasible(
         single_maps, world.terrain(), ladder[single_layer]);
 

@@ -26,20 +26,19 @@ int main(int argc, char** argv) {
     const geo::Vec3 ue = world.ue_positions()[0];
 
     // Gather raw measurements along a budget-limited sweep.
-    rem::Rem rem_map(world.area(), cell, altitude, ue);
+    rem::RemBank measured(world.area(), cell, altitude);
+    measured.add_ue(ue);
     const geo::Path sweep = uav::truncate_to_budget(
         uav::zigzag(world.area().inflated(-10.0), 45.0), 600.0);
     std::mt19937_64 rng(1020 + s);
-    std::vector<rem::Rem> rems{rem_map};
-    sim::run_measurement_flight(world, uav::FlightPlan::at_altitude(sweep, altitude), rems,
+    sim::run_measurement_flight(world, uav::FlightPlan::at_altitude(sweep, altitude), measured,
                                 {}, rng);
 
     std::vector<rem::IdwSample> samples;
-    const rem::Rem& measured = rems[0];
     geo::Grid2D<double> truth(world.area(), cell, 0.0);
     truth.for_each([&](geo::CellIndex c, double& v) {
       v = world.snr_db(geo::Vec3{truth.center_of(c), altitude}, ue);
-      if (const auto m = measured.measured_snr(c))
+      if (const auto m = measured.measured_snr(0, c))
         samples.push_back({truth.center_of(c), *m});
     });
 

@@ -16,14 +16,11 @@ using namespace skyran;
 constexpr double kAltitude = 60.0;
 constexpr double kBudget = 500.0;
 
-std::vector<rem::Rem> fresh_rems(const sim::World& world) {
+rem::RemBank fresh_rems(const sim::World& world) {
   const rf::FsplChannel fspl(world.channel().frequency_hz());
-  std::vector<rem::Rem> rems;
-  for (const geo::Vec3& ue : world.ue_positions()) {
-    rem::Rem r(world.area(), bench::rem_cell(terrain::TerrainKind::kCampus), kAltitude, ue);
-    r.seed_from_model(fspl, world.budget());
-    rems.push_back(std::move(r));
-  }
+  rem::RemBank rems(world.area(), bench::rem_cell(terrain::TerrainKind::kCampus), kAltitude);
+  for (const geo::Vec3& ue : world.ue_positions())
+    rems.seed_from_model(rems.add_ue(ue), fspl, world.budget());
   return rems;
 }
 
@@ -42,22 +39,25 @@ int main(int argc, char** argv) {
     world.ue_positions() = mobility::deploy_mixed_visibility(world.terrain(), 6, 810 + s);
     std::mt19937_64 rng(820 + s);
 
-    std::vector<rem::Rem> rems = fresh_rems(world);
+    rem::RemBank rems = fresh_rems(world);
     bench::run_planner_rounds(world, rems, kBudget, kAltitude, 830 + s, rng);
+    rems.estimate_all();
     grad_err.push_back(bench::rem_error_db(world, rems));
 
-    std::vector<rem::Rem> rnd = fresh_rems(world);
+    rem::RemBank rnd = fresh_rems(world);
     const geo::Path walk = uav::random_walk(world.area().inflated(-10.0),
                                             world.area().center(), kBudget, 60.0, 840 + s);
     sim::run_measurement_flight(world, uav::FlightPlan::at_altitude(walk, kAltitude), rnd, {},
                                 rng);
+    rnd.estimate_all();
     rand_err.push_back(bench::rem_error_db(world, rnd));
 
-    std::vector<rem::Rem> zig = fresh_rems(world);
+    rem::RemBank zig = fresh_rems(world);
     const geo::Path sweep = uav::truncate_to_budget(
         uav::zigzag(world.area().inflated(-10.0), 40.0), kBudget);
     sim::run_measurement_flight(world, uav::FlightPlan::at_altitude(sweep, kAltitude), zig, {},
                                 rng);
+    zig.estimate_all();
     zig_err.push_back(bench::rem_error_db(world, zig));
   }
   fam.add_row({"gradient-guided (SkyRAN)", sim::Table::num(geo::median(grad_err), 1)});
@@ -75,8 +75,8 @@ int main(int argc, char** argv) {
       sim::World world = bench::make_world(terrain::TerrainKind::kCampus, 800 + s);
       world.ue_positions() = mobility::deploy_mixed_visibility(world.terrain(), 6, 810 + s);
       std::mt19937_64 rng(850 + s);
-      std::vector<rem::Rem> rems = fresh_rems(world);
-      std::vector<rem::TrajectoryHistory> histories(rems.size());
+      rem::RemBank rems = fresh_rems(world);
+      std::vector<rem::TrajectoryHistory> histories(rems.ue_count());
       double remaining = kBudget;
       geo::Vec2 start = world.area().center();
       while (remaining > 60.0) {
@@ -85,6 +85,7 @@ int main(int argc, char** argv) {
         pc.k_max = kmax;
         pc.budget_m = remaining;
         pc.seed = 860 + s;
+        rems.estimate_all(pc.idw);
         const rem::PlannedTrajectory plan =
             rem::plan_measurement_trajectory(rems, histories, start, pc);
         if (plan.cost_m < 1.0) break;
@@ -95,6 +96,7 @@ int main(int argc, char** argv) {
         start = plan.path.points().back();
         for (auto& h : histories) h.push_back(plan.path);
       }
+      rems.estimate_all();
       errs.push_back(bench::rem_error_db(world, rems));
     }
     ks.add_row({std::to_string(kmin) + ".." + std::to_string(kmax),
@@ -113,14 +115,15 @@ int main(int argc, char** argv) {
       sim::World world = bench::make_world(terrain::TerrainKind::kCampus, 800 + s);
       world.ue_positions() = mobility::deploy_mixed_visibility(world.terrain(), 6, 810 + s);
       std::mt19937_64 rng(870 + s);
-      std::vector<rem::Rem> rems = fresh_rems(world);
-      std::vector<rem::TrajectoryHistory> histories(rems.size());
+      rem::RemBank rems = fresh_rems(world);
+      std::vector<rem::TrajectoryHistory> histories(rems.ue_count());
       geo::Path first;
       geo::Vec2 start = world.area().center();
       for (int round = 0; round < 2; ++round) {
         rem::PlannerConfig pc;
         pc.budget_m = 300.0;
         pc.seed = 880 + s + round;
+        rems.estimate_all(pc.idw);
         const rem::PlannedTrajectory plan =
             rem::plan_measurement_trajectory(rems, histories, start, pc);
         sim::run_measurement_flight(world,
@@ -135,6 +138,7 @@ int main(int argc, char** argv) {
           dists.push_back(plan.path.mean_distance_to(first, 8.0));
         }
       }
+      rems.estimate_all();
       errs.push_back(bench::rem_error_db(world, rems));
     }
     ig.add_row({use_history ? "with info gain" : "history ignored",

@@ -61,23 +61,10 @@ struct EpochOutcome {
   core::EpochReport report;
 };
 
-/// Median REM error of the scheme's estimates against exhaustive truth
-/// computed at the estimate raster.
-inline double rem_error_db(const sim::World& world, const std::vector<rem::Rem>& rems,
-                           const rem::IdwParams& idw = {}) {
-  double total = 0.0;
-  for (const rem::Rem& r : rems) {
-    geo::Grid2D<double> truth(world.area(), r.cell_size(), 0.0);
-    truth.for_each([&](geo::CellIndex c, double& v) {
-      v = world.snr_db(geo::Vec3{truth.center_of(c), r.altitude_m()}, r.ue_position());
-    });
-    total += rem::median_abs_error_db(r.estimate(idw), truth);
-  }
-  return total / static_cast<double>(rems.size());
-}
-
-/// Same metric read from a RemBank's cached estimate slabs (run_epoch leaves
-/// them freshly estimated with the run's IDW params).
+/// Median REM error of a bank's cached estimates against exhaustive truth
+/// computed at the estimate raster. Requires bank.estimates_current() (call
+/// RemBank::estimate_all with the scheme's IDW parameters first; run_epoch
+/// and sim::run_uniform leave their banks estimated).
 inline double rem_error_db(const sim::World& world, const rem::RemBank& bank) {
   double total = 0.0;
   for (std::size_t i = 0; i < bank.ue_count(); ++i) {
@@ -137,7 +124,7 @@ inline EpochOutcome run_uniform_epoch(sim::World& world, terrain::TerrainKind ki
   const sim::GroundTruth truth =
       sim::compute_ground_truth(world, altitude_m, eval_cell(kind));
   out.relative_throughput = sim::relative_throughput(world, truth, r.position);
-  out.median_rem_error_db = rem_error_db(world, r.rems, cfg.idw);
+  out.median_rem_error_db = rem_error_db(world, *r.rems);
   return out;
 }
 
@@ -146,13 +133,13 @@ inline EpochOutcome run_uniform_epoch(sim::World& world, terrain::TerrainKind ki
 inline double cap1(double x) { return x > 1.0 ? 1.0 : x; }
 
 /// Plan-and-fly measurement rounds until `budget_m` is spent (the same
-/// multi-round loop SkyRan::run_epoch uses): each round replans from the
-/// previous endpoint with the flown tour added to every UE's history.
-/// Returns the total distance flown.
-inline double run_planner_rounds(const sim::World& world, std::vector<rem::Rem>& rems,
-                                 double budget_m, double altitude_m, std::uint64_t seed,
-                                 std::mt19937_64& rng) {
-  std::vector<rem::TrajectoryHistory> histories(rems.size());
+/// multi-round loop SkyRan::run_epoch uses): each round re-estimates the
+/// bank, replans from the previous endpoint and adds the flown tour to every
+/// UE's history. Returns the total distance flown; the bank is left holding
+/// the last round's deposits, not yet estimated.
+inline double run_planner_rounds(const sim::World& world, rem::RemBank& bank, double budget_m,
+                                 double altitude_m, std::uint64_t seed, std::mt19937_64& rng) {
+  std::vector<rem::TrajectoryHistory> histories(bank.ue_count());
   double remaining = budget_m;
   double flown = 0.0;
   geo::Vec2 start = world.area().center();
@@ -160,11 +147,12 @@ inline double run_planner_rounds(const sim::World& world, std::vector<rem::Rem>&
     rem::PlannerConfig pc;
     pc.budget_m = remaining;
     pc.seed = seed++;
+    bank.estimate_all(pc.idw);
     const rem::PlannedTrajectory plan =
-        rem::plan_measurement_trajectory(rems, histories, start, pc);
+        rem::plan_measurement_trajectory(bank, histories, start, pc);
     if (plan.cost_m < 1.0) break;
     sim::run_measurement_flight(world, uav::FlightPlan::at_altitude(plan.path, altitude_m),
-                                rems, {}, rng);
+                                bank, {}, rng);
     remaining -= plan.cost_m;
     flown += plan.cost_m;
     start = plan.path.points().back();

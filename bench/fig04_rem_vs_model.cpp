@@ -32,24 +32,22 @@ int main(int argc, char** argv) {
       const double cell = bench::rem_cell(kind);
 
       // Data-driven REM: dense exhaustive-style measurement sweep.
-      std::vector<rem::Rem> rems;
-      for (const geo::Vec3& ue : world.ue_positions())
-        rems.emplace_back(world.area(), cell, altitude, ue);
+      rem::RemBank rems(world.area(), cell, altitude);
+      for (const geo::Vec3& ue : world.ue_positions()) rems.add_ue(ue);
       const geo::Path sweep = uav::zigzag(world.area().inflated(-10.0),
                                           kind == terrain::TerrainKind::kLarge ? 90.0 : 35.0);
       std::mt19937_64 rng(80 + s);
       sim::run_measurement_flight(world, uav::FlightPlan::at_altitude(sweep, altitude), rems,
                                   {}, rng);
+      rems.estimate_all();
       data_err.push_back(bench::rem_error_db(world, rems));
 
       // Model-based map: FSPL from the (known) UE locations.
       const rf::FsplChannel fspl(world.channel().frequency_hz());
-      std::vector<rem::Rem> models;
-      for (const geo::Vec3& ue : world.ue_positions()) {
-        rem::Rem m(world.area(), cell, altitude, ue);
-        m.seed_from_model(fspl, world.budget());
-        models.push_back(std::move(m));
-      }
+      rem::RemBank models(world.area(), cell, altitude);
+      for (const geo::Vec3& ue : world.ue_positions())
+        models.seed_from_model(models.add_ue(ue), fspl, world.budget());
+      models.estimate_all();
       model_err.push_back(bench::rem_error_db(world, models));
     }
     const double d = geo::median(data_err);

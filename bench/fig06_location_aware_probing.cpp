@@ -36,26 +36,25 @@ int main(int argc, char** argv) {
       std::mt19937_64 rng(100 + s);
 
       // Location-aware: the SkyRAN planner seeded with UE locations.
-      std::vector<rem::Rem> aware;
+      rem::RemBank aware(world.area(), cell, altitude);
       const rf::FsplChannel fspl(world.channel().frequency_hz());
-      for (const geo::Vec3& ue : world.ue_positions()) {
-        rem::Rem r(world.area(), cell, altitude, ue);
-        r.seed_from_model(fspl, world.budget());
-        aware.push_back(std::move(r));
-      }
+      for (const geo::Vec3& ue : world.ue_positions())
+        aware.seed_from_model(aware.add_ue(ue), fspl, world.budget());
       bench::run_planner_rounds(world, aware, budget, altitude, 101 + s, rng);
-      aware_err.push_back(bench::rem_error_db(world, aware, idw));
-      fractions.push_back(100.0 * aware.front().measured_fraction());
+      aware.estimate_all(idw);
+      aware_err.push_back(bench::rem_error_db(world, aware));
+      fractions.push_back(100.0 * static_cast<double>(aware.measured_cells(0)) /
+                          static_cast<double>(aware.cells_per_ue()));
 
       // Naive: corner-start zigzag truncated to the same budget.
-      std::vector<rem::Rem> naive;
-      for (const geo::Vec3& ue : world.ue_positions())
-        naive.emplace_back(world.area(), cell, altitude, ue);
+      rem::RemBank naive(world.area(), cell, altitude);
+      for (const geo::Vec3& ue : world.ue_positions()) naive.add_ue(ue);
       const geo::Path sweep = uav::truncate_to_budget(
           uav::zigzag(world.area().inflated(-10.0), 80.0), budget);
       sim::run_measurement_flight(world, uav::FlightPlan::at_altitude(sweep, altitude), naive,
                                   {}, rng);
-      naive_err.push_back(bench::rem_error_db(world, naive, idw));
+      naive.estimate_all(idw);
+      naive_err.push_back(bench::rem_error_db(world, naive));
     }
     table.add_row({sim::Table::num(geo::median(fractions), 1),
                    sim::Table::num(geo::median(aware_err), 1),

@@ -28,24 +28,22 @@ int main(int argc, char** argv) {
       std::mt19937_64 rng(270 + s);
 
       // SkyRAN: location-seeded planner tour truncated to the budget.
-      std::vector<rem::Rem> sky;
+      rem::RemBank sky(world.area(), cell, altitude);
       const rf::FsplChannel fspl(world.channel().frequency_hz());
-      for (const geo::Vec3& ue : world.ue_positions()) {
-        rem::Rem r(world.area(), cell, altitude, ue);
-        r.seed_from_model(fspl, world.budget());
-        sky.push_back(std::move(r));
-      }
+      for (const geo::Vec3& ue : world.ue_positions())
+        sky.seed_from_model(sky.add_ue(ue), fspl, world.budget());
       bench::run_planner_rounds(world, sky, budget, altitude, 280 + s, rng);
+      sky.estimate_all();
       sky_err.push_back(bench::rem_error_db(world, sky));
 
       // Uniform: corner-start zigzag, same budget.
-      std::vector<rem::Rem> uni;
-      for (const geo::Vec3& ue : world.ue_positions())
-        uni.emplace_back(world.area(), cell, altitude, ue);
+      rem::RemBank uni(world.area(), cell, altitude);
+      for (const geo::Vec3& ue : world.ue_positions()) uni.add_ue(ue);
       const geo::Path sweep = uav::truncate_to_budget(
           uav::zigzag(world.area().inflated(-10.0), 40.0), budget);
       sim::run_measurement_flight(world, uav::FlightPlan::at_altitude(sweep, altitude), uni,
                                   {}, rng);
+      uni.estimate_all();
       uni_err.push_back(bench::rem_error_db(world, uni));
     }
     table.add_row({sim::Table::num(seconds, 0), sim::Table::num(geo::median(sky_err), 1),

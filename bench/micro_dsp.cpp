@@ -1,6 +1,6 @@
 // Scalar-vs-SIMD throughput for the kernels layer (src/kernels/): complex
-// correlation, power peak scan, IDW accumulate, k-means argmin and path-loss
-// batches, plus the full SRS ToF estimate end to end. Each kernel runs the
+// correlation, IDW accumulate, k-means argmin and path-loss batches, plus the
+// full SRS ToF estimate end to end (power_peak_scan has no SIMD variant). Each kernel runs the
 // same inputs with SKYRAN_SIMD forced off and at the best available level,
 // asserts the documented exactness/tolerance contract in-bench, and prints
 // one machine-readable JSON line. Not a google-benchmark binary: the JSON
@@ -111,22 +111,6 @@ int main(int argc, char** argv) {
     });
   }
 
-  {
-    constexpr std::size_t n = 8192;  // one upsampled correlation window
-    const auto v = random_cplx(n, 3);
-    const auto run = [&] {
-      kernels::PowerPeak last{};
-      for (int it = 0; it < kInnerIters; ++it) last = kernels::power_peak_scan(v.data(), n);
-      return last;
-    };
-    report("peak_scan", n, reps, run,
-           [](const kernels::PowerPeak& s, const kernels::PowerPeak& v) {
-             if (s.argmax != v.argmax || s.peak != v.peak) return -1.0;  // EXACT part
-             const double err = rel_err(s.total, v.total);
-             return err <= 1e-12 ? err : -1.0;  // TOLERANCE part
-           });
-  }
-
   for (const std::size_t n : {std::size_t{8}, std::size_t{1024}}) {
     // n=8 is the real call shape (k nearest neighbors per grid cell);
     // n=1024 shows the asymptotic kernel throughput.
@@ -185,8 +169,7 @@ int main(int argc, char** argv) {
 
   {
     // End to end: the full SRS ToF estimate (mul-conj + upsample + IFFT +
-    // kernel peak scan). Delay and distance derive from the EXACT argmax;
-    // peak_to_side_db carries the total-power reduction tolerance.
+    // kernel peak scan). Delay and distance derive from the EXACT argmax.
     lte::SrsConfig cfg;
     const lte::SrsSymbol tx = lte::make_srs_symbol(cfg);
     std::mt19937_64 rng(11);

@@ -1,9 +1,10 @@
 // Full vs incremental REM re-estimation across a multi-round measurement
-// epoch. Each round deposits a tour's worth of SNR samples into the same
-// per-UE state twice — once into legacy rem::Rem objects that re-interpolate
-// the whole raster on every estimate() call, once into a rem::RemBank whose
-// estimate_all() re-interpolates only the dirty cells — then times both and
-// verifies the results stay bit-for-bit identical. Not a google-benchmark
+// epoch. Each round deposits a tour's worth of SNR samples into two
+// rem::RemBanks: a twin that is never estimated, and the live bank. The full
+// arm times the first estimate_all of a copy of the twin (a bank's first
+// estimate_all re-interpolates the whole raster); the incremental arm times
+// the live bank's estimate_all, which re-interpolates only the dirty cells.
+// The two results must stay bit-for-bit identical. Not a google-benchmark
 // binary: like micro_parallel it emits one machine-readable JSON line per
 // round (round 0 is the cold full pass; later rounds show the cache win).
 //
@@ -13,12 +14,10 @@
 #include <random>
 #include <vector>
 
-#include "geo/grid.hpp"
 #include "geo/path.hpp"
 #include "geo/rect.hpp"
 #include "obs_session.hpp"
 #include "rem/bank.hpp"
-#include "rem/rem.hpp"
 #include "rf/channel.hpp"
 
 namespace skyran::bench {
@@ -26,8 +25,30 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-bool grids_equal(const geo::Grid2D<double>& a, const geo::Grid2D<double>& b) {
-  return a.same_geometry(b) && a.raw() == b.raw();
+/// Bit-identity of every UE's cached estimate slab.
+bool banks_equal(const rem::RemBank& a, const rem::RemBank& b) {
+  for (std::size_t i = 0; i < a.ue_count(); ++i) {
+    const geo::FieldView<const double> x = a.estimate(i);
+    const geo::FieldView<const double> y = b.estimate(i);
+    for (std::size_t j = 0; j < x.size(); ++j)
+      if (x[j] != y[j]) return false;
+  }
+  return a.ue_count() == b.ue_count();
+}
+
+/// Best-of-`reps` time of estimate_all on fresh copies of `bank` (copies
+/// made outside the timed region); returns the last estimated copy.
+rem::RemBank time_estimate_all(const rem::RemBank& bank, int reps,
+                               const rem::IdwParams& params, double& best_ms) {
+  std::vector<rem::RemBank> copies(static_cast<std::size_t>(reps), bank);
+  best_ms = 1e300;
+  for (rem::RemBank& copy : copies) {
+    const auto t0 = Clock::now();
+    copy.estimate_all(params);
+    const std::chrono::duration<double, std::milli> dt = Clock::now() - t0;
+    if (dt.count() < best_ms) best_ms = dt.count();
+  }
+  return std::move(copies.back());
 }
 
 struct Deposit {
@@ -76,14 +97,10 @@ int main(int argc, char** argv) {
   std::vector<geo::Vec3> ues;
   for (int i = 0; i < 6; ++i) ues.push_back({ux(rng), uy(rng), 1.5});
 
-  std::vector<rem::Rem> rems;
-  rem::RemBank bank(area, cell, altitude);
-  for (const geo::Vec3& ue : ues) {
-    rems.emplace_back(area, cell, altitude, ue);
-    rems.back().seed_from_model(fspl, rf::LinkBudget{});
-    bank.add_ue(ue);
-    bank.seed_from_model(bank.ue_count() - 1, fspl, rf::LinkBudget{});
-  }
+  // `twin` gets every deposit but is never estimated itself.
+  rem::RemBank twin(area, cell, altitude);
+  for (const geo::Vec3& ue : ues) twin.seed_from_model(twin.add_ue(ue), fspl, rf::LinkBudget{});
+  rem::RemBank bank = twin;
 
   for (int round = 0; round < rounds; ++round) {
     const std::vector<Deposit> deposits = tour_deposits(area, rng);
@@ -91,40 +108,23 @@ int main(int argc, char** argv) {
       for (std::size_t i = 0; i < ues.size(); ++i) {
         // Per-UE offset keeps the six maps distinct without extra RNG draws.
         const double snr = d.snr_db - 1.5 * static_cast<double>(i);
-        rems[i].add_measurement(d.at, snr);
+        twin.add_measurement(i, d.at, snr);
         bank.add_measurement(i, d.at, snr);
       }
     }
 
-    // Full re-estimate: what every consumer paid before the bank existed.
-    std::vector<geo::Grid2D<double>> legacy;
-    double full_ms = 1e300;
-    for (int r = 0; r < reps; ++r) {
-      std::vector<geo::Grid2D<double>> run;
-      run.reserve(rems.size());
-      const auto t0 = Clock::now();
-      for (const rem::Rem& rem : rems) run.push_back(rem.estimate(params));
-      const std::chrono::duration<double, std::milli> dt = Clock::now() - t0;
-      if (dt.count() < full_ms) full_ms = dt.count();
-      legacy = std::move(run);
-    }
+    // Full re-estimate: the first estimate_all of a never-estimated copy.
+    double full_ms = 0.0;
+    const rem::RemBank full = time_estimate_all(twin, reps, params, full_ms);
 
     // Incremental: each rep starts from an identical pre-estimate copy of
-    // the dirty bank (copies made outside the timed region).
-    std::vector<rem::RemBank> copies(static_cast<std::size_t>(reps), bank);
-    double incremental_ms = 1e300;
-    for (int r = 0; r < reps; ++r) {
-      const auto t0 = Clock::now();
-      copies[static_cast<std::size_t>(r)].estimate_all(params);
-      const std::chrono::duration<double, std::milli> dt = Clock::now() - t0;
-      if (dt.count() < incremental_ms) incremental_ms = dt.count();
-    }
+    // the dirty bank.
+    double incremental_ms = 0.0;
+    time_estimate_all(bank, reps, params, incremental_ms);
 
     bank.estimate_all(params);  // advance the real bank for the next round
     const rem::RemBank::EstimateStats& stats = bank.last_estimate_stats();
-    bool equal = true;
-    for (std::size_t i = 0; i < rems.size(); ++i)
-      equal = equal && grids_equal(legacy[i], bank.estimate_grid(i));
+    const bool equal = banks_equal(full, bank);
 
     std::printf(
         "{\"bench\":\"micro_rem\",\"kind\":\"round\",\"round\":%d,\"ues\":%zu,"
@@ -137,19 +137,10 @@ int main(int argc, char** argv) {
 
   // The other consumer pattern: a second estimate_all with nothing new in
   // between (the epoch loop estimates for the planner, then again for
-  // placement). Legacy re-interpolates everything; the bank returns its
-  // cached slab after one clean dirty-scan.
-  double full_ms = 1e300;
-  std::vector<geo::Grid2D<double>> legacy;
-  for (int r = 0; r < reps; ++r) {
-    std::vector<geo::Grid2D<double>> run;
-    run.reserve(rems.size());
-    const auto t0 = Clock::now();
-    for (const rem::Rem& rem : rems) run.push_back(rem.estimate(params));
-    const std::chrono::duration<double, std::milli> dt = Clock::now() - t0;
-    if (dt.count() < full_ms) full_ms = dt.count();
-    legacy = std::move(run);
-  }
+  // placement). A full re-raster re-interpolates everything; the bank
+  // returns its cached slab after one clean dirty-scan.
+  double full_ms = 0.0;
+  const rem::RemBank full = time_estimate_all(twin, reps, params, full_ms);
   double cached_ms = 1e300;
   for (int r = 0; r < reps; ++r) {
     const auto t0 = Clock::now();
@@ -157,9 +148,7 @@ int main(int argc, char** argv) {
     const std::chrono::duration<double, std::milli> dt = Clock::now() - t0;
     if (dt.count() < cached_ms) cached_ms = dt.count();
   }
-  bool equal = true;
-  for (std::size_t i = 0; i < rems.size(); ++i)
-    equal = equal && grids_equal(legacy[i], bank.estimate_grid(i));
+  const bool equal = banks_equal(full, bank);
   std::printf(
       "{\"bench\":\"micro_rem\",\"kind\":\"cache_hit\",\"ues\":%zu,\"cells\":%zu,"
       "\"full_ms\":%.3f,\"incremental_ms\":%.3f,\"speedup\":%.3f,"

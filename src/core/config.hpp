@@ -10,7 +10,6 @@
 #include "lte/traffic_plane.hpp"
 #include "rem/placement.hpp"
 #include "rem/planner.hpp"
-#include "rem/rem.hpp"
 #include "sim/faults.hpp"
 #include "sim/measurement.hpp"
 #include "uav/battery.hpp"

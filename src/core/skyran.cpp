@@ -286,7 +286,7 @@ EpochReport SkyRan::run_epoch() {
   for (std::size_t i = 0; i < report.estimated_ue_positions.size(); ++i) {
     rem::TrajectoryHistory& h = history_for(report.estimated_ue_positions[i]);
     h.insert(h.end(), flown.begin(), flown.end());
-    store_.put_from_bank(*bank_, i);
+    store_.put(*bank_, i);
   }
 
   // Placement (Sec 3.4), restricted to cells the UAV can hover in. The

@@ -89,62 +89,6 @@ void multiply_conjugate(const Cplx* a, const Cplx* b, Cplx* out, std::size_t n) 
   }
 }
 
-PowerPeak power_peak_scan(const Cplx* v, std::size_t n) {
-  PowerPeak out;
-  if (n == 0) return out;
-  const double* d = reinterpret_cast<const double*>(v);
-  std::size_t i = 0;
-  double head_total = 0.0;
-  double head_peak = -1.0;
-  std::size_t head_arg = 0;
-  if (n >= 4) {
-    __m256d best = _mm256_set1_pd(-1.0);
-    __m256d best_idx = _mm256_setzero_pd();
-    // hadd_pd(lo, hi) lane order is [m0, m2, m1, m3], so the running index
-    // vector must carry [i, i+2, i+1, i+3] (set_pd takes hi..lo).
-    __m256d idx = _mm256_set_pd(3.0, 1.0, 2.0, 0.0);
-    const __m256d four = _mm256_set1_pd(4.0);
-    __m256d tot = _mm256_setzero_pd();
-    for (; i + 4 <= n; i += 4) {
-      const __m256d lo = _mm256_loadu_pd(d + 2 * i);      // re0 im0 re1 im1
-      const __m256d hi = _mm256_loadu_pd(d + 2 * i + 4);  // re2 im2 re3 im3
-      const __m256d mags =
-          _mm256_hadd_pd(_mm256_mul_pd(lo, lo), _mm256_mul_pd(hi, hi));
-      tot = _mm256_add_pd(tot, mags);
-      const __m256d gt = _mm256_cmp_pd(mags, best, _CMP_GT_OQ);
-      best = _mm256_blendv_pd(best, mags, gt);
-      best_idx = _mm256_blendv_pd(best_idx, idx, gt);
-      idx = _mm256_add_pd(idx, four);
-    }
-    double bl[4], il[4], tl[4];
-    store4(best, bl);
-    store4(best_idx, il);
-    store4(tot, tl);
-    head_total = ((tl[0] + tl[1]) + tl[2]) + tl[3];
-    for (int k = 0; k < 4; ++k) {
-      // Strictly-greater keeps the earliest lane hit; across lanes pick the
-      // max value, breaking ties toward the lowest element index.
-      if (bl[k] > head_peak ||
-          (bl[k] == head_peak && static_cast<std::size_t>(il[k]) < head_arg)) {
-        head_peak = bl[k];
-        head_arg = static_cast<std::size_t>(il[k]);
-      }
-    }
-  }
-  out.peak = head_peak >= 0.0 ? head_peak : std::norm(v[0]);
-  out.argmax = head_peak >= 0.0 ? head_arg : 0;
-  out.total = head_total;
-  for (; i < n; ++i) {
-    const double m = std::norm(v[i]);
-    out.total += m;
-    if (m > out.peak) {
-      out.peak = m;
-      out.argmax = i;
-    }
-  }
-  return out;
-}
-
 IdwAccum idw_weigh(const double* dist_m, const double* value, std::size_t n, double power) {
   // Dispatch guarantees power is 1.0 or 2.0 here; anything else runs scalar.
   const bool square = power == 2.0;

@@ -25,7 +25,6 @@ void log_distance_db(const double* dist_m, double* out, std::size_t n, double fr
 namespace skyran::kernels::avx2 {
 
 void multiply_conjugate(const Cplx* a, const Cplx* b, Cplx* out, std::size_t n);
-PowerPeak power_peak_scan(const Cplx* v, std::size_t n);
 IdwAccum idw_weigh(const double* dist_m, const double* value, std::size_t n, double power);
 int kmeans_assign(const double* px, const double* py, std::size_t n_points,
                   const double* cx, const double* cy, std::size_t n_centers, int* assignment);

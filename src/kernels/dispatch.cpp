@@ -134,9 +134,7 @@ void multiply_conjugate(const Cplx* a, const Cplx* b, Cplx* out, std::size_t n) 
 PowerPeak power_peak_scan(const Cplx* v, std::size_t n) {
   SKYRAN_COUNTER_INC("kernel.peak_scan.calls");
   SKYRAN_COUNTER_ADD("kernel.peak_scan.elems", n);
-#if defined(SKYRAN_KERNELS_HAVE_AVX2)
-  if (active_level() == SimdLevel::kAvx2) return avx2::power_peak_scan(v, n);
-#endif
+  // Scalar at every level: the AVX2 variant measured slower than this loop.
   return scalar::power_peak_scan(v, n);
 }
 

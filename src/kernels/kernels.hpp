@@ -19,7 +19,7 @@
 // | kernel              | contract  | bound (scalar vs SIMD)                 |
 // |---------------------|-----------|----------------------------------------|
 // | multiply_conjugate  | EXACT     | bit-identical (finite inputs)          |
-// | power_peak_scan     | mixed     | argmax/peak EXACT; total rel <= 1e-12  |
+// | power_peak_scan     | EXACT     | scalar at every level (no SIMD path)   |
 // | idw_weigh           | TOLERANCE | wsum/vsum rel <= 1e-12 (power 1 or 2;  |
 // |                     |           | other powers run scalar: EXACT)        |
 // | kmeans_assign       | EXACT     | bit-identical assignment               |
@@ -101,10 +101,9 @@ struct PowerPeak {
 };
 
 /// One fused pass over |v[i]|^2: argmax (lowest index wins ties), the peak
-/// power, and the total power. argmax/peak are EXACT (per-element powers are
-/// identical at every level); total is a TOLERANCE reduction: SIMD sums four
-/// interleaved lanes, so it can differ from the serial sum by <= 1e-12
-/// relative. n == 0 returns a zeroed result.
+/// power, and the total power summed in index order. Scalar at every SIMD
+/// level (an AVX2 variant measured slower than the scalar loop), so EXACT.
+/// n == 0 returns a zeroed result.
 PowerPeak power_peak_scan(const Cplx* v, std::size_t n);
 
 // ---------------------------------------------------------------------------

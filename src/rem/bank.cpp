@@ -9,8 +9,8 @@
 
 #include "core/thread_pool.hpp"
 #include "geo/contract.hpp"
+#include "geo/stats.hpp"
 #include "obs/obs.hpp"
-#include "rem/idw.hpp"
 
 namespace skyran::rem {
 
@@ -19,8 +19,8 @@ RemBank::RemBank(geo::Rect area, double cell_size, double altitude_m)
   expects(cell_size > 0.0, "RemBank: cell size must be positive");
   expects(area.width() > 0.0 && area.height() > 0.0, "RemBank: area must be non-empty");
   expects(altitude_m > 0.0, "RemBank: altitude must be positive");
-  // Same layout formula as Grid2D so views and extracted Rems line up
-  // cell-for-cell with standalone grids over the same area.
+  // Same layout formula as Grid2D so views line up cell-for-cell with
+  // standalone grids over the same area.
   nx_ = std::max(static_cast<int>(std::ceil(area.width() / cell_size - 1e-9)), 1);
   ny_ = std::max(static_cast<int>(std::ceil(area.height() / cell_size - 1e-9)), 1);
   cells_ = static_cast<std::size_t>(nx_) * static_cast<std::size_t>(ny_);
@@ -29,15 +29,13 @@ RemBank::RemBank(geo::Rect area, double cell_size, double altitude_m)
 std::size_t RemBank::add_ue(geo::Vec3 ue_position) {
   const std::size_t ue = ue_pos_.size();
   ue_pos_.push_back(ue_position);
-  source_.push_back(Rem::BackgroundSource::kNone);
+  source_.push_back(BackgroundSource::kNone);
   measured_count_.push_back(0);
   full_pending_.push_back(1);
   fresh_cells_.emplace_back();
   sums_.resize(sums_.size() + cells_, 0.0);
   counts_.resize(counts_.size() + cells_, 0);
   background_.resize(background_.size() + cells_, 0.0);
-  estimate_.resize(estimate_.size() + cells_, 0.0);
-  influence_.resize(influence_.size() + cells_, 0.0);
   pending_.resize(pending_.size() + cells_, 0);
   dirty_any_ = true;
   return ue;
@@ -82,9 +80,8 @@ void RemBank::seed_from_model(std::size_t ue, const rf::ChannelModel& model,
                               const rf::LinkBudget& budget) {
   expects(ue < ue_count(), "RemBank::seed_from_model: UE out of range");
   double* bg = background_.data() + ue * cells_;
-  // Same serial row-major sweep as Rem::seed_from_model (bit-identical):
-  // each row of candidate UAV positions goes through the channel's batched
-  // row evaluation, then the link budget per cell.
+  // Serial row-major sweep: each row of candidate UAV positions goes through
+  // the channel's batched row evaluation, then the link budget per cell.
   std::vector<geo::Vec3> row(static_cast<std::size_t>(nx_));
   for (int iy = 0; iy < ny_; ++iy) {
     for (int ix = 0; ix < nx_; ++ix)
@@ -94,23 +91,23 @@ void RemBank::seed_from_model(std::size_t ue, const rf::ChannelModel& model,
     for (int ix = 0; ix < nx_; ++ix)
       out[static_cast<std::size_t>(ix)] = budget.snr_db(out[static_cast<std::size_t>(ix)]);
   }
-  source_[ue] = Rem::BackgroundSource::kModel;
+  source_[ue] = BackgroundSource::kModel;
   full_pending_[ue] = 1;
   dirty_any_ = true;
 }
 
-void RemBank::seed_from(std::size_t ue, const Rem& prior, const IdwParams& params) {
+void RemBank::seed_from(std::size_t ue, const RemBank& prior, const IdwParams& params) {
   expects(ue < ue_count(), "RemBank::seed_from: UE out of range");
-  const geo::Grid2D<double> est = prior.estimate(params);
-  expects(est.nx() == nx_ && est.ny() == ny_,
+  expects(prior.ue_count() == 1, "RemBank::seed_from: prior must be a one-UE bank");
+  expects(prior.nx_ == nx_ && prior.ny_ == ny_,
           "RemBank::seed_from: geometry mismatch with prior REM");
-  std::copy(est.raw().begin(), est.raw().end(), background_.begin() + ue * cells_);
-  // Same provenance rule as Rem::seed_from: a prior seeded purely from a
-  // model carries no measurement information.
-  source_[ue] = prior.measured_cells() > 0 ||
-                        prior.background_source() == Rem::BackgroundSource::kPrior
-                    ? Rem::BackgroundSource::kPrior
-                    : prior.background_source();
+  RemBank est = prior;
+  est.estimate_all(params);
+  std::copy(est.estimate_.begin(), est.estimate_.end(), background_.begin() + ue * cells_);
+  // A prior seeded purely from a model carries no measurement information.
+  source_[ue] = prior.measured_count_[0] > 0 || prior.source_[0] == BackgroundSource::kPrior
+                    ? BackgroundSource::kPrior
+                    : prior.source_[0];
   full_pending_[ue] = 1;
   dirty_any_ = true;
 }
@@ -120,9 +117,42 @@ std::size_t RemBank::measured_cells(std::size_t ue) const {
   return measured_count_[ue];
 }
 
-Rem::BackgroundSource RemBank::background_source(std::size_t ue) const {
+RemBank::BackgroundSource RemBank::background_source(std::size_t ue) const {
   expects(ue < ue_count(), "RemBank::background_source: UE out of range");
   return source_[ue];
+}
+
+int RemBank::measurement_count(std::size_t ue, geo::CellIndex c) const {
+  expects(ue < ue_count(), "RemBank::measurement_count: UE out of range");
+  expects(c.ix >= 0 && c.ix < nx_ && c.iy >= 0 && c.iy < ny_,
+          "RemBank::measurement_count: cell out of bounds");
+  return counts_[flat(ue, c)];
+}
+
+std::optional<double> RemBank::measured_snr(std::size_t ue, geo::CellIndex c) const {
+  const int n = measurement_count(ue, c);
+  if (n == 0) return std::nullopt;
+  return sums_[flat(ue, c)] / n;
+}
+
+void RemBank::restore_measurement(std::size_t ue, geo::CellIndex c, double snr_sum_db,
+                                  int count) {
+  expects(count >= 1, "RemBank::restore_measurement: count must be >= 1");
+  if (measurement_count(ue, c) == 0) ++measured_count_[ue];
+  sums_[flat(ue, c)] = snr_sum_db;
+  counts_[flat(ue, c)] = count;
+  full_pending_[ue] = 1;
+  dirty_any_ = true;
+}
+
+void RemBank::restore_background(std::size_t ue, std::span<const double> background,
+                                 BackgroundSource source) {
+  expects(ue < ue_count(), "RemBank::restore_background: UE out of range");
+  expects(background.size() == cells_, "RemBank::restore_background: geometry mismatch");
+  std::copy(background.begin(), background.end(), background_.begin() + ue * cells_);
+  source_[ue] = source;
+  full_pending_[ue] = 1;
+  dirty_any_ = true;
 }
 
 void RemBank::estimate_all(const IdwParams& params) {
@@ -136,9 +166,12 @@ void RemBank::estimate_all(const IdwParams& params) {
       params.max_radius_m != last_params_.max_radius_m ||
       params.background_blend_m != last_params_.background_blend_m;
 
+  estimate_.resize(n_ue * cells_, 0.0);
+  influence_.resize(n_ue * cells_, 0.0);
+
   // Per-UE interpolation context, built serially. Samples are gathered in
-  // flat (row-major ascending) order — the same order Rem::estimate's
-  // for_each produces — so neighbor tie-breaking is bit-identical.
+  // flat (row-major ascending) order, so neighbor tie-breaking never
+  // depends on which cells were dirty.
   std::vector<std::optional<IdwInterpolator>> idw(n_ue);
   std::vector<std::optional<IdwInterpolator>> fresh(n_ue);
   std::vector<geo::Vec2> fresh_lo(n_ue), fresh_hi(n_ue);
@@ -167,7 +200,7 @@ void RemBank::estimate_all(const IdwParams& params) {
     }
     idw[ue].emplace(std::move(samples), area_);
     ue_full[ue] = params_changed || full_pending_[ue] ? 1 : 0;
-    ue_blend[ue] = source_[ue] == Rem::BackgroundSource::kPrior &&
+    ue_blend[ue] = source_[ue] == BackgroundSource::kPrior &&
                            params.background_blend_m > 0.0
                        ? 1
                        : 0;
@@ -242,7 +275,7 @@ void RemBank::estimate_all(const IdwParams& params) {
     const int y1 = std::min(ny_, y0 + kTileCells);
     const bool full = ue_full[ue] != 0;
     const bool blend = ue_blend[ue] != 0;
-    const bool has_bg = source_[ue] != Rem::BackgroundSource::kNone;
+    const bool has_bg = source_[ue] != BackgroundSource::kNone;
     const bool has_fresh = fresh[ue].has_value();
     // Hoisted per tile: the Chebyshev lower bound on the distance from any
     // cell of this tile to the nearest fresh deposit.
@@ -277,6 +310,8 @@ void RemBank::estimate_all(const IdwParams& params) {
             p, params.k_neighbors, params.power, params.max_radius_m);
         influence_[f] = inf.influence_m;
         if (inf.estimate && blend) {
+          // Temporal aggregation: fresh measurements dominate near the tour,
+          // the prior epoch's map dominates far from it.
           const double w = std::exp(-inf.estimate->nearest_m / params.background_blend_m);
           estimate_[f] = w * inf.estimate->value + (1.0 - w) * background_[f];
         } else if (inf.estimate) {
@@ -295,8 +330,7 @@ void RemBank::estimate_all(const IdwParams& params) {
     for (std::size_t i : fresh_cells_[ue]) pending_[ue * cells_ + i] = 0;
     fresh_cells_[ue].clear();
     full_pending_[ue] = 0;
-    // Keep the legacy per-REM fill metric alive: one estimate_all refreshes
-    // every UE's map, like one Rem::estimate per UE used to.
+    // Per-UE fill: one observation per UE map refreshed.
     SKYRAN_HISTOGRAM_OBSERVE(
         "rem.fill.measured_fraction",
         static_cast<double>(measured_count_[ue]) / static_cast<double>(cells_));
@@ -335,24 +369,29 @@ geo::FieldView<const double> RemBank::background(std::size_t ue) const {
   return {background_.data() + ue * cells_, area_, cell_size_, nx_, ny_};
 }
 
-Rem RemBank::extract_rem(std::size_t ue) const {
-  expects(ue < ue_count(), "RemBank::extract_rem: UE out of range");
-  Rem out(area_, cell_size_, altitude_m_, ue_pos_[ue]);
-  const double* sums = sums_.data() + ue * cells_;
-  const int* counts = counts_.data() + ue * cells_;
-  for (std::size_t i = 0; i < cells_; ++i) {
-    if (counts[i] == 0) continue;
-    const geo::CellIndex c{static_cast<int>(i % static_cast<std::size_t>(nx_)),
-                           static_cast<int>(i / static_cast<std::size_t>(nx_))};
-    out.restore_measurement(c, sums[i], counts[i]);
-  }
-  if (source_[ue] != Rem::BackgroundSource::kNone) {
-    geo::Grid2D<double> bg(area_, cell_size_, 0.0);
-    std::copy(background_.begin() + ue * cells_,
-              background_.begin() + (ue + 1) * cells_, bg.raw().begin());
-    out.restore_background(bg, source_[ue]);
-  }
+RemBank RemBank::extract(std::size_t ue) const {
+  expects(ue < ue_count(), "RemBank::extract: UE out of range");
+  RemBank out(area_, cell_size_, altitude_m_);
+  out.add_ue(ue_pos_[ue]);
+  const std::size_t lo = ue * cells_;
+  const std::size_t hi = lo + cells_;
+  std::copy(sums_.begin() + lo, sums_.begin() + hi, out.sums_.begin());
+  std::copy(counts_.begin() + lo, counts_.begin() + hi, out.counts_.begin());
+  std::copy(background_.begin() + lo, background_.begin() + hi, out.background_.begin());
+  out.source_[0] = source_[ue];
+  out.measured_count_[0] = measured_count_[ue];
   return out;
+}
+
+double median_abs_error_db(const geo::Grid2D<double>& estimate,
+                           const geo::Grid2D<double>& ground_truth) {
+  expects(estimate.same_geometry(ground_truth), "median_abs_error_db: geometry mismatch");
+  std::vector<double> errs;
+  errs.reserve(estimate.size());
+  estimate.for_each([&](geo::CellIndex c, const double& v) {
+    errs.push_back(std::abs(v - ground_truth.at(c)));
+  });
+  return geo::median(errs);
 }
 
 }  // namespace skyran::rem

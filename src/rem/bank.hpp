@@ -1,22 +1,30 @@
-// RemBank: the shared-geometry structure-of-arrays REM engine (paper
-// Secs 3.3/3.5). All per-UE REMs of one epoch share the operating area, cell
-// size and altitude, so the bank stores them as contiguous N_ue x nx x ny
-// slabs (sums, counts, background, cached estimate) instead of N independent
-// rem::Rem objects. On top of the layout win, the bank tracks which cells a
-// measurement flight invalidated and re-interpolates ONLY those in
-// estimate_all() — multi-round epochs stop paying full-raster IDW per round
-// while staying bit-identical to the per-UE Rem::estimate path (enforced by
-// tests/test_rem_bank.cpp, serial and parallel).
+// RemBank: the REM engine (paper Secs 3.3/3.5). A Radio Environment Map is
+// a per-UE 2-D grid over the operating area at the target altitude, each cell
+// holding the SNR from that UAV position to the UE. Cells along flown
+// trajectories hold measured averages; the rest are estimated by IDW
+// interpolation over measurements, falling back to a model-seeded background
+// (FSPL for brand-new UEs, or a reused historical REM, Sec 3.5).
+//
+// All per-UE REMs of one epoch share the operating area, cell size and
+// altitude, so the bank stores them as contiguous N_ue x nx x ny slabs (sums,
+// counts, background, cached estimate). It tracks which cells a measurement
+// flight invalidated and re-interpolates ONLY those in estimate_all(): the
+// result is bit-identical to the first (full) estimate_all of a bank fed the
+// same deposits, so multi-round epochs stop paying full-raster IDW per round
+// (enforced by tests/test_rem_bank.cpp, serial and parallel). A stored REM
+// (rem::RemStore) is a one-UE bank.
 #pragma once
 
 #include <cstdint>
+#include <optional>
+#include <span>
 #include <vector>
 
 #include "geo/field_view.hpp"
 #include "geo/grid.hpp"
 #include "geo/rect.hpp"
 #include "geo/vec.hpp"
-#include "rem/rem.hpp"
+#include "rem/idw.hpp"
 #include "rf/channel.hpp"
 #include "rf/link.hpp"
 
@@ -24,6 +32,9 @@ namespace skyran::rem {
 
 class RemBank {
  public:
+  /// Where a UE's background values came from.
+  enum class BackgroundSource { kNone, kModel, kPrior };
+
   /// Bank over `area` at `altitude_m` with square `cell_size` cells; UEs are
   /// appended with add_ue().
   RemBank(geo::Rect area, double cell_size, double altitude_m);
@@ -41,28 +52,49 @@ class RemBank {
   double altitude_m() const { return altitude_m_; }
   const geo::Vec3& ue_position(std::size_t ue) const;
 
-  /// Record one SNR report for `ue` taken at UAV ground-position `at`;
-  /// same averaging semantics as Rem::add_measurement, plus dirty tracking.
+  /// Record one SNR report for `ue` taken at UAV ground-position `at` (the
+  /// UAV is at the bank altitude). Reports within a cell are averaged
+  /// (Sec 3.3.3); the cell is marked dirty for the next estimate_all.
   void add_measurement(std::size_t ue, geo::Vec2 at, double snr_db);
 
-  /// Seed `ue`'s background from the channel model (brand-new UEs).
+  /// Seed `ue`'s background with `model` SNR predictions through `budget`
+  /// (brand-new UEs, Sec 3.5). Does not mark cells measured.
   void seed_from_model(std::size_t ue, const rf::ChannelModel& model,
                        const rf::LinkBudget& budget);
 
-  /// Seed `ue`'s background from a stored REM's estimate (positional reuse,
-  /// Sec 3.5); same provenance rule as Rem::seed_from.
-  void seed_from(std::size_t ue, const Rem& prior, const IdwParams& params = {});
+  /// Seed `ue`'s background from a stored one-UE bank's estimate (positional
+  /// reuse, Sec 3.5): a copy of `prior` is estimated with `params` and its
+  /// slab becomes the background. Geometry must match. A prior seeded purely
+  /// from a model carries no measurement information, so it keeps model
+  /// provenance; any other prior gives kPrior.
+  void seed_from(std::size_t ue, const RemBank& prior, const IdwParams& params = {});
 
+  /// Number of `ue`'s cells with at least one measurement.
   std::size_t measured_cells(std::size_t ue) const;
-  Rem::BackgroundSource background_source(std::size_t ue) const;
+  BackgroundSource background_source(std::size_t ue) const;
 
-  /// Refresh the cached estimate slab: re-interpolates only cells
-  /// invalidated since the last call (deposited cells, plus every cell whose
-  /// stored influence radius reaches a fresh deposit), parallelized over
-  /// (ue x row) chunks on the global thread pool. Results are bit-for-bit
-  /// identical to running Rem::estimate per UE on the same accumulated
-  /// state, for any worker count. Changing `params` between calls forces a
-  /// full recompute (the cache is parameter-specific).
+  /// Number of raw reports accumulated in a cell of `ue` (0 = unmeasured).
+  int measurement_count(std::size_t ue, geo::CellIndex c) const;
+  /// Measured mean SNR of a cell of `ue`; nullopt when unmeasured.
+  std::optional<double> measured_snr(std::size_t ue, geo::CellIndex c) const;
+
+  /// Restore a cell's accumulator verbatim (deserialization); replaces any
+  /// existing content of the cell. `count` must be >= 1.
+  void restore_measurement(std::size_t ue, geo::CellIndex c, double snr_sum_db, int count);
+  /// Restore `ue`'s background raster (cells_per_ue() values, row-major) and
+  /// its provenance verbatim (deserialization).
+  void restore_background(std::size_t ue, std::span<const double> background,
+                          BackgroundSource source);
+
+  /// Refresh the cached estimate slab: measured mean where available, IDW
+  /// over measured cells elsewhere, background where no measurement is in
+  /// range. Re-interpolates only cells invalidated since the last call
+  /// (deposited cells, plus every cell whose stored influence radius reaches
+  /// a fresh deposit), parallelized over (UE x tile) work items on the
+  /// global thread pool. Results are bit-for-bit identical to the first
+  /// (full) estimate_all of a bank fed the same deposits, for any worker
+  /// count. Changing `params` between calls forces a full recompute (the
+  /// cache is parameter-specific).
   void estimate_all(const IdwParams& params = {});
 
   /// True when the cached estimates reflect every deposit/seed so far (i.e.
@@ -80,9 +112,9 @@ class RemBank {
   /// Non-owning view of `ue`'s background raster.
   geo::FieldView<const double> background(std::size_t ue) const;
 
-  /// Materialize `ue` as a standalone rem::Rem, bit-identical to the object
-  /// the legacy per-UE flow would have built (store persistence / handoff).
-  Rem extract_rem(std::size_t ue) const;
+  /// One-UE copy of `ue`: its sums, counts, background, provenance and
+  /// position, with nothing estimated yet (REM store entries).
+  RemBank extract(std::size_t ue) const;
 
   /// Tallies from the last estimate_all() call.
   struct EstimateStats {
@@ -113,7 +145,9 @@ class RemBank {
   std::size_t cells_ = 0;
 
   // Structure-of-arrays slabs, each ue_count() * cells_per_ue() long,
-  // UE-major then row-major (same flat order as Grid2D).
+  // UE-major then row-major (same flat order as Grid2D). estimate_ and
+  // influence_ are sized by estimate_all, so a bank that is never estimated
+  // (a REM store entry) carries neither.
   std::vector<double> sums_;
   std::vector<int> counts_;
   std::vector<double> background_;
@@ -127,7 +161,7 @@ class RemBank {
 
   // Per-UE state.
   std::vector<geo::Vec3> ue_pos_;
-  std::vector<Rem::BackgroundSource> source_;
+  std::vector<BackgroundSource> source_;
   std::vector<std::size_t> measured_count_;
   /// Everything stale for this UE (new UE, reseeded background, or changed
   /// interpolation parameters): next estimate_all recomputes all its cells.
@@ -141,5 +175,10 @@ class RemBank {
   IdwParams last_params_{};
   EstimateStats stats_{};
 };
+
+/// Median absolute difference between two SNR maps (the paper's "median REM
+/// accuracy (dB)" metric). Grids must share geometry.
+double median_abs_error_db(const geo::Grid2D<double>& estimate,
+                           const geo::Grid2D<double>& ground_truth);
 
 }  // namespace skyran::rem

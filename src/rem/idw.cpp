@@ -20,7 +20,8 @@ IdwInterpolator::IdwInterpolator(std::vector<IdwSample> samples, geo::Rect area,
 
 std::optional<double> IdwInterpolator::estimate(geo::Vec2 p, int k, double power,
                                                 double max_radius_m) const {
-  const auto r = estimate_with_distance(p, k, power, max_radius_m);
+  expects(power > 0.0, "IdwInterpolator::estimate: power must be positive");
+  const auto r = weigh(samples_, nearest(p, k, max_radius_m), power);
   if (!r) return std::nullopt;
   return r->value;
 }
@@ -116,12 +117,6 @@ std::optional<IdwInterpolator::EstimateWithDistance> IdwInterpolator::weigh(
   }
   const kernels::IdwAccum acc = kernels::idw_weigh(dist, val, n, power);
   return EstimateWithDistance{acc.vsum / acc.wsum, neighbors.front().distance_m};
-}
-
-std::optional<IdwInterpolator::EstimateWithDistance> IdwInterpolator::estimate_with_distance(
-    geo::Vec2 p, int k, double power, double max_radius_m) const {
-  expects(power > 0.0, "IdwInterpolator::estimate: power must be positive");
-  return weigh(samples_, nearest(p, k, max_radius_m), power);
 }
 
 IdwInterpolator::InfluenceEstimate IdwInterpolator::estimate_with_influence(

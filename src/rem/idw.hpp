@@ -11,6 +11,23 @@
 
 namespace skyran::rem {
 
+/// IDW interpolation parameters (paper uses inverse-square weighting). By
+/// default interpolation uses the k nearest measurements regardless of
+/// distance, so any measurement flight informs the whole map; a finite
+/// `max_radius_m` makes far cells fall back to the model background instead.
+struct IdwParams {
+  int k_neighbors = 8;         ///< measured cells consulted per estimate
+  double power = 2.0;          ///< inverse-distance exponent
+  double max_radius_m = 1e9;   ///< beyond this, fall back to the background
+  /// When the background came from a PRIOR REM (temporal aggregation,
+  /// Sec 3.5), interpolation and background are blended with weight
+  /// exp(-d / background_blend_m) on the interpolation, d being the distance
+  /// to the nearest fresh measurement: fresh data wins nearby, the prior
+  /// map wins far from this epoch's tour. Model (FSPL) backgrounds are NOT
+  /// blended - they only fill in when nothing has been measured at all.
+  double background_blend_m = 60.0;
+};
+
 struct IdwSample {
   geo::Vec2 position;
   double value = 0.0;
@@ -31,11 +48,6 @@ class IdwInterpolator {
     double nearest_m = 0.0;  ///< distance to the closest contributing sample
   };
 
-  /// Like estimate(), additionally reporting how far the closest sample is
-  /// (callers blend against a prior background using this distance).
-  std::optional<EstimateWithDistance> estimate_with_distance(geo::Vec2 p, int k, double power,
-                                                             double max_radius_m) const;
-
   struct InfluenceEstimate {
     std::optional<EstimateWithDistance> estimate;  ///< nullopt = nothing in range
     /// Invalidation bound for incremental re-estimation: adding or changing
@@ -47,9 +59,10 @@ class IdwInterpolator {
     double influence_m = 0.0;
   };
 
-  /// estimate_with_distance() plus the influence radius of the query; the
-  /// REM bank stores the radius per cell to decide which cells a fresh
-  /// measurement invalidates (see rem::RemBank::estimate_all).
+  /// estimate() plus the distance to the closest contributing sample (the
+  /// REM bank blends against a prior background with it) and the influence
+  /// radius of the query, which the bank stores per cell to decide which
+  /// cells a fresh measurement invalidates (see rem::RemBank::estimate_all).
   InfluenceEstimate estimate_with_influence(geo::Vec2 p, int k, double power,
                                             double max_radius_m) const;
 

@@ -16,17 +16,26 @@ LayeredRem::LayeredRem(geo::Rect area, double cell_size, std::vector<double> alt
               std::adjacent_find(altitudes_.begin(), altitudes_.end()) == altitudes_.end(),
           "LayeredRem: altitudes must be strictly increasing");
   layers_.reserve(altitudes_.size());
-  for (const double a : altitudes_) layers_.emplace_back(area, cell_size, a, ue_position);
+  for (const double a : altitudes_) {
+    layers_.emplace_back(area, cell_size, a);
+    layers_.back().add_ue(ue_position);
+  }
 }
 
-Rem& LayeredRem::layer(std::size_t i) {
+RemBank& LayeredRem::layer(std::size_t i) {
   expects(i < layers_.size(), "LayeredRem::layer: index out of range");
   return layers_[i];
 }
 
-const Rem& LayeredRem::layer(std::size_t i) const {
+const RemBank& LayeredRem::layer(std::size_t i) const {
   expects(i < layers_.size(), "LayeredRem::layer: index out of range");
   return layers_[i];
+}
+
+geo::Grid2D<double> LayeredRem::layer_estimate(std::size_t i, const IdwParams& params) const {
+  RemBank bank = layer(i);
+  bank.estimate_all(params);
+  return bank.estimate_grid(0);
 }
 
 std::size_t LayeredRem::nearest_layer(double altitude_m) const {
@@ -44,15 +53,15 @@ std::size_t LayeredRem::nearest_layer(double altitude_m) const {
 
 geo::Grid2D<double> LayeredRem::estimate_at(double altitude_m, const IdwParams& params) const {
   // Clamp outside the ladder.
-  if (altitude_m <= altitudes_.front()) return layers_.front().estimate(params);
-  if (altitude_m >= altitudes_.back()) return layers_.back().estimate(params);
+  if (altitude_m <= altitudes_.front()) return layer_estimate(0, params);
+  if (altitude_m >= altitudes_.back()) return layer_estimate(layers_.size() - 1, params);
   // Bracketing layers.
   std::size_t hi = 1;
   while (altitudes_[hi] < altitude_m) ++hi;
   const std::size_t lo = hi - 1;
   const double t = (altitude_m - altitudes_[lo]) / (altitudes_[hi] - altitudes_[lo]);
-  geo::Grid2D<double> a = layers_[lo].estimate(params);
-  const geo::Grid2D<double> b = layers_[hi].estimate(params);
+  geo::Grid2D<double> a = layer_estimate(lo, params);
+  const geo::Grid2D<double> b = layer_estimate(hi, params);
   for (std::size_t i = 0; i < a.raw().size(); ++i)
     a.raw()[i] = (1.0 - t) * a.raw()[i] + t * b.raw()[i];
   return a;
@@ -70,7 +79,7 @@ Placement3D choose_placement_3d(std::span<const LayeredRem> stacks, const terrai
   for (std::size_t li = 0; li < ladder.size(); ++li) {
     std::vector<geo::Grid2D<double>> maps;
     maps.reserve(stacks.size());
-    for (const LayeredRem& s : stacks) maps.push_back(s.layer(li).estimate(params));
+    for (const LayeredRem& s : stacks) maps.push_back(s.layer_estimate(li, params));
     // Feed the placement search through the view path (the maps stay alive
     // in this scope, so non-owning views are safe).
     std::vector<geo::FieldView<const double>> views;

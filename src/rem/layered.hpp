@@ -10,12 +10,12 @@
 #include <span>
 #include <vector>
 
+#include "rem/bank.hpp"
 #include "rem/placement.hpp"
-#include "rem/rem.hpp"
 
 namespace skyran::rem {
 
-/// A stack of per-altitude REMs for one UE.
+/// A stack of per-altitude REMs for one UE: one one-UE RemBank per altitude.
 class LayeredRem {
  public:
   /// `altitudes_m` must be strictly increasing.
@@ -24,8 +24,11 @@ class LayeredRem {
 
   std::size_t layer_count() const { return layers_.size(); }
   const std::vector<double>& altitudes_m() const { return altitudes_; }
-  Rem& layer(std::size_t i);
-  const Rem& layer(std::size_t i) const;
+  RemBank& layer(std::size_t i);
+  const RemBank& layer(std::size_t i) const;
+
+  /// Full-map estimate of layer `i`.
+  geo::Grid2D<double> layer_estimate(std::size_t i, const IdwParams& params = {}) const;
 
   /// Layer index whose altitude is nearest to `altitude_m`.
   std::size_t nearest_layer(double altitude_m) const;
@@ -34,11 +37,11 @@ class LayeredRem {
   /// between the two bracketing layers' estimates (clamped at the ends).
   geo::Grid2D<double> estimate_at(double altitude_m, const IdwParams& params = {}) const;
 
-  const geo::Vec3& ue_position() const { return layers_.front().ue_position(); }
+  const geo::Vec3& ue_position() const { return layers_.front().ue_position(0); }
 
  private:
   std::vector<double> altitudes_;
-  std::vector<Rem> layers_;
+  std::vector<RemBank> layers_;
 };
 
 struct Placement3D {

@@ -4,7 +4,6 @@
 
 #include "geo/contract.hpp"
 #include "obs/obs.hpp"
-#include "rem/bank.hpp"
 #include "rem/gradient.hpp"
 #include "rem/kmeans.hpp"
 #include "rem/tsp.hpp"
@@ -12,16 +11,27 @@
 
 namespace skyran::rem {
 
-namespace {
+PlannedTrajectory plan_measurement_trajectory(const RemBank& bank,
+                                              const std::vector<TrajectoryHistory>& history,
+                                              geo::Vec2 start, const PlannerConfig& config) {
+  expects(bank.ue_count() > 0, "plan_measurement_trajectory: need at least one REM");
+  expects(history.size() == bank.ue_count(),
+          "plan_measurement_trajectory: history size must match REM count");
+  expects(config.k_min >= 1 && config.k_max >= config.k_min,
+          "plan_measurement_trajectory: invalid K range");
+  expects(bank.estimates_current(),
+          "plan_measurement_trajectory: bank estimates are stale; call estimate_all first");
+  SKYRAN_TRACE_SPAN("rem.plan_trajectory");
 
-// Steps 6.2-6.4, shared by the per-REM and bank entry points: gradient map,
-// median partition, K-sweep, information-to-cost tour selection.
-// `probe_fallbacks` are the clamped UE ground positions, used only when the
-// gradient map is degenerate (perfectly flat estimate).
-PlannedTrajectory plan_from_aggregate(const geo::Grid2D<double>& aggregate,
-                                      const std::vector<geo::Vec2>& probe_fallbacks,
-                                      const std::vector<TrajectoryHistory>& history,
-                                      geo::Vec2 start, const PlannerConfig& config) {
+  // Step 6.1: aggregate REM = cell-wise sum of the cached per-UE estimates.
+  geo::Grid2D<double> aggregate = bank.estimate_grid(0);
+  for (std::size_t i = 1; i < bank.ue_count(); ++i) {
+    const geo::FieldView<const double> est = bank.estimate(i);
+    for (std::size_t j = 0; j < est.size(); ++j) aggregate.raw()[j] += est[j];
+  }
+
+  // Steps 6.2-6.4: gradient map, median partition, K-sweep,
+  // information-to-cost tour selection.
   const geo::Grid2D<double> grad = gradient_map(aggregate);
   const std::vector<geo::CellIndex> hot = high_gradient_cells(grad);
 
@@ -29,7 +39,9 @@ PlannedTrajectory plan_from_aggregate(const geo::Grid2D<double>& aggregate,
   points.reserve(hot.size());
   for (geo::CellIndex c : hot) points.push_back({grad.center_of(c), grad.at(c)});
   if (points.empty()) {
-    for (geo::Vec2 p : probe_fallbacks) points.push_back({p, 1.0});
+    // Degenerate (perfectly flat) estimate: probe the clamped UE positions.
+    for (std::size_t i = 0; i < bank.ue_count(); ++i)
+      points.push_back({bank.area().clamp(bank.ue_position(i).xy()), 1.0});
   }
 
   PlannedTrajectory best;
@@ -60,61 +72,6 @@ PlannedTrajectory plan_from_aggregate(const geo::Grid2D<double>& aggregate,
   SKYRAN_HISTOGRAM_OBSERVE("rem.planner.k_selected", best.k);
   SKYRAN_HISTOGRAM_OBSERVE("rem.planner.high_gradient_cells", best.high_gradient_cells);
   return best;
-}
-
-}  // namespace
-
-PlannedTrajectory plan_measurement_trajectory(std::span<const Rem> rems,
-                                              const std::vector<TrajectoryHistory>& history,
-                                              geo::Vec2 start, const PlannerConfig& config) {
-  expects(!rems.empty(), "plan_measurement_trajectory: need at least one REM");
-  expects(history.size() == rems.size(),
-          "plan_measurement_trajectory: history size must match REM count");
-  expects(config.k_min >= 1 && config.k_max >= config.k_min,
-          "plan_measurement_trajectory: invalid K range");
-  SKYRAN_TRACE_SPAN("rem.plan_trajectory");
-
-  // Step 6.1: aggregate REM = cell-wise sum of per-UE estimates.
-  geo::Grid2D<double> aggregate = rems.front().estimate(config.idw);
-  for (std::size_t i = 1; i < rems.size(); ++i) {
-    const geo::Grid2D<double> est = rems[i].estimate(config.idw);
-    expects(aggregate.same_geometry(est), "plan_measurement_trajectory: REM geometry mismatch");
-    for (std::size_t j = 0; j < est.raw().size(); ++j) aggregate.raw()[j] += est.raw()[j];
-  }
-
-  std::vector<geo::Vec2> probe_fallbacks;
-  probe_fallbacks.reserve(rems.size());
-  for (const Rem& r : rems) probe_fallbacks.push_back(r.area().clamp(r.ue_position().xy()));
-
-  return plan_from_aggregate(aggregate, probe_fallbacks, history, start, config);
-}
-
-PlannedTrajectory plan_measurement_trajectory(const RemBank& bank,
-                                              const std::vector<TrajectoryHistory>& history,
-                                              geo::Vec2 start, const PlannerConfig& config) {
-  expects(bank.ue_count() > 0, "plan_measurement_trajectory: need at least one REM");
-  expects(history.size() == bank.ue_count(),
-          "plan_measurement_trajectory: history size must match REM count");
-  expects(config.k_min >= 1 && config.k_max >= config.k_min,
-          "plan_measurement_trajectory: invalid K range");
-  expects(bank.estimates_current(),
-          "plan_measurement_trajectory: bank estimates are stale; call estimate_all first");
-  SKYRAN_TRACE_SPAN("rem.plan_trajectory");
-
-  // Step 6.1 on the cached slabs: same accumulation order as the per-REM
-  // overload, so the aggregate is bit-identical when the estimates are.
-  geo::Grid2D<double> aggregate = bank.estimate_grid(0);
-  for (std::size_t i = 1; i < bank.ue_count(); ++i) {
-    const geo::FieldView<const double> est = bank.estimate(i);
-    for (std::size_t j = 0; j < est.size(); ++j) aggregate.raw()[j] += est[j];
-  }
-
-  std::vector<geo::Vec2> probe_fallbacks;
-  probe_fallbacks.reserve(bank.ue_count());
-  for (std::size_t i = 0; i < bank.ue_count(); ++i)
-    probe_fallbacks.push_back(bank.area().clamp(bank.ue_position(i).xy()));
-
-  return plan_from_aggregate(aggregate, probe_fallbacks, history, start, config);
 }
 
 }  // namespace skyran::rem

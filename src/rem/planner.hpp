@@ -6,12 +6,11 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "geo/path.hpp"
+#include "rem/bank.hpp"
 #include "rem/info_gain.hpp"
-#include "rem/rem.hpp"
 
 namespace skyran::rem {
 
@@ -34,20 +33,11 @@ struct PlannedTrajectory {
   std::size_t high_gradient_cells = 0;
 };
 
-/// Plan the next measurement tour.
-/// `rems` holds the current (possibly sparse) per-UE REMs; `history` the
-/// trajectories already flown per UE (same order); `start` is the UAV's
+/// Plan the next measurement tour from `bank`'s cached per-UE estimates
+/// (possibly sparse REMs). Requires bank.estimates_current(): call
+/// RemBank::estimate_all with config.idw first. `history` holds the
+/// trajectories already flown per UE (bank order); `start` is the UAV's
 /// current ground position.
-PlannedTrajectory plan_measurement_trajectory(std::span<const Rem> rems,
-                                              const std::vector<TrajectoryHistory>& history,
-                                              geo::Vec2 start, const PlannerConfig& config);
-
-class RemBank;
-
-/// Same, reading the per-UE estimates from a RemBank's cached slabs instead
-/// of re-running full-map estimation. Requires bank.estimates_current()
-/// (call RemBank::estimate_all with config.idw first); produces bit-identical
-/// tours to the per-REM overload on equivalent state.
 PlannedTrajectory plan_measurement_trajectory(const RemBank& bank,
                                               const std::vector<TrajectoryHistory>& history,
                                               geo::Vec2 start, const PlannerConfig& config);

@@ -13,19 +13,15 @@ SchemeResult run_uniform(const World& world, const UniformConfig& config, std::u
   const geo::Path track = uav::truncate_to_budget(full, config.budget_m);
   const uav::FlightPlan plan = uav::FlightPlan::at_altitude(track, config.altitude_m);
 
-  std::vector<rem::Rem> rems;
-  rems.reserve(world.ue_positions().size());
-  for (const geo::Vec3& ue : world.ue_positions())
-    rems.emplace_back(world.area(), config.rem_cell_m, config.altitude_m, ue);
+  rem::RemBank rems(world.area(), config.rem_cell_m, config.altitude_m);
+  for (const geo::Vec3& ue : world.ue_positions()) rems.add_ue(ue);
 
   std::mt19937_64 rng(seed);
   run_measurement_flight(world, plan, rems, config.measurement, rng);
 
-  std::vector<geo::Grid2D<double>> estimates;
-  estimates.reserve(rems.size());
-  for (const rem::Rem& r : rems) estimates.push_back(r.estimate(config.idw));
+  rems.estimate_all(config.idw);
   const rem::Placement placement = rem::choose_placement_feasible(
-      estimates, world.terrain(), config.altitude_m, config.objective);
+      rems.estimate_views(), world.terrain(), config.altitude_m, config.objective);
 
   SchemeResult out;
   out.position = placement.position;

@@ -5,11 +5,11 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <span>
-#include <vector>
 
+#include "rem/bank.hpp"
 #include "rem/placement.hpp"
-#include "rem/rem.hpp"
 #include "sim/measurement.hpp"
 #include "sim/world.hpp"
 
@@ -19,7 +19,9 @@ struct SchemeResult {
   geo::Vec2 position;          ///< chosen UAV ground position
   double altitude_m = 0.0;
   double flight_length_m = 0.0;  ///< measurement overhead spent
-  std::vector<rem::Rem> rems;    ///< constructed REMs (empty for non-REM schemes)
+  /// Constructed REMs, estimated with the scheme's IDW parameters (bank UE
+  /// i is world UE i); empty for non-REM schemes.
+  std::optional<rem::RemBank> rems;
 };
 
 struct UniformConfig {

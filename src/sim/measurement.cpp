@@ -6,36 +6,6 @@
 namespace skyran::sim {
 
 std::size_t run_measurement_flight(const World& world, const uav::FlightPlan& plan,
-                                   std::span<rem::Rem> rems, const MeasurementConfig& config,
-                                   std::mt19937_64& rng) {
-  expects(rems.size() == world.ue_positions().size(),
-          "run_measurement_flight: one REM per world UE required");
-  return run_measurement_flight(world, plan, rems, world.ue_positions(), config, rng);
-}
-
-std::size_t run_measurement_flight(const World& world, const uav::FlightPlan& plan,
-                                   std::span<rem::Rem> rems, std::span<const geo::Vec3> ues,
-                                   const MeasurementConfig& config, std::mt19937_64& rng) {
-  expects(!rems.empty(), "run_measurement_flight: no REMs to update");
-  expects(rems.size() == ues.size(), "run_measurement_flight: one REM per UE required");
-  expects(config.report_rate_hz > 0.0, "run_measurement_flight: report rate must be positive");
-
-  const std::vector<uav::FlightSample> samples = uav::fly(plan, 1.0 / config.report_rate_hz);
-  std::normal_distribution<double> fading(0.0, config.fading_sigma_db);
-
-  std::size_t reports = 0;
-  for (const uav::FlightSample& s : samples) {
-    const geo::Vec2 ground = world.area().clamp(s.position.xy());
-    for (std::size_t i = 0; i < rems.size(); ++i) {
-      const double snr = world.snr_db(s.position, ues[i]) + fading(rng);
-      rems[i].add_measurement(ground, snr);
-    }
-    ++reports;
-  }
-  return reports;
-}
-
-std::size_t run_measurement_flight(const World& world, const uav::FlightPlan& plan,
                                    rem::RemBank& bank, const MeasurementConfig& config,
                                    std::mt19937_64& rng, FaultInjector* faults,
                                    double start_time_s) {

@@ -5,11 +5,8 @@
 #pragma once
 
 #include <random>
-#include <span>
-#include <vector>
 
 #include "rem/bank.hpp"
-#include "rem/rem.hpp"
 #include "sim/faults.hpp"
 #include "sim/world.hpp"
 #include "uav/flight.hpp"
@@ -21,31 +18,17 @@ struct MeasurementConfig {
   double fading_sigma_db = 1.8;    ///< per-report fast-fading jitter
 };
 
-/// Fly `plan` and deposit SNR reports into each UE's REM (REM i belongs to
-/// world UE i). Returns the number of reports per UE.
-std::size_t run_measurement_flight(const World& world, const uav::FlightPlan& plan,
-                                   std::span<rem::Rem> rems, const MeasurementConfig& config,
-                                   std::mt19937_64& rng);
-
-/// Same, but for an explicit UE subset (REM i belongs to `ues[i]`); used by
-/// multi-UAV operation where each UAV probes only its own cluster of UEs.
-std::size_t run_measurement_flight(const World& world, const uav::FlightPlan& plan,
-                                   std::span<rem::Rem> rems,
-                                   std::span<const geo::Vec3> ues,
-                                   const MeasurementConfig& config, std::mt19937_64& rng);
-
-/// Bank-resident variant: deposits land in `bank`'s slabs (bank UE i is
-/// world UE i) and mark the touched cells dirty for the next
-/// RemBank::estimate_all. Draws from `rng` in exactly the same order as the
-/// per-REM overloads, so simulations stay trajectory-identical.
+/// Fly `plan` and deposit SNR reports into `bank` (bank UE i is world UE i),
+/// marking the touched cells dirty for the next RemBank::estimate_all.
+/// Returns the number of reports per UE.
 ///
 /// `faults` (optional) injects scripted degradation into the flight: wind
 /// windows drift the airframe off the planned track (reports are measured
 /// and deposited where the UAV actually is), SNR-sag windows degrade every
 /// report, and backhaul windows drop reports outright. `start_time_s` places
 /// the flight on the epoch flight-time axis the fault windows are scripted
-/// in. With `faults == nullptr` (or an inactive injector) the behavior and
-/// RNG stream are bit-identical to the plain overload.
+/// in. With `faults == nullptr` (or an inactive injector) the flight is
+/// fault-free.
 std::size_t run_measurement_flight(const World& world, const uav::FlightPlan& plan,
                                    rem::RemBank& bank, const MeasurementConfig& config,
                                    std::mt19937_64& rng, FaultInjector* faults = nullptr,

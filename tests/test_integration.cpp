@@ -74,22 +74,26 @@ TEST(IntegrationTest, RemAccuracyBeatsFsplModel) {
   const sim::GroundTruth truth = sim::compute_ground_truth(world, altitude, 4.0);
 
   // Measured REM from a generous flight.
-  std::vector<rem::Rem> rems;
-  for (const geo::Vec3& ue : world.ue_positions())
-    rems.emplace_back(world.area(), 4.0, altitude, ue);
+  rem::RemBank rems(world.area(), 4.0, altitude);
+  for (const geo::Vec3& ue : world.ue_positions()) rems.add_ue(ue);
   const geo::Path track = uav::zigzag(world.area().inflated(-10.0), 40.0);
   std::mt19937_64 rng(7);
   sim::run_measurement_flight(world, uav::FlightPlan::at_altitude(track, altitude), rems, {},
                               rng);
+  rems.estimate_all();
 
+  // Model-based maps: FSPL backgrounds with nothing measured.
   const rf::FsplChannel fspl(world.channel().frequency_hz());
+  rem::RemBank models(world.area(), 4.0, altitude);
+  for (const geo::Vec3& ue : world.ue_positions())
+    models.seed_from_model(models.add_ue(ue), fspl, world.budget());
+  models.estimate_all();
+
   double measured_err = 0.0;
   double model_err = 0.0;
-  for (std::size_t i = 0; i < rems.size(); ++i) {
-    measured_err += rem::median_abs_error_db(rems[i].estimate(), truth.per_ue_rems[i]);
-    rem::Rem model_map(world.area(), 4.0, altitude, world.ue_positions()[i]);
-    model_map.seed_from_model(fspl, world.budget());
-    model_err += rem::median_abs_error_db(model_map.estimate(), truth.per_ue_rems[i]);
+  for (std::size_t i = 0; i < rems.ue_count(); ++i) {
+    measured_err += rem::median_abs_error_db(rems.estimate_grid(i), truth.per_ue_rems[i]);
+    model_err += rem::median_abs_error_db(models.estimate_grid(i), truth.per_ue_rems[i]);
   }
   EXPECT_LT(measured_err, model_err);
 }

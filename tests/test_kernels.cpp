@@ -87,41 +87,6 @@ TEST(KernelParity, MultiplyConjugateBitIdentical) {
   }
 }
 
-TEST(KernelParity, PowerPeakScanArgmaxExactTotalWithinTolerance) {
-  if (!simd_available()) GTEST_SKIP() << "no SIMD level on this machine";
-  for (std::size_t n : kSizes) {
-    const auto v = random_cplx(n, 0x33 + n);
-    PowerPeak ref, simd;
-    {
-      ScopedSimdMode off(SimdMode::kOff);
-      ref = power_peak_scan(v.data(), n);
-    }
-    simd = power_peak_scan(v.data(), n);
-    EXPECT_EQ(ref.argmax, simd.argmax) << "n=" << n;
-    EXPECT_EQ(ref.peak, simd.peak) << "n=" << n;
-    EXPECT_NEAR(ref.total, simd.total, std::abs(ref.total) * kRelTol) << "n=" << n;
-  }
-}
-
-TEST(KernelParity, PowerPeakScanTiesPickLowestIndex) {
-  if (!simd_available()) GTEST_SKIP() << "no SIMD level on this machine";
-  // The same maximal magnitude planted at several indices, deliberately in
-  // different SIMD lanes (hadd permutes lanes to [i, i+2, i+1, i+3]).
-  for (std::size_t first : {std::size_t{1}, std::size_t{2}, std::size_t{5}, std::size_t{6}}) {
-    std::vector<Cplx> v(32, Cplx{0.25, -0.25});
-    for (std::size_t at : {first, first + 1, first + 3, first + 17}) v[at] = {2.0, 1.0};
-    PowerPeak ref, simd;
-    {
-      ScopedSimdMode off(SimdMode::kOff);
-      ref = power_peak_scan(v.data(), v.size());
-    }
-    simd = power_peak_scan(v.data(), v.size());
-    EXPECT_EQ(ref.argmax, first);
-    EXPECT_EQ(simd.argmax, first);
-    EXPECT_EQ(ref.peak, simd.peak);
-  }
-}
-
 TEST(KernelParity, IdwWeighSpecializedPowersWithinTolerance) {
   if (!simd_available()) GTEST_SKIP() << "no SIMD level on this machine";
   for (std::size_t n : kSizes) {
@@ -255,23 +220,34 @@ TEST(KernelScalar, MatchesRfFormulas) {
 }
 
 TEST(KernelScalar, PowerPeakScanMatchesNaiveLoop) {
-  ScopedSimdMode off(SimdMode::kOff);
-  const auto v = random_cplx(301, 0xABC);
-  std::size_t best = 0;
-  double best_mag = std::norm(v[0]);
-  double total = 0.0;
-  for (std::size_t i = 0; i < v.size(); ++i) {
-    const double m = std::norm(v[i]);
-    total += m;
-    if (m > best_mag) {
-      best_mag = m;
-      best = i;
+  // power_peak_scan is scalar at every level; no ScopedSimdMode needed.
+  const auto check = [](const std::vector<Cplx>& v) {
+    std::size_t best = 0;
+    double best_mag = std::norm(v[0]);
+    double total = 0.0;
+    for (std::size_t i = 0; i < v.size(); ++i) {
+      const double m = std::norm(v[i]);
+      total += m;
+      if (m > best_mag) {
+        best_mag = m;
+        best = i;
+      }
     }
+    const PowerPeak pp = power_peak_scan(v.data(), v.size());
+    EXPECT_EQ(pp.argmax, best);
+    EXPECT_EQ(pp.peak, best_mag);
+    EXPECT_EQ(pp.total, total);
+    return pp.argmax;
+  };
+  check(random_cplx(301, 0xABC));
+  // Ties pick the lowest index: the same maximal magnitude planted at
+  // several indices.
+  for (std::size_t first : {std::size_t{1}, std::size_t{2}, std::size_t{5}, std::size_t{6}}) {
+    std::vector<Cplx> v(32, Cplx{0.25, -0.25});
+    for (std::size_t at : {first, first + 1, first + 3, first + 17}) v[at] = {2.0, 1.0};
+    EXPECT_EQ(check(v), first);
   }
-  const PowerPeak pp = power_peak_scan(v.data(), v.size());
-  EXPECT_EQ(pp.argmax, best);
-  EXPECT_EQ(pp.peak, best_mag);
-  EXPECT_EQ(pp.total, total);
+  EXPECT_EQ(power_peak_scan(nullptr, 0).argmax, 0u);
 }
 
 TEST(KernelScalar, IdwWeighMatchesNaiveLoop) {

@@ -35,8 +35,8 @@ TEST(LayeredRemTest, NearestLayer) {
 
 TEST(LayeredRemTest, EstimateInterpolatesBetweenLayers) {
   LayeredRem stack = make_stack();
-  stack.layer(0).add_measurement({50.0, 50.0}, 10.0);  // low layer: 10 dB
-  stack.layer(1).add_measurement({50.0, 50.0}, 30.0);  // high layer: 30 dB
+  stack.layer(0).add_measurement(0, {50.0, 50.0}, 10.0);  // low layer: 10 dB
+  stack.layer(1).add_measurement(0, {50.0, 50.0}, 30.0);  // high layer: 30 dB
   EXPECT_DOUBLE_EQ(stack.estimate_at(40.0).value_at({50.0, 50.0}), 10.0);
   EXPECT_DOUBLE_EQ(stack.estimate_at(80.0).value_at({50.0, 50.0}), 30.0);
   EXPECT_DOUBLE_EQ(stack.estimate_at(60.0).value_at({50.0, 50.0}), 20.0);
@@ -49,10 +49,10 @@ TEST(Placement3DTest, PicksTheBetterAltitude) {
   const terrain::Terrain t = terrain::make_flat(100.0);
   LayeredRem a = make_stack({20.0, 20.0, 1.5});
   // Low layer has a great spot; high layer is mediocre everywhere.
-  a.layer(0).add_measurement({30.0, 30.0}, 25.0);
-  a.layer(0).add_measurement({70.0, 70.0}, 5.0);
-  a.layer(1).add_measurement({30.0, 30.0}, 8.0);
-  a.layer(1).add_measurement({70.0, 70.0}, 8.0);
+  a.layer(0).add_measurement(0, {30.0, 30.0}, 25.0);
+  a.layer(0).add_measurement(0, {70.0, 70.0}, 5.0);
+  a.layer(1).add_measurement(0, {30.0, 30.0}, 8.0);
+  a.layer(1).add_measurement(0, {70.0, 70.0}, 8.0);
   const std::vector<LayeredRem> stacks{std::move(a)};
   const Placement3D p = choose_placement_3d(stacks, t);
   EXPECT_DOUBLE_EQ(p.altitude_m, 40.0);
@@ -78,8 +78,8 @@ TEST(Placement3DTest, RespectsFeasibilityPerAltitude) {
     c.clutter_height = 60.0F;
   }
   LayeredRem stack = make_stack();
-  stack.layer(0).add_measurement({50.0, 50.0}, 99.0);  // tempting but infeasible
-  stack.layer(1).add_measurement({50.0, 50.0}, 7.0);
+  stack.layer(0).add_measurement(0, {50.0, 50.0}, 99.0);  // tempting but infeasible
+  stack.layer(1).add_measurement(0, {50.0, 50.0}, 7.0);
   const std::vector<LayeredRem> stacks{std::move(stack)};
   const Placement3D p = choose_placement_3d(stacks, t);
   EXPECT_DOUBLE_EQ(p.altitude_m, 80.0);

@@ -1,13 +1,14 @@
 // Odds-and-ends coverage: weighted placement, coverage thresholds, WiFi
-// backhaul NLOS penalty, REM UE-position updates and table formatting.
+// backhaul NLOS penalty, REM restore contracts and table formatting.
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <sstream>
+#include <vector>
 
 #include "lte/backhaul.hpp"
+#include "rem/bank.hpp"
 #include "rem/placement.hpp"
-#include "rem/rem.hpp"
 #include "sim/table.hpp"
 #include "terrain/synth.hpp"
 
@@ -58,23 +59,38 @@ TEST(BackhaulTest, WifiNlosPenalty) {
   EXPECT_NEAR(los / nlos, 4.0, 0.5);
 }
 
-TEST(RemTest, UePositionUpdatable) {
-  rem::Rem r(geo::Rect::square(50.0), 10.0, 40.0, {10.0, 10.0, 1.5});
-  EXPECT_EQ(r.ue_position(), (geo::Vec3{10.0, 10.0, 1.5}));
-  r.set_ue_position({20.0, 30.0, 1.5});
-  EXPECT_EQ(r.ue_position(), (geo::Vec3{20.0, 30.0, 1.5}));
+TEST(RemTest, RestoreMeasurementContracts) {
+  rem::RemBank r(geo::Rect::square(50.0), 10.0, 40.0);
+  r.add_ue({10.0, 10.0, 1.5});
+  EXPECT_THROW(r.restore_measurement(0, {0, 0}, 5.0, 0), ContractViolation);
+  EXPECT_THROW(r.restore_measurement(0, {5, 0}, 5.0, 1), ContractViolation);
+  EXPECT_THROW(r.restore_measurement(1, {0, 0}, 5.0, 1), ContractViolation);
+  r.restore_measurement(0, {0, 0}, 6.0, 2);
+  EXPECT_DOUBLE_EQ(*r.measured_snr(0, {0, 0}), 3.0);
+  EXPECT_EQ(r.measured_cells(0), 1u);
+  // Restoring over an existing cell replaces, not double-counts.
+  r.restore_measurement(0, {0, 0}, 10.0, 5);
+  EXPECT_DOUBLE_EQ(*r.measured_snr(0, {0, 0}), 2.0);
+  EXPECT_EQ(r.measurement_count(0, {0, 0}), 5);
+  EXPECT_EQ(r.measured_cells(0), 1u);
 }
 
-TEST(RemTest, RestoreMeasurementContracts) {
-  rem::Rem r(geo::Rect::square(50.0), 10.0, 40.0, {10.0, 10.0, 1.5});
-  EXPECT_THROW(r.restore_measurement({0, 0}, 5.0, 0), ContractViolation);
-  r.restore_measurement({0, 0}, 6.0, 2);
-  EXPECT_DOUBLE_EQ(*r.measured_snr({0, 0}), 3.0);
-  EXPECT_EQ(r.measured_cells(), 1u);
-  // Restoring over an existing cell replaces, not double-counts.
-  r.restore_measurement({0, 0}, 10.0, 5);
-  EXPECT_DOUBLE_EQ(*r.measured_snr({0, 0}), 2.0);
-  EXPECT_EQ(r.measured_cells(), 1u);
+TEST(RemTest, RestoreBackgroundContracts) {
+  using Source = rem::RemBank::BackgroundSource;
+  rem::RemBank r(geo::Rect::square(50.0), 10.0, 40.0);
+  r.add_ue({10.0, 10.0, 1.5});
+  r.estimate_all();
+  const std::vector<double> short_raster(24, 1.0);
+  EXPECT_THROW(r.restore_background(0, short_raster, Source::kModel), ContractViolation);
+  std::vector<double> raster(25);
+  for (std::size_t i = 0; i < raster.size(); ++i) raster[i] = static_cast<double>(i);
+  r.restore_background(0, raster, Source::kPrior);
+  EXPECT_EQ(r.background_source(0), Source::kPrior);
+  EXPECT_EQ(r.background(0).at({3, 2}), 13.0);
+  // A restored background invalidates the cached estimate.
+  EXPECT_FALSE(r.estimates_current());
+  r.estimate_all();
+  EXPECT_EQ(r.estimate(0).at({3, 2}), 13.0);  // nothing measured: background
 }
 
 TEST(TableTest, NumFormatsPrecision) {

@@ -25,7 +25,6 @@
 #include "rem/kmeans.hpp"
 #include "rem/kriging.hpp"
 #include "rem/placement.hpp"
-#include "rem/rem.hpp"
 #include "rf/channel.hpp"
 #include "sim/world.hpp"
 #include "uav/flight.hpp"
@@ -223,26 +222,6 @@ TEST(ThreadPoolTest, WorkerCountChangeWhileLoopsInFlight) {
   for (std::thread& th : runners) th.join();
   core::set_global_workers(0);
   EXPECT_GT(loops.load(), 0);
-}
-
-TEST(ParallelEquivalenceTest, RemIdwEstimate) {
-  const auto estimate = [] {
-    rem::Rem prior(geo::Rect::square(150.0), 5.0, 60.0, {75.0, 75.0, 1.5});
-    const rf::FsplChannel fspl(2.6e9);
-    prior.seed_from_model(fspl, rf::LinkBudget{});
-    std::mt19937_64 rng(7);
-    std::uniform_real_distribution<double> u(1.0, 149.0);
-    std::normal_distribution<double> g(12.0, 6.0);
-    for (int i = 0; i < 120; ++i) prior.add_measurement({u(rng), u(rng)}, g(rng));
-
-    // A prior-seeded map exercises the blend branch too.
-    rem::Rem fresh(geo::Rect::square(150.0), 5.0, 60.0, {75.0, 75.0, 1.5});
-    fresh.seed_from(prior);
-    for (int i = 0; i < 40; ++i) fresh.add_measurement({u(rng), u(rng)}, g(rng));
-    return fresh.estimate().raw();
-  };
-  const auto [serial, parallel] = serial_and_parallel(estimate);
-  EXPECT_EQ(serial, parallel);
 }
 
 TEST(ParallelEquivalenceTest, IdwEstimateGrid) {

@@ -31,18 +31,18 @@ class SeedSweep : public ::testing::TestWithParam<std::uint64_t> {
 TEST_P(SeedSweep, PlannerToursStayInsideAreaAndBudget) {
   std::mt19937_64 rng(seed());
   std::uniform_real_distribution<double> u(5.0, 195.0);
-  rem::Rem map(geo::Rect::square(200.0), 5.0, 60.0, {100.0, 100.0, 1.5});
+  rem::RemBank map(geo::Rect::square(200.0), 5.0, 60.0);
   const rf::FsplChannel fspl(2.6e9);
-  map.seed_from_model(fspl, rf::LinkBudget{});
+  map.seed_from_model(map.add_ue({100.0, 100.0, 1.5}), fspl, rf::LinkBudget{});
   std::normal_distribution<double> g(10.0, 8.0);
-  for (int i = 0; i < 300; ++i) map.add_measurement({u(rng), u(rng)}, g(rng));
+  for (int i = 0; i < 300; ++i) map.add_measurement(0, {u(rng), u(rng)}, g(rng));
 
   rem::PlannerConfig cfg;
   cfg.budget_m = 100.0 + 50.0 * (seed() % 7);
   cfg.seed = seed();
-  const std::vector<rem::Rem> rems{map};
+  map.estimate_all(cfg.idw);
   const rem::PlannedTrajectory plan =
-      rem::plan_measurement_trajectory(rems, {{}}, {100.0, 100.0}, cfg);
+      rem::plan_measurement_trajectory(map, {{}}, {100.0, 100.0}, cfg);
   EXPECT_LE(plan.cost_m, cfg.budget_m + 1e-6);
   for (const geo::Vec2 p : plan.path.points())
     EXPECT_TRUE(map.area().contains(p)) << p;
@@ -191,19 +191,18 @@ TEST_P(SeedSweep, MeasurementsLandOnTheTrack) {
   wc.seed = seed();
   sim::World world(wc);
   world.ue_positions() = {{120.0, 120.0, 1.5}};
-  std::vector<rem::Rem> rems;
-  rems.emplace_back(world.area(), 5.0, 60.0, world.ue_positions()[0]);
+  rem::RemBank rems(world.area(), 5.0, 60.0);
+  rems.add_ue(world.ue_positions()[0]);
   const geo::Path track = uav::random_walk(world.area().inflated(-10.0), {100.0, 100.0},
                                            150.0, 25.0, seed());
   std::mt19937_64 rng(seed() ^ 0x99);
   sim::run_measurement_flight(world, uav::FlightPlan::at_altitude(track, 60.0), rems, {}, rng);
-  EXPECT_GT(rems[0].measured_cells(), 10u);
+  EXPECT_GT(rems.measured_cells(0), 10u);
   // Every measured cell center sits within one cell diagonal of the track.
-  rems[0].estimate();  // force no-throw
-  const auto& grid = rems[0];
+  rems.estimate_all();  // force no-throw
   geo::Grid2D<int> probe(world.area(), 5.0, 0);
   probe.for_each([&](geo::CellIndex c, int&) {
-    if (grid.is_measured(c)) {
+    if (rems.measurement_count(0, c) > 0) {
       EXPECT_LT(track.distance_to(probe.center_of(c)), 5.0 * 1.5) << c.ix << "," << c.iy;
     }
   });

@@ -1,19 +1,20 @@
-// Tests for the REM module: the map itself, IDW interpolation, gradient
-// maps, k-means, TSP tours, information gain, the trajectory planner, the
-// REM store and placement (including the altitude search).
+// Tests for the REM module: the map itself (a one-UE RemBank), IDW
+// interpolation, gradient maps, k-means, TSP tours, information gain, the
+// trajectory planner, the REM store and placement (including the altitude
+// search).
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <memory>
 
 #include "geo/contract.hpp"
+#include "rem/bank.hpp"
 #include "rem/gradient.hpp"
 #include "rem/idw.hpp"
 #include "rem/info_gain.hpp"
 #include "rem/kmeans.hpp"
 #include "rem/placement.hpp"
 #include "rem/planner.hpp"
-#include "rem/rem.hpp"
 #include "rem/store.hpp"
 #include "rem/tsp.hpp"
 #include "terrain/synth.hpp"
@@ -23,51 +24,80 @@ namespace {
 
 geo::Rect area100() { return geo::Rect::square(100.0); }
 
+/// One-UE bank over `area` at `cell` m and 50 m altitude.
+RemBank one_ue(geo::Rect area, double cell, geo::Vec3 ue) {
+  RemBank bank(area, cell, 50.0);
+  bank.add_ue(ue);
+  return bank;
+}
+
 TEST(RemTest, MeasurementsAverageWithinCell) {
-  Rem rem(area100(), 10.0, 50.0, {50.0, 50.0, 1.5});
-  rem.add_measurement({15.0, 15.0}, 10.0);
-  rem.add_measurement({16.0, 14.0}, 20.0);  // same 10 m cell
-  EXPECT_EQ(rem.measured_cells(), 1u);
+  RemBank rem = one_ue(area100(), 10.0, {50.0, 50.0, 1.5});
+  rem.add_measurement(0, {15.0, 15.0}, 10.0);
+  rem.add_measurement(0, {16.0, 14.0}, 20.0);  // same 10 m cell
+  EXPECT_EQ(rem.measured_cells(0), 1u);
   const geo::CellIndex c{1, 1};
-  ASSERT_TRUE(rem.is_measured(c));
-  EXPECT_DOUBLE_EQ(*rem.measured_snr(c), 15.0);
-  EXPECT_FALSE(rem.measured_snr({0, 0}).has_value());
-  EXPECT_NEAR(rem.measured_fraction(), 0.01, 1e-9);
+  EXPECT_EQ(rem.measurement_count(0, c), 2);
+  EXPECT_DOUBLE_EQ(*rem.measured_snr(0, c), 15.0);
+  EXPECT_FALSE(rem.measured_snr(0, {0, 0}).has_value());
 }
 
 TEST(RemTest, EstimateUsesMeasurementEverywhereByDefault) {
-  Rem rem(area100(), 10.0, 50.0, {50.0, 50.0, 1.5});
-  rem.add_measurement({5.0, 5.0}, 12.0);
-  const geo::Grid2D<double> est = rem.estimate();
+  RemBank rem = one_ue(area100(), 10.0, {50.0, 50.0, 1.5});
+  rem.add_measurement(0, {5.0, 5.0}, 12.0);
+  rem.estimate_all();
+  const geo::FieldView<const double> est = rem.estimate(0);
   // One sample: IDW returns it for every cell.
-  EXPECT_DOUBLE_EQ(est.at(0, 0), 12.0);
-  EXPECT_DOUBLE_EQ(est.at(9, 9), 12.0);
+  EXPECT_DOUBLE_EQ(est.at({0, 0}), 12.0);
+  EXPECT_DOUBLE_EQ(est.at({9, 9}), 12.0);
+}
+
+TEST(RemTest, EstimateWithoutAnyInformationIsZero) {
+  RemBank rem = one_ue(area100(), 10.0, {50.0, 50.0, 1.5});
+  rem.estimate_all();
+  for (std::size_t i = 0; i < rem.cells_per_ue(); ++i) EXPECT_EQ(rem.estimate(0)[i], 0.0);
 }
 
 TEST(RemTest, BackgroundUsedBeyondRadius) {
-  Rem rem(area100(), 10.0, 50.0, {50.0, 50.0, 1.5});
+  RemBank rem = one_ue(area100(), 10.0, {50.0, 50.0, 1.5});
   const rf::FsplChannel fspl(2.6e9);
-  rem.seed_from_model(fspl, rf::LinkBudget{});
-  rem.add_measurement({5.0, 5.0}, -7.0);
+  rem.seed_from_model(0, fspl, rf::LinkBudget{});
+  rem.add_measurement(0, {5.0, 5.0}, -7.0);
   IdwParams params;
   params.max_radius_m = 20.0;
-  const geo::Grid2D<double> est = rem.estimate(params);
-  EXPECT_DOUBLE_EQ(est.at(0, 0), -7.0);  // measured cell
+  rem.estimate_all(params);
+  const geo::FieldView<const double> est = rem.estimate(0);
+  EXPECT_DOUBLE_EQ(est.at({0, 0}), -7.0);  // measured cell
   // Far cell beyond the radius: background (FSPL-derived, much higher).
-  EXPECT_GT(est.at(9, 9), 0.0);
-  EXPECT_DOUBLE_EQ(est.at(9, 9), rem.background().at(9, 9));
+  EXPECT_GT(est.at({9, 9}), 0.0);
+  EXPECT_DOUBLE_EQ(est.at({9, 9}), rem.background(0).at({9, 9}));
 }
 
 TEST(RemTest, SeedFromPriorCopiesEstimate) {
-  Rem prior(area100(), 10.0, 50.0, {50.0, 50.0, 1.5});
-  prior.add_measurement({55.0, 55.0}, 33.0);
-  Rem fresh(area100(), 10.0, 50.0, {52.0, 50.0, 1.5});
-  fresh.seed_from(prior);
-  EXPECT_TRUE(fresh.has_background());
-  EXPECT_DOUBLE_EQ(fresh.background().at(3, 3), 33.0);
-  // Geometry mismatch rejected.
-  Rem other(geo::Rect::square(50.0), 10.0, 50.0, {10.0, 10.0, 1.5});
-  EXPECT_THROW(fresh.seed_from(other), ContractViolation);
+  RemBank prior = one_ue(area100(), 10.0, {50.0, 50.0, 1.5});
+  prior.add_measurement(0, {55.0, 55.0}, 33.0);
+  RemBank fresh = one_ue(area100(), 10.0, {52.0, 50.0, 1.5});
+  fresh.seed_from(0, prior);
+  EXPECT_EQ(fresh.background_source(0), RemBank::BackgroundSource::kPrior);
+  EXPECT_DOUBLE_EQ(fresh.background(0).at({3, 3}), 33.0);
+  // The prior itself is left untouched (seeding estimates a copy).
+  EXPECT_FALSE(prior.estimates_current());
+  // Geometry mismatch rejected, and so is a prior holding several UEs.
+  RemBank other = one_ue(geo::Rect::square(50.0), 10.0, {10.0, 10.0, 1.5});
+  EXPECT_THROW(fresh.seed_from(0, other), ContractViolation);
+  prior.add_ue({20.0, 20.0, 1.5});
+  EXPECT_THROW(fresh.seed_from(0, prior), ContractViolation);
+}
+
+TEST(RemTest, MeasurementContracts) {
+  RemBank rem = one_ue(area100(), 10.0, {50.0, 50.0, 1.5});
+  EXPECT_THROW(rem.add_measurement(0, {150.0, 50.0}, 1.0), ContractViolation);
+  EXPECT_THROW(rem.add_measurement(1, {50.0, 50.0}, 1.0), ContractViolation);
+  EXPECT_THROW(rem.measurement_count(0, {10, 0}), ContractViolation);
+  EXPECT_THROW(rem.measured_snr(0, {0, -1}), ContractViolation);
+  EXPECT_THROW(rem.extract(1), ContractViolation);
+  EXPECT_THROW(RemBank(area100(), 10.0, 0.0), ContractViolation);
+  EXPECT_THROW(RemBank(area100(), 0.0, 50.0), ContractViolation);
 }
 
 TEST(RemTest, MedianErrorMetric) {
@@ -240,18 +270,18 @@ TEST(InfoGainTest, AverageAndRatio) {
 }
 
 TEST(PlannerTest, ProducesTourWithinBudget) {
-  Rem rem(area100(), 5.0, 50.0, {50.0, 50.0, 1.5});
+  RemBank rem = one_ue(area100(), 5.0, {50.0, 50.0, 1.5});
   const rf::FsplChannel fspl(2.6e9);
-  rem.seed_from_model(fspl, rf::LinkBudget{});
+  rem.seed_from_model(0, fspl, rf::LinkBudget{});
   // Paint an artificial SNR edge so the gradient map has structure.
-  for (double x = 5.0; x < 95.0; x += 5.0) rem.add_measurement({x, 50.0}, x < 50.0 ? 0.0 : 25.0);
+  for (double x = 5.0; x < 95.0; x += 5.0)
+    rem.add_measurement(0, {x, 50.0}, x < 50.0 ? 0.0 : 25.0);
 
   PlannerConfig cfg;
   cfg.budget_m = 150.0;
-  const std::vector<Rem> rems{rem};
+  rem.estimate_all(cfg.idw);
   const std::vector<TrajectoryHistory> history{{}};
-  const PlannedTrajectory plan =
-      plan_measurement_trajectory(rems, history, {0.0, 0.0}, cfg);
+  const PlannedTrajectory plan = plan_measurement_trajectory(rem, history, {0.0, 0.0}, cfg);
   EXPECT_LE(plan.cost_m, 150.0 + 1e-6);
   EXPECT_GT(plan.cost_m, 0.0);
   EXPECT_GE(plan.k, cfg.k_min);
@@ -261,37 +291,44 @@ TEST(PlannerTest, ProducesTourWithinBudget) {
 }
 
 TEST(PlannerTest, AvoidsRepeatingHistory) {
-  Rem rem(area100(), 5.0, 50.0, {50.0, 50.0, 1.5});
+  RemBank rem = one_ue(area100(), 5.0, {50.0, 50.0, 1.5});
   const rf::FsplChannel fspl(2.6e9);
-  rem.seed_from_model(fspl, rf::LinkBudget{});
+  rem.seed_from_model(0, fspl, rf::LinkBudget{});
   for (double x = 5.0; x < 95.0; x += 5.0)
-    for (double y = 5.0; y < 95.0; y += 25.0) rem.add_measurement({x, y}, x + y);
+    for (double y = 5.0; y < 95.0; y += 25.0) rem.add_measurement(0, {x, y}, x + y);
 
-  const std::vector<Rem> rems{rem};
   PlannerConfig cfg;
+  rem.estimate_all(cfg.idw);
   // First plan with no history, then replan with that tour as history: the
   // second tour must differ (higher info gain elsewhere).
-  const PlannedTrajectory first =
-      plan_measurement_trajectory(rems, {{}}, {0.0, 0.0}, cfg);
+  const PlannedTrajectory first = plan_measurement_trajectory(rem, {{}}, {0.0, 0.0}, cfg);
   const std::vector<TrajectoryHistory> history{{first.path}};
-  const PlannedTrajectory second =
-      plan_measurement_trajectory(rems, history, {0.0, 0.0}, cfg);
+  const PlannedTrajectory second = plan_measurement_trajectory(rem, history, {0.0, 0.0}, cfg);
   EXPECT_GT(second.path.mean_distance_to(first.path, 5.0), 1.0);
 }
 
 TEST(PlannerTest, HistorySizeMismatchRejected) {
-  Rem rem(area100(), 5.0, 50.0, {50.0, 50.0, 1.5});
-  const std::vector<Rem> rems{rem};
-  EXPECT_THROW(
-      plan_measurement_trajectory(rems, {{}, {}}, {0.0, 0.0}, PlannerConfig{}),
-      ContractViolation);
+  RemBank rem = one_ue(area100(), 5.0, {50.0, 50.0, 1.5});
+  rem.estimate_all();
+  EXPECT_THROW(plan_measurement_trajectory(rem, {{}, {}}, {0.0, 0.0}, PlannerConfig{}),
+               ContractViolation);
+}
+
+TEST(PlannerTest, StaleOrEmptyBankRejected) {
+  RemBank rem = one_ue(area100(), 5.0, {50.0, 50.0, 1.5});
+  EXPECT_THROW(plan_measurement_trajectory(rem, {{}}, {0.0, 0.0}, PlannerConfig{}),
+               ContractViolation);
+  RemBank empty(area100(), 5.0, 50.0);
+  empty.estimate_all();
+  EXPECT_THROW(plan_measurement_trajectory(empty, {}, {0.0, 0.0}, PlannerConfig{}),
+               ContractViolation);
 }
 
 TEST(StoreTest, PutAndFindWithinRadius) {
   RemStore store(10.0);
-  Rem rem(area100(), 5.0, 50.0, {50.0, 50.0, 1.5});
-  rem.add_measurement({50.0, 50.0}, 9.0);
-  store.put(rem);
+  RemBank rem = one_ue(area100(), 5.0, {50.0, 50.0, 1.5});
+  rem.add_measurement(0, {50.0, 50.0}, 9.0);
+  store.put(rem, 0);
   EXPECT_EQ(store.size(), 1u);
   EXPECT_NE(store.find_near({55.0, 50.0}), nullptr);
   EXPECT_EQ(store.find_near({70.0, 50.0}), nullptr);
@@ -299,31 +336,60 @@ TEST(StoreTest, PutAndFindWithinRadius) {
 
 TEST(StoreTest, NearbyPutReplacesEntry) {
   RemStore store(10.0);
-  Rem a(area100(), 5.0, 50.0, {50.0, 50.0, 1.5});
-  a.add_measurement({10.0, 10.0}, 1.0);
-  store.put(a);
-  Rem b(area100(), 5.0, 50.0, {53.0, 50.0, 1.5});
-  b.add_measurement({10.0, 10.0}, 2.0);
-  store.put(b);  // within 10 m of a: replaces it
+  RemBank a = one_ue(area100(), 5.0, {50.0, 50.0, 1.5});
+  a.add_measurement(0, {10.0, 10.0}, 1.0);
+  store.put(a, 0);
+  RemBank b = one_ue(area100(), 5.0, {53.0, 50.0, 1.5});
+  b.add_measurement(0, {10.0, 10.0}, 2.0);
+  store.put(b, 0);  // within 10 m of a: replaces it
   EXPECT_EQ(store.size(), 1u);
-  EXPECT_DOUBLE_EQ(*store.entries()[0].measured_snr(store.entries()[0].background().cell_of(
-                       geo::Vec2{10.0, 10.0})),
-                   2.0);
+  EXPECT_DOUBLE_EQ(*store.entries()[0].measured_snr(0, {2, 2}), 2.0);
+  EXPECT_EQ(store.entries()[0].ue_position(0).x, 53.0);
 }
 
-TEST(StoreTest, MakeForUeSeedsFromPriorOrModel) {
+TEST(StoreTest, PutStoresOneUeCopyOfTheBankUe) {
+  const rf::FsplChannel fspl(2.6e9);
+  RemBank bank(area100(), 5.0, 50.0);
+  bank.add_ue({20.0, 20.0, 1.5});
+  bank.seed_from_model(bank.add_ue({70.0, 70.0, 1.5}), fspl, rf::LinkBudget{});
+  bank.add_measurement(1, {72.0, 71.0}, 4.0);
+  bank.add_measurement(1, {72.0, 71.0}, 6.0);
+  bank.estimate_all();
+  RemStore store(10.0);
+  store.put(bank, 1);
+  ASSERT_EQ(store.size(), 1u);
+  const RemBank& e = store.entries()[0];
+  EXPECT_EQ(e.ue_count(), 1u);
+  EXPECT_EQ(e.ue_position(0).x, 70.0);
+  EXPECT_EQ(e.altitude_m(), 50.0);
+  EXPECT_EQ(e.measured_cells(0), 1u);
+  EXPECT_EQ(e.measurement_count(0, {14, 14}), 2);
+  EXPECT_EQ(*e.measured_snr(0, {14, 14}), 5.0);
+  EXPECT_EQ(e.background_source(0), RemBank::BackgroundSource::kModel);
+  for (std::size_t i = 0; i < e.cells_per_ue(); ++i)
+    EXPECT_EQ(e.background(0)[i], bank.background(1)[i]);
+  // Entries are stored unestimated: no cached slab rides along.
+  EXPECT_FALSE(e.estimates_current());
+}
+
+TEST(StoreTest, SeedBankUeSeedsFromPriorOrModel) {
   RemStore store(10.0);
   const rf::FsplChannel fspl(2.6e9);
   const rf::LinkBudget budget;
-  Rem prior(area100(), 5.0, 50.0, {30.0, 30.0, 1.5});
-  prior.add_measurement({30.0, 30.0}, -123.0);  // recognizable value
-  store.put(prior);
+  RemBank prior = one_ue(area100(), 5.0, {30.0, 30.0, 1.5});
+  prior.add_measurement(0, {30.0, 30.0}, -123.0);  // recognizable value
+  store.put(prior, 0);
+  RemBank bank(area100(), 5.0, 50.0);
   // Near the prior: background carries the -123 measurement.
-  const Rem near = store.make_for_ue(area100(), 5.0, 50.0, {32.0, 30.0, 1.5}, fspl, budget);
-  EXPECT_NEAR(near.background().value_at({30.0, 30.0}), -123.0, 1e-9);
+  const std::size_t near = bank.add_ue({32.0, 30.0, 1.5});
+  store.seed_bank_ue(bank, near, fspl, budget);
+  EXPECT_NEAR(bank.background(near).at({6, 6}), -123.0, 1e-9);
+  EXPECT_EQ(bank.background_source(near), RemBank::BackgroundSource::kPrior);
   // Far away: FSPL seed, nothing like -123.
-  const Rem far = store.make_for_ue(area100(), 5.0, 50.0, {90.0, 90.0, 1.5}, fspl, budget);
-  EXPECT_GT(far.background().value_at({30.0, 30.0}), -60.0);
+  const std::size_t far = bank.add_ue({90.0, 90.0, 1.5});
+  store.seed_bank_ue(bank, far, fspl, budget);
+  EXPECT_GT(bank.background(far).at({6, 6}), -60.0);
+  EXPECT_EQ(bank.background_source(far), RemBank::BackgroundSource::kModel);
 }
 
 TEST(PlacementTest, MinAndMeanMaps) {
@@ -419,16 +485,17 @@ TEST(AltitudeSearchTest, Contracts) {
 class PlannerKSweep : public ::testing::TestWithParam<int> {};
 
 TEST_P(PlannerKSweep, TourVisitsRoughlyKClusters) {
-  Rem rem(area100(), 5.0, 50.0, {50.0, 50.0, 1.5});
+  RemBank rem = one_ue(area100(), 5.0, {50.0, 50.0, 1.5});
   const rf::FsplChannel fspl(2.6e9);
-  rem.seed_from_model(fspl, rf::LinkBudget{});
+  rem.seed_from_model(0, fspl, rf::LinkBudget{});
   for (double x = 5.0; x < 95.0; x += 7.0)
-    for (double y = 5.0; y < 95.0; y += 23.0) rem.add_measurement({x, y}, std::fmod(x * y, 29.0));
+    for (double y = 5.0; y < 95.0; y += 23.0)
+      rem.add_measurement(0, {x, y}, std::fmod(x * y, 29.0));
   PlannerConfig cfg;
   cfg.k_min = GetParam();
   cfg.k_max = GetParam();  // pin K
-  const std::vector<Rem> rems{rem};
-  const PlannedTrajectory plan = plan_measurement_trajectory(rems, {{}}, {0.0, 0.0}, cfg);
+  rem.estimate_all(cfg.idw);
+  const PlannedTrajectory plan = plan_measurement_trajectory(rem, {{}}, {0.0, 0.0}, cfg);
   EXPECT_EQ(plan.k, GetParam());
   // Tour has start + K nodes.
   EXPECT_EQ(plan.path.size(), static_cast<std::size_t>(GetParam()) + 1);

@@ -1,10 +1,10 @@
-// Equivalence suite for the RemBank shared-geometry REM engine: the
-// incremental (dirty-cell) estimate_all() must be bit-for-bit identical to
-// running the reference per-UE Rem::estimate on the same accumulated state,
-// serially and on the thread pool. Also covers geo::FieldView, the
-// geo::PointIndex spatial index against brute-force models of the legacy
-// linear scans, and the bank-resident planner/placement/store paths against
-// their per-REM equivalents. Run under TSan in CI.
+// Differential oracle for the RemBank REM engine: after every measurement
+// round, the incremental (dirty-cell) estimate_all() must be bit-for-bit
+// identical to a cold rebuild (the first, full estimate_all of a
+// never-estimated twin fed the same deposits), serially and on the thread
+// pool. Also covers geo::FieldView, the geo::PointIndex spatial index and the
+// REM store's put/find against brute-force models of the historical linear
+// scans, and the placement view overloads. Run under TSan in CI.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -19,16 +19,10 @@
 #include "geo/contract.hpp"
 #include "geo/field_view.hpp"
 #include "geo/point_index.hpp"
-#include "mobility/deployment.hpp"
 #include "rem/bank.hpp"
 #include "rem/placement.hpp"
-#include "rem/planner.hpp"
-#include "rem/rem.hpp"
 #include "rem/store.hpp"
 #include "rf/channel.hpp"
-#include "sim/measurement.hpp"
-#include "sim/world.hpp"
-#include "uav/flight.hpp"
 
 namespace skyran {
 namespace {
@@ -169,7 +163,7 @@ TEST(PointIndexTest, TiesPreferLowestId) {
 }
 
 // ---------------------------------------------------------------------------
-// RemBank vs per-UE Rem bit-identity
+// RemBank incremental vs cold rebuild
 
 struct DepositScript {
   struct Deposit {
@@ -202,13 +196,29 @@ DepositScript make_script(std::size_t n_ue, int n_rounds, int per_round, geo::Re
   return script;
 }
 
+/// The first estimate_all of a copy of `twin`, which must never have been
+/// estimated: a full re-raster of every cell.
+rem::RemBank cold_rebuild(const rem::RemBank& twin, const rem::IdwParams& params) {
+  EXPECT_FALSE(twin.estimates_current());
+  rem::RemBank cold = twin;
+  cold.estimate_all(params);
+  EXPECT_EQ(cold.last_estimate_stats().cells_reestimated,
+            cold.last_estimate_stats().cells_total);
+  return cold;
+}
+
+/// Cells of `ue` whose cached estimates differ bit-for-bit between banks.
+std::size_t estimate_mismatches(const rem::RemBank& a, const rem::RemBank& b, std::size_t ue) {
+  return mismatches(a.estimate(ue), b.estimate(ue));
+}
+
 enum class Background { kNone, kModel, kPrior };
 
-/// Drive a RemBank and a vector of reference Rems through the same deposit
-/// script, comparing the bank's cached slab against Rem::estimate after
-/// every round. Returns the final estimates for serial/parallel comparison.
-std::vector<double> run_equivalence(Background bg, const rem::IdwParams& params,
-                                    std::uint64_t seed) {
+/// Drive a live RemBank and a never-estimated twin through the same deposit
+/// script; after every round the live bank's incremental estimate must equal
+/// the twin's cold rebuild. Returns the final estimates for serial/parallel
+/// comparison.
+std::vector<double> run_oracle(Background bg, const rem::IdwParams& params, std::uint64_t seed) {
   const geo::Rect area = area100();
   const double cell = 4.0;
   const double altitude = 60.0;
@@ -216,97 +226,90 @@ std::vector<double> run_equivalence(Background bg, const rem::IdwParams& params,
   const std::vector<geo::Vec3> ue_pos{{20.0, 30.0, 1.5}, {70.0, 25.0, 1.5}, {55.0, 80.0, 1.5}};
 
   const rf::FsplChannel fspl(2.6e9);
-  rem::Rem prior(area, cell, altitude, {45.0, 45.0, 1.5});
-  prior.add_measurement({40.0, 40.0}, 12.0);
-  prior.add_measurement({60.0, 50.0}, -3.0);
+  rem::RemBank prior(area, cell, altitude);
+  prior.add_ue({45.0, 45.0, 1.5});
+  prior.add_measurement(0, {40.0, 40.0}, 12.0);
+  prior.add_measurement(0, {60.0, 50.0}, -3.0);
 
-  std::vector<rem::Rem> rems;
   rem::RemBank bank(area, cell, altitude);
   for (std::size_t i = 0; i < n_ue; ++i) {
-    rems.emplace_back(area, cell, altitude, ue_pos[i]);
     bank.add_ue(ue_pos[i]);
-    if (bg == Background::kModel) {
-      rems[i].seed_from_model(fspl, rf::LinkBudget{});
-      bank.seed_from_model(i, fspl, rf::LinkBudget{});
-    } else if (bg == Background::kPrior) {
-      rems[i].seed_from(prior, params);
-      bank.seed_from(i, prior, params);
-    }
+    if (bg == Background::kModel) bank.seed_from_model(i, fspl, rf::LinkBudget{});
+    if (bg == Background::kPrior) bank.seed_from(i, prior, params);
   }
+  rem::RemBank twin = bank;
 
   const DepositScript script = make_script(n_ue, 4, 40, area, seed);
   std::vector<double> final_estimates;
   for (const auto& round : script.rounds) {
     for (const auto& d : round) {
-      rems[d.ue].add_measurement(d.at, d.snr_db);
       bank.add_measurement(d.ue, d.at, d.snr_db);
+      twin.add_measurement(d.ue, d.at, d.snr_db);
     }
     bank.estimate_all(params);
     EXPECT_TRUE(bank.estimates_current());
+    const rem::RemBank cold = cold_rebuild(twin, params);
     final_estimates.clear();
     for (std::size_t i = 0; i < n_ue; ++i) {
-      const geo::Grid2D<double> ref = rems[i].estimate(params);
+      EXPECT_EQ(estimate_mismatches(cold, bank, i), 0u)
+          << "UE " << i << " diverged from the cold rebuild";
       const geo::FieldView<const double> got = bank.estimate(i);
-      EXPECT_EQ(mismatches(ref.raw(), got), 0u)
-          << "UE " << i << " diverged from Rem::estimate";
       for (std::size_t j = 0; j < got.size(); ++j) final_estimates.push_back(got[j]);
     }
   }
   return final_estimates;
 }
 
-TEST(RemBankEquivalenceTest, NoBackgroundBitIdentical) {
+TEST(RemBankOracleTest, NoBackground) {
   const auto [serial, parallel] =
-      serial_and_parallel([] { return run_equivalence(Background::kNone, {}, 101); });
+      serial_and_parallel([] { return run_oracle(Background::kNone, {}, 101); });
   EXPECT_EQ(mismatches(serial, parallel), 0u);
 }
 
-TEST(RemBankEquivalenceTest, ModelBackgroundBitIdentical) {
+TEST(RemBankOracleTest, ModelBackground) {
   const auto [serial, parallel] =
-      serial_and_parallel([] { return run_equivalence(Background::kModel, {}, 202); });
+      serial_and_parallel([] { return run_oracle(Background::kModel, {}, 202); });
   EXPECT_EQ(mismatches(serial, parallel), 0u);
 }
 
-TEST(RemBankEquivalenceTest, PriorBlendBitIdentical) {
+TEST(RemBankOracleTest, PriorBlend) {
   rem::IdwParams params;
   params.background_blend_m = 30.0;
-  const auto [serial, parallel] = serial_and_parallel(
-      [&] { return run_equivalence(Background::kPrior, params, 303); });
+  const auto [serial, parallel] =
+      serial_and_parallel([&] { return run_oracle(Background::kPrior, params, 303); });
   EXPECT_EQ(mismatches(serial, parallel), 0u);
 }
 
-TEST(RemBankEquivalenceTest, FiniteRadiusSmallKBitIdentical) {
+TEST(RemBankOracleTest, FiniteRadiusSmallK) {
   rem::IdwParams params;
   params.k_neighbors = 2;
   params.max_radius_m = 60.0;
-  const auto [serial, parallel] = serial_and_parallel(
-      [&] { return run_equivalence(Background::kModel, params, 404); });
+  const auto [serial, parallel] =
+      serial_and_parallel([&] { return run_oracle(Background::kModel, params, 404); });
   EXPECT_EQ(mismatches(serial, parallel), 0u);
 }
 
 TEST(RemBankTest, ParamsChangeRecomputesEveryCell) {
   const geo::Rect area = area100();
   rem::RemBank bank(area, 4.0, 60.0);
-  rem::Rem ref(area, 4.0, 60.0, {50.0, 50.0, 1.5});
   bank.add_ue({50.0, 50.0, 1.5});
   std::mt19937_64 rng(7);
   std::uniform_real_distribution<double> u(0.0, 100.0);
   for (int i = 0; i < 30; ++i) {
     const geo::Vec2 p{u(rng), u(rng)};
-    const double v = u(rng) - 50.0;
-    bank.add_measurement(0, p, v);
-    ref.add_measurement(p, v);
+    bank.add_measurement(0, p, u(rng) - 50.0);
   }
+  const rem::RemBank twin = bank;
   rem::IdwParams a;  // defaults
   rem::IdwParams b;
   b.k_neighbors = 3;
   b.power = 1.5;
   bank.estimate_all(a);
-  EXPECT_EQ(mismatches(ref.estimate(a).raw(), bank.estimate(0)), 0u);
+  EXPECT_EQ(estimate_mismatches(cold_rebuild(twin, a), bank, 0), 0u);
   bank.estimate_all(b);  // parameter change: full recompute, new reference
   EXPECT_EQ(bank.last_estimate_stats().cells_reestimated,
             bank.last_estimate_stats().cells_total);
-  EXPECT_EQ(mismatches(ref.estimate(b).raw(), bank.estimate(0)), 0u);
+  EXPECT_EQ(estimate_mismatches(cold_rebuild(twin, b), bank, 0), 0u);
 }
 
 TEST(RemBankTest, IncrementalPassSkipsUnaffectedCells) {
@@ -315,53 +318,51 @@ TEST(RemBankTest, IncrementalPassSkipsUnaffectedCells) {
   // estimate_all must re-interpolate only a fraction of the map.
   const geo::Rect area = geo::Rect::square(400.0);
   rem::RemBank bank(area, 4.0, 60.0);
-  rem::Rem ref(area, 4.0, 60.0, {200.0, 200.0, 1.5});
   bank.add_ue({200.0, 200.0, 1.5});
   for (double xx = 10.0; xx < 400.0; xx += 25.0)
-    for (double yy = 10.0; yy < 400.0; yy += 25.0) {
+    for (double yy = 10.0; yy < 400.0; yy += 25.0)
       bank.add_measurement(0, {xx, yy}, 0.01 * xx - 0.02 * yy);
-      ref.add_measurement({xx, yy}, 0.01 * xx - 0.02 * yy);
-    }
+  rem::RemBank twin = bank;
   bank.estimate_all();
   EXPECT_EQ(bank.last_estimate_stats().cells_reestimated,
             bank.last_estimate_stats().cells_total);
 
   bank.add_measurement(0, {30.0, 35.0}, 9.0);
-  ref.add_measurement({30.0, 35.0}, 9.0);
+  twin.add_measurement(0, {30.0, 35.0}, 9.0);
   EXPECT_FALSE(bank.estimates_current());
   bank.estimate_all();
   const rem::RemBank::EstimateStats& s = bank.last_estimate_stats();
   EXPECT_GT(s.cells_cached, 0u);
   EXPECT_LT(s.dirty_fraction(), 0.5);
   EXPECT_GT(s.cells_reestimated, 0u);
-  EXPECT_EQ(mismatches(ref.estimate().raw(), bank.estimate(0)), 0u);
+  EXPECT_EQ(estimate_mismatches(cold_rebuild(twin, {}), bank, 0), 0u);
 }
 
-TEST(RemBankTest, ExtractRemMatchesLegacyObject) {
+TEST(RemBankTest, ExtractCopiesOneUe) {
   const geo::Rect area = area100();
   const rf::FsplChannel fspl(2.6e9);
   rem::RemBank bank(area, 5.0, 50.0);
-  rem::Rem ref(area, 5.0, 50.0, {40.0, 60.0, 1.5});
+  bank.add_ue({10.0, 90.0, 1.5});
   bank.add_ue({40.0, 60.0, 1.5});
-  bank.seed_from_model(0, fspl, rf::LinkBudget{});
-  ref.seed_from_model(fspl, rf::LinkBudget{});
-  bank.add_measurement(0, {20.0, 20.0}, 5.0);
-  bank.add_measurement(0, {20.0, 20.0}, 7.0);
-  bank.add_measurement(0, {80.0, 30.0}, -2.0);
-  ref.add_measurement({20.0, 20.0}, 5.0);
-  ref.add_measurement({20.0, 20.0}, 7.0);
-  ref.add_measurement({80.0, 30.0}, -2.0);
+  bank.seed_from_model(1, fspl, rf::LinkBudget{});
+  bank.add_measurement(1, {20.0, 20.0}, 5.0);
+  bank.add_measurement(1, {20.0, 20.0}, 7.0);
+  bank.add_measurement(1, {80.0, 30.0}, -2.0);
+  bank.add_measurement(0, {50.0, 50.0}, 1.0);
+  bank.estimate_all();
 
-  const rem::Rem out = bank.extract_rem(0);
-  EXPECT_EQ(out.measured_cells(), ref.measured_cells());
-  EXPECT_EQ(out.background_source(), ref.background_source());
-  EXPECT_EQ(out.ue_position().x, ref.ue_position().x);
-  EXPECT_EQ(out.altitude_m(), ref.altitude_m());
-  EXPECT_EQ(mismatches(out.background().raw(), ref.background().raw()), 0u);
-  EXPECT_EQ(mismatches(out.estimate().raw(), ref.estimate().raw()), 0u);
-  const geo::CellIndex c = out.background().cell_of(geo::Vec2{20.0, 20.0});
-  EXPECT_EQ(out.measurement_count(c), 2);
-  EXPECT_EQ(*out.measured_snr(c), *ref.measured_snr(c));
+  const rem::RemBank out = bank.extract(1);
+  ASSERT_EQ(out.ue_count(), 1u);
+  EXPECT_FALSE(out.estimates_current());
+  EXPECT_EQ(out.measured_cells(0), 2u);
+  EXPECT_EQ(out.background_source(0), rem::RemBank::BackgroundSource::kModel);
+  EXPECT_EQ(out.ue_position(0).x, 40.0);
+  EXPECT_EQ(out.altitude_m(), 50.0);
+  EXPECT_EQ(mismatches(out.background(0), bank.background(1)), 0u);
+  EXPECT_EQ(out.measurement_count(0, {4, 4}), 2);
+  EXPECT_EQ(*out.measured_snr(0, {4, 4}), *bank.measured_snr(1, {4, 4}));
+  // The copy estimates to the same map as the UE it came from.
+  EXPECT_EQ(mismatches(cold_rebuild(out, {}).estimate(0), bank.estimate(1)), 0u);
 }
 
 TEST(RemBankTest, StaleEstimateAccessRejected) {
@@ -377,50 +378,7 @@ TEST(RemBankTest, StaleEstimateAccessRejected) {
 }
 
 // ---------------------------------------------------------------------------
-// Consumers: store / planner / placement / measurement
-
-TEST(RemBankStoreTest, SeedBankUeMatchesMakeForUe) {
-  const geo::Rect area = area100();
-  const rf::FsplChannel fspl(2.6e9);
-  rem::RemStore store(10.0);
-  rem::Rem warm(area, 4.0, 60.0, {30.0, 30.0, 1.5});
-  warm.add_measurement({25.0, 30.0}, 4.0);
-  warm.add_measurement({70.0, 75.0}, -6.0);
-  store.put(warm);
-
-  // One UE hits the stored prior, one misses and falls back to the model.
-  for (const geo::Vec3 ue : {geo::Vec3{32.0, 30.0, 1.5}, geo::Vec3{80.0, 80.0, 1.5}}) {
-    const rem::Rem legacy =
-        store.make_for_ue(area, 4.0, 60.0, ue, fspl, rf::LinkBudget{});
-    rem::RemBank bank(area, 4.0, 60.0);
-    const std::size_t idx = bank.add_ue(ue);
-    store.seed_bank_ue(bank, idx, fspl, rf::LinkBudget{});
-    EXPECT_EQ(bank.background_source(idx), legacy.background_source());
-    EXPECT_EQ(mismatches(legacy.background().raw(), bank.background(idx)), 0u);
-  }
-}
-
-TEST(RemBankStoreTest, PutFromBankMatchesLegacyPut) {
-  const geo::Rect area = area100();
-  rem::RemBank bank(area, 4.0, 60.0);
-  bank.add_ue({40.0, 40.0, 1.5});
-  bank.add_measurement(0, {35.0, 42.0}, 3.0);
-  bank.add_measurement(0, {55.0, 60.0}, 8.0);
-
-  rem::RemStore via_bank(10.0);
-  via_bank.put_from_bank(bank, 0);
-  rem::RemStore via_rem(10.0);
-  via_rem.put(bank.extract_rem(0));
-
-  ASSERT_EQ(via_bank.size(), 1u);
-  ASSERT_EQ(via_rem.size(), 1u);
-  const rem::Rem* a = via_bank.find_near({40.0, 40.0});
-  const rem::Rem* b = via_rem.find_near({40.0, 40.0});
-  ASSERT_NE(a, nullptr);
-  ASSERT_NE(b, nullptr);
-  EXPECT_EQ(a->measured_cells(), b->measured_cells());
-  EXPECT_EQ(mismatches(a->estimate().raw(), b->estimate().raw()), 0u);
-}
+// Consumers: store / placement
 
 TEST(RemStoreIndexTest, PutAndFindMatchLegacyScanSemantics) {
   // Reference model replicating the historical linear scans: put replaces
@@ -454,61 +412,21 @@ TEST(RemStoreIndexTest, PutAndFindMatchLegacyScanSemantics) {
   std::uniform_real_distribution<double> u(5.0, 95.0);
   for (int i = 0; i < 200; ++i) {
     const geo::Vec2 p{u(rng), u(rng)};
-    rem::Rem r(area100(), 10.0, 50.0, {p, 1.5});
-    r.add_measurement(p, static_cast<double>(i));  // tag the entry
-    store.put(std::move(r));
+    rem::RemBank r(area100(), 10.0, 50.0);
+    r.add_ue({p, 1.5});
+    r.add_measurement(0, p, static_cast<double>(i));  // tag the entry
+    store.put(r, 0);
     model_put(p);
 
     ASSERT_EQ(store.size(), model.size());
     const geo::Vec2 q{u(rng), u(rng)};
-    const rem::Rem* hit = store.find_near(q);
+    const rem::RemBank* hit = store.find_near(q);
     const std::optional<std::size_t> want = model_find(q);
     ASSERT_EQ(hit != nullptr, want.has_value());
     if (hit != nullptr) {
-      EXPECT_EQ(hit->ue_position().xy().x, model[*want].x);
-      EXPECT_EQ(hit->ue_position().xy().y, model[*want].y);
+      EXPECT_EQ(hit->ue_position(0).xy().x, model[*want].x);
+      EXPECT_EQ(hit->ue_position(0).xy().y, model[*want].y);
     }
-  }
-}
-
-TEST(RemBankPlannerTest, BankPlanMatchesLegacyPlan) {
-  const geo::Rect area = area100();
-  const rf::FsplChannel fspl(2.6e9);
-  const std::size_t n_ue = 3;
-  const std::vector<geo::Vec3> ue_pos{{20.0, 30.0, 1.5}, {70.0, 25.0, 1.5}, {55.0, 80.0, 1.5}};
-
-  std::vector<rem::Rem> rems;
-  rem::RemBank bank(area, 4.0, 60.0);
-  for (std::size_t i = 0; i < n_ue; ++i) {
-    rems.emplace_back(area, 4.0, 60.0, ue_pos[i]);
-    bank.add_ue(ue_pos[i]);
-    rems[i].seed_from_model(fspl, rf::LinkBudget{});
-    bank.seed_from_model(i, fspl, rf::LinkBudget{});
-  }
-  const DepositScript script = make_script(n_ue, 2, 30, area, 77);
-  for (const auto& round : script.rounds)
-    for (const auto& d : round) {
-      rems[d.ue].add_measurement(d.at, d.snr_db);
-      bank.add_measurement(d.ue, d.at, d.snr_db);
-    }
-
-  rem::PlannerConfig config;
-  config.budget_m = 600.0;
-  config.seed = 99;
-  const std::vector<rem::TrajectoryHistory> histories(n_ue);
-  const rem::PlannedTrajectory legacy =
-      rem::plan_measurement_trajectory(rems, histories, {50.0, 50.0}, config);
-  bank.estimate_all(config.idw);
-  const rem::PlannedTrajectory banked =
-      rem::plan_measurement_trajectory(bank, histories, {50.0, 50.0}, config);
-
-  EXPECT_EQ(banked.k, legacy.k);
-  EXPECT_EQ(banked.cost_m, legacy.cost_m);
-  EXPECT_EQ(banked.info_gain, legacy.info_gain);
-  ASSERT_EQ(banked.path.points().size(), legacy.path.points().size());
-  for (std::size_t i = 0; i < banked.path.points().size(); ++i) {
-    EXPECT_EQ(banked.path.points()[i].x, legacy.path.points()[i].x);
-    EXPECT_EQ(banked.path.points()[i].y, legacy.path.points()[i].y);
   }
 }
 
@@ -545,44 +463,6 @@ TEST(RemBankPlacementTest, ViewOverloadsMatchGridOverloads) {
     return out;
   });
   EXPECT_EQ(mismatches(serial, parallel), 0u);
-}
-
-TEST(RemBankMeasurementTest, FlightDepositsMatchPerRemOverload) {
-  sim::WorldConfig wc;
-  wc.terrain_kind = terrain::TerrainKind::kCampus;
-  wc.seed = 41;
-  sim::World world(wc);
-  world.ue_positions() = mobility::deploy_mixed_visibility(world.terrain(), 4, 42);
-
-  const double altitude = 60.0;
-  geo::Path path;
-  const geo::Rect area = world.area();
-  path.push_back(area.clamp(area.center() + geo::Vec2{-120.0, -80.0}));
-  path.push_back(area.clamp(area.center() + geo::Vec2{100.0, -40.0}));
-  path.push_back(area.clamp(area.center() + geo::Vec2{60.0, 110.0}));
-  const uav::FlightPlan flight = uav::FlightPlan::at_altitude(path, altitude, 10.0);
-
-  std::vector<rem::Rem> rems;
-  rem::RemBank bank(area, 4.0, altitude);
-  for (const geo::Vec3& ue : world.ue_positions()) {
-    rems.emplace_back(area, 4.0, altitude, ue);
-    bank.add_ue(ue);
-  }
-
-  const sim::MeasurementConfig mc;
-  std::mt19937_64 rng_a(5);
-  std::mt19937_64 rng_b(5);
-  const std::size_t reports_legacy =
-      sim::run_measurement_flight(world, flight, rems, mc, rng_a);
-  const std::size_t reports_bank = sim::run_measurement_flight(world, flight, bank, mc, rng_b);
-  EXPECT_EQ(reports_bank, reports_legacy);
-  EXPECT_EQ(rng_a(), rng_b());  // identical draw counts
-
-  bank.estimate_all();
-  for (std::size_t i = 0; i < rems.size(); ++i) {
-    EXPECT_EQ(bank.measured_cells(i), rems[i].measured_cells());
-    EXPECT_EQ(mismatches(rems[i].estimate().raw(), bank.estimate(i)), 0u);
-  }
 }
 
 }  // namespace
