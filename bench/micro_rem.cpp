@@ -1,12 +1,15 @@
-// Full vs incremental REM re-estimation across a multi-round measurement
-// epoch. Each round deposits a tour's worth of SNR samples into two
-// rem::RemBanks: a twin that is never estimated, and the live bank. The full
-// arm times the first estimate_all of a copy of the twin (a bank's first
-// estimate_all re-interpolates the whole raster); the incremental arm times
-// the live bank's estimate_all, which re-interpolates only the dirty cells.
-// The two results must stay bit-for-bit identical. Not a google-benchmark
-// binary: like micro_parallel it emits one machine-readable JSON line per
-// round (round 0 is the cold full pass; later rounds show the cache win).
+// Full re-raster vs the live bank's per-UE-cached REM re-estimation across
+// a multi-round measurement epoch. Each round deposits a tour's worth of SNR
+// samples into two rem::RemBanks: a twin that is never estimated, and the
+// live bank. The full arm times the first estimate_all of a copy of the twin
+// (a bank's first estimate_all re-rasters every UE); the live arm (the
+// `incremental_ms` field) times the live bank's estimate_all, which
+// re-rasters each UE deposited into since the last call and serves the rest
+// from its cached slab. Every round here deposits into every UE, so rounds
+// run at about 1x; the cache_hit row (a second estimate_all with nothing
+// new) is where the cache pays. The two results must stay bit-for-bit
+// identical. Not a google-benchmark binary: like micro_parallel it emits one
+// machine-readable JSON line per round.
 //
 // Usage: micro_rem [repetitions]   (default 5; best-of is reported)
 #include <chrono>
@@ -117,8 +120,7 @@ int main(int argc, char** argv) {
     double full_ms = 0.0;
     const rem::RemBank full = time_estimate_all(twin, reps, params, full_ms);
 
-    // Incremental: each rep starts from an identical pre-estimate copy of
-    // the dirty bank.
+    // Live bank: each rep starts from an identical pre-estimate copy of it.
     double incremental_ms = 0.0;
     time_estimate_all(bank, reps, params, incremental_ms);
 
@@ -137,8 +139,8 @@ int main(int argc, char** argv) {
 
   // The other consumer pattern: a second estimate_all with nothing new in
   // between (the epoch loop estimates for the planner, then again for
-  // placement). A full re-raster re-interpolates everything; the bank
-  // returns its cached slab after one clean dirty-scan.
+  // placement). A full re-raster re-interpolates everything; the bank finds
+  // no stale UE and returns its cached slab.
   double full_ms = 0.0;
   const rem::RemBank full = time_estimate_all(twin, reps, params, full_ms);
   double cached_ms = 1e300;

@@ -28,6 +28,7 @@ SkyRan::SkyRan(sim::World& world, SkyRanConfig config, std::uint64_t seed)
           "SkyRan: epoch trigger threshold must be in (0,1)");
   expects(config.rem_cell_m > 0.0, "SkyRan: REM cell size must be positive");
   expects(config.threads >= 0, "SkyRan: thread count must be >= 0 (0 = auto)");
+  rem::validate(config.idw);
   // config.threads is applied per entry point via ScopedWorkers (see
   // run_epoch / current_estimates) rather than set_global_workers: a
   // constructor mutating the process-wide count would race with parallel
@@ -237,8 +238,8 @@ EpochReport SkyRan::run_epoch() {
     SKYRAN_TRACE_SPAN("epoch.measure_round");
     planner.budget_m = budget > 0.0 ? remaining : 0.0;
     planner.seed = rng_();
-    // Incremental refresh: only cells invalidated by the previous round's
-    // deposits are re-interpolated (all cells on the first round).
+    // Refresh: UEs the previous round deposited into are re-rastered, the
+    // rest are served from the cache (every UE on the first round).
     bank_->estimate_all(planner.idw);
     const rem::PlannedTrajectory plan =
         rem::plan_measurement_trajectory(*bank_, histories, tour_start, planner);
@@ -290,8 +291,8 @@ EpochReport SkyRan::run_epoch() {
   }
 
   // Placement (Sec 3.4), restricted to cells the UAV can hover in. The
-  // final incremental refresh folds in the last round's deposits; placement
-  // then reads the cached slabs directly as views (no per-UE copies).
+  // final refresh folds in the last round's deposits; placement then reads
+  // the cached slabs directly as views (no per-UE copies).
   SKYRAN_TRACE_SPAN("epoch.placement");
   bank_->estimate_all(config_.idw);
   const std::vector<geo::FieldView<const double>> estimates = bank_->estimate_views();

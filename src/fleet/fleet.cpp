@@ -136,7 +136,7 @@ void Fleet::phase_decide() {
   const std::size_t c_count = cell_pos_.size();
   const double enter_db = config_.a3.offset_db + config_.a3.hysteresis_db;
   const int ttt = config_.a3.time_to_trigger_epochs;
-  pending_.assign(n, 0);
+  ho_action_.assign(n, 0);
   core::parallel_for(n, [&](std::size_t i) {
     const double* row = rsrp_dbm_.data() + i * c_count;
     const std::int32_t s = serving_[i];
@@ -152,7 +152,7 @@ void Fleet::phase_decide() {
         }
       }
       a3_target_[i] = best;
-      pending_[i] = 3;
+      ho_action_[i] = 3;
       return;
     }
     std::int32_t best = -1;
@@ -174,7 +174,7 @@ void Fleet::phase_decide() {
     // A3 condition holds toward `best`: advance (or restart) time-to-trigger.
     a3_count_[i] = (a3_target_[i] == best) ? a3_count_[i] + 1 : 1;
     a3_target_[i] = best;
-    pending_[i] = (a3_count_[i] >= ttt) ? 2 : 1;
+    ho_action_[i] = (a3_count_[i] >= ttt) ? 2 : 1;
   });
 }
 
@@ -183,7 +183,7 @@ void Fleet::phase_apply(FleetEpochReport& report) {
   const std::size_t n = ue_pos_.size();
   const int window = config_.a3.pingpong_window_epochs;
   for (std::size_t i = 0; i < n; ++i) {
-    switch (pending_[i]) {
+    switch (ho_action_[i]) {
       case 3: {
         serving_[i] = a3_target_[i];
         a3_target_[i] = -1;

@@ -282,7 +282,7 @@ class Fleet {
   std::vector<double> rsrp_dbm_;          ///< n_ues x n_cells, UE-major
   std::vector<double> sinr_db_;
   std::vector<double> ue_served_bits_;    ///< last serve phase, per UE
-  std::vector<std::uint8_t> pending_;     ///< 0 none, 1 in-TTT, 2 execute, 3 attach
+  std::vector<std::uint8_t> ho_action_;   ///< 0 none, 1 in-TTT, 2 execute, 3 attach
 
   // Serve-phase scratch.
   std::vector<std::uint32_t> members_;        ///< UE indices grouped by cell

@@ -7,11 +7,11 @@
 //
 // All per-UE REMs of one epoch share the operating area, cell size and
 // altitude, so the bank stores them as contiguous N_ue x nx x ny slabs (sums,
-// counts, background, cached estimate). It tracks which cells a measurement
-// flight invalidated and re-interpolates ONLY those in estimate_all(): the
-// result is bit-identical to the first (full) estimate_all of a bank fed the
-// same deposits, so multi-round epochs stop paying full-raster IDW per round
-// (enforced by tests/test_rem_bank.cpp, serial and parallel). A stored REM
+// counts, background, cached estimate). Every mutator marks its own UE stale;
+// estimate_all() re-rasters each stale UE whole and serves the others from
+// the cached slab, so the result is bit-identical to the first (full)
+// estimate_all of a bank fed the same deposits (enforced by
+// tests/test_rem_bank.cpp, serially and in parallel). A stored REM
 // (rem::RemStore) is a one-UE bank.
 #pragma once
 
@@ -54,7 +54,7 @@ class RemBank {
 
   /// Record one SNR report for `ue` taken at UAV ground-position `at` (the
   /// UAV is at the bank altitude). Reports within a cell are averaged
-  /// (Sec 3.3.3); the cell is marked dirty for the next estimate_all.
+  /// (Sec 3.3.3); the UE is marked stale for the next estimate_all.
   void add_measurement(std::size_t ue, geo::Vec2 at, double snr_db);
 
   /// Seed `ue`'s background with `model` SNR predictions through `budget`
@@ -88,18 +88,18 @@ class RemBank {
 
   /// Refresh the cached estimate slab: measured mean where available, IDW
   /// over measured cells elsewhere, background where no measurement is in
-  /// range. Re-interpolates only cells invalidated since the last call
-  /// (deposited cells, plus every cell whose stored influence radius reaches
-  /// a fresh deposit), parallelized over (UE x tile) work items on the
-  /// global thread pool. Results are bit-for-bit identical to the first
-  /// (full) estimate_all of a bank fed the same deposits, for any worker
-  /// count. Changing `params` between calls forces a full recompute (the
-  /// cache is parameter-specific).
+  /// range. Re-rasters every UE a mutator marked stale since the last call,
+  /// parallelized over (stale UE x row) work items on the global thread
+  /// pool; clean UEs keep their cached slab. Results are bit-for-bit
+  /// identical to the first (full) estimate_all of a bank fed the same
+  /// deposits, for any worker count. Changing `params` between calls makes
+  /// every UE stale (the cache is parameter-specific). Invalid `params` (see
+  /// rem::validate) throw before any state changes.
   void estimate_all(const IdwParams& params = {});
 
   /// True when the cached estimates reflect every deposit/seed so far (i.e.
-  /// estimate_all ran and nothing changed since).
-  bool estimates_current() const { return estimated_once_ && !dirty_any_; }
+  /// estimate_all ran and no UE went stale since).
+  bool estimates_current() const;
 
   /// Non-owning view of `ue`'s cached estimate; valid until the bank is
   /// mutated or destroyed. Requires estimates_current().
@@ -119,8 +119,8 @@ class RemBank {
   /// Tallies from the last estimate_all() call.
   struct EstimateStats {
     std::size_t cells_total = 0;
-    std::size_t cells_reestimated = 0;  ///< dirty: recomputed this call
-    std::size_t cells_cached = 0;       ///< clean: served from the cache slab
+    std::size_t cells_reestimated = 0;  ///< cells of stale UEs, re-rastered this call
+    std::size_t cells_cached = 0;       ///< cells of clean UEs, served from the cache slab
     double dirty_fraction() const {
       return cells_total == 0
                  ? 0.0
@@ -145,33 +145,23 @@ class RemBank {
   std::size_t cells_ = 0;
 
   // Structure-of-arrays slabs, each ue_count() * cells_per_ue() long,
-  // UE-major then row-major (same flat order as Grid2D). estimate_ and
-  // influence_ are sized by estimate_all, so a bank that is never estimated
-  // (a REM store entry) carries neither.
+  // UE-major then row-major (same flat order as Grid2D). estimate_ is sized
+  // by estimate_all, so a bank that is never estimated (a REM store entry)
+  // carries no cache slab.
   std::vector<double> sums_;
   std::vector<int> counts_;
   std::vector<double> background_;
   std::vector<double> estimate_;
-  /// Per-cell invalidation radius from the last interpolation of that cell:
-  /// a fresh sample farther than this cannot change the cell's estimate
-  /// (measured cells use 0 — only a direct deposit changes their mean).
-  std::vector<double> influence_;
-  /// Cell deposited into since the last estimate_all (dirty by definition).
-  std::vector<std::uint8_t> pending_;
 
   // Per-UE state.
   std::vector<geo::Vec3> ue_pos_;
   std::vector<BackgroundSource> source_;
   std::vector<std::size_t> measured_count_;
-  /// Everything stale for this UE (new UE, reseeded background, or changed
-  /// interpolation parameters): next estimate_all recomputes all its cells.
-  std::vector<std::uint8_t> full_pending_;
-  /// Flat cell indices (within the UE's slab) deposited into since the last
-  /// estimate_all; their centers are the fresh sample positions.
-  std::vector<std::vector<std::size_t>> fresh_cells_;
+  /// Changed since the last estimate_all (new UE, deposit, reseeded or
+  /// restored content): the next estimate_all re-rasters the whole UE.
+  std::vector<std::uint8_t> stale_;
 
   bool estimated_once_ = false;
-  bool dirty_any_ = false;
   IdwParams last_params_{};
   EstimateStats stats_{};
 };

@@ -28,6 +28,11 @@ struct IdwParams {
   double background_blend_m = 60.0;
 };
 
+/// Throws ContractViolation unless k_neighbors >= 1, power is finite and
+/// positive, and max_radius_m and background_blend_m are >= 0 (infinity is
+/// allowed, NaN is not).
+void validate(const IdwParams& params);
+
 struct IdwSample {
   geo::Vec2 position;
   double value = 0.0;
@@ -48,28 +53,10 @@ class IdwInterpolator {
     double nearest_m = 0.0;  ///< distance to the closest contributing sample
   };
 
-  struct InfluenceEstimate {
-    std::optional<EstimateWithDistance> estimate;  ///< nullopt = nothing in range
-    /// Invalidation bound for incremental re-estimation: adding or changing
-    /// samples strictly farther than this from `p` cannot alter what this
-    /// query returned — they lie outside both the bucket rings the search
-    /// scanned and the query radius, so the candidate sequence the selection
-    /// saw (content *and* order) is unchanged. Conservative (over-marking a
-    /// cell dirty merely recomputes the identical value).
-    double influence_m = 0.0;
-  };
-
   /// estimate() plus the distance to the closest contributing sample (the
-  /// REM bank blends against a prior background with it) and the influence
-  /// radius of the query, which the bank stores per cell to decide which
-  /// cells a fresh measurement invalidates (see rem::RemBank::estimate_all).
-  InfluenceEstimate estimate_with_influence(geo::Vec2 p, int k, double power,
-                                            double max_radius_m) const;
-
-  /// True when any sample lies within `radius_m` of `p` (inclusive).
-  /// Early-exits on the first hit; used for dirty-cell tests against small
-  /// fresh-measurement indexes.
-  bool any_within(geo::Vec2 p, double radius_m) const;
+  /// REM bank blends against a prior background with it).
+  std::optional<EstimateWithDistance> estimate_with_distance(geo::Vec2 p, int k, double power,
+                                                             double max_radius_m) const;
 
   /// Full-raster estimate over the interpolator's area: one estimate() per
   /// cell center, parallelized across cells on the global thread pool.
@@ -84,7 +71,8 @@ class IdwInterpolator {
   };
 
   /// The (at most) `k` nearest samples within `max_radius_m` of `p`, nearest
-  /// first. Shared spatial index for every interpolator built on top.
+  /// first (bucketed ring search). Shared spatial index for every
+  /// interpolator built on top. `max_radius_m` must be >= 0 (not NaN).
   std::vector<Neighbor> nearest(geo::Vec2 p, int k, double max_radius_m) const;
 
   const std::vector<IdwSample>& samples() const { return samples_; }
@@ -92,16 +80,6 @@ class IdwInterpolator {
   const geo::Rect& area() const { return buckets_.area(); }
 
  private:
-  /// Ring search behind nearest(); when `rings_scanned` is non-null it
-  /// receives the outermost bucket ring the search visited (the influence
-  /// bound derives from it).
-  std::vector<Neighbor> nearest_impl(geo::Vec2 p, int k, double max_radius_m,
-                                     int* rings_scanned) const;
-  /// Shared weighting step over a neighbor list (exact-hit shortcut + IDW).
-  static std::optional<EstimateWithDistance> weigh(const std::vector<IdwSample>& samples,
-                                                   const std::vector<Neighbor>& neighbors,
-                                                   double power);
-
   std::vector<IdwSample> samples_;
   geo::Grid2D<std::vector<int>> buckets_;
 };

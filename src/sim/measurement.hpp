@@ -19,7 +19,8 @@ struct MeasurementConfig {
 };
 
 /// Fly `plan` and deposit SNR reports into `bank` (bank UE i is world UE i),
-/// marking the touched cells dirty for the next RemBank::estimate_all.
+/// marking each UE that received a report stale for the next
+/// RemBank::estimate_all.
 /// Returns the number of reports per UE.
 ///
 /// `faults` (optional) injects scripted degradation into the flight: wind

@@ -37,6 +37,19 @@ TEST(SkyRanConfigTest, ContractsOnConstruction) {
   bad = fast_config();
   bad.rem_cell_m = 0.0;
   EXPECT_THROW(SkyRan(world, bad, 1), ContractViolation);
+  // Bad IDW parameters fail here, not mid-sweep after a localization flight.
+  bad = fast_config();
+  bad.idw.k_neighbors = 0;
+  EXPECT_THROW(SkyRan(world, bad, 1), ContractViolation);
+  bad = fast_config();
+  bad.idw.power = 0.0;
+  EXPECT_THROW(SkyRan(world, bad, 1), ContractViolation);
+  bad = fast_config();
+  bad.idw.max_radius_m = -5.0;
+  EXPECT_THROW(SkyRan(world, bad, 1), ContractViolation);
+  bad = fast_config();
+  bad.idw.background_blend_m = -1.0;
+  EXPECT_THROW(SkyRan(world, bad, 1), ContractViolation);
 }
 
 TEST(SkyRanTest, EpochProducesCompleteReport) {

@@ -44,11 +44,11 @@ double estimate_at(rem::RemBank& bank, geo::Vec2 p, const rem::IdwParams& params
 
 TEST(IdwDistanceTest, ReportsNearestSampleDistance) {
   rem::IdwInterpolator idw({{{10.0, 10.0}, 5.0}, {{90.0, 90.0}, 25.0}}, area100());
-  const auto r = idw.estimate_with_influence({10.0, 20.0}, 4, 2.0, 1e9).estimate;
+  const auto r = idw.estimate_with_distance({10.0, 20.0}, 4, 2.0, 1e9);
   ASSERT_TRUE(r.has_value());
   EXPECT_NEAR(r->nearest_m, 10.0, 1e-9);
   EXPECT_EQ(r->value, *idw.estimate({10.0, 20.0}, 4, 2.0, 1e9));
-  const auto hit = idw.estimate_with_influence({90.0, 90.0}, 4, 2.0, 1e9).estimate;
+  const auto hit = idw.estimate_with_distance({90.0, 90.0}, 4, 2.0, 1e9);
   ASSERT_TRUE(hit.has_value());
   EXPECT_NEAR(hit->nearest_m, 0.0, 1e-6);
   EXPECT_DOUBLE_EQ(hit->value, 25.0);

@@ -1,17 +1,20 @@
 // Differential oracle for the RemBank REM engine: after every measurement
-// round, the incremental (dirty-cell) estimate_all() must be bit-for-bit
-// identical to a cold rebuild (the first, full estimate_all of a
-// never-estimated twin fed the same deposits), serially and on the thread
-// pool. Also covers geo::FieldView, the geo::PointIndex spatial index and the
-// REM store's put/find against brute-force models of the historical linear
-// scans, and the placement view overloads. Run under TSan in CI.
+// round, the live bank's estimate_all() (stale UEs re-rastered, clean UEs
+// served from the cache) must be bit-for-bit identical to a cold rebuild
+// (the first, full estimate_all of a never-estimated twin fed the same
+// deposits), serially and on the thread pool. Also covers geo::FieldView,
+// the geo::PointIndex spatial index and the REM store's put/find against
+// brute-force models of the historical linear scans, and the placement view
+// overloads. Run under TSan in CI.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
 #include <limits>
 #include <optional>
+#include <ostream>
 #include <random>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -163,7 +166,7 @@ TEST(PointIndexTest, TiesPreferLowestId) {
 }
 
 // ---------------------------------------------------------------------------
-// RemBank incremental vs cold rebuild
+// RemBank live (per-UE cached) vs cold rebuild
 
 struct DepositScript {
   struct Deposit {
@@ -215,7 +218,7 @@ std::size_t estimate_mismatches(const rem::RemBank& a, const rem::RemBank& b, st
 enum class Background { kNone, kModel, kPrior };
 
 /// Drive a live RemBank and a never-estimated twin through the same deposit
-/// script; after every round the live bank's incremental estimate must equal
+/// script; after every round the live bank's estimate must equal
 /// the twin's cold rebuild. Returns the final estimates for serial/parallel
 /// comparison.
 std::vector<double> run_oracle(Background bg, const rem::IdwParams& params, std::uint64_t seed) {
@@ -312,30 +315,201 @@ TEST(RemBankTest, ParamsChangeRecomputesEveryCell) {
   EXPECT_EQ(estimate_mismatches(cold_rebuild(twin, b), bank, 0), 0u);
 }
 
-TEST(RemBankTest, IncrementalPassSkipsUnaffectedCells) {
-  // Round 1 covers the whole area (every cell has nearby samples, so
-  // influence radii are small); round 2 touches one corner. The second
-  // estimate_all must re-interpolate only a fraction of the map.
-  const geo::Rect area = geo::Rect::square(400.0);
+TEST(RemBankTest, DepositIntoOneUeReestimatesOnlyThatUe) {
+  // Three estimated UEs; one deposit into UE 1 re-rasters exactly that UE's
+  // cells, and the other two are served from the cache.
+  const geo::Rect area = area100();
+  const rf::FsplChannel fspl(2.6e9);
   rem::RemBank bank(area, 4.0, 60.0);
-  bank.add_ue({200.0, 200.0, 1.5});
-  for (double xx = 10.0; xx < 400.0; xx += 25.0)
-    for (double yy = 10.0; yy < 400.0; yy += 25.0)
-      bank.add_measurement(0, {xx, yy}, 0.01 * xx - 0.02 * yy);
+  for (const geo::Vec3 ue : {geo::Vec3{20.0, 30.0, 1.5}, geo::Vec3{70.0, 25.0, 1.5},
+                             geo::Vec3{55.0, 80.0, 1.5}})
+    bank.seed_from_model(bank.add_ue(ue), fspl, rf::LinkBudget{});
+  std::mt19937_64 rng(9);
+  std::uniform_real_distribution<double> u(0.0, 100.0);
+  for (std::size_t ue = 0; ue < 3; ++ue)
+    for (int i = 0; i < 20; ++i) bank.add_measurement(ue, {u(rng), u(rng)}, u(rng) - 50.0);
   rem::RemBank twin = bank;
   bank.estimate_all();
   EXPECT_EQ(bank.last_estimate_stats().cells_reestimated,
             bank.last_estimate_stats().cells_total);
 
-  bank.add_measurement(0, {30.0, 35.0}, 9.0);
-  twin.add_measurement(0, {30.0, 35.0}, 9.0);
+  bank.add_measurement(1, {30.0, 35.0}, 9.0);
+  twin.add_measurement(1, {30.0, 35.0}, 9.0);
   EXPECT_FALSE(bank.estimates_current());
   bank.estimate_all();
   const rem::RemBank::EstimateStats& s = bank.last_estimate_stats();
-  EXPECT_GT(s.cells_cached, 0u);
-  EXPECT_LT(s.dirty_fraction(), 0.5);
-  EXPECT_GT(s.cells_reestimated, 0u);
-  EXPECT_EQ(estimate_mismatches(cold_rebuild(twin, {}), bank, 0), 0u);
+  EXPECT_EQ(s.cells_total, 3 * bank.cells_per_ue());
+  EXPECT_EQ(s.cells_reestimated, bank.cells_per_ue());
+  EXPECT_EQ(s.cells_cached, 2 * bank.cells_per_ue());
+  const rem::RemBank cold = cold_rebuild(twin, {});
+  for (std::size_t ue = 0; ue < 3; ++ue)
+    EXPECT_EQ(estimate_mismatches(cold, bank, ue), 0u) << "UE " << ue;
+
+  // Nothing new: every UE is a cache hit.
+  bank.estimate_all();
+  EXPECT_EQ(bank.last_estimate_stats().cells_reestimated, 0u);
+  EXPECT_EQ(estimate_mismatches(cold, bank, 1), 0u);
+}
+
+// The one way the per-UE cache can go wrong is a mutator that forgets to
+// mark its UE stale: the next estimate_all would then serve an outdated
+// slab. Every mutator is driven through the same check.
+
+/// IDW parameters for the mutator cases: a finite radius leaves cells far
+/// from the deposits on the background, so background mutators show too.
+rem::IdwParams mutator_params() {
+  rem::IdwParams params;
+  params.k_neighbors = 4;
+  params.max_radius_m = 30.0;
+  return params;
+}
+
+/// Three UEs with model backgrounds and a few deposits each, never estimated.
+rem::RemBank mutator_fixture() {
+  const rf::FsplChannel fspl(2.6e9);
+  rem::RemBank bank(area100(), 4.0, 60.0);
+  for (const geo::Vec3 ue : {geo::Vec3{20.0, 30.0, 1.5}, geo::Vec3{70.0, 25.0, 1.5},
+                             geo::Vec3{55.0, 80.0, 1.5}})
+    bank.seed_from_model(bank.add_ue(ue), fspl, rf::LinkBudget{});
+  std::mt19937_64 rng(17);
+  std::uniform_real_distribution<double> u(0.0, 100.0);
+  for (std::size_t ue = 0; ue < 3; ++ue)
+    for (int i = 0; i < 6; ++i) bank.add_measurement(ue, {u(rng), u(rng)}, u(rng) - 50.0);
+  return bank;
+}
+
+struct Mutator {
+  const char* name;
+  /// Changes one UE of `bank` (UE 1, or a new UE for add_ue) and returns it.
+  std::size_t (*apply)(rem::RemBank& bank);
+};
+
+const Mutator kMutators[] = {
+    {"add_ue", [](rem::RemBank& bank) { return bank.add_ue({85.0, 15.0, 1.5}); }},
+    {"add_measurement",
+     [](rem::RemBank& bank) -> std::size_t {
+       bank.add_measurement(1, {12.0, 88.0}, 21.0);
+       return 1;
+     }},
+    {"seed_from_model",
+     [](rem::RemBank& bank) -> std::size_t {
+       bank.seed_from_model(1, rf::FsplChannel(5.8e9), rf::LinkBudget{});
+       return 1;
+     }},
+    {"seed_from",
+     [](rem::RemBank& bank) -> std::size_t {
+       rem::RemBank prior(area100(), 4.0, 60.0);
+       prior.add_ue({70.0, 25.0, 1.5});
+       prior.add_measurement(0, {40.0, 40.0}, 12.0);
+       prior.add_measurement(0, {90.0, 60.0}, -3.0);
+       bank.seed_from(1, prior, mutator_params());
+       return 1;
+     }},
+    {"restore_measurement",
+     [](rem::RemBank& bank) -> std::size_t {
+       bank.restore_measurement(1, {2, 3}, 40.0, 2);
+       return 1;
+     }},
+    {"restore_background",
+     [](rem::RemBank& bank) -> std::size_t {
+       const std::vector<double> flat(bank.cells_per_ue(), 7.5);
+       bank.restore_background(1, flat, rem::RemBank::BackgroundSource::kModel);
+       return 1;
+     }},
+};
+
+void PrintTo(const Mutator& m, std::ostream* os) { *os << m.name; }
+
+class RemBankMutatorTest : public ::testing::TestWithParam<Mutator> {};
+
+TEST_P(RemBankMutatorTest, MarksOnlyItsOwnUeStale) {
+  const rem::IdwParams params = mutator_params();
+  rem::RemBank bank = mutator_fixture();
+  rem::RemBank twin = bank;
+  bank.estimate_all(params);
+  const std::size_t ues_before = bank.ue_count();
+  const std::vector<double> before_ue1 = bank.estimate_grid(1).raw();
+
+  const std::size_t ue = GetParam().apply(bank);
+  GetParam().apply(twin);
+  EXPECT_FALSE(bank.estimates_current());
+  bank.estimate_all(params);
+  EXPECT_TRUE(bank.estimates_current());
+  const rem::RemBank::EstimateStats& s = bank.last_estimate_stats();
+  EXPECT_EQ(s.cells_reestimated, bank.cells_per_ue());
+  EXPECT_EQ(s.cells_cached, s.cells_total - bank.cells_per_ue());
+  const rem::RemBank cold = cold_rebuild(twin, params);
+  for (std::size_t i = 0; i < bank.ue_count(); ++i)
+    EXPECT_EQ(estimate_mismatches(cold, bank, i), 0u) << "UE " << i;
+  // The mutation shows in the estimate, so a missing stale flag cannot pass
+  // by serving the old slab.
+  if (ue < ues_before) {
+    EXPECT_GT(mismatches(before_ue1, bank.estimate(ue)), 0u);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllMutators, RemBankMutatorTest, ::testing::ValuesIn(kMutators),
+                         [](const ::testing::TestParamInfo<Mutator>& info) {
+                           return std::string(info.param.name);
+                         });
+
+TEST(RemBankTest, InvalidParamsRejectedBeforeAnyStateChanges) {
+  rem::RemBank bank(area100(), 4.0, 60.0);
+  bank.add_ue({50.0, 50.0, 1.5});
+  bank.add_measurement(0, {20.0, 20.0}, 5.0);
+  bank.add_measurement(0, {80.0, 70.0}, -4.0);
+  bank.estimate_all();
+  const std::vector<double> cached = bank.estimate_grid(0).raw();
+
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const auto with = [](auto edit) {
+    rem::IdwParams p;
+    edit(p);
+    return p;
+  };
+  const std::vector<std::pair<const char*, rem::IdwParams>> bad{
+      {"k = 0", with([](rem::IdwParams& p) { p.k_neighbors = 0; })},
+      {"k < 0", with([](rem::IdwParams& p) { p.k_neighbors = -3; })},
+      {"power = 0", with([](rem::IdwParams& p) { p.power = 0.0; })},
+      {"power < 0", with([](rem::IdwParams& p) { p.power = -2.0; })},
+      {"power NaN", with([](rem::IdwParams& p) { p.power = kNan; })},
+      {"power inf", with([](rem::IdwParams& p) { p.power = kInf; })},
+      {"radius -5", with([](rem::IdwParams& p) { p.max_radius_m = -5.0; })},
+      {"radius -100", with([](rem::IdwParams& p) { p.max_radius_m = -100.0; })},
+      {"radius NaN", with([](rem::IdwParams& p) { p.max_radius_m = kNan; })},
+      {"blend < 0", with([](rem::IdwParams& p) { p.background_blend_m = -1.0; })},
+      {"blend NaN", with([](rem::IdwParams& p) { p.background_blend_m = kNan; })},
+  };
+  for (const auto& [what, params] : bad) {
+    EXPECT_THROW(rem::validate(params), ContractViolation) << what;
+    EXPECT_THROW(bank.estimate_all(params), ContractViolation) << what;
+    EXPECT_TRUE(bank.estimates_current()) << what;
+    EXPECT_EQ(mismatches(cached, bank.estimate(0)), 0u) << what;
+  }
+  // A rejected call on a stale bank leaves it stale.
+  bank.add_measurement(0, {50.0, 50.0}, 1.0);
+  EXPECT_THROW(bank.estimate_all(bad.front().second), ContractViolation);
+  EXPECT_FALSE(bank.estimates_current());
+
+  // Boundary values stay legal.
+  for (const rem::IdwParams& ok :
+       {with([](rem::IdwParams& p) { p.max_radius_m = 0.0; }),
+        with([](rem::IdwParams& p) { p.max_radius_m = kInf; }),
+        with([](rem::IdwParams& p) { p.background_blend_m = 0.0; }),
+        with([](rem::IdwParams& p) { p.background_blend_m = kInf; })}) {
+    EXPECT_NO_THROW(rem::validate(ok));
+    EXPECT_NO_THROW(bank.estimate_all(ok));
+  }
+
+  // The spatial index rejects a negative radius instead of reading a small
+  // one as its absolute value and a large one as "nothing in range".
+  const rem::IdwInterpolator idw({{{10.0, 10.0}, 5.0}}, area100());
+  EXPECT_THROW(idw.nearest({12.0, 10.0}, 4, -5.0), ContractViolation);
+  EXPECT_THROW(idw.nearest({12.0, 10.0}, 4, -100.0), ContractViolation);
+  EXPECT_THROW(idw.nearest({12.0, 10.0}, 4, kNan), ContractViolation);
+  EXPECT_EQ(idw.nearest({12.0, 10.0}, 4, 0.0).size(), 0u);
+  EXPECT_EQ(idw.nearest({12.0, 10.0}, 4, kInf).size(), 1u);
 }
 
 TEST(RemBankTest, ExtractCopiesOneUe) {

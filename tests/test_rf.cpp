@@ -1,12 +1,11 @@
 // Tests for the RF propagation substrate: unit conversions, closed-form
-// models, ray marching, shadowing, antennas, channels and the link budget.
+// models, ray marching, shadowing, channels and the link budget.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <memory>
 
 #include "geo/contract.hpp"
-#include "rf/antenna.hpp"
 #include "rf/channel.hpp"
 #include "rf/link.hpp"
 #include "rf/models.hpp"
@@ -195,16 +194,6 @@ TEST(ShadowingTest, DeterministicAndBounded) {
 TEST(ShadowingTest, ZeroSigmaIsZeroLoss) {
   const ShadowingField f(3, 0.0, 30.0);
   EXPECT_DOUBLE_EQ(f.loss_db({0, 0, 10}, {50, 50, 1}), 0.0);
-}
-
-TEST(AntennaTest, HorizonVersusNadir) {
-  const Antenna a(5.0, 8.0);
-  // Horizontal link: full gain.
-  EXPECT_NEAR(a.gain_dbi({0, 0, 50}, {100, 0, 50}), 5.0, 1e-9);
-  // Straight down: rolled off.
-  EXPECT_NEAR(a.gain_dbi({0, 0, 50}, {0, 0, 0}), -3.0, 1e-9);
-  // Degenerate zero-distance: peak.
-  EXPECT_DOUBLE_EQ(a.gain_dbi({1, 2, 3}, {1, 2, 3}), 5.0);
 }
 
 TEST(ChannelTest, FsplChannelMatchesModel) {
