@@ -36,13 +36,6 @@ struct ServicePhaseConfig {
   /// Traffic model every served UE runs (CBR keeps queue-delay percentiles
   /// meaningful; switch to kFullBuffer for pure capacity numbers).
   lte::TrafficSpec ue_traffic{.model = lte::TrafficModel::kCbr, .rate_bps = 2e6};
-  /// Score candidate positions under load, not only SNR: the next epoch's
-  /// placement subtracts 10*log10 of each UE's relative offered+served load
-  /// (measured by this service phase) from that UE's REM before the
-  /// objective is evaluated, so a UE carrying 10x the mean load needs 10 dB
-  /// more headroom to tie. Off by default: the pure-SNR placement path and
-  /// all its outputs stay bit-identical.
-  bool load_weighted_placement = false;
 };
 
 struct SkyRanConfig {

@@ -7,6 +7,7 @@
 
 #include "core/snapshot.hpp"
 #include "core/thread_pool.hpp"
+#include "geo/binio.hpp"
 #include "geo/contract.hpp"
 #include "obs/obs.hpp"
 #include "sim/crash_point.hpp"
@@ -296,34 +297,8 @@ EpochReport SkyRan::run_epoch() {
   SKYRAN_TRACE_SPAN("epoch.placement");
   bank_->estimate_all(config_.idw);
   const std::vector<geo::FieldView<const double>> estimates = bank_->estimate_views();
-  rem::Placement placement;
-  if (config_.service.load_weighted_placement && !last_ue_load_.empty() &&
-      last_ue_load_.size() == estimates.size()) {
-    // Load-weighted placement (ROADMAP item 1): penalize each UE's REM by
-    // 10*log10 of its relative offered+served load from the previous service
-    // phase before scoring, so the objective is max-min SNR *under load*.
-    double mean_load = 0.0;
-    for (const double l : last_ue_load_) mean_load += l;
-    mean_load /= static_cast<double>(last_ue_load_.size());
-    std::vector<geo::Grid2D<double>> weighted;
-    weighted.reserve(estimates.size());
-    for (std::size_t i = 0; i < estimates.size(); ++i) {
-      geo::Grid2D<double> g = bank_->estimate_grid(i);
-      if (mean_load > 0.0) {
-        const double penalty_db =
-            10.0 * std::log10(std::max(1.0, last_ue_load_[i] / mean_load));
-        if (penalty_db > 0.0)
-          for (double& v : g.raw()) v -= penalty_db;
-      }
-      weighted.push_back(std::move(g));
-    }
-    placement = rem::choose_placement_feasible(
-        std::span<const geo::Grid2D<double>>(weighted), world_.terrain(), altitude,
-        config_.objective);
-  } else {
-    placement = rem::choose_placement_feasible(estimates, world_.terrain(), altitude,
-                                               config_.objective);
-  }
+  const rem::Placement placement = rem::choose_placement_feasible(
+      estimates, world_.terrain(), altitude, config_.objective);
   const double reposition_m = position_.dist(placement.position);
   position_ = placement.position;
   report.position = position_;
@@ -368,11 +343,6 @@ EpochReport SkyRan::run_epoch() {
     }
     plane.run_ttis(config_.service.ttis);
     report.traffic = plane.report();
-    if (config_.service.load_weighted_placement) {
-      last_ue_load_.assign(ues.size(), 0.0);
-      for (std::size_t i = 0; i < ues.size(); ++i)
-        last_ue_load_[i] = plane.offered_bits(i) + plane.served_bits(i);
-    }
     SKYRAN_GAUGE_SET("traffic.throughput_bps", report.traffic.aggregate_throughput_bps);
     SKYRAN_GAUGE_SET("traffic.fairness_jain", report.traffic.fairness_jain);
     SKYRAN_HISTOGRAM_OBSERVE("traffic.p50_throughput_bps", report.traffic.p50_throughput_bps);
@@ -426,7 +396,6 @@ Snapshot SkyRan::snapshot() const {
   rng_bytes << rng_;  // standard text round-trip is bit-exact
   s.rng_state = rng_bytes.str();
   s.last_estimates = last_estimates_;
-  s.ue_service_load = last_ue_load_;
   s.ue_positions = world_.ue_positions();
   s.store = store_;
   s.history.reserve(history_.size());
@@ -453,10 +422,9 @@ void SkyRan::restore(const Snapshot& s) {
   {
     std::istringstream rng_bytes(s.rng_state);
     rng_bytes >> rng_;
-    if (rng_bytes.fail()) throw SnapshotCorrupt("SkyRan::restore: bad RNG state");
+    if (rng_bytes.fail()) throw geo::BinCorruptError("SkyRan::restore: bad RNG state");
   }
   last_estimates_ = s.last_estimates;
-  last_ue_load_ = s.ue_service_load;
   world_.ue_positions() = s.ue_positions;
   store_ = s.store;
   history_.clear();

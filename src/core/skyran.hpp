@@ -91,7 +91,8 @@ class SkyRan {
   /// session bit-identically to the uninterrupted run (see core/snapshot.hpp
   /// for the resume contract). The world's UE positions are restored too.
   /// Throws SnapshotMismatch when the snapshot's seed or resume-relevant
-  /// config fingerprint differs from this instance's.
+  /// config fingerprint differs from this instance's, and
+  /// geo::BinCorruptError when its RNG state does not parse.
   void restore(const Snapshot& snapshot);
 
  private:
@@ -141,11 +142,6 @@ class SkyRan {
   /// Last epoch's final position estimates: the fallback for a UE whose
   /// localization fails this epoch (positional REM reuse then still works).
   std::vector<geo::Vec2> last_estimates_;
-  /// Per-UE offered+served bits from the last service phase; feeds the
-  /// load-weighted placement objective when
-  /// ServicePhaseConfig::load_weighted_placement is set. Empty until the
-  /// first service phase runs (the first placement is then pure-SNR).
-  std::vector<double> last_ue_load_;
 };
 
 }  // namespace skyran::core

@@ -78,7 +78,6 @@ std::uint64_t config_digest(const SkyRanConfig& c) {
   mix(h, c.service.ttis);
   mix(h, static_cast<std::int32_t>(c.service.ue_traffic.model));
   mix(h, c.service.ue_traffic.rate_bps);
-  mix(h, static_cast<std::uint8_t>(c.service.load_weighted_placement));
   mix(h, c.faults.seed);
   mix(h, static_cast<std::uint64_t>(c.faults.windows.size()));
   for (const sim::FaultWindow& w : c.faults.windows) {
@@ -168,70 +167,51 @@ void Snapshot::save(std::ostream& os) const {
       w.bytes(p.points().data(), p.points().size() * sizeof(geo::Vec2));
     }
   }
-  w.pod(static_cast<std::uint64_t>(ue_service_load.size()));
-  w.bytes(ue_service_load.data(), ue_service_load.size() * sizeof(double));
   geo::write_envelope(os, kMagic, kVersion, w);
   if (!os) throw SnapshotIoError("Snapshot::save: write failed");
 }
 
 Snapshot Snapshot::load(std::istream& is) {
-  geo::Envelope env;
-  try {
-    env = geo::read_envelope(is, kMagic, /*min_version=*/1, kVersion, "Snapshot::load");
-  } catch (const geo::BinVersionError& e) {
-    throw SnapshotVersionSkew(e.what());
-  } catch (const geo::BinTruncatedError& e) {
-    throw SnapshotTruncated(e.what());
-  } catch (const geo::BinFormatError& e) {
-    throw SnapshotCorrupt(e.what());
+  const geo::Envelope env =
+      geo::read_envelope(is, kMagic, kVersion, kVersion, "Snapshot::load");
+  geo::BinReader r(env.payload);
+  Snapshot s;
+  s.seed = r.pod<std::uint64_t>();
+  s.config_fingerprint = r.pod<std::uint64_t>();
+  s.epoch = r.pod<std::int32_t>();
+  s.position = r.pod<geo::Vec2>();
+  s.altitude_m = r.pod<double>();
+  s.altitude_known = r.pod<std::uint8_t>() != 0;
+  s.total_flight_m = r.pod<double>();
+  s.throughput_at_placement_bps = r.pod<double>();
+  s.battery_remaining_wh = r.pod<double>();
+  s.rng_state = r.str();
+  s.last_estimates.resize(r.count(sizeof(geo::Vec2)));
+  for (geo::Vec2& v : s.last_estimates) v = r.pod<geo::Vec2>();
+  s.ue_positions.resize(r.count(sizeof(geo::Vec3)));
+  for (geo::Vec3& v : s.ue_positions) v = r.pod<geo::Vec3>();
+  {
+    std::istringstream store_bytes(r.str());
+    s.store = rem::RemStore::load(store_bytes);
   }
-  try {
-    geo::BinReader r(env.payload);
-    Snapshot s;
-    s.seed = r.pod<std::uint64_t>();
-    s.config_fingerprint = r.pod<std::uint64_t>();
-    s.epoch = r.pod<std::int32_t>();
-    s.position = r.pod<geo::Vec2>();
-    s.altitude_m = r.pod<double>();
-    s.altitude_known = r.pod<std::uint8_t>() != 0;
-    s.total_flight_m = r.pod<double>();
-    s.throughput_at_placement_bps = r.pod<double>();
-    s.battery_remaining_wh = r.pod<double>();
-    s.rng_state = r.str();
-    s.last_estimates.resize(r.pod<std::uint64_t>());
-    for (geo::Vec2& v : s.last_estimates) v = r.pod<geo::Vec2>();
-    s.ue_positions.resize(r.pod<std::uint64_t>());
-    for (geo::Vec3& v : s.ue_positions) v = r.pod<geo::Vec3>();
-    {
-      std::istringstream store_bytes(r.str());
-      s.store = rem::RemStore::load(store_bytes);
+  // Smallest encodings: a history entry is a position plus a path count; a
+  // path is at least its point count.
+  const std::size_t n_history = r.count(sizeof(geo::Vec2) + sizeof(std::uint64_t));
+  s.history.reserve(n_history);
+  for (std::size_t i = 0; i < n_history; ++i) {
+    HistoryEntry e;
+    e.position = r.pod<geo::Vec2>();
+    const std::size_t n_paths = r.count(sizeof(std::uint64_t));
+    e.trajectories.reserve(n_paths);
+    for (std::size_t p = 0; p < n_paths; ++p) {
+      std::vector<geo::Vec2> pts(r.count(sizeof(geo::Vec2)));
+      for (geo::Vec2& v : pts) v = r.pod<geo::Vec2>();
+      e.trajectories.emplace_back(std::move(pts));
     }
-    const auto n_history = r.pod<std::uint64_t>();
-    s.history.reserve(n_history);
-    for (std::uint64_t i = 0; i < n_history; ++i) {
-      HistoryEntry e;
-      e.position = r.pod<geo::Vec2>();
-      const auto n_paths = r.pod<std::uint64_t>();
-      e.trajectories.reserve(n_paths);
-      for (std::uint64_t p = 0; p < n_paths; ++p) {
-        std::vector<geo::Vec2> pts(r.pod<std::uint64_t>());
-        for (geo::Vec2& v : pts) v = r.pod<geo::Vec2>();
-        e.trajectories.emplace_back(std::move(pts));
-      }
-      s.history.push_back(std::move(e));
-    }
-    if (env.version >= 2) {
-      s.ue_service_load.resize(r.pod<std::uint64_t>());
-      for (double& v : s.ue_service_load) v = r.pod<double>();
-    }
-    if (!r.done())
-      throw SnapshotCorrupt("Snapshot::load: trailing bytes after last field");
-    return s;
-  } catch (const geo::BinFormatError& e) {
-    // The CRC passed, so an overrun here means the payload was assembled by
-    // an incompatible writer, not flipped on disk — still a corrupt reject.
-    throw SnapshotCorrupt(e.what());
+    s.history.push_back(std::move(e));
   }
+  if (!r.done()) throw geo::BinCorruptError("Snapshot::load: trailing bytes after last field");
+  return s;
 }
 
 // ---------------------------------------------------------- SnapshotManager
@@ -387,6 +367,9 @@ std::optional<Snapshot> SnapshotManager::load_latest() {
       SKYRAN_COUNTER_INC("ckpt.restores");
       if (it != gens.rbegin()) SKYRAN_COUNTER_INC("ckpt.fallbacks");
       return s;
+    } catch (const geo::BinFormatError& e) {
+      last_errors_.push_back(it->string() + ": " + e.what());
+      SKYRAN_COUNTER_INC("ckpt.load_rejects");
     } catch (const SnapshotError& e) {
       last_errors_.push_back(it->string() + ": " + e.what());
       SKYRAN_COUNTER_INC("ckpt.load_rejects");

@@ -33,23 +33,13 @@ namespace skyran::core {
 struct EpochReport;
 struct SkyRanConfig;
 
-/// Base of the typed rejection taxonomy. Every reason a checkpoint cannot
-/// be used gets its own type so callers can distinguish "disk garbage" from
-/// "wrong build" from "wrong session".
+/// Base of the non-format rejections. A stream that is not a valid v3
+/// envelope throws geo::BinTruncatedError / BinCorruptError /
+/// BinVersionError (the geo::BinFormatError vocabulary every binary format
+/// shares); SnapshotError covers the failures that are not about the bytes:
+/// "wrong session" and filesystem trouble.
 struct SnapshotError : std::runtime_error {
   using std::runtime_error::runtime_error;
-};
-/// Stream ended early (torn write that escaped the rename discipline).
-struct SnapshotTruncated : SnapshotError {
-  using SnapshotError::SnapshotError;
-};
-/// Bad magic, CRC mismatch, or an embedded section that fails to parse.
-struct SnapshotCorrupt : SnapshotError {
-  using SnapshotError::SnapshotError;
-};
-/// Envelope is intact but written by an incompatible format version.
-struct SnapshotVersionSkew : SnapshotError {
-  using SnapshotError::SnapshotError;
 };
 /// Filesystem-level failure (open/write/fsync/rename).
 struct SnapshotIoError : SnapshotError {
@@ -76,9 +66,8 @@ std::uint64_t report_digest(const EpochReport& report);
 
 /// The full between-epoch session state of one SkyRan.
 struct Snapshot {
-  /// v2 appended ue_service_load (load-weighted placement); v1 streams
-  /// still load, with the new field empty.
-  static constexpr std::uint32_t kVersion = 2;
+  /// v3 dropped v2's trailing per-UE service-load field; only v3 loads.
+  static constexpr std::uint32_t kVersion = 3;
 
   std::uint64_t seed = 0;            ///< SkyRan construction seed
   std::uint64_t config_fingerprint = 0;  ///< config_digest at capture time
@@ -98,15 +87,14 @@ struct Snapshot {
     std::vector<geo::Path> trajectories;
   };
   std::vector<HistoryEntry> history;  ///< per-position trajectory history
-  /// Per-UE offered+served bits from the last service phase (v2+); drives
-  /// the load-weighted placement objective across a resume.
-  std::vector<double> ue_service_load;
 
   /// Serialize as one CRC-guarded envelope.
   void save(std::ostream& os) const;
 
-  /// Parse + verify. Throws SnapshotTruncated / SnapshotCorrupt /
-  /// SnapshotVersionSkew; never returns a partially-filled snapshot.
+  /// Parse + verify. Throws geo::BinTruncatedError / BinCorruptError /
+  /// BinVersionError; never returns a partially-filled snapshot. Every
+  /// element count is checked against the bytes left in the payload before
+  /// anything is allocated, so no count can surface as std::bad_alloc.
   static Snapshot load(std::istream& is);
 };
 

@@ -124,6 +124,17 @@ class BinReader {
     return s;
   }
 
+  /// u64 element count, refused with BinTruncatedError when the rest of the
+  /// payload cannot hold that many elements of at least `min_elem_bytes`
+  /// each. Like read_envelope's size field, a corrupt count then cannot
+  /// reach resize/reserve as std::length_error or std::bad_alloc.
+  std::size_t count(std::size_t min_elem_bytes) {
+    const auto n = pod<std::uint64_t>();
+    if (n > remaining() / min_elem_bytes)
+      throw BinTruncatedError("binio: element count exceeds payload");
+    return static_cast<std::size_t>(n);
+  }
+
   std::size_t remaining() const { return static_cast<std::size_t>(end_ - p_); }
   bool done() const { return p_ == end_; }
 

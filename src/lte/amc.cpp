@@ -56,10 +56,4 @@ double throughput_bps(double snr_db, const BandwidthConfig& carrier) {
   return eff * carrier.occupied_bandwidth_hz() * (1.0 - kL1OverheadFraction);
 }
 
-double throughput_with_staleness_bps(double snr_db, double staleness_db,
-                                     const BandwidthConfig& carrier) {
-  expects(staleness_db >= 0.0, "throughput_with_staleness_bps: staleness must be >= 0");
-  return throughput_bps(snr_db - staleness_db, carrier);
-}
-
 }  // namespace skyran::lte

@@ -33,11 +33,4 @@ inline constexpr double kL1OverheadFraction = 0.25;
 /// (each UE measured at full allocation, not capacity-shared).
 double throughput_bps(double snr_db, const BandwidthConfig& carrier);
 
-/// Throughput when the channel is changing under the UAV's motion and CQI
-/// feedback lags: `staleness_db` is the typical SNR change within one CQI
-/// feedback interval; the link must back off by that margin to keep BLER
-/// acceptable (this is the probing-time degradation of Sec 2.5).
-double throughput_with_staleness_bps(double snr_db, double staleness_db,
-                                     const BandwidthConfig& carrier);
-
 }  // namespace skyran::lte

@@ -29,7 +29,7 @@ class World {
  public:
   explicit World(const WorldConfig& config);
 
-  /// World over a caller-supplied terrain (e.g. LiDAR-rasterized).
+  /// World over a caller-supplied terrain (e.g. one shared between worlds).
   World(std::shared_ptr<const terrain::Terrain> terrain, const WorldConfig& config);
 
   const terrain::Terrain& terrain() const { return *terrain_; }

@@ -19,6 +19,4 @@
 #include "sim/ground_truth.hpp"   // evaluation against perfect REMs
 #include "sim/service.hpp"        // TTI-level service simulation
 #include "sim/world.hpp"          // the simulated physical world
-#include "terrain/io.hpp"         // terrain serialization (incl. ESRI .asc)
-#include "terrain/lidar.hpp"      // synthetic LiDAR pipeline
 #include "terrain/synth.hpp"      // procedural terrains

@@ -3,9 +3,8 @@
 // hysteresis entry condition, time-to-trigger accumulation and reset,
 // ping-pong detection window); closed-loop traffic steering draining a
 // constructed hot spot; the save/restore round-trip (bit-identical resume,
-// population mismatch and corruption rejection); staggered load-weighted
-// placement over a shared RemBank; and the SkyRan-side load_weighted_placement
-// flag with its Snapshot v2 field. No fork-based tests live here — this
+// population mismatch and corruption rejection); and staggered load-weighted
+// placement over a shared RemBank. No fork-based tests live here — this
 // binary runs under TSan in CI; the kill-at-epoch.steer crash case is in
 // tests/test_crash_recovery.cpp.
 #include <gtest/gtest.h>
@@ -16,14 +15,10 @@
 #include <string>
 #include <vector>
 
-#include "core/skyran.hpp"
-#include "core/snapshot.hpp"
 #include "fleet/fleet.hpp"
 #include "geo/binio.hpp"
-#include "mobility/deployment.hpp"
 #include "rem/bank.hpp"
 #include "rf/channel.hpp"
-#include "sim/world.hpp"
 #include "terrain/terrain.hpp"
 
 namespace {
@@ -439,41 +434,6 @@ TEST(FleetPlacement, RefreshStaggersAcrossCellsAndScoresUnderLoad) {
   const fleet::PlacementRefresh second = f.refresh_placement(bank, terrain);
   EXPECT_EQ(second.cell, 1);  // epoch 2 refreshes cell 1
   EXPECT_EQ(f.total_placement_refreshes(), 2u);
-}
-
-// ---------------------------------------------------------------------------
-// SkyRan load-weighted placement (ROADMAP item 1 remainder)
-// ---------------------------------------------------------------------------
-
-TEST(LoadWeightedPlacement, FlagRunsAndSurvivesSnapshotRoundTrip) {
-  sim::WorldConfig wc;
-  wc.terrain_kind = terrain::TerrainKind::kCampus;
-  wc.seed = 7;
-  wc.cell_size_m = 2.0;
-  sim::World world(wc);
-  world.ue_positions() = mobility::deploy_uniform(world.terrain(), 5, 8);
-
-  core::SkyRanConfig cfg;
-  cfg.rem_cell_m = 8.0;
-  cfg.measurement_budget_m = 400.0;
-  cfg.localization_mode = core::LocalizationMode::kPerfect;
-  cfg.service.load_weighted_placement = true;
-
-  core::SkyRan skyran(world, cfg, /*seed=*/99);
-  skyran.run_epoch();
-  const core::Snapshot snap = skyran.snapshot();
-  EXPECT_EQ(snap.ue_service_load.size(), 5u);
-
-  // Resume contract still holds with the flag on: the restored run's next
-  // epoch is bit-identical to the uninterrupted one.
-  const core::EpochReport straight = skyran.run_epoch();
-
-  sim::World world2(wc);
-  world2.ue_positions() = mobility::deploy_uniform(world2.terrain(), 5, 8);
-  core::SkyRan resumed(world2, cfg, /*seed=*/99);
-  resumed.restore(snap);
-  const core::EpochReport replayed = resumed.run_epoch();
-  EXPECT_EQ(core::report_digest(straight), core::report_digest(replayed));
 }
 
 }  // namespace

@@ -10,7 +10,6 @@
 #include "mobility/model.hpp"
 #include "sim/baselines.hpp"
 #include "sim/ground_truth.hpp"
-#include "terrain/lidar.hpp"
 #include "uav/trajectory.hpp"
 
 namespace skyran {
@@ -120,32 +119,6 @@ TEST(IntegrationTest, DynamicEpochsRecoverPerformance) {
   // Each epoch re-optimizes: the median across dynamic epochs stays healthy.
   EXPECT_GT(geo::median(rels), 0.7);
   EXPECT_GE(skyran.rem_store().size(), 6u);  // history accumulated
-}
-
-TEST(IntegrationTest, LidarRoundTripWorldBehavesLikeOriginal) {
-  // Build a world from a rasterized LiDAR scan of a generated terrain: the
-  // full paper pipeline (point cloud -> raster -> ray tracing).
-  const terrain::Terrain original = terrain::make_rural(31, 2.0);
-  const terrain::PointCloud cloud = terrain::scan_terrain(original, {}, 32);
-  auto scanned = std::make_shared<const terrain::Terrain>(terrain::rasterize(cloud, 2.0));
-
-  sim::WorldConfig wc;
-  wc.seed = 31;
-  const sim::World world(scanned, wc);
-  auto orig_ptr = std::make_shared<const terrain::Terrain>(original);
-  const sim::World ref(orig_ptr, wc);
-
-  // Path losses through the scanned terrain track the original closely.
-  std::vector<double> diffs;
-  for (double x = 30.0; x < 220.0; x += 37.0) {
-    for (double y = 30.0; y < 220.0; y += 37.0) {
-      const geo::Vec3 uav{125.0, 125.0, 60.0};
-      const geo::Vec3 ue{x, y, original.ground_height({x, y}) + 1.5};
-      diffs.push_back(std::abs(world.channel().path_loss_db(uav, ue) -
-                               ref.channel().path_loss_db(uav, ue)));
-    }
-  }
-  EXPECT_LT(geo::median(diffs), 6.0);
 }
 
 /// Terrain sweep: one full epoch completes on every archetype.

@@ -46,13 +46,6 @@ TEST(AmcTest, PeakThroughputTenMegahertz) {
   EXPECT_DOUBLE_EQ(throughput_bps(-10.0, c), 0.0);
 }
 
-TEST(AmcTest, StalenessActsAsSnrBackoff) {
-  const BandwidthConfig c = bandwidth_config(10.0);
-  EXPECT_DOUBLE_EQ(throughput_with_staleness_bps(15.0, 5.0, c), throughput_bps(10.0, c));
-  EXPECT_LT(throughput_with_staleness_bps(15.0, 5.0, c), throughput_bps(15.0, c));
-  EXPECT_THROW(throughput_with_staleness_bps(15.0, -1.0, c), ContractViolation);
-}
-
 /// A round-robin plane with no HARQ randomness, so PRB shares are exact.
 TrafficPlane make_rr_plane(const std::vector<double>& snrs_db) {
   TrafficPlaneConfig cfg;

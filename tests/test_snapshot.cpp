@@ -1,6 +1,7 @@
 // Checkpoint/restore suite: envelope round-trips, every-prefix truncation +
-// whole-stream byte-flip rejection with typed errors, version-skew and
-// session-mismatch rejection, SnapshotManager generation fallback, and the
+// whole-stream byte-flip rejection with typed errors, oversized element
+// counts in a CRC-valid payload, version-skew and session-mismatch
+// rejection, SnapshotManager generation fallback, and the
 // headline resume contract — a campaign resumed from the checkpoint taken
 // after epoch k produces bit-identical EpochReports for epochs k+1..N to
 // the uninterrupted run, serial and 8-worker. The SIGKILL side of the
@@ -17,6 +18,7 @@
 
 #include "core/skyran.hpp"
 #include "core/snapshot.hpp"
+#include "geo/binio.hpp"
 #include "sim/crash_point.hpp"
 #include "sim/shutdown.hpp"
 #include "snapshot_campaign.hpp"
@@ -47,6 +49,46 @@ core::Snapshot sample_snapshot() {
   core::SkyRan skyran(world, testcampaign::skyran_config(1), testcampaign::kCampaignSeed);
   testcampaign::run_epochs(skyran, world, 3);
   return skyran.snapshot();
+}
+
+/// The element counts of a snapshot payload, in stream order.
+enum class CountField { kLastEstimates, kUePositions, kHistory, kTrajectories, kPoints, kNone };
+
+/// CRC-valid snapshot bytes whose `field` count claims `n` elements and
+/// whose payload ends right after that count. Every earlier field is well
+/// formed; with kNone the bytes are a complete, loadable snapshot holding
+/// one history entry with one empty path.
+std::string bytes_with_count(CountField field, std::uint64_t n) {
+  geo::BinWriter w;
+  w.pod(std::uint64_t{1});  // seed
+  w.pod(std::uint64_t{2});  // config fingerprint
+  w.pod(std::int32_t{3});   // epoch
+  w.pod(geo::Vec2{});       // position
+  w.pod(60.0);              // altitude
+  w.pod(std::uint8_t{1});   // altitude known
+  w.pod(0.0);               // total flight
+  w.pod(0.0);               // throughput at placement
+  w.pod(0.0);               // battery
+  w.str("rng");
+  const auto seal = [&w] {
+    std::ostringstream os;
+    geo::write_envelope(os, "SKYS", core::Snapshot::kVersion, w);
+    return os.str();
+  };
+  // Writes `valid` unless this is the oversized field; true when it was.
+  const auto count = [&](CountField f, std::uint64_t valid) {
+    w.pod(f == field ? n : valid);
+    return f == field;
+  };
+  if (count(CountField::kLastEstimates, 0) || count(CountField::kUePositions, 0)) return seal();
+  std::ostringstream store;
+  rem::RemStore().save(store);
+  w.str(store.str());
+  if (count(CountField::kHistory, 1)) return seal();
+  w.pod(geo::Vec2{});  // entry position
+  if (count(CountField::kTrajectories, 1)) return seal();
+  count(CountField::kPoints, 0);
+  return seal();
 }
 
 /// Unique scratch directory removed at scope exit.
@@ -106,7 +148,7 @@ TEST(SnapshotFormatTest, EveryPrefixRejected) {
   ASSERT_GT(bytes.size(), 20u);
   for (std::size_t len = 0; len < bytes.size(); ++len) {
     std::istringstream cut(bytes.substr(0, len));
-    EXPECT_THROW(core::Snapshot::load(cut), core::SnapshotError) << "prefix length " << len;
+    EXPECT_THROW(core::Snapshot::load(cut), geo::BinFormatError) << "prefix length " << len;
   }
 }
 
@@ -116,7 +158,7 @@ TEST(SnapshotFormatTest, EveryByteFlipRejected) {
     std::string bad = bytes;
     bad[pos] = static_cast<char>(bad[pos] ^ 0x5a);
     std::istringstream is(bad);
-    EXPECT_THROW(core::Snapshot::load(is), core::SnapshotError) << "flip at " << pos;
+    EXPECT_THROW(core::Snapshot::load(is), geo::BinFormatError) << "flip at " << pos;
   }
 }
 
@@ -127,26 +169,46 @@ TEST(SnapshotFormatTest, TypedErrorsDistinguishFailureModes) {
     std::string bad = bytes;
     bad[0] = static_cast<char>(bad[0] ^ 0x5a);
     std::istringstream is(bad);
-    EXPECT_THROW(core::Snapshot::load(is), core::SnapshotCorrupt);
+    EXPECT_THROW(core::Snapshot::load(is), geo::BinCorruptError);
   }
   {
     // Version field (bytes 4..7) -> version skew, not a generic failure.
     std::string bad = bytes;
     bad[4] = static_cast<char>(bad[4] ^ 0x40);
     std::istringstream is(bad);
-    EXPECT_THROW(core::Snapshot::load(is), core::SnapshotVersionSkew);
+    EXPECT_THROW(core::Snapshot::load(is), geo::BinVersionError);
   }
   {
     // Hard truncation inside the payload -> truncated.
     std::istringstream is(bytes.substr(0, bytes.size() - 7));
-    EXPECT_THROW(core::Snapshot::load(is), core::SnapshotTruncated);
+    EXPECT_THROW(core::Snapshot::load(is), geo::BinTruncatedError);
   }
   {
     // Payload byte flip (CRC catches it) -> corrupt.
     std::string bad = bytes;
     bad[bytes.size() - 3] = static_cast<char>(bad[bytes.size() - 3] ^ 0x5a);
     std::istringstream is(bad);
-    EXPECT_THROW(core::Snapshot::load(is), core::SnapshotCorrupt);
+    EXPECT_THROW(core::Snapshot::load(is), geo::BinCorruptError);
+  }
+}
+
+TEST(SnapshotFormatTest, OversizedCountsRejectedBeforeAllocating) {
+  // The builder's layout matches the reader's: with no oversized count the
+  // bytes load.
+  const core::Snapshot ok = from_bytes(bytes_with_count(CountField::kNone, 0));
+  ASSERT_EQ(ok.history.size(), 1u);
+  ASSERT_EQ(ok.history[0].trajectories.size(), 1u);
+  // A count the rest of the payload cannot hold is a typed truncation —
+  // never std::length_error (2^61) or std::bad_alloc (2^40) from a resize
+  // or reserve on the raw count.
+  for (const CountField f : {CountField::kLastEstimates, CountField::kUePositions,
+                             CountField::kHistory, CountField::kTrajectories,
+                             CountField::kPoints}) {
+    for (const std::uint64_t n : {std::uint64_t{1}, std::uint64_t{1} << 40,
+                                  std::uint64_t{1} << 61}) {
+      EXPECT_THROW(from_bytes(bytes_with_count(f, n)), geo::BinTruncatedError)
+          << "field " << static_cast<int>(f) << " count " << n;
+    }
   }
 }
 
@@ -215,6 +277,25 @@ TEST(SnapshotManagerTest, CorruptNewestFallsBackToPreviousGeneration) {
   EXPECT_EQ(latest->epoch, 1);  // previous good generation
   ASSERT_EQ(mgr.last_errors().size(), 1u);
   EXPECT_NE(mgr.last_errors()[0].find("CRC"), std::string::npos);
+}
+
+TEST(SnapshotManagerTest, OversizedCountInNewestFallsBackToPreviousGeneration) {
+  TempDir dir("mgr_oversized");
+  core::SnapshotManager mgr(dir.path, 2);
+  core::Snapshot s = sample_snapshot();
+  s.epoch = 1;
+  mgr.save(s);
+  // A newer generation whose CRC verifies but whose history count claims
+  // 2^61 entries.
+  const std::string bad = bytes_with_count(CountField::kHistory, std::uint64_t{1} << 61);
+  std::ofstream(dir.path / "ckpt-00000002.skyc", std::ios::binary)
+      .write(bad.data(), static_cast<std::streamsize>(bad.size()));
+
+  const auto latest = mgr.load_latest();
+  ASSERT_TRUE(latest.has_value());
+  EXPECT_EQ(latest->epoch, 1);
+  ASSERT_EQ(mgr.last_errors().size(), 1u);
+  EXPECT_NE(mgr.last_errors()[0].find("ckpt-00000002.skyc"), std::string::npos);
 }
 
 TEST(SnapshotManagerTest, AllGenerationsCorruptYieldsNothing) {

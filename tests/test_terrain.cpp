@@ -1,12 +1,7 @@
-// Tests for the terrain substrate: raster semantics, procedural generators,
-// the synthetic LiDAR scan/rasterize pipeline and serialization.
+// Tests for the terrain substrate: raster semantics and the procedural
+// generators.
 #include <gtest/gtest.h>
 
-#include <sstream>
-
-#include "geo/contract.hpp"
-#include "terrain/io.hpp"
-#include "terrain/lidar.hpp"
 #include "terrain/synth.hpp"
 #include "terrain/terrain.hpp"
 
@@ -109,104 +104,6 @@ TEST(SynthTest, MakeTerrainDispatchesAllKinds) {
     EXPECT_DOUBLE_EQ(t.area().width(), default_extent(k)) << to_string(k);
   }
 }
-
-TEST(LidarTest, ScanProducesExpectedDensity) {
-  const Terrain t = make_flat(50.0);
-  const PointCloud cloud = scan_terrain(t, {.pulse_density = 4.0, .dropout_rate = 0.0}, 5);
-  EXPECT_NEAR(static_cast<double>(cloud.points.size()), 4.0 * 50.0 * 50.0, 200.0);
-}
-
-TEST(LidarTest, DropoutReducesReturns) {
-  const Terrain t = make_flat(50.0);
-  const auto full = scan_terrain(t, {.pulse_density = 2.0, .dropout_rate = 0.0}, 5);
-  const auto holey = scan_terrain(t, {.pulse_density = 2.0, .dropout_rate = 0.5}, 5);
-  EXPECT_LT(holey.points.size(), full.points.size() * 0.6);
-}
-
-TEST(LidarTest, RoundTripRecoversBuildingHeights) {
-  Terrain t = make_flat(60.0);
-  // Stamp a synthetic 20 m building block by hand.
-  for (int iy = 20; iy < 40; ++iy) {
-    for (int ix = 20; ix < 40; ++ix) {
-      TerrainCell& c = t.cells().at(ix, iy);
-      c.clutter = Clutter::kBuilding;
-      c.clutter_height = 20.0F;
-    }
-  }
-  const PointCloud cloud = scan_terrain(t, {.pulse_density = 6.0}, 9);
-  const Terrain r = rasterize(cloud, 2.0);
-  EXPECT_EQ(r.clutter_at({30.0, 30.0}), Clutter::kBuilding);
-  EXPECT_NEAR(r.surface_height({30.0, 30.0}), 20.0, 1.5);
-  EXPECT_EQ(r.clutter_at({5.0, 5.0}), Clutter::kOpen);
-  EXPECT_NEAR(r.surface_height({5.0, 5.0}), 0.0, 1.0);
-}
-
-TEST(LidarTest, RasterizeFillsVoids) {
-  // A tiny cloud with one point still yields a fully populated raster.
-  PointCloud cloud;
-  cloud.extent = geo::Rect::square(20.0);
-  cloud.points.push_back({{10.0, 10.0, 3.0}, Clutter::kOpen});
-  const Terrain t = rasterize(cloud, 2.0);
-  EXPECT_NEAR(t.ground_height({1.0, 1.0}), 3.0, 1e-6);
-  EXPECT_NEAR(t.ground_height({19.0, 19.0}), 3.0, 1e-6);
-}
-
-TEST(LidarTest, RejectsBadInputs) {
-  const Terrain t = make_flat(10.0);
-  EXPECT_THROW(scan_terrain(t, {.pulse_density = 0.0}, 1), ContractViolation);
-  EXPECT_THROW(scan_terrain(t, {.dropout_rate = 1.0}, 1), ContractViolation);
-  EXPECT_THROW(rasterize(PointCloud{geo::Rect::square(10.0), {}}, 1.0), ContractViolation);
-}
-
-TEST(IoTest, SaveLoadRoundTrip) {
-  const Terrain t = make_campus(13, 4.0);
-  std::stringstream ss;
-  save_terrain(t, ss);
-  const Terrain r = load_terrain(ss);
-  EXPECT_TRUE(t.cells().same_geometry(r.cells()));
-  for (int i = 0; i < t.cells().nx(); i += 7) {
-    EXPECT_EQ(t.cells().at(i, i).clutter, r.cells().at(i, i).clutter);
-    EXPECT_EQ(t.cells().at(i, i).clutter_height, r.cells().at(i, i).clutter_height);
-    EXPECT_EQ(t.cells().at(i, i).ground, r.cells().at(i, i).ground);
-  }
-}
-
-TEST(IoTest, RejectsCorruptStreams) {
-  std::stringstream bad("not a terrain file at all");
-  EXPECT_THROW(load_terrain(bad), std::runtime_error);
-  std::stringstream empty;
-  EXPECT_THROW(load_terrain(empty), std::runtime_error);
-}
-
-TEST(IoTest, RejectsTruncatedStream) {
-  const Terrain t = make_flat(20.0);
-  std::stringstream ss;
-  save_terrain(t, ss);
-  std::string data = ss.str();
-  data.resize(data.size() / 2);
-  std::stringstream cut(data);
-  EXPECT_THROW(load_terrain(cut), std::runtime_error);
-}
-
-/// LiDAR round-trip accuracy across raster resolutions.
-class LidarResolution : public ::testing::TestWithParam<double> {};
-
-TEST_P(LidarResolution, GroundRecoveredWithinNoise) {
-  const Terrain t = make_rural(21, 2.0, 100.0);
-  const PointCloud cloud = scan_terrain(t, {.pulse_density = 5.0}, 22);
-  const Terrain r = rasterize(cloud, GetParam());
-  double worst = 0.0;
-  for (double x = 10.0; x < 90.0; x += 17.0) {
-    for (double y = 10.0; y < 90.0; y += 17.0) {
-      if (t.clutter_at({x, y}) != Clutter::kOpen) continue;
-      worst = std::max(worst, std::abs(r.ground_height({x, y}) - t.ground_height({x, y})));
-    }
-  }
-  // Ground differs by at most raster quantization + range noise.
-  EXPECT_LT(worst, GetParam() * 1.5 + 1.0);
-}
-
-INSTANTIATE_TEST_SUITE_P(Resolutions, LidarResolution, ::testing::Values(1.0, 2.0, 4.0));
 
 }  // namespace
 }  // namespace skyran::terrain
