@@ -12,6 +12,29 @@
 
 namespace skyran::core {
 
+namespace {
+
+/// True while this thread runs chunks of a parallel run_chunks call, as its
+/// caller or as a helper. A loop started from there runs inline.
+thread_local bool tl_in_pool_body = false;
+
+std::size_t resolve_grain(std::size_t n, std::size_t grain) {
+  return grain == 0 ? ThreadPool::default_grain(n) : grain;
+}
+
+/// Runs every chunk on the calling thread, in chunk order.
+void run_inline(std::size_t n, std::size_t grain, const ChunkBody& body) {
+  const std::size_t chunks = (n + grain - 1) / grain;
+  SKYRAN_COUNTER_INC("core.pool.runs_inline");
+  SKYRAN_COUNTER_ADD("core.pool.chunks", chunks);
+  for (std::size_t c = 0; c < chunks; ++c) {
+    const std::size_t begin = c * grain;
+    body(c, begin, std::min(n, begin + grain));
+  }
+}
+
+}  // namespace
+
 ThreadPool::ThreadPool(int workers) : workers_(workers) {
   expects(workers >= 1, "ThreadPool: worker count must be >= 1");
   threads_.reserve(static_cast<std::size_t>(workers - 1));
@@ -50,7 +73,7 @@ std::size_t ThreadPool::default_grain(std::size_t n) {
 void ThreadPool::run_chunks(std::size_t n, std::size_t grain, const ChunkBody& body,
                             int max_lanes) {
   if (n == 0) return;
-  if (grain == 0) grain = default_grain(n);
+  grain = resolve_grain(n, grain);
   const std::size_t chunks = (n + grain - 1) / grain;
 
   const auto run_one = [&](std::size_t c) {
@@ -63,10 +86,8 @@ void ThreadPool::run_chunks(std::size_t n, std::size_t grain, const ChunkBody& b
       max_lanes >= 1 ? std::min<std::size_t>(static_cast<std::size_t>(max_lanes),
                                              static_cast<std::size_t>(workers_))
                      : static_cast<std::size_t>(workers_);
-  if (threads_.empty() || chunks == 1 || lanes == 1) {
-    SKYRAN_COUNTER_INC("core.pool.runs_inline");
-    SKYRAN_COUNTER_ADD("core.pool.chunks", chunks);
-    for (std::size_t c = 0; c < chunks; ++c) run_one(c);
+  if (tl_in_pool_body || threads_.empty() || chunks == 1 || lanes == 1) {
+    run_inline(n, grain, body);
     return;
   }
   SKYRAN_COUNTER_INC("core.pool.runs_parallel");
@@ -88,11 +109,13 @@ void ThreadPool::run_chunks(std::size_t n, std::size_t grain, const ChunkBody& b
   // Drivers claim chunks until none remain. A driver that arrives after the
   // range is exhausted touches only `shared` (kept alive by the shared_ptr),
   // never the caller's body reference, so the caller may return as soon as
-  // every chunk is done even if queued drivers have not started.
+  // every chunk is done even if queued drivers have not started. While a
+  // driver runs, loops nested in the body run inline on its thread.
   const auto drive = [shared, run_one]() {
+    tl_in_pool_body = true;
     for (;;) {
       const std::size_t c = shared->next.fetch_add(1, std::memory_order_relaxed);
-      if (c >= shared->chunks) return;
+      if (c >= shared->chunks) break;
       try {
         run_one(c);
       } catch (...) {
@@ -104,6 +127,7 @@ void ThreadPool::run_chunks(std::size_t n, std::size_t grain, const ChunkBody& b
         if (++shared->done == shared->chunks) shared->done_cv.notify_all();
       }
     }
+    tl_in_pool_body = false;
   };
 
   // Capture the drive lambda by value in the queued jobs; run_one/body are
@@ -183,6 +207,11 @@ std::shared_ptr<ThreadPool> acquire_global_pool() {
 }
 
 void parallel_for_chunks(std::size_t n, std::size_t grain, const ChunkBody& body) {
+  // A nested loop needs neither the worker count nor the pool.
+  if (tl_in_pool_body) {
+    if (n > 0) run_inline(n, resolve_grain(n, grain), body);
+    return;
+  }
   const int lanes = configured_workers();
   acquire_global_pool()->run_chunks(n, grain, body, lanes);
 }

@@ -7,7 +7,8 @@
 // bit-for-bit identical to serial output. Worker count resolves as
 // ScopedWorkers (thread-local) > set_global_workers() > SKYRAN_THREADS env
 // var > hardware concurrency; a count of 1 forces fully inline serial
-// execution.
+// execution. Parallelism is one level deep: a loop nested in a parallel
+// loop's body runs inline, so only the outermost fan-out uses the lanes.
 #pragma once
 
 #include <condition_variable>
@@ -45,8 +46,10 @@ class ThreadPool {
   /// picks default_grain(n). `max_lanes` caps how many execution lanes this
   /// call may use (0 = all of the pool's lanes; 1 = inline serial) without
   /// resizing the pool — chunk boundaries never depend on it, so results are
-  /// identical for any cap. Nested calls from inside a body are safe (the
-  /// inner call degrades toward inline execution when workers are busy).
+  /// identical for any cap. A loop started from inside the body of a loop
+  /// that runs on several lanes runs inline on the thread running that outer
+  /// chunk, with the same chunk boundaries; a loop that runs inline (one
+  /// chunk, one lane) leaves its body's nested loops free to fan out.
   void run_chunks(std::size_t n, std::size_t grain, const ChunkBody& body,
                   int max_lanes = 0);
 
@@ -106,7 +109,7 @@ class ScopedWorkers {
 std::shared_ptr<ThreadPool> acquire_global_pool();
 
 /// Chunked parallel loop over [0, n) on the global pool, using
-/// configured_workers() lanes.
+/// configured_workers() lanes (inline when nested in a parallel loop body).
 void parallel_for_chunks(std::size_t n, std::size_t grain, const ChunkBody& body);
 
 /// Element-wise parallel loop over [0, n) on the global pool. `fn` must be

@@ -82,6 +82,7 @@ std::size_t Fleet::add_cell(geo::Vec3 position) {
 }
 
 std::size_t Fleet::add_ue(geo::Vec3 position, const lte::TrafficSpec& traffic) {
+  lte::validate(traffic);
   ue_pos_.push_back(position);
   ue_spec_.push_back(traffic);
   serving_.push_back(-1);
@@ -97,6 +98,7 @@ std::size_t Fleet::add_ue(geo::Vec3 position, const lte::TrafficSpec& traffic) {
 
 void Fleet::set_ue_traffic(std::size_t ue, const lte::TrafficSpec& traffic) {
   expects(ue < ue_spec_.size(), "Fleet::set_ue_traffic: ue out of range");
+  lte::validate(traffic);
   ue_spec_[ue] = traffic;
 }
 
@@ -258,55 +260,77 @@ void Fleet::phase_serve(FleetEpochReport& report) {
   report.cell_ues.assign(c_count, 0);
   ue_served_bits_.assign(n, 0.0);
   const double epoch_seconds = config_.ttis_per_epoch * lte::kTtiSeconds;
+  // Cells are served in parallel; each plane's own loops then run inline. A
+  // body writes only its cell's slots and its members' per-UE slots. Lanes
+  // claim cells largest first, so one big cell claimed last cannot leave the
+  // other lanes idle; the order changes no result.
+  std::vector<std::uint32_t> claim_order(c_count);
+  for (std::size_t c = 0; c < c_count; ++c) claim_order[c] = static_cast<std::uint32_t>(c);
+  std::stable_sort(claim_order.begin(), claim_order.end(), [&](std::uint32_t a, std::uint32_t b) {
+    return cell_begin_[a + 1] - cell_begin_[a] > cell_begin_[b + 1] - cell_begin_[b];
+  });
+  std::vector<double> cell_offered(c_count, 0.0);
+  std::vector<double> cell_served(c_count, 0.0);
+  core::parallel_for(
+      c_count,
+      [&](std::size_t slot) {
+        const std::size_t c = claim_order[slot];
+        const std::uint32_t begin = cell_begin_[c];
+        const std::uint32_t end = cell_begin_[c + 1];
+        report.cell_ues[c] = end - begin;
+        if (begin == end) {
+          util_[c] = 0.0;
+          return;
+        }
+        lte::TrafficPlaneConfig plane_cfg = config_.plane;
+        plane_cfg.seed = mix64(config_.seed ^ mix64(static_cast<std::uint64_t>(epoch_) ^
+                                                    mix64(0x5eedULL + c)));
+        lte::TrafficPlane plane(plane_cfg);
+        for (std::uint32_t k = begin; k < end; ++k) {
+          const std::uint32_t ue = members_[k];
+          plane.add_ue(ue + 1, sinr_db_[ue], ue_spec_[ue]);
+        }
+        plane.run_ttis(config_.ttis_per_epoch);
+        const int prb_total = plane.last_tti().prb_total;
+        const lte::TrafficPlaneReport cell_report = plane.report();
+        // Demand-based PRB utilization: the fraction of the grid the members'
+        // offered traffic NEEDS at their channel quality. Granted-PRB counting
+        // is useless as a load signal here — the proportional-fair scheduler
+        // spreads the whole grid over any backlogged UE, so grants read ~100%
+        // on a nearly idle cell. Demand/capacity is what a RIC steers on.
+        const double grid_prbs =
+            static_cast<double>(config_.ttis_per_epoch) * std::max(prb_total, 1);
+        double needed_prbs = 0.0;
+        for (std::uint32_t k = begin; k < end; ++k) {
+          const std::uint32_t ue = members_[k];
+          if (ue_spec_[ue].model == lte::TrafficModel::kFullBuffer) {
+            needed_prbs = grid_prbs;  // infinite demand: the cell is saturated
+            break;
+          }
+          const double rate_1prb = lte::cqi_efficiency(lte::snr_to_cqi(sinr_db_[ue])) *
+                                   lte::kPrbBandwidthHz * lte::kTtiSeconds *
+                                   (1.0 - lte::kL1OverheadFraction);
+          if (rate_1prb <= 0.0) {
+            needed_prbs = grid_prbs;  // out of CQI range: no rate, pure backlog
+            break;
+          }
+          needed_prbs += plane.offered_bits(k - begin) / rate_1prb;
+        }
+        util_[c] = std::min(1.0, needed_prbs / grid_prbs);
+        cell_offered[c] = cell_report.offered_bits;
+        cell_served[c] = cell_report.served_bits;
+        for (std::uint32_t k = begin; k < end; ++k) {
+          ue_load_bits_[members_[k]] =
+              plane.offered_bits(k - begin) + plane.served_bits(k - begin);
+          ue_served_bits_[members_[k]] = plane.served_bits(k - begin);
+        }
+      },
+      /*grain=*/1);
+  // Summed serially in cell order, so the totals round the same way for any
+  // worker count.
   for (std::size_t c = 0; c < c_count; ++c) {
-    const std::uint32_t begin = cell_begin_[c];
-    const std::uint32_t end = cell_begin_[c + 1];
-    report.cell_ues[c] = end - begin;
-    if (begin == end) {
-      util_[c] = 0.0;
-      continue;
-    }
-    lte::TrafficPlaneConfig plane_cfg = config_.plane;
-    plane_cfg.seed = mix64(config_.seed ^ mix64(static_cast<std::uint64_t>(epoch_) ^
-                                                mix64(0x5eedULL + c)));
-    lte::TrafficPlane plane(plane_cfg);
-    for (std::uint32_t k = begin; k < end; ++k) {
-      const std::uint32_t ue = members_[k];
-      plane.add_ue(ue + 1, sinr_db_[ue], ue_spec_[ue]);
-    }
-    plane.run_ttis(config_.ttis_per_epoch);
-    const int prb_total = plane.last_tti().prb_total;
-    const lte::TrafficPlaneReport cell_report = plane.report();
-    // Demand-based PRB utilization: the fraction of the grid the members'
-    // offered traffic NEEDS at their channel quality. Granted-PRB counting
-    // is useless as a load signal here — the proportional-fair scheduler
-    // spreads the whole grid over any backlogged UE, so grants read ~100%
-    // on a nearly idle cell. Demand/capacity is what a RIC steers on.
-    const double grid_prbs =
-        static_cast<double>(config_.ttis_per_epoch) * std::max(prb_total, 1);
-    double needed_prbs = 0.0;
-    for (std::uint32_t k = begin; k < end; ++k) {
-      const std::uint32_t ue = members_[k];
-      if (ue_spec_[ue].model == lte::TrafficModel::kFullBuffer) {
-        needed_prbs = grid_prbs;  // infinite demand: the cell is saturated
-        break;
-      }
-      const double rate_1prb = lte::cqi_efficiency(lte::snr_to_cqi(sinr_db_[ue])) *
-                               lte::kPrbBandwidthHz * lte::kTtiSeconds *
-                               (1.0 - lte::kL1OverheadFraction);
-      if (rate_1prb <= 0.0) {
-        needed_prbs = grid_prbs;  // out of CQI range: no rate, pure backlog
-        break;
-      }
-      needed_prbs += plane.offered_bits(k - begin) / rate_1prb;
-    }
-    util_[c] = std::min(1.0, needed_prbs / grid_prbs);
-    report.offered_bits += cell_report.offered_bits;
-    report.served_bits += cell_report.served_bits;
-    for (std::uint32_t k = begin; k < end; ++k) {
-      ue_load_bits_[members_[k]] = plane.offered_bits(k - begin) + plane.served_bits(k - begin);
-      ue_served_bits_[members_[k]] = plane.served_bits(k - begin);
-    }
+    report.offered_bits += cell_offered[c];
+    report.served_bits += cell_served[c];
   }
   report.aggregate_throughput_bps = report.served_bits / epoch_seconds;
   total_served_bits_ += report.served_bits;

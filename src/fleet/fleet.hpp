@@ -17,13 +17,14 @@
 //                                 log, ping-pong detection
 //   sinr     (parallel over UEs)  serving power over noise + sum of
 //                                 non-serving co-channel powers
-//   serve    (serial over cells)  per-cell TrafficPlane rebuilt from the
+//   serve    (parallel over cells) per-cell TrafficPlane rebuilt from the
 //                                 epoch's membership, run ttis_per_epoch
-//                                 TTIs; per-cell PRB utilization is
-//                                 demand-based (PRBs the offered traffic
-//                                 needs at the members' CQI over the grid),
-//                                 not granted PRBs — the PF scheduler
-//                                 spreads the whole grid over any backlog
+//                                 TTIs inline on the cell's lane; per-cell
+//                                 PRB utilization is demand-based (PRBs the
+//                                 offered traffic needs at the members' CQI
+//                                 over the grid), not granted PRBs — the PF
+//                                 scheduler spreads the whole grid over any
+//                                 backlog; cell totals summed in cell order
 //
 // plus, every steering.period_epochs epochs, one gradient step on the
 // per-cell PRB utilization: the most-loaded cell's CIO steps down and the
@@ -32,13 +33,13 @@
 // sim::crash_point("epoch.steer") kill point.
 //
 // Determinism contract (same as the rest of the repo): all parallel phases
-// write disjoint per-UE slots, chunk boundaries depend only on the range
-// length, all randomness is counter-based — serial and N-worker runs are
-// bit-for-bit identical, enforced by state_hash() in tests/test_fleet.cpp
-// and in-bench by bench/ablation_fleet. state_hash() covers exactly the
-// state save() persists; restore() into an identically constructed fleet
-// resumes bit-identically (tests/test_fleet.cpp round-trip + kill-at-phase
-// harness).
+// write disjoint per-UE (serve: per-cell) slots, chunk boundaries depend
+// only on the range length, all randomness is counter-based — serial and
+// N-worker runs are bit-for-bit identical, enforced by state_hash() in
+// tests/test_fleet.cpp and in-bench by bench/ablation_fleet. state_hash()
+// covers exactly the state save() persists; restore() into an identically
+// constructed fleet resumes bit-identically (tests/test_fleet.cpp
+// round-trip + kill-at-phase harness).
 #pragma once
 
 #include <cstdint>
@@ -172,7 +173,8 @@ class Fleet {
 
   /// Add a UE at `position` with its traffic model. Returns the UE index.
   /// UEs start unattached; the next run_epoch attaches them to the
-  /// strongest (CIO-biased) cell.
+  /// strongest (CIO-biased) cell. A spec lte::validate rejects throws
+  /// ContractViolation and adds nothing.
   std::size_t add_ue(geo::Vec3 position, const lte::TrafficSpec& traffic);
 
   /// Move a UE (mobility driver hook). Takes effect at the next epoch's
@@ -183,7 +185,8 @@ class Fleet {
   /// scaling, flash crowds). Takes effect at the next epoch's serve phase.
   /// Specs are NOT persisted by save(): a restoring driver that mutates
   /// specs must re-apply them deterministically before resuming (the
-  /// scenario::Campaign derives them from (config, hour)).
+  /// scenario::Campaign derives them from (config, hour)). A spec
+  /// lte::validate rejects throws ContractViolation and changes nothing.
   void set_ue_traffic(std::size_t ue, const lte::TrafficSpec& traffic);
 
   /// Move a cell (external placement driver hook).

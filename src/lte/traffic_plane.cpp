@@ -59,6 +59,15 @@ void hash_vec(std::uint64_t& h, const std::vector<T>& v) {
 
 }  // namespace
 
+void validate(const TrafficSpec& spec) {
+  expects(std::isfinite(spec.rate_bps) && spec.rate_bps >= 0.0,
+          "TrafficSpec: rate must be finite and >= 0");
+  expects(spec.mean_on_ttis >= 1.0 && spec.mean_off_ttis >= 1.0,
+          "TrafficSpec: bursty state means must be >= 1 TTI");
+  expects(spec.frame_interval_ttis >= 1 && spec.gop_frames >= 1,
+          "TrafficSpec: video frame parameters must be >= 1");
+}
+
 TrafficPlane::TrafficPlane(TrafficPlaneConfig config) : config_(config) {
   expects(config_.carrier.n_prb > 0, "TrafficPlane: carrier must have PRBs");
   expects(config_.ewma_alpha > 0.0 && config_.ewma_alpha <= 1.0,
@@ -78,11 +87,7 @@ TrafficPlane::TrafficPlane(TrafficPlaneConfig config) : config_(config) {
 std::size_t TrafficPlane::add_ue(std::uint32_t rnti, double snr_db,
                                  const TrafficSpec& traffic) {
   expects(std::isfinite(snr_db), "TrafficPlane::add_ue: SNR must be finite");
-  expects(traffic.rate_bps >= 0.0, "TrafficPlane::add_ue: rate must be >= 0");
-  expects(traffic.mean_on_ttis >= 1.0 && traffic.mean_off_ttis >= 1.0,
-          "TrafficPlane::add_ue: bursty state means must be >= 1 TTI");
-  expects(traffic.frame_interval_ttis >= 1 && traffic.gop_frames >= 1,
-          "TrafficPlane::add_ue: video frame parameters must be >= 1");
+  validate(traffic);
 
   const std::size_t i = n_ues_++;
   rnti_.push_back(rnti);

@@ -9,10 +9,13 @@
 //   phase 3 (serial, O(n_prb))   transmission outcomes, HARQ state machine
 //   phase 4 (parallel over UEs)  EWMA decay + queue statistics
 //
-// The parallel passes run on core::ThreadPool under the repo-wide
-// determinism contract: all randomness is counter-based (hashed from
-// (seed, stream, ue, tti), never a shared generator), so serial and
-// N-worker runs are bit-for-bit identical for any worker count.
+// The parallel passes run on core::ThreadPool; when the plane itself is
+// run from inside a parallel loop body (fleet::Fleet serves its cells in
+// parallel), phases 1 and 4 run inline on that body's thread, with the same
+// chunking. Either way they follow the repo-wide determinism contract: all
+// randomness is counter-based (hashed from (seed, stream, ue, tti), never a
+// shared generator), so serial and N-worker runs are bit-for-bit identical
+// for any worker count.
 //
 // Modeled MAC features:
 //  - traffic models per UE: full-buffer, CBR, bursty on/off, video (GOP
@@ -55,6 +58,12 @@ struct TrafficSpec {
   int gop_frames = 12;          ///< video: I-frame period in frames
   bool multicast_subscriber = false;  ///< receives the MBSFN broadcast
 };
+
+/// Throws ContractViolation unless `spec` can run on a TrafficPlane: a
+/// finite rate >= 0, bursty state means >= 1 TTI, and video frame interval
+/// and GOP length >= 1. Holders of a spec (fleet::Fleet) check it when they
+/// store it, so a bad spec never reaches a plane mid-epoch.
+void validate(const TrafficSpec& spec);
 
 struct TrafficPlaneConfig {
   BandwidthConfig carrier = bandwidth_config(10.0);

@@ -1,5 +1,7 @@
 // fleet::Fleet property suite: attachment determinism and the serial ==
-// 8-worker bit-identity contract; the A3 handover state machine (offset +
+// N-worker bit-identity contract (also at skewed per-cell load); one pool
+// fork per parallel phase, however many TTIs the cells' planes run; traffic
+// specs rejected where they are stored; the A3 handover state machine (offset +
 // hysteresis entry condition, time-to-trigger accumulation and reset,
 // ping-pong detection window); closed-loop traffic steering draining a
 // constructed hot spot; the save/restore round-trip (bit-identical resume,
@@ -11,12 +13,15 @@
 
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "fleet/fleet.hpp"
 #include "geo/binio.hpp"
+#include "geo/contract.hpp"
+#include "obs/obs.hpp"
 #include "rem/bank.hpp"
 #include "rf/channel.hpp"
 #include "terrain/terrain.hpp"
@@ -163,6 +168,151 @@ TEST(FleetDeterminism, SerialMatchesEightWorkersBitIdentical) {
     drift_ues(serial, e);
     drift_ues(pool, e);
   }
+}
+
+/// Four cells with skewed load: most UEs crowd cell 0, a few spread over
+/// cells 1 and 2, and cell 3 hovers too far away to win any UE. Traffic
+/// mixes CBR, bursty and video so every plane path runs.
+fleet::Fleet skewed_fleet(const fleet::FleetConfig& cfg, std::size_t n_ues) {
+  fleet::Fleet f(cfg, channel());
+  f.add_cell({100.0, 100.0, kAlt});
+  f.add_cell({500.0, 100.0, kAlt});
+  f.add_cell({100.0, 500.0, kAlt});
+  f.add_cell({5000.0, 5000.0, kAlt});
+  for (std::size_t i = 0; i < n_ues; ++i) {
+    const bool crowd = i % 8 != 0;
+    const double span = crowd ? 120.0 : 600.0;
+    const double origin = crowd ? 40.0 : 0.0;
+    lte::TrafficSpec spec = cbr(1e5 + 1e4 * static_cast<double>(i % 5));
+    if (i % 3 == 1) spec.model = lte::TrafficModel::kBurstyOnOff;
+    if (i % 7 == 2) spec.model = lte::TrafficModel::kVideo;
+    f.add_ue({origin + span * unit_noise(i, 31), origin + span * unit_noise(i, 37), 1.5},
+             spec);
+  }
+  return f;
+}
+
+TEST(FleetDeterminism, SkewedLoadBitIdenticalAcrossWorkerCounts) {
+  struct Run {
+    std::vector<fleet::FleetEpochReport> reports;
+    std::vector<std::vector<double>> ue_served;
+    std::vector<std::uint64_t> hashes;
+  };
+  const auto run_with = [](int threads) {
+    fleet::FleetConfig cfg = tiny_config(threads);
+    cfg.steering.enabled = true;
+    fleet::Fleet f = skewed_fleet(cfg, 400);
+    Run run;
+    for (int e = 1; e <= 4; ++e) {
+      run.reports.push_back(f.run_epoch());
+      std::vector<double> served(f.ue_count());
+      for (std::size_t u = 0; u < f.ue_count(); ++u) served[u] = f.ue_served_bits(u);
+      run.ue_served.push_back(served);
+      run.hashes.push_back(f.state_hash());
+      drift_ues(f, e);
+    }
+    return run;
+  };
+
+  const Run serial = run_with(1);
+  // The fixture really is skewed: one cell holds most UEs, one holds none.
+  for (const fleet::FleetEpochReport& r : serial.reports) {
+    ASSERT_EQ(r.cell_ues.size(), 4u);
+    EXPECT_GT(r.cell_ues[0], 400u / 2);
+    EXPECT_EQ(r.cell_ues[3], 0u);
+  }
+  for (const int threads : {2, 3, 8}) {
+    const Run pool = run_with(threads);
+    for (std::size_t e = 0; e < serial.reports.size(); ++e) {
+      const fleet::FleetEpochReport& rs = serial.reports[e];
+      const fleet::FleetEpochReport& rp = pool.reports[e];
+      EXPECT_EQ(rs.offered_bits, rp.offered_bits) << threads << " workers, epoch " << e;
+      EXPECT_EQ(rs.served_bits, rp.served_bits) << threads << " workers, epoch " << e;
+      EXPECT_EQ(rs.cell_prb_util, rp.cell_prb_util) << threads << " workers, epoch " << e;
+      EXPECT_EQ(rs.cell_ues, rp.cell_ues) << threads << " workers, epoch " << e;
+      EXPECT_EQ(serial.ue_served[e], pool.ue_served[e]) << threads << " workers, epoch " << e;
+      EXPECT_EQ(serial.hashes[e], pool.hashes[e]) << threads << " workers, epoch " << e;
+    }
+  }
+}
+
+/// core.pool.runs_parallel added by one epoch of a 16-cell fleet.
+std::uint64_t parallel_runs_per_epoch(int ttis_per_epoch) {
+  fleet::FleetConfig cfg = tiny_config(/*threads=*/4);
+  cfg.ttis_per_epoch = ttis_per_epoch;
+  fleet::Fleet f(cfg, channel());
+  for (int iy = 0; iy < 4; ++iy)
+    for (int ix = 0; ix < 4; ++ix)
+      f.add_cell({75.0 + 150.0 * ix, 75.0 + 150.0 * iy, kAlt});
+  for (std::size_t i = 0; i < 800; ++i)
+    f.add_ue({600.0 * unit_noise(i, 11), 600.0 * unit_noise(i, 23), 1.5}, cbr(2e5));
+  const obs::Counter& runs = obs::MetricsRegistry::instance().counter("core.pool.runs_parallel");
+  obs::set_enabled(true);
+  const std::uint64_t before = runs.value();
+  const fleet::FleetEpochReport r = f.run_epoch();
+  const std::uint64_t delta = runs.value() - before;
+  obs::set_enabled(false);
+  EXPECT_EQ(r.cell_ues.size(), 16u);
+  return delta;
+}
+
+TEST(FleetServe, PoolForksPerEpochIndependentOfTtis) {
+#ifdef SKYRAN_OBS_DISABLED
+  GTEST_SKIP() << "obs macros compiled out (-DSKYRAN_OBS_DISABLED)";
+#endif
+  // measure, decide, sinr and serve each fork once; the planes' per-TTI
+  // loops run inline on their cell's lane instead of forking 2 x cells x
+  // TTIs more times.
+  const std::uint64_t short_epoch = parallel_runs_per_epoch(2);
+  const std::uint64_t long_epoch = parallel_runs_per_epoch(40);
+  EXPECT_GT(short_epoch, 0u);
+  EXPECT_LE(short_epoch, 4u);
+  EXPECT_EQ(short_epoch, long_epoch);
+}
+
+// ---------------------------------------------------------------------------
+// Traffic specs are checked where they are stored
+// ---------------------------------------------------------------------------
+
+TEST(FleetTrafficSpec, InvalidSpecRejectedAtSetterWithoutChangingState) {
+  const auto bad_specs = [] {
+    std::vector<lte::TrafficSpec> specs(6, cbr(1e5));
+    specs[0].mean_on_ttis = 0.5;
+    specs[1].mean_off_ttis = 0.0;
+    specs[2].rate_bps = -1.0;
+    specs[3].rate_bps = std::nan("");
+    specs[4].frame_interval_ttis = 0;
+    specs[5].gop_frames = 0;
+    return specs;
+  }();
+  const auto make = [] {
+    fleet::Fleet f = two_cell_fleet(tiny_config());
+    f.add_ue({50.0, 0.0, 1.5}, cbr(1e5));
+    f.add_ue({350.0, 0.0, 1.5}, cbr(1e5));
+    return f;
+  };
+
+  fleet::Fleet f = make();
+  f.run_epoch();
+  const std::uint64_t hash = f.state_hash();
+  for (std::size_t k = 0; k < bad_specs.size(); ++k) {
+    EXPECT_THROW(f.add_ue({100.0, 0.0, 1.5}, bad_specs[k]), ContractViolation) << "spec " << k;
+    EXPECT_THROW(f.set_ue_traffic(0, bad_specs[k]), ContractViolation) << "spec " << k;
+    EXPECT_EQ(f.ue_count(), 2u) << "spec " << k;
+    EXPECT_EQ(f.state_hash(), hash) << "spec " << k;
+  }
+  lte::TrafficSpec inf_rate = cbr(1e5);
+  inf_rate.rate_bps = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(lte::validate(inf_rate), ContractViolation);
+
+  // The rejected specs left nothing behind: the next epoch matches a twin
+  // that never saw them.
+  fleet::Fleet twin = make();
+  twin.run_epoch();
+  const fleet::FleetEpochReport r = f.run_epoch();
+  const fleet::FleetEpochReport rt = twin.run_epoch();
+  EXPECT_EQ(f.state_hash(), twin.state_hash());
+  EXPECT_EQ(r.served_bits, rt.served_bits);
 }
 
 // ---------------------------------------------------------------------------

@@ -2,7 +2,8 @@
 // converted kernel must produce bit-for-bit identical output with 1 worker
 // (forced serial) and N workers, including empty and single-element inputs.
 // Also exercises the pool primitives themselves (coverage, chunk layout,
-// exception propagation, nesting). Run under TSan in CI to catch races.
+// exception propagation, nesting: a loop nested in a parallel body runs
+// inline). Run under TSan in CI to catch races.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -21,6 +22,7 @@
 #include "localization/pipeline.hpp"
 #include "lte/ranging.hpp"
 #include "lte/srs_channel.hpp"
+#include "obs/obs.hpp"
 #include "rem/idw.hpp"
 #include "rem/kmeans.hpp"
 #include "rem/kriging.hpp"
@@ -119,6 +121,76 @@ TEST(ThreadPoolTest, NestedParallelForCompletes) {
     core::parallel_for(10, [&](std::size_t) { ++total; });
   });
   EXPECT_EQ(total.load(), 80);
+}
+
+TEST(ThreadPoolTest, NestedLoopRunsOnOuterChunkThread) {
+  core::set_global_workers(kParallelWorkers);
+  constexpr std::size_t kOuter = 16;
+  constexpr std::size_t kInnerChunks = 10;
+  std::vector<std::thread::id> outer(kOuter);
+  std::vector<std::vector<std::thread::id>> inner(kOuter,
+                                                  std::vector<std::thread::id>(kInnerChunks));
+  core::parallel_for_chunks(kOuter, 1, [&](std::size_t c, std::size_t, std::size_t) {
+    outer[c] = std::this_thread::get_id();
+    core::parallel_for_chunks(100, 10, [&](std::size_t k, std::size_t, std::size_t) {
+      inner[c][k] = std::this_thread::get_id();
+    });
+  });
+  core::set_global_workers(0);
+  for (std::size_t c = 0; c < kOuter; ++c)
+    for (std::size_t k = 0; k < kInnerChunks; ++k)
+      EXPECT_EQ(inner[c][k], outer[c]) << "outer chunk " << c << ", inner chunk " << k;
+}
+
+TEST(ThreadPoolTest, NestedReduceMatchesSerial) {
+  std::vector<double> values(4099);
+  std::mt19937_64 rng(7);
+  std::normal_distribution<double> g(0.0, 5.0);
+  for (double& v : values) v = g(rng);
+  // Each outer index reduces a different prefix of `values` in a nested loop.
+  const auto sums = [&]() {
+    std::vector<double> out(24, 0.0);
+    core::parallel_for(out.size(), [&](std::size_t j) {
+      const std::size_t n = values.size() - 97 * j;
+      out[j] = core::parallel_reduce(
+          n, 0, 0.0,
+          [&](std::size_t begin, std::size_t end) {
+            double s = 0.0;
+            for (std::size_t i = begin; i < end; ++i) s += values[i];
+            return s;
+          },
+          [](double a, double b) { return a + b; });
+    }, 1);
+    return out;
+  };
+  const auto [serial, parallel] = serial_and_parallel(sums);
+  EXPECT_EQ(serial, parallel);  // bitwise, not approximate
+}
+
+TEST(ThreadPoolTest, NestedLoopForksOnlyOutsideParallelBodies) {
+#ifdef SKYRAN_OBS_DISABLED
+  GTEST_SKIP() << "obs macros compiled out (-DSKYRAN_OBS_DISABLED)";
+#endif
+  core::set_global_workers(kParallelWorkers);
+  core::parallel_for(64, [](std::size_t) {});  // build the multi-lane pool first
+  obs::MetricsRegistry& reg = obs::MetricsRegistry::instance();
+  const obs::Counter& parallel_runs = reg.counter("core.pool.runs_parallel");
+  const obs::Counter& inline_runs = reg.counter("core.pool.runs_inline");
+  const auto forks = [&](std::size_t outer_chunks) {
+    obs::set_enabled(true);
+    const std::uint64_t p0 = parallel_runs.value();
+    const std::uint64_t i0 = inline_runs.value();
+    core::parallel_for_chunks(outer_chunks, 1, [](std::size_t, std::size_t, std::size_t) {
+      core::parallel_for(100, [](std::size_t) {}, 10);
+    });
+    obs::set_enabled(false);
+    return std::pair{parallel_runs.value() - p0, inline_runs.value() - i0};
+  };
+  // A parallel outer loop forks once; its 8 nested loops run inline.
+  EXPECT_EQ(forks(8), (std::pair<std::uint64_t, std::uint64_t>{1, 8}));
+  // A 1-chunk outer loop runs inline and leaves its nested loop free to fork.
+  EXPECT_EQ(forks(1), (std::pair<std::uint64_t, std::uint64_t>{1, 1}));
+  core::set_global_workers(0);
 }
 
 TEST(ThreadPoolTest, ReduceBitwiseEqualAcrossWorkerCounts) {

@@ -28,8 +28,11 @@ snapshot that "passes" because nothing runs against it anymore.
 working-tree copy, when it differs) and prints the timing trajectory —
 every *_ms field and the speedup — per bench row, so perf regressions are
 visible across the snapshot history instead of only at re-capture time.
-It fails loudly when any historical version is unparseable, renames the
-bench, or changes a row's timing-field set (schema drift).
+A row whose latest version has parallel_ms > serial_ms (lanes do not pay)
+is marked "[parallel > serial]", and a closing line counts them; the marks
+do not change the exit status. It fails loudly when any historical version
+is unparseable, renames the bench, or changes a row's timing-field set
+(schema drift).
 
 Exit status is non-zero on any drift, so CI fails when a bench silently
 changes shape, drops a scenario, or loses bit-identity.
@@ -158,6 +161,7 @@ def trend(args):
     if not snapshots:
         sys.exit(f"trend: no BENCH_*.json snapshots found under {repo!r}")
     failures = []
+    slower_rows = []
     for path in snapshots:
         rel = os.path.relpath(path, repo)
         log = subprocess.run(
@@ -213,10 +217,17 @@ def trend(args):
                     + " ".join(f"{k}={v}" for k, v in ident))
                 continue
             name = " ".join(f"{k}={v}" for k, v in ident if k != "bench")
-            print(f"  {name or bench}")
+            latest = points[-1][1]
+            slower = latest.get("parallel_ms", 0.0) > latest.get("serial_ms", float("inf"))
+            if slower:
+                slower_rows.append(f"{rel}: {name or bench}")
+            print(f"  {name or bench}" + ("  [parallel > serial]" if slower else ""))
             for label, fields in points:
                 vals = "  ".join(f"{k}={fields[k]:.3f}" for k in sorted(fields))
                 print(f"    {label:>9}  {vals}")
+    print(f"{len(slower_rows)} row(s) with latest parallel_ms > serial_ms")
+    for row in slower_rows:
+        print(f"  {row}")
     if failures:
         sys.exit("\n".join(failures))
     return 0
