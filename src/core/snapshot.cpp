@@ -8,6 +8,7 @@
 #include "core/config.hpp"
 #include "core/skyran.hpp"
 #include "geo/binio.hpp"
+#include "geo/hash.hpp"
 #include "obs/obs.hpp"
 #include "sim/crash_point.hpp"
 
@@ -22,119 +23,99 @@ namespace {
 
 constexpr char kMagic[4] = {'S', 'K', 'Y', 'S'};
 
-// FNV-1a-style byte mixer shared by the config and report digests.
-void mix_bytes(std::uint64_t& h, const void* data, std::size_t n) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= p[i];
-    h *= 0x100000001b3ULL;
-  }
-}
-
-template <typename T>
-void mix(std::uint64_t& h, const T& v) {
-  static_assert(std::is_trivially_copyable_v<T>, "digest fields must be trivial");
-  mix_bytes(h, &v, sizeof(T));
-}
-
-template <typename T>
-void mix_vec(std::uint64_t& h, const std::vector<T>& v) {
-  mix(h, static_cast<std::uint64_t>(v.size()));
-  if (!v.empty()) mix_bytes(h, v.data(), v.size() * sizeof(T));
-}
-
 }  // namespace
 
 std::uint64_t config_digest(const SkyRanConfig& c) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  mix(h, c.rem_cell_m);
-  mix(h, c.epoch_drop_threshold);
-  mix(h, c.reuse_radius_m);
-  mix(h, c.measurement_budget_m);
-  mix(h, static_cast<std::int32_t>(c.localization_mode));
-  mix(h, c.injected_error_m);
-  mix(h, c.start_altitude_m);
-  mix(h, c.min_altitude_m);
-  mix(h, c.altitude_step_m);
-  mix(h, c.cruise_mps);
-  mix(h, c.battery_reserve_fraction);
-  mix(h, c.battery.capacity_wh);
-  mix(h, c.battery.hover_power_w);
-  mix(h, c.battery.forward_power_w_per_mps);
-  mix(h, c.planner.k_min);
-  mix(h, c.planner.k_max);
-  mix(h, c.idw.k_neighbors);
-  mix(h, c.idw.power);
-  mix(h, c.idw.max_radius_m);
-  mix(h, c.idw.background_blend_m);
-  mix(h, c.localizer.flight_length_m);
-  mix(h, c.localizer.flight_leg_m);
-  mix(h, c.localizer.flight_altitude_m);
-  mix(h, c.localizer.cruise_mps);
-  mix(h, c.localizer.gps_sigma_m);
-  mix(h, c.measurement.report_rate_hz);
-  mix(h, c.measurement.fading_sigma_db);
-  mix(h, static_cast<std::int32_t>(c.objective));
-  mix(h, c.service.ttis);
-  mix(h, static_cast<std::int32_t>(c.service.ue_traffic.model));
-  mix(h, c.service.ue_traffic.rate_bps);
-  mix(h, c.faults.seed);
-  mix(h, static_cast<std::uint64_t>(c.faults.windows.size()));
+  geo::Fnv1a h;
+  h.pod(c.rem_cell_m);
+  h.pod(c.epoch_drop_threshold);
+  h.pod(c.reuse_radius_m);
+  h.pod(c.measurement_budget_m);
+  h.pod(static_cast<std::int32_t>(c.localization_mode));
+  h.pod(c.injected_error_m);
+  h.pod(c.start_altitude_m);
+  h.pod(c.min_altitude_m);
+  h.pod(c.altitude_step_m);
+  h.pod(c.cruise_mps);
+  h.pod(c.battery_reserve_fraction);
+  h.pod(c.battery.capacity_wh);
+  h.pod(c.battery.hover_power_w);
+  h.pod(c.battery.forward_power_w_per_mps);
+  h.pod(c.planner.k_min);
+  h.pod(c.planner.k_max);
+  h.pod(c.idw.k_neighbors);
+  h.pod(c.idw.power);
+  h.pod(c.idw.max_radius_m);
+  h.pod(c.idw.background_blend_m);
+  h.pod(c.localizer.flight_length_m);
+  h.pod(c.localizer.flight_leg_m);
+  h.pod(c.localizer.flight_altitude_m);
+  h.pod(c.localizer.cruise_mps);
+  h.pod(c.localizer.gps_sigma_m);
+  h.pod(c.measurement.report_rate_hz);
+  h.pod(c.measurement.fading_sigma_db);
+  h.pod(static_cast<std::int32_t>(c.objective));
+  h.pod(c.service.ttis);
+  h.pod(static_cast<std::int32_t>(c.service.ue_traffic.model));
+  h.pod(c.service.ue_traffic.rate_bps);
+  h.pod(c.faults.seed);
+  h.pod(static_cast<std::uint64_t>(c.faults.windows.size()));
   for (const sim::FaultWindow& w : c.faults.windows) {
-    mix(h, static_cast<std::int32_t>(w.kind));
-    mix(h, w.start_s);
-    mix(h, w.end_s);
-    mix(h, w.magnitude);
-    mix(h, w.heading_rad);
-    mix(h, w.cell);
+    h.pod(static_cast<std::int32_t>(w.kind));
+    h.pod(w.start_s);
+    h.pod(w.end_s);
+    h.pod(w.magnitude);
+    h.pod(w.heading_rad);
+    h.pod(w.cell);
   }
   // threads intentionally excluded: serial == N-worker bit-identity makes
   // the worker count resume-neutral.
-  return h;
+  return h.value();
 }
 
 std::uint64_t report_digest(const EpochReport& r) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  mix(h, r.epoch);
-  mix_vec(h, r.estimated_ue_positions);
-  mix(h, static_cast<std::uint64_t>(r.reused_rem.size()));
-  for (const bool b : r.reused_rem) mix(h, static_cast<std::uint8_t>(b));
-  mix(h, r.localization_flight_m);
-  mix(h, r.altitude_flight_m);
-  mix(h, r.measurement_flight_m);
-  mix(h, r.total_flight_m);
-  mix(h, r.flight_time_s);
-  mix(h, r.altitude_m);
-  mix(h, r.position);
-  mix(h, r.predicted_objective_snr_db);
-  mix(h, r.served_mean_throughput_bps);
-  mix(h, r.planned_k);
-  mix(h, r.info_to_cost);
-  mix(h, r.measurement_rounds);
+  geo::Fnv1a h;
+  h.pod(r.epoch);
+  h.pod(static_cast<std::uint64_t>(r.estimated_ue_positions.size()));
+  h.bytes(r.estimated_ue_positions.data(), r.estimated_ue_positions.size() * sizeof(geo::Vec2));
+  h.pod(static_cast<std::uint64_t>(r.reused_rem.size()));
+  for (const bool b : r.reused_rem) h.pod(static_cast<std::uint8_t>(b));
+  h.pod(r.localization_flight_m);
+  h.pod(r.altitude_flight_m);
+  h.pod(r.measurement_flight_m);
+  h.pod(r.total_flight_m);
+  h.pod(r.flight_time_s);
+  h.pod(r.altitude_m);
+  h.pod(r.position);
+  h.pod(r.predicted_objective_snr_db);
+  h.pod(r.served_mean_throughput_bps);
+  h.pod(r.planned_k);
+  h.pod(r.info_to_cost);
+  h.pod(r.measurement_rounds);
   const lte::TrafficPlaneReport& t = r.traffic;
-  mix(h, t.ttis);
-  mix(h, static_cast<std::uint64_t>(t.ues));
-  mix(h, t.scheduled_ue_ttis);
-  mix(h, t.offered_bits);
-  mix(h, t.served_bits);
-  mix(h, t.dropped_bits);
-  mix(h, t.aggregate_throughput_bps);
-  mix(h, t.fairness_jain);
-  mix(h, t.p50_throughput_bps);
-  mix(h, t.p90_throughput_bps);
-  mix(h, t.p99_throughput_bps);
-  mix(h, t.p50_delay_ms);
-  mix(h, t.p90_delay_ms);
-  mix(h, t.p99_delay_ms);
-  mix(h, t.harq_first_tx);
-  mix(h, t.harq_retx);
-  mix(h, t.harq_drops);
-  mix(h, t.harq_residual_bler);
-  mix(h, t.mbsfn_subframes);
-  mix(h, t.multicast_served_bits);
-  mix(h, t.multicast_backlog_bits);
-  mix(h, static_cast<std::uint8_t>(r.degraded));
-  return h;
+  h.pod(t.ttis);
+  h.pod(static_cast<std::uint64_t>(t.ues));
+  h.pod(t.scheduled_ue_ttis);
+  h.pod(t.offered_bits);
+  h.pod(t.served_bits);
+  h.pod(t.dropped_bits);
+  h.pod(t.aggregate_throughput_bps);
+  h.pod(t.fairness_jain);
+  h.pod(t.p50_throughput_bps);
+  h.pod(t.p90_throughput_bps);
+  h.pod(t.p99_throughput_bps);
+  h.pod(t.p50_delay_ms);
+  h.pod(t.p90_delay_ms);
+  h.pod(t.p99_delay_ms);
+  h.pod(t.harq_first_tx);
+  h.pod(t.harq_retx);
+  h.pod(t.harq_drops);
+  h.pod(t.harq_residual_bler);
+  h.pod(t.mbsfn_subframes);
+  h.pod(t.multicast_served_bits);
+  h.pod(t.multicast_backlog_bits);
+  h.pod(static_cast<std::uint8_t>(r.degraded));
+  return h.value();
 }
 
 void Snapshot::save(std::ostream& os) const {

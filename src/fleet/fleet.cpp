@@ -7,6 +7,7 @@
 #include "core/thread_pool.hpp"
 #include "geo/binio.hpp"
 #include "geo/contract.hpp"
+#include "geo/hash.hpp"
 #include "lte/amc.hpp"
 #include "lte/sampling.hpp"
 #include "obs/obs.hpp"
@@ -20,34 +21,17 @@ namespace skyran::fleet {
 namespace {
 
 constexpr char kMagic[4] = {'S', 'K', 'Y', 'F'};
-constexpr std::uint32_t kVersion = 1;
+constexpr std::uint32_t kVersion = 2;
 
-// splitmix64 finalizer (same mixer as the traffic plane's counter RNG).
-std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
+using geo::mix64;
 
-void hash_bytes(std::uint64_t& h, const void* data, std::size_t bytes) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < bytes; ++i) {
-    h ^= p[i];
-    h *= 0x100000001b3ULL;
-  }
-}
-
+// Reads a slab's u64 count, checks it against the slab's fixed length and
+// returns the slab's byte size.
 template <typename T>
-void hash_pod(std::uint64_t& h, const T& v) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  hash_bytes(h, &v, sizeof(T));
-}
-
-template <typename T>
-void hash_vec(std::uint64_t& h, const std::vector<T>& v) {
-  hash_pod(h, static_cast<std::uint64_t>(v.size()));
-  if (!v.empty()) hash_bytes(h, v.data(), v.size() * sizeof(T));
+std::size_t slab_bytes(geo::BinReader& r, const std::vector<T>& slab) {
+  if (r.count(sizeof(T)) != slab.size())
+    throw geo::BinCorruptError("Fleet::restore: slab count disagrees with the population");
+  return slab.size() * sizeof(T);
 }
 
 }  // namespace
@@ -207,7 +191,7 @@ void Fleet::phase_apply(FleetEpochReport& report) {
         if (ho_log_.size() < kMaxHandoverLog)
           ho_log_.push_back({epoch_, static_cast<std::uint32_t>(i), from, to, pingpong});
         else
-          ++ho_log_dropped_;
+          ++totals_.ho_log_dropped;
         last_cell_[i] = from;
         last_ho_epoch_[i] = epoch_;
         serving_[i] = to;
@@ -219,10 +203,10 @@ void Fleet::phase_apply(FleetEpochReport& report) {
         break;
     }
   }
-  total_attaches_ += report.attach_events;
-  total_attempts_ += report.ho_attempts;
-  total_successes_ += report.ho_successes;
-  total_pingpongs_ += report.ho_pingpongs;
+  totals_.attaches += report.attach_events;
+  totals_.attempts += report.ho_attempts;
+  totals_.successes += report.ho_successes;
+  totals_.pingpongs += report.ho_pingpongs;
 }
 
 void Fleet::phase_sinr() {
@@ -333,7 +317,7 @@ void Fleet::phase_serve(FleetEpochReport& report) {
     report.served_bits += cell_served[c];
   }
   report.aggregate_throughput_bps = report.served_bits / epoch_seconds;
-  total_served_bits_ += report.served_bits;
+  totals_.served_bits += report.served_bits;
 
   double max_util = 0.0;
   double sum_util = 0.0;
@@ -370,7 +354,7 @@ void Fleet::phase_steer(FleetEpochReport& report) {
     ++steps;
   }
   report.steering_steps = steps;
-  total_steer_steps_ += static_cast<std::uint64_t>(steps);
+  totals_.steer_steps += static_cast<std::uint64_t>(steps);
 }
 
 FleetEpochReport Fleet::run_epoch() {
@@ -493,72 +477,49 @@ PlacementRefresh Fleet::refresh_placement(const rem::RemBank& bank,
   cell_pos_[cell] = {placement.position.x, placement.position.y, bank.altitude_m()};
   out.position = placement.position;
   out.objective_db = placement.objective_snr_db;
-  ++total_refreshes_;
+  ++totals_.refreshes;
   SKYRAN_COUNTER_INC("fleet.placement.refreshes");
   return out;
 }
 
+template <class Sink>
+void Fleet::write_state(Sink& sink) const {
+  sink.pod(config_.seed);
+  sink.pod(static_cast<std::uint64_t>(cell_pos_.size()));
+  sink.pod(static_cast<std::uint64_t>(ue_pos_.size()));
+  sink.pod(epoch_);
+  std::apply(
+      [&sink](const auto&... slab) {
+        ((sink.pod(static_cast<std::uint64_t>(slab.size())),
+          sink.bytes(slab.data(), slab.size() * sizeof(slab[0]))),
+         ...);
+      },
+      slabs(*this));
+  sink.pod(totals_);
+}
+
+template void Fleet::write_state(geo::BinWriter&) const;
+template void Fleet::write_state(geo::Fnv1a&) const;
+
 std::uint64_t Fleet::state_hash() const {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  hash_pod(h, config_.seed);
-  hash_pod(h, static_cast<std::uint64_t>(cell_pos_.size()));
-  hash_pod(h, static_cast<std::uint64_t>(ue_pos_.size()));
-  hash_pod(h, epoch_);
-  hash_vec(h, cell_pos_);
-  hash_vec(h, cio_db_);
-  hash_vec(h, util_);
-  hash_vec(h, ue_pos_);
-  hash_vec(h, serving_);
-  hash_vec(h, a3_target_);
-  hash_vec(h, a3_count_);
-  hash_vec(h, last_cell_);
-  hash_vec(h, last_ho_epoch_);
-  hash_vec(h, ue_load_bits_);
-  hash_pod(h, total_attaches_);
-  hash_pod(h, total_attempts_);
-  hash_pod(h, total_successes_);
-  hash_pod(h, total_pingpongs_);
-  hash_pod(h, total_steer_steps_);
-  hash_pod(h, total_refreshes_);
-  hash_pod(h, ho_log_dropped_);
-  hash_pod(h, total_served_bits_);
-  return h;
+  geo::Fnv1a h;
+  write_state(h);
+  return h.value();
 }
 
 void Fleet::save(std::ostream& os) const {
   geo::BinWriter w;
-  w.pod(config_.seed);
-  w.pod(static_cast<std::uint64_t>(cell_pos_.size()));
-  w.pod(static_cast<std::uint64_t>(ue_pos_.size()));
-  w.pod(epoch_);
-  for (std::size_t c = 0; c < cell_pos_.size(); ++c) {
-    w.pod(cell_pos_[c]);
-    w.pod(cio_db_[c]);
-    w.pod(util_[c]);
-  }
-  for (std::size_t i = 0; i < ue_pos_.size(); ++i) {
-    w.pod(ue_pos_[i]);
-    w.pod(serving_[i]);
-    w.pod(a3_target_[i]);
-    w.pod(a3_count_[i]);
-    w.pod(last_cell_[i]);
-    w.pod(last_ho_epoch_[i]);
-    w.pod(ue_load_bits_[i]);
-  }
-  w.pod(total_attaches_);
-  w.pod(total_attempts_);
-  w.pod(total_successes_);
-  w.pod(total_pingpongs_);
-  w.pod(total_steer_steps_);
-  w.pod(total_refreshes_);
-  w.pod(ho_log_dropped_);
-  w.pod(total_served_bits_);
+  write_state(w);
   geo::write_envelope(os, kMagic, kVersion, w);
 }
 
 void Fleet::restore(std::istream& is) {
   const geo::Envelope env = geo::read_envelope(is, kMagic, kVersion, kVersion, "Fleet::restore");
   geo::BinReader r(env.payload);
+  read_state(r);
+}
+
+void Fleet::read_state(geo::BinReader& r) {
   const auto seed = r.pod<std::uint64_t>();
   const auto n_cells = r.pod<std::uint64_t>();
   const auto n_ues = r.pod<std::uint64_t>();
@@ -566,30 +527,20 @@ void Fleet::restore(std::istream& is) {
     throw FleetStateMismatch(
         "Fleet::restore: saved state belongs to a different fleet "
         "(seed or cell/UE population mismatch)");
+  // The population fixes the layout. Walk it on a copy of the reader first,
+  // so a bad count, a short payload or trailing bytes throw before any
+  // member changes.
+  geo::BinReader probe = r;
+  probe.skip(sizeof(epoch_));
+  std::apply([&probe](const auto&... slab) { (probe.skip(slab_bytes(probe, slab)), ...); },
+             slabs(*this));
+  probe.skip(sizeof(Totals));
+  if (!probe.done()) throw FleetStateMismatch("Fleet::restore: trailing bytes after last field");
+
   epoch_ = r.pod<int>();
-  for (std::size_t c = 0; c < cell_pos_.size(); ++c) {
-    cell_pos_[c] = r.pod<geo::Vec3>();
-    cio_db_[c] = r.pod<double>();
-    util_[c] = r.pod<double>();
-  }
-  for (std::size_t i = 0; i < ue_pos_.size(); ++i) {
-    ue_pos_[i] = r.pod<geo::Vec3>();
-    serving_[i] = r.pod<std::int32_t>();
-    a3_target_[i] = r.pod<std::int32_t>();
-    a3_count_[i] = r.pod<std::int32_t>();
-    last_cell_[i] = r.pod<std::int32_t>();
-    last_ho_epoch_[i] = r.pod<std::int32_t>();
-    ue_load_bits_[i] = r.pod<double>();
-  }
-  total_attaches_ = r.pod<std::uint64_t>();
-  total_attempts_ = r.pod<std::uint64_t>();
-  total_successes_ = r.pod<std::uint64_t>();
-  total_pingpongs_ = r.pod<std::uint64_t>();
-  total_steer_steps_ = r.pod<std::uint64_t>();
-  total_refreshes_ = r.pod<std::uint64_t>();
-  ho_log_dropped_ = r.pod<std::uint64_t>();
-  total_served_bits_ = r.pod<double>();
-  if (!r.done()) throw FleetStateMismatch("Fleet::restore: trailing bytes after last field");
+  std::apply([&r](auto&... slab) { (r.bytes(slab.data(), slab_bytes(r, slab)), ...); },
+             slabs(*this));
+  totals_ = r.pod<Totals>();
 }
 
 }  // namespace skyran::fleet

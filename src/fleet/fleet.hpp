@@ -36,8 +36,9 @@
 // write disjoint per-UE (serve: per-cell) slots, chunk boundaries depend
 // only on the range length, all randomness is counter-based — serial and
 // N-worker runs are bit-for-bit identical, enforced by state_hash() in
-// tests/test_fleet.cpp and in-bench by bench/ablation_fleet. state_hash()
-// covers exactly the state save() persists; restore() into an identically
+// tests/test_fleet.cpp and in-bench by bench/ablation_fleet. write_state()
+// lists the persisted state once: save() wraps its bytes in an envelope and
+// state_hash() is FNV-1a over the same bytes. restore() into an identically
 // constructed fleet resumes bit-identically (tests/test_fleet.cpp
 // round-trip + kill-at-phase harness).
 #pragma once
@@ -45,6 +46,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <stdexcept>
+#include <tuple>
 #include <vector>
 
 #include "geo/vec.hpp"
@@ -52,6 +54,10 @@
 #include "rf/channel.hpp"
 #include "sim/faults.hpp"
 #include "terrain/terrain.hpp"
+
+namespace skyran::geo {
+class BinReader;
+}
 
 namespace skyran::rem {
 class RemBank;
@@ -225,33 +231,46 @@ class Fleet {
   double ue_served_bits(std::size_t ue) const { return ue_served_bits_[ue]; }
 
   // Cumulative counters (monotonic across epochs; persisted).
-  std::uint64_t total_attaches() const { return total_attaches_; }
-  std::uint64_t total_ho_attempts() const { return total_attempts_; }
-  std::uint64_t total_handovers() const { return total_successes_; }
-  std::uint64_t total_pingpongs() const { return total_pingpongs_; }
-  std::uint64_t total_steering_steps() const { return total_steer_steps_; }
-  std::uint64_t total_placement_refreshes() const { return total_refreshes_; }
+  std::uint64_t total_attaches() const { return totals_.attaches; }
+  std::uint64_t total_ho_attempts() const { return totals_.attempts; }
+  std::uint64_t total_handovers() const { return totals_.successes; }
+  std::uint64_t total_pingpongs() const { return totals_.pingpongs; }
+  std::uint64_t total_steering_steps() const { return totals_.steer_steps; }
+  std::uint64_t total_placement_refreshes() const { return totals_.refreshes; }
 
   /// Bounded in-memory handover log (not persisted; the slab state that
   /// drives future decisions — last_cell/last_ho_epoch — is).
   static constexpr std::size_t kMaxHandoverLog = 1u << 16;
   const std::vector<HandoverEvent>& handover_log() const { return ho_log_; }
-  std::uint64_t handover_log_dropped() const { return ho_log_dropped_; }
+  std::uint64_t handover_log_dropped() const { return totals_.ho_log_dropped; }
 
-  /// FNV-1a over exactly the state save() persists: two fleets resume
-  /// bit-identically iff their hashes match.
+  /// Emit the dynamic state (positions, attachments, A3/TTT state, CIOs,
+  /// utilizations, per-UE load, counters) into `sink`, which is a
+  /// geo::BinWriter or a geo::Fnv1a: seed, cell and UE populations and the
+  /// epoch, then each slab as a u64 count and its raw elements, then the
+  /// counters.
+  template <class Sink>
+  void write_state(Sink& sink) const;
+
+  /// FNV-1a over the write_state() bytes: two fleets resume bit-identically
+  /// iff their hashes match.
   std::uint64_t state_hash() const;
 
-  /// Serialize the dynamic state (positions, attachments, A3/TTT state,
-  /// CIOs, utilizations, per-UE load, counters) as one CRC-guarded
-  /// geo::binio envelope (magic "SKYF").
+  /// write_state() as one CRC-guarded geo::binio envelope (magic "SKYF",
+  /// version 2).
   void save(std::ostream& os) const;
 
   /// Restore into a fleet constructed with the same config and the same
   /// add_cell/add_ue sequence. Throws geo::BinTruncatedError /
-  /// BinCorruptError / BinVersionError on a bad stream and
-  /// FleetStateMismatch when the populations disagree.
+  /// BinCorruptError / BinVersionError on a bad stream (version 1 included)
+  /// and FleetStateMismatch when the populations disagree. Strong
+  /// guarantee: on any throw the fleet is unchanged.
   void restore(std::istream& is);
+
+  /// Read what write_state() wrote, from the reader's position. The fleet
+  /// state must end the payload. Every check runs before the first member
+  /// changes, with restore()'s errors and guarantee.
+  void read_state(geo::BinReader& r);
 
  private:
   void phase_measure(double fault_t);
@@ -260,6 +279,14 @@ class Fleet {
   void phase_sinr();
   void phase_serve(FleetEpochReport& report);
   void phase_steer(FleetEpochReport& report);
+
+  /// The persisted slabs, in stream order.
+  template <class Self>
+  static auto slabs(Self& self) {
+    return std::tie(self.cell_pos_, self.cio_db_, self.util_, self.ue_pos_, self.serving_,
+                    self.a3_target_, self.a3_count_, self.last_cell_, self.last_ho_epoch_,
+                    self.ue_load_bits_);
+  }
 
   FleetConfig config_;
   const rf::ChannelModel* channel_;
@@ -291,17 +318,21 @@ class Fleet {
   std::vector<std::uint32_t> members_;        ///< UE indices grouped by cell
   std::vector<std::uint32_t> cell_begin_;     ///< n_cells + 1 offsets into members_
 
-  // Cumulative counters (persisted).
-  std::uint64_t total_attaches_ = 0;
-  std::uint64_t total_attempts_ = 0;
-  std::uint64_t total_successes_ = 0;
-  std::uint64_t total_pingpongs_ = 0;
-  std::uint64_t total_steer_steps_ = 0;
-  std::uint64_t total_refreshes_ = 0;
-  double total_served_bits_ = 0.0;
+  // Cumulative counters, persisted as one block (no padding bytes).
+  struct Totals {
+    std::uint64_t attaches = 0;
+    std::uint64_t attempts = 0;
+    std::uint64_t successes = 0;
+    std::uint64_t pingpongs = 0;
+    std::uint64_t steer_steps = 0;
+    std::uint64_t refreshes = 0;
+    std::uint64_t ho_log_dropped = 0;
+    double served_bits = 0.0;
+  };
+  static_assert(sizeof(Totals) == 8 * sizeof(std::uint64_t));
+  Totals totals_;
 
   std::vector<HandoverEvent> ho_log_;
-  std::uint64_t ho_log_dropped_ = 0;
 };
 
 }  // namespace skyran::fleet

@@ -1,5 +1,12 @@
-// Shared binary-envelope I/O for every on-disk format in the codebase
-// (RemStore persistence, core::Snapshot checkpoints). One layout:
+// Shared binary-envelope I/O for every on-disk format in the codebase:
+//
+//   SKYR v2  rem::RemStore (nested inside each SKYS snapshot)
+//   SKYS v3  core::Snapshot, the single-UAV checkpoint
+//   SKYF v2  fleet::Fleet
+//   SKYD v2  scenario::Campaign; its payload ends with the fleet state
+//            inline, so a campaign file holds one envelope
+//
+// One layout:
 //
 //   magic(4) | version(u32) | payload_size(u64) | crc32(u32) | payload
 //
@@ -107,13 +114,18 @@ class BinReader {
   template <typename T>
   T pod() {
     static_assert(std::is_trivially_copyable_v<T>, "BinReader::pod needs a trivial type");
-    if (static_cast<std::size_t>(end_ - p_) < sizeof(T))
-      throw BinTruncatedError("binio: truncated payload");
     T v{};
-    std::memcpy(&v, p_, sizeof(T));
-    p_ += sizeof(T);
+    bytes(&v, sizeof(T));
     return v;
   }
+
+  /// Copy the next n bytes into `out`: the bulk counterpart of
+  /// BinWriter::bytes.
+  void bytes(void* out, std::size_t n) {
+    if (n > 0) std::memcpy(out, take(n), n);
+  }
+
+  void skip(std::size_t n) { take(n); }
 
   std::string str() {
     const auto n = pod<std::uint64_t>();
@@ -139,6 +151,13 @@ class BinReader {
   bool done() const { return p_ == end_; }
 
  private:
+  const char* take(std::size_t n) {
+    if (remaining() < n) throw BinTruncatedError("binio: truncated payload");
+    const char* at = p_;
+    p_ += n;
+    return at;
+  }
+
   const char* p_;
   const char* end_;
 };

@@ -3,18 +3,11 @@
 #include <cmath>
 
 #include "geo/contract.hpp"
+#include "geo/hash.hpp"
 
 namespace skyran::geo {
 
 namespace {
-
-/// SplitMix64 finalizer: decorrelates lattice coordinates into hash bits.
-std::uint64_t mix(std::uint64_t v) {
-  v += 0x9e3779b97f4a7c15ULL;
-  v = (v ^ (v >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  v = (v ^ (v >> 27)) * 0x94d049bb133111ebULL;
-  return v ^ (v >> 31);
-}
 
 double smoothstep(double t) { return t * t * (3.0 - 2.0 * t); }
 
@@ -29,8 +22,8 @@ ValueNoise::ValueNoise(std::uint64_t seed, double scale, int octaves, double per
 
 double ValueNoise::lattice(std::int64_t ix, std::int64_t iy) const {
   const std::uint64_t h =
-      mix(seed_ ^ mix(static_cast<std::uint64_t>(ix) * 0x9e3779b97f4a7c15ULL) ^
-          mix(static_cast<std::uint64_t>(iy) * 0xc2b2ae3d27d4eb4fULL));
+      mix64(seed_ ^ mix64(static_cast<std::uint64_t>(ix) * 0x9e3779b97f4a7c15ULL) ^
+            mix64(static_cast<std::uint64_t>(iy) * 0xc2b2ae3d27d4eb4fULL));
   // Map to [-1, 1).
   return static_cast<double>(h >> 11) * (2.0 / 9007199254740992.0) - 1.0;
 }

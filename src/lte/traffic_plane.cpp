@@ -6,6 +6,7 @@
 
 #include "core/thread_pool.hpp"
 #include "geo/contract.hpp"
+#include "geo/hash.hpp"
 #include "geo/stats.hpp"
 #include "obs/obs.hpp"
 
@@ -25,17 +26,9 @@ enum Stream : std::uint64_t {
   kStreamHarq = 0x1004,
 };
 
-std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
 double u01(std::uint64_t seed, std::uint64_t stream, std::uint64_t ue,
            std::uint64_t tti) {
-  const std::uint64_t h = mix64(seed ^ mix64(stream ^ mix64(ue ^ mix64(tti))));
-  return static_cast<double>(h >> 11) * 0x1.0p-53;
+  return geo::u01(seed, stream, ue ^ geo::mix64(tti));
 }
 
 double cqi_threshold_db(int cqi) { return cqi_table()[cqi - 1].snr_threshold_db; }
@@ -43,19 +36,6 @@ double cqi_threshold_db(int cqi) { return cqi_table()[cqi - 1].snr_threshold_db;
 /// MBSFN-capable subframe positions within a 10 ms frame (3GPP: all but the
 /// PSS/SSS/PBCH and paging subframes 0, 4, 5, 9).
 constexpr int kMbsfnPositions[6] = {1, 2, 3, 6, 7, 8};
-
-void hash_bytes(std::uint64_t& h, const void* data, std::size_t bytes) {
-  const unsigned char* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < bytes; ++i) {
-    h ^= p[i];
-    h *= 0x100000001b3ULL;  // FNV-1a prime
-  }
-}
-
-template <typename T>
-void hash_vec(std::uint64_t& h, const std::vector<T>& v) {
-  if (!v.empty()) hash_bytes(h, v.data(), v.size() * sizeof(T));
-}
 
 }  // namespace
 
@@ -510,30 +490,32 @@ void TrafficPlane::run_ttis(int n) {
 }
 
 std::uint64_t TrafficPlane::state_hash() const {
-  std::uint64_t h = 0xcbf29ce484222325ULL;  // FNV-1a offset basis
-  hash_bytes(h, &tti_, sizeof(tti_));
-  hash_vec(h, backlog_bits_);
-  hash_vec(h, ewma_bps_);
-  hash_vec(h, burst_on_);
-  hash_vec(h, harq_bits_);
-  hash_vec(h, harq_prb_);
-  hash_vec(h, harq_retx_);
-  hash_vec(h, harq_active_);
-  hash_vec(h, offered_bits_);
-  hash_vec(h, served_bits_);
-  hash_vec(h, dropped_bits_);
-  hash_vec(h, backlog_sum_bits_);
-  hash_vec(h, last_served_tti_);
-  hash_bytes(h, &rr_cursor_, sizeof(rr_cursor_));
-  hash_bytes(h, &mcast_backlog_bits_, sizeof(mcast_backlog_bits_));
-  hash_bytes(h, &mcast_served_bits_, sizeof(mcast_served_bits_));
-  hash_bytes(h, &mbsfn_this_frame_, sizeof(mbsfn_this_frame_));
-  hash_bytes(h, &mbsfn_subframes_total_, sizeof(mbsfn_subframes_total_));
-  hash_bytes(h, &scheduled_ue_ttis_, sizeof(scheduled_ue_ttis_));
-  hash_bytes(h, &harq_first_tx_, sizeof(harq_first_tx_));
-  hash_bytes(h, &harq_retx_tx_, sizeof(harq_retx_tx_));
-  hash_bytes(h, &harq_drops_, sizeof(harq_drops_));
-  return h;
+  geo::Fnv1a h;
+  // Slabs are hashed without a length prefix.
+  const auto slab = [&h](const auto& v) { h.bytes(v.data(), v.size() * sizeof(v[0])); };
+  h.pod(tti_);
+  slab(backlog_bits_);
+  slab(ewma_bps_);
+  slab(burst_on_);
+  slab(harq_bits_);
+  slab(harq_prb_);
+  slab(harq_retx_);
+  slab(harq_active_);
+  slab(offered_bits_);
+  slab(served_bits_);
+  slab(dropped_bits_);
+  slab(backlog_sum_bits_);
+  slab(last_served_tti_);
+  h.pod(rr_cursor_);
+  h.pod(mcast_backlog_bits_);
+  h.pod(mcast_served_bits_);
+  h.pod(mbsfn_this_frame_);
+  h.pod(mbsfn_subframes_total_);
+  h.pod(scheduled_ue_ttis_);
+  h.pod(harq_first_tx_);
+  h.pod(harq_retx_tx_);
+  h.pod(harq_drops_);
+  return h.value();
 }
 
 TrafficPlaneReport TrafficPlane::report() const {

@@ -4,25 +4,13 @@
 #include <cmath>
 
 #include "geo/contract.hpp"
+#include "geo/hash.hpp"
 
 namespace skyran::mobility {
 
 namespace {
 
-// splitmix64 finalizer (same mixer as the traffic plane's counter RNG).
-std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
-// Uniform in [0, 1) from a (seed, stream, ue) counter — no state, no order
-// dependence.
-double u01(std::uint64_t seed, std::uint64_t stream, std::uint64_t ue) {
-  const std::uint64_t h = mix64(seed ^ mix64(stream ^ mix64(ue)));
-  return static_cast<double>(h >> 11) * 0x1.0p-53;
-}
+using geo::u01;
 
 constexpr std::uint64_t kStreamHomeCluster = 0x101;
 constexpr std::uint64_t kStreamOfficeCluster = 0x102;

@@ -8,6 +8,7 @@
 
 #include "geo/binio.hpp"
 #include "geo/contract.hpp"
+#include "geo/hash.hpp"
 #include "geo/stats.hpp"
 #include "lte/sampling.hpp"
 #include "obs/obs.hpp"
@@ -18,20 +19,9 @@ namespace skyran::scenario {
 namespace {
 
 constexpr char kMagic[4] = {'S', 'K', 'Y', 'D'};
-constexpr std::uint32_t kVersion = 1;
+constexpr std::uint32_t kVersion = 2;
 
-// splitmix64 finalizer (same mixer as the traffic plane's counter RNG).
-std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
-double u01(std::uint64_t seed, std::uint64_t stream, std::uint64_t idx) {
-  const std::uint64_t h = mix64(seed ^ mix64(stream ^ mix64(idx)));
-  return static_cast<double>(h >> 11) * 0x1.0p-53;
-}
+using geo::u01;
 
 constexpr std::uint64_t kStreamCommuter = 0x301;
 constexpr std::uint64_t kStreamStaticX = 0x302;
@@ -42,41 +32,13 @@ constexpr std::uint64_t kStreamBattery = 0x306;
 
 double wrap24(double hour) { return hour - 24.0 * std::floor(hour / 24.0); }
 
-// FNV-1a, same byte discipline as fleet::Fleet::state_hash.
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ULL;
+// FNV-1a basis of the campaign digests and Campaign::state_hash: the
+// standard offset basis with its last decimal digit dropped. campaign_day's
+// pinned reference digest depends on it, so it stays.
+constexpr std::uint64_t kDigestBasis = 1469598103934665603ULL;
 
-void hash_bytes(std::uint64_t& h, const void* data, std::size_t bytes) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < bytes; ++i) {
-    h ^= p[i];
-    h *= 0x100000001b3ULL;
-  }
-}
-
-template <typename T>
-void hash_pod(std::uint64_t& h, const T& v) {
-  hash_bytes(h, &v, sizeof(v));
-}
-
-void hash_hour(std::uint64_t& h, const HourReport& hr) {
-  hash_pod(h, hr.hour);
-  hash_pod(h, hr.diurnal_level);
-  hash_pod(h, hr.offered_bits);
-  hash_pod(h, hr.served_bits);
-  hash_pod(h, hr.availability);
-  hash_pod(h, hr.mean_sinr_db);
-  hash_pod(h, hr.p5_tput_bps);
-  hash_pod(h, hr.p50_tput_bps);
-  hash_pod(h, hr.p95_tput_bps);
-  hash_pod(h, hr.handovers);
-  hash_pod(h, hr.pingpongs);
-  hash_pod(h, hr.steering_steps);
-  hash_pod(h, hr.swaps_started);
-  hash_pod(h, hr.depot_epochs);
-  hash_pod(h, hr.energy_wh);
-}
-
-void write_hour(geo::BinWriter& w, const HourReport& hr) {
+template <class Sink>
+void write_hour(Sink& w, const HourReport& hr) {
   w.pod(hr.hour);
   w.pod(hr.diurnal_level);
   w.pod(hr.offered_bits);
@@ -117,109 +79,109 @@ HourReport read_hour(geo::BinReader& r) {
 }  // namespace
 
 std::uint64_t config_digest(const CampaignConfig& c) {
-  std::uint64_t h = kFnvOffset;
-  hash_pod(h, c.seed);
-  hash_pod(h, c.hours);
-  hash_pod(h, c.epochs_per_hour);
-  hash_pod(h, static_cast<std::uint64_t>(c.n_ues));
-  hash_pod(h, c.cells_per_side);
-  hash_pod(h, c.area_m);
-  hash_pod(h, c.cell_altitude_m);
-  hash_pod(h, c.carrier_hz);
-  hash_pod(h, c.base_rate_bps);
-  hash_pod(h, c.min_service_sinr_db);
-  hash_pod(h, c.commuter_fraction);
+  geo::Fnv1a h(kDigestBasis);
+  h.pod(c.seed);
+  h.pod(c.hours);
+  h.pod(c.epochs_per_hour);
+  h.pod(static_cast<std::uint64_t>(c.n_ues));
+  h.pod(c.cells_per_side);
+  h.pod(c.area_m);
+  h.pod(c.cell_altitude_m);
+  h.pod(c.carrier_hz);
+  h.pod(c.base_rate_bps);
+  h.pod(c.min_service_sinr_db);
+  h.pod(c.commuter_fraction);
   // Fleet template (resume-relevant radio/mobility knobs).
-  hash_pod(h, c.fleet.cell_tx_power_dbm);
-  hash_pod(h, c.fleet.cell_antenna_gain_dbi);
-  hash_pod(h, c.fleet.ue_antenna_gain_dbi);
-  hash_pod(h, c.fleet.bandwidth_hz);
-  hash_pod(h, c.fleet.ue_noise_figure_db);
-  hash_pod(h, c.fleet.ttis_per_epoch);
-  hash_pod(h, c.fleet.a3.offset_db);
-  hash_pod(h, c.fleet.a3.hysteresis_db);
-  hash_pod(h, c.fleet.a3.time_to_trigger_epochs);
-  hash_pod(h, c.fleet.a3.pingpong_window_epochs);
-  hash_pod(h, c.fleet.steering.enabled);
-  hash_pod(h, c.fleet.steering.period_epochs);
-  hash_pod(h, c.fleet.steering.step_db);
-  hash_pod(h, c.fleet.steering.max_cio_db);
-  hash_pod(h, c.fleet.steering.util_deadband);
+  h.pod(c.fleet.cell_tx_power_dbm);
+  h.pod(c.fleet.cell_antenna_gain_dbi);
+  h.pod(c.fleet.ue_antenna_gain_dbi);
+  h.pod(c.fleet.bandwidth_hz);
+  h.pod(c.fleet.ue_noise_figure_db);
+  h.pod(c.fleet.ttis_per_epoch);
+  h.pod(c.fleet.a3.offset_db);
+  h.pod(c.fleet.a3.hysteresis_db);
+  h.pod(c.fleet.a3.time_to_trigger_epochs);
+  h.pod(c.fleet.a3.pingpong_window_epochs);
+  h.pod(c.fleet.steering.enabled);
+  h.pod(c.fleet.steering.period_epochs);
+  h.pod(c.fleet.steering.step_db);
+  h.pod(c.fleet.steering.max_cio_db);
+  h.pod(c.fleet.steering.util_deadband);
   // Commute windows/clusters (area + seed are campaign-resolved).
-  hash_pod(h, c.commute.street_pitch_x_m);
-  hash_pod(h, c.commute.street_pitch_y_m);
-  hash_pod(h, c.commute.residential_clusters);
-  hash_pod(h, c.commute.office_clusters);
-  hash_pod(h, c.commute.cluster_radius_m);
-  hash_pod(h, c.commute.morning_start_h);
-  hash_pod(h, c.commute.morning_end_h);
-  hash_pod(h, c.commute.evening_start_h);
-  hash_pod(h, c.commute.evening_end_h);
-  hash_pod(h, c.diurnal.night_floor);
-  hash_pod(h, c.diurnal.morning_peak_h);
-  hash_pod(h, c.diurnal.morning_level);
-  hash_pod(h, c.diurnal.morning_width_h);
-  hash_pod(h, c.diurnal.evening_peak_h);
-  hash_pod(h, c.diurnal.evening_level);
-  hash_pod(h, c.diurnal.evening_width_h);
-  hash_pod(h, static_cast<std::uint64_t>(c.weather.size()));
+  h.pod(c.commute.street_pitch_x_m);
+  h.pod(c.commute.street_pitch_y_m);
+  h.pod(c.commute.residential_clusters);
+  h.pod(c.commute.office_clusters);
+  h.pod(c.commute.cluster_radius_m);
+  h.pod(c.commute.morning_start_h);
+  h.pod(c.commute.morning_end_h);
+  h.pod(c.commute.evening_start_h);
+  h.pod(c.commute.evening_end_h);
+  h.pod(c.diurnal.night_floor);
+  h.pod(c.diurnal.morning_peak_h);
+  h.pod(c.diurnal.morning_level);
+  h.pod(c.diurnal.morning_width_h);
+  h.pod(c.diurnal.evening_peak_h);
+  h.pod(c.diurnal.evening_level);
+  h.pod(c.diurnal.evening_width_h);
+  h.pod(static_cast<std::uint64_t>(c.weather.size()));
   for (const WeatherFront& w : c.weather) {
-    hash_pod(h, w.start_h);
-    hash_pod(h, w.end_h);
-    hash_pod(h, w.snr_sag_db);
+    h.pod(w.start_h);
+    h.pod(w.end_h);
+    h.pod(w.snr_sag_db);
   }
-  hash_pod(h, static_cast<std::uint64_t>(c.crowds.size()));
+  h.pod(static_cast<std::uint64_t>(c.crowds.size()));
   for (const FlashCrowd& fc : c.crowds) {
-    hash_pod(h, fc.kind);
-    hash_pod(h, fc.start_h);
-    hash_pod(h, fc.fill_h);
-    hash_pod(h, fc.hold_h);
-    hash_pod(h, fc.drain_h);
-    hash_pod(h, fc.center.x);
-    hash_pod(h, fc.center.y);
-    hash_pod(h, fc.radius_m);
-    hash_pod(h, fc.ue_fraction);
-    hash_pod(h, fc.rate_boost);
+    h.pod(fc.kind);
+    h.pod(fc.start_h);
+    h.pod(fc.fill_h);
+    h.pod(fc.hold_h);
+    h.pod(fc.drain_h);
+    h.pod(fc.center.x);
+    h.pod(fc.center.y);
+    h.pod(fc.radius_m);
+    h.pod(fc.ue_fraction);
+    h.pod(fc.rate_boost);
   }
-  hash_pod(h, c.depot.battery.capacity_wh);
-  hash_pod(h, c.depot.battery.hover_power_w);
-  hash_pod(h, c.depot.battery.forward_power_w_per_mps);
-  hash_pod(h, c.depot.reserve_fraction);
-  hash_pod(h, c.depot.swap_epochs);
-  hash_pod(h, c.depot.swap_energy_wh);
-  hash_pod(h, c.depot.position.x);
-  hash_pod(h, c.depot.position.y);
-  hash_pod(h, c.depot.position.z);
+  h.pod(c.depot.battery.capacity_wh);
+  h.pod(c.depot.battery.hover_power_w);
+  h.pod(c.depot.battery.forward_power_w_per_mps);
+  h.pod(c.depot.reserve_fraction);
+  h.pod(c.depot.swap_epochs);
+  h.pod(c.depot.swap_energy_wh);
+  h.pod(c.depot.position.x);
+  h.pod(c.depot.position.y);
+  h.pod(c.depot.position.z);
   // threads deliberately excluded: worker count is resume-neutral.
-  return h;
+  return h.value();
 }
 
 std::uint64_t hour_digest(const HourReport& hour) {
-  std::uint64_t h = kFnvOffset;
-  hash_hour(h, hour);
-  return h;
+  geo::Fnv1a h(kDigestBasis);
+  write_hour(h, hour);
+  return h.value();
 }
 
 std::uint64_t campaign_digest(const CampaignReport& report) {
-  std::uint64_t h = kFnvOffset;
-  hash_pod(h, report.seed);
-  hash_pod(h, report.hours);
-  hash_pod(h, report.epochs);
-  hash_pod(h, static_cast<std::uint64_t>(report.n_ues));
-  hash_pod(h, static_cast<std::uint64_t>(report.n_cells));
-  hash_pod(h, report.offered_bits);
-  hash_pod(h, report.served_bits);
-  hash_pod(h, report.availability);
-  hash_pod(h, report.min_hour_availability);
-  hash_pod(h, report.energy_wh);
-  hash_pod(h, report.energy_wh_per_gbit);
-  hash_pod(h, report.handovers);
-  hash_pod(h, report.pingpongs);
-  hash_pod(h, report.steering_steps);
-  hash_pod(h, report.swaps);
-  hash_pod(h, report.depot_epochs);
-  for (const HourReport& hr : report.by_hour) hash_hour(h, hr);
-  return h;
+  geo::Fnv1a h(kDigestBasis);
+  h.pod(report.seed);
+  h.pod(report.hours);
+  h.pod(report.epochs);
+  h.pod(static_cast<std::uint64_t>(report.n_ues));
+  h.pod(static_cast<std::uint64_t>(report.n_cells));
+  h.pod(report.offered_bits);
+  h.pod(report.served_bits);
+  h.pod(report.availability);
+  h.pod(report.min_hour_availability);
+  h.pod(report.energy_wh);
+  h.pod(report.energy_wh_per_gbit);
+  h.pod(report.handovers);
+  h.pod(report.pingpongs);
+  h.pod(report.steering_steps);
+  h.pod(report.swaps);
+  h.pod(report.depot_epochs);
+  for (const HourReport& hr : report.by_hour) write_hour(h, hr);
+  return h.value();
 }
 
 Campaign::Campaign(CampaignConfig config)
@@ -465,44 +427,36 @@ CampaignReport Campaign::run() {
   return report();
 }
 
-std::uint64_t Campaign::state_hash() const {
-  std::uint64_t h = kFnvOffset;
-  hash_pod(h, hour_);
+template <class Sink>
+void Campaign::write_state(Sink& sink) const {
+  sink.pod(hour_);
   for (std::size_t c = 0; c < battery_.size(); ++c) {
-    const double wh = battery_[c].remaining_wh();
-    hash_pod(h, wh);
-    hash_pod(h, swap_left_[c]);
+    sink.pod(battery_[c].remaining_wh());
+    sink.pod(swap_left_[c]);
   }
-  hash_pod(h, energy_wh_);
-  hash_pod(h, swaps_);
-  hash_pod(h, depot_epochs_);
-  hash_pod(h, served_samples_);
-  hash_pod(h, total_samples_);
-  for (const HourReport& hr : by_hour_) hash_hour(h, hr);
-  const std::uint64_t fleet_hash = fleet_.state_hash();
-  hash_pod(h, fleet_hash);
-  return h;
+  sink.pod(energy_wh_);
+  sink.pod(swaps_);
+  sink.pod(depot_epochs_);
+  sink.pod(served_samples_);
+  sink.pod(total_samples_);
+  for (const HourReport& hr : by_hour_) write_hour(sink, hr);
+}
+
+std::uint64_t Campaign::state_hash() const {
+  // The fleet enters as its state_hash(), not its bytes: examples/
+  // campaign_mini prints this value and its golden output pins it.
+  geo::Fnv1a h(kDigestBasis);
+  write_state(h);
+  h.pod(fleet_.state_hash());
+  return h.value();
 }
 
 void Campaign::save(std::ostream& os) const {
   geo::BinWriter w;
   w.pod(config_digest(config_));
-  w.pod(hour_);
   w.pod(static_cast<std::uint64_t>(battery_.size()));
-  for (std::size_t c = 0; c < battery_.size(); ++c) {
-    w.pod(battery_[c].remaining_wh());
-    w.pod(swap_left_[c]);
-  }
-  w.pod(energy_wh_);
-  w.pod(swaps_);
-  w.pod(depot_epochs_);
-  w.pod(served_samples_);
-  w.pod(total_samples_);
-  w.pod(static_cast<std::uint64_t>(by_hour_.size()));
-  for (const HourReport& hr : by_hour_) write_hour(w, hr);
-  std::ostringstream fleet_bytes;
-  fleet_.save(fleet_bytes);
-  w.str(fleet_bytes.str());
+  write_state(w);
+  fleet_.write_state(w);
   geo::write_envelope(os, kMagic, kVersion, w);
 }
 
@@ -515,47 +469,49 @@ void Campaign::restore(std::istream& is) {
         "Campaign::restore: saved state belongs to a different campaign "
         "(config fingerprint mismatch)");
   }
-  const int hour = r.pod<int>();
-  if (hour < 0 || hour > config_.hours) {
-    throw CampaignStateMismatch("Campaign::restore: hour counter out of range");
-  }
   const auto n_cells = r.pod<std::uint64_t>();
   if (n_cells != battery_.size()) {
     throw CampaignStateMismatch("Campaign::restore: cell population mismatch");
   }
+  const int hour = r.pod<int>();
+  if (hour < 0 || hour > config_.hours) {
+    throw CampaignStateMismatch("Campaign::restore: hour counter out of range");
+  }
+  // Fields a valid save cannot hold are corrupt: reject them here, before
+  // anything is committed, rather than as a contract failure mid-commit.
+  const auto corrupt_unless = [](bool ok, const char* what) {
+    if (!ok) throw geo::BinCorruptError(std::string("Campaign::restore: ") + what);
+  };
   std::vector<double> batt_wh(n_cells);
   std::vector<std::int32_t> swap(n_cells);
   for (std::uint64_t c = 0; c < n_cells; ++c) {
     batt_wh[c] = r.pod<double>();
     swap[c] = r.pod<std::int32_t>();
+    corrupt_unless(std::isfinite(batt_wh[c]) && batt_wh[c] >= 0.0,
+                   "battery energy must be finite and >= 0");
+    corrupt_unless(swap[c] >= 0 && swap[c] <= config_.depot.swap_epochs,
+                   "swap epochs left out of range");
   }
   const double energy_wh = r.pod<double>();
+  corrupt_unless(std::isfinite(energy_wh), "energy must be finite");
   const auto swaps = r.pod<std::uint64_t>();
   const auto depot_epochs = r.pod<std::uint64_t>();
   const auto served_samples = r.pod<std::uint64_t>();
   const auto total_samples = r.pod<std::uint64_t>();
-  const auto n_hours = r.pod<std::uint64_t>();
-  if (n_hours != static_cast<std::uint64_t>(hour)) {
-    throw CampaignStateMismatch("Campaign::restore: hour rows disagree with hour counter");
-  }
-  std::vector<HourReport> rows;
-  rows.reserve(n_hours);
-  for (std::uint64_t i = 0; i < n_hours; ++i) rows.push_back(read_hour(r));
-  const std::string fleet_blob = r.str();
-  if (!r.done()) {
-    throw CampaignStateMismatch("Campaign::restore: trailing bytes after last field");
-  }
+  corrupt_unless(served_samples <= total_samples, "more served samples than samples");
+  std::vector<HourReport> rows;  // one per hour run
+  rows.reserve(static_cast<std::size_t>(hour));
+  for (int i = 0; i < hour; ++i) rows.push_back(read_hour(r));
 
-  // Strong exception safety: rebuild the fleet into a fresh object and only
-  // commit once the nested envelope verifies, so a checkpoint walker can
-  // fall back to an older generation after any throw above or below.
+  // Strong exception safety: the fleet state that ends the payload restores
+  // into a fresh fleet, committed only after it verifies, so a checkpoint
+  // walker can fall back to an older generation after any throw.
   fleet::Fleet fresh = make_fleet();
   for (const geo::Vec3& s : station_) fresh.add_cell(s);
   for (std::size_t i = 0; i < config_.n_ues; ++i) {
     fresh.add_ue(ue_position_at(i, 0.0), base_spec_[i]);
   }
-  std::istringstream fleet_in(fleet_blob);
-  fresh.restore(fleet_in);
+  fresh.read_state(r);
 
   fleet_ = std::move(fresh);
   hour_ = hour;
@@ -594,13 +550,20 @@ std::optional<int> CampaignCheckpointer::restore_latest(Campaign& campaign) {
       SKYRAN_COUNTER_INC("campaign.ckpt.rejected");
       continue;
     }
+    const auto reject = [&](const std::exception& e) {
+      last_errors_.push_back(it->filename().string() + ": " + e.what());
+      SKYRAN_COUNTER_INC("campaign.ckpt.rejected");
+    };
     try {
       campaign.restore(is);
       SKYRAN_COUNTER_INC("campaign.ckpt.restores");
       return store_.generation_of(*it);
-    } catch (const std::exception& e) {
-      last_errors_.push_back(it->filename().string() + ": " + e.what());
-      SKYRAN_COUNTER_INC("campaign.ckpt.rejected");
+    } catch (const geo::BinFormatError& e) {
+      reject(e);
+    } catch (const CampaignStateMismatch& e) {
+      reject(e);
+    } catch (const fleet::FleetStateMismatch& e) {
+      reject(e);
     }
   }
   return std::nullopt;

@@ -186,23 +186,29 @@ class Campaign {
     return battery_[cell].remaining_fraction();
   }
 
-  /// FNV-1a over exactly the state save() persists (including the nested
-  /// fleet hash): two campaigns resume bit-identically iff hashes match.
+  /// FNV-1a over write_state(), then the fleet's state_hash(): two
+  /// campaigns resume bit-identically iff hashes match.
   std::uint64_t state_hash() const;
 
-  /// One CRC-guarded geo::binio envelope (magic "SKYD"): config
-  /// fingerprint, hour counter, logistics state, per-hour rows, and the
-  /// nested fleet envelope.
+  /// One CRC-guarded geo::binio envelope (magic "SKYD", version 2): config
+  /// fingerprint and cell count, then write_state(), then the fleet's
+  /// write_state() inline.
   void save(std::ostream& os) const;
 
   /// Restore into a campaign constructed with an identical config
   /// (fingerprint-checked). Strong exception safety: on any throw —
-  /// geo::binio errors, CampaignStateMismatch, fleet errors — *this is
-  /// unchanged, so a checkpoint walker can fall back to an older
-  /// generation.
+  /// geo::binio errors (version 1 and out-of-range fields included),
+  /// CampaignStateMismatch, fleet errors — *this is unchanged, so a
+  /// checkpoint walker can fall back to an older generation.
   void restore(std::istream& is);
 
  private:
+  /// The persisted campaign state, into a geo::BinWriter or a geo::Fnv1a:
+  /// hour counter, per-cell logistics (Wh, swap epochs left), totals and
+  /// one row per hour run.
+  template <class Sink>
+  void write_state(Sink& sink) const;
+
   fleet::Fleet make_fleet() const;
   geo::Vec3 ue_position_at(std::size_t ue, double hour_of_day) const;
   void step_logistics(double epoch_s, HourReport& hr);

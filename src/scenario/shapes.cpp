@@ -4,23 +4,14 @@
 #include <cmath>
 
 #include "geo/contract.hpp"
+#include "geo/hash.hpp"
 
 namespace skyran::scenario {
 
 namespace {
 
-// splitmix64 finalizer (same mixer as the traffic plane's counter RNG).
-std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
-double u01(std::uint64_t seed, std::uint64_t stream, std::uint64_t ue) {
-  const std::uint64_t h = mix64(seed ^ mix64(stream ^ mix64(ue)));
-  return static_cast<double>(h >> 11) * 0x1.0p-53;
-}
+using geo::mix64;
+using geo::u01;
 
 constexpr std::uint64_t kStreamAttend = 0x201;
 constexpr std::uint64_t kStreamSpotR = 0x202;
