@@ -137,7 +137,7 @@ void Snapshot::save(std::ostream& os) const {
   {
     std::ostringstream store_bytes;
     store.save(store_bytes);
-    w.str(store_bytes.str());
+    w.str(std::move(store_bytes).str());
   }
   w.pod(static_cast<std::uint64_t>(history.size()));
   for (const HistoryEntry& e : history) {
@@ -320,7 +320,7 @@ std::filesystem::path SnapshotManager::save(const Snapshot& snapshot) {
   SKYRAN_TRACE_SPAN("ckpt.save");
   std::ostringstream buf;
   snapshot.save(buf);
-  const std::string bytes = buf.str();
+  const std::string bytes = std::move(buf).str();
   const std::filesystem::path final_path = store_.save(snapshot.epoch, bytes);
   SKYRAN_COUNTER_INC("ckpt.saves");
   SKYRAN_GAUGE_SET("ckpt.bytes", static_cast<double>(bytes.size()));

@@ -535,7 +535,7 @@ CampaignCheckpointer::CampaignCheckpointer(std::filesystem::path dir, int keep)
 std::filesystem::path CampaignCheckpointer::save(const Campaign& campaign) {
   std::ostringstream os;
   campaign.save(os);
-  const std::filesystem::path path = store_.save(campaign.hours_run(), os.str());
+  const std::filesystem::path path = store_.save(campaign.hours_run(), std::move(os).str());
   SKYRAN_COUNTER_INC("campaign.ckpt.saves");
   return path;
 }

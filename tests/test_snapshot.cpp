@@ -44,11 +44,15 @@ core::Snapshot from_bytes(const std::string& bytes) {
 
 /// A short campaign (3 epochs) whose snapshot exercises every section:
 /// non-empty store, multi-entry history, drained battery, advanced RNG.
+/// The campaign runs once per binary; each caller gets its own copy.
 core::Snapshot sample_snapshot() {
-  sim::World world(testcampaign::world_config());
-  core::SkyRan skyran(world, testcampaign::skyran_config(1), testcampaign::kCampaignSeed);
-  testcampaign::run_epochs(skyran, world, 3);
-  return skyran.snapshot();
+  static const core::Snapshot sample = [] {
+    sim::World world(testcampaign::world_config());
+    core::SkyRan skyran(world, testcampaign::skyran_config(1), testcampaign::kCampaignSeed);
+    testcampaign::run_epochs(skyran, world, 3);
+    return skyran.snapshot();
+  }();
+  return sample;
 }
 
 /// The element counts of a snapshot payload, in stream order.
