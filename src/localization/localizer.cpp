@@ -1,6 +1,7 @@
 #include "localization/localizer.hpp"
 
 #include "geo/contract.hpp"
+#include "localization/multilateration.hpp"
 #include "obs/obs.hpp"
 #include "uav/trajectory.hpp"
 
@@ -49,9 +50,6 @@ LocalizationRun UeLocalizer::localize(geo::Vec2 start, std::vector<geo::Vec3> tr
     ue_altitudes.push_back(true_ue_positions[i].z);
   }
 
-  JointOptions joint;
-  joint.per_ue = config_.solver;
-  joint.per_ue.seed = seed ^ 0x51ab5ULL;
   // Degraded path: when no UE kept enough tuples (total SRS loss, a GPS
   // outage covering the flight, the quality gate rejecting everything), the
   // joint solver has nothing to share an offset over. Skip it and report
@@ -62,7 +60,7 @@ LocalizationRun UeLocalizer::localize(geo::Vec2 start, std::vector<geo::Vec3> tr
   JointMultilaterationResult fit;
   fit.per_ue.resize(true_ue_positions.size());
   if (usable_ues > 0) {
-    fit = multilaterate_joint(per_ue_tuples, area, ue_altitudes, joint);
+    fit = multilaterate_joint(per_ue_tuples, area, ue_altitudes);
   } else {
     SKYRAN_COUNTER_INC("fault.loc.no_usable_ue");
   }

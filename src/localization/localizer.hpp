@@ -7,7 +7,6 @@
 #include <memory>
 #include <vector>
 
-#include "localization/multilateration.hpp"
 #include "localization/pipeline.hpp"
 #include "rf/channel.hpp"
 #include "terrain/terrain.hpp"
@@ -16,7 +15,6 @@ namespace skyran::localization {
 
 struct LocalizerConfig {
   RangingConfig ranging{};
-  MultilaterationOptions solver{};
   double flight_length_m = 30.0;  ///< error flattens ~20-30 m (paper Fig. 19)
   /// Leg length of the random walk; two to three legs per flight keeps the
   /// spatial aperture (what localization geometry cares about) close to the

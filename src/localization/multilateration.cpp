@@ -4,8 +4,6 @@
 #include <array>
 #include <cmath>
 #include <limits>
-#include <optional>
-#include <random>
 
 #include "geo/contract.hpp"
 #include "geo/stats.hpp"
@@ -15,20 +13,33 @@ namespace skyran::localization {
 
 namespace {
 
-struct FitState {
-  geo::Vec2 u;
-  double b = 0.0;
-};
+constexpr int kMaxIterations = 60;      ///< Gauss-Newton iterations per start
+constexpr double kConvergenceM = 1e-4;  ///< stop when the update step is below this
+constexpr double kHuberDeltaM = 8.0;    ///< residuals beyond this are down-weighted
+constexpr int kStartGrid = 15;          ///< start candidates: kStartGrid^2 over the area
+constexpr std::size_t kStarts = 6;      ///< best-scoring candidates fitted
+constexpr double kOffsetMinM = -30.0;   ///< shared-offset scan range and step
+constexpr double kOffsetMaxM = 150.0;
+constexpr double kOffsetStepM = 1.0;
+/// Bench-calibration prior on the processing-delay offset. The payload's
+/// ToF processing delay is a constant of the hardware/software chain that is
+/// calibrated once on the ground; in flight it may drift, so the scan treats
+/// the calibration as a Gaussian prior that the SRS data refines. Without
+/// it, a short flight aperture leaves the offset unidentifiable (wavefront
+/// curvature over a 20 m aperture is ~1 m at typical ranges, below the ToF
+/// noise).
+constexpr double kOffsetPriorM = 40.0;
+constexpr double kOffsetPriorSigmaM = 12.0;
 
 double huber_weight(double r, double delta) {
   const double ar = std::abs(r);
   return ar <= delta ? 1.0 : delta / ar;
 }
 
-double rms_residual(std::span<const GpsTofTuple> tuples, const FitState& s, double ue_z) {
+double rms_residual(std::span<const GpsTofTuple> tuples, geo::Vec2 u, double b, double ue_z) {
   double sq = 0.0;
   for (const GpsTofTuple& t : tuples) {
-    const double r = t.uav_position.dist(geo::Vec3{s.u, ue_z}) + s.b - t.range_m;
+    const double r = t.uav_position.dist(geo::Vec3{u, ue_z}) + b - t.range_m;
     sq += r * r;
   }
   return std::sqrt(sq / static_cast<double>(tuples.size()));
@@ -36,152 +47,112 @@ double rms_residual(std::span<const GpsTofTuple> tuples, const FitState& s, doub
 
 /// Robust per-UE cost: median absolute residual (insensitive to NLOS
 /// outlier tuples).
-double median_abs_residual(std::span<const GpsTofTuple> tuples, const FitState& s,
+double median_abs_residual(std::span<const GpsTofTuple> tuples, geo::Vec2 u, double b,
                            double ue_z) {
   std::vector<double> abs_r;
   abs_r.reserve(tuples.size());
   for (const GpsTofTuple& t : tuples)
-    abs_r.push_back(
-        std::abs(t.uav_position.dist(geo::Vec3{s.u, ue_z}) + s.b - t.range_m));
+    abs_r.push_back(std::abs(t.uav_position.dist(geo::Vec3{u, ue_z}) + b - t.range_m));
   return geo::median(abs_r);
 }
 
-/// Median of (range - distance) over tuples: the L1-optimal constant offset
-/// for a candidate position.
-double median_excess(std::span<const GpsTofTuple> tuples, geo::Vec2 u, double ue_z) {
-  std::vector<double> excess;
-  excess.reserve(tuples.size());
-  for (const GpsTofTuple& t : tuples)
-    excess.push_back(t.range_m - t.uav_position.dist(geo::Vec3{u, ue_z}));
-  std::nth_element(excess.begin(), excess.begin() + excess.size() / 2, excess.end());
-  return excess[excess.size() / 2];
-}
+using Mat2 = std::array<std::array<double, 2>, 2>;
 
-/// Solve the n x n system A x = b in place by Gaussian elimination with
-/// partial pivoting (n <= 3 here). Returns false when singular.
-template <int N>
-bool solve_dense(std::array<std::array<double, N>, N> a, std::array<double, N> b,
-                 std::array<double, N>& x) {
-  for (int col = 0; col < N; ++col) {
+/// Solve the 2 x 2 system A x = b by Gaussian elimination with partial
+/// pivoting. Returns false when singular.
+bool solve_2x2(Mat2 a, std::array<double, 2> b, std::array<double, 2>& x) {
+  for (int col = 0; col < 2; ++col) {
     int pivot = col;
-    for (int r = col + 1; r < N; ++r)
+    for (int r = col + 1; r < 2; ++r)
       if (std::abs(a[r][col]) > std::abs(a[pivot][col])) pivot = r;
     if (std::abs(a[pivot][col]) < 1e-12) return false;
     std::swap(a[col], a[pivot]);
     std::swap(b[col], b[pivot]);
-    for (int r = col + 1; r < N; ++r) {
+    for (int r = col + 1; r < 2; ++r) {
       const double f = a[r][col] / a[col][col];
-      for (int c = col; c < N; ++c) a[r][c] -= f * a[col][c];
+      for (int c = col; c < 2; ++c) a[r][c] -= f * a[col][c];
       b[r] -= f * b[col];
     }
   }
-  for (int r = N - 1; r >= 0; --r) {
+  for (int r = 1; r >= 0; --r) {
     double s = b[r];
-    for (int c = r + 1; c < N; ++c) s -= a[r][c] * x[c];
+    for (int c = r + 1; c < 2; ++c) s -= a[r][c] * x[c];
     x[r] = s / a[r][r];
   }
   return true;
 }
 
-/// Gauss-Newton with Huber weights from one start. When `fit_offset` is
-/// false, b stays fixed and only (x, y) is solved (2x2 system).
-MultilaterationResult fit_from(std::span<const GpsTofTuple> tuples, FitState s, geo::Rect area,
-                               double ue_z, bool fit_offset,
-                               const MultilaterationOptions& opt) {
+/// Gauss-Newton over (x, y) with Huber weights from one start; b stays fixed.
+MultilaterationResult fit_from(std::span<const GpsTofTuple> tuples, geo::Vec2 u, double b,
+                               geo::Rect area, double ue_z) {
   MultilaterationResult out;
-  for (int it = 0; it < opt.max_iterations; ++it) {
-    std::array<std::array<double, 3>, 3> jtj{};
-    std::array<double, 3> jtr{};
+  for (int it = 0; it < kMaxIterations; ++it) {
+    Mat2 jtj{};
+    std::array<double, 2> jtr{};
     for (const GpsTofTuple& t : tuples) {
-      const geo::Vec3 ue{s.u, ue_z};
-      const double dist = std::max(1e-6, t.uav_position.dist(ue));
-      const double r = dist + s.b - t.range_m;
-      const double w = huber_weight(r, opt.huber_delta_m);
-      const std::array<double, 3> j{(s.u.x - t.uav_position.x) / dist,
-                                    (s.u.y - t.uav_position.y) / dist, 1.0};
-      const int dims = fit_offset ? 3 : 2;
-      for (int a = 0; a < dims; ++a) {
-        for (int c = 0; c < dims; ++c) jtj[a][c] += w * j[a] * j[c];
+      const double dist = std::max(1e-6, t.uav_position.dist(geo::Vec3{u, ue_z}));
+      const double r = dist + b - t.range_m;
+      const double w = huber_weight(r, kHuberDeltaM);
+      const std::array<double, 2> j{(u.x - t.uav_position.x) / dist,
+                                    (u.y - t.uav_position.y) / dist};
+      for (int a = 0; a < 2; ++a) {
+        for (int c = 0; c < 2; ++c) jtj[a][c] += w * j[a] * j[c];
         jtr[a] += w * j[a] * r;
       }
     }
-
-    double step_norm = 0.0;
-    if (fit_offset) {
-      for (int a = 0; a < 3; ++a) jtj[a][a] += 1e-6;  // Levenberg damping
-      std::array<double, 3> step{};
-      if (!solve_dense<3>(jtj, jtr, step)) break;
-      s.u.x -= step[0];
-      s.u.y -= step[1];
-      s.b -= step[2];
-      step_norm = std::sqrt(step[0] * step[0] + step[1] * step[1] + step[2] * step[2]);
-    } else {
-      std::array<std::array<double, 2>, 2> a2{{{jtj[0][0] + 1e-6, jtj[0][1]},
-                                               {jtj[1][0], jtj[1][1] + 1e-6}}};
-      std::array<double, 2> b2{jtr[0], jtr[1]};
-      std::array<double, 2> step{};
-      if (!solve_dense<2>(a2, b2, step)) break;
-      s.u.x -= step[0];
-      s.u.y -= step[1];
-      step_norm = std::sqrt(step[0] * step[0] + step[1] * step[1]);
-    }
-    s.u = area.clamp(s.u);
+    for (int a = 0; a < 2; ++a) jtj[a][a] += 1e-6;  // Levenberg damping
+    std::array<double, 2> step{};
+    if (!solve_2x2(jtj, jtr, step)) break;
+    u.x -= step[0];
+    u.y -= step[1];
+    u = area.clamp(u);
     out.iterations = it + 1;
-    if (step_norm < opt.convergence_m) {
-      out.converged = true;
-      break;
-    }
+    if (std::sqrt(step[0] * step[0] + step[1] * step[1]) < kConvergenceM) break;
   }
-  out.position = s.u;
-  out.offset_m = s.b;
-  out.rms_residual_m = rms_residual(tuples, s, ue_z);
+  out.position = u;
+  out.offset_m = b;
+  out.rms_residual_m = rms_residual(tuples, u, b, ue_z);
   return out;
 }
 
-/// Grid of candidate starts over the search area, scored by robust cost.
-std::vector<FitState> grid_starts(std::span<const GpsTofTuple> tuples, geo::Rect area,
-                                  double ue_z, std::optional<double> fixed_b,
-                                  std::size_t keep) {
+/// The kStarts best of a kStartGrid^2 grid of candidate starts over the
+/// search area, scored by robust cost.
+std::vector<geo::Vec2> grid_starts(std::span<const GpsTofTuple> tuples, geo::Rect area,
+                                   double b, double ue_z) {
   struct Scored {
-    FitState state;
+    geo::Vec2 u;
     double cost;
   };
   std::vector<Scored> scored;
-  constexpr int kGrid = 15;
-  scored.reserve(kGrid * kGrid);
-  for (int gy = 0; gy < kGrid; ++gy) {
-    for (int gx = 0; gx < kGrid; ++gx) {
-      FitState s;
-      s.u = {area.min.x + (gx + 0.5) / kGrid * area.width(),
-             area.min.y + (gy + 0.5) / kGrid * area.height()};
-      s.b = fixed_b ? *fixed_b : median_excess(tuples, s.u, ue_z);
-      scored.push_back({s, median_abs_residual(tuples, s, ue_z)});
+  scored.reserve(kStartGrid * kStartGrid);
+  for (int gy = 0; gy < kStartGrid; ++gy) {
+    for (int gx = 0; gx < kStartGrid; ++gx) {
+      const geo::Vec2 u{area.min.x + (gx + 0.5) / kStartGrid * area.width(),
+                        area.min.y + (gy + 0.5) / kStartGrid * area.height()};
+      scored.push_back({u, median_abs_residual(tuples, u, b, ue_z)});
     }
   }
   std::sort(scored.begin(), scored.end(),
-            [](const Scored& a, const Scored& b) { return a.cost < b.cost; });
-  std::vector<FitState> out;
-  for (std::size_t i = 0; i < std::min(keep, scored.size()); ++i)
-    out.push_back(scored[i].state);
+            [](const Scored& x, const Scored& y) { return x.cost < y.cost; });
+  std::vector<geo::Vec2> out;
+  for (std::size_t i = 0; i < kStarts; ++i) out.push_back(scored[i].u);
   return out;
 }
 
-MultilaterationResult best_fit(std::span<const GpsTofTuple> tuples, geo::Rect area,
-                               double ue_z, std::optional<double> fixed_b,
-                               const MultilaterationOptions& options) {
-  expects(tuples.size() >= 4, "multilaterate: need at least 4 GPS-ToF tuples");
-  expects(options.restarts >= 1, "multilaterate: need at least one start");
-  const std::vector<FitState> starts =
-      grid_starts(tuples, area, ue_z, fixed_b, static_cast<std::size_t>(options.restarts));
+}  // namespace
 
+MultilaterationResult multilaterate_fixed_offset(std::span<const GpsTofTuple> tuples,
+                                                 geo::Rect search_area, double ue_altitude_m,
+                                                 double offset_m) {
+  expects(tuples.size() >= 4, "multilaterate_fixed_offset: need at least 4 GPS-ToF tuples");
   MultilaterationResult best;
   bool have_best = false;
   double best_cost = 0.0;
-  for (const FitState& s : starts) {
+  for (const geo::Vec2 u : grid_starts(tuples, search_area, offset_m, ue_altitude_m)) {
     const MultilaterationResult candidate =
-        fit_from(tuples, s, area, ue_z, !fixed_b.has_value(), options);
-    const double cost = median_abs_residual(
-        tuples, FitState{candidate.position, candidate.offset_m}, ue_z);
+        fit_from(tuples, u, offset_m, search_area, ue_altitude_m);
+    const double cost =
+        median_abs_residual(tuples, candidate.position, candidate.offset_m, ue_altitude_m);
     if (!have_best || cost < best_cost) {
       best = candidate;
       best_cost = cost;
@@ -191,32 +162,12 @@ MultilaterationResult best_fit(std::span<const GpsTofTuple> tuples, geo::Rect ar
   return best;
 }
 
-}  // namespace
-
-MultilaterationResult multilaterate(std::span<const GpsTofTuple> tuples, geo::Rect search_area,
-                                    double ue_altitude_m,
-                                    const MultilaterationOptions& options) {
-  return best_fit(tuples, search_area, ue_altitude_m, std::nullopt, options);
-}
-
-MultilaterationResult multilaterate_fixed_offset(std::span<const GpsTofTuple> tuples,
-                                                 geo::Rect search_area, double ue_altitude_m,
-                                                 double offset_m,
-                                                 const MultilaterationOptions& options) {
-  return best_fit(tuples, search_area, ue_altitude_m, offset_m, options);
-}
-
 JointMultilaterationResult multilaterate_joint(std::span<const GpsTofSeries> per_ue_tuples,
                                                geo::Rect search_area,
-                                               std::span<const double> ue_altitudes_m,
-                                               const JointOptions& options) {
+                                               std::span<const double> ue_altitudes_m) {
   expects(!per_ue_tuples.empty(), "multilaterate_joint: need at least one UE");
   expects(per_ue_tuples.size() == ue_altitudes_m.size(),
           "multilaterate_joint: one altitude per UE required");
-  expects(options.coarse_step_m > 0.0 && options.fine_step_m > 0.0,
-          "multilaterate_joint: steps must be positive");
-  expects(options.offset_max_m > options.offset_min_m,
-          "multilaterate_joint: empty offset range");
   SKYRAN_TRACE_SPAN("loc.mlat.joint");
 
   // Per (UE, grid candidate): robust statistics of excess = range - distance.
@@ -264,17 +215,13 @@ JointMultilaterationResult multilaterate_joint(std::span<const GpsTofSeries> per
       }
       total += best;
     }
-    if (options.offset_prior_sigma_m > 0.0) {
-      const double z = (b - options.offset_prior_m) / options.offset_prior_sigma_m;
-      total += static_cast<double>(n_usable) * 0.5 * z * z;
-    }
-    return total;
+    const double z = (b - kOffsetPriorM) / kOffsetPriorSigmaM;
+    return total + static_cast<double>(n_usable) * 0.5 * z * z;
   };
 
-  double best_b = options.offset_min_m;
+  double best_b = kOffsetMinM;
   double best_cost = cost_for_offset(best_b);
-  for (double b = options.offset_min_m; b <= options.offset_max_m;
-       b += options.fine_step_m) {
+  for (double b = kOffsetMinM; b <= kOffsetMaxM; b += kOffsetStepM) {
     const double c = cost_for_offset(b);
     if (c < best_cost) {
       best_cost = c;
@@ -285,15 +232,13 @@ JointMultilaterationResult multilaterate_joint(std::span<const GpsTofSeries> per
   // Final per-UE fits at the chosen shared offset.
   JointMultilaterationResult out;
   out.shared_offset_m = best_b;
-  out.total_cost_m = best_cost;
   for (std::size_t u = 0; u < per_ue_tuples.size(); ++u) {
     if (!usable[u]) {
       out.per_ue.push_back(MultilaterationResult{});
       continue;
     }
     out.per_ue.push_back(multilaterate_fixed_offset(per_ue_tuples[u], search_area,
-                                                    ue_altitudes_m[u], best_b,
-                                                    options.per_ue));
+                                                    ue_altitudes_m[u], best_b));
     SKYRAN_HISTOGRAM_OBSERVE("loc.mlat.iterations", out.per_ue.back().iterations);
   }
   return out;

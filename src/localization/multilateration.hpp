@@ -1,83 +1,48 @@
-// Offset-incorporated multilateration (paper Sec 3.2.3): solve for the UE
-// ground position u and a constant range offset b minimizing robust
-// residuals  r_i = |p_i - u| + b - d_i  over all GPS-ToF tuples, via
-// Gauss-Newton iterations with Huber weights and multi-start initialization
-// (the paper's "least-squares formulation with gradient-descent iteration,
-// robust to noisy UAV measurements").
+// Offset-incorporated multilateration (paper Sec 3.2.3). Each GPS-ToF tuple
+// gives a range d_i = |p_i - u| + b + noise from the UAV position p_i to the
+// UE ground position u, where b is the payload's constant SRS processing
+// offset. Over a 20-30 m flight b cannot be told apart from radial UE
+// displacement per UE, so the solve is joint: one b shared by every UE,
+// chosen by a 1-D scan under a bench-calibration prior, then a fixed-offset
+// (x, y) fit per UE - Gauss-Newton with Huber weights from the best grid
+// starts (the paper's "least-squares formulation with gradient-descent
+// iteration, robust to noisy UAV measurements").
 #pragma once
 
-#include <cstdint>
 #include <span>
+#include <vector>
 
 #include "geo/rect.hpp"
 #include "localization/tuples.hpp"
 
 namespace skyran::localization {
 
-struct MultilaterationOptions {
-  int max_iterations = 60;
-  double convergence_m = 1e-4;  ///< stop when the update step is below this
-  double huber_delta_m = 8.0;  ///< residuals beyond this are down-weighted
-  int restarts = 6;             ///< multi-start count (first start = centroid)
-  std::uint64_t seed = 1;       ///< seeds the random restarts
-};
-
 struct MultilaterationResult {
   geo::Vec2 position;        ///< estimated UE ground position
-  double offset_m = 0.0;     ///< estimated constant range offset b
+  double offset_m = 0.0;     ///< the range offset b the fit used
   double rms_residual_m = 0.0;
   int iterations = 0;
-  bool converged = false;
 };
 
-/// Solve for a single UE's position with the offset b as a free unknown.
-///
-/// CAUTION: with a short flight aperture (e.g. the paper's 20 m) relative to
-/// the UE range, (x, y, b) is nearly unidentifiable for a single UE - the
-/// offset absorbs radial displacement. Use multilaterate_joint, which shares
-/// the (physically constant) processing-delay offset across all UEs, for the
-/// short localization flights of Sec 3.2.
-MultilaterationResult multilaterate(std::span<const GpsTofTuple> tuples,
-                                    geo::Rect search_area, double ue_altitude_m,
-                                    const MultilaterationOptions& options = {});
-
 /// Solve for a single UE's position with a KNOWN offset (well-conditioned:
-/// grid init + Gauss-Newton over (x, y) only).
+/// grid init + Gauss-Newton over (x, y) only). Needs at least 4 tuples.
 MultilaterationResult multilaterate_fixed_offset(std::span<const GpsTofTuple> tuples,
                                                  geo::Rect search_area, double ue_altitude_m,
-                                                 double offset_m,
-                                                 const MultilaterationOptions& options = {});
+                                                 double offset_m);
 
 struct JointMultilaterationResult {
   std::vector<MultilaterationResult> per_ue;
   double shared_offset_m = 0.0;
-  double total_cost_m = 0.0;  ///< robust (median-|residual|) cost summed over UEs
-};
-
-struct JointOptions {
-  MultilaterationOptions per_ue{};
-  double offset_min_m = -30.0;
-  double offset_max_m = 150.0;
-  double coarse_step_m = 8.0;
-  double fine_step_m = 1.0;
-  /// Bench-calibration prior on the processing-delay offset. The payload's
-  /// ToF processing delay is a constant of the hardware/software chain that
-  /// is calibrated once on the ground; in flight it may drift, so the solver
-  /// treats the calibration as a Gaussian prior that the SRS data refines.
-  /// Without it, a short flight aperture leaves the offset unidentifiable
-  /// (wavefront curvature over a 20 m aperture is ~1 m at typical ranges,
-  /// below the ToF noise). Set `offset_prior_sigma_m` <= 0 to disable.
-  double offset_prior_m = 40.0;
-  double offset_prior_sigma_m = 12.0;
 };
 
 /// Joint localization of all UEs with one shared constant range offset
 /// (the onboard ToF processing delay, constant for the system, Sec 3.2.3).
-/// A 1-D search over the offset wraps per-UE fixed-offset fits; sharing the
-/// offset across UEs in different directions breaks the radial degeneracy a
-/// short flight leaves per UE.
-JointMultilaterationResult multilaterate_joint(
-    std::span<const GpsTofSeries> per_ue_tuples, geo::Rect search_area,
-    std::span<const double> ue_altitudes_m, const JointOptions& options = {});
+/// A 1-D scan over the offset, penalized by the payload's bench calibration
+/// (40 m, sigma 12 m), wraps per-UE fixed-offset fits; sharing the offset
+/// across UEs in different directions breaks the radial degeneracy a short
+/// flight leaves per UE. UEs with fewer than 4 tuples get a default result.
+JointMultilaterationResult multilaterate_joint(std::span<const GpsTofSeries> per_ue_tuples,
+                                               geo::Rect search_area,
+                                               std::span<const double> ue_altitudes_m);
 
 }  // namespace skyran::localization

@@ -3,7 +3,6 @@
 #include <cmath>
 #include <numbers>
 
-#include "core/thread_pool.hpp"
 #include "geo/contract.hpp"
 #include "rf/units.hpp"
 
@@ -16,10 +15,9 @@ SrsSymbol apply_srs_channel(const SrsSymbol& tx, const SrsChannelParams& params,
   const std::vector<int> res = occupied_subcarriers(tx.config);
 
   // Channel response per occupied subcarrier: direct ray plus echoes. Each
-  // subcarrier writes its own FFT bin, so the sweep parallelizes with no
-  // change in numerics (the RNG-driven noise below stays serial).
-  core::parallel_for(res.size(), [&](std::size_t n) {
-    const int sc = res[n];
+  // subcarrier writes its own FFT bin. A symbol has a few hundred occupied
+  // REs, too little work to be worth a thread-pool dispatch.
+  for (const int sc : res) {
     const double f = sc * kSubcarrierSpacingHz;
     Cplx h = std::polar(1.0, -2.0 * std::numbers::pi * f * params.delay_s);
     for (const MultipathTap& tap : params.taps) {
@@ -29,7 +27,7 @@ SrsSymbol apply_srs_channel(const SrsSymbol& tx, const SrsChannelParams& params,
     }
     const std::size_t bin = fft_bin(sc, tx.config.carrier.fft_size);
     rx.freq[bin] *= h;
-  }, /*grain=*/96);
+  }
 
   // Receiver noise across the whole band. Unit-magnitude REs at `snr_db`
   // imply per-complex-dimension sigma of sqrt(1 / (2 * snr_lin)).

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <limits>
 
-#include "core/thread_pool.hpp"
 #include "geo/contract.hpp"
 #include "geo/hash.hpp"
 #include "geo/stats.hpp"
@@ -17,8 +16,8 @@ namespace {
 constexpr double kFullBufferBits = 1e12;
 
 // Counter-based randomness: every draw is a pure function of
-// (seed, stream, ue, tti), so parallel phases never share generator state
-// and serial == N-worker output is bit-for-bit identical.
+// (seed, stream, ue, tti), so no generator state is carried between UEs or
+// shared between planes served on different threads.
 enum Stream : std::uint64_t {
   kStreamBurstInit = 0x1001,
   kStreamBurst = 0x1002,
@@ -156,7 +155,7 @@ void TrafficPlane::phase1_arrivals_and_metrics(std::int64_t t) {
   const std::size_t h = static_cast<std::size_t>(config_.harq_processes);
   const std::size_t process =
       static_cast<std::size_t>(t % static_cast<std::int64_t>(h));
-  core::parallel_for(n_ues_, [&](std::size_t i) {
+  for (std::size_t i = 0; i < n_ues_; ++i) {
     switch (static_cast<TrafficModel>(model_[i])) {
       case TrafficModel::kFullBuffer:
         backlog_bits_[i] = kFullBufferBits;
@@ -216,7 +215,7 @@ void TrafficPlane::phase1_arrivals_and_metrics(std::int64_t t) {
       eligible_[i] = 0;
       metric_[i] = 0.0;
     }
-  });
+  }
 }
 
 double TrafficPlane::multicast_subframe_capacity_bits() const {
@@ -459,13 +458,13 @@ void TrafficPlane::phase3_transmit(std::int64_t t) {
 
 void TrafficPlane::phase4_decay() {
   const double alpha = config_.ewma_alpha;
-  core::parallel_for(n_ues_, [&](std::size_t i) {
+  for (std::size_t i = 0; i < n_ues_; ++i) {
     ewma_bps_[i] = (1.0 - alpha) * ewma_bps_[i] +
                    alpha * (ewma_add_[i] / kTtiSeconds);
     ewma_add_[i] = 0.0;
     if (static_cast<TrafficModel>(model_[i]) != TrafficModel::kFullBuffer)
       backlog_sum_bits_[i] += backlog_bits_[i];
-  });
+  }
 }
 
 void TrafficPlane::run_ttis(int n) {

@@ -3,19 +3,18 @@
 // HARQ), so one TTI is a handful of linear passes instead of 10^5
 // small-object updates:
 //
-//   phase 1 (parallel over UEs)  traffic arrivals, eligibility, PF metric
-//   phase 2 (serial, O(N))       PRB allocation: HARQ retransmissions first,
-//                                then round-robin / proportional-fair top-K
-//   phase 3 (serial, O(n_prb))   transmission outcomes, HARQ state machine
-//   phase 4 (parallel over UEs)  EWMA decay + queue statistics
+//   phase 1 (O(N))       traffic arrivals, eligibility, PF metric
+//   phase 2 (O(N))       PRB allocation: HARQ retransmissions first,
+//                        then round-robin / proportional-fair top-K
+//   phase 3 (O(n_prb))   transmission outcomes, HARQ state machine
+//   phase 4 (O(N))       EWMA decay + queue statistics
 //
-// The parallel passes run on core::ThreadPool; when the plane itself is
-// run from inside a parallel loop body (fleet::Fleet serves its cells in
-// parallel), phases 1 and 4 run inline on that body's thread, with the same
-// chunking. Either way they follow the repo-wide determinism contract: all
-// randomness is counter-based (hashed from (seed, stream, ue, tti), never a
-// shared generator), so serial and N-worker runs are bit-for-bit identical
-// for any worker count.
+// A plane runs serially on its caller's thread; the parallelism is one
+// level up (fleet::Fleet serves its cells in one parallel loop, one plane
+// per cell). All randomness is counter-based (hashed from (seed, stream,
+// ue, tti), never a shared generator), so a plane's output does not depend
+// on which thread serves it, and serial and N-worker runs are bit-for-bit
+// identical for any worker count.
 //
 // Modeled MAC features:
 //  - traffic models per UE: full-buffer, CBR, bursty on/off, video (GOP

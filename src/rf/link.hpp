@@ -1,6 +1,6 @@
 // Link budget: converts a path loss into SNR/RSS at the receiver. Defaults
-// follow the SkyRAN payload (Sec 4.1): USRP B210 front end with an 18 dB
-// PA/LNA chain and a 5 dBi antenna at the UAV; a handset UE at 23 dBm.
+// follow the SkyRAN payload (Sec 4.1): USRP B210 front end and a 5 dBi
+// antenna at the UAV; a handset UE at 23 dBm.
 #pragma once
 
 #include "rf/units.hpp"
@@ -11,7 +11,6 @@ struct LinkBudget {
   double tx_power_dbm = 23.0;     ///< UE uplink max power (3GPP class 3)
   double tx_antenna_gain_dbi = 0.0;
   double rx_antenna_gain_dbi = 5.0;   ///< UAV LTE antenna
-  double rx_amplifier_gain_db = 18.0; ///< payload LNA chain
   double bandwidth_hz = 10e6;
   double noise_figure_db = 7.0;
   /// Co-channel interference plus implementation margin added to the noise
@@ -19,9 +18,9 @@ struct LinkBudget {
   /// floor; this also folds in EVM/quantization losses of the SDR front end.
   double interference_margin_db = 13.0;
 
-  /// Received signal strength for a given path loss, dBm (before the LNA;
-  /// the LNA boosts signal and noise alike so it cancels in SNR but is kept
-  /// for reporting raw RSS).
+  /// Received signal strength for a given path loss, dBm, referred to the
+  /// antenna port (the payload's LNA chain boosts signal and noise alike, so
+  /// it cancels in SNR and is not modelled).
   double rss_dbm(double path_loss_db) const {
     return tx_power_dbm + tx_antenna_gain_dbi + rx_antenna_gain_dbi - path_loss_db;
   }

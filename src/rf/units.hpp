@@ -16,7 +16,6 @@ inline double db_to_linear(double db) { return std::pow(10.0, db / 10.0); }
 inline double linear_to_db(double lin) { return 10.0 * std::log10(lin); }
 
 inline double dbm_to_milliwatt(double dbm) { return db_to_linear(dbm); }
-inline double milliwatt_to_dbm(double mw) { return linear_to_db(mw); }
 
 /// Noise floor of a receiver with the given bandwidth and noise figure, dBm.
 inline double noise_floor_dbm(double bandwidth_hz, double noise_figure_db) {

@@ -233,10 +233,10 @@ TEST_P(SeedSweep, GradientMapNonNegativeAndZeroOnFlat) {
   for (const double v : flat_grad.raw()) EXPECT_DOUBLE_EQ(v, 0.0);
 }
 
-TEST_P(SeedSweep, MultilaterationRoundTripRecoversPositionAndOffset) {
+TEST_P(SeedSweep, MultilaterationRoundTripRecoversPosition) {
   // Sample a UE position and a constant processing-delay offset, synthesize
-  // ToF ranges from waypoints spread across the area (wide aperture, so
-  // (x, y, b) is identifiable), and require the solver to invert both.
+  // noisy ToF ranges from random waypoints spread across the area, and
+  // require the fixed-offset solver to invert the geometry.
   std::mt19937_64 rng(seed());
   const geo::Rect area = geo::Rect::square(300.0);
   std::uniform_real_distribution<double> u(30.0, 270.0);
@@ -252,12 +252,10 @@ TEST_P(SeedSweep, MultilaterationRoundTripRecoversPositionAndOffset) {
                       wp.dist(ue) + offset_m + noise(rng)});
   }
 
-  localization::MultilaterationOptions opts;
-  opts.seed = seed();
   const localization::MultilaterationResult fit =
-      localization::multilaterate(tuples, area, ue.z, opts);
+      localization::multilaterate_fixed_offset(tuples, area, ue.z, offset_m);
   EXPECT_NEAR(fit.position.dist(ue.xy()), 0.0, 5.0);
-  EXPECT_NEAR(fit.offset_m, offset_m, 5.0);
+  EXPECT_EQ(fit.offset_m, offset_m);
   EXPECT_LT(fit.rms_residual_m, 3.0);
 }
 
@@ -278,10 +276,8 @@ TEST_P(SeedSweep, MultilaterationCollinearWaypointsDoNotCrash) {
     tuples.push_back({static_cast<double>(i) / 50.0, wp, wp.dist(ue) + offset_m});
   }
 
-  localization::MultilaterationOptions opts;
-  opts.seed = seed();
   localization::MultilaterationResult fit;
-  ASSERT_NO_THROW(fit = localization::multilaterate(tuples, area, ue.z, opts));
+  ASSERT_NO_THROW(fit = localization::multilaterate_fixed_offset(tuples, area, ue.z, offset_m));
   EXPECT_TRUE(std::isfinite(fit.position.x));
   EXPECT_TRUE(std::isfinite(fit.position.y));
   EXPECT_TRUE(std::isfinite(fit.offset_m));
@@ -293,7 +289,7 @@ TEST_P(SeedSweep, MultilaterationCollinearWaypointsDoNotCrash) {
   // Degenerate extreme: all waypoints identical must also not crash.
   localization::GpsTofSeries same(10, {0.0, {100.0, 100.0, 60.0},
                                        geo::Vec3{100.0, 100.0, 60.0}.dist(ue) + offset_m});
-  ASSERT_NO_THROW(localization::multilaterate(same, area, ue.z, opts));
+  ASSERT_NO_THROW(localization::multilaterate_fixed_offset(same, area, ue.z, offset_m));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SeedSweep, ::testing::Values(1u, 7u, 42u, 1337u));
