@@ -8,10 +8,12 @@
 #include <random>
 
 #include "geo/contract.hpp"
+#include "geo/hash.hpp"
 #include "localization/localizer.hpp"
 #include "localization/multilateration.hpp"
 #include "localization/pipeline.hpp"
 #include "mobility/deployment.hpp"
+#include "sim/faults.hpp"
 #include "sim/world.hpp"
 #include "uav/trajectory.hpp"
 
@@ -219,6 +221,49 @@ TEST_F(PipelineFixture, EmptyOrSinglePointFlightYieldsEmptySeries) {
   EXPECT_TRUE(
       collect_gps_tof(single, ue, world_->channel(), los, world_->budget(), gps, rc, rng)
           .empty());
+}
+
+TEST_F(PipelineFixture, FaultedRayTracedTuplesPinned) {
+  // The tuples of every UE over the ray-traced campus, bit for bit, under
+  // SRS-loss, SNR-sag and GPS-outage windows. NLOS links draw multipath taps
+  // from the shared stream, and the ~8.5 s flight spans two 512-symbol batches.
+  RangingConfig rc;
+  const geo::Path track =
+      uav::random_walk(world_->area().inflated(-10.0), {150.0, 150.0}, 70.0, 9.0, 5);
+  const auto samples = uav::fly(uav::FlightPlan::at_altitude(track, 60.0), 1.0 / rc.gps_rate_hz);
+  sim::FaultPlan plan;
+  plan.seed = 3;
+  plan.add({sim::FaultKind::kSrsSymbolLoss, 1.0, 4.0, 0.3, 0.0})
+      .add({sim::FaultKind::kSrsSnrSag, 2.5, 5.0, 30.0, 0.0})
+      .add({sim::FaultKind::kGpsOutage, 5.5, 6.5, 0.0, 0.0});
+  sim::FaultInjector faults(plan);
+  const ChannelLosOracle los(world_->channel());
+  std::mt19937_64 rng(7);
+  struct Pinned {
+    std::size_t tuples;
+    std::uint64_t digest;
+  };
+  const Pinned pinned[] = {
+      {361, 0x1d42320363e88aacu},
+      {237, 0xa8a79379b5103c5eu},
+      {359, 0x7af20f530f8ee8cbu},
+      {356, 0xfaf30b8c82416078u},
+  };
+  std::size_t nlos_samples = 0;
+  for (std::size_t i = 0; i < world_->ue_positions().size(); ++i) {
+    SCOPED_TRACE(i);
+    const geo::Vec3 ue = world_->ue_positions()[i];
+    for (const uav::FlightSample& s : samples) nlos_samples += !los.line_of_sight(s.position, ue);
+    uav::GpsSensor gps(6 + i);
+    const GpsTofSeries tuples =
+        collect_gps_tof(samples, ue, world_->channel(), los, world_->budget(), gps, rc, rng, &faults);
+    geo::Fnv1a h;
+    for (const GpsTofTuple& t : tuples) h.pod(t);
+    EXPECT_EQ(tuples.size(), pinned[i].tuples);
+    EXPECT_EQ(h.value(), pinned[i].digest);
+  }
+  EXPECT_GT(nlos_samples, 0u);
+  EXPECT_EQ(rng(), 0x0f762c16d67469bbu);
 }
 
 TEST_F(PipelineFixture, LocalizerEndToEndAccuracy) {

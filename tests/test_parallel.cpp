@@ -22,15 +22,20 @@
 #include "localization/pipeline.hpp"
 #include "lte/ranging.hpp"
 #include "lte/srs_channel.hpp"
+#include "mobility/deployment.hpp"
 #include "obs/obs.hpp"
+#include "rem/bank.hpp"
 #include "rem/idw.hpp"
 #include "rem/kmeans.hpp"
 #include "rem/kriging.hpp"
 #include "rem/placement.hpp"
 #include "rf/channel.hpp"
+#include "sim/faults.hpp"
+#include "sim/measurement.hpp"
 #include "sim/world.hpp"
 #include "uav/flight.hpp"
 #include "uav/gps.hpp"
+#include "uav/trajectory.hpp"
 
 namespace skyran {
 namespace {
@@ -474,6 +479,77 @@ TEST(ParallelEquivalenceTest, CollectGpsTofRanging) {
     EXPECT_EQ(serial[i].uav_position.y, parallel[i].uav_position.y);
     EXPECT_EQ(serial[i].uav_position.z, parallel[i].uav_position.z);
   }
+}
+
+/// Ray-traced campus with four UEs of mixed visibility.
+sim::World campus_world() {
+  sim::WorldConfig wc;
+  wc.seed = 8;
+  sim::World world(wc);
+  world.ue_positions() = mobility::deploy_mixed_visibility(world.terrain(), 4, 9);
+  return world;
+}
+
+TEST(ParallelEquivalenceTest, MeasurementFlightFaulted) {
+  const sim::World world = campus_world();
+  // 2881 reports: the flight spans several batches of the SNR pass.
+  const geo::Path track({{40.0, 60.0}, {200.0, 60.0}, {200.0, 140.0}});
+  const auto run = [&] {
+    rem::RemBank bank(world.area(), 5.0, 60.0);
+    for (const geo::Vec3& ue : world.ue_positions()) bank.add_ue(ue);
+    sim::FaultPlan plan;
+    plan.add({sim::FaultKind::kWindDrift, 3.0, 9.0, 2.0, 0.7})
+        .add({sim::FaultKind::kSrsSnrSag, 6.0, 14.0, 7.5, 0.0})
+        .add({sim::FaultKind::kBackhaulOutage, 12.0, 17.0, 0.0, 0.0});
+    sim::FaultInjector faults(plan);
+    std::mt19937_64 rng(21);
+    sim::run_measurement_flight(world, uav::FlightPlan::at_altitude(track, 60.0), bank, {}, rng,
+                                &faults, 1.5);
+    std::vector<double> cells;  // (count, measured mean) of every cell of every UE
+    for (std::size_t i = 0; i < bank.ue_count(); ++i)
+      for (int iy = 0; iy < bank.ny(); ++iy)
+        for (int ix = 0; ix < bank.nx(); ++ix) {
+          cells.push_back(bank.measurement_count(i, {ix, iy}));
+          cells.push_back(bank.measured_snr(i, {ix, iy}).value_or(0.0));
+        }
+    return std::pair{cells, rng()};
+  };
+  const auto [serial, parallel] = serial_and_parallel(run);
+  EXPECT_EQ(serial.first, parallel.first);
+  EXPECT_EQ(serial.second, parallel.second);
+}
+
+TEST(ParallelEquivalenceTest, CollectGpsTofFaultedRayTraced) {
+  const sim::World world = campus_world();
+  const localization::ChannelLosOracle los(world.channel());
+  const localization::RangingConfig rc;
+  const geo::Path track =
+      uav::random_walk(world.area().inflated(-10.0), {150.0, 150.0}, 70.0, 9.0, 5);
+  const std::vector<uav::FlightSample> flight =
+      uav::fly(uav::FlightPlan::at_altitude(track, 60.0), 1.0 / rc.gps_rate_hz);
+  const auto run = [&] {
+    sim::FaultPlan plan;
+    plan.seed = 3;
+    plan.add({sim::FaultKind::kSrsSymbolLoss, 1.0, 4.0, 0.3, 0.0})
+        .add({sim::FaultKind::kSrsSnrSag, 2.5, 5.0, 30.0, 0.0})
+        .add({sim::FaultKind::kGpsOutage, 5.5, 6.5, 0.0, 0.0});
+    sim::FaultInjector faults(plan);
+    std::mt19937_64 rng(7);
+    std::vector<double> out;  // every tuple of every UE, flattened
+    for (std::size_t i = 0; i < world.ue_positions().size(); ++i) {
+      uav::GpsSensor gps(6 + i);
+      for (const localization::GpsTofTuple& t :
+           localization::collect_gps_tof(flight, world.ue_positions()[i], world.channel(), los,
+                                         world.budget(), gps, rc, rng, &faults))
+        out.insert(out.end(), {t.time_s, t.uav_position.x, t.uav_position.y,
+                               t.uav_position.z, t.range_m});
+    }
+    return std::pair{out, rng()};
+  };
+  const auto [serial, parallel] = serial_and_parallel(run);
+  EXPECT_GT(serial.first.size(), 1000u);
+  EXPECT_EQ(serial.first, parallel.first);
+  EXPECT_EQ(serial.second, parallel.second);
 }
 
 TEST(ParallelEquivalenceTest, SrsChannelDeterministicAcrossWorkerCounts) {

@@ -4,11 +4,13 @@
 
 #include <cstdint>
 #include <cstring>
+#include <optional>
 #include <span>
 #include <sstream>
 #include <vector>
 
 #include "geo/contract.hpp"
+#include "geo/hash.hpp"
 #include "kernels/kernels.hpp"
 #include "mobility/deployment.hpp"
 #include "sim/baselines.hpp"
@@ -160,6 +162,44 @@ TEST(MeasurementTest, Contracts) {
   world.ue_positions().clear();
   rem::RemBank none = bank_for(world, {});
   EXPECT_THROW(run_measurement_flight(world, plan, none, {}, rng), ContractViolation);
+}
+
+/// FNV-1a over every cell accumulator of `bank`: the report count, then the
+/// measured mean's bits where the cell was measured.
+std::uint64_t bank_digest(const rem::RemBank& bank) {
+  geo::Fnv1a h;
+  for (std::size_t i = 0; i < bank.ue_count(); ++i)
+    for (int iy = 0; iy < bank.ny(); ++iy)
+      for (int ix = 0; ix < bank.nx(); ++ix) {
+        const geo::CellIndex c{ix, iy};
+        h.pod(bank.measurement_count(i, c));
+        if (const std::optional<double> snr = bank.measured_snr(i, c)) h.pod(*snr);
+      }
+  return h.value();
+}
+
+TEST(MeasurementTest, FaultedRayTracedFlightPinned) {
+  // The bank a faulted flight over the ray-traced campus leaves, bit for bit:
+  // wind drift moves where reports land, an SNR sag shifts their values and a
+  // backhaul outage drops them (a dropped report still draws its fading).
+  const World world = make_campus_world(8);
+  rem::RemBank rems = bank_for(world, world.ue_positions());
+  const geo::Path track({{40.0, 60.0}, {200.0, 60.0}, {200.0, 140.0}});
+  FaultPlan plan;
+  plan.add({FaultKind::kWindDrift, 3.0, 9.0, 2.0, 0.7})
+      .add({FaultKind::kSrsSnrSag, 6.0, 14.0, 7.5, 0.0})
+      .add({FaultKind::kBackhaulOutage, 12.0, 17.0, 0.0, 0.0});
+  FaultInjector faults(plan);
+  std::mt19937_64 rng(21);
+  const std::size_t reports = run_measurement_flight(
+      world, uav::FlightPlan::at_altitude(track, 60.0), rems, {}, rng, &faults, 1.5);
+  EXPECT_EQ(reports, 2881u);
+  EXPECT_EQ(rng(), 0xc966b3fdd92b8282u);  // one fading draw per (report x UE), dropped ones too
+  EXPECT_EQ(bank_digest(rems), 0xa9682a7d974d14bfu);
+  for (std::size_t i = 0; i < rems.ue_count(); ++i) EXPECT_EQ(rems.measured_cells(i), 44u);
+  // A cell on the first leg, inside the sag window and drifted one row north.
+  EXPECT_EQ(rems.measurement_count(0, {24, 13}), 60);
+  EXPECT_EQ(rems.measured_snr(0, {24, 13}).value_or(0.0), 0x1.b5cb6c19dfa19p+4);
 }
 
 TEST(BaselineTest, UniformSpendsItsBudget) {
