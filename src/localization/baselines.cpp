@@ -100,8 +100,13 @@ geo::Vec2 tdoa_localize(const std::vector<geo::Vec3>& sites, geo::Vec3 ue_true, 
   std::normal_distribution<double> sync(0.0, config.sync_error_ns * 1e-9);
   std::normal_distribution<double> toa(0.0, config.toa_noise_ns * 1e-9);
   std::vector<double> arrival(sites.size());
-  for (std::size_t i = 0; i < sites.size(); ++i)
-    arrival[i] = sites[i].dist(ue_true) / rf::kSpeedOfLight + sync(rng) + toa(rng);
+  for (std::size_t i = 0; i < sites.size(); ++i) {
+    // Named draws fix the order: the operands of sync(rng) + toa(rng) are
+    // unsequenced, and the stream has always drawn the clock error first.
+    const double clock_error_s = sync(rng);
+    const double toa_noise_s = toa(rng);
+    arrival[i] = sites[i].dist(ue_true) / rf::kSpeedOfLight + clock_error_s + toa_noise_s;
+  }
 
   // Grid search on the squared TDoA residuals relative to site 0.
   geo::Vec2 best = area.center();

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "core/thread_pool.hpp"
 #include "geo/contract.hpp"
 #include "obs/obs.hpp"
 #include "rf/units.hpp"
@@ -23,6 +24,7 @@ GpsTofSeries collect_gps_tof(const std::vector<uav::FlightSample>& flight, geo::
   if (flight.size() < 2) return {};
 
   const lte::SrsSymbol tx = lte::make_srs_symbol(config.srs);
+  const std::vector<int> res = lte::occupied_subcarriers(config.srs);
   const lte::TofEstimator estimator(config.srs, config.k_factor, 0.0, 0.6, true,
                                     config.min_peak_to_side_db);
   const int srs_per_gps =
@@ -30,14 +32,21 @@ GpsTofSeries collect_gps_tof(const std::vector<uav::FlightSample>& flight, geo::
 
   // The flight is processed in bounded batches of GPS intervals so peak
   // memory stays capped (each buffered symbol is fft_size complex doubles; a
-  // whole long flight would be hundreds of MB). Three phases per batch keep
-  // the output bit-identical to a fully serial sweep: (1) synthesize the
-  // batch's received symbols in flight order (the channel/noise RNG stream is
-  // strictly sequential), (2) cross-correlate the batch in parallel (each
-  // symbol's estimate is independent of the others, so batch boundaries
-  // cannot change it), (3) aggregate per GPS interval in interval order,
-  // consuming the GPS sensor serially. Phases never overlap across batches,
-  // so every RNG/sensor draw happens in the same order as the serial sweep.
+  // whole long flight would be hundreds of MB). Five passes per batch keep
+  // the output bit-identical to a fully serial sweep; only the serial ones
+  // draw from an RNG, and they draw in flight order:
+  //   1. serial: each symbol's geometry and the injected SRS loss;
+  //   2. parallel: path loss, sag and SNR gate, and line of sight where the
+  //      gate passes (pure functions of geometry);
+  //   3. serial: the NLOS tap draws and the receiver noise, into the
+  //      symbol's own buffer;
+  //   4. parallel: add the transmitted symbol through the channel in place,
+  //      then cross-correlate (each symbol's estimate is independent of the
+  //      others, so batch boundaries cannot change it);
+  //   5. serial: aggregate per GPS interval in interval order, consuming the
+  //      GPS sensor.
+  // Passes never overlap across batches. Every buffer lives on this thread
+  // and is reused across batches.
   constexpr std::size_t kBatchSymbolBudget = 512;
   const std::size_t batch_intervals =
       std::max<std::size_t>(1, kBatchSymbolBudget / static_cast<std::size_t>(srs_per_gps));
@@ -51,12 +60,23 @@ GpsTofSeries collect_gps_tof(const std::vector<uav::FlightSample>& flight, geo::
   std::uint64_t gated_low_quality = 0;
   GpsTofSeries out;
   out.reserve(flight.size());
-  std::vector<lte::SrsSymbol> received;
-  std::vector<std::size_t> received_interval;  // interval index relative to `base`
+
+  struct Candidate {
+    geo::Vec3 uav;          // true UAV position at the symbol
+    double time_s = 0.0;
+    std::size_t interval = 0;  // interval index relative to `base`
+    double snr_db = 0.0;
+    bool decoded = false;  // passed the SNR gate
+    bool los = false;      // computed only for decoded symbols
+  };
+  std::vector<Candidate> candidates;
+  std::vector<lte::SrsChannelParams> channels;
+  std::vector<lte::SrsSymbol> received;  // grows to the largest batch
+  std::vector<std::size_t> received_interval;
   for (std::size_t base = 0; base < n_intervals; base += batch_intervals) {
     const std::size_t last = std::min(n_intervals, base + batch_intervals);
-    received.clear();
-    received_interval.clear();
+
+    candidates.clear();
     for (std::size_t i = base; i < last; ++i) {
       const uav::FlightSample& a = flight[i];
       const uav::FlightSample& b = flight[i + 1];
@@ -64,35 +84,53 @@ GpsTofSeries collect_gps_tof(const std::vector<uav::FlightSample>& flight, geo::
         // UAV keeps moving between SRS reports: interpolate the true position.
         const double frac = static_cast<double>(m) / srs_per_gps;
         const geo::Vec3 uav_true = a.position + (b.position - a.position) * frac;
-        const double true_range = uav_true.dist(ue_position);
         const double symbol_time_s = a.time_s + frac * (b.time_s - a.time_s);
-
         if (faults != nullptr && faults->srs_symbol_lost(symbol_time_s)) {
           ++fault_symbols_lost;
           continue;
         }
-        const double path_loss = channel.path_loss_db(uav_true, ue_position);
-        double snr_db = budget.snr_db(path_loss);
-        if (faults != nullptr) snr_db -= faults->srs_snr_sag_db(symbol_time_s);
-        if (snr_db < config.min_snr_db) {  // decoder lost the symbol
-          ++dropped_low_snr;
-          continue;
-        }
-
-        lte::SrsChannelParams ch;
-        ch.delay_s = (true_range + config.processing_offset_m) / rf::kSpeedOfLight;
-        ch.snr_db = snr_db;
-        if (!los.line_of_sight(uav_true, ue_position)) {
-          ch.taps = lte::make_nlos_taps(config.nlos_taps, config.nlos_mean_excess_ns * 1e-9,
-                                        config.nlos_first_tap_power_db,
-                                        config.nlos_tap_decay_db, rng);
-        }
-        received.push_back(lte::apply_srs_channel(tx, ch, rng));
-        received_interval.push_back(i - base);
+        candidates.push_back({uav_true, symbol_time_s, i - base});
       }
     }
 
-    const std::vector<lte::TofEstimate> estimates = estimator.estimate_batch(received);
+    core::parallel_for(candidates.size(), [&](std::size_t k) {
+      Candidate& c = candidates[k];
+      c.snr_db = budget.snr_db(channel.path_loss_db(c.uav, ue_position));
+      if (faults != nullptr) c.snr_db -= faults->srs_snr_sag_db(c.time_s);
+      c.decoded = c.snr_db >= config.min_snr_db;  // else the decoder lost the symbol
+      c.los = c.decoded && los.line_of_sight(c.uav, ue_position);
+    });
+
+    std::size_t n_received = 0;
+    for (const Candidate& c : candidates) {
+      if (!c.decoded) {
+        ++dropped_low_snr;
+        continue;
+      }
+      if (n_received == received.size()) {
+        channels.emplace_back();
+        received.push_back({tx.config, lte::CplxVec(tx.freq.size())});
+        received_interval.push_back(0);
+      }
+      lte::SrsChannelParams& ch = channels[n_received];
+      ch.delay_s = (c.uav.dist(ue_position) + config.processing_offset_m) / rf::kSpeedOfLight;
+      ch.snr_db = c.snr_db;
+      ch.taps.clear();
+      if (!c.los) {
+        ch.taps = lte::make_nlos_taps(config.nlos_taps, config.nlos_mean_excess_ns * 1e-9,
+                                      config.nlos_first_tap_power_db,
+                                      config.nlos_tap_decay_db, rng);
+      }
+      lte::draw_srs_noise(ch.snr_db, rng, received[n_received].freq);
+      received_interval[n_received] = c.interval;
+      ++n_received;
+    }
+
+    core::parallel_for(n_received, [&](std::size_t k) {
+      lte::add_srs_signal(tx, channels[k], res, received[k].freq);
+    });
+    const std::vector<lte::TofEstimate> estimates =
+        estimator.estimate_batch(std::span<const lte::SrsSymbol>(received.data(), n_received));
 
     std::vector<double> distance_sums(last - base, 0.0);
     std::vector<int> tof_counts(last - base, 0);

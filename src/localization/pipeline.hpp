@@ -46,7 +46,8 @@ struct RangingConfig {
 };
 
 /// Whether a UE is reachable by a direct ray from a UAV position; feeds the
-/// multipath decision. Provided by RayTraceChannel in practice.
+/// multipath decision. Provided by RayTraceChannel in practice. Queried
+/// concurrently from pool threads, so line_of_sight must not mutate state.
 class LosOracle {
  public:
   virtual ~LosOracle() = default;
@@ -64,7 +65,8 @@ class RangingFaultModel {
   /// (deep fade / interference burst). May draw from the injector's RNG, so
   /// callers must query symbols in flight order.
   virtual bool srs_symbol_lost(double t) = 0;
-  /// dB subtracted from the received SRS SNR at time `t`.
+  /// dB subtracted from the received SRS SNR at time `t`. Queried
+  /// concurrently from pool threads, so it must not mutate state.
   virtual double srs_snr_sag_db(double t) const = 0;
   /// True while a scripted GPS outage window covers time `t`.
   virtual bool gps_forced_outage(double t) const = 0;
@@ -92,6 +94,10 @@ class ChannelLosOracle final : public LosOracle {
 /// multipath profile; `gps` adds receiver position noise. `faults`, when
 /// non-null, injects scripted SRS loss / SNR sag / GPS outage windows; the
 /// pipeline degrades by dropping the affected tuples (never by aborting).
+/// Path loss, sag, line of sight and the per-symbol channel response run on
+/// the thread pool; srs_symbol_lost, every `rng` draw and the GPS sensor stay
+/// on the calling thread in flight order, so the output is bit-identical for
+/// any worker count.
 GpsTofSeries collect_gps_tof(const std::vector<uav::FlightSample>& flight, geo::Vec3 ue_position,
                              const rf::ChannelModel& channel, const LosOracle& los,
                              const rf::LinkBudget& budget, uav::GpsSensor& gps,

@@ -10,13 +10,34 @@ namespace skyran::lte {
 
 SrsSymbol apply_srs_channel(const SrsSymbol& tx, const SrsChannelParams& params,
                             std::mt19937_64& rng) {
-  expects(params.delay_s >= 0.0, "apply_srs_channel: delay must be non-negative");
-  SrsSymbol rx = tx;
-  const std::vector<int> res = occupied_subcarriers(tx.config);
+  SrsSymbol rx{tx.config, CplxVec(tx.freq.size())};
+  draw_srs_noise(params.snr_db, rng, rx.freq);
+  add_srs_signal(tx, params, occupied_subcarriers(tx.config), rx.freq);
+  return rx;
+}
 
+void draw_srs_noise(double snr_db, std::mt19937_64& rng, std::span<Cplx> rx) {
+  // Unit-magnitude REs at `snr_db` imply per-complex-dimension sigma of
+  // sqrt(1 / (2 * snr_lin)).
+  const double sigma = std::sqrt(0.5 / rf::db_to_linear(snr_db));
+  std::normal_distribution<double> gauss(0.0, sigma);
+  for (Cplx& v : rx) {
+    // Named draws fix the order: the arguments of Cplx(gauss(rng), gauss(rng))
+    // are unsequenced, and the stream has always drawn the imaginary part first.
+    const double im = gauss(rng);
+    const double re = gauss(rng);
+    v = Cplx(re, im);
+  }
+}
+
+void add_srs_signal(const SrsSymbol& tx, const SrsChannelParams& params,
+                    std::span<const int> res, std::span<Cplx> rx) {
+  expects(params.delay_s >= 0.0, "add_srs_signal: delay must be non-negative");
+  expects(rx.size() == tx.freq.size(), "add_srs_signal: rx must match the FFT size");
   // Channel response per occupied subcarrier: direct ray plus echoes. Each
-  // subcarrier writes its own FFT bin. A symbol has a few hundred occupied
-  // REs, too little work to be worth a thread-pool dispatch.
+  // subcarrier writes its own FFT bin. Adding tx·h to the noise already in
+  // the bin equals adding the noise to tx·h bit for bit (IEEE addition
+  // commutes).
   for (const int sc : res) {
     const double f = sc * kSubcarrierSpacingHz;
     Cplx h = std::polar(1.0, -2.0 * std::numbers::pi * f * params.delay_s);
@@ -26,15 +47,8 @@ SrsSymbol apply_srs_channel(const SrsSymbol& tx, const SrsChannelParams& params,
                       -2.0 * std::numbers::pi * f * (params.delay_s + tap.excess_delay_s));
     }
     const std::size_t bin = fft_bin(sc, tx.config.carrier.fft_size);
-    rx.freq[bin] *= h;
+    rx[bin] += tx.freq[bin] * h;
   }
-
-  // Receiver noise across the whole band. Unit-magnitude REs at `snr_db`
-  // imply per-complex-dimension sigma of sqrt(1 / (2 * snr_lin)).
-  const double sigma = std::sqrt(0.5 / rf::db_to_linear(params.snr_db));
-  std::normal_distribution<double> gauss(0.0, sigma);
-  for (Cplx& v : rx.freq) v += Cplx(gauss(rng), gauss(rng));
-  return rx;
 }
 
 std::vector<MultipathTap> make_nlos_taps(int n_taps, double mean_excess_s,

@@ -6,6 +6,7 @@
 #pragma once
 
 #include <random>
+#include <span>
 #include <vector>
 
 #include "lte/srs.hpp"
@@ -26,8 +27,23 @@ struct SrsChannelParams {
 
 /// Pass `tx` through the channel. Occupied subcarriers get the multi-tap
 /// channel response; every bin receives white Gaussian receiver noise.
+/// The composition of draw_srs_noise and add_srs_signal below.
 SrsSymbol apply_srs_channel(const SrsSymbol& tx, const SrsChannelParams& params,
                             std::mt19937_64& rng);
+
+/// The RNG half of apply_srs_channel: overwrite every bin of `rx` with white
+/// Gaussian receiver noise for unit-magnitude REs at `snr_db`. Draws two
+/// values per bin from `rng`, the imaginary part first.
+void draw_srs_noise(double snr_db, std::mt19937_64& rng, std::span<Cplx> rx);
+
+/// The deterministic half of apply_srs_channel: add `tx` passed through the
+/// channel to `rx` in place. Each occupied RE (`res`, as occupied_subcarriers
+/// of tx.config returns them) gains tx times the multi-tap response; the
+/// other bins of `tx` are zero, as make_srs_symbol builds them, so those of
+/// `rx` are left as they are. Touches only `rx`, so calls on distinct
+/// buffers may run concurrently.
+void add_srs_signal(const SrsSymbol& tx, const SrsChannelParams& params,
+                    std::span<const int> res, std::span<Cplx> rx);
 
 /// Standard NLOS echo profile: `n_taps` echoes with exponentially
 /// distributed excess delays (mean `mean_excess_s`) and powers fading

@@ -30,6 +30,10 @@ struct MeasurementConfig {
 /// the flight on the epoch flight-time axis the fault windows are scripted
 /// in. With `faults == nullptr` (or an inactive injector) the flight is
 /// fault-free.
+///
+/// The ray-traced ground-truth SNR of every (report x UE) runs on the thread
+/// pool; the fading draws and the deposits stay on the calling thread in
+/// flight order, so the bank is bit-identical for any worker count.
 std::size_t run_measurement_flight(const World& world, const uav::FlightPlan& plan,
                                    rem::RemBank& bank, const MeasurementConfig& config,
                                    std::mt19937_64& rng, FaultInjector* faults = nullptr,
