@@ -40,11 +40,13 @@ int main(int argc, char** argv) {
       // its localization were off by `err` on average.
       const double sigma = err / std::sqrt(std::numbers::pi / 2.0);
       std::mt19937_64 rng(130 + s);
-      std::normal_distribution<double> noise(0.0, sigma);
+      // err = 0 gives σ = 0, which normal_distribution(0, σ) rejects:
+      // scale a standard normal instead.
+      std::normal_distribution<double> unit;
       std::vector<geo::Grid2D<double>> wrong_maps;
       for (const geo::Vec3& ue : world.ue_positions()) {
-        const geo::Vec2 shifted =
-            world.area().clamp(ue.xy() + geo::Vec2{noise(rng), noise(rng)});
+        const geo::Vec2 shifted = world.area().clamp(
+            ue.xy() + geo::Vec2{sigma * unit(rng), sigma * unit(rng)});
         const geo::Vec3 wrong{shifted, world.terrain().ground_height(shifted) + 1.5};
         wrong_maps.push_back(sim::ground_truth_rem(world, wrong, altitude,
                                                    bench::eval_cell(kind)));

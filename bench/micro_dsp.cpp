@@ -1,10 +1,11 @@
-// Scalar-vs-SIMD throughput for the kernels layer (src/kernels/): complex
-// correlation, IDW accumulate, k-means argmin and path-loss batches, plus the
-// full SRS ToF estimate end to end (power_peak_scan has no SIMD variant). Each kernel runs the
-// same inputs with SKYRAN_SIMD forced off and at the best available level,
-// asserts the documented exactness/tolerance contract in-bench, and prints
-// one machine-readable JSON line. Not a google-benchmark binary: the JSON
-// contract is the point (tools/bench_snapshot.py gates it in CI).
+// Scalar-vs-SIMD throughput for the kernels layer (src/kernels/): the two
+// kernels with an AVX2 variant (IDW accumulate, FSPL path-loss batches), plus
+// the full SRS ToF estimate end to end, which runs scalar kernels at every
+// level. Each row runs the same inputs under ScopedScalarKernels and at the
+// active level, asserts the documented exactness/tolerance contract
+// in-bench, and prints one machine-readable JSON line. Not a
+// google-benchmark binary: the JSON contract is the point
+// (tools/bench_snapshot.py gates it in CI).
 //
 // Usage: micro_dsp [repetitions]   (default 5; best-of is reported)
 #include <algorithm>
@@ -24,7 +25,6 @@ namespace skyran::bench {
 namespace {
 
 using Clock = std::chrono::steady_clock;
-using kernels::Cplx;
 
 double best_of_ms(int reps, const auto& fn) {
   double best = 1e300;
@@ -37,15 +37,15 @@ double best_of_ms(int reps, const auto& fn) {
   return best;
 }
 
-/// Run `fn` with SIMD forced off and at the active level, time both, check
-/// the exactness/tolerance contract via `check(scalar_result, simd_result)`
+/// Run `fn` with scalar kernels forced and at the active level, time both,
+/// check the exactness/tolerance contract via `check(scalar_result, simd_result)`
 /// — which returns the max observed error, or a negative value when the
 /// contract is broken — and emit the JSON line. `n` is elements per call.
 void report(const char* kernel, std::size_t n, int reps, const auto& fn, const auto& check) {
   decltype(fn()) scalar_result, simd_result;
   double scalar_ms = 0.0, simd_ms = 0.0;
   {
-    kernels::ScopedSimdMode off(kernels::SimdMode::kOff);
+    kernels::ScopedScalarKernels scalar;
     scalar_result = fn();
     scalar_ms = best_of_ms(reps, fn);
   }
@@ -61,14 +61,6 @@ void report(const char* kernel, std::size_t n, int reps, const auto& fn, const a
       kernel, n, scalar_ms, simd_ms, scalar_ms / simd_ms, kernels::level_name(level),
       max_err >= 0.0 ? "true" : "false", max_err);
   std::fflush(stdout);
-}
-
-std::vector<Cplx> random_cplx(std::size_t n, std::uint64_t seed) {
-  std::mt19937_64 rng(seed);
-  std::normal_distribution<double> g;
-  std::vector<Cplx> v(n);
-  for (Cplx& c : v) c = {g(rng), g(rng)};
-  return v;
 }
 
 std::vector<double> random_doubles(std::size_t n, double lo, double hi, std::uint64_t seed) {
@@ -94,23 +86,6 @@ int main(int argc, char** argv) {
   const int reps = argc > 1 ? std::max(1, std::atoi(argv[1])) : 5;
   constexpr int kInnerIters = 200;  // per timed call, amortizes clock overhead
 
-  {
-    constexpr std::size_t n = 4096;
-    const auto a = random_cplx(n, 1);
-    const auto b = random_cplx(n, 2);
-    std::vector<Cplx> out(n);
-    const auto run = [&] {
-      for (int it = 0; it < kInnerIters; ++it)
-        kernels::multiply_conjugate(a.data(), b.data(), out.data(), n);
-      return out;
-    };
-    report("mul_conj", n, reps, run, [](const auto& s, const auto& v) {
-      for (std::size_t i = 0; i < s.size(); ++i)
-        if (s[i] != v[i]) return -1.0;  // EXACT contract
-      return 0.0;
-    });
-  }
-
   for (const std::size_t n : {std::size_t{8}, std::size_t{1024}}) {
     // n=8 is the real call shape (k nearest neighbors per grid cell);
     // n=1024 shows the asymptotic kernel throughput.
@@ -128,27 +103,6 @@ int main(int argc, char** argv) {
              const double err = std::max(rel_err(s.wsum, v.wsum), rel_err(s.vsum, v.vsum));
              return err <= 1e-12 ? err : -1.0;  // TOLERANCE contract
            });
-  }
-
-  {
-    constexpr std::size_t n = 20000;
-    constexpr std::size_t k = 16;
-    const auto px = random_doubles(n, 0.0, 400.0, 6);
-    const auto py = random_doubles(n, 0.0, 400.0, 7);
-    const auto cx = random_doubles(k, 0.0, 400.0, 8);
-    const auto cy = random_doubles(k, 0.0, 400.0, 9);
-    std::vector<int> assign(n, 0);
-    const auto run = [&] {
-      for (int it = 0; it < 10; ++it) {
-        std::fill(assign.begin(), assign.end(), 0);
-        kernels::kmeans_assign(px.data(), py.data(), n, cx.data(), cy.data(), k,
-                               assign.data());
-      }
-      return assign;
-    };
-    report("kmeans_assign", n, reps, run, [](const auto& s, const auto& v) {
-      return s == v ? 0.0 : -1.0;  // EXACT contract
-    });
   }
 
   {

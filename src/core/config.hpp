@@ -5,7 +5,6 @@
 
 #include <cstdint>
 
-#include "kernels/kernels.hpp"
 #include "localization/localizer.hpp"
 #include "lte/traffic_plane.hpp"
 #include "rem/placement.hpp"
@@ -95,16 +94,6 @@ struct SkyRanConfig {
   /// process-wide state). Parallel results are bit-for-bit identical to
   /// serial (see DESIGN.md, "Concurrency model").
   int threads = 0;
-
-  /// SIMD level for the kernels layer (SRS peak scan, IDW accumulate,
-  /// k-means argmin, path-loss batches). kAuto defers to the SKYRAN_SIMD
-  /// environment variable, else the best level the CPU supports. Unlike
-  /// `threads` this is applied process-wide at construction (kernels run on
-  /// pool workers, which must agree with the submitting thread), and like
-  /// `threads` it is resume-neutral: it is not part of the snapshot config
-  /// digest. EXACT kernels are bit-identical at every level; TOLERANCE
-  /// kernels are documented in src/kernels/kernels.hpp.
-  kernels::SimdMode simd = kernels::SimdMode::kAuto;
 };
 
 }  // namespace skyran::core

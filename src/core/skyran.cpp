@@ -34,10 +34,6 @@ SkyRan::SkyRan(sim::World& world, SkyRanConfig config, std::uint64_t seed)
   // run_epoch / current_estimates) rather than set_global_workers: a
   // constructor mutating the process-wide count would race with parallel
   // work in flight elsewhere and let instances override each other.
-  // config.simd, by contrast, IS process-wide by design: kernels run on
-  // pool workers, which must dispatch at the same level as the submitting
-  // thread. kAuto leaves the SKYRAN_SIMD / CPU-probe resolution untouched.
-  if (config.simd != kernels::SimdMode::kAuto) kernels::set_mode(config.simd);
 }
 
 rem::TrajectoryHistory& SkyRan::history_for(geo::Vec2 ue_position) {
@@ -107,10 +103,12 @@ std::vector<geo::Vec2> SkyRan::localize_ues(EpochReport& report) {
       // e / sqrt(pi/2).
       const double sigma =
           config_.injected_error_m / std::sqrt(std::numbers::pi / 2.0);
-      std::normal_distribution<double> noise(0.0, sigma);
+      // injected_error_m defaults to 0, and normal_distribution(0, σ)
+      // requires σ > 0: scale a standard normal instead.
+      std::normal_distribution<double> unit;
       for (const geo::Vec3& p : truth)
-        estimates.push_back(
-            world_.area().clamp(p.xy() + geo::Vec2{noise(rng_), noise(rng_)}));
+        estimates.push_back(world_.area().clamp(
+            p.xy() + geo::Vec2{sigma * unit(rng_), sigma * unit(rng_)}));
       break;
     }
   }

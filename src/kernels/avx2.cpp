@@ -1,13 +1,12 @@
-// AVX2 kernel variants (x86-64 only). This translation unit is compiled with
-// -mavx2 and must only be entered after the runtime CPU-feature check in
-// dispatch.cpp. No FMA anywhere: contraction would break the EXACT contracts
-// and -mavx2 alone does not enable it, so the compiler cannot fuse either.
+// AVX2 variants of the two TOLERANCE kernels (x86-64 only). This translation
+// unit is compiled with -mavx2 and must only be entered after the runtime
+// CPU-feature check in dispatch.cpp. No FMA anywhere: -mavx2 alone does not
+// enable it, so the compiler cannot contract the mul/add pairs whose order
+// the tolerance bounds were measured for.
 #if defined(__x86_64__) || defined(_M_X64)
 
 #include <immintrin.h>
 
-#include <cmath>
-#include <limits>
 #include <numbers>
 
 #include "kernels/detail.hpp"
@@ -58,36 +57,7 @@ inline __m256d log10_pd(__m256d x) {
   return _mm256_add_pd(_mm256_mul_pd(e, log10_2), _mm256_mul_pd(ln_m, inv_ln10));
 }
 
-inline void store4(__m256d v, double* out) { _mm256_storeu_pd(out, v); }
-
 }  // namespace
-
-void multiply_conjugate(const Cplx* a, const Cplx* b, Cplx* out, std::size_t n) {
-  const double* ap = reinterpret_cast<const double*>(a);
-  const double* bp = reinterpret_cast<const double*>(b);
-  double* op = reinterpret_cast<double*>(out);
-  std::size_t i = 0;
-  // Two interleaved complexes per vector: [re0 im0 re1 im1].
-  // (ar + i*ai)(br - i*bi) = (ar*br + ai*bi) + i*(ai*br - ar*bi).
-  // addsub(mul(a, b_dup_re), mul(a_swapped, b_dup_im)) yields exactly one
-  // mul and one add/sub per output component, matching std::complex.
-  for (; i + 2 <= n; i += 2) {
-    const __m256d av = _mm256_loadu_pd(ap + 2 * i);
-    const __m256d bv = _mm256_loadu_pd(bp + 2 * i);
-    const __m256d br = _mm256_movedup_pd(bv);            // [br0 br0 br1 br1]
-    const __m256d bi = _mm256_permute_pd(bv, 0xF);       // [bi0 bi0 bi1 bi1]
-    const __m256d asw = _mm256_permute_pd(av, 0x5);      // [ai0 ar0 ai1 ar1]
-    const __m256d x = _mm256_mul_pd(av, br);             // [ar*br, ai*br]
-    const __m256d y = _mm256_mul_pd(asw, bi);            // [ai*bi, ar*bi]
-    const __m256d re = _mm256_add_pd(x, y);              // lane0: ar*br+ai*bi
-    const __m256d im = _mm256_sub_pd(x, y);              // lane1: ai*br-ar*bi
-    // blend even lanes from re, odd lanes from im: 0b1010.
-    _mm256_storeu_pd(op + 2 * i, _mm256_blend_pd(re, im, 0xA));
-  }
-  for (; i < n; ++i) {
-    out[i] = a[i] * std::conj(b[i]);
-  }
-}
 
 IdwAccum idw_weigh(const double* dist_m, const double* value, std::size_t n, double power) {
   // Dispatch guarantees power is 1.0 or 2.0 here; anything else runs scalar.
@@ -103,8 +73,8 @@ IdwAccum idw_weigh(const double* dist_m, const double* value, std::size_t n, dou
     vsum = _mm256_add_pd(vsum, _mm256_mul_pd(w, _mm256_loadu_pd(value + i)));
   }
   double wl[4], vl[4];
-  store4(wsum, wl);
-  store4(vsum, vl);
+  _mm256_storeu_pd(wl, wsum);
+  _mm256_storeu_pd(vl, vsum);
   IdwAccum acc;
   acc.wsum = ((wl[0] + wl[1]) + wl[2]) + wl[3];
   acc.vsum = ((vl[0] + vl[1]) + vl[2]) + vl[3];
@@ -114,61 +84,6 @@ IdwAccum idw_weigh(const double* dist_m, const double* value, std::size_t n, dou
     acc.vsum += w * value[i];
   }
   return acc;
-}
-
-int kmeans_assign(const double* px, const double* py, std::size_t n_points,
-                  const double* cx, const double* cy, std::size_t n_centers, int* assignment) {
-  int changed = 0;
-  const __m256d inf = _mm256_set1_pd(std::numeric_limits<double>::infinity());
-  std::size_t i = 0;
-  for (; i + 4 <= n_points; i += 4) {
-    const __m256d pxv = _mm256_loadu_pd(px + i);
-    const __m256d pyv = _mm256_loadu_pd(py + i);
-    __m256d best_d2 = inf;
-    __m256d best_c = _mm256_setzero_pd();
-    for (std::size_t c = 0; c < n_centers; ++c) {
-      const __m256d dx = _mm256_sub_pd(pxv, _mm256_set1_pd(cx[c]));
-      const __m256d dy = _mm256_sub_pd(pyv, _mm256_set1_pd(cy[c]));
-      const __m256d d2 = _mm256_add_pd(_mm256_mul_pd(dx, dx), _mm256_mul_pd(dy, dy));
-      const __m256d lt = _mm256_cmp_pd(d2, best_d2, _CMP_LT_OQ);
-      best_d2 = _mm256_blendv_pd(best_d2, d2, lt);
-      best_c = _mm256_blendv_pd(best_c, _mm256_set1_pd(static_cast<double>(c)), lt);
-    }
-    double cl[4];
-    store4(best_c, cl);
-    for (int k = 0; k < 4; ++k) {
-      const int best = static_cast<int>(cl[k]);
-      if (assignment[i + static_cast<std::size_t>(k)] != best) {
-        assignment[i + static_cast<std::size_t>(k)] = best;
-        changed = 1;
-      }
-    }
-  }
-  if (i < n_points) {
-    changed |= scalar::kmeans_assign(px + i, py + i, n_points - i, cx, cy, n_centers,
-                                     assignment + i);
-  }
-  return changed;
-}
-
-void min_dist2(const double* px, const double* py, std::size_t n_points,
-               const double* cx, const double* cy, std::size_t n_centers, double* best_d2) {
-  const __m256d inf = _mm256_set1_pd(std::numeric_limits<double>::infinity());
-  std::size_t i = 0;
-  for (; i + 4 <= n_points; i += 4) {
-    const __m256d pxv = _mm256_loadu_pd(px + i);
-    const __m256d pyv = _mm256_loadu_pd(py + i);
-    __m256d best = inf;
-    for (std::size_t c = 0; c < n_centers; ++c) {
-      const __m256d dx = _mm256_sub_pd(pxv, _mm256_set1_pd(cx[c]));
-      const __m256d dy = _mm256_sub_pd(pyv, _mm256_set1_pd(cy[c]));
-      best = _mm256_min_pd(best, _mm256_add_pd(_mm256_mul_pd(dx, dx), _mm256_mul_pd(dy, dy)));
-    }
-    _mm256_storeu_pd(best_d2 + i, best);
-  }
-  if (i < n_points) {
-    scalar::min_dist2(px + i, py + i, n_points - i, cx, cy, n_centers, best_d2 + i);
-  }
 }
 
 void fspl_db(const double* dist_m, double* out, std::size_t n, double frequency_hz) {
@@ -187,24 +102,6 @@ void fspl_db(const double* dist_m, double* out, std::size_t n, double frequency_
   }
   for (; i < n; ++i) {
     out[i] = fspl_db_one(dist_m[i], frequency_hz);
-  }
-}
-
-void log_distance_db(const double* dist_m, double* out, std::size_t n, double frequency_hz,
-                     double exponent, double reference_m) {
-  const double ref_db_s = fspl_db_one(reference_m, frequency_hz);
-  const __m256d ref_db = _mm256_set1_pd(ref_db_s);
-  const __m256d ref = _mm256_set1_pd(reference_m);
-  const __m256d scale = _mm256_set1_pd(10.0 * exponent);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d d = _mm256_max_pd(_mm256_loadu_pd(dist_m + i), ref);
-    const __m256d lg = log10_pd(_mm256_div_pd(d, ref));
-    _mm256_storeu_pd(out + i, _mm256_add_pd(ref_db, _mm256_mul_pd(scale, lg)));
-  }
-  for (; i < n; ++i) {
-    const double d = std::max(dist_m[i], reference_m);
-    out[i] = ref_db_s + 10.0 * exponent * std::log10(d / reference_m);
   }
 }
 

@@ -1,6 +1,6 @@
 // Internal: per-level kernel variants behind the public dispatch wrappers.
-// scalar:: is always compiled; avx2:: only on x86-64 (compiled with -mavx2,
-// invoked only after the runtime CPU check); neon:: only on aarch64.
+// scalar:: is always compiled; avx2:: (the two TOLERANCE kernels) only on
+// x86-64, compiled with -mavx2 and invoked only after the runtime CPU check.
 #pragma once
 
 #include "kernels/kernels.hpp"
@@ -24,29 +24,9 @@ void log_distance_db(const double* dist_m, double* out, std::size_t n, double fr
 #define SKYRAN_KERNELS_HAVE_AVX2 1
 namespace skyran::kernels::avx2 {
 
-void multiply_conjugate(const Cplx* a, const Cplx* b, Cplx* out, std::size_t n);
 IdwAccum idw_weigh(const double* dist_m, const double* value, std::size_t n, double power);
-int kmeans_assign(const double* px, const double* py, std::size_t n_points,
-                  const double* cx, const double* cy, std::size_t n_centers, int* assignment);
-void min_dist2(const double* px, const double* py, std::size_t n_points,
-               const double* cx, const double* cy, std::size_t n_centers, double* best_d2);
 void fspl_db(const double* dist_m, double* out, std::size_t n, double frequency_hz);
-void log_distance_db(const double* dist_m, double* out, std::size_t n, double frequency_hz,
-                     double exponent, double reference_m);
 
 }  // namespace skyran::kernels::avx2
 #endif
 
-#if defined(__aarch64__)
-#define SKYRAN_KERNELS_HAVE_NEON 1
-namespace skyran::kernels::neon {
-
-// NEON covers the two exact 2-wide-friendly kernels; the rest dispatch to
-// scalar on aarch64 (documented in docs/ARCHITECTURE.md).
-int kmeans_assign(const double* px, const double* py, std::size_t n_points,
-                  const double* cx, const double* cy, std::size_t n_centers, int* assignment);
-void min_dist2(const double* px, const double* py, std::size_t n_points,
-               const double* cx, const double* cy, std::size_t n_centers, double* best_d2);
-
-}  // namespace skyran::kernels::neon
-#endif

@@ -1,6 +1,6 @@
-// Runtime dispatch: resolve the SIMD level once per process (config override
-// > SKYRAN_SIMD env > CPU feature probe) and route each public kernel to the
-// best variant that implements it. The level is a process-wide atomic, not
+// Runtime dispatch: resolve the SIMD level once per process (SKYRAN_SIMD env
+// > CPU feature probe) and route the two TOLERANCE kernels to their AVX2
+// variant when it is active. The level is a process-wide atomic, not
 // thread-local, so pool workers always agree with the thread that launched
 // them — that keeps the serial==parallel bit-identity contract intact at any
 // level, because every thread of a process runs the same variant.
@@ -17,27 +17,17 @@ namespace {
 constexpr int kUnresolved = -1;
 std::atomic<int> g_level{kUnresolved};
 
-SimdLevel best_supported() {
+SimdLevel level_from_env() {
+  const char* env = std::getenv("SKYRAN_SIMD");
+  if (env != nullptr && (std::strcmp(env, "off") == 0 || std::strcmp(env, "scalar") == 0 ||
+                         std::strcmp(env, "0") == 0)) {
+    return SimdLevel::kScalar;
+  }
+  // Unset, empty, or any other value: probe the CPU.
 #if defined(SKYRAN_KERNELS_HAVE_AVX2)
   if (__builtin_cpu_supports("avx2")) return SimdLevel::kAvx2;
 #endif
-#if defined(SKYRAN_KERNELS_HAVE_NEON)
-  return SimdLevel::kNeon;
-#endif
   return SimdLevel::kScalar;
-}
-
-SimdLevel level_from_env() {
-  const char* env = std::getenv("SKYRAN_SIMD");
-  if (env == nullptr || *env == '\0') return best_supported();
-  if (std::strcmp(env, "off") == 0 || std::strcmp(env, "scalar") == 0 ||
-      std::strcmp(env, "0") == 0) {
-    return SimdLevel::kScalar;
-  }
-  if (std::strcmp(env, "avx2") == 0) return resolve_mode(SimdMode::kAvx2);
-  if (std::strcmp(env, "neon") == 0) return resolve_mode(SimdMode::kNeon);
-  // "auto", "on", or anything unrecognized: probe the CPU.
-  return best_supported();
 }
 
 void publish(SimdLevel level) {
@@ -47,46 +37,12 @@ void publish(SimdLevel level) {
 
 }  // namespace
 
-bool level_available(SimdLevel level) {
-  switch (level) {
-    case SimdLevel::kScalar:
-      return true;
-    case SimdLevel::kAvx2:
-#if defined(SKYRAN_KERNELS_HAVE_AVX2)
-      return __builtin_cpu_supports("avx2") != 0;
-#else
-      return false;
-#endif
-    case SimdLevel::kNeon:
-#if defined(SKYRAN_KERNELS_HAVE_NEON)
-      return true;
-#else
-      return false;
-#endif
-  }
-  return false;
-}
-
-SimdLevel resolve_mode(SimdMode mode) {
-  switch (mode) {
-    case SimdMode::kOff:
-      return SimdLevel::kScalar;
-    case SimdMode::kAvx2:
-      return level_available(SimdLevel::kAvx2) ? SimdLevel::kAvx2 : best_supported();
-    case SimdMode::kNeon:
-      return level_available(SimdLevel::kNeon) ? SimdLevel::kNeon : best_supported();
-    case SimdMode::kAuto:
-      break;
-  }
-  return best_supported();
-}
-
 SimdLevel active_level() {
   int lvl = g_level.load(std::memory_order_relaxed);
   if (lvl == kUnresolved) {
     const SimdLevel resolved = level_from_env();
-    // First resolver wins; a concurrent set_mode() published a real level
-    // already and must not be overwritten by the env default.
+    // First resolver wins; a concurrent ScopedScalarKernels published a real
+    // level already and must not be overwritten by the env default.
     int expected = kUnresolved;
     if (g_level.compare_exchange_strong(expected, static_cast<int>(resolved),
                                         std::memory_order_relaxed)) {
@@ -99,23 +55,21 @@ SimdLevel active_level() {
   return static_cast<SimdLevel>(lvl);
 }
 
-void set_mode(SimdMode mode) { publish(resolve_mode(mode)); }
-
 const char* level_name(SimdLevel level) {
   switch (level) {
     case SimdLevel::kScalar:
       return "scalar";
     case SimdLevel::kAvx2:
       return "avx2";
-    case SimdLevel::kNeon:
-      return "neon";
   }
   return "unknown";
 }
 
-ScopedSimdMode::ScopedSimdMode(SimdMode mode) : saved_(active_level()) { set_mode(mode); }
+ScopedScalarKernels::ScopedScalarKernels() : saved_(active_level()) {
+  publish(SimdLevel::kScalar);
+}
 
-ScopedSimdMode::~ScopedSimdMode() { publish(saved_); }
+ScopedScalarKernels::~ScopedScalarKernels() { publish(saved_); }
 
 // ---------------------------------------------------------------------------
 // Public wrappers. Batch-level kernels record throughput counters; per-call
@@ -125,16 +79,12 @@ ScopedSimdMode::~ScopedSimdMode() { publish(saved_); }
 void multiply_conjugate(const Cplx* a, const Cplx* b, Cplx* out, std::size_t n) {
   SKYRAN_COUNTER_INC("kernel.mul_conj.calls");
   SKYRAN_COUNTER_ADD("kernel.mul_conj.elems", n);
-#if defined(SKYRAN_KERNELS_HAVE_AVX2)
-  if (active_level() == SimdLevel::kAvx2) return avx2::multiply_conjugate(a, b, out, n);
-#endif
   scalar::multiply_conjugate(a, b, out, n);
 }
 
 PowerPeak power_peak_scan(const Cplx* v, std::size_t n) {
   SKYRAN_COUNTER_INC("kernel.peak_scan.calls");
   SKYRAN_COUNTER_ADD("kernel.peak_scan.elems", n);
-  // Scalar at every level: the AVX2 variant measured slower than this loop.
   return scalar::power_peak_scan(v, n);
 }
 
@@ -153,34 +103,12 @@ int kmeans_assign(const double* px, const double* py, std::size_t n_points,
                   const double* cx, const double* cy, std::size_t n_centers, int* assignment) {
   SKYRAN_COUNTER_INC("kernel.kmeans_assign.calls");
   SKYRAN_COUNTER_ADD("kernel.kmeans_assign.elems", n_points);
-  switch (active_level()) {
-#if defined(SKYRAN_KERNELS_HAVE_AVX2)
-    case SimdLevel::kAvx2:
-      return avx2::kmeans_assign(px, py, n_points, cx, cy, n_centers, assignment);
-#endif
-#if defined(SKYRAN_KERNELS_HAVE_NEON)
-    case SimdLevel::kNeon:
-      return neon::kmeans_assign(px, py, n_points, cx, cy, n_centers, assignment);
-#endif
-    default:
-      return scalar::kmeans_assign(px, py, n_points, cx, cy, n_centers, assignment);
-  }
+  return scalar::kmeans_assign(px, py, n_points, cx, cy, n_centers, assignment);
 }
 
 void min_dist2(const double* px, const double* py, std::size_t n_points,
                const double* cx, const double* cy, std::size_t n_centers, double* best_d2) {
-  switch (active_level()) {
-#if defined(SKYRAN_KERNELS_HAVE_AVX2)
-    case SimdLevel::kAvx2:
-      return avx2::min_dist2(px, py, n_points, cx, cy, n_centers, best_d2);
-#endif
-#if defined(SKYRAN_KERNELS_HAVE_NEON)
-    case SimdLevel::kNeon:
-      return neon::min_dist2(px, py, n_points, cx, cy, n_centers, best_d2);
-#endif
-    default:
-      return scalar::min_dist2(px, py, n_points, cx, cy, n_centers, best_d2);
-  }
+  scalar::min_dist2(px, py, n_points, cx, cy, n_centers, best_d2);
 }
 
 void fspl_db(const double* dist_m, double* out, std::size_t n, double frequency_hz) {
@@ -196,11 +124,6 @@ void log_distance_db(const double* dist_m, double* out, std::size_t n, double fr
                      double exponent, double reference_m) {
   SKYRAN_COUNTER_INC("kernel.pathloss.calls");
   SKYRAN_COUNTER_ADD("kernel.pathloss.elems", n);
-#if defined(SKYRAN_KERNELS_HAVE_AVX2)
-  if (active_level() == SimdLevel::kAvx2) {
-    return avx2::log_distance_db(dist_m, out, n, frequency_hz, exponent, reference_m);
-  }
-#endif
   scalar::log_distance_db(dist_m, out, n, frequency_hz, exponent, reference_m);
 }
 

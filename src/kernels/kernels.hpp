@@ -1,31 +1,29 @@
-// Runtime-dispatched SIMD kernel layer (lowest compute layer, below geo/).
+// Kernel layer (lowest compute layer, below geo/).
 //
-// Each kernel is a small SoA math primitive with a scalar reference
-// implementation and, where the hardware supports it, an AVX2 (x86-64) or
-// NEON (aarch64) variant. The variant is selected once per process from CPU
-// features, overridable with SKYRAN_SIMD=off|avx2|neon|auto or
-// SkyRanConfig::simd / kernels::set_mode().
+// Each kernel is a small SoA math primitive with one scalar implementation.
+// Two TOLERANCE kernels, idw_weigh and fspl_db, also have an AVX2 (x86-64)
+// variant, picked once per process from CPU features; SKYRAN_SIMD=off (or
+// scalar, or 0) forces scalar, any other value probes the CPU.
 //
-// Exactness contract (documented per kernel, asserted in tests/test_kernels
-// and in-bench by micro_dsp):
-//  - EXACT kernels produce bit-identical results at every SIMD level: the
-//    vector variant performs the same per-element operation sequence (no FMA
-//    contraction, no reassociation of any value the caller observes).
+// Contract per kernel (asserted in tests/test_kernels and, for the AVX2
+// variants, in-bench by micro_dsp):
+//  - EXACT kernels run the same scalar code at every level.
 //  - TOLERANCE kernels reassociate a reduction (lane partial sums) or use a
-//    polynomial log10; scalar and SIMD results agree within the stated
-//    bound. Their scalar path is always the pre-kernel-layer loop verbatim,
-//    so SKYRAN_SIMD=off reproduces historical outputs byte-for-byte.
+//    polynomial log10 under AVX2; scalar and AVX2 results agree within the
+//    stated bound. Their scalar path is always the pre-kernel-layer loop
+//    verbatim, so SKYRAN_SIMD=off reproduces historical outputs
+//    byte-for-byte.
 //
-// | kernel              | contract  | bound (scalar vs SIMD)                 |
+// | kernel              | contract  | bound (scalar vs AVX2)                 |
 // |---------------------|-----------|----------------------------------------|
-// | multiply_conjugate  | EXACT     | bit-identical (finite inputs)          |
-// | power_peak_scan     | EXACT     | scalar at every level (no SIMD path)   |
+// | multiply_conjugate  | EXACT     | scalar at every level                  |
+// | power_peak_scan     | EXACT     | scalar at every level                  |
 // | idw_weigh           | TOLERANCE | wsum/vsum rel <= 1e-12 (power 1 or 2;  |
 // |                     |           | other powers run scalar: EXACT)        |
-// | kmeans_assign       | EXACT     | bit-identical assignment               |
-// | min_dist2           | EXACT     | bit-identical distances                |
+// | kmeans_assign       | EXACT     | scalar at every level                  |
+// | min_dist2           | EXACT     | scalar at every level                  |
 // | fspl_db             | TOLERANCE | abs <= 1e-9 dB (polynomial log10)      |
-// | log_distance_db     | TOLERANCE | abs <= 1e-9 dB (polynomial log10)      |
+// | log_distance_db     | EXACT     | scalar at every level                  |
 //
 // The layer has no dependencies other than obs (dispatch gauge + throughput
 // counters); geo/rf/lte/rem all sit above it.
@@ -46,40 +44,27 @@ inline constexpr double kSpeedOfLightMps = 299'792'458.0;
 // Dispatch
 // ---------------------------------------------------------------------------
 
-/// Instruction-set variant a kernel call executes.
-enum class SimdLevel : int { kScalar = 0, kAvx2 = 1, kNeon = 2 };
-
-/// Operator-facing selection policy (SKYRAN_SIMD / SkyRanConfig::simd).
-enum class SimdMode : int { kAuto = 0, kOff = 1, kAvx2 = 2, kNeon = 3 };
+/// Instruction-set variant the TOLERANCE kernels execute.
+enum class SimdLevel : int { kScalar = 0, kAvx2 = 1 };
 
 /// The level kernels currently dispatch to. Resolved once, on first use:
-/// an explicit set_mode() wins, else the SKYRAN_SIMD environment variable
-/// (off|scalar|avx2|neon|auto), else the best level the CPU supports.
+/// SKYRAN_SIMD=off|scalar|0 forces kScalar, else the best level the CPU
+/// supports. A live ScopedScalarKernels overrides both.
 SimdLevel active_level();
-
-/// True when the CPU (and build) can execute `level`.
-bool level_available(SimdLevel level);
-
-/// Process-wide override; requests the CPU cannot execute clamp down to the
-/// best available level (kAvx2 on a non-AVX2 machine -> kScalar). Unlike the
-/// thread-count override this is deliberately NOT thread-local: kernels run
-/// on pool worker threads, which must observe the same level as the caller.
-/// Call between parallel regions, not concurrently with kernel execution.
-void set_mode(SimdMode mode);
-
-/// Resolve `mode` to the level it would dispatch to on this machine.
-SimdLevel resolve_mode(SimdMode mode);
 
 const char* level_name(SimdLevel level);
 
-/// RAII override for tests and benches: forces a mode, restores the previous
-/// level on destruction. Same process-wide caveat as set_mode().
-class ScopedSimdMode {
+/// RAII override for tests and benches: forces kScalar, restores the
+/// previous level on destruction. Deliberately process-wide, not
+/// thread-local: kernels run on pool worker threads, which must observe the
+/// same level as the caller. Construct and destroy it between parallel
+/// regions, not concurrently with kernel execution.
+class ScopedScalarKernels {
  public:
-  explicit ScopedSimdMode(SimdMode mode);
-  ~ScopedSimdMode();
-  ScopedSimdMode(const ScopedSimdMode&) = delete;
-  ScopedSimdMode& operator=(const ScopedSimdMode&) = delete;
+  ScopedScalarKernels();
+  ~ScopedScalarKernels();
+  ScopedScalarKernels(const ScopedScalarKernels&) = delete;
+  ScopedScalarKernels& operator=(const ScopedScalarKernels&) = delete;
 
  private:
   SimdLevel saved_;
@@ -89,9 +74,7 @@ class ScopedSimdMode {
 // Complex correlation / magnitude (SRS ToF pipeline)
 // ---------------------------------------------------------------------------
 
-/// out[i] = a[i] * conj(b[i]). EXACT: the SIMD variant issues the same
-/// mul/add/sub sequence per element as std::complex multiplication (no FMA),
-/// so results are bit-identical for finite, non-overflowing inputs.
+/// out[i] = a[i] * conj(b[i]), std::complex multiplication per element.
 void multiply_conjugate(const Cplx* a, const Cplx* b, Cplx* out, std::size_t n);
 
 struct PowerPeak {
@@ -101,9 +84,8 @@ struct PowerPeak {
 };
 
 /// One fused pass over |v[i]|^2: argmax (lowest index wins ties), the peak
-/// power, and the total power summed in index order. Scalar at every SIMD
-/// level (an AVX2 variant measured slower than the scalar loop), so EXACT.
-/// n == 0 returns a zeroed result.
+/// power, and the total power summed in index order. n == 0 returns a
+/// zeroed result.
 PowerPeak power_peak_scan(const Cplx* v, std::size_t n);
 
 // ---------------------------------------------------------------------------
@@ -117,7 +99,7 @@ struct IdwAccum {
 
 /// IDW accumulator over `n` (distance, value) pairs: w_i = dist_i^-power.
 /// Scalar accumulates in index order with w_i = 1/std::pow(dist_i, power)
-/// (the historical loop). SIMD specializes power == 2.0 and power == 1.0
+/// (the historical loop). AVX2 specializes power == 2.0 and power == 1.0
 /// (w = 1/(d*d), 1/d) with lane-partial sums: TOLERANCE, rel <= 1e-12 on
 /// wsum/vsum. Any other power falls back to scalar (EXACT). Distances must
 /// be positive (callers handle the exact-hit shortcut first).
@@ -128,16 +110,15 @@ IdwAccum idw_weigh(const double* dist_m, const double* value, std::size_t n, dou
 // ---------------------------------------------------------------------------
 
 /// assignment[i] = argmin_c (px[i]-cx[c])^2 + (py[i]-cy[c])^2, lowest center
-/// index winning ties. EXACT: SIMD vectorizes across points, iterating
-/// centers in index order with a strict-less update, the same per-element
-/// arithmetic as the scalar loop. Returns 1 when any assignment[i] changed
-/// from its previous content, else 0 (the k-means convergence flag).
+/// index winning ties (centers in index order, strict-less update). Returns
+/// 1 when any assignment[i] changed from its previous content, else 0 (the
+/// k-means convergence flag).
 int kmeans_assign(const double* px, const double* py, std::size_t n_points,
                   const double* cx, const double* cy, std::size_t n_centers,
                   int* assignment);
 
-/// best_d2[i] = min_c (px[i]-cx[c])^2 + (py[i]-cy[c])^2. EXACT (min is
-/// order-insensitive for finite doubles). Used by k-means++ seeding.
+/// best_d2[i] = min_c (px[i]-cx[c])^2 + (py[i]-cy[c])^2. Used by k-means++
+/// seeding.
 void min_dist2(const double* px, const double* py, std::size_t n_points,
                const double* cx, const double* cy, std::size_t n_centers,
                double* best_d2);
@@ -152,13 +133,13 @@ double fspl_db_one(double distance_m, double frequency_hz);
 
 /// out[i] = free-space path loss of dist_m[i] (clamped below at 1 m), dB.
 /// Scalar calls std::log10 per element (the historical rf::fspl_db loop);
-/// SIMD evaluates the whole chain — product, range reduction, polynomial
+/// AVX2 evaluates the whole chain — product, range reduction, polynomial
 /// log10, scale — four lanes at a time. TOLERANCE: abs <= 1e-9 dB (measured
 /// error is ~1e-12 dB; the bound leaves headroom for future polynomials).
 void fspl_db(const double* dist_m, double* out, std::size_t n, double frequency_hz);
 
 /// out[i] = fspl_db(reference_m) + 10*exponent*log10(max(d, ref)/ref), the
-/// log-distance path-loss model over a batch. Same TOLERANCE as fspl_db.
+/// log-distance path-loss model over a batch, std::log10 per element.
 void log_distance_db(const double* dist_m, double* out, std::size_t n, double frequency_hz,
                      double exponent, double reference_m);
 

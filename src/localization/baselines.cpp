@@ -24,8 +24,10 @@ std::vector<geo::Vec3> default_macro_sites(geo::Rect area, int count, double hei
 
 geo::Vec2 ecid_localize(geo::Vec3 serving_site, geo::Vec3 ue_true, geo::Rect area,
                         const EcidConfig& config, std::mt19937_64& rng) {
-  std::normal_distribution<double> noise(0.0, config.ta_noise_m);
-  const double range = serving_site.dist(ue_true) + noise(rng);
+  // Scale a standard normal: normal_distribution(0, σ) requires σ > 0, and
+  // σ = 0 (a noiseless TA) is allowed.
+  std::normal_distribution<double> unit;
+  const double range = serving_site.dist(ue_true) + config.ta_noise_m * unit(rng);
   // Quantize to the TA step and pick an unknown azimuth: with one omni cell
   // that's all E-CID knows.
   const double quantized =
@@ -57,11 +59,11 @@ FingerprintDatabase::FingerprintDatabase(const rf::ChannelModel& channel,
 
 std::vector<double> FingerprintDatabase::measure(geo::Vec3 ue, double noise_db,
                                                  std::mt19937_64& rng) const {
-  std::normal_distribution<double> noise(0.0, noise_db);
+  std::normal_distribution<double> unit;  // noise_db may be 0: scale, see ecid_localize
   std::vector<double> rss;
   rss.reserve(sites_.size());
   for (const geo::Vec3& site : sites_)
-    rss.push_back(budget_.rss_dbm(channel_.path_loss_db(site, ue)) + noise(rng));
+    rss.push_back(budget_.rss_dbm(channel_.path_loss_db(site, ue)) + noise_db * unit(rng));
   return rss;
 }
 
@@ -97,14 +99,18 @@ geo::Vec2 tdoa_localize(const std::vector<geo::Vec3>& sites, geo::Vec3 ue_true, 
                         const TdoaConfig& config, std::mt19937_64& rng) {
   expects(sites.size() >= 3, "tdoa_localize: need at least 3 sites");
   // Observed arrival times: true ToF + per-site clock error + noise.
-  std::normal_distribution<double> sync(0.0, config.sync_error_ns * 1e-9);
-  std::normal_distribution<double> toa(0.0, config.toa_noise_ns * 1e-9);
+  // Either sigma may be 0: scale standard normals, see ecid_localize. One
+  // distribution per term, because each caches the second value of its pair.
+  const double sync_sigma_s = config.sync_error_ns * 1e-9;
+  const double toa_sigma_s = config.toa_noise_ns * 1e-9;
+  std::normal_distribution<double> sync;
+  std::normal_distribution<double> toa;
   std::vector<double> arrival(sites.size());
   for (std::size_t i = 0; i < sites.size(); ++i) {
     // Named draws fix the order: the operands of sync(rng) + toa(rng) are
     // unsequenced, and the stream has always drawn the clock error first.
-    const double clock_error_s = sync(rng);
-    const double toa_noise_s = toa(rng);
+    const double clock_error_s = sync_sigma_s * sync(rng);
+    const double toa_noise_s = toa_sigma_s * toa(rng);
     arrival[i] = sites[i].dist(ue_true) / rf::kSpeedOfLight + clock_error_s + toa_noise_s;
   }
 

@@ -527,7 +527,7 @@ TEST(FleetSnapshot, RoundTripResumesBitIdentically) {
 // stream, or to fleet behaviour, moves it. Path loss is a tolerance kernel,
 // so the pin runs on the scalar path.
 TEST(FleetSnapshot, StateHashPinned) {
-  const kernels::ScopedSimdMode off(kernels::SimdMode::kOff);
+  const kernels::ScopedScalarKernels scalar;
   fleet::FleetConfig cfg = tiny_config();
   cfg.steering.enabled = true;
   fleet::Fleet f = grid_fleet(cfg, 60);

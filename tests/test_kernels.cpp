@@ -1,11 +1,14 @@
-// Scalar-vs-SIMD parity for the kernels layer: EXACT kernels must be
-// bit-identical at every level, TOLERANCE kernels must stay within the
-// bounds documented in src/kernels/kernels.hpp. Every check runs the same
-// inputs through ScopedSimdMode(kOff) and the best available level.
+// Kernels layer: known-answer tests of the scalar kernels against naive
+// loops, and scalar-vs-AVX2 parity for the two TOLERANCE kernels, which must
+// stay within the bounds documented in src/kernels/kernels.hpp. Each parity
+// check runs the same inputs under ScopedScalarKernels and at the active
+// level.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <complex>
+#include <limits>
 #include <random>
 #include <vector>
 
@@ -18,7 +21,7 @@ namespace {
 constexpr double kRelTol = 1e-12;   // reassociated reductions
 constexpr double kDbAbsTol = 1e-9;  // polynomial log10, after the 20x scale
 
-bool simd_available() { return resolve_mode(SimdMode::kAuto) != SimdLevel::kScalar; }
+bool simd_active() { return active_level() != SimdLevel::kScalar; }
 
 std::vector<Cplx> random_cplx(std::size_t n, std::uint64_t seed) {
   std::mt19937_64 rng(seed);
@@ -38,64 +41,34 @@ std::vector<double> random_doubles(std::size_t n, double lo, double hi, std::uin
 
 const std::size_t kSizes[] = {0, 1, 2, 3, 4, 5, 7, 8, 17, 256, 1023};
 
-TEST(KernelDispatch, ScalarAlwaysAvailableAndOffForcesIt) {
-  EXPECT_TRUE(level_available(SimdLevel::kScalar));
-  EXPECT_EQ(resolve_mode(SimdMode::kOff), SimdLevel::kScalar);
-  ScopedSimdMode off(SimdMode::kOff);
+TEST(KernelDispatch, ScopedScalarForcesScalar) {
+  ScopedScalarKernels scalar;
   EXPECT_EQ(active_level(), SimdLevel::kScalar);
 }
 
-TEST(KernelDispatch, ScopedModeRestoresPreviousLevel) {
+TEST(KernelDispatch, ScopedScalarRestoresPreviousLevel) {
   const SimdLevel before = active_level();
   {
-    ScopedSimdMode off(SimdMode::kOff);
+    ScopedScalarKernels scalar;
     EXPECT_EQ(active_level(), SimdLevel::kScalar);
   }
   EXPECT_EQ(active_level(), before);
 }
 
-TEST(KernelDispatch, UnsupportedRequestClampsToAvailable) {
-  // Requesting a level the CPU/build lacks must fall back to something the
-  // machine can actually run, never crash into illegal instructions.
-  const SimdLevel avx2 = resolve_mode(SimdMode::kAvx2);
-  const SimdLevel neon = resolve_mode(SimdMode::kNeon);
-  EXPECT_TRUE(level_available(avx2));
-  EXPECT_TRUE(level_available(neon));
-}
-
 TEST(KernelDispatch, LevelNamesAreStable) {
   EXPECT_STREQ(level_name(SimdLevel::kScalar), "scalar");
   EXPECT_STREQ(level_name(SimdLevel::kAvx2), "avx2");
-  EXPECT_STREQ(level_name(SimdLevel::kNeon), "neon");
-}
-
-TEST(KernelParity, MultiplyConjugateBitIdentical) {
-  if (!simd_available()) GTEST_SKIP() << "no SIMD level on this machine";
-  for (std::size_t n : kSizes) {
-    const auto a = random_cplx(n, 0x11 + n);
-    const auto b = random_cplx(n, 0x22 + n);
-    std::vector<Cplx> ref(n), simd(n);
-    {
-      ScopedSimdMode off(SimdMode::kOff);
-      multiply_conjugate(a.data(), b.data(), ref.data(), n);
-    }
-    multiply_conjugate(a.data(), b.data(), simd.data(), n);
-    for (std::size_t i = 0; i < n; ++i) {
-      EXPECT_EQ(ref[i].real(), simd[i].real()) << "n=" << n << " i=" << i;
-      EXPECT_EQ(ref[i].imag(), simd[i].imag()) << "n=" << n << " i=" << i;
-    }
-  }
 }
 
 TEST(KernelParity, IdwWeighSpecializedPowersWithinTolerance) {
-  if (!simd_available()) GTEST_SKIP() << "no SIMD level on this machine";
+  if (!simd_active()) GTEST_SKIP() << "no SIMD level active";
   for (std::size_t n : kSizes) {
     const auto dist = random_doubles(n, 0.5, 500.0, 0x44 + n);
     const auto val = random_doubles(n, -40.0, 40.0, 0x55 + n);
     for (double power : {1.0, 2.0}) {
       IdwAccum ref, simd;
       {
-        ScopedSimdMode off(SimdMode::kOff);
+        ScopedScalarKernels scalar;
         ref = idw_weigh(dist.data(), val.data(), n, power);
       }
       simd = idw_weigh(dist.data(), val.data(), n, power);
@@ -113,7 +86,7 @@ TEST(KernelParity, IdwWeighGenericPowerRunsScalarBitIdentical) {
   const auto val = random_doubles(37, -40.0, 40.0, 0x77);
   IdwAccum ref, any;
   {
-    ScopedSimdMode off(SimdMode::kOff);
+    ScopedScalarKernels scalar;
     ref = idw_weigh(dist.data(), val.data(), dist.size(), 3.0);
   }
   any = idw_weigh(dist.data(), val.data(), dist.size(), 3.0);
@@ -121,61 +94,14 @@ TEST(KernelParity, IdwWeighGenericPowerRunsScalarBitIdentical) {
   EXPECT_EQ(ref.vsum, any.vsum);
 }
 
-TEST(KernelParity, KMeansAssignBitIdenticalIncludingTies) {
-  if (!simd_available()) GTEST_SKIP() << "no SIMD level on this machine";
-  for (std::size_t n : kSizes) {
-    auto px = random_doubles(n, -100.0, 100.0, 0x88 + n);
-    auto py = random_doubles(n, -100.0, 100.0, 0x99 + n);
-    // Plant exact ties: points equidistant from centers 1 and 3.
-    const double cx[] = {-50.0, -10.0, 0.0, 10.0, 60.0};
-    const double cy[] = {0.0, 0.0, 30.0, 0.0, -20.0};
-    for (std::size_t i = 0; i + 4 < n; i += 5) {
-      px[i] = 0.0;  // midway between centers 1 and 3 on the x axis
-      py[i] = 7.0;
-    }
-    std::vector<int> ref_a(n, 0), simd_a(n, 0);
-    int ref_changed = 0, simd_changed = 0;
-    {
-      ScopedSimdMode off(SimdMode::kOff);
-      ref_changed = kmeans_assign(px.data(), py.data(), n, cx, cy, 5, ref_a.data());
-    }
-    simd_changed = kmeans_assign(px.data(), py.data(), n, cx, cy, 5, simd_a.data());
-    EXPECT_EQ(ref_changed, simd_changed) << "n=" << n;
-    EXPECT_EQ(ref_a, simd_a) << "n=" << n;
-    // Second pass with nothing moved: changed must be 0 at both levels.
-    {
-      ScopedSimdMode off(SimdMode::kOff);
-      EXPECT_EQ(kmeans_assign(px.data(), py.data(), n, cx, cy, 5, ref_a.data()), 0);
-    }
-    EXPECT_EQ(kmeans_assign(px.data(), py.data(), n, cx, cy, 5, simd_a.data()), 0);
-  }
-}
-
-TEST(KernelParity, MinDist2BitIdentical) {
-  if (!simd_available()) GTEST_SKIP() << "no SIMD level on this machine";
-  for (std::size_t n : kSizes) {
-    const auto px = random_doubles(n, -100.0, 100.0, 0xAA + n);
-    const auto py = random_doubles(n, -100.0, 100.0, 0xBB + n);
-    const auto cx = random_doubles(7, -100.0, 100.0, 0xCC);
-    const auto cy = random_doubles(7, -100.0, 100.0, 0xDD);
-    std::vector<double> ref(n), simd(n);
-    {
-      ScopedSimdMode off(SimdMode::kOff);
-      min_dist2(px.data(), py.data(), n, cx.data(), cy.data(), 7, ref.data());
-    }
-    min_dist2(px.data(), py.data(), n, cx.data(), cy.data(), 7, simd.data());
-    for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(ref[i], simd[i]) << "n=" << n << " i=" << i;
-  }
-}
-
 TEST(KernelParity, FsplWithinDbTolerance) {
-  if (!simd_available()) GTEST_SKIP() << "no SIMD level on this machine";
+  if (!simd_active()) GTEST_SKIP() << "no SIMD level active";
   for (double freq : {700e6, 1.8e9, 2.6e9, 5.9e9}) {
     // Includes sub-1 m distances to exercise the clamp.
     auto dist = random_doubles(1024, 0.1, 2.0e7, 0xEE);
     std::vector<double> ref(dist.size()), simd(dist.size());
     {
-      ScopedSimdMode off(SimdMode::kOff);
+      ScopedScalarKernels scalar;
       fspl_db(dist.data(), ref.data(), dist.size(), freq);
     }
     fspl_db(dist.data(), simd.data(), dist.size(), freq);
@@ -185,24 +111,10 @@ TEST(KernelParity, FsplWithinDbTolerance) {
   }
 }
 
-TEST(KernelParity, LogDistanceWithinDbTolerance) {
-  if (!simd_available()) GTEST_SKIP() << "no SIMD level on this machine";
-  auto dist = random_doubles(513, 0.1, 5.0e4, 0xFF);
-  std::vector<double> ref(dist.size()), simd(dist.size());
-  {
-    ScopedSimdMode off(SimdMode::kOff);
-    log_distance_db(dist.data(), ref.data(), dist.size(), 2.6e9, 3.2, 10.0);
-  }
-  log_distance_db(dist.data(), simd.data(), dist.size(), 2.6e9, 3.2, 10.0);
-  for (std::size_t i = 0; i < dist.size(); ++i) {
-    EXPECT_NEAR(ref[i], simd[i], kDbAbsTol) << "d=" << dist[i];
-  }
-}
-
 TEST(KernelScalar, MatchesRfFormulas) {
   // The rf layer delegates its formulas here; pin the scalar reference to
   // the historical expressions so SKYRAN_SIMD=off replays stay byte-stable.
-  ScopedSimdMode off(SimdMode::kOff);
+  ScopedScalarKernels scalar;
   for (double d : {0.0, 0.5, 1.0, 17.3, 450.0, 2.0e6}) {
     const double expected =
         20.0 * std::log10(4.0 * M_PI * std::max(d, 1.0) * 2.6e9 / 299'792'458.0);
@@ -220,7 +132,6 @@ TEST(KernelScalar, MatchesRfFormulas) {
 }
 
 TEST(KernelScalar, PowerPeakScanMatchesNaiveLoop) {
-  // power_peak_scan is scalar at every level; no ScopedSimdMode needed.
   const auto check = [](const std::vector<Cplx>& v) {
     std::size_t best = 0;
     double best_mag = std::norm(v[0]);
@@ -251,7 +162,7 @@ TEST(KernelScalar, PowerPeakScanMatchesNaiveLoop) {
 }
 
 TEST(KernelScalar, IdwWeighMatchesNaiveLoop) {
-  ScopedSimdMode off(SimdMode::kOff);
+  ScopedScalarKernels scalar;
   const auto dist = random_doubles(23, 0.5, 300.0, 0xDEF);
   const auto val = random_doubles(23, -30.0, 30.0, 0x123);
   double wsum = 0.0, vsum = 0.0;
@@ -263,6 +174,94 @@ TEST(KernelScalar, IdwWeighMatchesNaiveLoop) {
   const IdwAccum acc = idw_weigh(dist.data(), val.data(), dist.size(), 2.0);
   EXPECT_EQ(acc.wsum, wsum);
   EXPECT_EQ(acc.vsum, vsum);
+}
+
+TEST(KernelScalar, MultiplyConjugateMatchesStdComplex) {
+  for (std::size_t n : kSizes) {
+    const auto a = random_cplx(n, 0x11 + n);
+    const auto b = random_cplx(n, 0x22 + n);
+    std::vector<Cplx> out(n);
+    multiply_conjugate(a.data(), b.data(), out.data(), n);
+    for (std::size_t i = 0; i < n; ++i) {
+      const Cplx expected = a[i] * std::conj(b[i]);
+      EXPECT_EQ(out[i].real(), expected.real()) << "n=" << n << " i=" << i;
+      EXPECT_EQ(out[i].imag(), expected.imag()) << "n=" << n << " i=" << i;
+    }
+  }
+}
+
+TEST(KernelScalar, KMeansAssignMatchesNaiveArgminIncludingTies) {
+  const double cx[] = {-50.0, -10.0, 0.0, 10.0, 60.0};
+  const double cy[] = {0.0, 0.0, 30.0, 0.0, -20.0};
+  for (std::size_t n : kSizes) {
+    auto px = random_doubles(n, -100.0, 100.0, 0x88 + n);
+    auto py = random_doubles(n, -100.0, 100.0, 0x99 + n);
+    // Plant exact ties: points equidistant from centers 1 and 3.
+    for (std::size_t i = 0; i + 4 < n; i += 5) {
+      px[i] = 0.0;  // midway between centers 1 and 3 on the x axis
+      py[i] = 7.0;
+    }
+    std::vector<int> expected(n, 0);
+    for (std::size_t i = 0; i < n; ++i) {
+      double best_d2 = (px[i] - cx[0]) * (px[i] - cx[0]) + (py[i] - cy[0]) * (py[i] - cy[0]);
+      for (int c = 1; c < 5; ++c) {
+        const double d2 =
+            (px[i] - cx[c]) * (px[i] - cx[c]) + (py[i] - cy[c]) * (py[i] - cy[c]);
+        if (d2 < best_d2) {
+          best_d2 = d2;
+          expected[i] = c;
+        }
+      }
+    }
+    std::vector<int> assignment(n, 0);
+    const bool any_nonzero =
+        std::any_of(expected.begin(), expected.end(), [](int c) { return c != 0; });
+    EXPECT_EQ(kmeans_assign(px.data(), py.data(), n, cx, cy, 5, assignment.data()),
+              any_nonzero ? 1 : 0)
+        << "n=" << n;
+    EXPECT_EQ(assignment, expected) << "n=" << n;
+    for (std::size_t i = 0; i + 4 < n; i += 5) EXPECT_EQ(assignment[i], 1) << "i=" << i;
+    // Second pass with nothing moved: nothing changes.
+    EXPECT_EQ(kmeans_assign(px.data(), py.data(), n, cx, cy, 5, assignment.data()), 0)
+        << "n=" << n;
+    EXPECT_EQ(assignment, expected) << "n=" << n;
+  }
+}
+
+TEST(KernelScalar, MinDist2MatchesNaiveLoop) {
+  const auto cx = random_doubles(7, -100.0, 100.0, 0xCC);
+  const auto cy = random_doubles(7, -100.0, 100.0, 0xDD);
+  for (std::size_t n : kSizes) {
+    const auto px = random_doubles(n, -100.0, 100.0, 0xAA + n);
+    const auto py = random_doubles(n, -100.0, 100.0, 0xBB + n);
+    std::vector<double> out(n);
+    min_dist2(px.data(), py.data(), n, cx.data(), cy.data(), 7, out.data());
+    for (std::size_t i = 0; i < n; ++i) {
+      double best = std::numeric_limits<double>::infinity();
+      for (std::size_t c = 0; c < 7; ++c) {
+        const double dx = px[i] - cx[c];
+        const double dy = py[i] - cy[c];
+        best = std::min(best, dx * dx + dy * dy);
+      }
+      EXPECT_EQ(out[i], best) << "n=" << n << " i=" << i;
+    }
+  }
+}
+
+TEST(KernelScalar, LogDistanceBatchMatchesFormula) {
+  // rf::log_distance_db passes n = 1; pin the batched form (n > 1) too,
+  // including distances at and below the reference that clamp to it.
+  auto dist = random_doubles(513, 0.1, 5.0e4, 0xFF);
+  dist[0] = 0.5;
+  dist[1] = 9.99;
+  dist[2] = 10.0;
+  std::vector<double> out(dist.size());
+  log_distance_db(dist.data(), out.data(), dist.size(), 2.6e9, 3.2, 10.0);
+  const double ref_db = fspl_db_one(10.0, 2.6e9);
+  for (std::size_t i = 0; i < dist.size(); ++i) {
+    const double expected = ref_db + 10.0 * 3.2 * std::log10(std::max(dist[i], 10.0) / 10.0);
+    EXPECT_EQ(out[i], expected) << "d=" << dist[i];
+  }
 }
 
 }  // namespace

@@ -24,14 +24,14 @@ namespace {
 GpsTofSeries synthetic_tuples(geo::Vec3 ue, double offset_m, double noise_sigma,
                               std::uint64_t seed, int n = 80, double aperture_m = 40.0) {
   std::mt19937_64 rng(seed);
-  std::normal_distribution<double> noise(0.0, noise_sigma);
+  std::normal_distribution<double> unit;  // noise_sigma may be 0: scale, don't parameterize
   GpsTofSeries out;
   for (int i = 0; i < n; ++i) {
     // L-shaped flight around the area center at 60 m altitude.
     const double s = aperture_m * i / n;
     const geo::Vec3 p = i < n / 2 ? geo::Vec3{150.0 + s, 150.0, 60.0}
                                   : geo::Vec3{150.0 + aperture_m / 2.0, 150.0 + s / 2.0, 60.0};
-    out.push_back({i * 0.02, p, p.dist(ue) + offset_m + noise(rng)});
+    out.push_back({i * 0.02, p, p.dist(ue) + offset_m + noise_sigma * unit(rng)});
   }
   return out;
 }

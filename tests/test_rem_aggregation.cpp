@@ -317,7 +317,7 @@ TEST(StorePersistenceTest, V2BytesPinned) {
   // pins the v2 byte layout that stores inside on-disk snapshot generations
   // carry: any change to what save() writes must fail here first. Scalar
   // kernels: the SIMD tolerance kernels may move the last bits.
-  const kernels::ScopedSimdMode scalar(kernels::SimdMode::kOff);
+  const kernels::ScopedScalarKernels scalar;
   const geo::Rect area = area100();
   const rf::FsplChannel fspl(2.6e9);
   const rf::LinkBudget budget;

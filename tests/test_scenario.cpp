@@ -253,7 +253,7 @@ TEST(Campaign, DiurnalLevelModulatesOfferedLoad) {
 // or to campaign behaviour, moves them. Path loss is a tolerance kernel, so
 // the pin runs on the scalar path.
 TEST(Campaign, DigestsPinned) {
-  const kernels::ScopedSimdMode off(kernels::SimdMode::kOff);
+  const kernels::ScopedScalarKernels scalar;
   scenario::Campaign campaign(tiny_campaign(1, 2));
   const scenario::CampaignReport rep = campaign.run();
   ASSERT_EQ(rep.by_hour.size(), 2u);

@@ -228,7 +228,7 @@ TEST(BaselineTest, UniformGoldenDigest) {
   // FNV-1a over the chosen position and every estimate cell of every UE:
   // pins the whole measure -> interpolate -> place chain of the baseline.
   // Scalar kernels: the SIMD tolerance kernels may move the last bits.
-  const kernels::ScopedSimdMode scalar(kernels::SimdMode::kOff);
+  const kernels::ScopedScalarKernels scalar;
   const World world = make_campus_world(11);
   UniformConfig cfg;
   cfg.budget_m = 500.0;
