@@ -1,10 +1,12 @@
-// Scalar-vs-SIMD throughput for the kernels layer (src/kernels/): the two
-// kernels with an AVX2 variant (IDW accumulate, FSPL path-loss batches), plus
-// the full SRS ToF estimate end to end, which runs scalar kernels at every
-// level. Each row runs the same inputs under ScopedScalarKernels and at the
-// active level, asserts the documented exactness/tolerance contract
-// in-bench, and prints one machine-readable JSON line. Not a
-// google-benchmark binary: the JSON contract is the point
+// Micro benches for the DSP hot paths. Scalar-vs-SIMD throughput for the
+// two kernels with an AVX2 variant (IDW accumulate, FSPL path-loss
+// batches): each row runs the same inputs under ScopedScalarKernels and at
+// the active level and asserts the documented exactness/tolerance contract
+// in-bench. The `tof_estimate_planned` row times the full SRS ToF estimate two
+// ways, the composed reference (dense mul-conj + upsample + IFFT, then the
+// peak pick) against TofEstimator's planned correlator, and asserts every
+// estimate field is bit-identical. Each row prints one machine-readable
+// JSON line. Not a google-benchmark binary: the JSON contract is the point
 // (tools/bench_snapshot.py gates it in CI).
 //
 // Usage: micro_dsp [repetitions]   (default 5; best-of is reported)
@@ -16,6 +18,7 @@
 #include <vector>
 
 #include "kernels/kernels.hpp"
+#include "lte/fft.hpp"
 #include "lte/ranging.hpp"
 #include "lte/srs.hpp"
 #include "lte/srs_channel.hpp"
@@ -122,8 +125,9 @@ int main(int argc, char** argv) {
   }
 
   {
-    // End to end: the full SRS ToF estimate (mul-conj + upsample + IFFT +
-    // kernel peak scan). Delay and distance derive from the EXACT argmax.
+    // End to end: the full SRS ToF estimate, composed reference vs the
+    // planned correlator. Both feed the same peak pick, so every field must
+    // match bit for bit.
     lte::SrsConfig cfg;
     const lte::SrsSymbol tx = lte::make_srs_symbol(cfg);
     std::mt19937_64 rng(11);
@@ -132,18 +136,35 @@ int main(int argc, char** argv) {
     ch.snr_db = 15.0;
     const lte::SrsSymbol rx = lte::apply_srs_channel(tx, ch, rng);
     const lte::TofEstimator est(cfg, 4);
-    const auto run = [&] {
+    constexpr int kIters = 20;
+    const auto composed = [&] {
       lte::TofEstimate last{};
-      for (int it = 0; it < 20; ++it) last = est.estimate(rx);
+      for (int it = 0; it < kIters; ++it) {
+        lte::CplxVec up = lte::upsample_zero_pad(lte::multiply_conjugate(rx.freq, tx.freq), 4);
+        lte::ifft_inplace(up);
+        last = est.pick_peak(std::span<const lte::Cplx>(up.data(), est.window()));
+      }
       return last;
     };
-    report("tof_estimate", cfg.carrier.fft_size, reps, run,
-           [](const lte::TofEstimate& s, const lte::TofEstimate& v) {
-             if (s.delay_samples != v.delay_samples || s.distance_m != v.distance_m)
-               return -1.0;  // argmax + refinement are EXACT
-             const double err = rel_err(s.peak_to_side_db, v.peak_to_side_db);
-             return err <= 1e-9 ? err : -1.0;
-           });
+    const auto planned = [&] {
+      lte::TofEstimate last{};
+      for (int it = 0; it < kIters; ++it) last = est.estimate(rx);
+      return last;
+    };
+    const lte::TofEstimate want = composed();
+    const lte::TofEstimate got = planned();
+    const double composed_ms = best_of_ms(reps, composed);
+    const double planned_ms = best_of_ms(reps, planned);
+    const bool equal = got.delay_samples == want.delay_samples && got.delay_s == want.delay_s &&
+                       got.distance_m == want.distance_m &&
+                       got.peak_to_side_db == want.peak_to_side_db &&
+                       got.quality_ok == want.quality_ok;
+    std::printf(
+        "{\"bench\":\"micro_dsp\",\"kernel\":\"tof_estimate_planned\",\"n\":%zu,"
+        "\"composed_ms\":%.3f,\"planned_ms\":%.3f,\"speedup\":%.3f,\"equal\":%s}\n",
+        cfg.carrier.fft_size, composed_ms, planned_ms, composed_ms / planned_ms,
+        equal ? "true" : "false");
+    std::fflush(stdout);
   }
 
   return 0;

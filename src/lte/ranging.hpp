@@ -4,6 +4,7 @@
 // peak position is the delay estimate.
 #pragma once
 
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -35,6 +36,8 @@ class TofEstimator {
   /// echoes impose on a max-peak search). 0 disables it (pure eq. 3).
   /// `refine_peak`: parabolic sub-bin interpolation around the chosen peak;
   /// disable to get the paper's raw 1/K-sample quantization.
+  /// K times the carrier's FFT size must be a power of two (every LTE
+  /// bandwidth but 15 MHz, with K in {1, 2, 4, 8}).
   /// `min_peak_to_side_db`: quality gate. Estimates whose peak-to-sidelobe
   /// ratio falls below this are returned with quality_ok = false (too noisy
   /// to trust: an SNR-sagged or jammed symbol correlates to a flat response
@@ -44,12 +47,32 @@ class TofEstimator {
                         double min_peak_to_side_db = 0.0);
 
   /// Estimate the delay of `received` relative to the known transmitted
-  /// symbol for this config.
+  /// symbol for this config: correlate(), then pick_peak(). A degenerate
+  /// window() (0) returns a flagged estimate.
   TofEstimate estimate(const SrsSymbol& received) const;
 
+  /// The planned correlator: the first window() samples of
+  /// ifft(upsample_zero_pad(received . reference*, K)), equal value for
+  /// value to that composed sequence (only the sign of an exact zero may
+  /// differ). Runs the radix-2 IFFT on the occupied bins only, skipping
+  /// blocks whose inputs are structurally zero and every output past the
+  /// window. `scratch` (any prior contents) is resized to K * fft_size plus
+  /// room for the occupied bins; the returned span points into it. Requires
+  /// window() >= 1.
+  std::span<const Cplx> correlate(const SrsSymbol& received, CplxVec& scratch) const;
+
+  /// Delay estimate from a correlation window (eq. 3 plus leading-edge
+  /// detection, parabolic refinement and the quality gate).
+  TofEstimate pick_peak(std::span<const Cplx> window) const;
+
+  /// Search window in upsampled bins: floor(max_delay_samples * K); 0 when
+  /// that is degenerate (a sub-bin max_delay_samples).
+  std::size_t window() const { return window_; }
+
   /// estimate() over a batch of received symbols, parallelized across
-  /// symbols on the global thread pool. out[i] == estimate(received[i])
-  /// bit-for-bit regardless of the worker count.
+  /// symbols on the global thread pool, with one scratch buffer per chunk.
+  /// out[i] == estimate(received[i]) bit-for-bit regardless of the worker
+  /// count.
   std::vector<TofEstimate> estimate_batch(std::span<const SrsSymbol> received) const;
 
   const SrsConfig& config() const { return config_; }
@@ -58,9 +81,27 @@ class TofEstimator {
   double min_peak_to_side_db() const { return min_peak_to_side_db_; }
 
  private:
+  /// estimate() reusing the caller's correlation scratch buffer.
+  TofEstimate estimate(const SrsSymbol& received, CplxVec& scratch) const;
+
+  /// One radix-2 block of a planned stage whose inputs are not all zero.
+  struct Block {
+    std::uint32_t start;
+    enum Kind : std::uint8_t { kBoth, kLowerOnly, kUpperOnly } kind;
+  };
+
   SrsConfig config_;
-  SrsSymbol reference_;
   int k_factor_;
+  std::size_t window_ = 0;
+  // The correlation plan, built once by the constructor.
+  std::vector<std::size_t> bins_;   ///< occupied FFT bins, ascending
+  CplxVec ref_;                     ///< reference symbol at bins_
+  std::vector<std::size_t> slots_;  ///< bit-reversed K*N slot of each bin
+  /// Stage twiddles: stage `half` (blocks of 2*half) at offset half - 1.
+  CplxVec twiddles_;
+  std::vector<Block> blocks_;             ///< every stage's non-zero blocks
+  std::vector<std::size_t> stage_begin_;  ///< stage s's blocks in blocks_
+
   double max_delay_samples_;
   double leading_edge_fraction_;
   bool refine_peak_;

@@ -38,13 +38,16 @@ void add_srs_signal(const SrsSymbol& tx, const SrsChannelParams& params,
   // subcarrier writes its own FFT bin. Adding tx·h to the noise already in
   // the bin equals adding the noise to tx·h bit for bit (IEEE addition
   // commutes).
+  std::vector<double> amps;
+  amps.reserve(params.taps.size());
+  for (const MultipathTap& tap : params.taps)
+    amps.push_back(std::sqrt(rf::db_to_linear(tap.power_db)));
   for (const int sc : res) {
     const double f = sc * kSubcarrierSpacingHz;
     Cplx h = std::polar(1.0, -2.0 * std::numbers::pi * f * params.delay_s);
-    for (const MultipathTap& tap : params.taps) {
-      const double amp = std::sqrt(rf::db_to_linear(tap.power_db));
-      h += std::polar(amp,
-                      -2.0 * std::numbers::pi * f * (params.delay_s + tap.excess_delay_s));
+    for (std::size_t t = 0; t < amps.size(); ++t) {
+      h += std::polar(amps[t], -2.0 * std::numbers::pi * f *
+                                   (params.delay_s + params.taps[t].excess_delay_s));
     }
     const std::size_t bin = fft_bin(sc, tx.config.carrier.fft_size);
     rx[bin] += tx.freq[bin] * h;

@@ -30,7 +30,10 @@ double u01(std::uint64_t seed, std::uint64_t stream, std::uint64_t ue,
   return geo::u01(seed, stream, ue ^ geo::mix64(tti));
 }
 
-double cqi_threshold_db(int cqi) { return cqi_table()[cqi - 1].snr_threshold_db; }
+double cqi_threshold_db(int cqi) {
+  expects(cqi >= 1 && cqi <= cqi_table_size(), "cqi_threshold_db: CQI out of range");
+  return cqi_table()[cqi - 1].snr_threshold_db;
+}
 
 /// MBSFN-capable subframe positions within a 10 ms frame (3GPP: all but the
 /// PSS/SSS/PBCH and paging subframes 0, 4, 5, 9).
@@ -400,7 +403,6 @@ void TrafficPlane::phase3_transmit(std::int64_t t) {
   for (const SchedEntry& e : scheduled_) {
     const std::size_t i = e.ue;
     const int cqi = cqi_[i];
-    const double threshold = cqi_threshold_db(cqi);
     const double u =
         u01(config_.seed, kStreamHarq, i, static_cast<std::uint64_t>(t));
     ++scheduled_ue_ttis_;
@@ -410,11 +412,15 @@ void TrafficPlane::phase3_transmit(std::int64_t t) {
       const int retx_no = harq_retx_[slot] + 1;
       // Chase combining: every flown copy adds combining gain. The block is
       // re-decoded against the current CQI's threshold (the reported SNR is
-      // assumed quasi-static over a HARQ round trip).
-      const double margin = snr_db_[i] + snr_offset_db_[i] +
-                            config_.harq_combining_gain_db * retx_no - threshold;
+      // assumed quasi-static over a HARQ round trip). A UE that fell out of
+      // range (CQI 0) since the first copy has no threshold: the copy fails
+      // its decode and still counts toward harq_max_retx.
       ++harq_retx_tx_;
-      if (u >= p_fail(margin)) {
+      const bool decoded =
+          cqi > 0 && u >= p_fail(snr_db_[i] + snr_offset_db_[i] +
+                                 config_.harq_combining_gain_db * retx_no -
+                                 cqi_threshold_db(cqi));
+      if (decoded) {
         served_bits_[i] += harq_bits_[slot];
         ewma_add_[i] += harq_bits_[slot];
         last_served_tti_[i] = t;
@@ -438,7 +444,8 @@ void TrafficPlane::phase3_transmit(std::int64_t t) {
     if (tb <= 0.0) continue;
     if (!full_buffer) backlog_bits_[i] -= tb;
     ++harq_first_tx_;
-    const double margin = snr_db_[i] + snr_offset_db_[i] - threshold;
+    // New transmissions are eligible only at CQI >= 1.
+    const double margin = snr_db_[i] + snr_offset_db_[i] - cqi_threshold_db(cqi);
     if (u >= p_fail(margin)) {
       served_bits_[i] += tb;
       ewma_add_[i] += tb;

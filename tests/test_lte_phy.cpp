@@ -5,7 +5,12 @@
 #include <cmath>
 #include <numbers>
 #include <random>
+#include <span>
+#include <string>
+#include <tuple>
+#include <vector>
 
+#include "core/thread_pool.hpp"
 #include "geo/contract.hpp"
 #include "lte/fft.hpp"
 #include "lte/ranging.hpp"
@@ -307,6 +312,142 @@ TEST(TofTest, MismatchedSymbolSizeRejected) {
   wrong.config = SrsConfig{};
   wrong.freq.assign(512, Cplx{});
   EXPECT_THROW(est.estimate(wrong), ContractViolation);
+}
+
+TEST(TofTest, UpsampledSizeMustBeAPowerOfTwo) {
+  EXPECT_THROW(TofEstimator(SrsConfig{}, 3), ContractViolation);
+  SrsConfig cfg15;
+  cfg15.carrier = bandwidth_config(15.0);  // N = 1536
+  EXPECT_THROW(TofEstimator(cfg15, 4), ContractViolation);
+}
+
+/// The composed correlation the planned one replaces (paper eq. 1-2).
+CplxVec dense_correlation(const SrsSymbol& rx, const SrsSymbol& ref, int k_factor) {
+  CplxVec up = upsample_zero_pad(multiply_conjugate(rx.freq, ref.freq), k_factor);
+  ifft_inplace(up);
+  return up;
+}
+
+/// Differential oracle: the planned correlator's window equals the dense
+/// ifft(upsample(rx . ref*)) value for value (== also equates the sign of an
+/// exact zero, the one difference the plan allows), and so does every field
+/// of the estimate drawn from it.
+TEST(TofTest, PlannedCorrelatorMatchesDenseIfft) {
+  std::mt19937_64 rng(2024);
+  std::uniform_real_distribution<double> delay(0.0, 30.0);
+  CplxVec scratch;  // reused across every plan below, as a batch chunk does
+  int cases = 0;
+  const auto check = [&](const SrsConfig& cfg, int k, double max_delay, bool nlos, double snr) {
+    const SrsSymbol tx = make_srs_symbol(cfg);
+    const TofEstimator est(cfg, k, max_delay);
+    SrsChannelParams ch;
+    ch.delay_s = delay(rng) / cfg.carrier.sample_rate_hz;
+    ch.snr_db = snr;
+    if (nlos) ch.taps = make_nlos_taps(4, 100e-9, -3.0, 2.0, rng);
+    const SrsSymbol rx = apply_srs_channel(tx, ch, rng);
+    const CplxVec dense = dense_correlation(rx, tx, k);
+    const std::string where = "bw " + std::to_string(cfg.carrier.fft_size) + " K " +
+                              std::to_string(k) + " comb " + std::to_string(cfg.comb) +
+                              "/" + std::to_string(cfg.comb_offset) + " window " +
+                              std::to_string(est.window()) + " nlos " +
+                              std::to_string(nlos) + " snr " + std::to_string(snr);
+    ASSERT_GE(est.window(), 1u) << where;
+    const std::span<const Cplx> planned = est.correlate(rx, scratch);
+    ASSERT_EQ(planned.size(), est.window()) << where;
+    for (std::size_t i = 0; i < planned.size(); ++i) {
+      ASSERT_EQ(planned[i].real(), dense[i].real()) << where << " bin " << i;
+      ASSERT_EQ(planned[i].imag(), dense[i].imag()) << where << " bin " << i;
+    }
+    const TofEstimate got = est.estimate(rx);
+    const TofEstimate want = est.pick_peak(std::span<const Cplx>(dense.data(), est.window()));
+    EXPECT_EQ(got.delay_samples, want.delay_samples) << where;
+    EXPECT_EQ(got.delay_s, want.delay_s) << where;
+    EXPECT_EQ(got.distance_m, want.distance_m) << where;
+    EXPECT_EQ(got.peak_to_side_db, want.peak_to_side_db) << where;
+    EXPECT_EQ(got.quality_ok, want.quality_ok) << where;
+    ++cases;
+  };
+  for (const double mhz : {5.0, 10.0, 20.0})
+    for (const int k : {1, 2, 4, 8})
+      for (const int comb : {2, 4})
+        for (const int offset : {0, comb - 1})
+          for (const bool nlos : {false, true})
+            for (const double snr : {-10.0, 0.0, 30.0}) {
+              SrsConfig cfg;
+              cfg.carrier = bandwidth_config(mhz);
+              cfg.sounding_prb = std::min(cfg.carrier.n_prb, 48);
+              cfg.comb = comb;
+              cfg.comb_offset = offset;
+              check(cfg, k, 0.0, nlos, snr);  // default window: half the alias period
+            }
+  // Full alias period: with comb 1 the window passes the last stage's half,
+  // so its `-` outputs are computed too; with comb 2 it ends exactly there.
+  for (const int comb : {1, 2})
+    for (const int k : {1, 4}) {
+      SrsConfig cfg;
+      cfg.comb = comb;
+      check(cfg, k, static_cast<double>(cfg.carrier.fft_size) / comb, true, 0.0);
+    }
+  // The smallest window: one upsampled bin.
+  check(SrsConfig{}, 4, 0.25, false, 30.0);
+  EXPECT_EQ(cases, 3 * 4 * 2 * 2 * 2 * 3 + 4 + 1);
+}
+
+/// estimate_batch gives each chunk its own scratch buffer: batches of two
+/// plans, interleaved on four workers, must match the dense oracle field for
+/// field (the TSan job runs this suite).
+TEST(TofTest, PlannedCorrelatorBatchesMatchOracleOnFourWorkers) {
+  core::ScopedWorkers workers(4);
+  SrsConfig small;
+  SrsConfig large;
+  large.carrier = bandwidth_config(20.0);
+  large.comb = 4;
+  large.comb_offset = 1;
+  const TofEstimator est_small(small, 4);
+  const TofEstimator est_large(large, 8);
+  std::mt19937_64 rng(31);
+  const auto batch = [&](const SrsConfig& cfg) {
+    std::vector<SrsSymbol> rx;
+    for (int i = 0; i < 16; ++i) {
+      SrsChannelParams ch;
+      ch.delay_s = (2.0 + 1.7 * i) / cfg.carrier.sample_rate_hz;
+      ch.snr_db = 5.0;
+      ch.taps = make_nlos_taps(3, 100e-9, -3.0, 2.0, rng);
+      rx.push_back(apply_srs_channel(make_srs_symbol(cfg), ch, rng));
+    }
+    return rx;
+  };
+  const std::vector<SrsSymbol> rx_small = batch(small);
+  const std::vector<SrsSymbol> rx_large = batch(large);
+  for (int round = 0; round < 3; ++round) {
+    for (const auto& [est, rx, cfg] :
+         {std::tuple{&est_small, &rx_small, &small}, std::tuple{&est_large, &rx_large, &large}}) {
+      const std::vector<TofEstimate> got = est->estimate_batch(*rx);
+      ASSERT_EQ(got.size(), rx->size());
+      const SrsSymbol ref = make_srs_symbol(*cfg);
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        const CplxVec dense = dense_correlation((*rx)[i], ref, est->k_factor());
+        const TofEstimate want =
+            est->pick_peak(std::span<const Cplx>(dense.data(), est->window()));
+        EXPECT_EQ(got[i].delay_samples, want.delay_samples) << round << "/" << i;
+        EXPECT_EQ(got[i].peak_to_side_db, want.peak_to_side_db) << round << "/" << i;
+        EXPECT_EQ(got[i].quality_ok, want.quality_ok) << round << "/" << i;
+      }
+    }
+  }
+}
+
+TEST(TofTest, DegenerateWindowIsFlaggedNotCorrelated) {
+  SrsConfig cfg;
+  const TofEstimator est(cfg, 4, 0.1);  // 0.4 upsampled bins
+  EXPECT_EQ(est.window(), 0u);
+  std::mt19937_64 rng(3);
+  const SrsSymbol rx = apply_srs_channel(make_srs_symbol(cfg), SrsChannelParams{}, rng);
+  const TofEstimate e = est.estimate(rx);
+  EXPECT_FALSE(e.quality_ok);
+  EXPECT_EQ(e.delay_samples, 0.0);
+  CplxVec scratch;
+  EXPECT_THROW(est.correlate(rx, scratch), ContractViolation);
 }
 
 // ---------------------------------------------------------------------------

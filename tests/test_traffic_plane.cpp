@@ -249,6 +249,33 @@ TEST(TrafficPlaneHarq, MaxRetxDropAccounting) {
   EXPECT_EQ(plane.served_bits(0), 0.0);
 }
 
+TEST(TrafficPlaneHarq, RetxAtCqiZeroFailsAndCountsTowardMaxRetx) {
+  TrafficPlaneConfig cfg;
+  cfg.seed = 61;
+  cfg.harq_max_retx = 2;
+  cfg.harq_combining_gain_db = 200.0;  // any copy at CQI >= 1 decodes
+  TrafficPlane plane(cfg);
+  plane.add_ue(61, 20.0, {TrafficModel::kFullBuffer});
+  plane.set_snr_offset_db(0, offset_for_margin(20.0, -5.0));  // first copy fails
+  plane.run_ttis(1);
+  ASSERT_TRUE(plane.harq_active(0, 0));
+  // The UE falls out of range: no new transmission is eligible, but process
+  // 0 still owes its retransmissions, which now have no CQI threshold.
+  plane.set_snr(0, -30.0);
+  plane.run_ttis(8);  // t = 8: first retransmission fails
+  EXPECT_TRUE(plane.harq_active(0, 0));
+  EXPECT_EQ(plane.harq_retx_count(0, 0), 1);
+  EXPECT_EQ(plane.served_bits(0), 0.0);
+  plane.run_ttis(8);  // t = 16: second retransmission fails and drops
+  EXPECT_FALSE(plane.harq_active(0, 0));
+  const TrafficPlaneReport r = plane.report();
+  EXPECT_EQ(r.harq_first_tx, 1u);
+  EXPECT_EQ(r.harq_retx, 2u);
+  EXPECT_EQ(r.harq_drops, 1u);
+  EXPECT_GT(plane.dropped_bits(0), 0.0);
+  EXPECT_EQ(plane.served_bits(0), 0.0);
+}
+
 TEST(TrafficPlaneHarq, RetxDeferredWhenPrbsExhausted) {
   // 60 backlogged UEs on 50 PRBs with everything failing: pending
   // retransmissions outnumber the carrier, so some defer to the process's
