@@ -5,7 +5,11 @@
 // the two results are bit-for-bit identical, and prints one machine-readable
 // JSON line. Not a google-benchmark binary: the JSON contract is the point.
 //
-// Usage: micro_parallel [repetitions]   (default 3; best-of is reported)
+// Usage: micro_parallel [repetitions]   (default 3)
+// Each side reports the median of its repetitions (`serial_ms`,
+// `parallel_ms`) and its interquartile range as a fraction of that median
+// (`serial_iqr_frac`, `parallel_iqr_frac`), so a noisy row shows as noisy.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <random>
@@ -14,6 +18,7 @@
 #include "core/thread_pool.hpp"
 #include "geo/grid.hpp"
 #include "geo/rect.hpp"
+#include "geo/stats.hpp"
 #include "lte/ranging.hpp"
 #include "lte/srs.hpp"
 #include "lte/srs_channel.hpp"
@@ -28,15 +33,23 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-double best_of_ms(int reps, const auto& fn) {
-  double best = 1e300;
+struct Timing {
+  double median_ms = 0.0;
+  double iqr_frac = 0.0;  ///< (q3 - q1) / median
+};
+
+Timing time_reps(int reps, const auto& fn) {
+  std::vector<double> ms;
   for (int r = 0; r < reps; ++r) {
     const auto t0 = Clock::now();
     fn();
     const std::chrono::duration<double, std::milli> dt = Clock::now() - t0;
-    if (dt.count() < best) best = dt.count();
+    ms.push_back(dt.count());
   }
-  return best;
+  std::sort(ms.begin(), ms.end());
+  const double median = geo::percentile_sorted(ms, 0.5);
+  return {median,
+          (geo::percentile_sorted(ms, 0.75) - geo::percentile_sorted(ms, 0.25)) / median};
 }
 
 /// Time `fn` with 1 worker and with `workers`, compare results via `equal`,
@@ -45,20 +58,21 @@ void report(const char* kernel, std::size_t items, int workers, int reps, const 
             const auto& equal) {
   core::set_global_workers(1);
   auto serial_result = fn();
-  const double serial_ms = best_of_ms(reps, fn);
+  const Timing serial = time_reps(reps, fn);
 
   core::set_global_workers(workers);
   auto parallel_result = fn();
-  const double parallel_ms = best_of_ms(reps, fn);
+  const Timing parallel = time_reps(reps, fn);
   core::set_global_workers(0);  // restore auto
 
   const bool same = equal(serial_result, parallel_result);
   std::printf(
       "{\"bench\":\"micro_parallel\",\"kernel\":\"%s\",\"items\":%zu,"
-      "\"workers\":%d,\"serial_ms\":%.3f,\"parallel_ms\":%.3f,"
+      "\"workers\":%d,\"reps\":%d,\"serial_ms\":%.3f,\"parallel_ms\":%.3f,"
+      "\"serial_iqr_frac\":%.3f,\"parallel_iqr_frac\":%.3f,"
       "\"speedup\":%.3f,\"equal\":%s}\n",
-      kernel, items, workers, serial_ms, parallel_ms, serial_ms / parallel_ms,
-      same ? "true" : "false");
+      kernel, items, workers, reps, serial.median_ms, parallel.median_ms, serial.iqr_frac,
+      parallel.iqr_frac, serial.median_ms / parallel.median_ms, same ? "true" : "false");
   std::fflush(stdout);
 }
 

@@ -37,60 +37,18 @@ void fft_radix2(CplxVec& a, bool invert) {
   }
 }
 
-/// Bluestein chirp-z transform: expresses an arbitrary-size DFT as a
-/// convolution, evaluated with power-of-two FFTs.
-void fft_bluestein(CplxVec& a, bool invert) {
-  const std::size_t n = a.size();
-  const std::size_t m = next_power_of_two(2 * n + 1);
-  const double sign = invert ? 1.0 : -1.0;
-
-  // Chirp c_k = exp(sign * i * pi * k^2 / n).
-  CplxVec chirp(n);
-  for (std::size_t k = 0; k < n; ++k) {
-    // k^2 mod 2n keeps the angle argument small for big k.
-    const double phase =
-        std::numbers::pi * static_cast<double>((k * k) % (2 * n)) / static_cast<double>(n);
-    chirp[k] = Cplx(std::cos(phase), sign * std::sin(phase));
-  }
-
-  CplxVec x(m, Cplx{});
-  CplxVec y(m, Cplx{});
-  for (std::size_t k = 0; k < n; ++k) x[k] = a[k] * chirp[k];
-  y[0] = std::conj(chirp[0]);
-  for (std::size_t k = 1; k < n; ++k) y[k] = y[m - k] = std::conj(chirp[k]);
-
-  fft_radix2(x, false);
-  fft_radix2(y, false);
-  for (std::size_t k = 0; k < m; ++k) x[k] *= y[k];
-  fft_radix2(x, true);
-  const double scale = 1.0 / static_cast<double>(m);
-  for (std::size_t k = 0; k < n; ++k) a[k] = x[k] * scale * chirp[k];
-}
-
 }  // namespace
 
 bool is_power_of_two(std::size_t n) { return n >= 1 && (n & (n - 1)) == 0; }
 
-std::size_t next_power_of_two(std::size_t n) {
-  std::size_t p = 1;
-  while (p < n) p <<= 1;
-  return p;
-}
-
 void fft_inplace(CplxVec& data) {
-  expects(!data.empty(), "fft: empty input");
-  if (is_power_of_two(data.size()))
-    fft_radix2(data, false);
-  else
-    fft_bluestein(data, false);
+  expects(is_power_of_two(data.size()), "fft: size must be a power of two");
+  fft_radix2(data, false);
 }
 
 void ifft_inplace(CplxVec& data) {
-  expects(!data.empty(), "ifft: empty input");
-  if (is_power_of_two(data.size()))
-    fft_radix2(data, true);
-  else
-    fft_bluestein(data, true);
+  expects(is_power_of_two(data.size()), "ifft: size must be a power of two");
+  fft_radix2(data, true);
   const double scale = 1.0 / static_cast<double>(data.size());
   for (Cplx& v : data) v *= scale;
 }

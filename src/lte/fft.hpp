@@ -1,7 +1,8 @@
-// FFT engine for the SRS correlation pipeline (paper Sec 3.2.2, eq. 1-3).
-// Radix-2 iterative Cooley-Tukey for power-of-two sizes, with a Bluestein
-// chirp-z fallback so non-power-of-two LTE FFT sizes (e.g. 1536 for 15 MHz)
-// are also supported.
+// FFT engine for the SRS correlation pipeline (paper Sec 3.2.2, eq. 1-3):
+// radix-2 iterative Cooley-Tukey, power-of-two sizes only (the ToF
+// estimator requires a power-of-two upsampled size). lte::TofEstimator runs
+// a planned form of the same butterflies; this dense transform is its
+// reference in tests and micro benches.
 #pragma once
 
 #include <complex>
@@ -15,14 +16,10 @@ using CplxVec = std::vector<Cplx>;
 /// True when n is a power of two (n >= 1).
 bool is_power_of_two(std::size_t n);
 
-/// Smallest power of two >= n.
-std::size_t next_power_of_two(std::size_t n);
-
-/// In-place forward FFT. Any size >= 1 (Bluestein used when not a power of
-/// two). No normalization.
+/// In-place forward FFT; the size must be a power of two. No normalization.
 void fft_inplace(CplxVec& data);
 
-/// In-place inverse FFT, normalized by 1/N.
+/// In-place inverse FFT, normalized by 1/N; the size must be a power of two.
 void ifft_inplace(CplxVec& data);
 
 /// Out-of-place conveniences.

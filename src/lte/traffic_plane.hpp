@@ -142,8 +142,7 @@ class TrafficPlane {
   /// Affects transmission outcomes only, never scheduling decisions.
   void set_snr_offset_db(std::size_t ue, double offset_db);
 
-  /// Advance `n` TTIs (1 ms each). Parallel passes shard over the shared
-  /// thread pool; results are bit-identical for any worker count.
+  /// Advance `n` TTIs (1 ms each), serially on the caller's thread.
   void run_ttis(int n);
 
   std::size_t ue_count() const { return n_ues_; }

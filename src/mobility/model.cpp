@@ -8,9 +8,6 @@
 
 namespace skyran::mobility {
 
-StaticMobility::StaticMobility(std::vector<geo::Vec3> positions)
-    : positions_(std::move(positions)) {}
-
 RouteMobility::RouteMobility(const terrain::Terrain& t, std::vector<geo::Vec3> initial,
                              std::vector<Route> routes)
     : terrain_(t), positions_(std::move(initial)), routes_(std::move(routes)) {
@@ -40,11 +37,6 @@ void RouteMobility::advance(double dt_s) {
     const geo::Vec2 p = r.waypoints.point_at(s);
     positions_[r.ue_index] = geo::Vec3{p, terrain_.ground_height(p) + 1.5};
   }
-}
-
-double RouteMobility::mobile_fraction() const {
-  if (positions_.empty()) return 0.0;
-  return static_cast<double>(routes_.size()) / static_cast<double>(positions_.size());
 }
 
 EpochRelocateMobility::EpochRelocateMobility(const terrain::Terrain& t,

@@ -1,11 +1,10 @@
-// UE mobility models: static UEs (the testbed, Sec 4.2), scripted waypoint
-// routes at pedestrian speed ("scripted to closely mimic human mobility",
-// Fig. 12), and the scale-up study's per-epoch random relocation of a
-// fraction of UEs (Sec 5.2).
+// UE mobility models: scripted waypoint routes at pedestrian speed
+// ("scripted to closely mimic human mobility", Fig. 12), and the scale-up
+// study's per-epoch random relocation of a fraction of UEs (Sec 5.2). The
+// testbed's static UEs (Sec 4.2) need no model: their positions never change.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <random>
 #include <vector>
 
@@ -15,34 +14,9 @@
 
 namespace skyran::mobility {
 
-/// Evolves a population of UE positions over time.
-class MobilityModel {
- public:
-  virtual ~MobilityModel() = default;
-
-  /// Current UE positions (z on the ground).
-  virtual const std::vector<geo::Vec3>& positions() const = 0;
-
-  /// Advance simulated time by `dt_s` seconds.
-  virtual void advance(double dt_s) = 0;
-
-  std::size_t ue_count() const { return positions().size(); }
-};
-
-/// UEs that never move.
-class StaticMobility final : public MobilityModel {
- public:
-  explicit StaticMobility(std::vector<geo::Vec3> positions);
-  const std::vector<geo::Vec3>& positions() const override { return positions_; }
-  void advance(double) override {}
-
- private:
-  std::vector<geo::Vec3> positions_;
-};
-
 /// A subset of UEs walk scripted waypoint routes at pedestrian speed; the
 /// rest stay put. Routes loop (ping-pong) when exhausted.
-class RouteMobility final : public MobilityModel {
+class RouteMobility {
  public:
   struct Route {
     std::size_t ue_index = 0;
@@ -55,11 +29,11 @@ class RouteMobility final : public MobilityModel {
   RouteMobility(const terrain::Terrain& t, std::vector<geo::Vec3> initial,
                 std::vector<Route> routes);
 
-  const std::vector<geo::Vec3>& positions() const override { return positions_; }
-  void advance(double dt_s) override;
+  /// Current UE positions (z on the ground).
+  const std::vector<geo::Vec3>& positions() const { return positions_; }
 
-  /// Fraction of UEs that have a route.
-  double mobile_fraction() const;
+  /// Advance simulated time by `dt_s` seconds.
+  void advance(double dt_s);
 
  private:
   const terrain::Terrain& terrain_;
@@ -70,13 +44,13 @@ class RouteMobility final : public MobilityModel {
 
 /// Scale-up mobility: each call to `relocate_epoch` teleports a random
 /// fraction of UEs to fresh walkable positions (models inter-epoch churn).
-class EpochRelocateMobility final : public MobilityModel {
+class EpochRelocateMobility {
  public:
   EpochRelocateMobility(const terrain::Terrain& t, std::vector<geo::Vec3> initial,
                         double move_fraction, std::uint64_t seed);
 
-  const std::vector<geo::Vec3>& positions() const override { return positions_; }
-  void advance(double) override {}  // movement happens at epoch boundaries
+  /// Current UE positions (z on the ground).
+  const std::vector<geo::Vec3>& positions() const { return positions_; }
 
   /// Relocate `move_fraction` of the UEs; returns the indices that moved.
   std::vector<std::size_t> relocate_epoch();

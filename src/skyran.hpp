@@ -5,7 +5,6 @@
 #include "core/config.hpp"        // SkyRanConfig, LocalizationMode
 #include "fleet/fleet.hpp"        // multi-cell SINR/handover/steering fleet
 #include "core/skyran.hpp"        // SkyRan: the epoch state machine
-#include "core/timeline.hpp"      // continuous-time mission runner
 #include "localization/localizer.hpp"  // standalone UE localization
 #include "lte/backhaul.hpp"       // backhaul link models
 #include "mobility/deployment.hpp"     // UE deployment generators

@@ -22,14 +22,6 @@ Clutter Terrain::clutter_at(geo::Vec2 p) const {
   return cells_.value_at(cells_.area().clamp(p)).clutter;
 }
 
-bool Terrain::is_obstructed(geo::Vec2 p, double z) const {
-  const TerrainCell& c = cells_.value_at(cells_.area().clamp(p));
-  const double ground = c.ground;
-  if (z < ground) return true;
-  return c.clutter != Clutter::kOpen && c.clutter != Clutter::kWater &&
-         z < ground + c.clutter_height;
-}
-
 double Terrain::max_surface_height() const {
   double best = 0.0;
   cells_.for_each([&](geo::CellIndex, const TerrainCell& c) {
@@ -44,19 +36,6 @@ double Terrain::clutter_fraction(Clutter kind) const {
     if (c.clutter == kind) ++n;
   });
   return static_cast<double>(n) / static_cast<double>(cells_.size());
-}
-
-double penetration_loss_db_per_meter(Clutter c) {
-  switch (c) {
-    case Clutter::kBuilding:
-      return 1.8;  // concrete / masonry bulk loss
-    case Clutter::kFoliage:
-      return 0.45;  // vegetation loss (ITU-R P.833-flavored bulk value)
-    case Clutter::kOpen:
-    case Clutter::kWater:
-      return 0.0;
-  }
-  return 0.0;
 }
 
 const char* to_string(Clutter c) {

@@ -50,10 +50,6 @@ class Terrain {
   /// Clutter class at `p`.
   Clutter clutter_at(geo::Vec2 p) const;
 
-  /// True when a point at altitude `z` (above datum) is inside clutter or
-  /// below ground at `p`.
-  bool is_obstructed(geo::Vec2 p, double z) const;
-
   /// Highest surface over the whole patch, meters above datum.
   double max_surface_height() const;
 
@@ -63,11 +59,6 @@ class Terrain {
  private:
   geo::Grid2D<TerrainCell> cells_;
 };
-
-/// Per-material RF penetration loss, dB per meter traversed inside the
-/// obstruction. Values follow common LTE link-budget practice: concrete
-/// structures attenuate far more per meter than foliage.
-double penetration_loss_db_per_meter(Clutter c);
 
 const char* to_string(Clutter c);
 

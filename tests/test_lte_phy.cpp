@@ -28,9 +28,6 @@ TEST(FftTest, PowerOfTwoHelpers) {
   EXPECT_TRUE(is_power_of_two(1024));
   EXPECT_FALSE(is_power_of_two(0));
   EXPECT_FALSE(is_power_of_two(1536));
-  EXPECT_EQ(next_power_of_two(1000), 1024u);
-  EXPECT_EQ(next_power_of_two(1024), 1024u);
-  EXPECT_EQ(next_power_of_two(1), 1u);
 }
 
 TEST(FftTest, DeltaTransformsToConstant) {
@@ -67,35 +64,6 @@ TEST(FftTest, ForwardInverseRoundTrip) {
   }
 }
 
-TEST(FftTest, BluesteinMatchesDirectDft) {
-  // Size 12 (not a power of two) exercises the chirp-z path.
-  const std::size_t n = 12;
-  std::mt19937_64 rng(2);
-  std::normal_distribution<double> g(0.0, 1.0);
-  CplxVec x(n);
-  for (Cplx& v : x) v = Cplx(g(rng), g(rng));
-  const CplxVec y = fft(x);
-  for (std::size_t k = 0; k < n; ++k) {
-    Cplx direct{};
-    for (std::size_t i = 0; i < n; ++i)
-      direct += x[i] * std::polar(1.0, -2.0 * std::numbers::pi * k * i / n);
-    EXPECT_NEAR(y[k].real(), direct.real(), 1e-9);
-    EXPECT_NEAR(y[k].imag(), direct.imag(), 1e-9);
-  }
-}
-
-TEST(FftTest, BluesteinRoundTripSize1536) {
-  // The 15 MHz LTE FFT size.
-  std::mt19937_64 rng(3);
-  std::normal_distribution<double> g(0.0, 1.0);
-  CplxVec x(1536);
-  for (Cplx& v : x) v = Cplx(g(rng), g(rng));
-  const CplxVec y = ifft(fft(x));
-  double worst = 0.0;
-  for (std::size_t i = 0; i < x.size(); ++i) worst = std::max(worst, std::abs(y[i] - x[i]));
-  EXPECT_LT(worst, 1e-8);
-}
-
 TEST(FftTest, ParsevalHolds) {
   std::mt19937_64 rng(4);
   std::normal_distribution<double> g(0.0, 1.0);
@@ -109,10 +77,13 @@ TEST(FftTest, ParsevalHolds) {
   EXPECT_NEAR(freq_energy / x.size(), time_energy, 1e-6);
 }
 
-TEST(FftTest, EmptyInputThrows) {
+TEST(FftTest, BadSizesThrow) {
   CplxVec empty;
   EXPECT_THROW(fft_inplace(empty), ContractViolation);
   EXPECT_THROW(max_abs_index(empty), ContractViolation);
+  CplxVec twelve(12);
+  EXPECT_THROW(fft_inplace(twelve), ContractViolation);
+  EXPECT_THROW(ifft_inplace(twelve), ContractViolation);
 }
 
 TEST(FftTest, MultiplyConjugateSizeMismatch) {

@@ -69,14 +69,6 @@ TEST(DeploymentTest, Contracts) {
   EXPECT_THROW(deploy_clustered(t, 5, 2, 0.0, 1), ContractViolation);
 }
 
-TEST(StaticMobilityTest, NeverMoves) {
-  StaticMobility m({{1.0, 2.0, 1.5}, {3.0, 4.0, 1.5}});
-  const auto before = m.positions();
-  m.advance(1000.0);
-  EXPECT_EQ(m.positions(), before);
-  EXPECT_EQ(m.ue_count(), 2u);
-}
-
 TEST(RouteMobilityTest, WalksAtConfiguredSpeed) {
   const terrain::Terrain t = terrain::make_flat(200.0);
   std::vector<geo::Vec3> initial{{10.0, 10.0, 1.5}, {50.0, 50.0, 1.5}};
@@ -90,7 +82,6 @@ TEST(RouteMobilityTest, WalksAtConfiguredSpeed) {
   EXPECT_NEAR(m.positions()[0].y, 10.0, 1e-9);
   // UE 1 has no route: stays.
   EXPECT_EQ(m.positions()[1], initial[1]);
-  EXPECT_NEAR(m.mobile_fraction(), 0.5, 1e-9);
 }
 
 TEST(RouteMobilityTest, PingPongsAtRouteEnd) {

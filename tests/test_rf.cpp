@@ -100,6 +100,21 @@ TEST(RayTraceTest, BelowGroundDetected) {
   EXPECT_FALSE(r.line_of_sight());
 }
 
+TEST(RayTraceTest, WaterDoesNotObstructAboveGround) {
+  terrain::Terrain t = terrain::make_flat(100.0);
+  for (int ix = 40; ix < 60; ++ix)
+    for (int iy = 0; iy < 100; ++iy) {
+      t.cells().at(ix, iy).clutter = terrain::Clutter::kWater;
+      t.cells().at(ix, iy).clutter_height = 5.0F;  // meaningless for water
+    }
+  // Horizontal ray at 1 m crosses the 20 m-wide water strip.
+  const RayObstruction r = trace_ray(t, {0.0, 50.0, 1.0}, {100.0, 50.0, 1.0});
+  EXPECT_DOUBLE_EQ(r.building_length_m, 0.0);
+  EXPECT_DOUBLE_EQ(r.foliage_length_m, 0.0);
+  EXPECT_FALSE(r.below_ground);
+  EXPECT_DOUBLE_EQ(obstruction_loss_db(r, ObstructionLossParams{}), 0.0);
+}
+
 TEST(RayTraceTest, ZeroLengthRay) {
   const terrain::Terrain t = terrain::make_flat(10.0);
   const RayObstruction r = trace_ray(t, {5.0, 5.0, 5.0}, {5.0, 5.0, 5.0});
@@ -114,6 +129,8 @@ TEST(RayTraceTest, ObstructionLossCapsAtMax) {
   EXPECT_DOUBLE_EQ(obstruction_loss_db(r, p), p.max_excess_db);
   r.building_length_m = 10.0;
   EXPECT_DOUBLE_EQ(obstruction_loss_db(r, p), 10.0 * p.building_db_per_m);
+  // Concrete attenuates more per meter than foliage.
+  EXPECT_GT(p.building_db_per_m, p.foliage_db_per_m);
 }
 
 TEST(RayTraceTest, BelowGroundGetsFloorPenalty) {

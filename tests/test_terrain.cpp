@@ -13,41 +13,21 @@ TEST(TerrainTest, FlatTerrainIsOpenEverywhere) {
   EXPECT_DOUBLE_EQ(t.ground_height({50.0, 50.0}), 0.0);
   EXPECT_DOUBLE_EQ(t.surface_height({50.0, 50.0}), 0.0);
   EXPECT_EQ(t.clutter_at({50.0, 50.0}), Clutter::kOpen);
-  EXPECT_FALSE(t.is_obstructed({50.0, 50.0}, 10.0));
   EXPECT_DOUBLE_EQ(t.clutter_fraction(Clutter::kOpen), 1.0);
 }
 
-TEST(TerrainTest, ObstructionInsideClutter) {
+TEST(TerrainTest, SurfaceHeightIncludesClutter) {
   Terrain t = make_flat(20.0);
   TerrainCell& c = t.cells().at(5, 5);
   c.clutter = Clutter::kBuilding;
   c.clutter_height = 15.0F;
-  const geo::Vec2 p = t.cells().center_of({5, 5});
-  EXPECT_TRUE(t.is_obstructed(p, 10.0));   // inside the building
-  EXPECT_FALSE(t.is_obstructed(p, 16.0));  // above the roof
-  EXPECT_TRUE(t.is_obstructed(p, -1.0));   // below ground
-  EXPECT_DOUBLE_EQ(t.surface_height(p), 15.0);
-}
-
-TEST(TerrainTest, WaterDoesNotObstructAboveGround) {
-  Terrain t = make_flat(20.0);
-  TerrainCell& c = t.cells().at(2, 2);
-  c.clutter = Clutter::kWater;
-  c.clutter_height = 5.0F;  // meaningless for water
-  EXPECT_FALSE(t.is_obstructed(t.cells().center_of({2, 2}), 1.0));
+  EXPECT_DOUBLE_EQ(t.surface_height(t.cells().center_of({5, 5})), 15.0);
 }
 
 TEST(TerrainTest, QueriesClampOutsidePoints) {
   const Terrain t = make_flat(50.0);
   EXPECT_NO_THROW(t.ground_height({-10.0, 200.0}));
   EXPECT_NO_THROW(t.clutter_at({1000.0, 1000.0}));
-}
-
-TEST(TerrainTest, PenetrationLossOrdering) {
-  EXPECT_GT(penetration_loss_db_per_meter(Clutter::kBuilding),
-            penetration_loss_db_per_meter(Clutter::kFoliage));
-  EXPECT_DOUBLE_EQ(penetration_loss_db_per_meter(Clutter::kOpen), 0.0);
-  EXPECT_DOUBLE_EQ(penetration_loss_db_per_meter(Clutter::kWater), 0.0);
 }
 
 TEST(TerrainTest, ClutterNames) {

@@ -36,7 +36,6 @@ struct CliOptions {
   std::optional<std::string> csv_path;
   bool phy_localization = false;
   bool clustered = false;
-  double timeline_min = 0.0;  ///< > 0: continuous-mission mode
   std::optional<std::string> metrics_path;  ///< JSON-lines telemetry dump
   bool trace = false;                       ///< print telemetry summary
 };
@@ -48,8 +47,6 @@ struct CliOptions {
                "       [--budget METERS] [--move FRACTION] [--scheme skyran|uniform|"
                "centroid|random]\n"
                "       [--seed N] [--csv PATH] [--phy-localization] [--clustered]\n"
-               "       [--timeline MINUTES]   continuous mission with walking UEs\n"
-               "                              (skyran scheme only; overrides --epochs)\n"
                "       [--metrics-out PATH]   enable instrumentation; dump telemetry\n"
                "                              as JSON lines (docs/OBSERVABILITY.md)\n"
                "       [--trace]              enable instrumentation; print a\n"
@@ -85,7 +82,6 @@ CliOptions parse(int argc, char** argv) {
     else if (a == "--csv") opt.csv_path = next(i);
     else if (a == "--phy-localization") opt.phy_localization = true;
     else if (a == "--clustered") opt.clustered = true;
-    else if (a == "--timeline") opt.timeline_min = std::stod(next(i));
     else if (a == "--metrics-out") opt.metrics_path = next(i);
     else if (a == "--trace") opt.trace = true;
     else usage(argv[0], "unknown flag '" + a + "'");
@@ -154,31 +150,6 @@ int main(int argc, char** argv) {
   std::cout << "scheme=" << opt.scheme << " terrain=" << terrain::to_string(opt.terrain)
             << " ues=" << opt.ues << " epochs=" << opt.epochs << " budget=" << opt.budget_m
             << "m move=" << opt.move_fraction << " seed=" << opt.seed << "\n";
-
-  if (opt.timeline_min > 0.0) {
-    if (opt.scheme != "skyran") {
-      std::cerr << "error: --timeline requires --scheme skyran\n";
-      return 2;
-    }
-    // Continuous mission: a share of UEs walks; the trigger drives epochs.
-    const auto n_mobile = static_cast<std::size_t>(
-        opt.move_fraction * static_cast<double>(world.ue_positions().size()));
-    mobility::RouteMobility walkers(
-        world.terrain(), world.ue_positions(),
-        mobility::make_random_routes(world.terrain(), world.ue_positions(), n_mobile, 400.0,
-                                     opt.seed + 4));
-    core::TimelineConfig tc;
-    tc.duration_s = opt.timeline_min * 60.0;
-    const core::TimelineResult r = core::run_timeline(skyran, world, walkers, tc);
-    for (const core::TimelineEvent& e : r.events)
-      std::cout << "  [" << sim::Table::num(e.time_s / 60.0, 1) << " min] " << e.detail
-                << "\n";
-    std::cout << "epochs=" << r.epochs_run
-              << " mean_service_ratio=" << sim::Table::num(r.mean_service_ratio, 3)
-              << " flight=" << sim::Table::num(r.total_flight_m, 0) << " m battery="
-              << sim::Table::num(100.0 * r.battery_remaining_fraction, 0) << " %\n";
-    return finish_telemetry(opt) ? 0 : 1;
-  }
 
   sim::Table table({"epoch", "position", "altitude_m", "flight_m", "rel_throughput",
                     "mean_tput_mbps", "min_snr_db"});
