@@ -1,19 +1,22 @@
 // Traffic-plane throughput: how many UE-TTIs/sec the batched SoA MAC
-// sustains at massive UE counts, serial vs 8 workers, per scheduling policy
-// and with the adaptive MBSFN split on. Each scenario runs the identical
-// plane twice — once under ScopedWorkers(1), once under ScopedWorkers(8) —
-// and verifies the end-state hashes match (the repo's serial == N-worker
-// bit-identity contract). Not a google-benchmark binary: like micro_parallel
-// and micro_rem it emits one machine-readable JSON line per scenario.
+// sustains at massive UE counts, per scheduling policy and with the adaptive
+// MBSFN split on. A plane runs serially, so each scenario times one plane
+// run per repetition and reports the median (`plane_ms`) and its
+// interquartile range as a fraction of that median (`iqr_frac`), as
+// micro_parallel does. The plane's serial == N-worker identity is checked
+// by test_traffic_plane. Not a
+// google-benchmark binary: like micro_parallel and micro_rem it emits one
+// machine-readable JSON line per scenario.
 //
 // Usage: micro_traffic [ues] [ttis] [reps]   (default 100000 UEs, 500 TTIs,
-// best-of-1; reported rate is the 8-worker run's)
+// 1 repetition)
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <vector>
 
-#include "core/thread_pool.hpp"
+#include "geo/stats.hpp"
 #include "lte/traffic_plane.hpp"
 #include "obs_session.hpp"
 
@@ -51,25 +54,27 @@ lte::TrafficPlane make_plane(const Scenario& s, std::size_t ues) {
 }
 
 struct RunResult {
-  double ms = 0.0;
-  std::uint64_t hash = 0;
+  double median_ms = 0.0;
+  double iqr_frac = 0.0;  ///< (q3 - q1) / median
   lte::TrafficPlaneReport report;
 };
 
-RunResult run_once(const Scenario& s, std::size_t ues, int ttis, int workers, int reps) {
-  const core::ScopedWorkers scoped(workers);
-  RunResult best;
-  best.ms = 1e300;
+RunResult run_reps(const Scenario& s, std::size_t ues, int ttis, int reps) {
+  RunResult out;
+  std::vector<double> ms;
   for (int r = 0; r < reps; ++r) {
     lte::TrafficPlane plane = make_plane(s, ues);
     const auto t0 = Clock::now();
     plane.run_ttis(ttis);
     const std::chrono::duration<double, std::milli> dt = Clock::now() - t0;
-    if (dt.count() < best.ms) best.ms = dt.count();
-    best.hash = plane.state_hash();
-    best.report = plane.report();
+    ms.push_back(dt.count());
+    out.report = plane.report();
   }
-  return best;
+  std::sort(ms.begin(), ms.end());
+  out.median_ms = geo::percentile_sorted(ms, 0.5);
+  out.iqr_frac =
+      (geo::percentile_sorted(ms, 0.75) - geo::percentile_sorted(ms, 0.25)) / out.median_ms;
+  return out;
 }
 
 }  // namespace
@@ -90,23 +95,17 @@ int main(int argc, char** argv) {
   };
 
   for (const Scenario& s : scenarios) {
-    const RunResult serial = run_once(s, ues, ttis, /*workers=*/1, reps);
-    const RunResult parallel = run_once(s, ues, ttis, /*workers=*/8, reps);
-    const bool equal = serial.hash == parallel.hash;
+    const RunResult run = run_reps(s, ues, ttis, reps);
     const double ue_ttis = static_cast<double>(ues) * static_cast<double>(ttis);
-    const double rate = ue_ttis / (parallel.ms * 1e-3);
     std::printf(
-        "{\"bench\":\"micro_traffic\",\"kind\":\"scenario\",\"scenario\":\"%s\","
-        "\"ues\":%zu,\"ttis\":%d,\"serial_ms\":%.3f,\"parallel_ms\":%.3f,"
+        "{\"bench\":\"micro_traffic\",\"kind\":\"plane\",\"scenario\":\"%s\","
+        "\"ues\":%zu,\"ttis\":%d,\"reps\":%d,\"plane_ms\":%.3f,\"iqr_frac\":%.3f,"
         "\"ue_ttis_per_sec\":%.0f,\"served_gbit\":%.3f,\"harq_retx\":%llu,"
-        "\"harq_drops\":%llu,\"mbsfn_subframes\":%d,\"fairness_jain\":%.4f,"
-        "\"equal\":%s}\n",
-        s.name, ues, ttis, serial.ms, parallel.ms, rate,
-        parallel.report.served_bits / 1e9,
-        static_cast<unsigned long long>(parallel.report.harq_retx),
-        static_cast<unsigned long long>(parallel.report.harq_drops),
-        parallel.report.mbsfn_subframes, parallel.report.fairness_jain,
-        equal ? "true" : "false");
+        "\"harq_drops\":%llu,\"mbsfn_subframes\":%d,\"fairness_jain\":%.4f}\n",
+        s.name, ues, ttis, reps, run.median_ms, run.iqr_frac, ue_ttis / (run.median_ms * 1e-3),
+        run.report.served_bits / 1e9, static_cast<unsigned long long>(run.report.harq_retx),
+        static_cast<unsigned long long>(run.report.harq_drops), run.report.mbsfn_subframes,
+        run.report.fairness_jain);
     std::fflush(stdout);
   }
   return 0;

@@ -53,26 +53,11 @@ void ifft_inplace(CplxVec& data) {
   for (Cplx& v : data) v *= scale;
 }
 
-CplxVec fft(CplxVec data) {
-  fft_inplace(data);
-  return data;
-}
-
-CplxVec ifft(CplxVec data) {
-  ifft_inplace(data);
-  return data;
-}
-
 CplxVec multiply_conjugate(const CplxVec& a, const CplxVec& b) {
   expects(a.size() == b.size(), "multiply_conjugate: size mismatch");
   CplxVec out(a.size());
   kernels::multiply_conjugate(a.data(), b.data(), out.data(), a.size());
   return out;
-}
-
-std::size_t max_abs_index(const CplxVec& v) {
-  expects(!v.empty(), "max_abs_index: empty input");
-  return kernels::power_peak_scan(v.data(), v.size()).argmax;
 }
 
 }  // namespace skyran::lte

@@ -22,14 +22,7 @@ void fft_inplace(CplxVec& data);
 /// In-place inverse FFT, normalized by 1/N; the size must be a power of two.
 void ifft_inplace(CplxVec& data);
 
-/// Out-of-place conveniences.
-CplxVec fft(CplxVec data);
-CplxVec ifft(CplxVec data);
-
 /// Element-wise a[i] * conj(b[i]); sizes must match.
 CplxVec multiply_conjugate(const CplxVec& a, const CplxVec& b);
-
-/// Index of the element with the largest magnitude.
-std::size_t max_abs_index(const CplxVec& v);
 
 }  // namespace skyran::lte

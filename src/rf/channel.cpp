@@ -23,19 +23,28 @@ void FsplChannel::path_loss_db_row(const geo::Vec3* a, std::size_t n, geo::Vec3 
   kernels::fspl_db(out, out, n, frequency_hz_);
 }
 
+namespace {
+
+std::shared_ptr<const terrain::Terrain> non_null(std::shared_ptr<const terrain::Terrain> t) {
+  expects(t != nullptr, "RayTraceChannel: terrain must not be null");
+  return t;
+}
+
+}  // namespace
+
 RayTraceChannel::RayTraceChannel(std::shared_ptr<const terrain::Terrain> terrain,
                                  RayTraceChannelParams params, std::uint64_t seed)
-    : terrain_(std::move(terrain)),
+    : terrain_(non_null(std::move(terrain))),
+      ceiling_(*terrain_),
       params_(params),
       los_shadowing_(seed ^ 0x105ULL, params.shadowing_sigma_db, params.shadowing_correlation_m),
       nlos_shadowing_(seed ^ 0x4105ULL, params.shadowing_sigma_db + params.nlos_extra_sigma_db,
                       params.shadowing_correlation_m * 0.6) {
-  expects(terrain_ != nullptr, "RayTraceChannel: terrain must not be null");
   expects(params.frequency_hz > 0.0, "RayTraceChannel: frequency must be positive");
 }
 
 double RayTraceChannel::path_loss_db(geo::Vec3 a, geo::Vec3 b) const {
-  const RayObstruction ray = trace_ray(*terrain_, a, b);
+  const RayObstruction ray = trace_ray(*terrain_, ceiling_, a, b);
   const double fspl = fspl_db(ray.total_length_m, params_.frequency_hz);
   double excess = obstruction_loss_db(ray, params_.obstruction);
   if (params_.use_knife_edge && !ray.line_of_sight()) {
@@ -48,7 +57,7 @@ double RayTraceChannel::path_loss_db(geo::Vec3 a, geo::Vec3 b) const {
 }
 
 bool RayTraceChannel::line_of_sight(geo::Vec3 a, geo::Vec3 b) const {
-  return trace_ray(*terrain_, a, b).line_of_sight();
+  return trace_ray(*terrain_, ceiling_, a, b).line_of_sight();
 }
 
 }  // namespace skyran::rf

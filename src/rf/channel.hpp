@@ -70,7 +70,8 @@ struct RayTraceChannelParams {
 };
 
 /// Terrain-aware ground-truth channel: FSPL + obstruction loss + correlated
-/// shadowing. Deterministic in (terrain, params, seed).
+/// shadowing. Deterministic in (terrain, params, seed). Builds the terrain's
+/// SurfaceCeiling once; the terrain must not change while the channel lives.
 class RayTraceChannel final : public ChannelModel {
  public:
   RayTraceChannel(std::shared_ptr<const terrain::Terrain> terrain,
@@ -87,6 +88,7 @@ class RayTraceChannel final : public ChannelModel {
 
  private:
   std::shared_ptr<const terrain::Terrain> terrain_;
+  SurfaceCeiling ceiling_;
   RayTraceChannelParams params_;
   ShadowingField los_shadowing_;
   ShadowingField nlos_shadowing_;

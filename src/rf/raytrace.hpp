@@ -5,7 +5,7 @@
 // the obstructed portion.
 #pragma once
 
-#include <memory>
+#include <vector>
 
 #include "geo/vec.hpp"
 #include "terrain/terrain.hpp"
@@ -24,11 +24,46 @@ struct RayObstruction {
   }
 };
 
+/// Coarse upper bound of a terrain raster for the ray march: one height per
+/// kTileCells x kTileCells tile of cells, the highest value trace_ray ever
+/// compares a ray height with in that tile. That is each cell's ground and,
+/// for building and foliage cells, the clutter top as the march computes it
+/// (the float sum ground + clutter_height). Built once per terrain; the
+/// terrain must not change afterwards. Immutable, so one ceiling is safe to
+/// share across threads.
+class SurfaceCeiling {
+ public:
+  static constexpr int kTileCells = 8;
+
+  explicit SurfaceCeiling(const terrain::Terrain& t);
+
+  /// True when height min(p.z, q.z) is strictly above the ceiling of every
+  /// tile that the box of p's and q's cells (t.area().clamp, then
+  /// t.cells().cell_of), widened by one cell, touches. A height above every
+  /// tile answers without mapping p and q to cells.
+  bool clears(const terrain::Terrain& t, geo::Vec3 p, geo::Vec3 q) const;
+
+  /// True when this ceiling was built over a raster of `t`'s dimensions.
+  bool fits(const terrain::Terrain& t) const {
+    return t.cells().nx() == cells_nx_ && t.cells().ny() == cells_ny_;
+  }
+
+ private:
+  int cells_nx_ = 0;
+  int cells_ny_ = 0;
+  int tiles_nx_ = 0;
+  std::vector<double> top_;  ///< row-major over tiles
+  double highest_ = 0.0;     ///< max of top_
+};
+
 /// March the segment a->b through the terrain raster and measure how much of
 /// it passes through each obstruction class. `step_m` controls the sampling
 /// pitch along the ray (defaults to half the raster cell size when <= 0).
-RayObstruction trace_ray(const terrain::Terrain& t, geo::Vec3 a, geo::Vec3 b,
-                         double step_m = 0.0);
+/// `ceiling` must be built from `t`: runs of steps that provably fly above
+/// it are skipped, which changes no output bit. Endpoints and `step_m` must
+/// be finite.
+RayObstruction trace_ray(const terrain::Terrain& t, const SurfaceCeiling& ceiling, geo::Vec3 a,
+                         geo::Vec3 b, double step_m = 0.0);
 
 /// Parameters mapping an obstruction measurement to excess loss.
 struct ObstructionLossParams {

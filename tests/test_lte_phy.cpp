@@ -33,7 +33,8 @@ TEST(FftTest, PowerOfTwoHelpers) {
 TEST(FftTest, DeltaTransformsToConstant) {
   CplxVec x(8, Cplx{});
   x[0] = 1.0;
-  const CplxVec y = fft(x);
+  CplxVec y = x;
+  fft_inplace(y);
   for (const Cplx& v : y) {
     EXPECT_NEAR(v.real(), 1.0, 1e-12);
     EXPECT_NEAR(v.imag(), 0.0, 1e-12);
@@ -45,9 +46,14 @@ TEST(FftTest, SingleToneLandsInOneBin) {
   CplxVec x(n);
   for (std::size_t i = 0; i < n; ++i)
     x[i] = std::polar(1.0, 2.0 * std::numbers::pi * 5.0 * i / n);
-  const CplxVec y = fft(x);
-  EXPECT_EQ(max_abs_index(y), 5u);
+  CplxVec y = x;
+  fft_inplace(y);
   EXPECT_NEAR(std::abs(y[5]), static_cast<double>(n), 1e-9);
+  for (std::size_t k = 0; k < n; ++k) {
+    if (k != 5) {
+      EXPECT_NEAR(std::abs(y[k]), 0.0, 1e-9) << "bin " << k;
+    }
+  }
 }
 
 TEST(FftTest, ForwardInverseRoundTrip) {
@@ -56,7 +62,9 @@ TEST(FftTest, ForwardInverseRoundTrip) {
   for (const std::size_t n : {std::size_t{16}, std::size_t{1024}}) {
     CplxVec x(n);
     for (Cplx& v : x) v = Cplx(g(rng), g(rng));
-    const CplxVec y = ifft(fft(x));
+    CplxVec y = x;
+    fft_inplace(y);
+    ifft_inplace(y);
     for (std::size_t i = 0; i < n; ++i) {
       EXPECT_NEAR(y[i].real(), x[i].real(), 1e-9);
       EXPECT_NEAR(y[i].imag(), x[i].imag(), 1e-9);
@@ -71,7 +79,8 @@ TEST(FftTest, ParsevalHolds) {
   for (Cplx& v : x) v = Cplx(g(rng), g(rng));
   double time_energy = 0.0;
   for (const Cplx& v : x) time_energy += std::norm(v);
-  const CplxVec y = fft(x);
+  CplxVec y = x;
+  fft_inplace(y);
   double freq_energy = 0.0;
   for (const Cplx& v : y) freq_energy += std::norm(v);
   EXPECT_NEAR(freq_energy / x.size(), time_energy, 1e-6);
@@ -80,7 +89,6 @@ TEST(FftTest, ParsevalHolds) {
 TEST(FftTest, BadSizesThrow) {
   CplxVec empty;
   EXPECT_THROW(fft_inplace(empty), ContractViolation);
-  EXPECT_THROW(max_abs_index(empty), ContractViolation);
   CplxVec twelve(12);
   EXPECT_THROW(fft_inplace(twelve), ContractViolation);
   EXPECT_THROW(ifft_inplace(twelve), ContractViolation);
@@ -468,7 +476,8 @@ TEST(GoldenVectorTest, Fft16FixedInput) {
   CplxVec x(16);
   for (int i = 0; i < 16; ++i)
     x[i] = Cplx(std::cos(0.7 * i) + 0.1 * i, std::sin(0.4 * i) - 0.05 * i);
-  const CplxVec y = fft(x);
+  CplxVec y = x;
+  fft_inplace(y);
   ASSERT_EQ(y.size(), 16u);
   constexpr double kTol = 1e-12;
   // All 16 bins of the radix-2 path for a fixed deterministic input.

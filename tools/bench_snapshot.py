@@ -28,8 +28,8 @@ snapshot that "passes" because nothing runs against it anymore.
 working-tree copy, when it differs) and prints the timing trajectory —
 every *_ms field and the speedup — per bench row, so perf regressions are
 visible across the snapshot history instead of only at re-capture time.
-A row whose latest version has parallel_ms > serial_ms (lanes do not pay)
-is marked "[parallel > serial]", and a closing line counts them; the marks
+A row of the newest version with parallel_ms > serial_ms (lanes do not
+pay) is marked "[parallel > serial]", and a closing line counts them; the marks
 do not change the exit status. It fails loudly when any historical version
 is unparseable, renames the bench, or changes a row's timing-field set
 (schema drift).
@@ -218,7 +218,11 @@ def trend(args):
                 continue
             name = " ".join(f"{k}={v}" for k, v in ident if k != "bench")
             latest = points[-1][1]
-            slower = latest.get("parallel_ms", 0.0) > latest.get("serial_ms", float("inf"))
+            # A row the newest version no longer has is history, not a
+            # current "lanes do not pay" finding.
+            current = points[-1][0] == history[-1][0]
+            slower = current and (latest.get("parallel_ms", 0.0)
+                                  > latest.get("serial_ms", float("inf")))
             if slower:
                 slower_rows.append(f"{rel}: {name or bench}")
             print(f"  {name or bench}" + ("  [parallel > serial]" if slower else ""))
