@@ -1,9 +1,9 @@
 // Serial-vs-parallel throughput for the thread-pool hot paths (DESIGN.md,
 // "Concurrency model"): REM interpolation (IDW + kriging), k-means, placement
-// scoring and batched SRS ToF correlation. Each kernel runs once with the
-// pool forced serial (1 worker) and once with all hardware workers, verifies
-// the two results are bit-for-bit identical, and prints one machine-readable
-// JSON line. Not a google-benchmark binary: the JSON contract is the point.
+// scoring, batched SRS ToF correlation and the planner's K-sweep. Each kernel
+// runs once with the pool forced serial (1 worker) and once with all hardware
+// workers, verifies the two results are bit-for-bit identical, and prints one
+// machine-readable JSON line. Not a google-benchmark binary: the JSON contract is the point.
 //
 // Usage: micro_parallel [repetitions]   (default 3)
 // Each side reports the median of its repetitions (`serial_ms`,
@@ -27,6 +27,7 @@
 #include "rem/kmeans.hpp"
 #include "rem/kriging.hpp"
 #include "rem/placement.hpp"
+#include "rem/planner.hpp"
 
 namespace skyran::bench {
 namespace {
@@ -170,6 +171,30 @@ int main(int argc, char** argv) {
                    a[i].peak_to_side_db != b[i].peak_to_side_db)
                  return false;
              return true;
+           });
+  }
+
+  {
+    // The planner's K-sweep (one K per lane) over eight UEs' seeded maps.
+    std::mt19937_64 rng(47);
+    std::uniform_real_distribution<double> u(0.0, 400.0);
+    std::normal_distribution<double> snr(10.0, 6.0);
+    rem::RemBank bank(area, 4.0, 60.0);
+    for (int i = 0; i < 8; ++i) bank.add_ue({{u(rng), u(rng)}, 1.5});
+    for (std::size_t i = 0; i < bank.ue_count(); ++i)
+      for (int m = 0; m < 150; ++m) bank.add_measurement(i, {u(rng), u(rng)}, snr(rng));
+    const rem::PlannerConfig cfg;
+    bank.estimate_all(cfg.idw);
+    const std::vector<rem::TrajectoryHistory> history(bank.ue_count());
+    const auto run = [&] {
+      return rem::plan_measurement_trajectory(bank, history, {200.0, 200.0}, cfg);
+    };
+    report("plan_trajectory", run().high_gradient_cells, workers, reps, run,
+           [](const rem::PlannedTrajectory& a, const rem::PlannedTrajectory& b) {
+             return a.path.points() == b.path.points() && a.k == b.k &&
+                    a.info_gain == b.info_gain && a.cost_m == b.cost_m &&
+                    a.info_to_cost == b.info_to_cost &&
+                    a.high_gradient_cells == b.high_gradient_cells;
            });
   }
 

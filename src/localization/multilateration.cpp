@@ -5,6 +5,7 @@
 #include <cmath>
 #include <limits>
 
+#include "core/thread_pool.hpp"
 #include "geo/contract.hpp"
 #include "geo/stats.hpp"
 #include "obs/obs.hpp"
@@ -179,37 +180,42 @@ JointMultilaterationResult multilaterate_joint(std::span<const GpsTofSeries> per
     double median_excess = 0.0;
     double mad = 0.0;  // median absolute deviation around the median
   };
-  std::vector<std::vector<CandStat>> stats(per_ue_tuples.size());
-  std::vector<bool> usable(per_ue_tuples.size(), false);
-  std::size_t n_usable = 0;
-  std::vector<double> scratch;
-  for (std::size_t u = 0; u < per_ue_tuples.size(); ++u) {
-    if (per_ue_tuples[u].size() < 4) continue;
-    usable[u] = true;
-    ++n_usable;
-    stats[u].resize(kGrid * kGrid);
-    for (int gy = 0; gy < kGrid; ++gy) {
-      for (int gx = 0; gx < kGrid; ++gx) {
-        const geo::Vec2 p{search_area.min.x + (gx + 0.5) / kGrid * search_area.width(),
-                          search_area.min.y + (gy + 0.5) / kGrid * search_area.height()};
-        scratch.clear();
-        for (const GpsTofTuple& t : per_ue_tuples[u])
-          scratch.push_back(t.range_m -
-                            t.uav_position.dist(geo::Vec3{p, ue_altitudes_m[u]}));
-        const double med = geo::median(scratch);
-        for (double& v : scratch) v = std::abs(v - med);
-        stats[u][gy * kGrid + gx] = {med, geo::median(scratch)};
-      }
-    }
-  }
+  constexpr std::size_t kCandidates = kGrid * kGrid;
+  std::vector<std::size_t> usable_ues;
+  for (std::size_t u = 0; u < per_ue_tuples.size(); ++u)
+    if (per_ue_tuples[u].size() >= 4) usable_ues.push_back(u);
+  const std::size_t n_usable = usable_ues.size();
   expects(n_usable > 0, "multilaterate_joint: no UE has enough tuples");
+
+  // Every (usable UE, candidate) statistic is independent: one flat loop
+  // over all of them, with one scratch buffer per chunk. stats[j * kCandidates
+  // + c] belongs to usable UE j and candidate c.
+  std::vector<CandStat> stats(n_usable * kCandidates);
+  core::parallel_for_chunks(
+      n_usable * kCandidates, 0, [&](std::size_t, std::size_t begin, std::size_t end) {
+        std::vector<double> scratch;
+        for (std::size_t i = begin; i < end; ++i) {
+          const std::size_t u = usable_ues[i / kCandidates];
+          const std::size_t cand = i % kCandidates;
+          const int gy = static_cast<int>(cand) / kGrid;
+          const int gx = static_cast<int>(cand) % kGrid;
+          const geo::Vec2 p{search_area.min.x + (gx + 0.5) / kGrid * search_area.width(),
+                            search_area.min.y + (gy + 0.5) / kGrid * search_area.height()};
+          scratch.clear();
+          for (const GpsTofTuple& t : per_ue_tuples[u])
+            scratch.push_back(t.range_m - t.uav_position.dist(geo::Vec3{p, ue_altitudes_m[u]}));
+          const double med = geo::median(scratch);
+          for (double& v : scratch) v = std::abs(v - med);
+          stats[i] = {med, geo::median(scratch)};
+        }
+      });
 
   const auto cost_for_offset = [&](double b) {
     double total = 0.0;
-    for (std::size_t u = 0; u < per_ue_tuples.size(); ++u) {
-      if (!usable[u]) continue;
+    for (std::size_t j = 0; j < n_usable; ++j) {
       double best = std::numeric_limits<double>::infinity();
-      for (const CandStat& s : stats[u]) {
+      for (std::size_t c = j * kCandidates; c < (j + 1) * kCandidates; ++c) {
+        const CandStat& s = stats[c];
         const double miss = b - s.median_excess;
         best = std::min(best, std::sqrt(s.mad * s.mad + miss * miss));
       }
@@ -229,18 +235,21 @@ JointMultilaterationResult multilaterate_joint(std::span<const GpsTofSeries> per
     }
   }
 
-  // Final per-UE fits at the chosen shared offset.
+  // Final per-UE fits at the chosen shared offset, one UE per pool index;
+  // unusable UEs keep the default result.
   JointMultilaterationResult out;
   out.shared_offset_m = best_b;
-  for (std::size_t u = 0; u < per_ue_tuples.size(); ++u) {
-    if (!usable[u]) {
-      out.per_ue.push_back(MultilaterationResult{});
-      continue;
-    }
-    out.per_ue.push_back(multilaterate_fixed_offset(per_ue_tuples[u], search_area,
-                                                    ue_altitudes_m[u], best_b));
-    SKYRAN_HISTOGRAM_OBSERVE("loc.mlat.iterations", out.per_ue.back().iterations);
-  }
+  out.per_ue.resize(per_ue_tuples.size());
+  core::parallel_for(
+      n_usable,
+      [&](std::size_t i) {
+        const std::size_t u = usable_ues[i];
+        out.per_ue[u] = multilaterate_fixed_offset(per_ue_tuples[u], search_area,
+                                                   ue_altitudes_m[u], best_b);
+      },
+      1);
+  for (const std::size_t u : usable_ues)
+    SKYRAN_HISTOGRAM_OBSERVE("loc.mlat.iterations", out.per_ue[u].iterations);
   return out;
 }
 

@@ -37,7 +37,8 @@ GpsTofSeries collect_gps_tof(const std::vector<uav::FlightSample>& flight, geo::
   // draw from an RNG, and they draw in flight order:
   //   1. serial: each symbol's geometry and the injected SRS loss;
   //   2. parallel: path loss, sag and SNR gate, and line of sight where the
-  //      gate passes (pure functions of geometry);
+  //      gate passes (pure functions of geometry; one ray trace gives both
+  //      when the oracle is the channel's own);
   //   3. serial: the NLOS tap draws and the receiver noise, into the
   //      symbol's own buffer;
   //   4. parallel: add the transmitted symbol through the channel in place,
@@ -51,6 +52,10 @@ GpsTofSeries collect_gps_tof(const std::vector<uav::FlightSample>& flight, geo::
   const std::size_t batch_intervals =
       std::max<std::size_t>(1, kBatchSymbolBudget / static_cast<std::size_t>(srs_per_gps));
   const std::size_t n_intervals = flight.size() - 1;
+  // When the oracle answers from `channel` itself, one ray march per symbol
+  // gives both the path loss and the line of sight.
+  const rf::RayTraceChannel* own_trace = los.ray_trace_channel();
+  if (own_trace != &channel) own_trace = nullptr;
 
   SKYRAN_TRACE_SPAN("loc.collect_gps_tof");
   std::uint64_t dropped_low_snr = 0;
@@ -95,10 +100,16 @@ GpsTofSeries collect_gps_tof(const std::vector<uav::FlightSample>& flight, geo::
 
     core::parallel_for(candidates.size(), [&](std::size_t k) {
       Candidate& c = candidates[k];
-      c.snr_db = budget.snr_db(channel.path_loss_db(c.uav, ue_position));
+      rf::RayTraceChannel::Link link;
+      if (own_trace != nullptr)
+        link = own_trace->trace(c.uav, ue_position);
+      else
+        link.path_loss_db = channel.path_loss_db(c.uav, ue_position);
+      c.snr_db = budget.snr_db(link.path_loss_db);
       if (faults != nullptr) c.snr_db -= faults->srs_snr_sag_db(c.time_s);
       c.decoded = c.snr_db >= config.min_snr_db;  // else the decoder lost the symbol
-      c.los = c.decoded && los.line_of_sight(c.uav, ue_position);
+      c.los = c.decoded && (own_trace != nullptr ? link.line_of_sight
+                                                 : los.line_of_sight(c.uav, ue_position));
     });
 
     std::size_t n_received = 0;

@@ -52,6 +52,10 @@ class LosOracle {
  public:
   virtual ~LosOracle() = default;
   virtual bool line_of_sight(geo::Vec3 uav, geo::Vec3 ue) const = 0;
+  /// The ray-traced channel this oracle answers from, if any. When it is
+  /// also the path-loss channel, collect_gps_tof reads both values from one
+  /// RayTraceChannel::trace.
+  virtual const rf::RayTraceChannel* ray_trace_channel() const { return nullptr; }
 };
 
 /// Scripted degradation applied to the ranging pipeline (fault injection).
@@ -79,6 +83,7 @@ class ChannelLosOracle final : public LosOracle {
   bool line_of_sight(geo::Vec3 uav, geo::Vec3 ue) const override {
     return channel_.line_of_sight(uav, ue);
   }
+  const rf::RayTraceChannel* ray_trace_channel() const override { return &channel_; }
 
  private:
   const rf::RayTraceChannel& channel_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "core/thread_pool.hpp"
 #include "geo/contract.hpp"
 #include "obs/obs.hpp"
 #include "rem/gradient.hpp"
@@ -44,21 +45,44 @@ PlannedTrajectory plan_measurement_trajectory(const RemBank& bank,
       points.push_back({bank.area().clamp(bank.ue_position(i).xy()), 1.0});
   }
 
+  // One slot per K, filled in one parallel_for with grain 1: each K's
+  // k-means, tour and gain are independent of the others, and the k-means
+  // reductions nested in a slot run inline with their own chunk boundaries,
+  // so every slot is the same at any worker count.
+  struct Candidate {
+    geo::Path tour;
+    double cost = 0.0;
+    double gain = 0.0;
+  };
+  const auto n_k = static_cast<std::size_t>(config.k_max - config.k_min + 1);
+  std::vector<Candidate> candidates(n_k);
+  core::parallel_for(
+      n_k,
+      [&](std::size_t i) {
+        const int k = config.k_min + static_cast<int>(i);
+        const KMeansResult clusters =
+            kmeans(points, k, config.seed + static_cast<std::uint64_t>(k));
+        Candidate& c = candidates[i];
+        c.tour = plan_tour(start, clusters.centroids);
+        if (config.budget_m > 0.0) c.tour = uav::truncate_to_budget(c.tour, config.budget_m);
+        c.cost = c.tour.length();
+        if (c.cost > 0.0) c.gain = average_info_gain(c.tour, history, config.info);
+      },
+      1);
+
+  // Pick the winner in K order: a zero-length tour is infeasible, and only a
+  // strictly greater ratio replaces the incumbent, so the smallest K wins a tie.
   PlannedTrajectory best;
   bool have_best = false;
-  for (int k = config.k_min; k <= config.k_max; ++k) {
-    const KMeansResult clusters = kmeans(points, k, config.seed + static_cast<std::uint64_t>(k));
-    geo::Path tour = plan_tour(start, clusters.centroids);
-    if (config.budget_m > 0.0) tour = uav::truncate_to_budget(tour, config.budget_m);
-    const double cost = tour.length();
-    if (cost <= 0.0) continue;
-    const double gain = average_info_gain(tour, history, config.info);
-    const double ratio = gain / cost;
+  for (std::size_t i = 0; i < n_k; ++i) {
+    Candidate& c = candidates[i];
+    if (c.cost <= 0.0) continue;
+    const double ratio = c.gain / c.cost;
     if (!have_best || ratio > best.info_to_cost) {
-      best.path = std::move(tour);
-      best.k = k;
-      best.info_gain = gain;
-      best.cost_m = cost;
+      best.path = std::move(c.tour);
+      best.k = config.k_min + static_cast<int>(i);
+      best.info_gain = c.gain;
+      best.cost_m = c.cost;
       best.info_to_cost = ratio;
       have_best = true;
     }

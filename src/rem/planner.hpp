@@ -2,7 +2,10 @@
 // current per-UE REM estimates, compute the gradient map, keep cells above
 // the median gradient, cluster them with k-means for each K in
 // [k_min, k_max], connect each K's cluster heads with a TSP tour, and pick
-// the tour with the best information-gain-to-cost ratio.
+// the tour with the best information-gain-to-cost ratio. The K-sweep fans out
+// across the thread pool, one K per lane (the k-means reductions inside a K
+// run inline); the winner is then picked serially in K order, so the plan is
+// the same at any worker count.
 #pragma once
 
 #include <cstdint>

@@ -43,7 +43,7 @@ RayTraceChannel::RayTraceChannel(std::shared_ptr<const terrain::Terrain> terrain
   expects(params.frequency_hz > 0.0, "RayTraceChannel: frequency must be positive");
 }
 
-double RayTraceChannel::path_loss_db(geo::Vec3 a, geo::Vec3 b) const {
+RayTraceChannel::Link RayTraceChannel::trace(geo::Vec3 a, geo::Vec3 b) const {
   const RayObstruction ray = trace_ray(*terrain_, ceiling_, a, b);
   const double fspl = fspl_db(ray.total_length_m, params_.frequency_hz);
   double excess = obstruction_loss_db(ray, params_.obstruction);
@@ -53,11 +53,15 @@ double RayTraceChannel::path_loss_db(geo::Vec3 a, geo::Vec3 b) const {
   }
   const double shadow =
       ray.line_of_sight() ? los_shadowing_.loss_db(a, b) : nlos_shadowing_.loss_db(a, b);
-  return fspl + excess + shadow;
+  return {fspl + excess + shadow, ray.line_of_sight()};
+}
+
+double RayTraceChannel::path_loss_db(geo::Vec3 a, geo::Vec3 b) const {
+  return trace(a, b).path_loss_db;
 }
 
 bool RayTraceChannel::line_of_sight(geo::Vec3 a, geo::Vec3 b) const {
-  return trace_ray(*terrain_, ceiling_, a, b).line_of_sight();
+  return trace(a, b).line_of_sight;
 }
 
 }  // namespace skyran::rf

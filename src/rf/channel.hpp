@@ -77,6 +77,13 @@ class RayTraceChannel final : public ChannelModel {
   RayTraceChannel(std::shared_ptr<const terrain::Terrain> terrain,
                   RayTraceChannelParams params, std::uint64_t seed);
 
+  /// Path loss and line of sight of a->b from one ray march.
+  struct Link {
+    double path_loss_db = 0.0;
+    bool line_of_sight = false;
+  };
+  Link trace(geo::Vec3 a, geo::Vec3 b) const;
+
   double path_loss_db(geo::Vec3 a, geo::Vec3 b) const override;
   double frequency_hz() const override { return params_.frequency_hz; }
 

@@ -19,6 +19,7 @@
 
 #include "core/thread_pool.hpp"
 #include "geo/contract.hpp"
+#include "localization/multilateration.hpp"
 #include "localization/pipeline.hpp"
 #include "lte/ranging.hpp"
 #include "lte/srs_channel.hpp"
@@ -29,6 +30,7 @@
 #include "rem/kmeans.hpp"
 #include "rem/kriging.hpp"
 #include "rem/placement.hpp"
+#include "rem/planner.hpp"
 #include "rf/channel.hpp"
 #include "sim/faults.hpp"
 #include "sim/measurement.hpp"
@@ -51,6 +53,18 @@ auto serial_and_parallel(F&& fn) {
   auto parallel = fn();
   core::set_global_workers(0);
   return std::pair{std::move(serial), std::move(parallel)};
+}
+
+/// Run `fn` at 1, 4 and kParallelWorkers workers, in that order.
+template <typename F>
+auto at_worker_counts(F&& fn) {
+  std::vector<decltype(fn())> out;
+  for (const int workers : {1, 4, kParallelWorkers}) {
+    core::set_global_workers(workers);
+    out.push_back(fn());
+  }
+  core::set_global_workers(0);
+  return out;
 }
 
 TEST(ThreadPoolTest, CoversEveryIndexExactlyOnce) {
@@ -420,6 +434,87 @@ TEST(ParallelEquivalenceTest, PlacementSingleMapSingleCell) {
   EXPECT_EQ(serial.position.x, parallel.position.x);
   EXPECT_EQ(serial.objective_snr_db, 5.5);
   EXPECT_EQ(parallel.objective_snr_db, 5.5);
+}
+
+TEST(ParallelEquivalenceTest, PlanMeasurementTrajectory) {
+  // Five UEs with seeded measurements, two of them with a flown history.
+  const geo::Rect area = geo::Rect::square(300.0);
+  std::mt19937_64 rng(41);
+  std::uniform_real_distribution<double> pos(5.0, 295.0);
+  std::uniform_real_distribution<double> snr(-5.0, 30.0);
+  rem::RemBank bank(area, 5.0, 60.0);
+  for (int u = 0; u < 5; ++u) bank.add_ue({{pos(rng), pos(rng)}, 1.5});
+  for (std::size_t u = 0; u < bank.ue_count(); ++u)
+    for (int m = 0; m < 60; ++m) bank.add_measurement(u, {pos(rng), pos(rng)}, snr(rng));
+  std::vector<rem::TrajectoryHistory> history(bank.ue_count());
+  history[0].push_back(uav::random_walk(area, {150.0, 150.0}, 200.0, 40.0, 3));
+  history[3].push_back(uav::random_walk(area, {60.0, 220.0}, 120.0, 30.0, 4));
+  rem::PlannerConfig cfg;
+  bank.estimate_all(cfg.idw);
+  const geo::Vec2 start{20.0, 30.0};
+
+  for (const double budget : {0.0, 180.0}) {
+    cfg.budget_m = budget;
+    const auto plans = at_worker_counts(
+        [&] { return rem::plan_measurement_trajectory(bank, history, start, cfg); });
+    for (std::size_t w = 1; w < plans.size(); ++w) {
+      SCOPED_TRACE(testing::Message() << "budget " << budget << " run " << w);
+      EXPECT_EQ(plans[w].path.points(), plans[0].path.points());
+      EXPECT_EQ(plans[w].k, plans[0].k);
+      EXPECT_EQ(plans[w].info_gain, plans[0].info_gain);
+      EXPECT_EQ(plans[w].cost_m, plans[0].cost_m);
+      EXPECT_EQ(plans[w].info_to_cost, plans[0].info_to_cost);
+      EXPECT_EQ(plans[w].high_gradient_cells, plans[0].high_gradient_cells);
+    }
+    if (budget == 0.0) {
+      EXPECT_GT(plans[0].cost_m, 180.0);  // so the budget below truncates
+    } else {
+      EXPECT_NEAR(plans[0].cost_m, budget, 1e-6);
+    }
+  }
+}
+
+TEST(ParallelEquivalenceTest, MultilaterateJoint) {
+  // Six UEs with noisy, outlier-laden tuples around one shared offset, plus
+  // an unusable UE (three tuples) and one with none.
+  const geo::Rect area = geo::Rect::square(300.0);
+  std::mt19937_64 rng(43);
+  std::uniform_real_distribution<double> pos(10.0, 290.0);
+  std::normal_distribution<double> noise(0.0, 2.0);
+  std::vector<localization::GpsTofSeries> tuples;
+  std::vector<double> altitudes;
+  for (int u = 0; u < 8; ++u) {
+    const geo::Vec3 ue{pos(rng), pos(rng), 1.5};
+    const int n = u == 2 ? 3 : u == 5 ? 0 : 40 + 5 * u;
+    localization::GpsTofSeries series;
+    for (int i = 0; i < n; ++i) {
+      const geo::Vec3 uav{130.0 + 0.6 * i, 140.0 + 0.3 * i, 60.0};
+      double range = uav.dist(ue) + 38.0 + noise(rng);
+      if (i % 9 == 4) range += 55.0;  // NLOS burst
+      series.push_back({i * 0.02, uav, range});
+    }
+    tuples.push_back(std::move(series));
+    altitudes.push_back(ue.z);
+  }
+  const auto fits =
+      at_worker_counts([&] { return localization::multilaterate_joint(tuples, area, altitudes); });
+  ASSERT_EQ(fits[0].per_ue.size(), tuples.size());
+  for (const std::size_t u : {2u, 5u}) {  // unusable: the default result
+    EXPECT_EQ(fits[0].per_ue[u].iterations, 0);
+    EXPECT_EQ(fits[0].per_ue[u].position, geo::Vec2{});
+  }
+  EXPECT_GT(fits[0].per_ue[0].iterations, 0);
+  for (std::size_t w = 1; w < fits.size(); ++w) {
+    EXPECT_EQ(fits[w].shared_offset_m, fits[0].shared_offset_m);
+    ASSERT_EQ(fits[w].per_ue.size(), fits[0].per_ue.size());
+    for (std::size_t u = 0; u < fits[0].per_ue.size(); ++u) {
+      SCOPED_TRACE(testing::Message() << "run " << w << " UE " << u);
+      EXPECT_EQ(fits[w].per_ue[u].position, fits[0].per_ue[u].position);
+      EXPECT_EQ(fits[w].per_ue[u].offset_m, fits[0].per_ue[u].offset_m);
+      EXPECT_EQ(fits[w].per_ue[u].rms_residual_m, fits[0].per_ue[u].rms_residual_m);
+      EXPECT_EQ(fits[w].per_ue[u].iterations, fits[0].per_ue[u].iterations);
+    }
+  }
 }
 
 TEST(ParallelEquivalenceTest, TofEstimateBatch) {

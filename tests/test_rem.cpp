@@ -6,6 +6,8 @@
 
 #include <cmath>
 #include <memory>
+#include <random>
+#include <vector>
 
 #include "geo/contract.hpp"
 #include "rem/bank.hpp"
@@ -18,6 +20,7 @@
 #include "rem/store.hpp"
 #include "rem/tsp.hpp"
 #include "terrain/synth.hpp"
+#include "uav/trajectory.hpp"
 
 namespace skyran::rem {
 namespace {
@@ -322,6 +325,144 @@ TEST(PlannerTest, StaleOrEmptyBankRejected) {
   empty.estimate_all();
   EXPECT_THROW(plan_measurement_trajectory(empty, {}, {0.0, 0.0}, PlannerConfig{}),
                ContractViolation);
+}
+
+/// One K of the selection-rule oracle: the tour it produced and its scores.
+struct OracleK {
+  int k = 0;
+  double cost = 0.0;
+  double ratio = 0.0;
+};
+
+/// The planner's serial K loop as it stood before the sweep fanned out:
+/// K ascending, skip a zero-length tour, replace only on a strictly greater
+/// ratio. `table` receives every K's cost and ratio.
+PlannedTrajectory serial_plan_oracle(const RemBank& bank,
+                                     const std::vector<TrajectoryHistory>& history,
+                                     geo::Vec2 start, const PlannerConfig& config,
+                                     std::vector<OracleK>& table) {
+  geo::Grid2D<double> aggregate = bank.estimate_grid(0);
+  for (std::size_t i = 1; i < bank.ue_count(); ++i) {
+    const geo::FieldView<const double> est = bank.estimate(i);
+    for (std::size_t j = 0; j < est.size(); ++j) aggregate.raw()[j] += est[j];
+  }
+  const geo::Grid2D<double> grad = gradient_map(aggregate);
+  const std::vector<geo::CellIndex> hot = high_gradient_cells(grad);
+  std::vector<WeightedPoint> points;
+  for (geo::CellIndex c : hot) points.push_back({grad.center_of(c), grad.at(c)});
+  if (points.empty())
+    for (std::size_t i = 0; i < bank.ue_count(); ++i)
+      points.push_back({bank.area().clamp(bank.ue_position(i).xy()), 1.0});
+
+  PlannedTrajectory best;
+  bool have_best = false;
+  table.clear();
+  for (int k = config.k_min; k <= config.k_max; ++k) {
+    const KMeansResult clusters = kmeans(points, k, config.seed + static_cast<std::uint64_t>(k));
+    geo::Path tour = plan_tour(start, clusters.centroids);
+    if (config.budget_m > 0.0) tour = uav::truncate_to_budget(tour, config.budget_m);
+    const double cost = tour.length();
+    table.push_back({k, cost, 0.0});
+    if (cost <= 0.0) continue;
+    const double gain = average_info_gain(tour, history, config.info);
+    const double ratio = gain / cost;
+    table.back().ratio = ratio;
+    if (!have_best || ratio > best.info_to_cost) {
+      best.path = std::move(tour);
+      best.k = k;
+      best.info_gain = gain;
+      best.cost_m = cost;
+      best.info_to_cost = ratio;
+      have_best = true;
+    }
+  }
+  best.high_gradient_cells = hot.size();
+  return best;
+}
+
+void expect_same_plan(const PlannedTrajectory& got, const PlannedTrajectory& want) {
+  EXPECT_EQ(got.k, want.k);
+  EXPECT_EQ(got.path.points(), want.path.points());
+  EXPECT_EQ(got.info_gain, want.info_gain);
+  EXPECT_EQ(got.cost_m, want.cost_m);
+  EXPECT_EQ(got.info_to_cost, want.info_to_cost);
+  EXPECT_EQ(got.high_gradient_cells, want.high_gradient_cells);
+}
+
+/// Three UEs at (20, 40), (80, 40) and (50, 70) over an unmeasured (flat)
+/// bank: the planner falls back to the three UE positions as its points.
+RemBank flat_three_ue_bank() {
+  RemBank bank(area100(), 5.0, 50.0);
+  for (const geo::Vec2 p : {geo::Vec2{20.0, 40.0}, geo::Vec2{80.0, 40.0}, geo::Vec2{50.0, 70.0}})
+    bank.add_ue({p, 1.5});
+  bank.estimate_all();
+  return bank;
+}
+
+TEST(PlannerSelectionTest, EarliestKWinsAnEqualRatioTie) {
+  // K >= 3 clamps to the three points, so every such K flies the same tour
+  // and scores the same ratio: the smallest tied K must win.
+  const RemBank bank = flat_three_ue_bank();
+  PlannerConfig cfg;
+  cfg.k_min = 3;
+  cfg.k_max = 7;
+  const std::vector<TrajectoryHistory> history(3);
+  std::vector<OracleK> table;
+  const PlannedTrajectory want = serial_plan_oracle(bank, history, {5.0, 5.0}, cfg, table);
+  ASSERT_EQ(want.high_gradient_cells, 0u);  // the fallback points were used
+  for (const OracleK& row : table) {
+    EXPECT_GT(row.cost, 0.0);
+    EXPECT_EQ(row.ratio, table.front().ratio) << "K " << row.k << " is not tied";
+  }
+  const PlannedTrajectory got = plan_measurement_trajectory(bank, history, {5.0, 5.0}, cfg);
+  EXPECT_EQ(got.k, 3);
+  expect_same_plan(got, want);
+}
+
+TEST(PlannerSelectionTest, ZeroCostKIsSkipped) {
+  // K = 1 puts the single centroid at the points' mean (50, 50), which is
+  // the start: a zero-length tour that must never be picked, even though
+  // its ratio would be unbounded.
+  const RemBank bank = flat_three_ue_bank();
+  PlannerConfig cfg;
+  cfg.k_min = 1;
+  cfg.k_max = 4;
+  const std::vector<TrajectoryHistory> history(3);
+  std::vector<OracleK> table;
+  const PlannedTrajectory want = serial_plan_oracle(bank, history, {50.0, 50.0}, cfg, table);
+  ASSERT_EQ(table.front().k, 1);
+  ASSERT_EQ(table.front().cost, 0.0);
+  const PlannedTrajectory got = plan_measurement_trajectory(bank, history, {50.0, 50.0}, cfg);
+  EXPECT_NE(got.k, 1);
+  EXPECT_GT(got.cost_m, 0.0);
+  expect_same_plan(got, want);
+}
+
+TEST(PlannerSelectionTest, MatchesSerialOracleOnSeededBanks) {
+  for (const std::uint64_t seed : {3u, 11u, 29u, 57u}) {
+    std::mt19937_64 rng(seed);
+    std::uniform_real_distribution<double> pos(5.0, 195.0);
+    std::uniform_real_distribution<double> snr(-5.0, 30.0);
+    RemBank bank(geo::Rect::square(200.0), 5.0, 50.0);
+    for (int u = 0; u < 3; ++u) bank.add_ue({{pos(rng), pos(rng)}, 1.5});
+    for (std::size_t u = 0; u < bank.ue_count(); ++u)
+      for (int m = 0; m < 40; ++m) bank.add_measurement(u, {pos(rng), pos(rng)}, snr(rng));
+    std::vector<TrajectoryHistory> history(bank.ue_count());
+    history[1].push_back(
+        uav::random_walk(geo::Rect::square(200.0), {100.0, 100.0}, 150.0, 30.0, seed));
+    for (const double budget : {0.0, 140.0}) {
+      PlannerConfig cfg;
+      cfg.budget_m = budget;
+      cfg.seed = seed;
+      bank.estimate_all(cfg.idw);
+      std::vector<OracleK> table;
+      const geo::Vec2 start{pos(rng), pos(rng)};
+      const PlannedTrajectory want = serial_plan_oracle(bank, history, start, cfg, table);
+      const PlannedTrajectory got = plan_measurement_trajectory(bank, history, start, cfg);
+      SCOPED_TRACE(testing::Message() << "seed " << seed << " budget " << budget);
+      expect_same_plan(got, want);
+    }
+  }
 }
 
 TEST(StoreTest, PutAndFindWithinRadius) {
