@@ -31,9 +31,9 @@ SkyRan::SkyRan(sim::World& world, SkyRanConfig config, std::uint64_t seed)
   expects(config.threads >= 0, "SkyRan: thread count must be >= 0 (0 = auto)");
   rem::validate(config.idw);
   // config.threads is applied per entry point via ScopedWorkers (see
-  // run_epoch / current_estimates) rather than set_global_workers: a
-  // constructor mutating the process-wide count would race with parallel
-  // work in flight elsewhere and let instances override each other.
+  // run_epoch) rather than set_global_workers: a constructor mutating the
+  // process-wide count would race with parallel work in flight elsewhere and
+  // let instances override each other.
 }
 
 rem::TrajectoryHistory& SkyRan::history_for(geo::Vec2 ue_position) {
@@ -356,17 +356,6 @@ EpochReport SkyRan::run_epoch() {
   SKYRAN_GAUGE_SET("epoch.altitude_m", report.altitude_m);
   SKYRAN_GAUGE_SET("epoch.degraded", report.degraded ? 1.0 : 0.0);
   return report;
-}
-
-std::vector<geo::Grid2D<double>> SkyRan::current_estimates() const {
-  std::vector<geo::Grid2D<double>> out;
-  if (!bank_) return out;
-  // run_epoch leaves the bank freshly estimated with config_.idw, so this is
-  // a copy of the cached slabs, not a re-estimation.
-  expects(bank_->estimates_current(), "SkyRan::current_estimates: bank estimates are stale");
-  out.reserve(bank_->ue_count());
-  for (std::size_t i = 0; i < bank_->ue_count(); ++i) out.push_back(bank_->estimate_grid(i));
-  return out;
 }
 
 double SkyRan::current_mean_throughput_bps() const {

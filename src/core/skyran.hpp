@@ -79,9 +79,6 @@ class SkyRan {
   const uav::Battery& battery() const { return battery_; }
   const SkyRanConfig& config() const { return config_; }
 
-  /// Current per-UE REM estimates (interpolated full maps).
-  std::vector<geo::Grid2D<double>> current_estimates() const;
-
   /// Capture the full between-epoch session state (epoch counter, RNG, REM
   /// store, trajectory histories, UAV pose/battery, last estimates, world UE
   /// positions). Only meaningful between run_epoch() calls.

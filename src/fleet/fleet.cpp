@@ -276,7 +276,6 @@ void Fleet::phase_serve(FleetEpochReport& report) {
         }
         plane.run_ttis(config_.ttis_per_epoch);
         const int prb_total = plane.last_tti().prb_total;
-        const lte::TrafficPlaneReport cell_report = plane.report();
         // Demand-based PRB utilization: the fraction of the grid the members'
         // offered traffic NEEDS at their channel quality. Granted-PRB counting
         // is useless as a load signal here — the proportional-fair scheduler
@@ -301,13 +300,19 @@ void Fleet::phase_serve(FleetEpochReport& report) {
           needed_prbs += plane.offered_bits(k - begin) / rate_1prb;
         }
         util_[c] = std::min(1.0, needed_prbs / grid_prbs);
-        cell_offered[c] = cell_report.offered_bits;
-        cell_served[c] = cell_report.served_bits;
+        // The cell totals sum the members in plane order from 0.0, exactly as
+        // TrafficPlane::report would, without its per-UE sorts.
+        double offered = 0.0;
+        double served = 0.0;
         for (std::uint32_t k = begin; k < end; ++k) {
+          offered += plane.offered_bits(k - begin);
+          served += plane.served_bits(k - begin);
           ue_load_bits_[members_[k]] =
               plane.offered_bits(k - begin) + plane.served_bits(k - begin);
           ue_served_bits_[members_[k]] = plane.served_bits(k - begin);
         }
+        cell_offered[c] = offered;
+        cell_served[c] = served;
       },
       /*grain=*/1);
   // Summed serially in cell order, so the totals round the same way for any
@@ -500,6 +505,7 @@ void Fleet::write_state(Sink& sink) const {
 
 template void Fleet::write_state(geo::BinWriter&) const;
 template void Fleet::write_state(geo::Fnv1a&) const;
+template void Fleet::write_state(geo::ByteCount&) const;
 
 std::uint64_t Fleet::state_hash() const {
   geo::Fnv1a h;
@@ -508,9 +514,8 @@ std::uint64_t Fleet::state_hash() const {
 }
 
 void Fleet::save(std::ostream& os) const {
-  geo::BinWriter w;
-  write_state(w);
-  geo::write_envelope(os, kMagic, kVersion, w);
+  geo::write_envelope(os, kMagic, kVersion,
+                      geo::sized_payload([this](auto& sink) { write_state(sink); }));
 }
 
 void Fleet::restore(std::istream& is) {

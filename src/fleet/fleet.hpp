@@ -246,9 +246,9 @@ class Fleet {
 
   /// Emit the dynamic state (positions, attachments, A3/TTT state, CIOs,
   /// utilizations, per-UE load, counters) into `sink`, which is a
-  /// geo::BinWriter or a geo::Fnv1a: seed, cell and UE populations and the
-  /// epoch, then each slab as a u64 count and its raw elements, then the
-  /// counters.
+  /// geo::BinWriter, a geo::Fnv1a or a geo::ByteCount: seed, cell and UE
+  /// populations and the epoch, then each slab as a u64 count and its raw
+  /// elements, then the counters.
   template <class Sink>
   void write_state(Sink& sink) const;
 

@@ -35,6 +35,8 @@
 #include <string_view>
 #include <type_traits>
 
+#include "geo/hash.hpp"
+
 namespace skyran::geo {
 
 /// Base class for every malformed-stream rejection. Derives from
@@ -139,11 +141,28 @@ class BinWriter {
     buf_.append(s.data(), s.size());
   }
 
+  /// Make room for `n` payload bytes in total, so appends up to that size
+  /// never regrow the buffer.
+  void reserve(std::size_t n) { buf_.reserve(n); }
+
   const std::string& buffer() const { return buf_; }
 
  private:
   std::string buf_;
 };
+
+/// The payload `walk(sink)` writes, in a buffer sized by one counting walk
+/// first: `walk` takes any pod()/bytes() sink and must emit the same bytes
+/// on both calls.
+template <class Walk>
+BinWriter sized_payload(const Walk& walk) {
+  ByteCount count;
+  walk(count);
+  BinWriter w;
+  w.reserve(count.value());
+  walk(w);
+  return w;
+}
 
 /// Payload parser over an in-memory, CRC-verified buffer. Throws
 /// BinTruncatedError on any read past the end — a prefix of a valid payload

@@ -1,9 +1,10 @@
 // Shared hashing primitives: the splitmix64 finalizer, the counter-based
 // uniform draw built on it, and an incremental FNV-1a hasher.
 //
-// Fnv1a has the same pod()/bytes() shape as geo::BinWriter, so one
-// write_state(Sink&) can feed either a checkpoint payload or a state hash:
-// the hash then covers exactly the bytes the checkpoint persists.
+// Fnv1a and ByteCount have the same pod()/bytes() shape as geo::BinWriter,
+// so one write_state(Sink&) can feed a checkpoint payload, a state hash or a
+// size count: the hash then covers exactly the bytes the checkpoint
+// persists, and the count sizes the payload buffer before it is written.
 #pragma once
 
 #include <cstddef>
@@ -51,6 +52,23 @@ class Fnv1a {
 
  private:
   std::uint64_t h_;
+};
+
+/// Counts the bytes a write_state(Sink&) walk would emit, writing nothing.
+class ByteCount {
+ public:
+  template <typename T>
+  void pod(const T&) {
+    static_assert(std::is_trivially_copyable_v<T>, "ByteCount::pod needs a trivial type");
+    n_ += sizeof(T);
+  }
+
+  void bytes(const void*, std::size_t n) { n_ += n; }
+
+  std::size_t value() const { return n_; }
+
+ private:
+  std::size_t n_ = 0;
 };
 
 }  // namespace skyran::geo

@@ -34,11 +34,24 @@ double percentile_sorted(std::span<const double> sorted, double p) {
   return sorted[lo] + frac * (sorted[hi] - sorted[lo]);
 }
 
+double percentile_inplace(std::span<double> xs, double p) {
+  expects(!xs.empty(), "percentile_inplace: empty input");
+  expects(p >= 0.0 && p <= 1.0, "percentile_inplace: p must be in [0,1]");
+  // The same lo as percentile_sorted's. After nth_element everything past lo
+  // is >= xs[lo], so their minimum, swapped to lo + 1, is the next order
+  // statistic: the two slots percentile_sorted reads then hold what a full
+  // sort would put there.
+  const auto rank = static_cast<std::ptrdiff_t>(p * static_cast<double>(xs.size() - 1));
+  const auto lo = xs.begin() + rank;
+  std::nth_element(xs.begin(), lo, xs.end());
+  if (lo + 1 != xs.end()) std::iter_swap(lo + 1, std::min_element(lo + 1, xs.end()));
+  return percentile_sorted(xs, p);
+}
+
 double percentile(std::span<const double> xs, double p) {
   expects(!xs.empty(), "percentile: empty input");
-  std::vector<double> sorted(xs.begin(), xs.end());
-  std::sort(sorted.begin(), sorted.end());
-  return percentile_sorted(sorted, p);
+  std::vector<double> copy(xs.begin(), xs.end());
+  return percentile_inplace(copy, p);
 }
 
 double median(std::span<const double> xs) { return percentile(xs, 0.5); }

@@ -14,8 +14,9 @@ double mean(std::span<const double> xs);
 double stddev(std::span<const double> xs);
 
 /// p-th percentile (p in [0,1]) of an ALREADY ASCENDING-SORTED sample, by
-/// linear interpolation between order statistics. This is the one percentile
-/// implementation in the repo; `percentile` sorts a copy and delegates here.
+/// linear interpolation between order statistics. This is the one
+/// percentile formula in the repo: `percentile_inplace` selects the two
+/// order statistics it reads into place and delegates here.
 ///
 /// Empty-input contract (explicit, pinned by tests/test_geo.cpp): an empty
 /// sample yields 0.0. Aggregate-report assembly (e.g. lte::TrafficPlane
@@ -24,9 +25,16 @@ double stddev(std::span<const double> xs);
 /// use `percentile`, which throws. p outside [0,1] throws either way.
 double percentile_sorted(std::span<const double> sorted, double p);
 
-/// p-th percentile (p in [0,1]) by linear interpolation between order
-/// statistics (sorts a copy, then percentile_sorted). Throws
-/// ContractViolation for an empty input or p out of range.
+/// p-th percentile (p in [0,1]) of an unsorted sample, by selection instead
+/// of a full sort: nth_element places the lower order statistic, and the
+/// upper one is the minimum of what lies past it; equal to sorting and
+/// calling percentile_sorted. Permutes `xs` (its values stay the same), so
+/// successive calls on one buffer are fine. Throws ContractViolation for an
+/// empty input or p out of range.
+double percentile_inplace(std::span<double> xs, double p);
+
+/// percentile_inplace on a copy of `xs`. Throws ContractViolation for an
+/// empty input or p out of range.
 double percentile(std::span<const double> xs, double p);
 
 /// Median (50th percentile).

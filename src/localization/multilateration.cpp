@@ -204,9 +204,10 @@ JointMultilaterationResult multilaterate_joint(std::span<const GpsTofSeries> per
           scratch.clear();
           for (const GpsTofTuple& t : per_ue_tuples[u])
             scratch.push_back(t.range_m - t.uav_position.dist(geo::Vec3{p, ue_altitudes_m[u]}));
-          const double med = geo::median(scratch);
+          // Selection permutes scratch; the MAD pass is order-free.
+          const double med = geo::percentile_inplace(scratch, 0.5);
           for (double& v : scratch) v = std::abs(v - med);
-          stats[i] = {med, geo::median(scratch)};
+          stats[i] = {med, geo::percentile_inplace(scratch, 0.5)};
         }
       });
 

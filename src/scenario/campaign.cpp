@@ -3,9 +3,11 @@
 #include <algorithm>
 #include <cmath>
 #include <fstream>
+#include <functional>
 #include <sstream>
 #include <utility>
 
+#include "core/thread_pool.hpp"
 #include "geo/binio.hpp"
 #include "geo/contract.hpp"
 #include "geo/hash.hpp"
@@ -242,8 +244,9 @@ Campaign::Campaign(CampaignConfig config)
   }
 
   for (const geo::Vec3& s : station_) fleet_.add_cell(s);
+  const std::vector<double> engagement = crowd_engagements(0.0);
   for (std::size_t i = 0; i < config_.n_ues; ++i) {
-    fleet_.add_ue(ue_position_at(i, 0.0), base_spec_[i]);
+    fleet_.add_ue(ue_position_at(i, 0.0, engagement), base_spec_[i]);
   }
   hour_ue_bits_.assign(config_.n_ues, 0.0);
 }
@@ -266,13 +269,20 @@ fleet::Fleet Campaign::make_fleet() const {
   return fleet::Fleet(fc, channel_);
 }
 
-geo::Vec3 Campaign::ue_position_at(std::size_t ue, double hour_of_day) const {
-  const double hod = wrap24(hour_of_day);
+std::vector<double> Campaign::crowd_engagements(double hod) const {
+  std::vector<double> engagement;
+  engagement.reserve(config_.crowds.size());
+  for (const FlashCrowd& crowd : config_.crowds) engagement.push_back(crowd_engagement(crowd, hod));
+  return engagement;
+}
+
+geo::Vec3 Campaign::ue_position_at(std::size_t ue, double hod,
+                                   std::span<const double> engagement) const {
   geo::Vec2 p = commuter_[ue] != 0 ? mobility::commuter_position(config_.commute, ue, hod)
                                    : static_pos_[ue];
   for (std::size_t k = 0; k < config_.crowds.size(); ++k) {
     const FlashCrowd& crowd = config_.crowds[k];
-    const double e = crowd_engagement(crowd, hod);
+    const double e = engagement[k];
     if (e <= 0.0) continue;
     if (!crowd_applies(crowd, ue, p, config_.seed, k + 1)) continue;
     p = crowd_position(crowd, p, ue, e, config_.seed, k + 1);
@@ -314,6 +324,7 @@ void Campaign::step_logistics(double epoch_s, HourReport& hr) {
 HourReport Campaign::run_hour() {
   expects(hour_ < config_.hours, "Campaign::run_hour: all configured hours already run");
   SKYRAN_TRACE_SPAN("campaign.hour");
+  core::ScopedWorkers scoped(config_.threads);
   HourReport hr;
   hr.hour = hour_;
   const double mid = wrap24(hour_ + 0.5);
@@ -321,21 +332,26 @@ HourReport Campaign::run_hour() {
 
   // Hour inputs: every UE's spec is its base model at the diurnal level,
   // boosted by any crowd it participates in at mid-hour. Pure function of
-  // (config, hour) — a restored campaign re-derives identical specs.
-  for (std::size_t i = 0; i < config_.n_ues; ++i) {
-    const geo::Vec2 base = commuter_[i] != 0
-                               ? mobility::commuter_position(config_.commute, i, mid)
-                               : static_pos_[i];
-    double m = hr.diurnal_level;
-    for (std::size_t k = 0; k < config_.crowds.size(); ++k) {
-      const FlashCrowd& crowd = config_.crowds[k];
-      const double e = crowd_engagement(crowd, mid);
-      if (e <= 0.0 || !crowd_applies(crowd, i, base, config_.seed, k + 1)) continue;
-      m *= crowd_rate_multiplier(crowd, e);
-    }
-    lte::TrafficSpec spec = base_spec_[i];
-    spec.rate_bps = base_rate_bps_[i] * m;
-    fleet_.set_ue_traffic(i, spec);
+  // (config, hour, UE) — a restored campaign re-derives identical specs, and
+  // each lane writes only its own UEs' slots.
+  {
+    SKYRAN_TRACE_SPAN("campaign.ue_inputs");
+    const std::vector<double> engagement = crowd_engagements(mid);
+    core::parallel_for(config_.n_ues, [&](std::size_t i) {
+      const geo::Vec2 base = commuter_[i] != 0
+                                 ? mobility::commuter_position(config_.commute, i, mid)
+                                 : static_pos_[i];
+      double m = hr.diurnal_level;
+      for (std::size_t k = 0; k < config_.crowds.size(); ++k) {
+        const FlashCrowd& crowd = config_.crowds[k];
+        if (engagement[k] <= 0.0 || !crowd_applies(crowd, i, base, config_.seed, k + 1))
+          continue;
+        m *= crowd_rate_multiplier(crowd, engagement[k]);
+      }
+      lte::TrafficSpec spec = base_spec_[i];
+      spec.rate_bps = base_rate_bps_[i] * m;
+      fleet_.set_ue_traffic(i, spec);
+    });
   }
 
   hour_ue_bits_.assign(config_.n_ues, 0.0);
@@ -343,10 +359,14 @@ HourReport Campaign::run_hour() {
   double sinr_sum = 0.0;
   std::uint64_t hr_served = 0;
   for (int e = 0; e < config_.epochs_per_hour; ++e) {
-    const double t = hour_ + (e + 0.5) / config_.epochs_per_hour;
+    const double hod = wrap24(hour_ + (e + 0.5) / config_.epochs_per_hour);
     step_logistics(epoch_s, hr);
-    for (std::size_t i = 0; i < config_.n_ues; ++i) {
-      fleet_.set_ue_position(i, ue_position_at(i, t));
+    {
+      SKYRAN_TRACE_SPAN("campaign.ue_positions");
+      const std::vector<double> engagement = crowd_engagements(hod);
+      core::parallel_for(config_.n_ues, [&](std::size_t i) {
+        fleet_.set_ue_position(i, ue_position_at(i, hod, engagement));
+      });
     }
     const fleet::FleetEpochReport er = fleet_.run_epoch();
     hr.offered_bits += er.offered_bits;
@@ -355,11 +375,23 @@ HourReport Campaign::run_hour() {
     hr.pingpongs += er.ho_pingpongs;
     hr.steering_steps += static_cast<std::uint64_t>(er.steering_steps);
     sinr_sum += er.mean_sinr_db;
-    for (std::size_t i = 0; i < config_.n_ues; ++i) {
-      hour_ue_bits_[i] += fleet_.ue_served_bits(i);
-      if (fleet_.serving_cell(i) >= 0 && fleet_.sinr_db(i) >= config_.min_service_sinr_db) {
-        ++hr_served;
-      }
+    {
+      // Each UE's bits accumulate in its own slot; the served count is an
+      // integer, so its chunk-order sum is exact for any worker count.
+      SKYRAN_TRACE_SPAN("campaign.tally");
+      hr_served += core::parallel_reduce(
+          config_.n_ues, 0, std::uint64_t{0},
+          [&](std::size_t begin, std::size_t end) {
+            std::uint64_t served = 0;
+            for (std::size_t i = begin; i < end; ++i) {
+              hour_ue_bits_[i] += fleet_.ue_served_bits(i);
+              if (fleet_.serving_cell(i) >= 0 &&
+                  fleet_.sinr_db(i) >= config_.min_service_sinr_db)
+                ++served;
+            }
+            return served;
+          },
+          std::plus<>());
     }
   }
   hr.mean_sinr_db = sinr_sum / config_.epochs_per_hour;
@@ -371,15 +403,15 @@ HourReport Campaign::run_hour() {
   total_samples_ += samples;
 
   // Per-UE delivered throughput over the hour's simulated service time
-  // (the traffic plane advances ttis_per_epoch TTIs per epoch).
+  // (the traffic plane advances ttis_per_epoch TTIs per epoch), computed in
+  // the hour scratch; selection permutes it, which no later step reads.
   const double service_s =
       config_.epochs_per_hour * config_.fleet.ttis_per_epoch * lte::kTtiSeconds;
-  std::vector<double> tput = hour_ue_bits_;
+  std::vector<double>& tput = hour_ue_bits_;
   for (double& b : tput) b /= service_s;
-  std::sort(tput.begin(), tput.end());
-  hr.p5_tput_bps = geo::percentile_sorted(tput, 0.05);
-  hr.p50_tput_bps = geo::percentile_sorted(tput, 0.50);
-  hr.p95_tput_bps = geo::percentile_sorted(tput, 0.95);
+  hr.p5_tput_bps = geo::percentile_inplace(tput, 0.05);
+  hr.p50_tput_bps = geo::percentile_inplace(tput, 0.50);
+  hr.p95_tput_bps = geo::percentile_inplace(tput, 0.95);
 
   by_hour_.push_back(hr);
   ++hour_;
@@ -452,12 +484,13 @@ std::uint64_t Campaign::state_hash() const {
 }
 
 void Campaign::save(std::ostream& os) const {
-  geo::BinWriter w;
-  w.pod(config_digest(config_));
-  w.pod(static_cast<std::uint64_t>(battery_.size()));
-  write_state(w);
-  fleet_.write_state(w);
-  geo::write_envelope(os, kMagic, kVersion, w);
+  const std::uint64_t fingerprint = config_digest(config_);
+  geo::write_envelope(os, kMagic, kVersion, geo::sized_payload([&](auto& sink) {
+                        sink.pod(fingerprint);
+                        sink.pod(static_cast<std::uint64_t>(battery_.size()));
+                        write_state(sink);
+                        fleet_.write_state(sink);
+                      }));
 }
 
 void Campaign::restore(std::istream& is) {
@@ -508,8 +541,9 @@ void Campaign::restore(std::istream& is) {
   // walker can fall back to an older generation after any throw.
   fleet::Fleet fresh = make_fleet();
   for (const geo::Vec3& s : station_) fresh.add_cell(s);
+  const std::vector<double> engagement = crowd_engagements(0.0);
   for (std::size_t i = 0; i < config_.n_ues; ++i) {
-    fresh.add_ue(ue_position_at(i, 0.0), base_spec_[i]);
+    fresh.add_ue(ue_position_at(i, 0.0, engagement), base_spec_[i]);
   }
   fresh.read_state(r);
 

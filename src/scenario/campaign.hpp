@@ -31,6 +31,7 @@
 #include <filesystem>
 #include <iosfwd>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -203,14 +204,18 @@ class Campaign {
   void restore(std::istream& is);
 
  private:
-  /// The persisted campaign state, into a geo::BinWriter or a geo::Fnv1a:
-  /// hour counter, per-cell logistics (Wh, swap epochs left), totals and
-  /// one row per hour run.
+  /// The persisted campaign state, into a geo::BinWriter, a geo::Fnv1a or
+  /// a geo::ByteCount: hour counter, per-cell logistics (Wh, swap epochs
+  /// left), totals and one row per hour run.
   template <class Sink>
   void write_state(Sink& sink) const;
 
   fleet::Fleet make_fleet() const;
-  geo::Vec3 ue_position_at(std::size_t ue, double hour_of_day) const;
+  /// crowd_engagement of every configured crowd at hour of day `hod`.
+  std::vector<double> crowd_engagements(double hod) const;
+  /// UE position at hour of day `hod` in [0, 24), given the crowds'
+  /// engagements at that hour.
+  geo::Vec3 ue_position_at(std::size_t ue, double hod, std::span<const double> engagement) const;
   void step_logistics(double epoch_s, HourReport& hr);
 
   CampaignConfig config_;
@@ -236,7 +241,8 @@ class Campaign {
   std::uint64_t total_samples_ = 0;
   std::vector<HourReport> by_hour_;
 
-  // Hour scratch (excluded from hash/save).
+  // Hour scratch (excluded from hash/save): per-UE served bits, turned into
+  // throughput for the hour's percentiles.
   std::vector<double> hour_ue_bits_;
 };
 

@@ -22,7 +22,9 @@
 #include "fleet/fleet.hpp"
 #include "geo/binio.hpp"
 #include "geo/contract.hpp"
+#include "geo/hash.hpp"
 #include "kernels/kernels.hpp"
+#include "lte/traffic_plane.hpp"
 #include "obs/obs.hpp"
 #include "rem/bank.hpp"
 #include "reseal.hpp"
@@ -273,6 +275,52 @@ TEST(FleetServe, PoolForksPerEpochIndependentOfTtis) {
   EXPECT_EQ(short_epoch, long_epoch);
 }
 
+// The serve phase sums each cell's members in plane order from 0.0. A
+// test-local TrafficPlane, rebuilt from the cell's plane seed (mixed as the
+// fleet mixes it), members and SINRs, must report the same totals, bit for
+// bit.
+TEST(FleetServe, CellTotalsMatchPlaneReport) {
+  fleet::FleetConfig cfg = tiny_config(/*threads=*/4);
+  fleet::Fleet f = grid_fleet(cfg, 240);
+  std::vector<lte::TrafficSpec> spec(f.ue_count());
+  for (std::size_t i = 0; i < spec.size(); ++i) {
+    spec[i] = cbr(1e5 + 4e5 * unit_noise(i, 31));
+    if (i % 3 == 1) spec[i].model = lte::TrafficModel::kBurstyOnOff;
+    if (i % 5 == 2) spec[i].model = lte::TrafficModel::kVideo;
+    f.set_ue_traffic(i, spec[i]);
+  }
+  for (int e = 1; e <= 3; ++e) {
+    drift_ues(f, e);
+    const fleet::FleetEpochReport er = f.run_epoch();
+    double offered = 0.0;
+    double served = 0.0;
+    std::size_t busy_cells = 0;
+    for (std::size_t c = 0; c < f.cell_count(); ++c) {
+      lte::TrafficPlaneConfig plane_cfg = cfg.plane;
+      plane_cfg.seed = geo::mix64(cfg.seed ^ geo::mix64(static_cast<std::uint64_t>(e) ^
+                                                        geo::mix64(0x5eedULL + c)));
+      lte::TrafficPlane plane(plane_cfg);
+      double member_served = 0.0;
+      for (std::size_t i = 0; i < f.ue_count(); ++i) {
+        if (f.serving_cell(i) != static_cast<std::int32_t>(c)) continue;
+        plane.add_ue(static_cast<std::uint32_t>(i + 1), f.sinr_db(i), spec[i]);
+        member_served += f.ue_served_bits(i);
+      }
+      if (plane.ue_count() == 0) continue;  // the fleet leaves empty cells idle
+      ++busy_cells;
+      plane.run_ttis(cfg.ttis_per_epoch);
+      const lte::TrafficPlaneReport rep = plane.report();
+      EXPECT_EQ(member_served, rep.served_bits) << "epoch " << e << " cell " << c;
+      offered += rep.offered_bits;
+      served += rep.served_bits;
+    }
+    EXPECT_GT(busy_cells, 1u);
+    EXPECT_GT(served, 0.0);
+    EXPECT_EQ(er.offered_bits, offered) << "epoch " << e;
+    EXPECT_EQ(er.served_bits, served) << "epoch " << e;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Traffic specs are checked where they are stored
 // ---------------------------------------------------------------------------
@@ -521,6 +569,20 @@ TEST(FleetSnapshot, RoundTripResumesBitIdentically) {
     EXPECT_EQ(ra.cell_prb_util, rb.cell_prb_util);
     EXPECT_EQ(ra.ho_successes, rb.ho_successes);
   }
+}
+
+// save() sizes its payload with a counting walk first; the bytes must be
+// those of a plain BinWriter filled by write_state() and sealed as "SKYF" v2.
+TEST(FleetSnapshot, SaveMatchesUnsizedWriter) {
+  fleet::Fleet f = hotspot_fleet(true);
+  for (int e = 1; e <= 3; ++e) f.run_epoch();
+  std::ostringstream saved;
+  f.save(saved);
+  geo::BinWriter w;
+  f.write_state(w);
+  std::ostringstream expected;
+  geo::write_envelope(expected, "SKYF", 2, w);
+  EXPECT_EQ(saved.str(), expected.str());
 }
 
 // Pinned state_hash of a small fixed fleet: a change to the hashed byte

@@ -219,6 +219,51 @@ TEST(StatsTest, PercentileSortedEmptyContractAndParity) {
   }
 }
 
+// Selection must pick the same two order statistics a full sort does, so
+// percentile_inplace equals sort + percentile_sorted exactly: small and large
+// samples, planted ties, all-equal input, the end points, and successive
+// calls on one (already permuted) buffer.
+TEST(StatsTest, PercentileInplaceMatchesSortOracle) {
+  const std::vector<double> probs{0.0, 0.05, 0.5, 0.95, 1.0};
+  const auto check = [&](const std::vector<double>& xs, const char* what) {
+    std::vector<double> sorted = xs;
+    std::sort(sorted.begin(), sorted.end());
+    std::vector<double> buf = xs;  // shared by every p, as the campaign hour does
+    for (double p : probs) {
+      std::vector<double> fresh = xs;
+      EXPECT_EQ(percentile_inplace(fresh, p), percentile_sorted(sorted, p))
+          << what << " n=" << xs.size() << " p=" << p;
+      EXPECT_EQ(percentile_inplace(buf, p), percentile_sorted(sorted, p))
+          << what << " (reused buffer) n=" << xs.size() << " p=" << p;
+      EXPECT_EQ(percentile(xs, p), percentile_sorted(sorted, p)) << what;
+    }
+    std::vector<double> permuted = buf;
+    std::sort(permuted.begin(), permuted.end());
+    EXPECT_EQ(permuted, sorted) << what << ": selection changed the values";
+  };
+  check({4.5}, "n=1");
+  check({3.0, -1.0}, "n=2");
+  check({2.0, 9.0, -4.0}, "n=3");
+  check({7.0, 7.0, 7.0, 7.0, 7.0}, "all equal");
+
+  std::mt19937_64 rng(20261019);
+  std::uniform_real_distribution<double> value(0.0, 5e6);
+  std::vector<double> xs(8000);
+  for (double& x : xs) x = value(rng);
+  check(xs, "n=8000");
+  // Planted ties: a run of zeros (idle UEs) and repeated values around
+  // every rank the probabilities select.
+  for (std::size_t i = 0; i < 900; ++i) xs[i * 7] = 0.0;
+  for (std::size_t i = 0; i < 400; ++i) xs[i * 19 + 3] = 1.25e6;
+  std::shuffle(xs.begin(), xs.end(), rng);
+  check(xs, "n=8000 ties");
+  for (int trial = 0; trial < 100; ++trial) {
+    std::vector<double> small(static_cast<std::size_t>(1 + trial % 17));
+    for (double& x : small) x = std::floor(value(rng) / 1e6);  // few distinct values
+    check(small, "small ties");
+  }
+}
+
 TEST(StatsTest, PercentileContractViolations) {
   EXPECT_THROW(percentile({}, 0.5), ContractViolation);
   const std::vector<double> xs{1.0};

@@ -18,6 +18,7 @@
 
 #include "geo/binio.hpp"
 #include "geo/contract.hpp"
+#include "geo/hash.hpp"
 #include "kernels/kernels.hpp"
 #include "mobility/commuter.hpp"
 #include "reseal.hpp"
@@ -249,6 +250,85 @@ TEST(Campaign, DiurnalLevelModulatesOfferedLoad) {
   EXPECT_GT(peak.offered_bits, night.offered_bits);
 }
 
+void expect_same_hour(const scenario::HourReport& a, const scenario::HourReport& b,
+                      int workers) {
+  SCOPED_TRACE(testing::Message() << "hour " << a.hour << ", " << workers << " workers");
+  EXPECT_EQ(a.hour, b.hour);
+  EXPECT_EQ(a.diurnal_level, b.diurnal_level);
+  EXPECT_EQ(a.offered_bits, b.offered_bits);
+  EXPECT_EQ(a.served_bits, b.served_bits);
+  EXPECT_EQ(a.availability, b.availability);
+  EXPECT_EQ(a.mean_sinr_db, b.mean_sinr_db);
+  EXPECT_EQ(a.p5_tput_bps, b.p5_tput_bps);
+  EXPECT_EQ(a.p50_tput_bps, b.p50_tput_bps);
+  EXPECT_EQ(a.p95_tput_bps, b.p95_tput_bps);
+  EXPECT_EQ(a.handovers, b.handovers);
+  EXPECT_EQ(a.pingpongs, b.pingpongs);
+  EXPECT_EQ(a.steering_steps, b.steering_steps);
+  EXPECT_EQ(a.swaps_started, b.swaps_started);
+  EXPECT_EQ(a.depot_epochs, b.depot_epochs);
+  EXPECT_EQ(a.energy_wh, b.energy_wh);
+}
+
+std::string saved_bytes(const scenario::Campaign& campaign) {
+  std::ostringstream os;
+  campaign.save(os);
+  return os.str();
+}
+
+// run_hour fans its per-UE loops (spec derivation, positions, the served
+// tally) out over UEs and selects its percentiles: a full day at 1, 4 and 8
+// workers must agree on every hour row, the state hash and the checkpoint
+// bytes. The day must also reach the branches those loops take: a crowd
+// pulling UEs into its venue and commuters caught mid-walk.
+TEST(Campaign, HourLoopsMatchAcrossWorkers) {
+  const auto config = [](int threads) {
+    scenario::CampaignConfig cfg = scenario::example_day_config(0x600DULL, 600, 3);
+    cfg.epochs_per_hour = 2;  // as in bench/campaign_day
+    cfg.threads = threads;
+    return cfg;
+  };
+  scenario::Campaign serial(config(1));
+  scenario::Campaign four(config(4));
+  scenario::Campaign eight(config(8));
+  const mobility::CommuterPlan& plan = serial.config().commute;
+  const scenario::FlashCrowd& stadium = serial.config().crowds.at(0);
+  ASSERT_EQ(stadium.kind, scenario::CrowdKind::kStadium);
+  const auto in_venue = [&] {
+    std::size_t n = 0;
+    for (std::size_t i = 0; i < serial.fleet().ue_count(); ++i)
+      if (serial.fleet().ue_position(i).xy().dist(stadium.center) < stadium.radius_m) ++n;
+    return n;
+  };
+  const std::size_t quiet_venue = in_venue();  // hour 0: no crowd engaged
+  bool crowd_seen = false;
+  bool walk_seen = false;
+  while (!serial.done()) {
+    const scenario::HourReport row = serial.run_hour();
+    expect_same_hour(row, four.run_hour(), 4);
+    expect_same_hour(row, eight.run_hour(), 8);
+    EXPECT_EQ(serial.state_hash(), four.state_hash()) << "hour " << row.hour;
+    EXPECT_EQ(serial.state_hash(), eight.state_hash()) << "hour " << row.hour;
+
+    // Positions now hold the hour's last epoch.
+    const double hod = row.hour + 0.75;
+    if (scenario::crowd_engagement(stadium, hod) > 0.0 && in_venue() > quiet_venue)
+      crowd_seen = true;
+    for (std::size_t i = 0; i < serial.fleet().ue_count() && !walk_seen; ++i) {
+      const double s = mobility::commute_progress(plan, i, hod);
+      if (s <= 0.0 || s >= 1.0) continue;
+      const geo::Vec2 walking = mobility::commuter_position(plan, i, hod);
+      const geo::Vec3 at = serial.fleet().ue_position(i);
+      walk_seen = at.x == walking.x && at.y == walking.y;
+    }
+  }
+  EXPECT_TRUE(crowd_seen);
+  EXPECT_TRUE(walk_seen);
+  const std::string bytes = saved_bytes(serial);
+  EXPECT_EQ(bytes, saved_bytes(four));
+  EXPECT_EQ(bytes, saved_bytes(eight));
+}
+
 // Pinned digests of a 2-hour mini campaign: a change to the hashed bytes,
 // or to campaign behaviour, moves them. Path loss is a tolerance kernel, so
 // the pin runs on the scalar path.
@@ -344,6 +424,39 @@ TEST(CampaignCheckpoint, RejectsOutOfRangeFieldsAndStaysUnchanged) {
   expect_corrupt(testbinio::patched(bytes, 28, std::int32_t{99}), "swap epochs left");
   expect_corrupt(testbinio::patched(bytes, totals, HUGE_VAL), "infinite energy");
   expect_corrupt(testbinio::patched(bytes, totals + 24, ~std::uint64_t{0}), "served > total");
+}
+
+// save() sizes its payload with a counting walk first; the bytes must be
+// those of a plain BinWriter sealed as "SKYD" v2: the config fingerprint,
+// the cell count, the campaign's own state, then the fleet's write_state().
+// The campaign's state section is private, so it is cut from the save by its
+// layout and checked against state_hash(), which hashes exactly those bytes
+// and then the fleet's hash.
+TEST(CampaignCheckpoint, SaveMatchesUnsizedWriter) {
+  scenario::Campaign campaign(tiny_campaign(1, 4));
+  campaign.run_hour();
+  campaign.run_hour();
+  const std::string bytes = saved_bytes(campaign);
+  std::istringstream in(bytes);
+  const geo::Envelope env = geo::read_envelope(in, "SKYD", 2, 2, "test");
+  // hour (4), per cell Wh (8) and swap epochs left (4), energy (8), four
+  // u64 totals (32), then one 116-byte row per hour run.
+  const std::size_t state_size = 4 + 12 * campaign.cell_count() + 8 + 32 + 116 * 2;
+  ASSERT_GE(env.payload.size(), 16 + state_size);
+  const std::string state = env.payload.substr(16, state_size);
+  geo::Fnv1a h(1469598103934665603ULL);
+  h.bytes(state.data(), state.size());
+  h.pod(campaign.fleet().state_hash());
+  ASSERT_EQ(h.value(), campaign.state_hash());
+
+  geo::BinWriter w;
+  w.pod(scenario::config_digest(campaign.config()));
+  w.pod(static_cast<std::uint64_t>(campaign.cell_count()));
+  w.bytes(state.data(), state.size());
+  campaign.fleet().write_state(w);
+  std::ostringstream expected;
+  geo::write_envelope(expected, "SKYD", 2, w);
+  EXPECT_EQ(bytes, expected.str());
 }
 
 TEST(CampaignCheckpointer, FallsBackPastCorruptNewestGeneration) {
