@@ -5,8 +5,13 @@
 // in-bench. The `tof_estimate_planned` row times the full SRS ToF estimate two
 // ways, the composed reference (dense mul-conj + upsample + IFFT, then the
 // peak pick) against TofEstimator's planned correlator, and asserts every
-// estimate field is bit-identical. Each row prints one machine-readable
-// JSON line. Not a google-benchmark binary: the JSON contract is the point
+// estimate field is bit-identical. The `srs_noise` row times one symbol's
+// receiver-noise draw (lte::draw_srs_noise) against the standard library's
+// std::normal_distribution over every bin, the draw it replays, and asserts
+// bit-equal occupied bins and engine state; each column is the median over
+// 21 blocks of symbols (whatever the repetitions) with its IQR over that
+// median. Each row prints one machine-readable JSON line. Not a
+// google-benchmark binary: the JSON contract is the point
 // (tools/bench_snapshot.py gates it in CI).
 //
 // Usage: micro_dsp [repetitions]   (default 5; best-of is reported)
@@ -14,7 +19,9 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <random>
+#include <span>
 #include <vector>
 
 #include "kernels/kernels.hpp"
@@ -23,6 +30,8 @@
 #include "lte/srs.hpp"
 #include "lte/srs_channel.hpp"
 #include "obs_session.hpp"
+#include "rf/units.hpp"
+#include "timing.hpp"
 
 namespace skyran::bench {
 namespace {
@@ -72,6 +81,18 @@ std::vector<double> random_doubles(std::size_t n, double lo, double hi, std::uin
   std::vector<double> v(n);
   for (double& x : v) x = d(rng);
   return v;
+}
+
+/// The standard library's receiver-noise draw: every bin, imaginary part
+/// first, one normal_distribution per symbol.
+void library_noise(double snr_db, std::mt19937_64& rng, std::span<lte::Cplx> rx) {
+  const double sigma = std::sqrt(0.5 / rf::db_to_linear(snr_db));
+  std::normal_distribution<double> gauss(0.0, sigma);
+  for (lte::Cplx& v : rx) {
+    const double im = gauss(rng);
+    const double re = gauss(rng);
+    v = lte::Cplx(re, im);
+  }
 }
 
 double rel_err(double ref, double got) {
@@ -164,6 +185,46 @@ int main(int argc, char** argv) {
         "\"composed_ms\":%.3f,\"planned_ms\":%.3f,\"speedup\":%.3f,\"equal\":%s}\n",
         cfg.carrier.fft_size, composed_ms, planned_ms, composed_ms / planned_ms,
         equal ? "true" : "false");
+    std::fflush(stdout);
+  }
+
+  {
+    // Receiver noise for one symbol: the library draw over every bin
+    // against draw_srs_noise, which replays its stream and writes only the
+    // occupied bins. Blocks alternate sides; each sample is one block's
+    // per-symbol time.
+    const lte::SrsConfig cfg;
+    const std::vector<int> res = lte::occupied_subcarriers(cfg);
+    constexpr int kSymbols = 50;
+    constexpr int kBlocks = 21;
+    constexpr double kSnrDb = 12.0;
+    lte::CplxVec lib_rx(cfg.carrier.fft_size), own_rx(cfg.carrier.fft_size);
+    std::mt19937_64 lib_rng(21), own_rng(21);
+    bool equal = true;
+    std::vector<double> lib_ms, own_ms;
+    for (int b = 0; b < kBlocks; ++b) {
+      const auto t0 = Clock::now();
+      for (int s = 0; s < kSymbols; ++s) library_noise(kSnrDb, lib_rng, lib_rx);
+      const auto t1 = Clock::now();
+      for (int s = 0; s < kSymbols; ++s) lte::draw_srs_noise(kSnrDb, own_rng, res, own_rx);
+      const auto t2 = Clock::now();
+      lib_ms.push_back(std::chrono::duration<double, std::milli>(t1 - t0).count() / kSymbols);
+      own_ms.push_back(std::chrono::duration<double, std::milli>(t2 - t1).count() / kSymbols);
+      // The last symbol of each block, occupied bins only, and the streams.
+      for (const int sc : res) {
+        const std::size_t bin = lte::fft_bin(sc, cfg.carrier.fft_size);
+        equal = equal && std::memcmp(&lib_rx[bin], &own_rx[bin], sizeof(lte::Cplx)) == 0;
+      }
+      equal = equal && lib_rng == own_rng;
+    }
+    const Timing lib = median_iqr(lib_ms);
+    const Timing own = median_iqr(own_ms);
+    std::printf(
+        "{\"bench\":\"micro_dsp\",\"kernel\":\"srs_noise\",\"n\":%zu,"
+        "\"library_ms\":%.5f,\"draw_ms\":%.5f,\"library_iqr_frac\":%.3f,"
+        "\"draw_iqr_frac\":%.3f,\"speedup\":%.3f,\"equal\":%s}\n",
+        cfg.carrier.fft_size, lib.median_ms, own.median_ms, lib.iqr_frac, own.iqr_frac,
+        lib.median_ms / own.median_ms, equal ? "true" : "false");
     std::fflush(stdout);
   }
 

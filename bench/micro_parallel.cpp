@@ -13,12 +13,12 @@
 #include <chrono>
 #include <cstdio>
 #include <random>
+#include <utility>
 #include <vector>
 
 #include "core/thread_pool.hpp"
 #include "geo/grid.hpp"
 #include "geo/rect.hpp"
-#include "geo/stats.hpp"
 #include "lte/ranging.hpp"
 #include "lte/srs.hpp"
 #include "lte/srs_channel.hpp"
@@ -28,16 +28,12 @@
 #include "rem/kriging.hpp"
 #include "rem/placement.hpp"
 #include "rem/planner.hpp"
+#include "timing.hpp"
 
 namespace skyran::bench {
 namespace {
 
 using Clock = std::chrono::steady_clock;
-
-struct Timing {
-  double median_ms = 0.0;
-  double iqr_frac = 0.0;  ///< (q3 - q1) / median
-};
 
 Timing time_reps(int reps, const auto& fn) {
   std::vector<double> ms;
@@ -47,10 +43,7 @@ Timing time_reps(int reps, const auto& fn) {
     const std::chrono::duration<double, std::milli> dt = Clock::now() - t0;
     ms.push_back(dt.count());
   }
-  std::sort(ms.begin(), ms.end());
-  const double median = geo::percentile_sorted(ms, 0.5);
-  return {median,
-          (geo::percentile_sorted(ms, 0.75) - geo::percentile_sorted(ms, 0.25)) / median};
+  return median_iqr(std::move(ms));
 }
 
 /// Time `fn` with 1 worker and with `workers`, compare results via `equal`,

@@ -14,11 +14,12 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <utility>
 #include <vector>
 
-#include "geo/stats.hpp"
 #include "lte/traffic_plane.hpp"
 #include "obs_session.hpp"
+#include "timing.hpp"
 
 namespace skyran::bench {
 namespace {
@@ -54,8 +55,7 @@ lte::TrafficPlane make_plane(const Scenario& s, std::size_t ues) {
 }
 
 struct RunResult {
-  double median_ms = 0.0;
-  double iqr_frac = 0.0;  ///< (q3 - q1) / median
+  Timing timing;
   lte::TrafficPlaneReport report;
 };
 
@@ -70,10 +70,7 @@ RunResult run_reps(const Scenario& s, std::size_t ues, int ttis, int reps) {
     ms.push_back(dt.count());
     out.report = plane.report();
   }
-  std::sort(ms.begin(), ms.end());
-  out.median_ms = geo::percentile_sorted(ms, 0.5);
-  out.iqr_frac =
-      (geo::percentile_sorted(ms, 0.75) - geo::percentile_sorted(ms, 0.25)) / out.median_ms;
+  out.timing = median_iqr(std::move(ms));
   return out;
 }
 
@@ -102,7 +99,8 @@ int main(int argc, char** argv) {
         "\"ues\":%zu,\"ttis\":%d,\"reps\":%d,\"plane_ms\":%.3f,\"iqr_frac\":%.3f,"
         "\"ue_ttis_per_sec\":%.0f,\"served_gbit\":%.3f,\"harq_retx\":%llu,"
         "\"harq_drops\":%llu,\"mbsfn_subframes\":%d,\"fairness_jain\":%.4f}\n",
-        s.name, ues, ttis, reps, run.median_ms, run.iqr_frac, ue_ttis / (run.median_ms * 1e-3),
+        s.name, ues, ttis, reps, run.timing.median_ms, run.timing.iqr_frac,
+        ue_ttis / (run.timing.median_ms * 1e-3),
         run.report.served_bits / 1e9, static_cast<unsigned long long>(run.report.harq_retx),
         static_cast<unsigned long long>(run.report.harq_drops), run.report.mbsfn_subframes,
         run.report.fairness_jain);

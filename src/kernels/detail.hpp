@@ -15,8 +15,6 @@ int kmeans_assign(const double* px, const double* py, std::size_t n_points,
 void min_dist2(const double* px, const double* py, std::size_t n_points,
                const double* cx, const double* cy, std::size_t n_centers, double* best_d2);
 void fspl_db(const double* dist_m, double* out, std::size_t n, double frequency_hz);
-void log_distance_db(const double* dist_m, double* out, std::size_t n, double frequency_hz,
-                     double exponent, double reference_m);
 
 }  // namespace skyran::kernels::scalar
 

@@ -120,11 +120,4 @@ void fspl_db(const double* dist_m, double* out, std::size_t n, double frequency_
   scalar::fspl_db(dist_m, out, n, frequency_hz);
 }
 
-void log_distance_db(const double* dist_m, double* out, std::size_t n, double frequency_hz,
-                     double exponent, double reference_m) {
-  SKYRAN_COUNTER_INC("kernel.pathloss.calls");
-  SKYRAN_COUNTER_ADD("kernel.pathloss.elems", n);
-  scalar::log_distance_db(dist_m, out, n, frequency_hz, exponent, reference_m);
-}
-
 }  // namespace skyran::kernels

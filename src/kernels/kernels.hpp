@@ -23,7 +23,6 @@
 // | kmeans_assign       | EXACT     | scalar at every level                  |
 // | min_dist2           | EXACT     | scalar at every level                  |
 // | fspl_db             | TOLERANCE | abs <= 1e-9 dB (polynomial log10)      |
-// | log_distance_db     | EXACT     | scalar at every level                  |
 //
 // The layer has no dependencies other than obs (dispatch gauge + throughput
 // counters); geo/rf/lte/rem all sit above it.
@@ -124,7 +123,7 @@ void min_dist2(const double* px, const double* py, std::size_t n_points,
                double* best_d2);
 
 // ---------------------------------------------------------------------------
-// Fused log-distance / path-loss evaluation (channel sampling)
+// Path-loss evaluation (channel sampling)
 // ---------------------------------------------------------------------------
 
 /// Scalar reference for one distance: free-space path loss, dB. This is the
@@ -137,10 +136,5 @@ double fspl_db_one(double distance_m, double frequency_hz);
 /// log10, scale — four lanes at a time. TOLERANCE: abs <= 1e-9 dB (measured
 /// error is ~1e-12 dB; the bound leaves headroom for future polynomials).
 void fspl_db(const double* dist_m, double* out, std::size_t n, double frequency_hz);
-
-/// out[i] = fspl_db(reference_m) + 10*exponent*log10(max(d, ref)/ref), the
-/// log-distance path-loss model over a batch, std::log10 per element.
-void log_distance_db(const double* dist_m, double* out, std::size_t n, double frequency_hz,
-                     double exponent, double reference_m);
 
 }  // namespace skyran::kernels

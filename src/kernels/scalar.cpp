@@ -89,14 +89,5 @@ void fspl_db(const double* dist_m, double* out, std::size_t n, double frequency_
   }
 }
 
-void log_distance_db(const double* dist_m, double* out, std::size_t n, double frequency_hz,
-                     double exponent, double reference_m) {
-  const double ref_db = fspl_db_one(reference_m, frequency_hz);
-  for (std::size_t i = 0; i < n; ++i) {
-    const double d = std::max(dist_m[i], reference_m);
-    out[i] = ref_db + 10.0 * exponent * std::log10(d / reference_m);
-  }
-}
-
 }  // namespace scalar
 }  // namespace skyran::kernels

@@ -39,8 +39,11 @@ GpsTofSeries collect_gps_tof(const std::vector<uav::FlightSample>& flight, geo::
   //   2. parallel: path loss, sag and SNR gate, and line of sight where the
   //      gate passes (pure functions of geometry; one ray trace gives both
   //      when the oracle is the channel's own);
-  //   3. serial: the NLOS tap draws and the receiver noise, into the
-  //      symbol's own buffer;
+  //   3. serial (span `loc.collect.draws`): the NLOS tap draws and the
+  //      receiver noise into the symbol's own buffer. Noise is written on
+  //      the occupied bins only, which are all the correlator reads, but
+  //      the stream advances over every bin as a full draw would; the
+  //      other bins stay zero from the buffer's creation;
   //   4. parallel: add the transmitted symbol through the channel in place,
   //      then cross-correlate (each symbol's estimate is independent of the
   //      others, so batch boundaries cannot change it);
@@ -113,28 +116,31 @@ GpsTofSeries collect_gps_tof(const std::vector<uav::FlightSample>& flight, geo::
     });
 
     std::size_t n_received = 0;
-    for (const Candidate& c : candidates) {
-      if (!c.decoded) {
-        ++dropped_low_snr;
-        continue;
+    {
+      SKYRAN_TRACE_SPAN("loc.collect.draws");
+      for (const Candidate& c : candidates) {
+        if (!c.decoded) {
+          ++dropped_low_snr;
+          continue;
+        }
+        if (n_received == received.size()) {
+          channels.emplace_back();
+          received.push_back({tx.config, lte::CplxVec(tx.freq.size())});
+          received_interval.push_back(0);
+        }
+        lte::SrsChannelParams& ch = channels[n_received];
+        ch.delay_s = (c.uav.dist(ue_position) + config.processing_offset_m) / rf::kSpeedOfLight;
+        ch.snr_db = c.snr_db;
+        ch.taps.clear();
+        if (!c.los) {
+          ch.taps = lte::make_nlos_taps(config.nlos_taps, config.nlos_mean_excess_ns * 1e-9,
+                                        config.nlos_first_tap_power_db,
+                                        config.nlos_tap_decay_db, rng);
+        }
+        lte::draw_srs_noise(ch.snr_db, rng, res, received[n_received].freq);
+        received_interval[n_received] = c.interval;
+        ++n_received;
       }
-      if (n_received == received.size()) {
-        channels.emplace_back();
-        received.push_back({tx.config, lte::CplxVec(tx.freq.size())});
-        received_interval.push_back(0);
-      }
-      lte::SrsChannelParams& ch = channels[n_received];
-      ch.delay_s = (c.uav.dist(ue_position) + config.processing_offset_m) / rf::kSpeedOfLight;
-      ch.snr_db = c.snr_db;
-      ch.taps.clear();
-      if (!c.los) {
-        ch.taps = lte::make_nlos_taps(config.nlos_taps, config.nlos_mean_excess_ns * 1e-9,
-                                      config.nlos_first_tap_power_db,
-                                      config.nlos_tap_decay_db, rng);
-      }
-      lte::draw_srs_noise(ch.snr_db, rng, received[n_received].freq);
-      received_interval[n_received] = c.interval;
-      ++n_received;
     }
 
     core::parallel_for(n_received, [&](std::size_t k) {

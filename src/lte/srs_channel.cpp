@@ -1,5 +1,6 @@
 #include "lte/srs_channel.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <numbers>
 
@@ -11,23 +12,37 @@ namespace skyran::lte {
 SrsSymbol apply_srs_channel(const SrsSymbol& tx, const SrsChannelParams& params,
                             std::mt19937_64& rng) {
   SrsSymbol rx{tx.config, CplxVec(tx.freq.size())};
-  draw_srs_noise(params.snr_db, rng, rx.freq);
-  add_srs_signal(tx, params, occupied_subcarriers(tx.config), rx.freq);
+  const std::vector<int> res = occupied_subcarriers(tx.config);
+  draw_srs_noise(params.snr_db, rng, res, rx.freq);
+  add_srs_signal(tx, params, res, rx.freq);
   return rx;
 }
 
-void draw_srs_noise(double snr_db, std::mt19937_64& rng, std::span<Cplx> rx) {
+void draw_srs_noise(double snr_db, std::mt19937_64& rng, std::span<const int> res,
+                    std::span<Cplx> rx) {
   // Unit-magnitude REs at `snr_db` imply per-complex-dimension sigma of
   // sqrt(1 / (2 * snr_lin)).
   const double sigma = std::sqrt(0.5 / rf::db_to_linear(snr_db));
-  std::normal_distribution<double> gauss(0.0, sigma);
-  for (Cplx& v : rx) {
-    // Named draws fix the order: the arguments of Cplx(gauss(rng), gauss(rng))
-    // are unsequenced, and the stream has always drawn the imaginary part first.
-    const double im = gauss(rng);
-    const double re = gauss(rng);
-    v = Cplx(re, im);
-  }
+  // Ascending subcarriers reach their bins in ascending order when the
+  // positive ones (bin sc) go before the negative ones (bin n + sc).
+  const auto first_nonneg = std::partition_point(res.begin(), res.end(),
+                                                 [](int sc) { return sc < 0; });
+  std::size_t bin = 0;  // next bin whose pair the stream owes
+  const auto draw = [&](std::span<const int> part) {
+    for (const int sc : part) {
+      const std::size_t target = fft_bin(sc, rx.size());
+      expects(target >= bin, "draw_srs_noise: occupied subcarriers must ascend");
+      for (; bin < target; ++bin) polar_pair(rng);  // unread bin: advance only
+      const PolarPair p = polar_pair(rng);
+      const double m = std::sqrt(-2.0 * std::log(p.r2) / p.r2);
+      // std::normal_distribution returns y·m first (the imaginary part),
+      // then the saved x·m, each as value·sigma + mean.
+      rx[bin++] = Cplx(p.x * m * sigma + 0.0, p.y * m * sigma + 0.0);
+    }
+  };
+  draw({first_nonneg, res.end()});
+  draw({res.begin(), first_nonneg});
+  for (; bin < rx.size(); ++bin) polar_pair(rng);
 }
 
 void add_srs_signal(const SrsSymbol& tx, const SrsChannelParams& params,

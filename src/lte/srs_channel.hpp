@@ -5,6 +5,8 @@
 // (Sec 4.3).
 #pragma once
 
+#include <algorithm>
+#include <cstdint>
 #include <random>
 #include <span>
 #include <vector>
@@ -26,15 +28,61 @@ struct SrsChannelParams {
 };
 
 /// Pass `tx` through the channel. Occupied subcarriers get the multi-tap
-/// channel response; every bin receives white Gaussian receiver noise.
-/// The composition of draw_srs_noise and add_srs_signal below.
+/// channel response plus white Gaussian receiver noise; the other bins are
+/// zero. The composition of draw_srs_noise and add_srs_signal below.
 SrsSymbol apply_srs_channel(const SrsSymbol& tx, const SrsChannelParams& params,
                             std::mt19937_64& rng);
 
-/// The RNG half of apply_srs_channel: overwrite every bin of `rx` with white
-/// Gaussian receiver noise for unit-magnitude REs at `snr_db`. Draws two
-/// values per bin from `rng`, the imaginary part first.
-void draw_srs_noise(double snr_db, std::mt19937_64& rng, std::span<Cplx> rx);
+/// The RNG half of apply_srs_channel: overwrite the occupied bins of `rx`
+/// (`res`, in ascending subcarrier order as occupied_subcarriers returns
+/// them) with white Gaussian receiver noise for unit-magnitude REs at
+/// `snr_db`, and leave the other bins as they are; nothing reads them.
+///
+/// The stream is that of `std::normal_distribution<double>(0, sigma)` in
+/// libstdc++ drawing the imaginary then the real part of every bin in bin
+/// order: each of the rx.size() bins consumes one accepted polar pair
+/// (polar_pair below), occupied or not, so `rng` advances exactly as a
+/// draw over every bin would, and each occupied bin's value is bit-equal to
+/// that draw's. Only occupied bins pay for the log and sqrt.
+void draw_srs_noise(double snr_db, std::mt19937_64& rng, std::span<const int> res,
+                    std::span<Cplx> rx);
+
+/// libstdc++'s `std::generate_canonical<double, 53>` over a full-range
+/// 64-bit generator, bit for bit: the word u rounded once to double
+/// (hi and lo 32-bit halves are exact, their sum is the one rounding),
+/// times 2^-64, with values that round to 1 clamped to nextafter(1, 0).
+/// Unlike the library's uint64 -> double conversion it has no branch.
+template <class Urbg>
+double canonical_u01(Urbg& g) {
+  static_assert(Urbg::min() == 0 && Urbg::max() == ~std::uint64_t{0},
+                "canonical_u01 needs a generator of full 64-bit words");
+  const std::uint64_t u = g();
+  const double d = (static_cast<double>(static_cast<std::uint32_t>(u >> 32)) * 0x1p32 +
+                    static_cast<double>(static_cast<std::uint32_t>(u))) *
+                   0x1p-64;
+  return std::min(d, 0x1.fffffffffffffp-1);
+}
+
+/// One accepted pair of the Marsaglia polar method, as libstdc++'s
+/// `std::normal_distribution<double>` draws it: x and y uniform on [-1, 1),
+/// redrawn while r2 = x² + y² is above 1 or exactly 0. The two normals of
+/// the pair are y·m and x·m with m = sqrt(-2 log(r2) / r2), in that order.
+struct PolarPair {
+  double x = 0.0;
+  double y = 0.0;
+  double r2 = 0.0;
+};
+
+template <class Urbg>
+PolarPair polar_pair(Urbg& g) {
+  PolarPair p;
+  do {
+    p.x = 2.0 * canonical_u01(g) - 1.0;
+    p.y = 2.0 * canonical_u01(g) - 1.0;
+    p.r2 = p.x * p.x + p.y * p.y;
+  } while (p.r2 > 1.0 || p.r2 == 0.0);
+  return p;
+}
 
 /// The deterministic half of apply_srs_channel: add `tx` passed through the
 /// channel to `rx` in place. Each occupied RE (`res`, as occupied_subcarriers

@@ -19,12 +19,4 @@ double fspl_db(double distance_m, double frequency_hz) {
   return kernels::fspl_db_one(distance_m, frequency_hz);
 }
 
-double log_distance_db(double distance_m, double frequency_hz, double exponent,
-                       double reference_m) {
-  expects(exponent > 0.0, "log_distance_db: exponent must be positive");
-  expects(reference_m > 0.0, "log_distance_db: reference distance must be positive");
-  kernels::log_distance_db(&distance_m, &distance_m, 1, frequency_hz, exponent, reference_m);
-  return distance_m;
-}
-
 }  // namespace skyran::rf

@@ -1,5 +1,5 @@
-// Closed-form propagation models: free-space path loss (the paper's baseline
-// REM seed, Sec 3.5) and a log-distance generalization.
+// Closed-form propagation model: free-space path loss (the paper's baseline
+// REM seed, Sec 3.5).
 #pragma once
 
 namespace skyran::rf {
@@ -7,9 +7,5 @@ namespace skyran::rf {
 /// Free-space path loss between isotropic antennas, dB.
 /// `distance_m` is clamped below at 1 m to keep the model finite.
 double fspl_db(double distance_m, double frequency_hz);
-
-/// Log-distance path loss: FSPL at `reference_m` plus 10*n*log10(d/d0).
-double log_distance_db(double distance_m, double frequency_hz, double exponent,
-                       double reference_m = 1.0);
 
 }  // namespace skyran::rf

@@ -1,8 +1,12 @@
 // Tests for the LTE PHY substrate: FFT engine, Zadoff-Chu sequences, SRS
-// symbol construction, the zero-pad upsampler and the ToF estimator.
+// symbol construction, the receiver-noise draw, the zero-pad upsampler and
+// the ToF estimator.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
 #include <numbers>
 #include <random>
 #include <span>
@@ -228,6 +232,159 @@ TEST(SrsChannelTest, NlosTapsHaveConfiguredShape) {
     EXPECT_DOUBLE_EQ(taps[i].power_db, -3.0 - 2.0 * static_cast<double>(i));
   }
   EXPECT_TRUE(make_nlos_taps(0, 50e-9, -3.0, 2.0, rng).empty());
+}
+
+// ---------------------------------------------------------------------------
+// Receiver noise. draw_srs_noise replays libstdc++'s std::normal_distribution
+// over the same mt19937_64 with its own polar draw; these tests hold it to
+// that stream bit for bit.
+// ---------------------------------------------------------------------------
+
+/// The receiver-noise draw as it read when it used the standard library:
+/// every bin, imaginary part first, one normal_distribution per symbol.
+void library_noise(double snr_db, std::mt19937_64& rng, std::span<Cplx> rx) {
+  const double sigma = std::sqrt(0.5 / rf::db_to_linear(snr_db));
+  std::normal_distribution<double> gauss(0.0, sigma);
+  for (Cplx& v : rx) {
+    const double im = gauss(rng);
+    const double re = gauss(rng);
+    v = Cplx(re, im);
+  }
+}
+
+bool same_bits(const Cplx& a, const Cplx& b) { return std::memcmp(&a, &b, sizeof(Cplx)) == 0; }
+
+TEST(SrsNoiseTest, OccupiedBinsMatchTheLibraryDrawBitForBit) {
+#ifndef __GLIBCXX__
+  GTEST_SKIP() << "the reference stream is libstdc++'s normal_distribution";
+#endif
+  std::vector<SrsConfig> configs(3);
+  configs[1].carrier = bandwidth_config(5.0);
+  configs[1].sounding_prb = 25;
+  configs[2].carrier = bandwidth_config(20.0);
+  configs[2].comb_offset = 1;
+  constexpr double kSnrsDb[] = {-12.0, 0.0, 7.5, 23.0, 300.0};
+  const Cplx kUntouched(7.0, -7.0);
+  for (std::uint64_t seed = 0; seed < 120; ++seed) {
+    const SrsConfig& cfg = configs[seed % configs.size()];
+    const std::vector<int> res = occupied_subcarriers(cfg);
+    std::vector<bool> occupied(cfg.carrier.fft_size, false);
+    for (const int sc : res) occupied[fft_bin(sc, cfg.carrier.fft_size)] = true;
+    std::mt19937_64 want_rng(seed);
+    std::mt19937_64 got_rng(seed);
+    for (int symbol = 0; symbol < 4; ++symbol) {
+      const double snr_db = kSnrsDb[(seed + symbol) % std::size(kSnrsDb)];
+      CplxVec want(cfg.carrier.fft_size);
+      CplxVec got(cfg.carrier.fft_size, kUntouched);
+      library_noise(snr_db, want_rng, want);
+      draw_srs_noise(snr_db, got_rng, res, got);
+      for (std::size_t b = 0; b < got.size(); ++b) {
+        if (occupied[b])
+          ASSERT_TRUE(same_bits(got[b], want[b])) << "seed " << seed << " symbol " << symbol
+                                                  << " bin " << b;
+        else
+          ASSERT_EQ(got[b], kUntouched) << "seed " << seed << " unread bin " << b;
+      }
+      ASSERT_TRUE(got_rng == want_rng) << "seed " << seed << " symbol " << symbol;
+      if (symbol % 2 == 1) {  // NLOS taps between symbols, as collect_gps_tof draws them
+        const auto want_taps = make_nlos_taps(3, 50e-9, -4.0, 4.0, want_rng);
+        const auto got_taps = make_nlos_taps(3, 50e-9, -4.0, 4.0, got_rng);
+        ASSERT_EQ(got_taps.size(), want_taps.size());
+        for (std::size_t t = 0; t < got_taps.size(); ++t)
+          ASSERT_EQ(got_taps[t].excess_delay_s, want_taps[t].excess_delay_s);
+      }
+    }
+  }
+}
+
+/// A generator that hands out chosen 64-bit words, then fails the test.
+struct PlantedWords {
+  using result_type = std::uint64_t;
+  static constexpr result_type min() { return 0; }
+  static constexpr result_type max() { return std::numeric_limits<result_type>::max(); }
+  std::vector<result_type> words;
+  std::size_t next = 0;
+  result_type operator()() {
+    if (next == words.size()) {
+      ADD_FAILURE() << "planted words exhausted";
+      return 0;
+    }
+    return words[next++];
+  }
+};
+
+TEST(SrsNoiseTest, PlantedWordsMatchTheLibrary) {
+  constexpr std::uint64_t kTop = std::numeric_limits<std::uint64_t>::max();
+  constexpr std::uint64_t kHalf = std::uint64_t{1} << 63;
+  constexpr std::uint64_t k53 = std::uint64_t{1} << 53;
+  const double below_one = std::nextafter(1.0, 0.0);
+  // Values that need no library to state.
+  const auto canon = [](std::uint64_t w) {
+    PlantedWords g{{w}};
+    return canonical_u01(g);
+  };
+  EXPECT_EQ(canon(0), 0.0);
+  EXPECT_EQ(canon(1), 0x1p-64);
+  EXPECT_EQ(canon(kHalf), 0.5);
+  EXPECT_EQ(canon(kHalf + 1024), 0.5);            // tie rounds to even
+  EXPECT_EQ(canon(kHalf + 1025), 0.5 + 0x1p-53);  // above the tie rounds up
+  EXPECT_EQ(canon(kTop - 2047), below_one);       // 2^64 - 2048 is exact
+  EXPECT_EQ(canon(kTop - 1023), below_one);       // 2^64 - 1024 rounds to 1: clamped
+  EXPECT_EQ(canon(kTop), below_one);              // clamped
+#ifndef __GLIBCXX__
+  GTEST_SKIP() << "the reference stream is libstdc++'s generate_canonical";
+#endif
+  std::mt19937_64 fill(99);
+  std::vector<std::uint64_t> words = {0,           1,           2,           k53 - 1,
+                                      k53,         k53 + 1,     k53 + 3,     kHalf - 1,
+                                      kHalf,       kHalf + 1,   kHalf + 1024, kHalf + 1025,
+                                      kTop - 2048, kTop - 1024, kTop - 1023, kTop - 1,
+                                      kTop};
+  for (int i = 0; i < 64; ++i) words.push_back(fill());
+  for (const std::uint64_t w : words) {
+    PlantedWords lib{{w}};
+    EXPECT_EQ(canon(w), (std::generate_canonical<double, 53>(lib))) << "word " << w;
+  }
+
+  // Pairs the polar method must reject (x = y = 0 gives r2 == 0; the top word
+  // gives x = y = 1 - 2^-52 and r2 > 1) ahead of pairs it accepts.
+  const std::vector<std::vector<std::uint64_t>> streams = {
+      {kHalf, kHalf, kHalf >> 1, kHalf + (kHalf >> 1)},
+      {kTop, kTop, kTop - 1023, kTop, kHalf, kHalf, 1, kHalf},  // accepts r2 == 1
+      {kHalf, kHalf + 1, kHalf + 4096, kHalf},                  // accepts r2 == 2^-102
+      {0, 0, k53 + 1, kHalf - 1},
+      {kTop, kTop, kHalf >> 1, kHalf >> 2},
+  };
+  for (std::size_t s = 0; s < streams.size(); ++s) {
+    PlantedWords lib{streams[s]};
+    PlantedWords own{streams[s]};
+    std::normal_distribution<double> gauss(0.0, 1.0);
+    const double first = gauss(lib);
+    const double second = gauss(lib);
+    const PolarPair p = polar_pair(own);
+    const double m = std::sqrt(-2.0 * std::log(p.r2) / p.r2);
+    EXPECT_EQ(p.y * m * 1.0 + 0.0, first) << "stream " << s;
+    EXPECT_EQ(p.x * m * 1.0 + 0.0, second) << "stream " << s;
+    EXPECT_EQ(own.next, lib.next) << "stream " << s;
+  }
+}
+
+TEST(SrsNoiseTest, KnownAnswerForSeedOne) {
+  // Independent of the standard library: pins the first occupied bins of
+  // the default 10 MHz symbol at 10 dB, and where the stream stands after.
+  const SrsConfig cfg;
+  const std::vector<int> res = occupied_subcarriers(cfg);
+  std::mt19937_64 rng(1);
+  CplxVec rx(cfg.carrier.fft_size);
+  draw_srs_noise(10.0, rng, res, rx);
+  EXPECT_DOUBLE_EQ(rx[1].real(), -0.055666430725755618);
+  EXPECT_DOUBLE_EQ(rx[1].imag(), 0.15357843457587594);
+  EXPECT_DOUBLE_EQ(rx[3].real(), 0.22381976779952276);
+  EXPECT_DOUBLE_EQ(rx[3].imag(), 0.43333794499357176);
+  EXPECT_DOUBLE_EQ(rx[736].real(), 0.4463823341349773);
+  EXPECT_DOUBLE_EQ(rx[736].imag(), -0.31242864250536007);
+  EXPECT_EQ(rx[0], Cplx{});  // DC is never occupied
+  EXPECT_EQ(rng(), 16553767748004550722u);
 }
 
 TEST(TofTest, ExactSampleDelays) {

@@ -49,16 +49,8 @@ TEST(ModelsTest, FsplClampsBelowOneMeter) {
   EXPECT_DOUBLE_EQ(fspl_db(0.5, 2.6e9), fspl_db(1.0, 2.6e9));
 }
 
-TEST(ModelsTest, LogDistanceReducesToFsplForExponentTwo) {
-  EXPECT_NEAR(log_distance_db(150.0, 2.6e9, 2.0), fspl_db(150.0, 2.6e9), 1e-9);
-  // Exponent 3.5 loses more with distance.
-  EXPECT_GT(log_distance_db(150.0, 2.6e9, 3.5), fspl_db(150.0, 2.6e9));
-}
-
 TEST(ModelsTest, ContractsOnBadInputs) {
   EXPECT_THROW(fspl_db(10.0, 0.0), ContractViolation);
-  EXPECT_THROW(log_distance_db(10.0, 2.6e9, 0.0), ContractViolation);
-  EXPECT_THROW(log_distance_db(10.0, 2.6e9, 2.0, 0.0), ContractViolation);
 }
 
 TEST(RayTraceTest, ClearRayOverFlatGround) {
