@@ -50,7 +50,7 @@ int main(int argc, char** argv) {
     for (const rem::LayeredRem& st : stacks)
       single_maps.push_back(st.layer_estimate(single_layer));
     const rem::Placement p1 = rem::choose_placement_feasible(
-        single_maps, world.terrain(), ladder[single_layer]);
+        geo::views_of(single_maps), world.terrain(), ladder[single_layer]);
 
     // (b) full 3-D search over the ladder.
     const rem::Placement3D p3 = rem::choose_placement_3d(stacks, world.terrain());

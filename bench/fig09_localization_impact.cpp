@@ -51,8 +51,9 @@ int main(int argc, char** argv) {
         wrong_maps.push_back(sim::ground_truth_rem(world, wrong, altitude,
                                                    bench::eval_cell(kind)));
       }
-      const rem::Placement p = rem::choose_placement_feasible(
-          wrong_maps, world.terrain(), altitude, rem::PlacementObjective::kMaxMean);
+      const rem::Placement p =
+          rem::choose_placement_feasible(geo::views_of(wrong_maps), world.terrain(), altitude,
+                                         rem::PlacementObjective::kMaxMean);
       rels.push_back(bench::cap1(sim::relative_throughput(world, truth, p.position)));
     }
     table.add_row({sim::Table::num(err, 1), sim::Table::num(geo::median(rels), 2),

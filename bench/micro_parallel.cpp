@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "core/thread_pool.hpp"
+#include "geo/field_view.hpp"
 #include "geo/grid.hpp"
 #include "geo/rect.hpp"
 #include "lte/ranging.hpp"
@@ -133,8 +134,9 @@ int main(int argc, char** argv) {
       for (double& v : m.raw()) v = snr(rng);
       maps.push_back(std::move(m));
     }
+    const std::vector<geo::FieldView<const double>> views = geo::views_of(maps);
     const auto run = [&] {
-      return rem::choose_placement(maps, rem::PlacementObjective::kMaxMin);
+      return rem::choose_placement(views, rem::PlacementObjective::kMaxMin);
     };
     report("placement", maps.front().raw().size() * maps.size(), workers, reps, run,
            [](const rem::Placement& a, const rem::Placement& b) {

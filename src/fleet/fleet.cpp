@@ -477,8 +477,7 @@ PlacementRefresh Fleet::refresh_placement(const rem::RemBank& bank,
     grids.push_back(std::move(g));
   }
   const rem::Placement placement = rem::choose_placement_feasible(
-      std::span<const geo::Grid2D<double>>(grids), terrain, bank.altitude_m(),
-      rem::PlacementObjective::kMaxMin);
+      geo::views_of(grids), terrain, bank.altitude_m(), rem::PlacementObjective::kMaxMin);
   cell_pos_[cell] = {placement.position.x, placement.position.y, bank.altitude_m()};
   out.position = placement.position;
   out.objective_db = placement.objective_snr_db;

@@ -1,7 +1,6 @@
 #include "geo/stats.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "geo/contract.hpp"
 
@@ -12,14 +11,6 @@ double mean(std::span<const double> xs) {
   double sum = 0.0;
   for (double x : xs) sum += x;
   return sum / static_cast<double>(xs.size());
-}
-
-double stddev(std::span<const double> xs) {
-  if (xs.size() < 2) return 0.0;
-  const double m = mean(xs);
-  double sq = 0.0;
-  for (double x : xs) sq += (x - m) * (x - m);
-  return std::sqrt(sq / static_cast<double>(xs.size()));
 }
 
 double percentile_sorted(std::span<const double> sorted, double p) {

@@ -10,9 +10,6 @@ namespace skyran::geo {
 /// Arithmetic mean; 0 for an empty input.
 double mean(std::span<const double> xs);
 
-/// Population standard deviation; 0 for fewer than two samples.
-double stddev(std::span<const double> xs);
-
 /// p-th percentile (p in [0,1]) of an ALREADY ASCENDING-SORTED sample, by
 /// linear interpolation between order statistics. This is the one
 /// percentile formula in the repo: `percentile_inplace` selects the two

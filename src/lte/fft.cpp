@@ -10,9 +10,9 @@ namespace skyran::lte {
 
 namespace {
 
-/// Radix-2 iterative Cooley-Tukey; `invert` flips the transform direction.
-/// Caller guarantees a power-of-two size.
-void fft_radix2(CplxVec& a, bool invert) {
+/// Radix-2 iterative Cooley-Tukey with the inverse transform's positive
+/// twiddle exponent, unnormalized. Caller guarantees a power-of-two size.
+void ifft_radix2(CplxVec& a) {
   const std::size_t n = a.size();
   // Bit-reversal permutation.
   for (std::size_t i = 1, j = 0; i < n; ++i) {
@@ -22,7 +22,7 @@ void fft_radix2(CplxVec& a, bool invert) {
     if (i < j) std::swap(a[i], a[j]);
   }
   for (std::size_t len = 2; len <= n; len <<= 1) {
-    const double ang = 2.0 * std::numbers::pi / static_cast<double>(len) * (invert ? 1.0 : -1.0);
+    const double ang = 2.0 * std::numbers::pi / static_cast<double>(len);
     const Cplx wlen(std::cos(ang), std::sin(ang));
     for (std::size_t i = 0; i < n; i += len) {
       Cplx w(1.0, 0.0);
@@ -41,14 +41,9 @@ void fft_radix2(CplxVec& a, bool invert) {
 
 bool is_power_of_two(std::size_t n) { return n >= 1 && (n & (n - 1)) == 0; }
 
-void fft_inplace(CplxVec& data) {
-  expects(is_power_of_two(data.size()), "fft: size must be a power of two");
-  fft_radix2(data, false);
-}
-
 void ifft_inplace(CplxVec& data) {
   expects(is_power_of_two(data.size()), "ifft: size must be a power of two");
-  fft_radix2(data, true);
+  ifft_radix2(data);
   const double scale = 1.0 / static_cast<double>(data.size());
   for (Cplx& v : data) v *= scale;
 }

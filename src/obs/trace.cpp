@@ -50,11 +50,6 @@ std::vector<TraceEvent> TraceJournal::events() const {
   return events_;
 }
 
-std::size_t TraceJournal::size() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return events_.size();
-}
-
 void TraceJournal::clear() {
   std::lock_guard<std::mutex> lk(mu_);
   events_.clear();

@@ -47,7 +47,6 @@ class TraceJournal {
 
   void record(TraceEvent event);
   std::vector<TraceEvent> events() const;
-  std::size_t size() const;
   std::uint64_t dropped() const { return dropped_.load(std::memory_order_relaxed); }
   void clear();
 

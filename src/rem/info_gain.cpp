@@ -28,12 +28,4 @@ double average_info_gain(const geo::Path& candidate,
   return sum / static_cast<double>(per_ue_history.size());
 }
 
-double info_to_cost_ratio(const geo::Path& candidate,
-                          const std::vector<TrajectoryHistory>& per_ue_history,
-                          const InfoGainParams& params) {
-  const double cost = candidate.length();
-  if (cost <= 0.0) return 0.0;
-  return average_info_gain(candidate, per_ue_history, params) / cost;
-}
-
 }  // namespace skyran::rem

@@ -29,9 +29,4 @@ double average_info_gain(const geo::Path& candidate,
                          const std::vector<TrajectoryHistory>& per_ue_history,
                          const InfoGainParams& params = {});
 
-/// Information-to-cost ratio: average gain divided by tour length.
-double info_to_cost_ratio(const geo::Path& candidate,
-                          const std::vector<TrajectoryHistory>& per_ue_history,
-                          const InfoGainParams& params = {});
-
 }  // namespace skyran::rem

@@ -51,22 +51,6 @@ std::size_t LayeredRem::nearest_layer(double altitude_m) const {
   return best;
 }
 
-geo::Grid2D<double> LayeredRem::estimate_at(double altitude_m, const IdwParams& params) const {
-  // Clamp outside the ladder.
-  if (altitude_m <= altitudes_.front()) return layer_estimate(0, params);
-  if (altitude_m >= altitudes_.back()) return layer_estimate(layers_.size() - 1, params);
-  // Bracketing layers.
-  std::size_t hi = 1;
-  while (altitudes_[hi] < altitude_m) ++hi;
-  const std::size_t lo = hi - 1;
-  const double t = (altitude_m - altitudes_[lo]) / (altitudes_[hi] - altitudes_[lo]);
-  geo::Grid2D<double> a = layer_estimate(lo, params);
-  const geo::Grid2D<double> b = layer_estimate(hi, params);
-  for (std::size_t i = 0; i < a.raw().size(); ++i)
-    a.raw()[i] = (1.0 - t) * a.raw()[i] + t * b.raw()[i];
-  return a;
-}
-
 Placement3D choose_placement_3d(std::span<const LayeredRem> stacks, const terrain::Terrain& t,
                                 PlacementObjective objective, const IdwParams& params) {
   expects(!stacks.empty(), "choose_placement_3d: need at least one UE stack");
@@ -80,12 +64,8 @@ Placement3D choose_placement_3d(std::span<const LayeredRem> stacks, const terrai
     std::vector<geo::Grid2D<double>> maps;
     maps.reserve(stacks.size());
     for (const LayeredRem& s : stacks) maps.push_back(s.layer_estimate(li, params));
-    // Feed the placement search through the view path (the maps stay alive
-    // in this scope, so non-owning views are safe).
-    std::vector<geo::FieldView<const double>> views;
-    views.reserve(maps.size());
-    for (const geo::Grid2D<double>& m : maps) views.push_back(geo::view_of(m));
-    const Placement p = choose_placement_feasible(views, t, ladder[li], objective);
+    const Placement p =
+        choose_placement_feasible(geo::views_of(maps), t, ladder[li], objective);
     if (p.objective_snr_db > best_v) {
       best_v = p.objective_snr_db;
       best.position = p.position;

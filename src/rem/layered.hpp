@@ -33,10 +33,6 @@ class LayeredRem {
   /// Layer index whose altitude is nearest to `altitude_m`.
   std::size_t nearest_layer(double altitude_m) const;
 
-  /// Full-map estimate at an arbitrary altitude: linear interpolation
-  /// between the two bracketing layers' estimates (clamped at the ends).
-  geo::Grid2D<double> estimate_at(double altitude_m, const IdwParams& params = {}) const;
-
   const geo::Vec3& ue_position() const { return layers_.front().ue_position(0); }
 
  private:

@@ -13,15 +13,6 @@ namespace {
 
 using ConstView = geo::FieldView<const double>;
 
-// Grid2D callers funnel through the view implementations; a view is two
-// pointers and the geometry, so this adapter costs one small allocation.
-std::vector<ConstView> as_views(std::span<const geo::Grid2D<double>> maps) {
-  std::vector<ConstView> out;
-  out.reserve(maps.size());
-  for (const geo::Grid2D<double>& m : maps) out.push_back(geo::view_of(m));
-  return out;
-}
-
 }  // namespace
 
 geo::Grid2D<double> min_snr_map(std::span<const ConstView> per_ue_maps) {
@@ -36,11 +27,6 @@ geo::Grid2D<double> min_snr_map(std::span<const ConstView> per_ue_maps) {
     out.raw()[j] = v;
   });
   return out;
-}
-
-geo::Grid2D<double> min_snr_map(std::span<const geo::Grid2D<double>> per_ue_maps) {
-  const std::vector<ConstView> views = as_views(per_ue_maps);
-  return min_snr_map(std::span<const ConstView>(views));
 }
 
 geo::Grid2D<double> mean_snr_map(std::span<const ConstView> per_ue_maps,
@@ -68,12 +54,6 @@ geo::Grid2D<double> mean_snr_map(std::span<const ConstView> per_ue_maps,
   return out;
 }
 
-geo::Grid2D<double> mean_snr_map(std::span<const geo::Grid2D<double>> per_ue_maps,
-                                 std::span<const double> weights) {
-  const std::vector<ConstView> views = as_views(per_ue_maps);
-  return mean_snr_map(std::span<const ConstView>(views), weights);
-}
-
 geo::Grid2D<double> coverage_map(std::span<const ConstView> per_ue_maps,
                                  double threshold_db) {
   expects(!per_ue_maps.empty(), "coverage_map: need at least one REM");
@@ -87,12 +67,6 @@ geo::Grid2D<double> coverage_map(std::span<const ConstView> per_ue_maps,
     out.raw()[j] = served / static_cast<double>(per_ue_maps.size());
   });
   return out;
-}
-
-geo::Grid2D<double> coverage_map(std::span<const geo::Grid2D<double>> per_ue_maps,
-                                 double threshold_db) {
-  const std::vector<ConstView> views = as_views(per_ue_maps);
-  return coverage_map(std::span<const ConstView>(views), threshold_db);
 }
 
 namespace {
@@ -159,12 +133,6 @@ Placement choose_placement(std::span<const ConstView> per_ue_maps,
   return argmax_placement(objective_map(per_ue_maps, objective, weights));
 }
 
-Placement choose_placement(std::span<const geo::Grid2D<double>> per_ue_maps,
-                           PlacementObjective objective, std::span<const double> weights) {
-  const std::vector<ConstView> views = as_views(per_ue_maps);
-  return choose_placement(std::span<const ConstView>(views), objective, weights);
-}
-
 Placement choose_placement_feasible(std::span<const ConstView> per_ue_maps,
                                     const terrain::Terrain& t, double altitude_m,
                                     PlacementObjective objective,
@@ -172,15 +140,6 @@ Placement choose_placement_feasible(std::span<const ConstView> per_ue_maps,
   geo::Grid2D<double> map = objective_map(per_ue_maps, objective, weights);
   mask_infeasible_cells(map, t, altitude_m, clearance_m);
   return argmax_placement(map);
-}
-
-Placement choose_placement_feasible(std::span<const geo::Grid2D<double>> per_ue_maps,
-                                    const terrain::Terrain& t, double altitude_m,
-                                    PlacementObjective objective,
-                                    std::span<const double> weights, double clearance_m) {
-  const std::vector<ConstView> views = as_views(per_ue_maps);
-  return choose_placement_feasible(std::span<const ConstView>(views), t, altitude_m, objective,
-                                   weights, clearance_m);
 }
 
 void mask_infeasible_cells(geo::Grid2D<double>& objective, const terrain::Terrain& t,

@@ -29,12 +29,10 @@ enum class PlacementObjective {
 inline constexpr double kCoverageSnrThresholdDb = 0.0;
 
 /// Fraction of UEs whose SNR from `position_cell` clears `threshold_db`.
-/// Computed cell-wise over the per-UE maps. The FieldView overloads are the
-/// primary implementations (rem::RemBank serves its cached estimate slabs as
-/// views without copying); the Grid2D overloads wrap owning rasters.
+/// Computed cell-wise over the per-UE maps. Every function here reads the
+/// maps as views (rem::RemBank serves its cached estimate slabs without
+/// copying); callers holding owning rasters pass geo::views_of(maps).
 geo::Grid2D<double> coverage_map(std::span<const geo::FieldView<const double>> per_ue_maps,
-                                 double threshold_db = kCoverageSnrThresholdDb);
-geo::Grid2D<double> coverage_map(std::span<const geo::Grid2D<double>> per_ue_maps,
                                  double threshold_db = kCoverageSnrThresholdDb);
 
 struct Placement {
@@ -44,19 +42,13 @@ struct Placement {
 
 /// Cell-wise minimum across per-UE SNR maps; all maps must share geometry.
 geo::Grid2D<double> min_snr_map(std::span<const geo::FieldView<const double>> per_ue_maps);
-geo::Grid2D<double> min_snr_map(std::span<const geo::Grid2D<double>> per_ue_maps);
 
 /// Cell-wise (optionally weighted) mean across per-UE SNR maps.
 geo::Grid2D<double> mean_snr_map(std::span<const geo::FieldView<const double>> per_ue_maps,
                                  std::span<const double> weights = {});
-geo::Grid2D<double> mean_snr_map(std::span<const geo::Grid2D<double>> per_ue_maps,
-                                 std::span<const double> weights = {});
 
 /// Optimal position under the chosen objective.
 Placement choose_placement(std::span<const geo::FieldView<const double>> per_ue_maps,
-                           PlacementObjective objective = PlacementObjective::kMaxMin,
-                           std::span<const double> weights = {});
-Placement choose_placement(std::span<const geo::Grid2D<double>> per_ue_maps,
                            PlacementObjective objective = PlacementObjective::kMaxMin,
                            std::span<const double> weights = {});
 
@@ -68,11 +60,6 @@ void mask_infeasible_cells(geo::Grid2D<double>& objective, const terrain::Terrai
 
 /// choose_placement restricted to cells the UAV can physically hover in.
 Placement choose_placement_feasible(std::span<const geo::FieldView<const double>> per_ue_maps,
-                                    const terrain::Terrain& t, double altitude_m,
-                                    PlacementObjective objective = PlacementObjective::kMaxMin,
-                                    std::span<const double> weights = {},
-                                    double clearance_m = 10.0);
-Placement choose_placement_feasible(std::span<const geo::Grid2D<double>> per_ue_maps,
                                     const terrain::Terrain& t, double altitude_m,
                                     PlacementObjective objective = PlacementObjective::kMaxMin,
                                     std::span<const double> weights = {},

@@ -8,16 +8,6 @@
 
 namespace skyran::rem {
 
-double tour_length(geo::Vec2 start, const std::vector<geo::Vec2>& nodes) {
-  double total = 0.0;
-  geo::Vec2 cur = start;
-  for (const geo::Vec2& n : nodes) {
-    total += cur.dist(n);
-    cur = n;
-  }
-  return total;
-}
-
 geo::Path plan_tour(geo::Vec2 start, std::vector<geo::Vec2> nodes) {
   if (nodes.empty()) return geo::Path({start});
 

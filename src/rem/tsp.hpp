@@ -15,7 +15,4 @@ namespace skyran::rem {
 /// itself is prepended to the returned path). Deterministic.
 geo::Path plan_tour(geo::Vec2 start, std::vector<geo::Vec2> nodes);
 
-/// Total length of visiting `nodes` in the given order from `start`.
-double tour_length(geo::Vec2 start, const std::vector<geo::Vec2>& nodes);
-
 }  // namespace skyran::rem

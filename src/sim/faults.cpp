@@ -7,18 +7,6 @@
 
 namespace skyran::sim {
 
-const char* to_string(FaultKind kind) {
-  switch (kind) {
-    case FaultKind::kSrsSymbolLoss: return "srs_symbol_loss";
-    case FaultKind::kSrsSnrSag: return "srs_snr_sag";
-    case FaultKind::kGpsOutage: return "gps_outage";
-    case FaultKind::kBatterySag: return "battery_sag";
-    case FaultKind::kWindDrift: return "wind_drift";
-    case FaultKind::kBackhaulOutage: return "backhaul_outage";
-  }
-  return "unknown";
-}
-
 FaultInjector::FaultInjector(FaultPlan plan, std::uint64_t epoch_salt)
     : plan_(std::move(plan)),
       rng_(plan_.seed ^ (0x9e3779b97f4a7c15ULL * (epoch_salt + 1))),

@@ -31,8 +31,6 @@ enum class FaultKind {
   kBackhaulOutage,  ///< measurement SNR reports are lost inside the window
 };
 
-const char* to_string(FaultKind kind);
-
 struct FaultWindow {
   FaultKind kind = FaultKind::kSrsSymbolLoss;
   double start_s = 0.0;

@@ -21,8 +21,8 @@ GroundTruth compute_ground_truth(const World& world, double altitude_m, double c
   truth.per_ue_rems.reserve(world.ue_positions().size());
   for (const geo::Vec3& ue : world.ue_positions())
     truth.per_ue_rems.push_back(ground_truth_rem(world, ue, altitude_m, cell_size_m));
-  truth.optimal = rem::choose_placement_feasible(truth.per_ue_rems, world.terrain(),
-                                                 altitude_m, objective);
+  truth.optimal = rem::choose_placement_feasible(geo::views_of(truth.per_ue_rems),
+                                                 world.terrain(), altitude_m, objective);
 
   // Mean-throughput map over the same grid (the paper's Fig. 1 metric).
   geo::Grid2D<double> tput(world.area(), cell_size_m, 0.0);

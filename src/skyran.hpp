@@ -10,8 +10,6 @@
 #include "mobility/deployment.hpp"     // UE deployment generators
 #include "mobility/model.hpp"     // mobility models
 #include "rem/bank.hpp"           // radio environment maps (REM engine)
-#include "rem/kriging.hpp"        // ordinary-kriging interpolation
-#include "rem/layered.hpp"        // 3-D (layered) REMs
 #include "rem/placement.hpp"      // placement objectives & altitude search
 #include "rem/store.hpp"          // REM store with positional reuse
 #include "sim/baselines.hpp"      // Uniform / Centroid / Random schemes

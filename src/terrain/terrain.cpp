@@ -1,7 +1,5 @@
 #include "terrain/terrain.hpp"
 
-#include <algorithm>
-
 #include "geo/contract.hpp"
 
 namespace skyran::terrain {
@@ -20,36 +18,6 @@ double Terrain::surface_height(geo::Vec2 p) const {
 
 Clutter Terrain::clutter_at(geo::Vec2 p) const {
   return cells_.value_at(cells_.area().clamp(p)).clutter;
-}
-
-double Terrain::max_surface_height() const {
-  double best = 0.0;
-  cells_.for_each([&](geo::CellIndex, const TerrainCell& c) {
-    best = std::max(best, static_cast<double>(c.ground) + static_cast<double>(c.clutter_height));
-  });
-  return best;
-}
-
-double Terrain::clutter_fraction(Clutter kind) const {
-  std::size_t n = 0;
-  cells_.for_each([&](geo::CellIndex, const TerrainCell& c) {
-    if (c.clutter == kind) ++n;
-  });
-  return static_cast<double>(n) / static_cast<double>(cells_.size());
-}
-
-const char* to_string(Clutter c) {
-  switch (c) {
-    case Clutter::kOpen:
-      return "open";
-    case Clutter::kBuilding:
-      return "building";
-    case Clutter::kFoliage:
-      return "foliage";
-    case Clutter::kWater:
-      return "water";
-  }
-  return "unknown";
 }
 
 }  // namespace skyran::terrain

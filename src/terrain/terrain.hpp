@@ -50,16 +50,8 @@ class Terrain {
   /// Clutter class at `p`.
   Clutter clutter_at(geo::Vec2 p) const;
 
-  /// Highest surface over the whole patch, meters above datum.
-  double max_surface_height() const;
-
-  /// Fraction of cells carrying the given clutter class.
-  double clutter_fraction(Clutter c) const;
-
  private:
   geo::Grid2D<TerrainCell> cells_;
 };
-
-const char* to_string(Clutter c);
 
 }  // namespace skyran::terrain

@@ -5,6 +5,8 @@
 #include <sstream>
 
 #include "skyran.hpp"  // umbrella: must compile standalone
+#include "rem/kriging.hpp"
+#include "rem/layered.hpp"
 #include "sim/table.hpp"
 
 namespace skyran {
@@ -26,7 +28,7 @@ TEST(CoverageObjectiveTest, MapCountsServedUes) {
   geo::Grid2D<double> a(geo::Rect::square(100.0), 10.0, 10.0);   // always served
   geo::Grid2D<double> b(geo::Rect::square(100.0), 10.0, -20.0);  // never served
   const std::vector<geo::Grid2D<double>> maps{a, b};
-  const geo::Grid2D<double> cov = rem::coverage_map(maps);
+  const geo::Grid2D<double> cov = rem::coverage_map(geo::views_of(maps));
   EXPECT_DOUBLE_EQ(cov.at(3, 3), 0.5);
 }
 
@@ -36,8 +38,8 @@ TEST(CoverageObjectiveTest, PlacementPrefersServingMore) {
   geo::Grid2D<double> a(geo::Rect::square(100.0), 10.0, 0.0);
   a.for_each([&](geo::CellIndex c, double& v) { v = c.ix < 5 ? 5.0 : -30.0; });
   geo::Grid2D<double> b(geo::Rect::square(100.0), 10.0, 5.0);
-  const rem::Placement p = rem::choose_placement(std::vector<geo::Grid2D<double>>{a, b},
-                                                 rem::PlacementObjective::kMaxCoverage);
+  const rem::Placement p = rem::choose_placement(
+      geo::views_of(std::vector<geo::Grid2D<double>>{a, b}), rem::PlacementObjective::kMaxCoverage);
   EXPECT_LT(p.position.x, 50.0);
 }
 

@@ -160,8 +160,7 @@ INSTANTIATE_TEST_SUITE_P(
         single_fault(sim::FaultKind::kWindDrift, 5.0, 0.0, kInf, std::numbers::pi / 4.0),
         single_fault(sim::FaultKind::kBackhaulOutage, 0.0, 10.0, 40.0)),
     [](const ::testing::TestParamInfo<sim::FaultPlan>& info) {
-      std::string name = sim::to_string(info.param.windows.front().kind);
-      return name + "_" + std::to_string(info.index);
+      return "fault_" + std::to_string(info.index);
     });
 
 TEST(ChaosCombined, AllFaultClassesAtOnceOverTwoEpochs) {

@@ -33,18 +33,6 @@ TEST(LayeredRemTest, NearestLayer) {
   EXPECT_EQ(stack.nearest_layer(200.0), 1u);
 }
 
-TEST(LayeredRemTest, EstimateInterpolatesBetweenLayers) {
-  LayeredRem stack = make_stack();
-  stack.layer(0).add_measurement(0, {50.0, 50.0}, 10.0);  // low layer: 10 dB
-  stack.layer(1).add_measurement(0, {50.0, 50.0}, 30.0);  // high layer: 30 dB
-  EXPECT_DOUBLE_EQ(stack.estimate_at(40.0).value_at({50.0, 50.0}), 10.0);
-  EXPECT_DOUBLE_EQ(stack.estimate_at(80.0).value_at({50.0, 50.0}), 30.0);
-  EXPECT_DOUBLE_EQ(stack.estimate_at(60.0).value_at({50.0, 50.0}), 20.0);
-  // Clamped outside the ladder.
-  EXPECT_DOUBLE_EQ(stack.estimate_at(20.0).value_at({50.0, 50.0}), 10.0);
-  EXPECT_DOUBLE_EQ(stack.estimate_at(120.0).value_at({50.0, 50.0}), 30.0);
-}
-
 TEST(Placement3DTest, PicksTheBetterAltitude) {
   const terrain::Terrain t = terrain::make_flat(100.0);
   LayeredRem a = make_stack({20.0, 20.0, 1.5});

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <span>
 #include <sstream>
 #include <vector>
 
@@ -22,7 +23,8 @@ TEST(WeightedPlacementTest, WeightsSteerTheArgmax) {
   geo::Grid2D<double> b(geo::Rect::square(100.0), 10.0, 0.0);
   a.for_each([&](geo::CellIndex c, double& v) { v = 20.0 - c.ix * 2.0; });
   b.for_each([&](geo::CellIndex c, double& v) { v = c.ix * 2.0; });
-  const std::vector<geo::Grid2D<double>> maps{a, b};
+  const std::vector<geo::Grid2D<double>> grids{a, b};
+  const std::vector<geo::FieldView<const double>> maps = geo::views_of(grids);
   const std::vector<double> favor_b{1.0, 10.0};
   const rem::Placement p = rem::choose_placement(
       maps, rem::PlacementObjective::kMaxWeighted, favor_b);
@@ -35,7 +37,8 @@ TEST(WeightedPlacementTest, WeightsSteerTheArgmax) {
 
 TEST(CoverageMapTest, ThresholdParameterRespected) {
   geo::Grid2D<double> m(geo::Rect::square(50.0), 10.0, 5.0);
-  const std::vector<geo::Grid2D<double>> maps{m};
+  const geo::FieldView<const double> view(m);
+  const std::span<const geo::FieldView<const double>> maps{&view, 1};
   EXPECT_DOUBLE_EQ(rem::coverage_map(maps, 0.0).at(2, 2), 1.0);
   EXPECT_DOUBLE_EQ(rem::coverage_map(maps, 10.0).at(2, 2), 0.0);
   EXPECT_DOUBLE_EQ(rem::coverage_map(maps, 5.0).at(2, 2), 1.0);  // inclusive

@@ -121,7 +121,7 @@ TEST_F(ObsTest, MacrosAreInertWhenDisabled) {
   const MetricsSnapshot snap = MetricsRegistry::instance().snapshot();
   for (const auto& c : snap.counters) EXPECT_EQ(c.value, 0u) << c.name;
   for (const auto& h : snap.histograms) EXPECT_EQ(h.count, 0u) << h.name;
-  EXPECT_EQ(TraceJournal::instance().size(), 0u);
+  EXPECT_EQ(TraceJournal::instance().events().size(), 0u);
 }
 
 TEST_F(ObsTest, MacrosRecordWhenEnabled) {
@@ -174,7 +174,7 @@ TEST_F(ObsTest, SpanConstructedWhileDisabledStaysInert) {
     SKYRAN_TRACE_SPAN("test.toggled.span");
     set_enabled(true);  // toggled mid-span: must not record a half-timed event
   }
-  EXPECT_EQ(TraceJournal::instance().size(), 0u);
+  EXPECT_EQ(TraceJournal::instance().events().size(), 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -356,7 +356,7 @@ TEST_F(ObsTest, RecordingFromParallelForIsExactAndRaceFree) {
   EXPECT_EQ(reg.counter("test.parallel.counter").value(), kN);
   EXPECT_EQ(reg.histogram("test.parallel.histogram").count(), kN);
   EXPECT_EQ(reg.histogram("span.test.parallel.span.us").count(), kN / 1000);
-  EXPECT_EQ(TraceJournal::instance().size(), kN / 1000);
+  EXPECT_EQ(TraceJournal::instance().events().size(), kN / 1000);
   EXPECT_EQ(TraceJournal::instance().dropped(), 0u);
 }
 
@@ -365,9 +365,9 @@ TEST_F(ObsTest, JournalDropsBeyondCapacityWithoutGrowing) {
   TraceEvent e;
   e.name = "bulk";
   for (std::size_t i = 0; i < 100; ++i) TraceJournal::instance().record(e);
-  EXPECT_EQ(TraceJournal::instance().size(), 100u);
+  EXPECT_EQ(TraceJournal::instance().events().size(), 100u);
   TraceJournal::instance().clear();
-  EXPECT_EQ(TraceJournal::instance().size(), 0u);
+  EXPECT_EQ(TraceJournal::instance().events().size(), 0u);
   EXPECT_EQ(TraceJournal::instance().dropped(), 0u);
 }
 
@@ -428,7 +428,7 @@ TEST_F(ObsTest, DisabledModeIsBitIdenticalToInstrumentedRun) {
     const MetricsSnapshot snap = MetricsRegistry::instance().snapshot();
     for (const auto& c : snap.counters) EXPECT_EQ(c.value, 0u) << c.name;
     for (const auto& h : snap.histograms) EXPECT_EQ(h.count, 0u) << h.name;
-    EXPECT_EQ(TraceJournal::instance().size(), 0u);
+    EXPECT_EQ(TraceJournal::instance().events().size(), 0u);
   }
 
   set_enabled(true);
@@ -444,7 +444,7 @@ TEST_F(ObsTest, DisabledModeIsBitIdenticalToInstrumentedRun) {
   EXPECT_GT(reg.counter("rem.bank.cells_reestimated").value(), 0u);
   EXPECT_GT(reg.histogram("rem.fill.measured_fraction").count(), 0u);
   EXPECT_GT(reg.histogram("span.epoch.run.us").count(), 0u);
-  EXPECT_GT(TraceJournal::instance().size(), 0u);
+  EXPECT_GT(TraceJournal::instance().events().size(), 0u);
 #endif
 
   // ...and still produced bit-identical outputs.

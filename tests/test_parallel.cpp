@@ -414,11 +414,12 @@ TEST(ParallelEquivalenceTest, PlacementScoring) {
     for (double& v : grid.raw()) v = g(rng);
     maps.push_back(std::move(grid));
   }
+  const std::vector<geo::FieldView<const double>> views = geo::views_of(maps);
   const std::vector<double> weights{1.0, 0.5, 2.0, 0.1, 1.5, 0.9};
   for (const auto objective :
        {rem::PlacementObjective::kMaxMin, rem::PlacementObjective::kMaxMean,
         rem::PlacementObjective::kMaxWeighted, rem::PlacementObjective::kMaxCoverage}) {
-    const auto place = [&] { return rem::choose_placement(maps, objective, weights); };
+    const auto place = [&] { return rem::choose_placement(views, objective, weights); };
     const auto [serial, parallel] = serial_and_parallel(place);
     EXPECT_EQ(serial.position.x, parallel.position.x);
     EXPECT_EQ(serial.position.y, parallel.position.y);
@@ -429,7 +430,8 @@ TEST(ParallelEquivalenceTest, PlacementScoring) {
 TEST(ParallelEquivalenceTest, PlacementSingleMapSingleCell) {
   std::vector<geo::Grid2D<double>> maps;
   maps.emplace_back(geo::Rect::square(3.0), 4.0, 5.5);  // one cell covers the area
-  const auto place = [&] { return rem::choose_placement(maps); };
+  const std::vector<geo::FieldView<const double>> views = geo::views_of(maps);
+  const auto place = [&] { return rem::choose_placement(views); };
   const auto [serial, parallel] = serial_and_parallel(place);
   EXPECT_EQ(serial.position.x, parallel.position.x);
   EXPECT_EQ(serial.objective_snr_db, 5.5);

@@ -125,8 +125,9 @@ TEST_P(SeedSweep, MinMapDominatedByEveryInput) {
     for (double& v : grid.raw()) v = g(rng);
     maps.push_back(std::move(grid));
   }
-  const geo::Grid2D<double> mn = rem::min_snr_map(maps);
-  const geo::Grid2D<double> mean = rem::mean_snr_map(maps);
+  const std::vector<geo::FieldView<const double>> views = geo::views_of(maps);
+  const geo::Grid2D<double> mn = rem::min_snr_map(views);
+  const geo::Grid2D<double> mean = rem::mean_snr_map(views);
   for (std::size_t j = 0; j < mn.raw().size(); ++j) {
     for (const auto& m : maps) EXPECT_LE(mn.raw()[j], m.raw()[j] + 1e-12);
     EXPECT_GE(mean.raw()[j], mn.raw()[j] - 1e-12);
@@ -147,7 +148,9 @@ TEST_P(SeedSweep, TspVisitsEveryNodeOnce) {
     EXPECT_TRUE(found);
   }
   // 2-opt never does worse than visiting in the given order.
-  EXPECT_LE(tour.length(), rem::tour_length(tour.points()[0], nodes) + 1e-9);
+  std::vector<geo::Vec2> given{tour.points()[0]};
+  given.insert(given.end(), nodes.begin(), nodes.end());
+  EXPECT_LE(tour.length(), geo::Path(given).length() + 1e-9);
 }
 
 TEST_P(SeedSweep, ChannelIsSymmetricAndFinite) {

@@ -604,7 +604,7 @@ TEST(RemStoreIndexTest, PutAndFindMatchLegacyScanSemantics) {
   }
 }
 
-TEST(RemBankPlacementTest, ViewOverloadsMatchGridOverloads) {
+TEST(RemBankPlacementTest, ViewPathSerialEqualsParallel) {
   std::mt19937_64 rng(31);
   std::uniform_real_distribution<double> u(-30.0, 30.0);
   std::vector<geo::Grid2D<double>> maps;
@@ -613,27 +613,17 @@ TEST(RemBankPlacementTest, ViewOverloadsMatchGridOverloads) {
     for (double& v : g.raw()) v = u(rng);
     maps.push_back(std::move(g));
   }
-  std::vector<geo::FieldView<const double>> views;
-  for (const auto& m : maps) views.push_back(geo::view_of(m));
+  const std::vector<geo::FieldView<const double>> views = geo::views_of(maps);
 
   const auto [serial, parallel] = serial_and_parallel([&] {
     std::vector<double> out;
-    const geo::Grid2D<double> min_g = rem::min_snr_map(maps);
-    const geo::Grid2D<double> min_v = rem::min_snr_map(views);
-    EXPECT_EQ(mismatches(min_g.raw(), min_v.raw()), 0u);
-    const geo::Grid2D<double> mean_g = rem::mean_snr_map(maps);
-    const geo::Grid2D<double> mean_v = rem::mean_snr_map(views);
-    EXPECT_EQ(mismatches(mean_g.raw(), mean_v.raw()), 0u);
-    const geo::Grid2D<double> cov_g = rem::coverage_map(maps);
-    const geo::Grid2D<double> cov_v = rem::coverage_map(views);
-    EXPECT_EQ(mismatches(cov_g.raw(), cov_v.raw()), 0u);
-    const rem::Placement pg = rem::choose_placement(maps);
-    const rem::Placement pv = rem::choose_placement(views);
-    EXPECT_EQ(pg.position.x, pv.position.x);
-    EXPECT_EQ(pg.position.y, pv.position.y);
-    EXPECT_EQ(pg.objective_snr_db, pv.objective_snr_db);
-    out.insert(out.end(), min_v.raw().begin(), min_v.raw().end());
-    out.push_back(pv.objective_snr_db);
+    for (const geo::Grid2D<double>& g :
+         {rem::min_snr_map(views), rem::mean_snr_map(views), rem::coverage_map(views)})
+      out.insert(out.end(), g.raw().begin(), g.raw().end());
+    const rem::Placement p = rem::choose_placement(views);
+    out.push_back(p.position.x);
+    out.push_back(p.position.y);
+    out.push_back(p.objective_snr_db);
     return out;
   });
   EXPECT_EQ(mismatches(serial, parallel), 0u);
