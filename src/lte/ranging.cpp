@@ -63,8 +63,8 @@ TofEstimator::TofEstimator(SrsConfig config, int k_factor, double max_delay_samp
     nonzero[slots_.back()] = 1;
   }
 
-  // Twiddles from fft_radix2's own recurrence (inverse direction), so each
-  // entry is the exact value its butterfly loop multiplied by.
+  // Twiddles from ifft_radix2's own recurrence, so each entry is the exact
+  // value its butterfly loop multiplied by.
   twiddles_.resize(m - 1);
   for (std::size_t len = 2; len <= m; len <<= 1) {
     const double ang = 2.0 * std::numbers::pi / static_cast<double>(len);
