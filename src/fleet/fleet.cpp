@@ -270,6 +270,7 @@ void Fleet::phase_serve(FleetEpochReport& report) {
         plane_cfg.seed = mix64(config_.seed ^ mix64(static_cast<std::uint64_t>(epoch_) ^
                                                     mix64(0x5eedULL + c)));
         lte::TrafficPlane plane(plane_cfg);
+        plane.reserve(end - begin);
         for (std::uint32_t k = begin; k < end; ++k) {
           const std::uint32_t ue = members_[k];
           plane.add_ue(ue + 1, sinr_db_[ue], ue_spec_[ue]);

@@ -114,6 +114,19 @@ std::size_t TrafficPlane::add_ue(std::uint32_t rnti, double snr_db,
   return i;
 }
 
+void TrafficPlane::reserve(std::size_t n_ues) {
+  const std::size_t h = n_ues * static_cast<std::size_t>(config_.harq_processes);
+  const auto per_ue = [n_ues](auto&... v) { (v.reserve(n_ues), ...); };
+  per_ue(rnti_, snr_db_, snr_offset_db_, cqi_, rate_1prb_, model_, rate_bps_, p_on_off_,
+         p_off_on_, burst_on_, frame_interval_, gop_frames_, subscribed_, backlog_bits_,
+         ewma_bps_, offered_bits_, served_bits_, dropped_bits_, backlog_sum_bits_,
+         last_served_tti_, eligible_, metric_, ewma_add_, last_prb_);
+  harq_bits_.reserve(h);
+  harq_prb_.reserve(h);
+  harq_retx_.reserve(h);
+  harq_active_.reserve(h);
+}
+
 void TrafficPlane::set_snr(std::size_t ue, double snr_db) {
   expects(ue < n_ues_, "TrafficPlane::set_snr: UE index out of range");
   expects(std::isfinite(snr_db), "TrafficPlane::set_snr: SNR must be finite");
@@ -277,69 +290,66 @@ void TrafficPlane::phase2_allocate(std::int64_t t) {
   const std::size_t process =
       static_cast<std::size_t>(t % static_cast<std::int64_t>(h));
   int prb_left = total_prb;
+  const bool pf = config_.policy == SchedulerPolicy::kProportionalFair;
+
+  // One branch-free pass splits the eligible UEs into pending
+  // retransmissions and new-TX candidates, each list in ascending UE order.
+  static thread_local std::vector<std::uint32_t> retx_ues;
+  static thread_local std::vector<std::uint32_t> new_ues;
+  if (retx_ues.size() < n_ues_) {
+    retx_ues.resize(n_ues_);
+    new_ues.resize(n_ues_);
+  }
+  std::size_t n_retx = 0;
+  std::size_t n_new = 0;
+  for (std::size_t i = 0; i < n_ues_; ++i) {
+    const std::uint8_t e = eligible_[i];
+    retx_ues[n_retx] = static_cast<std::uint32_t>(i);
+    new_ues[n_new] = static_cast<std::uint32_t>(i);
+    n_retx += e == 2;
+    n_new += e == 1;
+  }
 
   // Pending retransmissions first, in UE order: a retx reuses its original
   // grant size or waits for the process's next turn.
-  const bool pf = config_.policy == SchedulerPolicy::kProportionalFair;
-  // Candidate selection state for new transmissions, filled in the same
-  // O(N) pass that collects retransmissions.
-  struct Cand {
-    double metric;
-    std::uint32_t ue;
-  };
-  static thread_local std::vector<Cand> heap;  // PF top-K scratch
-  heap.clear();
-  static thread_local std::vector<std::uint32_t> rr_list;
-  rr_list.clear();
-  std::size_t eligible_total = 0;
-
-  // "a worse than b" under the total order (metric desc, ue asc).
-  const auto worse = [](const Cand& a, const Cand& b) {
-    return a.metric < b.metric || (a.metric == b.metric && a.ue > b.ue);
-  };
-  // Max-heap on "worse": top() is the weakest kept candidate.
-  const auto heap_cmp = [&](const Cand& a, const Cand& b) { return !worse(a, b); };
-
-  for (std::size_t i = 0; i < n_ues_; ++i) {
-    if (eligible_[i] == 2) {
-      const std::size_t slot = i * h + process;
-      const int need = std::max<int>(1, harq_prb_[slot]);
-      if (need <= prb_left) {
-        scheduled_.push_back({static_cast<std::uint32_t>(i),
-                              static_cast<std::uint16_t>(need),
-                              static_cast<std::uint8_t>(process), true});
-        prb_left -= need;
-      }
-      continue;
-    }
-    if (eligible_[i] != 1) continue;
-    ++eligible_total;
-    if (pf) {
-      const Cand c{metric_[i], static_cast<std::uint32_t>(i)};
-      if (heap.size() < static_cast<std::size_t>(total_prb)) {
-        heap.push_back(c);
-        std::push_heap(heap.begin(), heap.end(), heap_cmp);
-      } else if (worse(heap.front(), c)) {
-        std::pop_heap(heap.begin(), heap.end(), heap_cmp);
-        heap.back() = c;
-        std::push_heap(heap.begin(), heap.end(), heap_cmp);
-      }
+  for (std::size_t r = 0; r < n_retx; ++r) {
+    const std::uint32_t i = retx_ues[r];
+    const int need = std::max<int>(1, harq_prb_[i * h + process]);
+    if (need <= prb_left) {
+      scheduled_.push_back({i, static_cast<std::uint16_t>(need),
+                            static_cast<std::uint8_t>(process), true});
+      prb_left -= need;
     }
   }
 
   int allocated = total_prb - prb_left;
-  if (prb_left > 0 && eligible_total > 0) {
+  if (prb_left > 0 && n_new > 0) {
     const std::size_t first_new = scheduled_.size();
     if (pf) {
-      std::sort(heap.begin(), heap.end(),
-                [&](const Cand& a, const Cand& b) { return worse(b, a); });
-      if (eligible_total <= static_cast<std::size_t>(prb_left)) {
+      struct Cand {
+        double metric;
+        std::uint32_t ue;
+      };
+      // "a worse than b" under the total order (metric desc, ue asc).
+      const auto worse = [](const Cand& a, const Cand& b) {
+        return a.metric < b.metric || (a.metric == b.metric && a.ue > b.ue);
+      };
+      const auto better = [&](const Cand& a, const Cand& b) { return worse(b, a); };
+      // The first K = prb_left candidates, then (if more remain) a bounded
+      // heap whose root is the weakest kept one: a candidate costs one
+      // compare to reject, and one sift-down to replace the root.
+      static thread_local std::vector<Cand> top;
+      const std::size_t k = static_cast<std::size_t>(prb_left);
+      top.resize(std::min(n_new, k));
+      for (std::size_t j = 0; j < top.size(); ++j) top[j] = {metric_[new_ues[j]], new_ues[j]};
+      if (n_new <= k) {
         // Few UEs, many PRBs: proportional shares, floor + leftover to the
-        // highest metrics (the heap holds every eligible UE here).
+        // highest metrics (top holds every eligible UE here).
+        std::sort(top.begin(), top.end(), better);
         double metric_sum = 0.0;
-        for (const Cand& c : heap) metric_sum += c.metric;
+        for (const Cand& c : top) metric_sum += c.metric;
         int assigned = 0;
-        for (const Cand& c : heap) {
+        for (const Cand& c : top) {
           const int share = static_cast<int>(
               std::floor(prb_left * c.metric / std::max(1e-300, metric_sum)));
           scheduled_.push_back({c.ue, static_cast<std::uint16_t>(share),
@@ -347,19 +357,33 @@ void TrafficPlane::phase2_allocate(std::int64_t t) {
           assigned += share;
         }
         for (std::size_t j = 0; assigned < prb_left; ++j, ++assigned)
-          ++scheduled_[first_new + j % heap.size()].prb;
+          ++scheduled_[first_new + j % top.size()].prb;
       } else {
-        // Massive-UE regime: one PRB each to the top metrics.
-        const std::size_t k =
-            std::min(heap.size(), static_cast<std::size_t>(prb_left));
-        for (std::size_t j = 0; j < k; ++j)
-          scheduled_.push_back({heap[j].ue, 1,
-                                static_cast<std::uint8_t>(process), false});
+        // Massive-UE regime: one PRB each to the top K metrics. Phase 3
+        // touches only each granted UE's own slots and integer counters, so
+        // grant order is not observable and the kept set needs no sort.
+        std::make_heap(top.begin(), top.end(), better);
+        for (std::size_t j = k; j < n_new; ++j) {
+          const Cand c{metric_[new_ues[j]], new_ues[j]};
+          if (!worse(top.front(), c)) continue;
+          std::size_t pos = 0;
+          for (std::size_t child = 1; child < k; child = 2 * pos + 1) {
+            if (child + 1 < k && worse(top[child + 1], top[child])) ++child;
+            if (!worse(top[child], c)) break;
+            top[pos] = top[child];
+            pos = child;
+          }
+          top[pos] = c;
+        }
+        for (const Cand& c : top)
+          scheduled_.push_back({c.ue, 1, static_cast<std::uint8_t>(process), false});
       }
     } else {
       // Round robin: walk from the cursor, wrapping once; stop as soon as
       // one more candidate than the PRB budget is found (enough to know
       // which regime applies).
+      static thread_local std::vector<std::uint32_t> rr_list;
+      rr_list.clear();
       const std::size_t cap = static_cast<std::size_t>(prb_left) + 1;
       for (std::size_t step = 0; step < n_ues_ && rr_list.size() < cap; ++step) {
         const std::size_t i = (rr_cursor_ + step) % n_ues_;

@@ -4,8 +4,12 @@
 // small-object updates:
 //
 //   phase 1 (O(N))       traffic arrivals, eligibility, PF metric
-//   phase 2 (O(N))       PRB allocation: HARQ retransmissions first,
-//                        then round-robin / proportional-fair top-K
+//   phase 2 (O(N))       PRB allocation: one branch-free pass splits the
+//                        eligible UEs into retransmissions and new-TX
+//                        candidates; retransmissions are granted first,
+//                        then round-robin, or proportional-fair top-K over
+//                        the PRBs left (a bounded heap: one compare rejects
+//                        a candidate, one sift-down keeps it)
 //   phase 3 (O(n_prb))   transmission outcomes, HARQ state machine
 //   phase 4 (O(N))       EWMA decay + queue statistics
 //
@@ -132,6 +136,10 @@ class TrafficPlane {
   /// Register a UE. `snr_db` is the reported (CQI-loop) channel the
   /// scheduler works with; update it via set_snr. Returns the UE index.
   std::size_t add_ue(std::uint32_t rnti, double snr_db, const TrafficSpec& traffic);
+
+  /// Size every per-UE slab for `n_ues` UEs in total, so that many add_ue
+  /// calls allocate once per slab.
+  void reserve(std::size_t n_ues);
 
   /// Update a UE's reported SNR (a fresh CQI report).
   void set_snr(std::size_t ue, double snr_db);

@@ -1,8 +1,9 @@
 // Verification harness for the per-TTI traffic plane (lte::TrafficPlane):
 // conservation ledgers, the serial == 8-worker bit-identity contract over
-// 10k TTIs (TSan target), golden replay, the HARQ state machine (combining,
-// max-retx drops, process-id round trips, SNR-sag windows from
-// sim::FaultInjector), the adaptive MBSFN split, and the traffic models.
+// 10k TTIs (TSan target), golden replay, pins on the proportional-fair
+// candidate selection, the HARQ state machine (combining, max-retx drops,
+// process-id round trips, SNR-sag windows from sim::FaultInjector), the
+// adaptive MBSFN split, and the traffic models.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -11,6 +12,7 @@
 
 #include "core/thread_pool.hpp"
 #include "geo/contract.hpp"
+#include "geo/hash.hpp"
 #include "lte/amc.hpp"
 #include "lte/traffic_plane.hpp"
 #include "sim/faults.hpp"
@@ -164,6 +166,119 @@ TEST(TrafficPlaneDeterminism, GoldenReplayHash) {
   TrafficPlane plane = make_mixed_plane(cfg, /*mbsfn=*/true);
   plane.run_ttis(500);
   EXPECT_EQ(plane.state_hash(), kGoldenStateHash);
+}
+
+// ------------------------------------------------------- PF selection ----
+//
+// Pins on the proportional-fair candidate selection: the top-K set under
+// (metric descending, UE index ascending), retransmissions first, and the
+// grant count per regime. Each pin is the end state_hash plus an FNV digest
+// of every TTI's per-UE grants, so a change that picks a different set in
+// any one TTI moves it. Regenerate only for an intended scheduling change.
+
+struct SelectionPin {
+  std::uint64_t state = 0;
+  std::uint64_t grants = 0;
+};
+
+SelectionPin run_pinned(TrafficPlane& plane, int ttis) {
+  geo::Fnv1a grants;
+  for (int k = 0; k < ttis; ++k) {
+    plane.run_ttis(1);
+    const std::vector<std::uint16_t>& prbs = plane.last_tti_prbs();
+    grants.bytes(prbs.data(), prbs.size() * sizeof(prbs[0]));
+  }
+  return {plane.state_hash(), grants.value()};
+}
+
+/// 500 UEs in the campaign's model mix (55% CBR, 25% bursty, 20% video)
+/// over SNRs from out of range to the top CQI: the plane Fleet::phase_serve
+/// builds for one cell epoch.
+TrafficPlane make_cell_epoch_plane(TrafficPlaneConfig cfg) {
+  TrafficPlane plane(cfg);
+  for (std::uint32_t i = 0; i < 500; ++i) {
+    TrafficSpec spec;
+    const std::uint32_t m = i % 20;
+    spec.model = m < 11 ? TrafficModel::kCbr
+                 : m < 16 ? TrafficModel::kBurstyOnOff
+                          : TrafficModel::kVideo;
+    spec.rate_bps = 2e5 + 4e3 * static_cast<double>((i * 37) % 100);
+    plane.add_ue(1 + i, -8.0 + 0.07 * static_cast<double>((i * 53) % 500), spec);
+  }
+  return plane;
+}
+
+TEST(TrafficPlanePfPins, CellEpochMix) {
+  TrafficPlaneConfig cfg;
+  cfg.seed = 0x5eed01;
+  TrafficPlane plane = make_cell_epoch_plane(cfg);
+  const SelectionPin pin = run_pinned(plane, 40);
+  EXPECT_EQ(pin.state, 1760694912155578137ULL);
+  EXPECT_EQ(pin.grants, 4144544439327966333ULL);
+}
+
+// A high first-transmission BLER keeps HARQ processes busy, so pending
+// retransmissions take PRBs first and the new-TX budget drops below n_prb.
+TEST(TrafficPlanePfPins, RetransmissionsShrinkTheBudget) {
+  TrafficPlaneConfig cfg;
+  cfg.seed = 0x5eed02;
+  cfg.target_bler = 0.8;
+  TrafficPlane plane = make_cell_epoch_plane(cfg);
+  const SelectionPin pin = run_pinned(plane, 40);
+  EXPECT_GT(plane.report().harq_retx, 0U);
+  EXPECT_EQ(pin.state, 1399918158056570418ULL);
+  EXPECT_EQ(pin.grants, 13098500592710174861ULL);
+}
+
+// One SNR, one model: every PF metric ties wherever two UEs share a serving
+// history, so the UE index alone decides who is granted.
+TEST(TrafficPlanePfPins, TiedMetricsBreakOnUeIndex) {
+  TrafficPlaneConfig cfg;
+  cfg.seed = 0x5eed03;
+  TrafficPlane plane(cfg);
+  TrafficSpec spec;
+  spec.model = TrafficModel::kFullBuffer;
+  for (std::uint32_t i = 0; i < 200; ++i) plane.add_ue(1 + i, 12.0, spec);
+  plane.run_ttis(1);
+  // First TTI: every metric ties, so UEs 0..n_prb-1 get one PRB each.
+  const std::vector<std::uint16_t>& prbs = plane.last_tti_prbs();
+  for (std::size_t i = 0; i < prbs.size(); ++i)
+    EXPECT_EQ(prbs[i], i < static_cast<std::size_t>(cfg.carrier.n_prb) ? 1 : 0) << "UE " << i;
+  const SelectionPin pin = run_pinned(plane, 39);
+  EXPECT_EQ(pin.state, 14768817490277589106ULL);
+  EXPECT_EQ(pin.grants, 4393100650073446237ULL);
+}
+
+// 6 250 low-rate CBR UEs over 2 TTIs: one cell of perfbench's fleet_radio
+// (10^5 UEs over 16 cells), where nearly every UE is eligible.
+TEST(TrafficPlanePfPins, FleetRadioCell) {
+  TrafficPlaneConfig cfg;
+  cfg.seed = 0x5eed04;
+  TrafficPlane plane(cfg);
+  TrafficSpec spec;
+  spec.model = TrafficModel::kCbr;
+  for (std::uint32_t i = 0; i < 6250; ++i) {
+    spec.rate_bps = 5e3 + 150.0 * static_cast<double>((i * 29) % 100);
+    plane.add_ue(1 + i, -9.0 + 0.005 * static_cast<double>((i * 7919) % 6250), spec);
+  }
+  const SelectionPin pin = run_pinned(plane, 2);
+  EXPECT_EQ(pin.state, 12256753637125175155ULL);
+  EXPECT_EQ(pin.grants, 820592351095793813ULL);
+}
+
+// Fewer eligible UEs than PRBs: proportional shares, leftovers to the
+// highest metrics in order.
+TEST(TrafficPlanePfPins, FewUesShareTheCarrier) {
+  TrafficPlaneConfig cfg;
+  cfg.seed = 0x5eed05;
+  TrafficPlane plane(cfg);
+  TrafficSpec spec;
+  spec.model = TrafficModel::kFullBuffer;
+  for (std::uint32_t i = 0; i < 12; ++i)
+    plane.add_ue(1 + i, 2.0 + 1.5 * static_cast<double>(i), spec);
+  const SelectionPin pin = run_pinned(plane, 40);
+  EXPECT_EQ(pin.state, 9457101836801031587ULL);
+  EXPECT_EQ(pin.grants, 2669760372942086137ULL);
 }
 
 // ---------------------------------------------------------------- HARQ ----
