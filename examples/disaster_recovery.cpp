@@ -14,12 +14,14 @@
 #include <iostream>
 #include <memory>
 #include <optional>
+#include <sstream>
 
 #include "core/skyran.hpp"
 #include "core/snapshot.hpp"
 #include "mobility/deployment.hpp"
 #include "mobility/model.hpp"
 #include "sim/baselines.hpp"
+#include "sim/generation_store.hpp"
 #include "sim/ground_truth.hpp"
 #include "sim/shutdown.hpp"
 #include "sim/table.hpp"
@@ -30,9 +32,9 @@ int main(int argc, char** argv) {
 
   sim::install_shutdown_handlers();
   sim::init_metrics_from_env();
-  std::optional<core::SnapshotManager> checkpoints;
+  std::optional<sim::GenerationStore> checkpoints;
   if (const char* dir = std::getenv("SKYRAN_CKPT_DIR"); dir != nullptr && *dir != '\0')
-    checkpoints.emplace(dir);
+    checkpoints.emplace(dir, "ckpt-", ".skyc");
 
   sim::WorldConfig wc;
   wc.terrain_kind = terrain::TerrainKind::kLarge;
@@ -67,7 +69,11 @@ int main(int argc, char** argv) {
       world.ue_positions() = mob.positions();
     }
     const core::EpochReport r = skyran.run_epoch();
-    if (checkpoints) checkpoints->save(skyran.snapshot());
+    if (checkpoints) {
+      std::ostringstream bytes;
+      skyran.snapshot().save(bytes);
+      checkpoints->save(skyran.epochs_run(), std::move(bytes).str());
+    }
     const sim::GroundTruth truth = sim::compute_ground_truth(world, r.altitude_m, 15.0);
     const double sky_rel = sim::relative_throughput(world, truth, r.position);
 

@@ -393,24 +393,32 @@ Snapshot SkyRan::snapshot() const {
 void SkyRan::restore(const Snapshot& s) {
   SKYRAN_TRACE_SPAN("ckpt.apply");
   if (s.seed != seed_)
-    throw SnapshotMismatch("SkyRan::restore: snapshot seed " + std::to_string(s.seed) +
-                           " != session seed " + std::to_string(seed_));
+    throw geo::StateMismatchError("SkyRan::restore: snapshot seed " + std::to_string(s.seed) +
+                                  " != session seed " + std::to_string(seed_));
   if (s.config_fingerprint != config_digest(config_))
-    throw SnapshotMismatch(
+    throw geo::StateMismatchError(
         "SkyRan::restore: snapshot was taken under a different resume-relevant config");
+  // Everything that can throw runs before the first member changes, so a
+  // rejected snapshot leaves the session as it was.
+  std::mt19937_64 rng;
+  {
+    std::istringstream rng_bytes(s.rng_state);
+    rng_bytes >> rng;
+    if (rng_bytes.fail()) throw geo::BinCorruptError("SkyRan::restore: bad RNG state");
+  }
+  if (!(s.battery_remaining_wh >= 0.0))
+    throw geo::BinCorruptError("SkyRan::restore: battery energy must be >= 0");
+  uav::Battery battery(config_.battery);
+  battery.restore_remaining_wh(s.battery_remaining_wh);
+
   epoch_ = s.epoch;
   position_ = s.position;
   altitude_ = s.altitude_m;
   altitude_known_ = s.altitude_known;
   total_flight_m_ = s.total_flight_m;
   throughput_at_placement_bps_ = s.throughput_at_placement_bps;
-  battery_ = uav::Battery(config_.battery);
-  battery_.restore_remaining_wh(s.battery_remaining_wh);
-  {
-    std::istringstream rng_bytes(s.rng_state);
-    rng_bytes >> rng_;
-    if (rng_bytes.fail()) throw geo::BinCorruptError("SkyRan::restore: bad RNG state");
-  }
+  battery_ = battery;
+  rng_ = rng;
   last_estimates_ = s.last_estimates;
   world_.ue_positions() = s.ue_positions;
   store_ = s.store;

@@ -87,9 +87,11 @@ class SkyRan {
   /// Restore state captured by snapshot(): run_epoch() then continues the
   /// session bit-identically to the uninterrupted run (see core/snapshot.hpp
   /// for the resume contract). The world's UE positions are restored too.
-  /// Throws SnapshotMismatch when the snapshot's seed or resume-relevant
-  /// config fingerprint differs from this instance's, and
-  /// geo::BinCorruptError when its RNG state does not parse.
+  /// Throws geo::StateMismatchError when the snapshot's seed or
+  /// resume-relevant config fingerprint differs from this instance's, and
+  /// geo::BinCorruptError when its RNG state does not parse or its battery
+  /// energy is negative or NaN. All or nothing: on any throw the session is
+  /// unchanged.
   void restore(const Snapshot& snapshot);
 
  private:

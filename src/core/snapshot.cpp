@@ -1,21 +1,12 @@
 #include "core/snapshot.hpp"
 
-#include <algorithm>
-#include <cstdio>
-#include <fstream>
 #include <sstream>
 
 #include "core/config.hpp"
 #include "core/skyran.hpp"
 #include "geo/binio.hpp"
 #include "geo/hash.hpp"
-#include "obs/obs.hpp"
-#include "sim/crash_point.hpp"
-
-#if !defined(_WIN32)
-#include <fcntl.h>
-#include <unistd.h>
-#endif
+#include "sim/generation_store.hpp"
 
 namespace skyran::core {
 
@@ -149,13 +140,12 @@ void Snapshot::save(std::ostream& os) const {
     }
   }
   geo::write_envelope(os, kMagic, kVersion, w);
-  if (!os) throw SnapshotIoError("Snapshot::save: write failed");
+  if (!os) throw sim::CheckpointIoError("Snapshot::save: write failed");
 }
 
 Snapshot Snapshot::load(std::istream& is) {
-  const geo::Envelope env =
-      geo::read_envelope(is, kMagic, kVersion, kVersion, "Snapshot::load");
-  geo::BinReader r(env.payload);
+  const std::string payload = geo::read_envelope(is, kMagic, kVersion, "Snapshot::load");
+  geo::BinReader r(payload);
   Snapshot s;
   s.seed = r.pod<std::uint64_t>();
   s.config_fingerprint = r.pod<std::uint64_t>();
@@ -193,170 +183,6 @@ Snapshot Snapshot::load(std::istream& is) {
   }
   if (!r.done()) throw geo::BinCorruptError("Snapshot::load: trailing bytes after last field");
   return s;
-}
-
-// ---------------------------------------------------------- SnapshotManager
-
-GenerationStore::GenerationStore(std::filesystem::path dir, std::string prefix,
-                                 std::string extension, int keep)
-    : dir_(std::move(dir)),
-      prefix_(std::move(prefix)),
-      extension_(std::move(extension)),
-      keep_(std::max(keep, 2)) {
-  std::error_code ec;
-  std::filesystem::create_directories(dir_, ec);
-  if (ec) throw SnapshotIoError("GenerationStore: cannot create " + dir_.string());
-}
-
-namespace {
-
-#if !defined(_WIN32)
-/// Write `bytes` to `path` with fsync, visiting the mid-write crash point
-/// halfway through so the harness can tear the file at a byte boundary.
-void write_file_synced(const std::filesystem::path& path, const std::string& bytes) {
-  const int fd = ::open(path.c_str(), O_CREAT | O_TRUNC | O_WRONLY, 0644);
-  if (fd < 0) throw SnapshotIoError("GenerationStore: cannot open " + path.string());
-  const auto write_all = [fd, &path](const char* p, std::size_t n) {
-    while (n > 0) {
-      const ssize_t w = ::write(fd, p, n);
-      if (w < 0) {
-        ::close(fd);
-        throw SnapshotIoError("GenerationStore: write failed on " + path.string());
-      }
-      p += w;
-      n -= static_cast<std::size_t>(w);
-    }
-  };
-  const std::size_t half = bytes.size() / 2;
-  write_all(bytes.data(), half);
-  sim::crash_point("ckpt.mid_write");
-  write_all(bytes.data() + half, bytes.size() - half);
-  if (::fsync(fd) != 0) {
-    ::close(fd);
-    throw SnapshotIoError("GenerationStore: fsync failed on " + path.string());
-  }
-  ::close(fd);
-}
-
-void sync_directory(const std::filesystem::path& dir) {
-  const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
-  if (fd < 0) return;  // best effort: some filesystems refuse directory fds
-  ::fsync(fd);
-  ::close(fd);
-}
-#else
-void write_file_synced(const std::filesystem::path& path, const std::string& bytes) {
-  std::ofstream os(path, std::ios::binary | std::ios::trunc);
-  const std::size_t half = bytes.size() / 2;
-  os.write(bytes.data(), static_cast<std::streamsize>(half));
-  sim::crash_point("ckpt.mid_write");
-  os.write(bytes.data() + half, static_cast<std::streamsize>(bytes.size() - half));
-  os.flush();
-  if (!os) throw SnapshotIoError("GenerationStore: write failed on " + path.string());
-}
-
-void sync_directory(const std::filesystem::path&) {}
-#endif
-
-}  // namespace
-
-std::filesystem::path GenerationStore::save(int generation, const std::string& bytes) {
-  char num[16];
-  std::snprintf(num, sizeof(num), "%08d", generation);
-  const std::filesystem::path final_path = dir_ / (prefix_ + num + extension_);
-  const std::filesystem::path tmp_path = final_path.string() + ".tmp";
-  write_file_synced(tmp_path, bytes);
-  sim::crash_point("ckpt.pre_rename");
-  std::error_code ec;
-  std::filesystem::rename(tmp_path, final_path, ec);
-  if (ec)
-    throw SnapshotIoError("GenerationStore: rename to " + final_path.string() + " failed: " +
-                          ec.message());
-  sync_directory(dir_);
-
-  // Prune to the newest keep_ generations plus any stray temp files from
-  // older torn writes (never the temp we just renamed away).
-  std::vector<std::filesystem::path> gens = generations();
-  while (gens.size() > static_cast<std::size_t>(keep_)) {
-    std::filesystem::remove(gens.front(), ec);
-    gens.erase(gens.begin());
-    SKYRAN_COUNTER_INC("ckpt.pruned");
-  }
-  for (const auto& entry : std::filesystem::directory_iterator(dir_, ec)) {
-    if (entry.path().extension() == ".tmp" && entry.path() != tmp_path)
-      std::filesystem::remove(entry.path(), ec);
-  }
-  return final_path;
-}
-
-std::vector<std::filesystem::path> GenerationStore::generations() const {
-  std::vector<std::filesystem::path> out;
-  std::error_code ec;
-  for (const auto& entry : std::filesystem::directory_iterator(dir_, ec)) {
-    if (generation_of(entry.path()) >= 0) out.push_back(entry.path());
-  }
-  std::sort(out.begin(), out.end());  // zero-padded generation: lexicographic == numeric
-  return out;
-}
-
-int GenerationStore::generation_of(const std::filesystem::path& path) const {
-  const std::string name = path.filename().string();
-  if (name.size() != prefix_.size() + 8 + extension_.size()) return -1;
-  if (name.rfind(prefix_, 0) != 0) return -1;
-  if (name.compare(name.size() - extension_.size(), extension_.size(), extension_) != 0)
-    return -1;
-  int value = 0;
-  for (std::size_t i = prefix_.size(); i < prefix_.size() + 8; ++i) {
-    if (name[i] < '0' || name[i] > '9') return -1;
-    value = value * 10 + (name[i] - '0');
-  }
-  return value;
-}
-
-SnapshotManager::SnapshotManager(std::filesystem::path dir, int keep)
-    : store_(std::move(dir), "ckpt-", ".skyc", keep) {}
-
-std::filesystem::path SnapshotManager::save(const Snapshot& snapshot) {
-  SKYRAN_TRACE_SPAN("ckpt.save");
-  std::ostringstream buf;
-  snapshot.save(buf);
-  const std::string bytes = std::move(buf).str();
-  const std::filesystem::path final_path = store_.save(snapshot.epoch, bytes);
-  SKYRAN_COUNTER_INC("ckpt.saves");
-  SKYRAN_GAUGE_SET("ckpt.bytes", static_cast<double>(bytes.size()));
-  SKYRAN_GAUGE_SET("ckpt.generation", static_cast<double>(snapshot.epoch));
-  return final_path;
-}
-
-std::vector<std::filesystem::path> SnapshotManager::generations() const {
-  return store_.generations();
-}
-
-std::optional<Snapshot> SnapshotManager::load_latest() {
-  SKYRAN_TRACE_SPAN("ckpt.restore");
-  last_errors_.clear();
-  std::vector<std::filesystem::path> gens = store_.generations();
-  for (auto it = gens.rbegin(); it != gens.rend(); ++it) {
-    std::ifstream is(*it, std::ios::binary);
-    if (!is) {
-      last_errors_.push_back(it->string() + ": cannot open");
-      SKYRAN_COUNTER_INC("ckpt.load_rejects");
-      continue;
-    }
-    try {
-      Snapshot s = Snapshot::load(is);
-      SKYRAN_COUNTER_INC("ckpt.restores");
-      if (it != gens.rbegin()) SKYRAN_COUNTER_INC("ckpt.fallbacks");
-      return s;
-    } catch (const geo::BinFormatError& e) {
-      last_errors_.push_back(it->string() + ": " + e.what());
-      SKYRAN_COUNTER_INC("ckpt.load_rejects");
-    } catch (const SnapshotError& e) {
-      last_errors_.push_back(it->string() + ": " + e.what());
-      SKYRAN_COUNTER_INC("ckpt.load_rejects");
-    }
-  }
-  return std::nullopt;
 }
 
 }  // namespace skyran::core

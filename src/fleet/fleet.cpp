@@ -519,8 +519,8 @@ void Fleet::save(std::ostream& os) const {
 }
 
 void Fleet::restore(std::istream& is) {
-  const geo::Envelope env = geo::read_envelope(is, kMagic, kVersion, kVersion, "Fleet::restore");
-  geo::BinReader r(env.payload);
+  const std::string payload = geo::read_envelope(is, kMagic, kVersion, "Fleet::restore");
+  geo::BinReader r(payload);
   read_state(r);
 }
 
@@ -529,7 +529,7 @@ void Fleet::read_state(geo::BinReader& r) {
   const auto n_cells = r.pod<std::uint64_t>();
   const auto n_ues = r.pod<std::uint64_t>();
   if (seed != config_.seed || n_cells != cell_pos_.size() || n_ues != ue_pos_.size())
-    throw FleetStateMismatch(
+    throw geo::StateMismatchError(
         "Fleet::restore: saved state belongs to a different fleet "
         "(seed or cell/UE population mismatch)");
   // The population fixes the layout. Walk it on a copy of the reader first,
@@ -540,7 +540,7 @@ void Fleet::read_state(geo::BinReader& r) {
   std::apply([&probe](const auto&... slab) { (probe.skip(slab_bytes(probe, slab)), ...); },
              slabs(*this));
   probe.skip(sizeof(Totals));
-  if (!probe.done()) throw FleetStateMismatch("Fleet::restore: trailing bytes after last field");
+  if (!probe.done()) throw geo::BinCorruptError("Fleet::restore: trailing bytes after last field");
 
   epoch_ = r.pod<int>();
   std::apply([&r](auto&... slab) { (r.bytes(slab.data(), slab_bytes(r, slab)), ...); },

@@ -45,7 +45,6 @@
 
 #include <cstdint>
 #include <iosfwd>
-#include <stdexcept>
 #include <tuple>
 #include <vector>
 
@@ -64,13 +63,6 @@ class RemBank;
 }
 
 namespace skyran::fleet {
-
-/// Stream ended early / bad magic / CRC mismatch map to geo::binio's typed
-/// errors; this one is for "valid envelope, wrong fleet": restore() into a
-/// fleet whose cell/UE population does not match the saved state.
-struct FleetStateMismatch : std::runtime_error {
-  using std::runtime_error::runtime_error;
-};
 
 /// A3 handover event (3GPP 36.331 A3: neighbor becomes offset-better than
 /// serving): the neighbor's biased RSRP must exceed the serving cell's by
@@ -262,9 +254,10 @@ class Fleet {
 
   /// Restore into a fleet constructed with the same config and the same
   /// add_cell/add_ue sequence. Throws geo::BinTruncatedError /
-  /// BinCorruptError / BinVersionError on a bad stream (version 1 included)
-  /// and FleetStateMismatch when the populations disagree. Strong
-  /// guarantee: on any throw the fleet is unchanged.
+  /// BinCorruptError / BinVersionError on a bad stream (version 1 and
+  /// trailing bytes included) and geo::StateMismatchError when the seed or
+  /// populations disagree. Strong guarantee: on any throw the fleet is
+  /// unchanged.
   void restore(std::istream& is);
 
   /// Read what write_state() wrote, from the reader's position. The fleet

@@ -18,6 +18,12 @@
 // are raw little-endian host representation (the project targets a single
 // ABI; doubles round-trip bit-exactly).
 //
+// Every decoder shares two kinds of rejection: a BinFormatError subclass
+// for bytes that are not a valid instance of the format (including CRC-valid
+// fields that no save can hold), and StateMismatchError for valid bytes
+// saved by another session. sim::GenerationStore keeps the SKYS and SKYD
+// envelopes as crash-safe generation files and falls back past both kinds.
+//
 // The CRC is table-driven (slicing-by-8 over tables built at compile time)
 // and reads the payload 4 bytes at a time, so it too assumes a little-endian
 // host; the static_assert below refuses any other.
@@ -59,6 +65,14 @@ struct BinCorruptError : BinFormatError {
 /// The envelope parsed but carries a version this build cannot read.
 struct BinVersionError : BinFormatError {
   using BinFormatError::BinFormatError;
+};
+
+/// Valid bytes, wrong session: the state was saved by a session whose seed,
+/// resume-relevant config or population differs from the restoring one's.
+/// Not a BinFormatError — the bytes are fine — but a checkpoint walk
+/// (sim::GenerationStore::restore_latest) skips it the same way.
+struct StateMismatchError : std::runtime_error {
+  using std::runtime_error::runtime_error;
 };
 
 static_assert(std::endian::native == std::endian::little,
@@ -236,17 +250,13 @@ inline void write_envelope(std::ostream& os, const char magic[4], std::uint32_t 
            static_cast<std::streamsize>(payload.buffer().size()));
 }
 
-struct Envelope {
-  std::uint32_t version = 0;
-  std::string payload;
-};
-
-/// Read and verify one envelope. `context` prefixes every error message
-/// (e.g. "RemStore::load"). Versions outside [min_version, max_version]
-/// throw BinVersionError. The stream is consumed exactly through the
-/// payload; trailing bytes (e.g. an enclosing container) are left unread.
-inline Envelope read_envelope(std::istream& is, const char magic[4], std::uint32_t min_version,
-                              std::uint32_t max_version, const std::string& context) {
+/// Read and verify one envelope; returns its payload. `context` prefixes
+/// every error message (e.g. "RemStore::load"). A version other than
+/// `version` throws BinVersionError. The stream is consumed exactly through
+/// the payload; trailing bytes (e.g. an enclosing container) are left
+/// unread.
+inline std::string read_envelope(std::istream& is, const char magic[4], std::uint32_t version,
+                                 const std::string& context) {
   char m[4];
   is.read(m, 4);
   if (!is) throw BinTruncatedError(context + ": truncated header");
@@ -255,32 +265,31 @@ inline Envelope read_envelope(std::istream& is, const char magic[4], std::uint32
     is.read(reinterpret_cast<char*>(&v), sizeof(v));
     if (!is) throw BinTruncatedError(context + ": truncated header");
   };
-  std::uint32_t version = 0;
+  std::uint32_t found = 0;
   std::uint64_t size = 0;
   std::uint32_t crc = 0;
-  read_pod(version);
-  if (version < min_version || version > max_version)
-    throw BinVersionError(context + ": unsupported version " + std::to_string(version));
+  read_pod(found);
+  if (found != version)
+    throw BinVersionError(context + ": unsupported version " + std::to_string(found));
   read_pod(size);
   read_pod(crc);
-  Envelope e;
-  e.version = version;
+  std::string payload;
   // Chunked read: never pre-allocate the declared size. A corrupted size
   // field can claim exabytes; trusting it would turn a flipped byte into
   // std::bad_alloc instead of a typed truncation error. Memory grows only
   // with bytes the stream actually delivers.
   constexpr std::uint64_t kChunk = 1 << 20;
-  while (static_cast<std::uint64_t>(e.payload.size()) < size) {
+  while (static_cast<std::uint64_t>(payload.size()) < size) {
     const std::uint64_t want =
-        std::min(kChunk, size - static_cast<std::uint64_t>(e.payload.size()));
-    const std::size_t off = e.payload.size();
-    e.payload.resize(off + static_cast<std::size_t>(want));
-    is.read(e.payload.data() + off, static_cast<std::streamsize>(want));
+        std::min(kChunk, size - static_cast<std::uint64_t>(payload.size()));
+    const std::size_t off = payload.size();
+    payload.resize(off + static_cast<std::size_t>(want));
+    is.read(payload.data() + off, static_cast<std::streamsize>(want));
     if (static_cast<std::uint64_t>(is.gcount()) != want)
       throw BinTruncatedError(context + ": truncated payload");
   }
-  if (Crc32::of(e.payload) != crc) throw BinCorruptError(context + ": CRC mismatch");
-  return e;
+  if (Crc32::of(payload) != crc) throw BinCorruptError(context + ": CRC mismatch");
+  return payload;
 }
 
 }  // namespace skyran::geo

@@ -99,8 +99,8 @@ void RemStore::save(std::ostream& os) const {
 }
 
 RemStore RemStore::load(std::istream& is) {
-  const geo::Envelope env = geo::read_envelope(is, kMagic, kVersion, kVersion, "RemStore::load");
-  geo::BinReader r(env.payload);
+  const std::string payload = geo::read_envelope(is, kMagic, kVersion, "RemStore::load");
+  geo::BinReader r(payload);
   const double radius = r.pod<double>();
   require(finite_positive(radius), "reuse radius must be finite and positive");
   RemStore store(radius);

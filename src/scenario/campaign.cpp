@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <fstream>
 #include <functional>
-#include <sstream>
 #include <utility>
 
 #include "core/thread_pool.hpp"
@@ -494,27 +492,25 @@ void Campaign::save(std::ostream& os) const {
 }
 
 void Campaign::restore(std::istream& is) {
-  const geo::Envelope env =
-      geo::read_envelope(is, kMagic, kVersion, kVersion, "Campaign::restore");
-  geo::BinReader r(env.payload);
+  const std::string payload = geo::read_envelope(is, kMagic, kVersion, "Campaign::restore");
+  geo::BinReader r(payload);
   if (r.pod<std::uint64_t>() != config_digest(config_)) {
-    throw CampaignStateMismatch(
+    throw geo::StateMismatchError(
         "Campaign::restore: saved state belongs to a different campaign "
         "(config fingerprint mismatch)");
   }
   const auto n_cells = r.pod<std::uint64_t>();
   if (n_cells != battery_.size()) {
-    throw CampaignStateMismatch("Campaign::restore: cell population mismatch");
-  }
-  const int hour = r.pod<int>();
-  if (hour < 0 || hour > config_.hours) {
-    throw CampaignStateMismatch("Campaign::restore: hour counter out of range");
+    throw geo::StateMismatchError("Campaign::restore: cell population mismatch");
   }
   // Fields a valid save cannot hold are corrupt: reject them here, before
   // anything is committed, rather than as a contract failure mid-commit.
+  // `hours` is inside the fingerprint, so an hour past it is one of them.
   const auto corrupt_unless = [](bool ok, const char* what) {
     if (!ok) throw geo::BinCorruptError(std::string("Campaign::restore: ") + what);
   };
+  const int hour = r.pod<int>();
+  corrupt_unless(hour >= 0 && hour <= config_.hours, "hour counter out of range");
   std::vector<double> batt_wh(n_cells);
   std::vector<std::int32_t> swap(n_cells);
   for (std::uint64_t c = 0; c < n_cells; ++c) {
@@ -561,46 +557,6 @@ void Campaign::restore(std::istream& is) {
   by_hour_ = std::move(rows);
   hour_ue_bits_.assign(config_.n_ues, 0.0);
   SKYRAN_COUNTER_INC("campaign.restores");
-}
-
-CampaignCheckpointer::CampaignCheckpointer(std::filesystem::path dir, int keep)
-    : store_(std::move(dir), "camp-", ".skyd", keep) {}
-
-std::filesystem::path CampaignCheckpointer::save(const Campaign& campaign) {
-  std::ostringstream os;
-  campaign.save(os);
-  const std::filesystem::path path = store_.save(campaign.hours_run(), std::move(os).str());
-  SKYRAN_COUNTER_INC("campaign.ckpt.saves");
-  return path;
-}
-
-std::optional<int> CampaignCheckpointer::restore_latest(Campaign& campaign) {
-  last_errors_.clear();
-  const std::vector<std::filesystem::path> gens = store_.generations();
-  for (auto it = gens.rbegin(); it != gens.rend(); ++it) {
-    std::ifstream is(*it, std::ios::binary);
-    if (!is) {
-      last_errors_.push_back(it->filename().string() + ": cannot open");
-      SKYRAN_COUNTER_INC("campaign.ckpt.rejected");
-      continue;
-    }
-    const auto reject = [&](const std::exception& e) {
-      last_errors_.push_back(it->filename().string() + ": " + e.what());
-      SKYRAN_COUNTER_INC("campaign.ckpt.rejected");
-    };
-    try {
-      campaign.restore(is);
-      SKYRAN_COUNTER_INC("campaign.ckpt.restores");
-      return store_.generation_of(*it);
-    } catch (const geo::BinFormatError& e) {
-      reject(e);
-    } catch (const CampaignStateMismatch& e) {
-      reject(e);
-    } catch (const fleet::FleetStateMismatch& e) {
-      reject(e);
-    }
-  }
-  return std::nullopt;
 }
 
 CampaignConfig example_day_config(std::uint64_t seed, std::size_t n_ues, int cells_per_side) {

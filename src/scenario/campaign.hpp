@@ -28,15 +28,10 @@
 #pragma once
 
 #include <cstdint>
-#include <filesystem>
 #include <iosfwd>
-#include <optional>
 #include <span>
-#include <stdexcept>
-#include <string>
 #include <vector>
 
-#include "core/snapshot.hpp"
 #include "fleet/fleet.hpp"
 #include "geo/vec.hpp"
 #include "mobility/commuter.hpp"
@@ -45,12 +40,6 @@
 #include "uav/battery.hpp"
 
 namespace skyran::scenario {
-
-/// Valid envelope, wrong campaign: restore() under a config whose
-/// resume-relevant fingerprint differs from the saved one.
-struct CampaignStateMismatch : std::runtime_error {
-  using std::runtime_error::runtime_error;
-};
 
 /// One weather front: a wide-area SRS SNR sag over [start_h, end_h). Fronts
 /// compile into the fleet FaultPlan at construction; they are config, not
@@ -152,7 +141,7 @@ struct CampaignReport {
 
 /// Fingerprint of the resume-relevant CampaignConfig fields (everything
 /// except threads). restore() under a different fingerprint throws
-/// CampaignStateMismatch.
+/// geo::StateMismatchError.
 std::uint64_t config_digest(const CampaignConfig& config);
 
 /// Order-sensitive FNV-1a over every field of one hour row (double bit
@@ -197,10 +186,12 @@ class Campaign {
   void save(std::ostream& os) const;
 
   /// Restore into a campaign constructed with an identical config
-  /// (fingerprint-checked). Strong exception safety: on any throw —
-  /// geo::binio errors (version 1 and out-of-range fields included),
-  /// CampaignStateMismatch, fleet errors — *this is unchanged, so a
-  /// checkpoint walker can fall back to an older generation.
+  /// (fingerprint-checked). Throws geo::BinFormatError on bad bytes
+  /// (version 1 and out-of-range fields included) and
+  /// geo::StateMismatchError when the fingerprint or cell count differs.
+  /// Strong exception safety: on any throw *this is unchanged, so
+  /// sim::GenerationStore::restore_latest can fall back to an older
+  /// generation.
   void restore(std::istream& is);
 
  private:
@@ -244,31 +235,6 @@ class Campaign {
   // Hour scratch (excluded from hash/save): per-UE served bits, turned into
   // throughput for the hour's percentiles.
   std::vector<double> hour_ue_bits_;
-};
-
-/// Generation-managed campaign checkpointing on core::GenerationStore
-/// ("camp-<hour>.skyd" files, crash-safe write discipline). restore_latest
-/// walks generations newest-first and falls back past corrupt or mismatched
-/// files, recording each rejection in last_errors().
-class CampaignCheckpointer {
- public:
-  explicit CampaignCheckpointer(std::filesystem::path dir, int keep = 2);
-
-  /// Persist `campaign` as generation hours_run(). Returns the final path.
-  std::filesystem::path save(const Campaign& campaign);
-
-  /// Restore the newest verifiable generation into `campaign`; returns the
-  /// hour restored to, or nullopt when no generation verifies (campaign is
-  /// left untouched thanks to Campaign::restore's strong guarantee).
-  std::optional<int> restore_latest(Campaign& campaign);
-
-  std::vector<std::filesystem::path> generations() const { return store_.generations(); }
-  const std::vector<std::string>& last_errors() const { return last_errors_; }
-  const std::filesystem::path& dir() const { return store_.dir(); }
-
- private:
-  core::GenerationStore store_;
-  std::vector<std::string> last_errors_;
 };
 
 /// A ready-made 24 h reference day: two weather fronts (morning drizzle,

@@ -1,0 +1,75 @@
+// Crash-safe generation files: the one checkpoint store for every resumable
+// object. A SkyRan session writes `ckpt-<epoch>.skyc` (core::Snapshot), a
+// campaign writes `camp-<hour>.skyd` (scenario::Campaign); both go through
+// this class, which knows nothing about payload formats.
+//
+// save() writes `<prefix><generation><extension>.tmp`, fsyncs it (visiting
+// the ckpt.mid_write crash point halfway through), visits ckpt.pre_rename,
+// atomically renames, fsyncs the directory, then prunes to the newest
+// kKeep generations plus stray temp files. A SIGKILL at any byte leaves
+// either the previous generations untouched or the new one fully durable —
+// never a half-written visible file.
+//
+// restore_latest() is the newest-first fallback walk: it hands each
+// generation's bytes to the caller's restore, and skips a generation whose
+// restore throws geo::BinFormatError (bad bytes) or geo::StateMismatchError
+// (valid bytes, wrong session). The restore must be all-or-nothing, so a
+// skipped generation leaves the target as it was.
+#pragma once
+
+#include <filesystem>
+#include <functional>
+#include <iosfwd>
+#include <optional>
+#include <stdexcept>
+#include <string>
+#include <vector>
+
+namespace skyran::sim {
+
+/// Filesystem-level failure (mkdir/open/write/fsync/rename).
+struct CheckpointIoError : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
+
+class GenerationStore {
+ public:
+  /// Generations retained after each save: the newest, and the one before
+  /// it to fall back to.
+  static constexpr int kKeep = 2;
+
+  /// Creates `dir` when missing. `prefix`/`extension` name the generation
+  /// files (e.g. "ckpt-" / ".skyc"); generation numbers are zero-padded to
+  /// eight digits so lexicographic file order equals numeric order. Several
+  /// stores may share a directory when their names differ.
+  /// Throws CheckpointIoError when the directory cannot be created.
+  GenerationStore(std::filesystem::path dir, std::string prefix, std::string extension);
+
+  /// Persist `bytes` as generation `generation` (>= 0). Returns the final
+  /// path. Throws CheckpointIoError on filesystem failure.
+  std::filesystem::path save(int generation, const std::string& bytes);
+
+  /// Call `restore` on each generation's bytes, newest first, until one
+  /// returns; returns that generation, or nullopt when every one was
+  /// rejected (or none exists). Each rejection is recorded in last_errors().
+  std::optional<int> restore_latest(const std::function<void(std::istream&)>& restore);
+
+  /// Generation files present, oldest first.
+  std::vector<std::filesystem::path> generations() const;
+
+  /// Why each generation the last restore_latest() walk skipped was
+  /// rejected, newest first: "<path>: <reason>".
+  const std::vector<std::string>& last_errors() const { return last_errors_; }
+
+ private:
+  /// Generation number encoded in `path`'s filename, or -1 when the name
+  /// does not match this store's prefix/extension scheme.
+  int generation_of(const std::filesystem::path& path) const;
+
+  std::filesystem::path dir_;
+  std::string prefix_;
+  std::string extension_;
+  std::vector<std::string> last_errors_;
+};
+
+}  // namespace skyran::sim

@@ -6,7 +6,6 @@
 
 #include <cstdint>
 #include <cstring>
-#include <limits>
 #include <sstream>
 #include <string>
 
@@ -17,14 +16,15 @@ namespace skyran::testbinio {
 template <class Edit>
 std::string reseal(const std::string& bytes, Edit edit) {
   const std::string magic = bytes.substr(0, 4);
+  std::uint32_t version = 0;  // header bytes 4..8
+  std::memcpy(&version, bytes.data() + 4, sizeof(version));
   std::istringstream in(bytes);
-  geo::Envelope env = geo::read_envelope(in, magic.c_str(), 0,
-                                         std::numeric_limits<std::uint32_t>::max(), "reseal");
-  edit(env.payload);
+  std::string payload = geo::read_envelope(in, magic.c_str(), version, "reseal");
+  edit(payload);
   geo::BinWriter w;
-  w.bytes(env.payload.data(), env.payload.size());
+  w.bytes(payload.data(), payload.size());
   std::ostringstream out;
-  geo::write_envelope(out, magic.c_str(), env.version, w);
+  geo::write_envelope(out, magic.c_str(), version, w);
   return out.str();
 }
 

@@ -8,11 +8,16 @@
 #pragma once
 
 #include <cstdint>
+#include <filesystem>
+#include <istream>
+#include <optional>
+#include <sstream>
 #include <vector>
 
 #include "core/skyran.hpp"
 #include "core/snapshot.hpp"
 #include "mobility/deployment.hpp"
+#include "sim/generation_store.hpp"
 #include "sim/world.hpp"
 
 namespace skyran::testcampaign {
@@ -50,15 +55,34 @@ inline std::vector<geo::Vec3> ue_positions_for_epoch(const terrain::Terrain& t, 
   return mobility::deploy_mixed_visibility(t, kUes, kCampaignSeed + 100 + static_cast<std::uint64_t>(e));
 }
 
+/// The session's checkpoint store in `dir`: "ckpt-<epoch>.skyc" files.
+inline sim::GenerationStore snapshot_store(const std::filesystem::path& dir) {
+  return sim::GenerationStore(dir, "ckpt-", ".skyc");
+}
+
+/// Persist `skyran`'s snapshot as generation epochs_run().
+inline void save_snapshot(sim::GenerationStore& store, const core::SkyRan& skyran) {
+  std::ostringstream bytes;
+  skyran.snapshot().save(bytes);
+  store.save(skyran.epochs_run(), std::move(bytes).str());
+}
+
+/// Restore `skyran` from the newest generation it accepts; returns that
+/// generation.
+inline std::optional<int> restore_snapshot(sim::GenerationStore& store, core::SkyRan& skyran) {
+  return store.restore_latest(
+      [&](std::istream& is) { skyran.restore(core::Snapshot::load(is)); });
+}
+
 /// Drive `skyran` from its current epoch through epoch `last` (inclusive),
 /// applying the campaign mobility before each epoch. Returns one
-/// report_digest per epoch run. When `manager` is non-null, a checkpoint is
+/// report_digest per epoch run. When `store` is non-null, a checkpoint is
 /// saved after every completed epoch; when `digest_sink` is non-null it is
 /// called with (epoch, digest) right after the epoch completes and before
 /// the checkpoint write.
 template <typename DigestSink>
 std::vector<std::uint64_t> run_epochs(core::SkyRan& skyran, sim::World& world, int last,
-                                      core::SnapshotManager* manager, DigestSink&& digest_sink) {
+                                      sim::GenerationStore* store, DigestSink&& digest_sink) {
   std::vector<std::uint64_t> digests;
   for (int e = skyran.epochs_run() + 1; e <= last; ++e) {
     world.ue_positions() = ue_positions_for_epoch(world.terrain(), e);
@@ -66,14 +90,14 @@ std::vector<std::uint64_t> run_epochs(core::SkyRan& skyran, sim::World& world, i
     const std::uint64_t digest = core::report_digest(report);
     digests.push_back(digest);
     digest_sink(e, digest);
-    if (manager != nullptr) manager->save(skyran.snapshot());
+    if (store != nullptr) save_snapshot(*store, skyran);
   }
   return digests;
 }
 
 inline std::vector<std::uint64_t> run_epochs(core::SkyRan& skyran, sim::World& world, int last,
-                                             core::SnapshotManager* manager = nullptr) {
-  return run_epochs(skyran, world, last, manager, [](int, std::uint64_t) {});
+                                             sim::GenerationStore* store = nullptr) {
+  return run_epochs(skyran, world, last, store, [](int, std::uint64_t) {});
 }
 
 }  // namespace skyran::testcampaign

@@ -23,6 +23,8 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <optional>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -32,6 +34,7 @@
 #include "rf/channel.hpp"
 #include "scenario/campaign.hpp"
 #include "sim/crash_point.hpp"
+#include "sim/generation_store.hpp"
 #include "snapshot_campaign.hpp"
 
 namespace {
@@ -93,9 +96,9 @@ std::vector<std::uint64_t> read_digest_file(const fs::path& p) {
   sim::arm_crash_point(point, kCrashHit);
   sim::World world(testcampaign::world_config());
   core::SkyRan skyran(world, testcampaign::skyran_config(kThreads), testcampaign::kCampaignSeed);
-  core::SnapshotManager manager(ckpt_dir, 2);
+  sim::GenerationStore store = testcampaign::snapshot_store(ckpt_dir);
   std::ofstream os(out);
-  testcampaign::run_epochs(skyran, world, kEpochs, &manager,
+  testcampaign::run_epochs(skyran, world, kEpochs, &store,
                            [&](int, std::uint64_t d) { write_digest_line(os, d); });
   _exit(kChildSurvivedCrash);
 }
@@ -103,16 +106,15 @@ std::vector<std::uint64_t> read_digest_file(const fs::path& p) {
 /// Restore from the surviving generation and finish the campaign. First
 /// line of `out` is the epoch resumed from; the rest are resume digests.
 [[noreturn]] void child_resumer(const fs::path& ckpt_dir, const fs::path& out) {
-  core::SnapshotManager manager(ckpt_dir, 2);
-  const auto snap = manager.load_latest();
-  if (!snap.has_value()) _exit(kChildNoCheckpoint);
+  sim::GenerationStore store = testcampaign::snapshot_store(ckpt_dir);
   sim::World world(testcampaign::world_config());
   core::SkyRan skyran(world, testcampaign::skyran_config(kThreads), testcampaign::kCampaignSeed);
-  skyran.restore(*snap);
+  const std::optional<int> epoch = testcampaign::restore_snapshot(store, skyran);
+  if (!epoch.has_value()) _exit(kChildNoCheckpoint);
   std::ofstream os(out);
-  os << "resumed_from " << snap->epoch << '\n';
+  os << "resumed_from " << *epoch << '\n';
   os.flush();
-  testcampaign::run_epochs(skyran, world, kEpochs, &manager,
+  testcampaign::run_epochs(skyran, world, kEpochs, &store,
                            [&](int, std::uint64_t d) { write_digest_line(os, d); });
   _exit(kChildOk);
 }
@@ -211,7 +213,7 @@ INSTANTIATE_TEST_SUITE_P(
 // ---------------------------------------------------------------------------
 // fleet::Fleet kill-at-epoch.steer recovery. Same fork discipline: the
 // parent never builds a fleet (Fleet::run_epoch spins up pool threads), so
-// no threads exist at fork time. The fleet has no SnapshotManager; the
+// no threads exist at fork time. The fleet has no generation store; the
 // campaign persists one save() file per completed epoch and the resume
 // child restores the newest one that exists.
 // ---------------------------------------------------------------------------
@@ -400,12 +402,14 @@ scenario::CampaignConfig crash_campaign_config(int threads) {
                                          int threads) {
   sim::arm_crash_point("hour.tick", kCrashHit);
   scenario::Campaign campaign(crash_campaign_config(threads));
-  scenario::CampaignCheckpointer ckpt(ckpt_dir, 2);
+  sim::GenerationStore store(ckpt_dir, "camp-", ".skyd");
   std::ofstream os(out);
   while (!campaign.done()) {
     const scenario::HourReport hr = campaign.run_hour();
     write_digest_line(os, scenario::hour_digest(hr));
-    ckpt.save(campaign);
+    std::ostringstream bytes;
+    campaign.save(bytes);
+    store.save(campaign.hours_run(), std::move(bytes).str());
   }
   _exit(kChildSurvivedCrash);
 }
@@ -413,8 +417,9 @@ scenario::CampaignConfig crash_campaign_config(int threads) {
 [[noreturn]] void campaign_child_resumer(const fs::path& ckpt_dir, const fs::path& out,
                                          int threads) {
   scenario::Campaign campaign(crash_campaign_config(threads));
-  scenario::CampaignCheckpointer ckpt(ckpt_dir, 2);
-  const std::optional<int> hour = ckpt.restore_latest(campaign);
+  sim::GenerationStore store(ckpt_dir, "camp-", ".skyd");
+  const std::optional<int> hour =
+      store.restore_latest([&](std::istream& is) { campaign.restore(is); });
   if (!hour.has_value()) _exit(kChildNoCheckpoint);
   std::ofstream os(out);
   os << "resumed_from " << *hour << '\n';

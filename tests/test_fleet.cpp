@@ -610,7 +610,7 @@ TEST(FleetSnapshot, RestoreRejectsWrongPopulation) {
 
   fleet::Fleet b = two_cell_fleet(tiny_config());
   b.add_ue({50.0, 0.0, 1.5}, cbr(1e5));  // one UE short
-  EXPECT_THROW(b.restore(stream), fleet::FleetStateMismatch);
+  EXPECT_THROW(b.restore(stream), geo::StateMismatchError);
 }
 
 TEST(FleetSnapshot, RestoreRejectsCorruptStream) {
@@ -663,6 +663,8 @@ TEST(FleetSnapshot, RestoreRejectsMalformedPayloadAndStaysUnchanged) {
                   "cut 8 bytes");
   expect_rejected(testbinio::reseal(bytes, [](std::string& p) { p.resize(p.size() / 2); }),
                   "cut half");
+  expect_rejected(testbinio::reseal(bytes, [](std::string& p) { p.append(8, '\0'); }),
+                  "8 bytes appended");
   // The last slab's count (per-UE load, doubles) sits before its elements
   // and the 64-byte counter block that ends the payload.
   const std::size_t payload = bytes.size() - 20;

@@ -3,7 +3,7 @@
 // bit-identity of a whole campaign report, pinned hour and campaign digests,
 // battery-swap logistics, the save/restore round-trip with fingerprint,
 // byte-flip, version-1 and out-of-range-field rejection (strong guarantee),
-// and CampaignCheckpointer generation fallback. No fork-based
+// and the fallback walk over campaign generation files. No fork-based
 // tests live here — this binary runs under TSan in CI; the kill-at-hour.tick
 // crash case is in tests/test_crash_recovery.cpp.
 #include <gtest/gtest.h>
@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -24,6 +25,7 @@
 #include "reseal.hpp"
 #include "scenario/campaign.hpp"
 #include "scenario/shapes.hpp"
+#include "sim/generation_store.hpp"
 
 namespace {
 
@@ -370,7 +372,7 @@ TEST(CampaignCheckpoint, RejectsForeignFingerprintAndStaysUnchanged) {
   scenario::Campaign victim(other);
   const std::uint64_t before = victim.state_hash();
   std::istringstream in(saved.str());
-  EXPECT_THROW(victim.restore(in), scenario::CampaignStateMismatch);
+  EXPECT_THROW(victim.restore(in), geo::StateMismatchError);
   EXPECT_EQ(victim.state_hash(), before);
 }
 
@@ -419,6 +421,9 @@ TEST(CampaignCheckpoint, RejectsOutOfRangeFieldsAndStaysUnchanged) {
   // (8) and swap epochs left (4), then energy (8), swaps, depot epochs,
   // served and total samples (8 each).
   const std::size_t totals = 20 + 12 * victim.cell_count();
+  expect_corrupt(testbinio::patched(bytes, 16, std::int32_t{-1}), "hour -1");
+  expect_corrupt(testbinio::patched(bytes, 16, std::int32_t{victim.config().hours + 1}),
+                 "hour past the campaign");
   expect_corrupt(testbinio::patched(bytes, 20, -1.0), "negative Wh");
   expect_corrupt(testbinio::patched(bytes, 20, std::nan("")), "NaN Wh");
   expect_corrupt(testbinio::patched(bytes, 28, std::int32_t{99}), "swap epochs left");
@@ -438,12 +443,12 @@ TEST(CampaignCheckpoint, SaveMatchesUnsizedWriter) {
   campaign.run_hour();
   const std::string bytes = saved_bytes(campaign);
   std::istringstream in(bytes);
-  const geo::Envelope env = geo::read_envelope(in, "SKYD", 2, 2, "test");
+  const std::string payload = geo::read_envelope(in, "SKYD", 2, "test");
   // hour (4), per cell Wh (8) and swap epochs left (4), energy (8), four
   // u64 totals (32), then one 116-byte row per hour run.
   const std::size_t state_size = 4 + 12 * campaign.cell_count() + 8 + 32 + 116 * 2;
-  ASSERT_GE(env.payload.size(), 16 + state_size);
-  const std::string state = env.payload.substr(16, state_size);
+  ASSERT_GE(payload.size(), 16 + state_size);
+  const std::string state = payload.substr(16, state_size);
   geo::Fnv1a h(1469598103934665603ULL);
   h.bytes(state.data(), state.size());
   h.pod(campaign.fleet().state_hash());
@@ -459,36 +464,45 @@ TEST(CampaignCheckpoint, SaveMatchesUnsizedWriter) {
   EXPECT_EQ(bytes, expected.str());
 }
 
-TEST(CampaignCheckpointer, FallsBackPastCorruptNewestGeneration) {
+// Campaign generations on the shared checkpoint store ("camp-<hour>.skyd").
+std::optional<int> restore_latest(sim::GenerationStore& store, scenario::Campaign& campaign) {
+  return store.restore_latest([&](std::istream& is) { campaign.restore(is); });
+}
+
+void save(sim::GenerationStore& store, const scenario::Campaign& campaign) {
+  store.save(campaign.hours_run(), saved_bytes(campaign));
+}
+
+TEST(CampaignGenerations, FallsBackPastCorruptNewestGeneration) {
   const std::filesystem::path dir = fresh_dir("skyran_test_campaign_ckpt");
   scenario::Campaign campaign(tiny_campaign(1, 4));
-  scenario::CampaignCheckpointer ckpt(dir, 2);
+  sim::GenerationStore store(dir, "camp-", ".skyd");
   campaign.run_hour();
-  ckpt.save(campaign);
+  save(store, campaign);
   const std::uint64_t hash_h1 = campaign.state_hash();
   campaign.run_hour();
-  const std::filesystem::path newest = ckpt.save(campaign);
+  save(store, campaign);
 
   // Torch the newest generation on disk; restore must fall back to hour 1.
   {
-    std::ofstream os(newest, std::ios::binary | std::ios::trunc);
+    std::ofstream os(store.generations().back(), std::ios::binary | std::ios::trunc);
     os << "not a checkpoint";
   }
   scenario::Campaign resumed(tiny_campaign(1, 4));
-  const std::optional<int> hour = ckpt.restore_latest(resumed);
+  const std::optional<int> hour = restore_latest(store, resumed);
   ASSERT_TRUE(hour.has_value());
   EXPECT_EQ(*hour, 1);
   EXPECT_EQ(resumed.state_hash(), hash_h1);
-  EXPECT_FALSE(ckpt.last_errors().empty());
+  EXPECT_FALSE(store.last_errors().empty());
   std::filesystem::remove_all(dir);
 }
 
-TEST(CampaignCheckpointer, NoGenerationsReturnsNullopt) {
+TEST(CampaignGenerations, NoGenerationsReturnsNullopt) {
   const std::filesystem::path dir = fresh_dir("skyran_test_campaign_empty");
-  scenario::CampaignCheckpointer ckpt(dir, 2);
+  sim::GenerationStore store(dir, "camp-", ".skyd");
   scenario::Campaign campaign(tiny_campaign(1, 4));
   const std::uint64_t before = campaign.state_hash();
-  EXPECT_FALSE(ckpt.restore_latest(campaign).has_value());
+  EXPECT_FALSE(restore_latest(store, campaign).has_value());
   EXPECT_EQ(campaign.state_hash(), before);
   std::filesystem::remove_all(dir);
 }

@@ -1,7 +1,8 @@
 // Checkpoint/restore suite: envelope round-trips, every-prefix truncation +
 // whole-stream byte-flip rejection with typed errors, oversized element
 // counts in a CRC-valid payload, version-skew and session-mismatch
-// rejection, SnapshotManager generation fallback, and the
+// rejection, all-or-nothing SkyRan::restore, the sim::GenerationStore
+// generation files and their newest-first fallback walk, and the
 // headline resume contract — a campaign resumed from the checkpoint taken
 // after epoch k produces bit-identical EpochReports for epochs k+1..N to
 // the uninterrupted run, serial and 8-worker. The SIGKILL side of the
@@ -12,6 +13,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -19,7 +21,9 @@
 #include "core/skyran.hpp"
 #include "core/snapshot.hpp"
 #include "geo/binio.hpp"
+#include "scenario/campaign.hpp"
 #include "sim/crash_point.hpp"
+#include "sim/generation_store.hpp"
 #include "sim/shutdown.hpp"
 #include "snapshot_campaign.hpp"
 
@@ -224,46 +228,72 @@ TEST(SnapshotFormatTest, RestoreRejectsWrongSession) {
 
   // Different seed: a different session entirely.
   core::SkyRan other_seed(world, testcampaign::skyran_config(1), testcampaign::kCampaignSeed + 1);
-  EXPECT_THROW(other_seed.restore(snap), core::SnapshotMismatch);
+  EXPECT_THROW(other_seed.restore(snap), geo::StateMismatchError);
 
   // Different resume-relevant config: the run would silently diverge.
   core::SkyRanConfig skewed = testcampaign::skyran_config(1);
   skewed.measurement_budget_m += 50.0;
   core::SkyRan other_config(world, skewed, testcampaign::kCampaignSeed);
-  EXPECT_THROW(other_config.restore(snap), core::SnapshotMismatch);
+  EXPECT_THROW(other_config.restore(snap), geo::StateMismatchError);
 
   // The worker count is resume-neutral by contract: not a mismatch.
   core::SkyRan other_threads(world, testcampaign::skyran_config(8), testcampaign::kCampaignSeed);
   EXPECT_NO_THROW(other_threads.restore(snap));
 }
 
+// A snapshot that fails after the session checks must not half-apply: the
+// epoch, pose, flight and battery come before the RNG text in the snapshot,
+// but none of them may land when the RNG does not parse. A battery no save
+// can hold is corrupt too, not a contract failure.
+TEST(SnapshotFormatTest, RestoreIsAllOrNothing) {
+  sim::World world(testcampaign::world_config());
+  core::SkyRan skyran(world, testcampaign::skyran_config(1), testcampaign::kCampaignSeed);
+  const std::string before = to_bytes(skyran.snapshot());
+  core::Snapshot bad = sample_snapshot();
+  bad.rng_state = "not an engine";
+  EXPECT_THROW(skyran.restore(bad), geo::BinCorruptError);
+  EXPECT_EQ(to_bytes(skyran.snapshot()), before);
+  bad = sample_snapshot();
+  bad.battery_remaining_wh = -1.0;
+  EXPECT_THROW(skyran.restore(bad), geo::BinCorruptError);
+  EXPECT_EQ(to_bytes(skyran.snapshot()), before);
+}
+
 // --------------------------------------------------------- generation files --
 
-TEST(SnapshotManagerTest, KeepsNewestGenerationsAndPrunesRest) {
+/// `s` saved as generation s.epoch.
+fs::path save(sim::GenerationStore& store, const core::Snapshot& s) {
+  return store.save(s.epoch, to_bytes(s));
+}
+
+/// The epoch of the newest generation that loads, or nullopt.
+std::optional<int> load_latest(sim::GenerationStore& store) {
+  return store.restore_latest([](std::istream& is) { core::Snapshot::load(is); });
+}
+
+TEST(GenerationStoreTest, KeepsNewestGenerationsAndPrunesRest) {
   TempDir dir("mgr_prune");
-  core::SnapshotManager mgr(dir.path, 2);
+  sim::GenerationStore store = testcampaign::snapshot_store(dir.path);
   core::Snapshot s = sample_snapshot();
   for (int e = 1; e <= 4; ++e) {
     s.epoch = e;
-    mgr.save(s);
+    save(store, s);
   }
-  const auto gens = mgr.generations();
-  ASSERT_EQ(gens.size(), 2u);
+  const auto gens = store.generations();
+  ASSERT_EQ(gens.size(), static_cast<std::size_t>(sim::GenerationStore::kKeep));
   EXPECT_EQ(gens.back().filename().string(), "ckpt-00000004.skyc");
-  const auto latest = mgr.load_latest();
-  ASSERT_TRUE(latest.has_value());
-  EXPECT_EQ(latest->epoch, 4);
-  EXPECT_TRUE(mgr.last_errors().empty());
+  EXPECT_EQ(load_latest(store), 4);
+  EXPECT_TRUE(store.last_errors().empty());
 }
 
-TEST(SnapshotManagerTest, CorruptNewestFallsBackToPreviousGeneration) {
+TEST(GenerationStoreTest, CorruptNewestFallsBackToPreviousGeneration) {
   TempDir dir("mgr_fallback");
-  core::SnapshotManager mgr(dir.path, 2);
+  sim::GenerationStore store = testcampaign::snapshot_store(dir.path);
   core::Snapshot s = sample_snapshot();
   s.epoch = 1;
-  mgr.save(s);
+  save(store, s);
   s.epoch = 2;
-  const fs::path newest = mgr.save(s);
+  const fs::path newest = save(store, s);
 
   // Flip one payload byte of the newest generation.
   std::string bytes;
@@ -276,53 +306,102 @@ TEST(SnapshotManagerTest, CorruptNewestFallsBackToPreviousGeneration) {
   bytes[bytes.size() / 2] = static_cast<char>(bytes[bytes.size() / 2] ^ 0x5a);
   std::ofstream(newest, std::ios::binary | std::ios::trunc).write(bytes.data(), bytes.size());
 
-  const auto latest = mgr.load_latest();
-  ASSERT_TRUE(latest.has_value());
-  EXPECT_EQ(latest->epoch, 1);  // previous good generation
-  ASSERT_EQ(mgr.last_errors().size(), 1u);
-  EXPECT_NE(mgr.last_errors()[0].find("CRC"), std::string::npos);
+  EXPECT_EQ(load_latest(store), 1);  // previous good generation
+  ASSERT_EQ(store.last_errors().size(), 1u);
+  EXPECT_NE(store.last_errors()[0].find("CRC"), std::string::npos);
 }
 
-TEST(SnapshotManagerTest, OversizedCountInNewestFallsBackToPreviousGeneration) {
+TEST(GenerationStoreTest, OversizedCountInNewestFallsBackToPreviousGeneration) {
   TempDir dir("mgr_oversized");
-  core::SnapshotManager mgr(dir.path, 2);
+  sim::GenerationStore store = testcampaign::snapshot_store(dir.path);
   core::Snapshot s = sample_snapshot();
   s.epoch = 1;
-  mgr.save(s);
+  save(store, s);
   // A newer generation whose CRC verifies but whose history count claims
   // 2^61 entries.
   const std::string bad = bytes_with_count(CountField::kHistory, std::uint64_t{1} << 61);
   std::ofstream(dir.path / "ckpt-00000002.skyc", std::ios::binary)
       .write(bad.data(), static_cast<std::streamsize>(bad.size()));
 
-  const auto latest = mgr.load_latest();
-  ASSERT_TRUE(latest.has_value());
-  EXPECT_EQ(latest->epoch, 1);
-  ASSERT_EQ(mgr.last_errors().size(), 1u);
-  EXPECT_NE(mgr.last_errors()[0].find("ckpt-00000002.skyc"), std::string::npos);
+  EXPECT_EQ(load_latest(store), 1);
+  ASSERT_EQ(store.last_errors().size(), 1u);
+  EXPECT_NE(store.last_errors()[0].find("ckpt-00000002.skyc"), std::string::npos);
 }
 
-TEST(SnapshotManagerTest, AllGenerationsCorruptYieldsNothing) {
+TEST(GenerationStoreTest, AllGenerationsCorruptYieldsNothing) {
   TempDir dir("mgr_all_bad");
-  core::SnapshotManager mgr(dir.path, 2);
+  sim::GenerationStore store = testcampaign::snapshot_store(dir.path);
   std::ofstream(dir.path / "ckpt-00000001.skyc", std::ios::binary) << "garbage";
   std::ofstream(dir.path / "ckpt-00000002.skyc", std::ios::binary) << "more garbage";
-  EXPECT_FALSE(mgr.load_latest().has_value());
-  EXPECT_EQ(mgr.last_errors().size(), 2u);
+  EXPECT_FALSE(load_latest(store).has_value());
+  EXPECT_EQ(store.last_errors().size(), 2u);
 }
 
-TEST(SnapshotManagerTest, StrayTempFilesAreIgnoredAndCleaned) {
+TEST(GenerationStoreTest, StrayTempFilesAreIgnoredAndCleaned) {
   TempDir dir("mgr_tmp");
-  core::SnapshotManager mgr(dir.path, 2);
+  sim::GenerationStore store = testcampaign::snapshot_store(dir.path);
   std::ofstream(dir.path / "ckpt-00000009.skyc.tmp", std::ios::binary) << "torn write";
   core::Snapshot s = sample_snapshot();
   s.epoch = 1;
-  mgr.save(s);
-  EXPECT_EQ(mgr.generations().size(), 1u);
+  save(store, s);
+  EXPECT_EQ(store.generations().size(), 1u);
   EXPECT_FALSE(fs::exists(dir.path / "ckpt-00000009.skyc.tmp"));
-  const auto latest = mgr.load_latest();
-  ASSERT_TRUE(latest.has_value());
-  EXPECT_EQ(latest->epoch, 1);
+  EXPECT_EQ(load_latest(store), 1);
+}
+
+// Session and campaign generations can share a directory: each store lists,
+// prunes and restores only the files named by its own prefix and extension.
+TEST(GenerationStoreTest, KindsSharingADirectoryStaySeparate) {
+  TempDir dir("mgr_shared");
+  sim::GenerationStore sessions = testcampaign::snapshot_store(dir.path);
+  sim::GenerationStore campaigns(dir.path, "camp-", ".skyd");
+  core::Snapshot s = sample_snapshot();
+  scenario::CampaignConfig cfg = scenario::example_day_config(5, 20, 2);
+  cfg.hours = 2;
+  scenario::Campaign campaign(cfg);
+  // Interleaved, the campaign's generations numbered past the session's.
+  for (int g = 1; g <= 3; ++g) {
+    s.epoch = g;
+    save(sessions, s);
+    std::ostringstream bytes;
+    campaign.save(bytes);
+    campaigns.save(g + 5, std::move(bytes).str());
+  }
+  ASSERT_EQ(sessions.generations().size(), 2u);
+  ASSERT_EQ(campaigns.generations().size(), 2u);
+  for (const fs::path& p : sessions.generations())
+    EXPECT_EQ(p.extension(), ".skyc") << p;
+  for (const fs::path& p : campaigns.generations())
+    EXPECT_EQ(p.extension(), ".skyd") << p;
+
+  EXPECT_EQ(load_latest(sessions), 3);
+  EXPECT_TRUE(sessions.last_errors().empty());
+  scenario::Campaign resumed(cfg);
+  EXPECT_EQ(campaigns.restore_latest([&](std::istream& is) { resumed.restore(is); }), 8);
+  EXPECT_TRUE(campaigns.last_errors().empty());
+}
+
+// A newest generation saved by another session (here: another seed) is
+// valid bytes of the wrong session; the walk skips it, names the mismatch,
+// and restores the older generation of this session.
+TEST(GenerationStoreTest, ForeignSessionNewestFallsBackToOwnGeneration) {
+  TempDir dir("mgr_foreign");
+  sim::GenerationStore store = testcampaign::snapshot_store(dir.path);
+  const core::Snapshot own = sample_snapshot();  // epoch 3, kCampaignSeed
+  save(store, own);
+  core::Snapshot foreign = own;
+  foreign.seed = testcampaign::kCampaignSeed + 1;
+  foreign.epoch = 4;
+  save(store, foreign);
+
+  sim::World world(testcampaign::world_config());
+  core::SkyRan skyran(world, testcampaign::skyran_config(1), testcampaign::kCampaignSeed);
+  EXPECT_EQ(testcampaign::restore_snapshot(store, skyran), 3);
+  EXPECT_EQ(skyran.epochs_run(), 3);
+  EXPECT_EQ(to_bytes(skyran.snapshot()), to_bytes(own));
+  ASSERT_EQ(store.last_errors().size(), 1u);
+  EXPECT_NE(store.last_errors()[0].find("ckpt-00000004.skyc"), std::string::npos);
+  EXPECT_NE(store.last_errors()[0].find("snapshot seed"), std::string::npos);
 }
 
 // -------------------------------------------------------------- crash hooks --
