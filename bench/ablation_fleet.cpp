@@ -21,7 +21,7 @@
 
 #include "core/thread_pool.hpp"
 #include "fleet/fleet.hpp"
-#include "obs_session.hpp"
+#include "obs/env_session.hpp"
 #include "rf/channel.hpp"
 
 namespace skyran::bench {

@@ -15,7 +15,7 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "obs_session.hpp"
+#include "obs/env_session.hpp"
 #include "scenario/campaign.hpp"
 
 namespace skyran::bench {

@@ -13,7 +13,7 @@
 #include "core/skyran.hpp"
 #include "geo/stats.hpp"
 #include "mobility/deployment.hpp"
-#include "obs_session.hpp"
+#include "obs/env_session.hpp"
 #include "rem/planner.hpp"
 #include "sim/baselines.hpp"
 #include "sim/ground_truth.hpp"

@@ -29,7 +29,7 @@
 #include "lte/ranging.hpp"
 #include "lte/srs.hpp"
 #include "lte/srs_channel.hpp"
-#include "obs_session.hpp"
+#include "obs/env_session.hpp"
 #include "rf/units.hpp"
 #include "timing.hpp"
 

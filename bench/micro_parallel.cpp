@@ -23,7 +23,7 @@
 #include "lte/ranging.hpp"
 #include "lte/srs.hpp"
 #include "lte/srs_channel.hpp"
-#include "obs_session.hpp"
+#include "obs/env_session.hpp"
 #include "rem/idw.hpp"
 #include "rem/kmeans.hpp"
 #include "rem/kriging.hpp"

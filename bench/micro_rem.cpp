@@ -19,7 +19,7 @@
 
 #include "geo/path.hpp"
 #include "geo/rect.hpp"
-#include "obs_session.hpp"
+#include "obs/env_session.hpp"
 #include "rem/bank.hpp"
 #include "rf/channel.hpp"
 

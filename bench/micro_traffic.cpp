@@ -22,7 +22,7 @@
 #include <vector>
 
 #include "lte/traffic_plane.hpp"
-#include "obs_session.hpp"
+#include "obs/env_session.hpp"
 #include "timing.hpp"
 
 namespace skyran::bench {

@@ -5,21 +5,22 @@
 // between assembly points), tracking battery and service quality, and
 // compare against the Uniform sweep under the same budget.
 //
-// A SIGINT/SIGTERM between epochs exits cleanly: a final checkpoint is
-// written when SKYRAN_CKPT_DIR is set, and telemetry is flushed when
-// SKYRAN_METRICS_OUT is set. Normal stdout stays byte-identical either way.
+// With SKYRAN_CKPT_DIR set, the session is saved after every epoch
+// (`ckpt-<epoch>.skyc`) and a rerun resumes from the newest generation, the
+// way skyran_cli does; the table then lists only the epochs the rerun
+// executes. A SIGINT/SIGTERM between epochs exits cleanly, and telemetry is
+// flushed when SKYRAN_METRICS_OUT is set. An uninterrupted run's stdout is
+// byte-identical either way.
 //
 //   ./example_disaster_recovery [seed]
 #include <cstdlib>
 #include <iostream>
-#include <memory>
-#include <optional>
-#include <sstream>
 
 #include "core/skyran.hpp"
 #include "core/snapshot.hpp"
 #include "mobility/deployment.hpp"
 #include "mobility/model.hpp"
+#include "obs/env_session.hpp"
 #include "sim/baselines.hpp"
 #include "sim/generation_store.hpp"
 #include "sim/ground_truth.hpp"
@@ -31,10 +32,6 @@ int main(int argc, char** argv) {
   const std::uint64_t seed = argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 23;
 
   sim::install_shutdown_handlers();
-  sim::init_metrics_from_env();
-  std::optional<sim::GenerationStore> checkpoints;
-  if (const char* dir = std::getenv("SKYRAN_CKPT_DIR"); dir != nullptr && *dir != '\0')
-    checkpoints.emplace(dir, "ckpt-", ".skyc");
 
   sim::WorldConfig wc;
   wc.terrain_kind = terrain::TerrainKind::kLarge;
@@ -53,9 +50,16 @@ int main(int argc, char** argv) {
   cfg.localizer.flight_length_m = 30.0;
   core::SkyRan skyran(world, cfg, seed + 3);
 
+  // Resume: the snapshot restores the session and the world's UE positions;
+  // the relocation model's own RNG is replayed up to the resumed epoch.
+  sim::EnvCheckpoints checkpoints("ckpt-", ".skyc");
+  const int resumed = checkpoints.resume(
+      [&](std::istream& is) { skyran.restore(core::Snapshot::load(is)); });
+  for (int e = 1; e < resumed; ++e) mob.relocate_epoch();
+
   sim::Table table({"epoch", "SkyRAN rel. tput", "Uniform rel. tput", "min UE SNR (dB)",
                     "battery left", "hover endurance left"});
-  for (int e = 0; e < 3; ++e) {
+  for (int e = resumed; e < 3; ++e) {
     if (sim::shutdown_requested()) {
       // Orderly exit: the state as of the last completed epoch is already
       // checkpointed below; just note the interruption off the stdout
@@ -69,11 +73,7 @@ int main(int argc, char** argv) {
       world.ue_positions() = mob.positions();
     }
     const core::EpochReport r = skyran.run_epoch();
-    if (checkpoints) {
-      std::ostringstream bytes;
-      skyran.snapshot().save(bytes);
-      checkpoints->save(skyran.epochs_run(), std::move(bytes).str());
-    }
+    checkpoints.save(skyran.epochs_run(), [&](std::ostream& os) { skyran.snapshot().save(os); });
     const sim::GroundTruth truth = sim::compute_ground_truth(world, r.altitude_m, 15.0);
     const double sky_rel = sim::relative_throughput(world, truth, r.position);
 
@@ -94,6 +94,5 @@ int main(int argc, char** argv) {
   table.print(std::cout);
   std::cout << "\nTotal measurement flight: " << sim::Table::num(skyran.total_flight_m(), 0)
             << " m across " << skyran.epochs_run() << " epochs\n";
-  sim::flush_metrics();
   return 0;
 }

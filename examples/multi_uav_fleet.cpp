@@ -10,20 +10,22 @@
 // attachment every epoch (measure -> A3 decide -> apply), so the commuter
 // hands over, deterministically, mid-run.
 //
-// A SIGINT/SIGTERM between epochs exits cleanly: the fleet's dynamic state
-// is persisted to $SKYRAN_CKPT_DIR/fleet_state.bin when that directory is
-// set (restorable via fleet::Fleet::restore into an identically built
-// fleet), and telemetry is flushed when SKYRAN_METRICS_OUT is set. Normal
-// stdout stays byte-identical either way.
+// With SKYRAN_CKPT_DIR set, the fleet's dynamic state is saved after every
+// epoch (`fleet-<epoch>.skyf`, Fleet::save's bytes) and a rerun restores the
+// newest generation into this identically built fleet and carries on; the
+// table then lists only the epochs the rerun executes. A SIGINT/SIGTERM
+// between epochs exits cleanly, and telemetry is flushed when
+// SKYRAN_METRICS_OUT is set. An uninterrupted run's stdout is
+// byte-identical either way.
 //
 //   ./example_multi_uav_fleet [epochs] [seed]
 #include <cstdlib>
-#include <filesystem>
-#include <fstream>
 #include <iostream>
 
 #include "fleet/fleet.hpp"
+#include "obs/env_session.hpp"
 #include "rf/channel.hpp"
+#include "sim/generation_store.hpp"
 #include "sim/shutdown.hpp"
 #include "sim/table.hpp"
 
@@ -33,8 +35,6 @@ int main(int argc, char** argv) {
   const std::uint64_t seed = argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 11;
 
   sim::install_shutdown_handlers();
-  sim::init_metrics_from_env();
-  const char* ckpt_dir = std::getenv("SKYRAN_CKPT_DIR");
 
   const rf::FsplChannel fspl(2.6e9);
   fleet::FleetConfig cfg;
@@ -65,15 +65,21 @@ int main(int argc, char** argv) {
 
   std::cout << "Fleet: 3 UAV cells, 29 UEs, one commuter crossing the township\n";
 
+  // The commuter's position is a function of the epoch, so a resumed fleet
+  // needs nothing replayed.
+  sim::EnvCheckpoints checkpoints("fleet-", ".skyf");
+  const int resumed = checkpoints.resume([&](std::istream& is) { fleet.restore(is); });
+
   sim::Table table({"epoch", "commuter cell", "HOs", "util c0/c1/c2", "CIO c0/c1/c2 (dB)",
                     "mean SINR (dB)"});
-  for (int e = 1; e <= epochs; ++e) {
+  for (int e = resumed + 1; e <= epochs; ++e) {
     if (sim::shutdown_requested()) {
       std::cerr << "shutdown requested; stopping after epoch " << (e - 1) << "\n";
       break;
     }
     fleet.set_ue_position(commuter, {180.0 + 70.0 * (e - 1), 500.0, 1.5});
     const fleet::FleetEpochReport r = fleet.run_epoch();
+    checkpoints.save(fleet.epochs_run(), [&](std::ostream& os) { fleet.save(os); });
     table.add_row({std::to_string(e), std::to_string(fleet.serving_cell(commuter)),
                    std::to_string(r.ho_successes),
                    sim::Table::num(r.cell_prb_util[0], 2) + "/" +
@@ -91,12 +97,5 @@ int main(int argc, char** argv) {
             << "Totals: " << fleet.total_handovers() << " handovers, "
             << fleet.total_pingpongs() << " ping-pongs, " << fleet.total_steering_steps()
             << " steering steps\n";
-
-  if (ckpt_dir != nullptr && *ckpt_dir != '\0') {
-    std::filesystem::create_directories(ckpt_dir);
-    std::ofstream os(std::filesystem::path(ckpt_dir) / "fleet_state.bin", std::ios::binary);
-    if (os) fleet.save(os);
-  }
-  sim::flush_metrics();
   return 0;
 }

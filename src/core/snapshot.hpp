@@ -10,12 +10,12 @@
 //   store.save(sky.epochs_run(), bytes);
 //   store.restore_latest([&](std::istream& is) { sky.restore(Snapshot::load(is)); });
 //
-// Resume contract (verified by tests/test_snapshot.cpp and the kill-at-phase
-// harness in tests/test_crash_recovery.cpp): a SkyRan restored from the
-// checkpoint taken after epoch k, driven by the same deterministic campaign,
-// produces bit-identical EpochReports for epochs k+1..N to the uninterrupted
-// run — on any worker count. Stateful drivers (e.g. mobility models with
-// internal RNG) must persist their own state alongside; the snapshot covers
+// Resume contract (verified by tests/test_snapshot.cpp and the kill.skyran_cli
+// cases of tests/kill_resume.cmake): a SkyRan restored from the checkpoint
+// taken after epoch k, driven by the same deterministic campaign, produces
+// bit-identical EpochReports for epochs k+1..N to the uninterrupted run — on
+// any worker count. Stateful drivers (e.g. mobility models with internal
+// RNG) must persist or replay their own state; the snapshot covers
 // everything inside SkyRan plus the world's UE positions.
 #pragma once
 

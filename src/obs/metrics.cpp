@@ -111,7 +111,7 @@ void Histogram::reset() {
 
 MetricsRegistry& MetricsRegistry::instance() {
   // Intentionally leaked: telemetry may be dumped from destructors of other
-  // statics (bench::ObsEnvSession writes after main), so the registry must
+  // statics (obs::EnvSession writes after main), so the registry must
   // outlive every static regardless of construction order.
   static MetricsRegistry* registry = new MetricsRegistry();
   return *registry;

@@ -24,7 +24,7 @@
 // from a checkpoint at any hour boundary finishes bit-identically to the
 // uninterrupted run (the only sequential state is battery/swap logistics
 // plus the fleet, and both are persisted). Enforced by tests/test_scenario
-// and the kill-at-hour lane of tests/test_crash_recovery.
+// and the kill.campaign_mini.hour_tick cases of the kill-and-resume suite.
 #pragma once
 
 #include <cstdint>

@@ -1,8 +1,10 @@
 #include "sim/crash_point.hpp"
 
+#include <algorithm>
 #include <csignal>
 #include <cstdlib>
 #include <cstring>
+#include <string>
 
 #if defined(_WIN32)
 #include <process.h>
@@ -52,17 +54,5 @@ void crash_point(const char* name) {
   if (std::strcmp(name, s.name.c_str()) != 0) return;
   if (++s.visits >= s.target_hit) die();
 }
-
-void arm_crash_point(std::string name, int hit) {
-  CrashState& s = state();
-  s.armed = true;
-  s.name = std::move(name);
-  s.target_hit = hit < 1 ? 1 : hit;
-  s.visits = 0;
-}
-
-void disarm_crash_points() { state() = CrashState{}; }
-
-int crash_point_visits() { return state().visits; }
 
 }  // namespace skyran::sim

@@ -1,11 +1,10 @@
-// Crash points: named process-kill hooks for the crash-recovery harness.
+// Crash points: named process-kill hooks for the kill-and-resume suite.
 // The epoch state machine and the checkpoint writer call
 // `sim::crash_point("name")` at their phase boundaries; a disarmed hook is
-// one branch on a bool. When armed (programmatically after a fork, or via
-// the SKYRAN_CRASH_AT / SKYRAN_CRASH_HIT environment variables), the N-th
-// visit to the named point raises SIGKILL on the process — no destructors,
-// no stream flushes, no atexit — which is exactly the failure the
-// checkpoint subsystem must survive.
+// one branch on a bool. When the SKYRAN_CRASH_AT environment variable names
+// a point (SKYRAN_CRASH_HIT=<n>, default 1), the n-th visit to it raises
+// SIGKILL on the process — no destructors, no stream flushes, no atexit —
+// which is exactly the failure the checkpoint subsystem must survive.
 //
 // Known points (see docs/ARCHITECTURE.md, "Checkpoint & recovery"):
 //   epoch.localize / epoch.estimate / epoch.place / epoch.serve
@@ -17,23 +16,10 @@
 //   ckpt.pre_rename  temp file complete + fsynced, before the atomic rename.
 #pragma once
 
-#include <string>
-
 namespace skyran::sim {
 
 /// Phase-boundary hook. SIGKILLs the process when `name` is the armed crash
 /// point and this is its `hit`-th visit; otherwise a cheap no-op.
 void crash_point(const char* name);
-
-/// Arm `name` to fire on its `hit`-th visit (1-based). Replaces any prior
-/// arming and resets the visit counter. Intended for harness children right
-/// after fork(); the parent stays disarmed.
-void arm_crash_point(std::string name, int hit = 1);
-
-/// Disarm and reset. Safe to call when nothing is armed.
-void disarm_crash_points();
-
-/// Visits recorded for the currently armed point (0 when disarmed).
-int crash_point_visits();
 
 }  // namespace skyran::sim

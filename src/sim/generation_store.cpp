@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
+#include <iostream>
+#include <sstream>
 
 #include "geo/binio.hpp"
 #include "obs/obs.hpp"
@@ -161,6 +164,27 @@ int GenerationStore::generation_of(const std::filesystem::path& path) const {
     value = value * 10 + (name[i] - '0');
   }
   return value;
+}
+
+EnvCheckpoints::EnvCheckpoints(std::string prefix, std::string extension) {
+  if (const char* dir = std::getenv("SKYRAN_CKPT_DIR"); dir != nullptr && *dir != '\0')
+    store_.emplace(dir, std::move(prefix), std::move(extension));
+}
+
+int EnvCheckpoints::resume(const std::function<void(std::istream&)>& restore) {
+  if (!store_) return 0;
+  const std::optional<int> generation = store_->restore_latest(restore);
+  for (const std::string& why : store_->last_errors()) std::cerr << "skipped " << why << "\n";
+  if (!generation) return 0;
+  std::cerr << "resumed from generation " << *generation << "\n";
+  return *generation;
+}
+
+void EnvCheckpoints::save(int generation, const std::function<void(std::ostream&)>& write) {
+  if (!store_) return;
+  std::ostringstream bytes;
+  write(bytes);
+  store_->save(generation, std::move(bytes).str());
 }
 
 }  // namespace skyran::sim

@@ -15,6 +15,9 @@
 // restore throws geo::BinFormatError (bad bytes) or geo::StateMismatchError
 // (valid bytes, wrong session). The restore must be all-or-nothing, so a
 // skipped generation leaves the target as it was.
+//
+// EnvCheckpoints is how a shipped binary uses the store: one generation per
+// completed step under $SKYRAN_CKPT_DIR, and a resume on start.
 #pragma once
 
 #include <filesystem>
@@ -70,6 +73,25 @@ class GenerationStore {
   std::string prefix_;
   std::string extension_;
   std::vector<std::string> last_errors_;
+};
+
+/// The checkpoints a shipped binary keeps for its one resumable object in
+/// $SKYRAN_CKPT_DIR. Inert — every call a no-op — when that variable is
+/// unset or empty.
+class EnvCheckpoints {
+ public:
+  EnvCheckpoints(std::string prefix, std::string extension);
+
+  /// Restore from the newest generation `restore` accepts. Reports each
+  /// skipped generation and "resumed from generation <k>" on stderr, and
+  /// returns k; returns 0 when nothing was restored.
+  int resume(const std::function<void(std::istream&)>& restore);
+
+  /// Save the bytes `write` streams as generation `generation`.
+  void save(int generation, const std::function<void(std::ostream&)>& write);
+
+ private:
+  std::optional<GenerationStore> store_;
 };
 
 }  // namespace skyran::sim

@@ -1,17 +1,11 @@
 // Graceful-shutdown support for long-running drivers (examples, campaign
 // tools). A SIGINT/SIGTERM only sets an async-signal-safe flag; the driver
 // polls `shutdown_requested()` at its epoch boundaries and performs the
-// orderly exit itself — write a final checkpoint, flush telemetry — instead
-// of dying mid-state with everything lost.
+// orderly exit itself — stop after the last checkpointed epoch, return from
+// main so telemetry is flushed — instead of dying mid-state.
 #pragma once
 
 #include <csignal>
-#include <cstdlib>
-#include <fstream>
-#include <string>
-
-#include "obs/export.hpp"
-#include "obs/metrics.hpp"
 
 namespace skyran::sim {
 
@@ -31,22 +25,5 @@ inline bool shutdown_requested() { return detail::g_shutdown_flag != 0; }
 
 /// For tests: reset the flag as if no signal had arrived.
 inline void reset_shutdown_flag() { detail::g_shutdown_flag = 0; }
-
-/// Turn telemetry on when SKYRAN_METRICS_OUT names a file (same contract as
-/// the bench binaries). Returns true when enabled.
-inline bool init_metrics_from_env() {
-  if (std::getenv("SKYRAN_METRICS_OUT") == nullptr) return false;
-  obs::set_enabled(true);
-  return true;
-}
-
-/// Flush accumulated telemetry to $SKYRAN_METRICS_OUT (JSON lines) if set.
-/// Safe to call unconditionally and more than once (last write wins).
-inline void flush_metrics() {
-  const char* path = std::getenv("SKYRAN_METRICS_OUT");
-  if (path == nullptr || *path == '\0') return;
-  std::ofstream os(path);
-  if (os) obs::write_json_lines(os);
-}
 
 }  // namespace skyran::sim

@@ -1,17 +1,16 @@
-// Deterministic checkpointed campaign shared by the snapshot suite
-// (tests/test_snapshot.cpp) and the kill-at-phase crash-recovery harness
-// (tests/test_crash_recovery.cpp). Everything here is a pure function of
+// Deterministic checkpointed campaign of the snapshot suite
+// (tests/test_snapshot.cpp). Everything here is a pure function of
 // (kCampaignSeed, epoch) — world, config, and per-epoch UE mobility — so a
 // driver resumed from a checkpoint regenerates the exact inputs the
 // uninterrupted run saw. Stateless mobility is deliberate: a mobility model
-// with internal RNG would need its own persistence (see core/snapshot.hpp).
+// with internal RNG would need its own persistence or replay (see
+// core/snapshot.hpp).
 #pragma once
 
 #include <cstdint>
 #include <filesystem>
 #include <istream>
 #include <optional>
-#include <sstream>
 #include <vector>
 
 #include "core/skyran.hpp"
@@ -60,13 +59,6 @@ inline sim::GenerationStore snapshot_store(const std::filesystem::path& dir) {
   return sim::GenerationStore(dir, "ckpt-", ".skyc");
 }
 
-/// Persist `skyran`'s snapshot as generation epochs_run().
-inline void save_snapshot(sim::GenerationStore& store, const core::SkyRan& skyran) {
-  std::ostringstream bytes;
-  skyran.snapshot().save(bytes);
-  store.save(skyran.epochs_run(), std::move(bytes).str());
-}
-
 /// Restore `skyran` from the newest generation it accepts; returns that
 /// generation.
 inline std::optional<int> restore_snapshot(sim::GenerationStore& store, core::SkyRan& skyran) {
@@ -76,28 +68,23 @@ inline std::optional<int> restore_snapshot(sim::GenerationStore& store, core::Sk
 
 /// Drive `skyran` from its current epoch through epoch `last` (inclusive),
 /// applying the campaign mobility before each epoch. Returns one
-/// report_digest per epoch run. When `store` is non-null, a checkpoint is
-/// saved after every completed epoch; when `digest_sink` is non-null it is
-/// called with (epoch, digest) right after the epoch completes and before
-/// the checkpoint write.
+/// report_digest per epoch run; when `digest_sink` is given it is called with
+/// (epoch, digest) right after each epoch completes.
 template <typename DigestSink>
 std::vector<std::uint64_t> run_epochs(core::SkyRan& skyran, sim::World& world, int last,
-                                      sim::GenerationStore* store, DigestSink&& digest_sink) {
+                                      DigestSink&& digest_sink) {
   std::vector<std::uint64_t> digests;
   for (int e = skyran.epochs_run() + 1; e <= last; ++e) {
     world.ue_positions() = ue_positions_for_epoch(world.terrain(), e);
-    const core::EpochReport report = skyran.run_epoch();
-    const std::uint64_t digest = core::report_digest(report);
+    const std::uint64_t digest = core::report_digest(skyran.run_epoch());
     digests.push_back(digest);
     digest_sink(e, digest);
-    if (store != nullptr) save_snapshot(*store, skyran);
   }
   return digests;
 }
 
-inline std::vector<std::uint64_t> run_epochs(core::SkyRan& skyran, sim::World& world, int last,
-                                             sim::GenerationStore* store = nullptr) {
-  return run_epochs(skyran, world, last, store, [](int, std::uint64_t) {});
+inline std::vector<std::uint64_t> run_epochs(core::SkyRan& skyran, sim::World& world, int last) {
+  return run_epochs(skyran, world, last, [](int, std::uint64_t) {});
 }
 
 }  // namespace skyran::testcampaign

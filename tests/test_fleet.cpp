@@ -7,9 +7,9 @@
 // constructed hot spot; the save/restore round-trip (bit-identical resume,
 // a pinned state_hash, population mismatch, every single-byte flip, version
 // 1, and short or miscounted payloads rejected with the fleet unchanged);
-// and staggered load-weighted placement over a shared RemBank. No
-// fork-based tests live here — this binary runs under TSan in CI; the
-// kill-at-epoch.steer crash case is in tests/test_crash_recovery.cpp.
+// and staggered load-weighted placement over a shared RemBank. The
+// kill-at-epoch.steer case SIGKILLs example_multi_uav_fleet
+// (tests/kill_resume.cmake).
 #include <gtest/gtest.h>
 
 #include <cmath>

@@ -3,9 +3,8 @@
 // bit-identity of a whole campaign report, pinned hour and campaign digests,
 // battery-swap logistics, the save/restore round-trip with fingerprint,
 // byte-flip, version-1 and out-of-range-field rejection (strong guarantee),
-// and the fallback walk over campaign generation files. No fork-based
-// tests live here — this binary runs under TSan in CI; the kill-at-hour.tick
-// crash case is in tests/test_crash_recovery.cpp.
+// and the fallback walk over campaign generation files. The kill-at-hour.tick
+// case SIGKILLs example_campaign_mini (tests/kill_resume.cmake).
 #include <gtest/gtest.h>
 
 #include <cmath>

@@ -6,7 +6,8 @@
 // headline resume contract — a campaign resumed from the checkpoint taken
 // after epoch k produces bit-identical EpochReports for epochs k+1..N to
 // the uninterrupted run, serial and 8-worker. The SIGKILL side of the
-// contract lives in tests/test_crash_recovery.cpp.
+// contract is the kill-and-resume suite of the shipped binaries
+// (tests/kill_resume.cmake).
 #include <gtest/gtest.h>
 
 #include <csignal>
@@ -22,7 +23,6 @@
 #include "core/snapshot.hpp"
 #include "geo/binio.hpp"
 #include "scenario/campaign.hpp"
-#include "sim/crash_point.hpp"
 #include "sim/generation_store.hpp"
 #include "sim/shutdown.hpp"
 #include "snapshot_campaign.hpp"
@@ -404,21 +404,7 @@ TEST(GenerationStoreTest, ForeignSessionNewestFallsBackToOwnGeneration) {
   EXPECT_NE(store.last_errors()[0].find("snapshot seed"), std::string::npos);
 }
 
-// -------------------------------------------------------------- crash hooks --
-
-TEST(CrashPointTest, DisarmedHookIsANoOpAndArmingCounts) {
-  sim::disarm_crash_points();
-  sim::crash_point("epoch.localize");  // disarmed: nothing happens
-  EXPECT_EQ(sim::crash_point_visits(), 0);
-  sim::arm_crash_point("some.point", 5);
-  sim::crash_point("other.point");  // wrong name: not counted
-  EXPECT_EQ(sim::crash_point_visits(), 0);
-  sim::crash_point("some.point");
-  sim::crash_point("some.point");
-  EXPECT_EQ(sim::crash_point_visits(), 2);  // fires at 5; safe below that
-  sim::disarm_crash_points();
-  EXPECT_EQ(sim::crash_point_visits(), 0);
-}
+// ----------------------------------------------------------- shutdown flag --
 
 TEST(ShutdownFlagTest, SignalSetsFlagOnce) {
   sim::reset_shutdown_flag();
@@ -444,9 +430,9 @@ ReferenceRun reference_run(int threads) {
   ReferenceRun ref;
   sim::World world(testcampaign::world_config());
   core::SkyRan skyran(world, testcampaign::skyran_config(threads), testcampaign::kCampaignSeed);
-  ref.digests = testcampaign::run_epochs(
-      skyran, world, kEpochs, nullptr,
-      [&](int, std::uint64_t) { ref.snapshots.push_back(to_bytes(skyran.snapshot())); });
+  ref.digests = testcampaign::run_epochs(skyran, world, kEpochs, [&](int, std::uint64_t) {
+    ref.snapshots.push_back(to_bytes(skyran.snapshot()));
+  });
   return ref;
 }
 

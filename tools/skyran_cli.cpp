@@ -10,14 +10,20 @@
 // --metrics-out / --trace enable the observability layer (docs/OBSERVABILITY.md):
 // the former dumps counters/histograms/trace spans as JSON lines, the latter
 // prints a human-readable telemetry summary after the run.
+//
+// With $SKYRAN_CKPT_DIR set, the skyran scheme saves the session after every
+// epoch (`ckpt-<epoch>.skyc`) and, on start, resumes from the newest
+// generation there: the table then lists only the epochs this run executes.
 #include <cstring>
 #include <fstream>
 #include <iostream>
 #include <optional>
 #include <string>
 
+#include "core/snapshot.hpp"
 #include "mobility/model.hpp"
 #include "obs/obs.hpp"
+#include "sim/generation_store.hpp"
 #include "skyran.hpp"
 #include "sim/table.hpp"
 
@@ -151,9 +157,19 @@ int main(int argc, char** argv) {
             << " ues=" << opt.ues << " epochs=" << opt.epochs << " budget=" << opt.budget_m
             << "m move=" << opt.move_fraction << " seed=" << opt.seed << "\n";
 
+  // Resume: the snapshot restores the session and the world's UE positions;
+  // the relocation model's own RNG is replayed up to the resumed epoch.
+  sim::EnvCheckpoints checkpoints("ckpt-", ".skyc");
+  const int resumed =
+      opt.scheme == "skyran"
+          ? checkpoints.resume(
+                [&](std::istream& is) { skyran.restore(core::Snapshot::load(is)); })
+          : 0;
+  for (int e = 1; e < resumed; ++e) mob.relocate_epoch();
+
   sim::Table table({"epoch", "position", "altitude_m", "flight_m", "rel_throughput",
                     "mean_tput_mbps", "min_snr_db"});
-  for (int e = 0; e < opt.epochs; ++e) {
+  for (int e = resumed; e < opt.epochs; ++e) {
     if (e > 0) {
       mob.relocate_epoch();
       world.ue_positions() = mob.positions();
@@ -164,6 +180,8 @@ int main(int argc, char** argv) {
     double flight = 0.0;
     if (opt.scheme == "skyran") {
       const core::EpochReport r = skyran.run_epoch();
+      checkpoints.save(skyran.epochs_run(),
+                       [&](std::ostream& os) { skyran.snapshot().save(os); });
       position = r.position;
       altitude = r.altitude_m;
       flight = r.total_flight_m;
