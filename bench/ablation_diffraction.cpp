@@ -5,6 +5,7 @@
 // SkyRAN-vs-Centroid gap. This bounds how sensitive the headline results
 // are to the NLOS model choice.
 #include "common.hpp"
+#include "geo/mt19937.hpp"
 #include "rf/models.hpp"
 
 int main(int argc, char** argv) {
@@ -27,7 +28,7 @@ int main(int argc, char** argv) {
       world.ue_positions() = mobility::deploy_mixed_visibility(world.terrain(), 5, 1410 + s);
 
       // Distribution of NLOS excess loss (vs pure FSPL) over random links.
-      std::mt19937_64 rng(1420 + s);
+      geo::Mt19937_64 rng(1420 + s);
       std::uniform_real_distribution<double> u(10.0, 290.0);
       std::vector<double> excess;
       for (int i = 0; i < 300; ++i) {

@@ -3,9 +3,9 @@
 // IDW is marginal for radio maps while its cost is much higher; this bench
 // measures both on our maps.
 #include <chrono>
-#include <random>
 
 #include "common.hpp"
+#include "geo/mt19937.hpp"
 #include "rem/kriging.hpp"
 #include "uav/trajectory.hpp"
 
@@ -30,7 +30,7 @@ int main(int argc, char** argv) {
     measured.add_ue(ue);
     const geo::Path sweep = uav::truncate_to_budget(
         uav::zigzag(world.area().inflated(-10.0), 45.0), 600.0);
-    std::mt19937_64 rng(1020 + s);
+    geo::Mt19937_64 rng(1020 + s);
     sim::run_measurement_flight(world, uav::FlightPlan::at_altitude(sweep, altitude), measured,
                                 {}, rng);
 

@@ -2,9 +2,9 @@
 // and Sec 6): macro-cell techniques deliver tens to hundreds of meters of
 // error; SkyRAN's flight-aperture ToF multilateration is an order of
 // magnitude better, from a single moving eNodeB with no inter-site sync.
-#include <random>
 
 #include "common.hpp"
+#include "geo/mt19937.hpp"
 #include "localization/baselines.hpp"
 #include "localization/localizer.hpp"
 
@@ -18,7 +18,7 @@ int main(int argc, char** argv) {
   for (int s = 0; s < n_seeds; ++s) {
     sim::World world = bench::make_world(terrain::TerrainKind::kCampus, 1100 + s);
     world.ue_positions() = mobility::deploy_mixed_visibility(world.terrain(), 6, 1110 + s);
-    std::mt19937_64 rng(1120 + s);
+    geo::Mt19937_64 rng(1120 + s);
 
     // SkyRAN: the full SRS/ToF/joint-multilateration pipeline.
     localization::LocalizerConfig lc;

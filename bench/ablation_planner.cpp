@@ -4,9 +4,9 @@
 //   (b) the K range of the cluster sweep;
 //   (c) information gain on/off across two successive tours (the value of
 //       steering away from already-flown trajectories).
-#include <random>
 
 #include "common.hpp"
+#include "geo/mt19937.hpp"
 #include "rem/planner.hpp"
 
 namespace {
@@ -37,7 +37,7 @@ int main(int argc, char** argv) {
   for (int s = 0; s < n_seeds; ++s) {
     sim::World world = bench::make_world(terrain::TerrainKind::kCampus, 800 + s);
     world.ue_positions() = mobility::deploy_mixed_visibility(world.terrain(), 6, 810 + s);
-    std::mt19937_64 rng(820 + s);
+    geo::Mt19937_64 rng(820 + s);
 
     rem::RemBank rems = fresh_rems(world);
     bench::run_planner_rounds(world, rems, kBudget, kAltitude, 830 + s, rng);
@@ -74,7 +74,7 @@ int main(int argc, char** argv) {
     for (int s = 0; s < n_seeds; ++s) {
       sim::World world = bench::make_world(terrain::TerrainKind::kCampus, 800 + s);
       world.ue_positions() = mobility::deploy_mixed_visibility(world.terrain(), 6, 810 + s);
-      std::mt19937_64 rng(850 + s);
+      geo::Mt19937_64 rng(850 + s);
       rem::RemBank rems = fresh_rems(world);
       std::vector<rem::TrajectoryHistory> histories(rems.ue_count());
       double remaining = kBudget;
@@ -114,7 +114,7 @@ int main(int argc, char** argv) {
     for (int s = 0; s < n_seeds; ++s) {
       sim::World world = bench::make_world(terrain::TerrainKind::kCampus, 800 + s);
       world.ue_positions() = mobility::deploy_mixed_visibility(world.terrain(), 6, 810 + s);
-      std::mt19937_64 rng(870 + s);
+      geo::Mt19937_64 rng(870 + s);
       rem::RemBank rems = fresh_rems(world);
       std::vector<rem::TrajectoryHistory> histories(rems.ue_count());
       geo::Path first;

@@ -4,9 +4,9 @@
 // over-selected MCS costs HARQ retransmissions, under-selected wastes
 // PRBs - so serving while probing costs real throughput, which is why
 // measurement time is a first-class budget in SkyRAN.
-#include <random>
 
 #include "common.hpp"
+#include "geo/mt19937.hpp"
 #include "sim/service.hpp"
 
 int main(int argc, char** argv) {
@@ -32,7 +32,7 @@ int main(int argc, char** argv) {
       sim::ServiceConfig cfg;
       cfg.duration_s = 3.0;
       cfg.cqi_period_ms = cqi_ms;
-      std::mt19937_64 rng(1220 + s);
+      geo::Mt19937_64 rng(1220 + s);
 
       const sim::ServiceReport h =
           sim::run_service_hovering(world, placement, traffic, cfg, rng);

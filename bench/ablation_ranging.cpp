@@ -7,6 +7,7 @@
 #include <random>
 
 #include "common.hpp"
+#include "geo/mt19937.hpp"
 #include "lte/ranging.hpp"
 #include "lte/srs_channel.hpp"
 #include "rf/units.hpp"
@@ -17,7 +18,7 @@ using namespace skyran;
 
 double median_abs_ranging_error(const lte::TofEstimator& est, const lte::SrsSymbol& tx,
                                 double snr_db, bool nlos, int trials,
-                                std::mt19937_64& rng) {
+                                geo::Mt19937_64& rng) {
   std::vector<double> errs;
   std::uniform_real_distribution<double> dist(60.0, 280.0);
   for (int i = 0; i < trials; ++i) {
@@ -47,7 +48,7 @@ int main(int argc, char** argv) {
     const lte::SrsSymbol tx = lte::make_srs_symbol(cfg);
     sim::Table table({"K", "raw maxpos error (m)", "with interpolation (m)"});
     for (const int k : {1, 2, 4, 8, 16}) {
-      std::mt19937_64 rng(900);
+      geo::Mt19937_64 rng(900);
       const lte::TofEstimator raw(cfg, k, 0.0, 0.0, false);
       const lte::TofEstimator refined(cfg, k);
       const double raw_err = median_abs_ranging_error(raw, tx, 10.0, false, trials, rng);
@@ -66,7 +67,7 @@ int main(int argc, char** argv) {
     sim::Table table({"detector", "LOS error (m)", "NLOS error (m)"});
     for (const double frac : {0.0, 0.6}) {
       const lte::TofEstimator est(cfg, 4, 0.0, frac);
-      std::mt19937_64 rng(901);
+      geo::Mt19937_64 rng(901);
       const double los = median_abs_ranging_error(est, tx, 10.0, false, trials, rng);
       const double nlos = median_abs_ranging_error(est, tx, 10.0, true, trials, rng);
       table.add_row({frac > 0.0 ? "leading edge (0.6)" : "max peak (paper eq. 3)",
@@ -84,7 +85,7 @@ int main(int argc, char** argv) {
       cfg.sounding_prb = std::min(cfg.carrier.n_prb, 48);
       const lte::SrsSymbol tx = lte::make_srs_symbol(cfg);
       const lte::TofEstimator est(cfg, 4);
-      std::mt19937_64 rng(902);
+      geo::Mt19937_64 rng(902);
       table.add_row({sim::Table::num(mhz, 0),
                      sim::Table::num(cfg.carrier.meters_per_sample(), 1),
                      sim::Table::num(

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "core/skyran.hpp"
+#include "geo/mt19937.hpp"
 #include "geo/stats.hpp"
 #include "mobility/deployment.hpp"
 #include "obs/env_session.hpp"
@@ -138,7 +139,7 @@ inline double cap1(double x) { return x > 1.0 ? 1.0 : x; }
 /// UE's history. Returns the total distance flown; the bank is left holding
 /// the last round's deposits, not yet estimated.
 inline double run_planner_rounds(const sim::World& world, rem::RemBank& bank, double budget_m,
-                                 double altitude_m, std::uint64_t seed, std::mt19937_64& rng) {
+                                 double altitude_m, std::uint64_t seed, geo::Mt19937_64& rng) {
   std::vector<rem::TrajectoryHistory> histories(bank.ue_count());
   double remaining = budget_m;
   double flown = 0.0;

@@ -4,9 +4,9 @@
 //
 // Paper reference: data-driven ~2-4 dB, model-based up to ~10 dB (4x worse
 // on the harshest terrain).
-#include <random>
 
 #include "common.hpp"
+#include "geo/mt19937.hpp"
 #include "sim/measurement.hpp"
 
 int main(int argc, char** argv) {
@@ -36,7 +36,7 @@ int main(int argc, char** argv) {
       for (const geo::Vec3& ue : world.ue_positions()) rems.add_ue(ue);
       const geo::Path sweep = uav::zigzag(world.area().inflated(-10.0),
                                           kind == terrain::TerrainKind::kLarge ? 90.0 : 35.0);
-      std::mt19937_64 rng(80 + s);
+      geo::Mt19937_64 rng(80 + s);
       sim::run_measurement_flight(world, uav::FlightPlan::at_altitude(sweep, altitude), rems,
                                   {}, rng);
       rems.estimate_all();

@@ -4,9 +4,9 @@
 // fraction of the naive sweep's.
 //
 // Paper reference: at 15% probed, ~5 dB (location-aware) vs ~16 dB (naive).
-#include <random>
 
 #include "common.hpp"
+#include "geo/mt19937.hpp"
 #include "rem/planner.hpp"
 #include "sim/measurement.hpp"
 
@@ -33,7 +33,7 @@ int main(int argc, char** argv) {
     for (int s = 0; s < n_seeds; ++s) {
       sim::World world = bench::make_world(kind, 90 + s, 4.0);
       world.ue_positions() = mobility::deploy_clustered(world.terrain(), 4, 2, 60.0, 95 + s);
-      std::mt19937_64 rng(100 + s);
+      geo::Mt19937_64 rng(100 + s);
 
       // Location-aware: the SkyRAN planner seeded with UE locations.
       rem::RemBank aware(world.area(), cell, altitude);

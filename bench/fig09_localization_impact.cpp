@@ -13,6 +13,7 @@
 #include <random>
 
 #include "common.hpp"
+#include "geo/mt19937.hpp"
 
 int main(int argc, char** argv) {
   using namespace skyran;
@@ -39,7 +40,7 @@ int main(int argc, char** argv) {
       // Per-UE maps for the PERTURBED positions: what SkyRAN would hold if
       // its localization were off by `err` on average.
       const double sigma = err / std::sqrt(std::numbers::pi / 2.0);
-      std::mt19937_64 rng(130 + s);
+      geo::Mt19937_64 rng(130 + s);
       // err = 0 gives σ = 0, which normal_distribution(0, σ) rejects:
       // scale a standard normal instead.
       std::normal_distribution<double> unit;

@@ -5,6 +5,7 @@
 // Paper reference: relative throughput stays within ~80% of optimal for
 // ~10 min; more movers decay faster.
 #include "common.hpp"
+#include "geo/mt19937.hpp"
 #include "mobility/model.hpp"
 
 int main(int argc, char** argv) {
@@ -32,7 +33,7 @@ int main(int argc, char** argv) {
       // Destination mobility: each mover heads to a random walkable spot
       // (arrivals staggered across the hour) and stays there - the scripted
       // human-like movement of the paper's experiment.
-      std::mt19937_64 route_rng(160 + s);
+      geo::Mt19937_64 route_rng(160 + s);
       std::uniform_real_distribution<double> arrive_min(8.0, 55.0);
       std::vector<mobility::RouteMobility::Route> routes;
       for (std::size_t m = 0; m < n_mobile; ++m) {

@@ -4,6 +4,7 @@
 #include <random>
 
 #include "common.hpp"
+#include "geo/mt19937.hpp"
 #include "sim/measurement.hpp"
 
 int main(int argc, char** argv) {
@@ -20,7 +21,7 @@ int main(int argc, char** argv) {
   const geo::Path track = uav::zigzag(world.area().inflated(-15.0), 60.0);
   const auto samples =
       uav::fly(uav::FlightPlan::at_altitude(track, altitude), 1.0 / 100.0);
-  std::mt19937_64 rng(172);
+  geo::Mt19937_64 rng(172);
   std::normal_distribution<double> fading(0.0, 1.8);
 
   sim::Table table({"UE", "environment", "p5 (dB)", "median", "p95", "spread"});

@@ -3,9 +3,9 @@
 // Figure 18: CDF of the final localization error (paper: median 5-7 m).
 // Figure 19: median localization error vs flight length (paper: flattens by
 // ~20 m; longer flights do not help much).
-#include <random>
 
 #include "common.hpp"
+#include "geo/mt19937.hpp"
 #include "localization/localizer.hpp"
 #include "localization/pipeline.hpp"
 
@@ -25,7 +25,7 @@ int main(int argc, char** argv) {
     const auto samples =
         uav::fly(uav::FlightPlan::at_altitude(track, 60.0), 1.0 / rc.gps_rate_hz);
     const localization::ChannelLosOracle los(world.channel());
-    std::mt19937_64 rng(210 + s);
+    geo::Mt19937_64 rng(210 + s);
     for (std::size_t u = 0; u < 3; ++u) {
       uav::GpsSensor gps(220 + s * 3 + u);
       const localization::GpsTofSeries tuples = localization::collect_gps_tof(

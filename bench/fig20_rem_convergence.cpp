@@ -2,9 +2,9 @@
 // guided tour converges to its floor much faster than the Uniform sweep.
 //
 // Paper reference: SkyRAN ~3 dB by ~82 s; Uniform still ~7 dB at 120 s.
-#include <random>
 
 #include "common.hpp"
+#include "geo/mt19937.hpp"
 #include "rem/planner.hpp"
 #include "sim/measurement.hpp"
 
@@ -25,7 +25,7 @@ int main(int argc, char** argv) {
     for (int s = 0; s < n_seeds; ++s) {
       sim::World world = bench::make_world(kind, 250 + s);
       world.ue_positions() = mobility::deploy_mixed_visibility(world.terrain(), 7, 260 + s);
-      std::mt19937_64 rng(270 + s);
+      geo::Mt19937_64 rng(270 + s);
 
       // SkyRAN: location-seeded planner tour truncated to the budget.
       rem::RemBank sky(world.area(), cell, altitude);

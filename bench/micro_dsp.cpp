@@ -6,9 +6,10 @@
 // ways, the composed reference (dense mul-conj + upsample + IFFT, then the
 // peak pick) against TofEstimator's planned correlator, and asserts every
 // estimate field is bit-identical. The `srs_noise` row times one symbol's
-// receiver-noise draw (lte::draw_srs_noise) against the standard library's
-// std::normal_distribution over every bin, the draw it replays, and asserts
-// bit-equal occupied bins and engine state; each column is the median over
+// receiver-noise draw (lte::draw_srs_noise on geo::Mt19937_64) against the
+// standard library's std::normal_distribution over every bin on
+// std::mt19937_64, the draw it replays, and asserts bit-equal occupied bins
+// and engine text states; each column is the median over
 // 21 blocks of symbols (whatever the repetitions) with its IQR over that
 // median. Each row prints one machine-readable JSON line. Not a
 // google-benchmark binary: the JSON contract is the point
@@ -22,8 +23,10 @@
 #include <cstring>
 #include <random>
 #include <span>
+#include <sstream>
 #include <vector>
 
+#include "geo/mt19937.hpp"
 #include "kernels/kernels.hpp"
 #include "lte/fft.hpp"
 #include "lte/ranging.hpp"
@@ -76,7 +79,7 @@ void report(const char* kernel, std::size_t n, int reps, const auto& fn, const a
 }
 
 std::vector<double> random_doubles(std::size_t n, double lo, double hi, std::uint64_t seed) {
-  std::mt19937_64 rng(seed);
+  geo::Mt19937_64 rng(seed);
   std::uniform_real_distribution<double> d(lo, hi);
   std::vector<double> v(n);
   for (double& x : v) x = d(rng);
@@ -151,7 +154,7 @@ int main(int argc, char** argv) {
     // match bit for bit.
     lte::SrsConfig cfg;
     const lte::SrsSymbol tx = lte::make_srs_symbol(cfg);
-    std::mt19937_64 rng(11);
+    geo::Mt19937_64 rng(11);
     lte::SrsChannelParams ch;
     ch.delay_s = 9.7 / cfg.carrier.sample_rate_hz;
     ch.snr_db = 15.0;
@@ -189,17 +192,18 @@ int main(int argc, char** argv) {
   }
 
   {
-    // Receiver noise for one symbol: the library draw over every bin
-    // against draw_srs_noise, which replays its stream and writes only the
-    // occupied bins. Blocks alternate sides; each sample is one block's
-    // per-symbol time.
+    // Receiver noise for one symbol: the library draw over every bin, on the
+    // library's engine, against draw_srs_noise on the repo's, which replays
+    // its stream and writes only the occupied bins. Blocks alternate sides;
+    // each sample is one block's per-symbol time.
     const lte::SrsConfig cfg;
     const std::vector<int> res = lte::occupied_subcarriers(cfg);
     constexpr int kSymbols = 50;
     constexpr int kBlocks = 21;
     constexpr double kSnrDb = 12.0;
     lte::CplxVec lib_rx(cfg.carrier.fft_size), own_rx(cfg.carrier.fft_size);
-    std::mt19937_64 lib_rng(21), own_rng(21);
+    std::mt19937_64 lib_rng(21);
+    geo::Mt19937_64 own_rng(21);
     bool equal = true;
     std::vector<double> lib_ms, own_ms;
     for (int b = 0; b < kBlocks; ++b) {
@@ -215,7 +219,10 @@ int main(int argc, char** argv) {
         const std::size_t bin = lte::fft_bin(sc, cfg.carrier.fft_size);
         equal = equal && std::memcmp(&lib_rx[bin], &own_rx[bin], sizeof(lte::Cplx)) == 0;
       }
-      equal = equal && lib_rng == own_rng;
+      std::ostringstream lib_state, own_state;
+      lib_state << lib_rng;
+      own_state << own_rng;
+      equal = equal && lib_state.str() == own_state.str();
     }
     const Timing lib = median_iqr(lib_ms);
     const Timing own = median_iqr(own_ms);

@@ -19,6 +19,7 @@
 #include "core/thread_pool.hpp"
 #include "geo/field_view.hpp"
 #include "geo/grid.hpp"
+#include "geo/mt19937.hpp"
 #include "geo/rect.hpp"
 #include "lte/ranging.hpp"
 #include "lte/srs.hpp"
@@ -77,7 +78,7 @@ bool grids_equal(const geo::Grid2D<double>& a, const geo::Grid2D<double>& b) {
 
 std::vector<rem::IdwSample> scattered_samples(const geo::Rect& area, std::size_t n,
                                               std::uint64_t seed) {
-  std::mt19937_64 rng(seed);
+  geo::Mt19937_64 rng(seed);
   std::uniform_real_distribution<double> ux(area.min.x, area.max.x);
   std::uniform_real_distribution<double> uy(area.min.y, area.max.y);
   std::normal_distribution<double> snr(10.0, 6.0);
@@ -112,7 +113,7 @@ int main(int argc, char** argv) {
   }
 
   {
-    std::mt19937_64 rng(44);
+    geo::Mt19937_64 rng(44);
     std::uniform_real_distribution<double> u(0.0, 400.0);
     std::uniform_real_distribution<double> w(0.5, 3.0);
     std::vector<rem::WeightedPoint> points(20000);
@@ -126,7 +127,7 @@ int main(int argc, char** argv) {
   }
 
   {
-    std::mt19937_64 rng(45);
+    geo::Mt19937_64 rng(45);
     std::normal_distribution<double> snr(8.0, 5.0);
     std::vector<geo::Grid2D<double>> maps;
     for (int i = 0; i < 8; ++i) {
@@ -147,7 +148,7 @@ int main(int argc, char** argv) {
   {
     lte::SrsConfig cfg;
     const lte::SrsSymbol tx = lte::make_srs_symbol(cfg);
-    std::mt19937_64 rng(46);
+    geo::Mt19937_64 rng(46);
     std::vector<lte::SrsSymbol> received;
     for (int i = 0; i < 24; ++i) {
       lte::SrsChannelParams ch;
@@ -171,7 +172,7 @@ int main(int argc, char** argv) {
 
   {
     // The planner's K-sweep (one K per lane) over eight UEs' seeded maps.
-    std::mt19937_64 rng(47);
+    geo::Mt19937_64 rng(47);
     std::uniform_real_distribution<double> u(0.0, 400.0);
     std::normal_distribution<double> snr(10.0, 6.0);
     rem::RemBank bank(area, 4.0, 60.0);

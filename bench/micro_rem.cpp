@@ -17,6 +17,7 @@
 #include <random>
 #include <vector>
 
+#include "geo/mt19937.hpp"
 #include "geo/path.hpp"
 #include "geo/rect.hpp"
 #include "obs/env_session.hpp"
@@ -62,7 +63,7 @@ struct Deposit {
 /// One measurement round: samples every metre along a random 3-waypoint
 /// tour — the density run_measurement_flight deposits (100 Hz reports at
 /// cruise speed land well under a metre apart; one per metre is conservative).
-std::vector<Deposit> tour_deposits(const geo::Rect& area, std::mt19937_64& rng) {
+std::vector<Deposit> tour_deposits(const geo::Rect& area, geo::Mt19937_64& rng) {
   std::uniform_real_distribution<double> ux(area.min.x, area.max.x);
   std::uniform_real_distribution<double> uy(area.min.y, area.max.y);
   std::normal_distribution<double> noise(0.0, 1.8);
@@ -94,7 +95,7 @@ int main(int argc, char** argv) {
   const rf::FsplChannel fspl(2.6e9);
   const rem::IdwParams params;
 
-  std::mt19937_64 rng(42);
+  geo::Mt19937_64 rng(42);
   std::uniform_real_distribution<double> ux(area.min.x, area.max.x);
   std::uniform_real_distribution<double> uy(area.min.y, area.max.y);
   std::vector<geo::Vec3> ues;

@@ -9,6 +9,7 @@
 #include <cstdlib>
 #include <iostream>
 
+#include "geo/mt19937.hpp"
 #include "localization/localizer.hpp"
 #include "lte/ranging.hpp"
 #include "lte/srs_channel.hpp"
@@ -26,7 +27,7 @@ int main(int argc, char** argv) {
   lte::SrsConfig srs;
   const lte::SrsSymbol tx = lte::make_srs_symbol(srs);
   const lte::TofEstimator estimator(srs, 4);
-  std::mt19937_64 rng(seed);
+  geo::Mt19937_64 rng(seed);
 
   sim::Table tof_table({"true distance (m)", "SNR (dB)", "estimated (m)", "error (m)"});
   for (const double dist : {80.0, 150.0, 260.0}) {

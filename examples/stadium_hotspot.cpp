@@ -10,6 +10,7 @@
 #include <iostream>
 
 #include "core/skyran.hpp"
+#include "geo/mt19937.hpp"
 #include "lte/backhaul.hpp"
 #include "mobility/deployment.hpp"
 #include "sim/ground_truth.hpp"
@@ -56,7 +57,7 @@ int main(int argc, char** argv) {
     sim::ServiceConfig sc;
     sc.policy = policy;
     sc.duration_s = 4.0;
-    std::mt19937_64 rng(seed + 3);
+    geo::Mt19937_64 rng(seed + 3);
     const lte::TrafficPlaneReport rep =
         sim::run_service_hovering(world, uav, traffic, sc, rng).traffic;
     const double retx_share =

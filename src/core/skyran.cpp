@@ -3,6 +3,7 @@
 #include <cmath>
 #include <numbers>
 
+#include <random>
 #include <sstream>
 
 #include "core/snapshot.hpp"
@@ -400,7 +401,7 @@ void SkyRan::restore(const Snapshot& s) {
         "SkyRan::restore: snapshot was taken under a different resume-relevant config");
   // Everything that can throw runs before the first member changes, so a
   // rejected snapshot leaves the session as it was.
-  std::mt19937_64 rng;
+  geo::Mt19937_64 rng;
   {
     std::istringstream rng_bytes(s.rng_state);
     rng_bytes >> rng;

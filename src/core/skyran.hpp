@@ -7,10 +7,10 @@
 
 #include <cstdint>
 #include <optional>
-#include <random>
 #include <vector>
 
 #include "core/config.hpp"
+#include "geo/mt19937.hpp"
 #include "geo/point_index.hpp"
 #include "rem/bank.hpp"
 #include "rem/store.hpp"
@@ -104,7 +104,7 @@ class SkyRan {
   sim::World& world_;
   SkyRanConfig config_;
   std::uint64_t seed_;  ///< construction seed (service-phase derivation)
-  std::mt19937_64 rng_;
+  geo::Mt19937_64 rng_;
   rf::FsplChannel fspl_;
 
   rem::RemStore store_;

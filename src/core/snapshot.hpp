@@ -60,7 +60,7 @@ struct Snapshot {
   double total_flight_m = 0.0;
   double throughput_at_placement_bps = 0.0;
   double battery_remaining_wh = 0.0;
-  std::string rng_state;             ///< mt19937_64 stream serialization
+  std::string rng_state;             ///< geo::Mt19937_64 text, the standard engine's format
   std::vector<geo::Vec2> last_estimates;  ///< localization fallback family
   std::vector<geo::Vec3> ue_positions;    ///< world UE truth at capture
   rem::RemStore store;               ///< positional-reuse REM store

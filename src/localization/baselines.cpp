@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <random>
 
 #include "geo/contract.hpp"
 #include "rf/units.hpp"
@@ -23,7 +24,7 @@ std::vector<geo::Vec3> default_macro_sites(geo::Rect area, int count, double hei
 }
 
 geo::Vec2 ecid_localize(geo::Vec3 serving_site, geo::Vec3 ue_true, geo::Rect area,
-                        const EcidConfig& config, std::mt19937_64& rng) {
+                        const EcidConfig& config, geo::Mt19937_64& rng) {
   // Scale a standard normal: normal_distribution(0, σ) requires σ > 0, and
   // σ = 0 (a noiseless TA) is allowed.
   std::normal_distribution<double> unit;
@@ -46,7 +47,7 @@ FingerprintDatabase::FingerprintDatabase(const rf::ChannelModel& channel,
     : channel_(channel), budget_(budget), sites_(std::move(sites)), config_(config) {
   expects(!sites_.empty(), "FingerprintDatabase: need at least one site");
   expects(config.grid_m > 0.0, "FingerprintDatabase: grid must be positive");
-  std::mt19937_64 rng(seed);
+  geo::Mt19937_64 rng(seed);
   for (double y = area.min.y + config.grid_m / 2.0; y < area.max.y; y += config.grid_m) {
     for (double x = area.min.x + config.grid_m / 2.0; x < area.max.x; x += config.grid_m) {
       Entry e;
@@ -58,7 +59,7 @@ FingerprintDatabase::FingerprintDatabase(const rf::ChannelModel& channel,
 }
 
 std::vector<double> FingerprintDatabase::measure(geo::Vec3 ue, double noise_db,
-                                                 std::mt19937_64& rng) const {
+                                                 geo::Mt19937_64& rng) const {
   std::normal_distribution<double> unit;  // noise_db may be 0: scale, see ecid_localize
   std::vector<double> rss;
   rss.reserve(sites_.size());
@@ -67,7 +68,7 @@ std::vector<double> FingerprintDatabase::measure(geo::Vec3 ue, double noise_db,
   return rss;
 }
 
-geo::Vec2 FingerprintDatabase::localize(geo::Vec3 ue_true, std::mt19937_64& rng) const {
+geo::Vec2 FingerprintDatabase::localize(geo::Vec3 ue_true, geo::Mt19937_64& rng) const {
   const std::vector<double> query = measure(ue_true, config_.query_noise_db, rng);
   // Weighted k-NN in RSS space.
   struct Scored {
@@ -96,7 +97,7 @@ geo::Vec2 FingerprintDatabase::localize(geo::Vec3 ue_true, std::mt19937_64& rng)
 }
 
 geo::Vec2 tdoa_localize(const std::vector<geo::Vec3>& sites, geo::Vec3 ue_true, geo::Rect area,
-                        const TdoaConfig& config, std::mt19937_64& rng) {
+                        const TdoaConfig& config, geo::Mt19937_64& rng) {
   expects(sites.size() >= 3, "tdoa_localize: need at least 3 sites");
   // Observed arrival times: true ToF + per-site clock error + noise.
   // Either sigma may be 0: scale standard normals, see ecid_localize. One

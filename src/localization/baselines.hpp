@@ -17,9 +17,9 @@
 #pragma once
 
 #include <cstdint>
-#include <random>
 #include <vector>
 
+#include "geo/mt19937.hpp"
 #include "rf/channel.hpp"
 #include "rf/link.hpp"
 #include "geo/rect.hpp"
@@ -41,7 +41,7 @@ struct EcidConfig {
 /// E-CID with a single serving cell: range from quantized TA, azimuth
 /// unknown (drawn uniformly). Returns the position estimate.
 geo::Vec2 ecid_localize(geo::Vec3 serving_site, geo::Vec3 ue_true, geo::Rect area,
-                        const EcidConfig& config, std::mt19937_64& rng);
+                        const EcidConfig& config, geo::Mt19937_64& rng);
 
 struct FingerprintConfig {
   double grid_m = 20.0;        ///< war-driving grid pitch
@@ -58,7 +58,7 @@ class FingerprintDatabase {
                       const FingerprintConfig& config, std::uint64_t seed);
 
   /// Localize a UE from its (noisy) per-site RSS vector.
-  geo::Vec2 localize(geo::Vec3 ue_true, std::mt19937_64& rng) const;
+  geo::Vec2 localize(geo::Vec3 ue_true, geo::Mt19937_64& rng) const;
 
   std::size_t size() const { return entries_.size(); }
 
@@ -67,7 +67,7 @@ class FingerprintDatabase {
     geo::Vec2 position;
     std::vector<double> rss_dbm;
   };
-  std::vector<double> measure(geo::Vec3 ue, double noise_db, std::mt19937_64& rng) const;
+  std::vector<double> measure(geo::Vec3 ue, double noise_db, geo::Mt19937_64& rng) const;
 
   const rf::ChannelModel& channel_;
   rf::LinkBudget budget_;
@@ -85,6 +85,6 @@ struct TdoaConfig {
 /// UL-TDoA across macro sites: grid search minimizing squared range-
 /// difference residuals.
 geo::Vec2 tdoa_localize(const std::vector<geo::Vec3>& sites, geo::Vec3 ue_true,
-                        geo::Rect area, const TdoaConfig& config, std::mt19937_64& rng);
+                        geo::Rect area, const TdoaConfig& config, geo::Mt19937_64& rng);
 
 }  // namespace skyran::localization

@@ -1,6 +1,7 @@
 #include "localization/localizer.hpp"
 
 #include "geo/contract.hpp"
+#include "geo/mt19937.hpp"
 #include "localization/multilateration.hpp"
 #include "obs/obs.hpp"
 #include "uav/trajectory.hpp"
@@ -36,7 +37,7 @@ LocalizationRun UeLocalizer::localize(geo::Vec2 start, std::vector<geo::Vec3> tr
   // UEs jointly: the ToF processing offset is one constant of the payload,
   // and sharing it across UEs breaks the per-UE radial degeneracy that a
   // short flight aperture leaves.
-  std::mt19937_64 rng(seed ^ 0x10ca112eULL);
+  geo::Mt19937_64 rng(seed ^ 0x10ca112eULL);
   std::vector<GpsTofSeries> per_ue_tuples;
   std::vector<double> ue_altitudes;
   per_ue_tuples.reserve(true_ue_positions.size());

@@ -13,7 +13,7 @@ namespace skyran::localization {
 GpsTofSeries collect_gps_tof(const std::vector<uav::FlightSample>& flight, geo::Vec3 ue_position,
                              const rf::ChannelModel& channel, const LosOracle& los,
                              const rf::LinkBudget& budget, uav::GpsSensor& gps,
-                             const RangingConfig& config, std::mt19937_64& rng,
+                             const RangingConfig& config, geo::Mt19937_64& rng,
                              RangingFaultModel* faults) {
   expects(config.srs_rate_hz >= config.gps_rate_hz,
           "collect_gps_tof: SRS must report at least as fast as GPS");

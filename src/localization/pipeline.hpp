@@ -7,8 +7,8 @@
 #pragma once
 
 #include <cstdint>
-#include <random>
 
+#include "geo/mt19937.hpp"
 #include "localization/tuples.hpp"
 #include "lte/ranging.hpp"
 #include "lte/srs_channel.hpp"
@@ -106,7 +106,7 @@ class ChannelLosOracle final : public LosOracle {
 GpsTofSeries collect_gps_tof(const std::vector<uav::FlightSample>& flight, geo::Vec3 ue_position,
                              const rf::ChannelModel& channel, const LosOracle& los,
                              const rf::LinkBudget& budget, uav::GpsSensor& gps,
-                             const RangingConfig& config, std::mt19937_64& rng,
+                             const RangingConfig& config, geo::Mt19937_64& rng,
                              RangingFaultModel* faults = nullptr);
 
 }  // namespace skyran::localization

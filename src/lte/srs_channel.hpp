@@ -7,10 +7,10 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <random>
 #include <span>
 #include <vector>
 
+#include "geo/mt19937.hpp"
 #include "lte/srs.hpp"
 
 namespace skyran::lte {
@@ -31,7 +31,7 @@ struct SrsChannelParams {
 /// channel response plus white Gaussian receiver noise; the other bins are
 /// zero. The composition of draw_srs_noise and add_srs_signal below.
 SrsSymbol apply_srs_channel(const SrsSymbol& tx, const SrsChannelParams& params,
-                            std::mt19937_64& rng);
+                            geo::Mt19937_64& rng);
 
 /// The RNG half of apply_srs_channel: overwrite the occupied bins of `rx`
 /// (`res`, in ascending subcarrier order as occupied_subcarriers returns
@@ -43,20 +43,17 @@ SrsSymbol apply_srs_channel(const SrsSymbol& tx, const SrsChannelParams& params,
 /// order: each of the rx.size() bins consumes one accepted polar pair
 /// (polar_pair below), occupied or not, so `rng` advances exactly as a
 /// draw over every bin would, and each occupied bin's value is bit-equal to
-/// that draw's. Only occupied bins pay for the log and sqrt.
-void draw_srs_noise(double snr_db, std::mt19937_64& rng, std::span<const int> res,
+/// that draw's. Only occupied bins pay for the log and sqrt. The candidate
+/// pairs are tested a whole engine block at a time, without a branch.
+void draw_srs_noise(double snr_db, geo::Mt19937_64& rng, std::span<const int> res,
                     std::span<Cplx> rx);
 
 /// libstdc++'s `std::generate_canonical<double, 53>` over a full-range
-/// 64-bit generator, bit for bit: the word u rounded once to double
-/// (hi and lo 32-bit halves are exact, their sum is the one rounding),
+/// 64-bit generator that draws the word u, bit for bit: u rounded once to
+/// double (hi and lo 32-bit halves are exact, their sum is the one rounding),
 /// times 2^-64, with values that round to 1 clamped to nextafter(1, 0).
 /// Unlike the library's uint64 -> double conversion it has no branch.
-template <class Urbg>
-double canonical_u01(Urbg& g) {
-  static_assert(Urbg::min() == 0 && Urbg::max() == ~std::uint64_t{0},
-                "canonical_u01 needs a generator of full 64-bit words");
-  const std::uint64_t u = g();
+inline double canonical_u01(std::uint64_t u) {
   const double d = (static_cast<double>(static_cast<std::uint32_t>(u >> 32)) * 0x1p32 +
                     static_cast<double>(static_cast<std::uint32_t>(u))) *
                    0x1p-64;
@@ -71,17 +68,29 @@ struct PolarPair {
   double x = 0.0;
   double y = 0.0;
   double r2 = 0.0;
+
+  /// The candidate drawn from the words `u` then `v`.
+  static PolarPair from_words(std::uint64_t u, std::uint64_t v) {
+    PolarPair p;
+    p.x = 2.0 * canonical_u01(u) - 1.0;
+    p.y = 2.0 * canonical_u01(v) - 1.0;
+    p.r2 = p.x * p.x + p.y * p.y;
+    return p;
+  }
+
+  /// Whether the polar method keeps the candidate; computed without a branch.
+  bool accepted() const { return !(r2 > 1.0) & !(r2 == 0.0); }
 };
 
 template <class Urbg>
 PolarPair polar_pair(Urbg& g) {
-  PolarPair p;
-  do {
-    p.x = 2.0 * canonical_u01(g) - 1.0;
-    p.y = 2.0 * canonical_u01(g) - 1.0;
-    p.r2 = p.x * p.x + p.y * p.y;
-  } while (p.r2 > 1.0 || p.r2 == 0.0);
-  return p;
+  static_assert(Urbg::min() == 0 && Urbg::max() == ~std::uint64_t{0},
+                "polar_pair needs a generator of full 64-bit words");
+  for (;;) {
+    const std::uint64_t u = g();
+    const PolarPair p = PolarPair::from_words(u, g());
+    if (p.accepted()) return p;
+  }
 }
 
 /// The deterministic half of apply_srs_channel: add `tx` passed through the
@@ -98,6 +107,6 @@ void add_srs_signal(const SrsSymbol& tx, const SrsChannelParams& params,
 /// `tap_decay_db` per tap below the direct path.
 std::vector<MultipathTap> make_nlos_taps(int n_taps, double mean_excess_s,
                                          double first_tap_power_db, double tap_decay_db,
-                                         std::mt19937_64& rng);
+                                         geo::Mt19937_64& rng);
 
 }  // namespace skyran::lte

@@ -3,12 +3,13 @@
 #include <random>
 
 #include "geo/contract.hpp"
+#include "geo/mt19937.hpp"
 
 namespace skyran::mobility {
 
 namespace {
 
-geo::Vec3 draw_walkable(const terrain::Terrain& t, std::mt19937_64& rng, double margin_m) {
+geo::Vec3 draw_walkable(const terrain::Terrain& t, geo::Mt19937_64& rng, double margin_m) {
   const geo::Rect inner = t.area().inflated(-margin_m);
   expects(inner.width() > 0.0 && inner.height() > 0.0,
           "draw_walkable: margin leaves no usable area");
@@ -26,7 +27,7 @@ geo::Vec3 draw_walkable(const terrain::Terrain& t, std::mt19937_64& rng, double 
 
 geo::Vec3 random_walkable_position(const terrain::Terrain& t, std::uint64_t seed,
                                    double margin_m) {
-  std::mt19937_64 rng(seed);
+  geo::Mt19937_64 rng(seed);
   return draw_walkable(t, rng, margin_m);
 }
 
@@ -47,7 +48,7 @@ bool near_clutter(const terrain::Terrain& t, geo::Vec2 p, terrain::Clutter kind,
 std::vector<geo::Vec3> deploy_mixed_visibility(const terrain::Terrain& t, int count,
                                                std::uint64_t seed, double margin_m) {
   expects(count >= 1, "deploy_mixed_visibility: count must be >= 1");
-  std::mt19937_64 rng(seed);
+  geo::Mt19937_64 rng(seed);
   std::vector<geo::Vec3> out;
   out.reserve(static_cast<std::size_t>(count));
   for (int i = 0; i < count; ++i) {
@@ -81,7 +82,7 @@ std::vector<geo::Vec3> deploy_mixed_visibility(const terrain::Terrain& t, int co
 std::vector<geo::Vec3> deploy_uniform(const terrain::Terrain& t, int count, std::uint64_t seed,
                                       double margin_m) {
   expects(count >= 1, "deploy_uniform: count must be >= 1");
-  std::mt19937_64 rng(seed);
+  geo::Mt19937_64 rng(seed);
   std::vector<geo::Vec3> out;
   out.reserve(static_cast<std::size_t>(count));
   for (int i = 0; i < count; ++i) out.push_back(draw_walkable(t, rng, margin_m));
@@ -94,7 +95,7 @@ std::vector<geo::Vec3> deploy_clustered(const terrain::Terrain& t, int count, in
   expects(count >= 1, "deploy_clustered: count must be >= 1");
   expects(clusters >= 1, "deploy_clustered: clusters must be >= 1");
   expects(cluster_radius_m > 0.0, "deploy_clustered: radius must be positive");
-  std::mt19937_64 rng(seed);
+  geo::Mt19937_64 rng(seed);
 
   std::vector<geo::Vec3> heads;
   heads.reserve(static_cast<std::size_t>(clusters));

@@ -1,6 +1,7 @@
 #include "mobility/model.hpp"
 
 #include <cmath>
+#include <random>
 
 #include "geo/contract.hpp"
 #include "mobility/deployment.hpp"

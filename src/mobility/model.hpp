@@ -5,9 +5,9 @@
 #pragma once
 
 #include <cstdint>
-#include <random>
 #include <vector>
 
+#include "geo/mt19937.hpp"
 #include "geo/path.hpp"
 #include "geo/vec.hpp"
 #include "terrain/terrain.hpp"
@@ -59,7 +59,7 @@ class EpochRelocateMobility {
   const terrain::Terrain& terrain_;
   std::vector<geo::Vec3> positions_;
   double move_fraction_;
-  std::mt19937_64 rng_;
+  geo::Mt19937_64 rng_;
 };
 
 /// Build walking routes for the first `n_mobile` UEs, each a random walkable

@@ -7,6 +7,7 @@
 
 #include "core/thread_pool.hpp"
 #include "geo/contract.hpp"
+#include "geo/mt19937.hpp"
 #include "kernels/kernels.hpp"
 #include "obs/obs.hpp"
 
@@ -35,7 +36,7 @@ KMeansResult kmeans(const std::vector<WeightedPoint>& points, int k, std::uint64
   expects(k >= 1, "kmeans: k must be >= 1");
   k = std::min<int>(k, static_cast<int>(points.size()));
 
-  std::mt19937_64 rng(seed);
+  geo::Mt19937_64 rng(seed);
 
   // Point coordinates in SoA form, built once: the seeding distance sweep
   // and the assignment sweep both run through the kernels layer.

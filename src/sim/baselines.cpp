@@ -3,6 +3,7 @@
 #include <random>
 
 #include "geo/contract.hpp"
+#include "geo/mt19937.hpp"
 #include "uav/trajectory.hpp"
 
 namespace skyran::sim {
@@ -16,7 +17,7 @@ SchemeResult run_uniform(const World& world, const UniformConfig& config, std::u
   rem::RemBank rems(world.area(), config.rem_cell_m, config.altitude_m);
   for (const geo::Vec3& ue : world.ue_positions()) rems.add_ue(ue);
 
-  std::mt19937_64 rng(seed);
+  geo::Mt19937_64 rng(seed);
   run_measurement_flight(world, plan, rems, config.measurement, rng);
 
   rems.estimate_all(config.idw);
@@ -46,7 +47,7 @@ SchemeResult run_centroid(std::span<const geo::Vec2> ue_positions, double altitu
 }
 
 SchemeResult run_random(const World& world, double altitude_m, std::uint64_t seed) {
-  std::mt19937_64 rng(seed);
+  geo::Mt19937_64 rng(seed);
   std::uniform_real_distribution<double> ux(world.area().min.x, world.area().max.x);
   std::uniform_real_distribution<double> uy(world.area().min.y, world.area().max.y);
   SchemeResult out;

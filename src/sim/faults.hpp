@@ -14,9 +14,9 @@
 
 #include <cstdint>
 #include <limits>
-#include <random>
 #include <vector>
 
+#include "geo/mt19937.hpp"
 #include "geo/vec.hpp"
 #include "localization/pipeline.hpp"
 
@@ -101,7 +101,7 @@ class FaultInjector final : public localization::RangingFaultModel {
 
  private:
   FaultPlan plan_;
-  std::mt19937_64 rng_{0};
+  geo::Mt19937_64 rng_{0};
   bool active_ = false;
 };
 

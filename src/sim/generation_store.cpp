@@ -93,12 +93,15 @@ std::filesystem::path GenerationStore::save(int generation, const std::string& b
                             ec.message());
   sync_directory(dir_);
 
-  // Prune to the newest kKeep generations plus any stray temp files from
-  // older torn writes (never the temp we just renamed away).
-  std::vector<std::filesystem::path> gens = generations();
-  while (gens.size() > static_cast<std::size_t>(kKeep)) {
-    std::filesystem::remove(gens.front(), ec);
-    gens.erase(gens.begin());
+  // Prune the generations numbered below this one to the newest kKeep - 1,
+  // plus any stray temp files from older torn writes (never the temp we just
+  // renamed away). Higher-numbered generations are another session's: left
+  // for its restore walk to reject, never a reason to delete this one.
+  std::vector<std::filesystem::path> older;
+  for (const std::filesystem::path& p : generations())
+    if (generation_of(p) < generation) older.push_back(p);
+  for (std::size_t i = 0; i + (kKeep - 1) < older.size(); ++i) {
+    std::filesystem::remove(older[i], ec);
     SKYRAN_COUNTER_INC("ckpt.pruned");
   }
   for (const auto& entry : std::filesystem::directory_iterator(dir_, ec)) {

@@ -5,10 +5,11 @@
 //
 // save() writes `<prefix><generation><extension>.tmp`, fsyncs it (visiting
 // the ckpt.mid_write crash point halfway through), visits ckpt.pre_rename,
-// atomically renames, fsyncs the directory, then prunes to the newest
-// kKeep generations plus stray temp files. A SIGKILL at any byte leaves
-// either the previous generations untouched or the new one fully durable —
-// never a half-written visible file.
+// atomically renames, fsyncs the directory, then prunes the generations
+// numbered below the new one to the newest kKeep - 1, plus stray temp files;
+// generations numbered above it (another session's) are left alone. A
+// SIGKILL at any byte leaves either the previous generations untouched or
+// the new one fully durable — never a half-written visible file.
 //
 // restore_latest() is the newest-first fallback walk: it hands each
 // generation's bytes to the caller's restore, and skips a generation whose
@@ -37,8 +38,8 @@ struct CheckpointIoError : std::runtime_error {
 
 class GenerationStore {
  public:
-  /// Generations retained after each save: the newest, and the one before
-  /// it to fall back to.
+  /// Generations retained after each save: the one just written, and the
+  /// one before it to fall back to.
   static constexpr int kKeep = 2;
 
   /// Creates `dir` when missing. `prefix`/`extension` name the generation

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <random>
 
 #include "core/thread_pool.hpp"
 #include "geo/contract.hpp"
@@ -11,7 +12,7 @@ namespace skyran::sim {
 
 std::size_t run_measurement_flight(const World& world, const uav::FlightPlan& plan,
                                    rem::RemBank& bank, const MeasurementConfig& config,
-                                   std::mt19937_64& rng, FaultInjector* faults,
+                                   geo::Mt19937_64& rng, FaultInjector* faults,
                                    double start_time_s) {
   expects(bank.ue_count() == world.ue_positions().size(),
           "run_measurement_flight: one bank UE per world UE required");

@@ -4,8 +4,8 @@
 // channel, so REM cell averages converge with dwell time like real ones.
 #pragma once
 
-#include <random>
 
+#include "geo/mt19937.hpp"
 #include "rem/bank.hpp"
 #include "sim/faults.hpp"
 #include "sim/world.hpp"
@@ -36,7 +36,7 @@ struct MeasurementConfig {
 /// flight order, so the bank is bit-identical for any worker count.
 std::size_t run_measurement_flight(const World& world, const uav::FlightPlan& plan,
                                    rem::RemBank& bank, const MeasurementConfig& config,
-                                   std::mt19937_64& rng, FaultInjector* faults = nullptr,
+                                   geo::Mt19937_64& rng, FaultInjector* faults = nullptr,
                                    double start_time_s = 0.0);
 
 }  // namespace skyran::sim

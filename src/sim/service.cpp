@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
+#include <random>
 
 #include "geo/contract.hpp"
 
@@ -15,7 +16,7 @@ constexpr double kTtiMs = 1.0;
 ServiceReport run_service(const World& world,
                           const std::function<geo::Vec3(double)>& position_at,
                           double duration_s, const std::vector<lte::TrafficSpec>& traffic,
-                          const ServiceConfig& config, std::mt19937_64& rng) {
+                          const ServiceConfig& config, geo::Mt19937_64& rng) {
   const std::vector<geo::Vec3>& ues = world.ue_positions();
   expects(!ues.empty(), "run_service: no UEs");
   expects(traffic.size() == ues.size(), "run_service: one traffic model per UE");
@@ -83,14 +84,14 @@ ServiceReport run_service(const World& world,
 
 ServiceReport run_service_hovering(const World& world, geo::Vec3 uav_position,
                                    const std::vector<lte::TrafficSpec>& traffic,
-                                   const ServiceConfig& config, std::mt19937_64& rng) {
+                                   const ServiceConfig& config, geo::Mt19937_64& rng) {
   return run_service(
       world, [&](double) { return uav_position; }, config.duration_s, traffic, config, rng);
 }
 
 ServiceReport run_service_flying(const World& world, const uav::FlightPlan& plan,
                                  const std::vector<lte::TrafficSpec>& traffic,
-                                 const ServiceConfig& config, std::mt19937_64& rng) {
+                                 const ServiceConfig& config, geo::Mt19937_64& rng) {
   expects(!plan.waypoints.empty(), "run_service_flying: empty plan");
   const double duration = std::min(config.duration_s, plan.duration_s());
   return run_service(

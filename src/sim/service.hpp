@@ -8,9 +8,9 @@
 // exactly why the paper limits probing time (Sec 2.5).
 #pragma once
 
-#include <random>
 #include <vector>
 
+#include "geo/mt19937.hpp"
 #include "lte/traffic_plane.hpp"
 #include "sim/world.hpp"
 #include "uav/flight.hpp"
@@ -41,12 +41,12 @@ struct ServiceReport {
 /// traffic spec per UE. The plane's seed is drawn from `rng`.
 ServiceReport run_service_hovering(const World& world, geo::Vec3 uav_position,
                                    const std::vector<lte::TrafficSpec>& traffic,
-                                   const ServiceConfig& config, std::mt19937_64& rng);
+                                   const ServiceConfig& config, geo::Mt19937_64& rng);
 
 /// Serve while flying `plan` (service continues during a measurement
 /// flight); the plan's duration bounds the simulated time.
 ServiceReport run_service_flying(const World& world, const uav::FlightPlan& plan,
                                  const std::vector<lte::TrafficSpec>& traffic,
-                                 const ServiceConfig& config, std::mt19937_64& rng);
+                                 const ServiceConfig& config, geo::Mt19937_64& rng);
 
 }  // namespace skyran::sim

@@ -5,6 +5,7 @@
 #include <random>
 
 #include "geo/contract.hpp"
+#include "geo/mt19937.hpp"
 #include "geo/noise.hpp"
 
 namespace skyran::terrain {
@@ -130,7 +131,7 @@ Terrain make_campus(std::uint64_t seed, double cell_size, double extent) {
 Terrain make_rural(std::uint64_t seed, double cell_size, double extent) {
   Terrain t(Rect::square(extent), cell_size);
   add_rolling_ground(t, seed, 6.0, 90.0);
-  std::mt19937_64 rng(seed);
+  geo::Mt19937_64 rng(seed);
   // A few small farm buildings.
   std::uniform_real_distribution<double> pos(0.1 * extent, 0.9 * extent);
   std::uniform_real_distribution<double> dim(8.0, 18.0);
@@ -151,7 +152,7 @@ Terrain make_nyc(std::uint64_t seed, double cell_size, double extent) {
   Terrain t(Rect::square(extent), cell_size);
   // Manhattan grid: avenues run north-south every ~85 m, streets east-west
   // every ~65 m; blocks are filled with buildings of widely varying height.
-  std::mt19937_64 rng(seed);
+  geo::Mt19937_64 rng(seed);
   std::uniform_real_distribution<double> height_pick(0.0, 1.0);
 
   const double avenue_pitch = 85.0;
@@ -200,7 +201,7 @@ Terrain make_nyc(std::uint64_t seed, double cell_size, double extent) {
 Terrain make_large(std::uint64_t seed, double cell_size, double extent) {
   Terrain t(Rect::square(extent), cell_size);
   add_rolling_ground(t, seed, 10.0, 300.0);
-  std::mt19937_64 rng(seed);
+  geo::Mt19937_64 rng(seed);
   std::uniform_real_distribution<double> u01(0.0, 1.0);
 
   // Residential streets every 120 m; lots hold detached houses with yards.

@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <random>
 
+#include "geo/mt19937.hpp"
 #include "geo/vec.hpp"
 
 namespace skyran::uav {
@@ -42,7 +43,7 @@ class GpsSensor {
  private:
   int sample_outage_length();
 
-  std::mt19937_64 rng_;
+  geo::Mt19937_64 rng_;
   std::normal_distribution<double> horizontal_;
   std::normal_distribution<double> vertical_;
   double outage_enter_prob_ = 0.0;

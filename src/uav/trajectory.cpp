@@ -4,6 +4,7 @@
 #include <random>
 
 #include "geo/contract.hpp"
+#include "geo/mt19937.hpp"
 
 namespace skyran::uav {
 
@@ -29,7 +30,7 @@ geo::Path random_walk(geo::Rect area, geo::Vec2 start, double length_m, double l
   expects(length_m > 0.0, "random_walk: length must be positive");
   expects(leg_m > 0.0, "random_walk: leg length must be positive");
   expects(area.contains(start), "random_walk: start must lie inside the area");
-  std::mt19937_64 rng(seed);
+  geo::Mt19937_64 rng(seed);
   std::uniform_real_distribution<double> heading(0.0, 2.0 * M_PI);
 
   std::vector<geo::Vec2> pts{start};

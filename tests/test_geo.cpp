@@ -4,10 +4,16 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <iomanip>
 #include <random>
+#include <span>
+#include <sstream>
+#include <string>
 
 #include "geo/contract.hpp"
 #include "geo/grid.hpp"
+#include "geo/mt19937.hpp"
 #include "geo/noise.hpp"
 #include "geo/path.hpp"
 #include "geo/rect.hpp"
@@ -201,7 +207,7 @@ TEST(StatsTest, PercentileSortedEmptyContractAndParity) {
   EXPECT_THROW(percentile_sorted({}, 1.5), ContractViolation);
   // Randomized parity: on any sorted sample the two entry points agree
   // bit-for-bit at arbitrary probabilities (one shared implementation).
-  std::mt19937_64 rng(20260808);
+  geo::Mt19937_64 rng(20260808);
   std::uniform_real_distribution<double> value(-1e6, 1e6);
   std::uniform_real_distribution<double> prob(0.0, 1.0);
   std::uniform_int_distribution<int> size(1, 64);
@@ -244,7 +250,7 @@ TEST(StatsTest, PercentileInplaceMatchesSortOracle) {
   check({2.0, 9.0, -4.0}, "n=3");
   check({7.0, 7.0, 7.0, 7.0, 7.0}, "all equal");
 
-  std::mt19937_64 rng(20261019);
+  geo::Mt19937_64 rng(20261019);
   std::uniform_real_distribution<double> value(0.0, 5e6);
   std::vector<double> xs(8000);
   for (double& x : xs) x = value(rng);
@@ -310,6 +316,95 @@ TEST(NoiseTest, RejectsBadParameters) {
   EXPECT_THROW(ValueNoise(1, 0.0), ContractViolation);
   EXPECT_THROW(ValueNoise(1, 10.0, 0), ContractViolation);
   EXPECT_THROW(ValueNoise(1, 10.0, 4, 0.0), ContractViolation);
+}
+
+// Mt19937_64 against std::mt19937_64, its oracle: the same words and the
+// same text state.
+
+/// An engine's text state.
+template <class Engine>
+std::string text_state(const Engine& g) {
+  std::ostringstream os;
+  os << g;
+  return os.str();
+}
+
+TEST(Mt19937Test, OutputsMatchTheStandardEngine) {
+  for (const std::uint64_t seed : {std::uint64_t{0}, std::uint64_t{1}, std::uint64_t{5489},
+                                   ~std::uint64_t{0}}) {
+    std::mt19937_64 want(seed);
+    Mt19937_64 got(seed);
+    for (int i = 0; i < 1000000; ++i)
+      ASSERT_EQ(got(), want()) << "seed " << seed << " word " << i;
+  }
+  std::mt19937_64 want;
+  Mt19937_64 got;
+  for (int i = 0; i < 1000; ++i) ASSERT_EQ(got(), want()) << "default seed, word " << i;
+}
+
+TEST(Mt19937Test, BlockViewIsTheNextWordsAndAdvanceSkipsThem) {
+  std::mt19937_64 want(7);
+  Mt19937_64 got(7);
+  for (int i = 0; i < 100; ++i) ASSERT_EQ(got(), want());
+  const std::span<const std::uint64_t> block = got.block();
+  ASSERT_EQ(block.size(), Mt19937_64::kBlockWords - 100);
+  for (const std::uint64_t w : block) ASSERT_EQ(w, want());
+  got.advance(block.size());
+  EXPECT_EQ(text_state(got), text_state(want));
+  EXPECT_EQ(got.block().size(), Mt19937_64::kBlockWords);  // the next block
+  EXPECT_EQ(got(), want());
+}
+
+TEST(Mt19937Test, TextStateIsTheStandardEnginesByteForByte) {
+  std::mt19937_64 want(42);
+  Mt19937_64 got(42);
+  EXPECT_EQ(text_state(got), text_state(want));  // index 312: before the first twist
+  for (int i = 0; i < 100; ++i) got(), want();
+  EXPECT_EQ(text_state(got), text_state(want));  // mid-block
+  for (int i = 0; i < 212; ++i) got(), want();
+  EXPECT_EQ(text_state(got), text_state(want));  // index 312 again: block spent
+
+  // Index 0 (a block not yet read) is reachable only through the text.
+  std::string at_zero = text_state(want);
+  at_zero.replace(at_zero.rfind(' ') + 1, std::string::npos, "0");
+  std::istringstream(at_zero) >> want;
+  std::istringstream is(at_zero);
+  ASSERT_TRUE(is >> got);
+  EXPECT_EQ(text_state(got), at_zero);
+  EXPECT_EQ(text_state(want), at_zero);
+  for (int i = 0; i < 1000; ++i) ASSERT_EQ(got(), want()) << "word " << i;
+
+  // The caller's stream formatting is restored.
+  std::ostringstream os;
+  os << std::hex << std::setfill('*') << got;
+  EXPECT_EQ(os.flags() & std::ios_base::basefield, std::ios_base::hex);
+  EXPECT_EQ(os.fill(), '*');
+}
+
+TEST(Mt19937Test, ReadingStandardTextContinuesItsStream) {
+  for (const int drawn : {0, 1, 311, 312, 313, 1000}) {
+    std::mt19937_64 want(99);
+    for (int i = 0; i < drawn; ++i) want();
+    Mt19937_64 got(1);
+    std::istringstream is(text_state(want));
+    ASSERT_TRUE(is >> got) << drawn;
+    for (int i = 0; i < 1000; ++i) ASSERT_EQ(got(), want()) << drawn << " word " << i;
+  }
+}
+
+TEST(Mt19937Test, MalformedTextSetsFailbitAndLeavesTheEngine) {
+  Mt19937_64 g(3);
+  g();
+  const std::string before = text_state(g);
+  std::string index_313 = before;
+  index_313.replace(index_313.rfind(' ') + 1, std::string::npos, "313");
+  const std::string truncated = before.substr(0, before.size() / 2);
+  for (const std::string& text : {std::string("not an engine"), truncated, index_313}) {
+    std::istringstream is(text);
+    is >> g;
+    EXPECT_TRUE(is.fail()) << text.substr(0, 40);
+    EXPECT_EQ(text_state(g), before);
+  }
 }
 
 /// Property sweep: grid round-trips hold across cell sizes.

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "core/skyran.hpp"
+#include "geo/mt19937.hpp"
 #include "geo/stats.hpp"
 #include "mobility/deployment.hpp"
 #include "mobility/model.hpp"
@@ -76,7 +77,7 @@ TEST(IntegrationTest, RemAccuracyBeatsFsplModel) {
   rem::RemBank rems(world.area(), 4.0, altitude);
   for (const geo::Vec3& ue : world.ue_positions()) rems.add_ue(ue);
   const geo::Path track = uav::zigzag(world.area().inflated(-10.0), 40.0);
-  std::mt19937_64 rng(7);
+  geo::Mt19937_64 rng(7);
   sim::run_measurement_flight(world, uav::FlightPlan::at_altitude(track, altitude), rems, {},
                               rng);
   rems.estimate_all();

@@ -12,6 +12,7 @@
 #include <random>
 #include <vector>
 
+#include "geo/mt19937.hpp"
 #include "kernels/kernels.hpp"
 #include "rf/models.hpp"
 
@@ -24,7 +25,7 @@ constexpr double kDbAbsTol = 1e-9;  // polynomial log10, after the 20x scale
 bool simd_active() { return active_level() != SimdLevel::kScalar; }
 
 std::vector<Cplx> random_cplx(std::size_t n, std::uint64_t seed) {
-  std::mt19937_64 rng(seed);
+  geo::Mt19937_64 rng(seed);
   std::uniform_real_distribution<double> d(-3.0, 3.0);
   std::vector<Cplx> v(n);
   for (Cplx& c : v) c = {d(rng), d(rng)};
@@ -32,7 +33,7 @@ std::vector<Cplx> random_cplx(std::size_t n, std::uint64_t seed) {
 }
 
 std::vector<double> random_doubles(std::size_t n, double lo, double hi, std::uint64_t seed) {
-  std::mt19937_64 rng(seed);
+  geo::Mt19937_64 rng(seed);
   std::uniform_real_distribution<double> d(lo, hi);
   std::vector<double> v(n);
   for (double& x : v) x = d(rng);

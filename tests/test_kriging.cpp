@@ -5,6 +5,7 @@
 #include <random>
 
 #include "geo/contract.hpp"
+#include "geo/mt19937.hpp"
 #include "geo/noise.hpp"
 #include "rem/kriging.hpp"
 
@@ -28,7 +29,7 @@ TEST(VariogramTest, FitRecoversCorrelationLength) {
   // the right ballpark (same order as the field's correlation length).
   const geo::ValueNoise field(7, 40.0, 3);
   std::vector<IdwSample> samples;
-  std::mt19937_64 rng(8);
+  geo::Mt19937_64 rng(8);
   std::uniform_real_distribution<double> u(0.0, 300.0);
   for (int i = 0; i < 400; ++i) {
     const geo::Vec2 p{u(rng), u(rng)};
@@ -67,7 +68,7 @@ TEST(KrigingTest, WeightsSumToOneImpliesConstantFieldExact) {
   // Ordinary kriging reproduces a constant field exactly (the unbiasedness
   // constraint) - unlike plain IDW with a background.
   std::vector<IdwSample> samples;
-  std::mt19937_64 rng(9);
+  geo::Mt19937_64 rng(9);
   std::uniform_real_distribution<double> u(0.0, 100.0);
   for (int i = 0; i < 30; ++i) samples.push_back({{u(rng), u(rng)}, 7.25});
   const KrigingInterpolator k(samples, geo::Rect::square(100.0), Variogram{});
@@ -86,7 +87,7 @@ TEST(KrigingTest, EmptyAndRadius) {
 TEST(KrigingTest, SmoothFieldAccuracyComparableToIdw) {
   const geo::ValueNoise field(11, 35.0, 3);
   std::vector<IdwSample> samples;
-  std::mt19937_64 rng(12);
+  geo::Mt19937_64 rng(12);
   std::uniform_real_distribution<double> u(0.0, 200.0);
   for (int i = 0; i < 250; ++i) {
     const geo::Vec2 p{u(rng), u(rng)};

@@ -2,9 +2,9 @@
 // UL-TDoA) and their relative accuracy ordering vs SkyRAN's approach.
 #include <gtest/gtest.h>
 
-#include <random>
 
 #include "geo/contract.hpp"
+#include "geo/mt19937.hpp"
 #include "geo/stats.hpp"
 #include "localization/baselines.hpp"
 #include "mobility/deployment.hpp"
@@ -35,7 +35,7 @@ TEST(EcidTest, ErrorScalesWithRange) {
   // With an unknown azimuth, the expected error grows with UE-site range.
   const geo::Rect area = geo::Rect::square(300.0);
   const geo::Vec3 site{-75.0, 150.0, 30.0};
-  std::mt19937_64 rng(1);
+  geo::Mt19937_64 rng(1);
   std::vector<double> errs;
   const geo::Vec3 ue{250.0, 150.0, 1.5};
   for (int i = 0; i < 200; ++i)
@@ -49,7 +49,7 @@ TEST(EcidTest, QuantizationFloorsError) {
   const geo::Rect area({-300.0, -300.0}, {300.0, 300.0});
   const geo::Vec3 site{0.0, 0.0, 30.0};
   const geo::Vec3 ue{35.0, 0.0, 1.5};
-  std::mt19937_64 rng(2);
+  geo::Mt19937_64 rng(2);
   EcidConfig cfg;
   cfg.ta_noise_m = 0.0;
   std::vector<double> errs;
@@ -68,7 +68,7 @@ TEST(FingerprintTest, CleanDatabaseLocalizesToGrid) {
   cfg.query_noise_db = 0.0;
   const FingerprintDatabase db(world.channel(), world.budget(), sites, world.area(), cfg, 4);
   EXPECT_GT(db.size(), 100u);
-  std::mt19937_64 rng(5);
+  geo::Mt19937_64 rng(5);
   const geo::Vec3 ue{123.0, 87.0, 1.5};
   const geo::Vec2 est = db.localize(ue, rng);
   // Noise-free matching lands within ~a grid cell.
@@ -82,7 +82,7 @@ TEST(FingerprintTest, NoiseDegradesAccuracy) {
   noisy.train_noise_db = 6.0;
   noisy.query_noise_db = 6.0;
   const FingerprintDatabase db(world.channel(), world.budget(), sites, world.area(), noisy, 4);
-  std::mt19937_64 rng(6);
+  geo::Mt19937_64 rng(6);
   std::vector<double> errs;
   for (int i = 0; i < 30; ++i) {
     const geo::Vec3 ue{40.0 + i * 7.0, 260.0 - i * 6.0, 1.5};
@@ -98,7 +98,7 @@ TEST(TdoaTest, PerfectSyncIsAccurate) {
   cfg.sync_error_ns = 0.0;
   cfg.toa_noise_ns = 0.0;
   cfg.grid = 80;
-  std::mt19937_64 rng(8);
+  geo::Mt19937_64 rng(8);
   const geo::Vec3 ue{200.0, 110.0, 1.5};
   const geo::Vec2 est = tdoa_localize(sites, ue, world.area(), cfg, rng);
   EXPECT_LT(est.dist(ue.xy()), 2.0 * world.area().width() / cfg.grid);
@@ -107,7 +107,7 @@ TEST(TdoaTest, PerfectSyncIsAccurate) {
 TEST(TdoaTest, SyncErrorDominates) {
   const sim::World world = flat_world(7);
   const auto sites = default_macro_sites(world.area(), 3);
-  std::mt19937_64 rng(9);
+  geo::Mt19937_64 rng(9);
   TdoaConfig loose;
   loose.sync_error_ns = 200.0;  // 60 m of range error per site
   std::vector<double> errs;
@@ -124,7 +124,7 @@ TEST(OrderingTest, TdoaBeatsEcid) {
   // The classic ordering on the same world: TDoA < fingerprint/E-CID error.
   const sim::World world = flat_world(11);
   const auto sites = default_macro_sites(world.area(), 3);
-  std::mt19937_64 rng(12);
+  geo::Mt19937_64 rng(12);
   std::vector<double> tdoa_errs, ecid_errs;
   for (int i = 0; i < 40; ++i) {
     const geo::Vec3 ue{30.0 + i * 6.0, 250.0 - i * 5.0, 1.5};

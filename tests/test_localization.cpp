@@ -9,6 +9,7 @@
 
 #include "geo/contract.hpp"
 #include "geo/hash.hpp"
+#include "geo/mt19937.hpp"
 #include "localization/localizer.hpp"
 #include "localization/multilateration.hpp"
 #include "localization/pipeline.hpp"
@@ -23,7 +24,7 @@ namespace {
 /// Synthetic tuples: perfect ranges plus a known offset and Gaussian noise.
 GpsTofSeries synthetic_tuples(geo::Vec3 ue, double offset_m, double noise_sigma,
                               std::uint64_t seed, int n = 80, double aperture_m = 40.0) {
-  std::mt19937_64 rng(seed);
+  geo::Mt19937_64 rng(seed);
   std::normal_distribution<double> unit;  // noise_sigma may be 0: scale, don't parameterize
   GpsTofSeries out;
   for (int i = 0; i < n; ++i) {
@@ -176,7 +177,7 @@ TEST_F(PipelineFixture, TuplesTrackTrueRangePlusOffset) {
   const auto samples = uav::fly(uav::FlightPlan::at_altitude(track, 60.0), 1.0 / rc.gps_rate_hz);
   const ChannelLosOracle los(world_->channel());
   uav::GpsSensor gps(6);
-  std::mt19937_64 rng(7);
+  geo::Mt19937_64 rng(7);
   const geo::Vec3 ue = world_->ue_positions()[0];
   const GpsTofSeries tuples =
       collect_gps_tof(samples, ue, world_->channel(), los, world_->budget(), gps, rc, rng);
@@ -197,7 +198,7 @@ TEST_F(PipelineFixture, LowSnrReportsDropped) {
   const auto samples = uav::fly(uav::FlightPlan::at_altitude(track, 60.0), 1.0 / rc.gps_rate_hz);
   const ChannelLosOracle los(world_->channel());
   uav::GpsSensor gps(6);
-  std::mt19937_64 rng(7);
+  geo::Mt19937_64 rng(7);
   const GpsTofSeries tuples = collect_gps_tof(samples, world_->ue_positions()[0],
                                               world_->channel(), los, world_->budget(), gps,
                                               rc, rng);
@@ -211,7 +212,7 @@ TEST_F(PipelineFixture, EmptyOrSinglePointFlightYieldsEmptySeries) {
   RangingConfig rc;
   const ChannelLosOracle los(world_->channel());
   uav::GpsSensor gps(6);
-  std::mt19937_64 rng(7);
+  geo::Mt19937_64 rng(7);
   const geo::Vec3 ue = world_->ue_positions()[0];
   const std::vector<uav::FlightSample> empty;
   EXPECT_TRUE(
@@ -238,7 +239,7 @@ TEST_F(PipelineFixture, FaultedRayTracedTuplesPinned) {
       .add({sim::FaultKind::kGpsOutage, 5.5, 6.5, 0.0, 0.0});
   sim::FaultInjector faults(plan);
   const ChannelLosOracle los(world_->channel());
-  std::mt19937_64 rng(7);
+  geo::Mt19937_64 rng(7);
   struct Pinned {
     std::size_t tuples;
     std::uint64_t digest;

@@ -19,6 +19,7 @@
 
 #include "core/thread_pool.hpp"
 #include "geo/contract.hpp"
+#include "geo/mt19937.hpp"
 #include "localization/multilateration.hpp"
 #include "localization/pipeline.hpp"
 #include "lte/ranging.hpp"
@@ -163,7 +164,7 @@ TEST(ThreadPoolTest, NestedLoopRunsOnOuterChunkThread) {
 
 TEST(ThreadPoolTest, NestedReduceMatchesSerial) {
   std::vector<double> values(4099);
-  std::mt19937_64 rng(7);
+  geo::Mt19937_64 rng(7);
   std::normal_distribution<double> g(0.0, 5.0);
   for (double& v : values) v = g(rng);
   // Each outer index reduces a different prefix of `values` in a nested loop.
@@ -214,7 +215,7 @@ TEST(ThreadPoolTest, NestedLoopForksOnlyOutsideParallelBodies) {
 
 TEST(ThreadPoolTest, ReduceBitwiseEqualAcrossWorkerCounts) {
   std::vector<double> values(12345);
-  std::mt19937_64 rng(42);
+  geo::Mt19937_64 rng(42);
   std::normal_distribution<double> g(0.0, 3.0);
   for (double& v : values) v = g(rng);
   const auto sum = [&]() {
@@ -317,7 +318,7 @@ TEST(ThreadPoolTest, WorkerCountChangeWhileLoopsInFlight) {
 
 TEST(ParallelEquivalenceTest, IdwEstimateGrid) {
   const auto grid = [] {
-    std::mt19937_64 rng(11);
+    geo::Mt19937_64 rng(11);
     std::uniform_real_distribution<double> u(0.0, 200.0);
     std::vector<rem::IdwSample> samples;
     for (int i = 0; i < 300; ++i) samples.push_back({{u(rng), u(rng)}, u(rng) / 10.0});
@@ -347,7 +348,7 @@ TEST(ParallelEquivalenceTest, IdwEstimateGridEdgeCases) {
 
 TEST(ParallelEquivalenceTest, KrigingEstimateGrid) {
   const auto grid = [] {
-    std::mt19937_64 rng(13);
+    geo::Mt19937_64 rng(13);
     std::uniform_real_distribution<double> u(0.0, 120.0);
     std::uniform_real_distribution<double> val(-10.0, 25.0);
     std::vector<rem::IdwSample> samples;
@@ -378,7 +379,7 @@ TEST(ParallelEquivalenceTest, KrigingEstimateGridEdgeCases) {
 
 TEST(ParallelEquivalenceTest, KMeans) {
   std::vector<rem::WeightedPoint> points;
-  std::mt19937_64 rng(17);
+  geo::Mt19937_64 rng(17);
   std::uniform_real_distribution<double> u(0.0, 400.0);
   for (int i = 0; i < 1500; ++i) points.push_back({{u(rng), u(rng)}, 0.5 + u(rng) / 400.0});
   const auto run = [&] { return rem::kmeans(points, 12, 23); };
@@ -407,7 +408,7 @@ TEST(ParallelEquivalenceTest, KMeansEdgeCases) {
 
 TEST(ParallelEquivalenceTest, PlacementScoring) {
   std::vector<geo::Grid2D<double>> maps;
-  std::mt19937_64 rng(19);
+  geo::Mt19937_64 rng(19);
   std::normal_distribution<double> g(8.0, 9.0);
   for (int m = 0; m < 6; ++m) {
     geo::Grid2D<double> grid(geo::Rect::square(180.0), 4.0, 0.0);
@@ -441,7 +442,7 @@ TEST(ParallelEquivalenceTest, PlacementSingleMapSingleCell) {
 TEST(ParallelEquivalenceTest, PlanMeasurementTrajectory) {
   // Five UEs with seeded measurements, two of them with a flown history.
   const geo::Rect area = geo::Rect::square(300.0);
-  std::mt19937_64 rng(41);
+  geo::Mt19937_64 rng(41);
   std::uniform_real_distribution<double> pos(5.0, 295.0);
   std::uniform_real_distribution<double> snr(-5.0, 30.0);
   rem::RemBank bank(area, 5.0, 60.0);
@@ -480,7 +481,7 @@ TEST(ParallelEquivalenceTest, MultilaterateJoint) {
   // Six UEs with noisy, outlier-laden tuples around one shared offset, plus
   // an unusable UE (three tuples) and one with none.
   const geo::Rect area = geo::Rect::square(300.0);
-  std::mt19937_64 rng(43);
+  geo::Mt19937_64 rng(43);
   std::uniform_real_distribution<double> pos(10.0, 290.0);
   std::normal_distribution<double> noise(0.0, 2.0);
   std::vector<localization::GpsTofSeries> tuples;
@@ -523,7 +524,7 @@ TEST(ParallelEquivalenceTest, TofEstimateBatch) {
   lte::SrsConfig cfg;
   const lte::SrsSymbol tx = lte::make_srs_symbol(cfg);
   const lte::TofEstimator est(cfg, 4);
-  std::mt19937_64 rng(29);
+  geo::Mt19937_64 rng(29);
   std::vector<lte::SrsSymbol> received;
   for (int i = 0; i < 24; ++i) {
     lte::SrsChannelParams ch;
@@ -562,7 +563,7 @@ TEST(ParallelEquivalenceTest, CollectGpsTofRanging) {
     const rf::FsplChannel fspl(2.6e9);
     const StripedLosOracle los;
     uav::GpsSensor gps(99, 1.5);
-    std::mt19937_64 rng(31);
+    geo::Mt19937_64 rng(31);
     return localization::collect_gps_tof(flight, {120.0, 40.0, 1.5}, fspl, los,
                                          rf::LinkBudget{}, gps, {}, rng);
   };
@@ -599,7 +600,7 @@ TEST(ParallelEquivalenceTest, MeasurementFlightFaulted) {
         .add({sim::FaultKind::kSrsSnrSag, 6.0, 14.0, 7.5, 0.0})
         .add({sim::FaultKind::kBackhaulOutage, 12.0, 17.0, 0.0, 0.0});
     sim::FaultInjector faults(plan);
-    std::mt19937_64 rng(21);
+    geo::Mt19937_64 rng(21);
     sim::run_measurement_flight(world, uav::FlightPlan::at_altitude(track, 60.0), bank, {}, rng,
                                 &faults, 1.5);
     std::vector<double> cells;  // (count, measured mean) of every cell of every UE
@@ -631,7 +632,7 @@ TEST(ParallelEquivalenceTest, CollectGpsTofFaultedRayTraced) {
         .add({sim::FaultKind::kSrsSnrSag, 2.5, 5.0, 30.0, 0.0})
         .add({sim::FaultKind::kGpsOutage, 5.5, 6.5, 0.0, 0.0});
     sim::FaultInjector faults(plan);
-    std::mt19937_64 rng(7);
+    geo::Mt19937_64 rng(7);
     std::vector<double> out;  // every tuple of every UE, flattened
     for (std::size_t i = 0; i < world.ue_positions().size(); ++i) {
       uav::GpsSensor gps(6 + i);
@@ -653,7 +654,7 @@ TEST(ParallelEquivalenceTest, SrsChannelDeterministicAcrossWorkerCounts) {
   lte::SrsConfig cfg;
   const lte::SrsSymbol tx = lte::make_srs_symbol(cfg);
   const auto run = [&] {
-    std::mt19937_64 rng(37);
+    geo::Mt19937_64 rng(37);
     lte::SrsChannelParams ch;
     ch.delay_s = 4e-7;
     ch.snr_db = 10.0;

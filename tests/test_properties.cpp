@@ -5,6 +5,7 @@
 
 #include <random>
 
+#include "geo/mt19937.hpp"
 #include "localization/multilateration.hpp"
 #include "lte/ranging.hpp"
 #include "lte/srs_channel.hpp"
@@ -29,7 +30,7 @@ class SeedSweep : public ::testing::TestWithParam<std::uint64_t> {
 };
 
 TEST_P(SeedSweep, PlannerToursStayInsideAreaAndBudget) {
-  std::mt19937_64 rng(seed());
+  geo::Mt19937_64 rng(seed());
   std::uniform_real_distribution<double> u(5.0, 195.0);
   rem::RemBank map(geo::Rect::square(200.0), 5.0, 60.0);
   const rf::FsplChannel fspl(2.6e9);
@@ -49,7 +50,7 @@ TEST_P(SeedSweep, PlannerToursStayInsideAreaAndBudget) {
 }
 
 TEST_P(SeedSweep, SchedulerConservesPrbs) {
-  std::mt19937_64 rng(seed());
+  geo::Mt19937_64 rng(seed());
   std::uniform_real_distribution<double> snr(-20.0, 35.0);
   std::uniform_real_distribution<double> offset(-15.0, 5.0);
   std::uniform_int_distribution<int> n_ues(1, 12);
@@ -85,7 +86,7 @@ TEST_P(SeedSweep, SchedulerConservesPrbs) {
 }
 
 TEST_P(SeedSweep, IdwEstimateBoundedBySamples) {
-  std::mt19937_64 rng(seed());
+  geo::Mt19937_64 rng(seed());
   std::uniform_real_distribution<double> u(0.0, 100.0);
   std::uniform_real_distribution<double> val(-30.0, 40.0);
   std::vector<rem::IdwSample> samples;
@@ -106,7 +107,7 @@ TEST_P(SeedSweep, IdwEstimateBoundedBySamples) {
 }
 
 TEST_P(SeedSweep, KrigingExactAtEverySample) {
-  std::mt19937_64 rng(seed());
+  geo::Mt19937_64 rng(seed());
   std::uniform_real_distribution<double> u(0.0, 100.0);
   std::uniform_real_distribution<double> val(-10.0, 10.0);
   std::vector<rem::IdwSample> samples;
@@ -117,7 +118,7 @@ TEST_P(SeedSweep, KrigingExactAtEverySample) {
 }
 
 TEST_P(SeedSweep, MinMapDominatedByEveryInput) {
-  std::mt19937_64 rng(seed());
+  geo::Mt19937_64 rng(seed());
   std::normal_distribution<double> g(5.0, 10.0);
   std::vector<geo::Grid2D<double>> maps;
   for (int m = 0; m < 4; ++m) {
@@ -135,7 +136,7 @@ TEST_P(SeedSweep, MinMapDominatedByEveryInput) {
 }
 
 TEST_P(SeedSweep, TspVisitsEveryNodeOnce) {
-  std::mt19937_64 rng(seed());
+  geo::Mt19937_64 rng(seed());
   std::uniform_real_distribution<double> u(0.0, 300.0);
   std::vector<geo::Vec2> nodes;
   for (int i = 0; i < 14; ++i) nodes.push_back({u(rng), u(rng)});
@@ -158,7 +159,7 @@ TEST_P(SeedSweep, ChannelIsSymmetricAndFinite) {
   wc.terrain_kind = terrain::TerrainKind::kNyc;
   wc.seed = seed();
   const sim::World world(wc);
-  std::mt19937_64 rng(seed() ^ 0x77);
+  geo::Mt19937_64 rng(seed() ^ 0x77);
   std::uniform_real_distribution<double> u(5.0, 245.0);
   std::uniform_real_distribution<double> z(1.5, 120.0);
   for (int i = 0; i < 40; ++i) {
@@ -176,7 +177,7 @@ TEST_P(SeedSweep, TofInvertsRandomDelays) {
   lte::SrsConfig cfg;
   const lte::SrsSymbol tx = lte::make_srs_symbol(cfg);
   const lte::TofEstimator est(cfg, 4);
-  std::mt19937_64 rng(seed());
+  geo::Mt19937_64 rng(seed());
   std::uniform_real_distribution<double> dist(20.0, 400.0);
   for (int i = 0; i < 10; ++i) {
     const double d = dist(rng);
@@ -198,7 +199,7 @@ TEST_P(SeedSweep, MeasurementsLandOnTheTrack) {
   rems.add_ue(world.ue_positions()[0]);
   const geo::Path track = uav::random_walk(world.area().inflated(-10.0), {100.0, 100.0},
                                            150.0, 25.0, seed());
-  std::mt19937_64 rng(seed() ^ 0x99);
+  geo::Mt19937_64 rng(seed() ^ 0x99);
   sim::run_measurement_flight(world, uav::FlightPlan::at_altitude(track, 60.0), rems, {}, rng);
   EXPECT_GT(rems.measured_cells(0), 10u);
   // Every measured cell center sits within one cell diagonal of the track.
@@ -225,7 +226,7 @@ TEST_P(SeedSweep, DeploymentsAreWalkableEverywhere) {
 }
 
 TEST_P(SeedSweep, GradientMapNonNegativeAndZeroOnFlat) {
-  std::mt19937_64 rng(seed());
+  geo::Mt19937_64 rng(seed());
   std::normal_distribution<double> g(0.0, 5.0);
   geo::Grid2D<double> snr(geo::Rect::square(80.0), 8.0, 0.0);
   for (double& v : snr.raw()) v = g(rng);
@@ -240,7 +241,7 @@ TEST_P(SeedSweep, MultilaterationRoundTripRecoversPosition) {
   // Sample a UE position and a constant processing-delay offset, synthesize
   // noisy ToF ranges from random waypoints spread across the area, and
   // require the fixed-offset solver to invert the geometry.
-  std::mt19937_64 rng(seed());
+  geo::Mt19937_64 rng(seed());
   const geo::Rect area = geo::Rect::square(300.0);
   std::uniform_real_distribution<double> u(30.0, 270.0);
   std::uniform_real_distribution<double> off(5.0, 60.0);
@@ -266,7 +267,7 @@ TEST_P(SeedSweep, MultilaterationCollinearWaypointsDoNotCrash) {
   // Waypoints on a straight line leave a mirror ambiguity across the line:
   // the solve must stay finite and fit the ranges, and the estimate must
   // land on the UE or its mirror image.
-  std::mt19937_64 rng(seed());
+  geo::Mt19937_64 rng(seed());
   const geo::Rect area = geo::Rect::square(300.0);
   std::uniform_real_distribution<double> u(40.0, 260.0);
   const geo::Vec3 ue{u(rng), u(rng), 1.5};

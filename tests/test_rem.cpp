@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "geo/contract.hpp"
+#include "geo/mt19937.hpp"
 #include "rem/bank.hpp"
 #include "rem/gradient.hpp"
 #include "rem/idw.hpp"
@@ -436,7 +437,7 @@ TEST(PlannerSelectionTest, ZeroCostKIsSkipped) {
 
 TEST(PlannerSelectionTest, MatchesSerialOracleOnSeededBanks) {
   for (const std::uint64_t seed : {3u, 11u, 29u, 57u}) {
-    std::mt19937_64 rng(seed);
+    geo::Mt19937_64 rng(seed);
     std::uniform_real_distribution<double> pos(5.0, 195.0);
     std::uniform_real_distribution<double> snr(-5.0, 30.0);
     RemBank bank(geo::Rect::square(200.0), 5.0, 50.0);

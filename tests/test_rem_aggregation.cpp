@@ -14,6 +14,7 @@
 #include "core/skyran.hpp"
 #include "geo/binio.hpp"
 #include "geo/contract.hpp"
+#include "geo/mt19937.hpp"
 #include "kernels/kernels.hpp"
 #include "mobility/deployment.hpp"
 #include "rem/bank.hpp"
@@ -150,7 +151,7 @@ TEST(StorePersistenceTest, CorruptStreamRejected) {
 }
 
 /// Build a store with randomized geometry and measurement contents.
-rem::RemStore random_store(std::mt19937_64& rng) {
+rem::RemStore random_store(geo::Mt19937_64& rng) {
   std::uniform_real_distribution<double> radius(2.0, 25.0);
   std::uniform_int_distribution<int> n_entries(0, 5);
   std::uniform_int_distribution<int> n_meas(0, 40);
@@ -178,7 +179,7 @@ rem::RemStore random_store(std::mt19937_64& rng) {
 }
 
 TEST(StorePersistenceTest, RandomizedRoundTripPreservesEveryField) {
-  std::mt19937_64 rng(2024);
+  geo::Mt19937_64 rng(2024);
   for (int trial = 0; trial < 25; ++trial) {
     const rem::RemStore store = random_store(rng);
     std::stringstream ss;

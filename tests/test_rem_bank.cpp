@@ -21,6 +21,7 @@
 #include "core/thread_pool.hpp"
 #include "geo/contract.hpp"
 #include "geo/field_view.hpp"
+#include "geo/mt19937.hpp"
 #include "geo/point_index.hpp"
 #include "rem/bank.hpp"
 #include "rem/placement.hpp"
@@ -75,7 +76,7 @@ TEST(FieldViewTest, MirrorsGridGeometryAndValues) {
       EXPECT_EQ(cv.y, cg.y);
     }
   // cell_of agrees everywhere, including boundary clamping.
-  std::mt19937_64 rng(5);
+  geo::Mt19937_64 rng(5);
   std::uniform_real_distribution<double> u(0.0, 100.0);
   for (int i = 0; i < 500; ++i) {
     const geo::Vec2 p{u(rng), u(rng)};
@@ -111,7 +112,7 @@ TEST(FieldViewTest, OutOfBoundsRejected) {
 // PointIndex vs brute force
 
 TEST(PointIndexTest, MatchesBruteForceFirstAndNearest) {
-  std::mt19937_64 rng(11);
+  geo::Mt19937_64 rng(11);
   std::uniform_real_distribution<double> u(-50.0, 150.0);
   for (const double radius : {3.0, 10.0, 40.0}) {
     geo::PointIndex index(radius);
@@ -179,7 +180,7 @@ struct DepositScript {
 
 DepositScript make_script(std::size_t n_ue, int n_rounds, int per_round, geo::Rect area,
                           std::uint64_t seed) {
-  std::mt19937_64 rng(seed);
+  geo::Mt19937_64 rng(seed);
   std::uniform_real_distribution<double> x(area.min.x, area.max.x);
   std::uniform_real_distribution<double> y(area.min.y, area.max.y);
   std::uniform_real_distribution<double> snr(-25.0, 35.0);
@@ -296,7 +297,7 @@ TEST(RemBankTest, ParamsChangeRecomputesEveryCell) {
   const geo::Rect area = area100();
   rem::RemBank bank(area, 4.0, 60.0);
   bank.add_ue({50.0, 50.0, 1.5});
-  std::mt19937_64 rng(7);
+  geo::Mt19937_64 rng(7);
   std::uniform_real_distribution<double> u(0.0, 100.0);
   for (int i = 0; i < 30; ++i) {
     const geo::Vec2 p{u(rng), u(rng)};
@@ -324,7 +325,7 @@ TEST(RemBankTest, DepositIntoOneUeReestimatesOnlyThatUe) {
   for (const geo::Vec3 ue : {geo::Vec3{20.0, 30.0, 1.5}, geo::Vec3{70.0, 25.0, 1.5},
                              geo::Vec3{55.0, 80.0, 1.5}})
     bank.seed_from_model(bank.add_ue(ue), fspl, rf::LinkBudget{});
-  std::mt19937_64 rng(9);
+  geo::Mt19937_64 rng(9);
   std::uniform_real_distribution<double> u(0.0, 100.0);
   for (std::size_t ue = 0; ue < 3; ++ue)
     for (int i = 0; i < 20; ++i) bank.add_measurement(ue, {u(rng), u(rng)}, u(rng) - 50.0);
@@ -371,7 +372,7 @@ rem::RemBank mutator_fixture() {
   for (const geo::Vec3 ue : {geo::Vec3{20.0, 30.0, 1.5}, geo::Vec3{70.0, 25.0, 1.5},
                              geo::Vec3{55.0, 80.0, 1.5}})
     bank.seed_from_model(bank.add_ue(ue), fspl, rf::LinkBudget{});
-  std::mt19937_64 rng(17);
+  geo::Mt19937_64 rng(17);
   std::uniform_real_distribution<double> u(0.0, 100.0);
   for (std::size_t ue = 0; ue < 3; ++ue)
     for (int i = 0; i < 6; ++i) bank.add_measurement(ue, {u(rng), u(rng)}, u(rng) - 50.0);
@@ -582,7 +583,7 @@ TEST(RemStoreIndexTest, PutAndFindMatchLegacyScanSemantics) {
   };
 
   rem::RemStore store(R);
-  std::mt19937_64 rng(23);
+  geo::Mt19937_64 rng(23);
   std::uniform_real_distribution<double> u(5.0, 95.0);
   for (int i = 0; i < 200; ++i) {
     const geo::Vec2 p{u(rng), u(rng)};
@@ -605,7 +606,7 @@ TEST(RemStoreIndexTest, PutAndFindMatchLegacyScanSemantics) {
 }
 
 TEST(RemBankPlacementTest, ViewPathSerialEqualsParallel) {
-  std::mt19937_64 rng(31);
+  geo::Mt19937_64 rng(31);
   std::uniform_real_distribution<double> u(-30.0, 30.0);
   std::vector<geo::Grid2D<double>> maps;
   for (int m = 0; m < 3; ++m) {

@@ -12,6 +12,7 @@
 
 #include "core/thread_pool.hpp"
 #include "geo/contract.hpp"
+#include "geo/mt19937.hpp"
 #include "rf/channel.hpp"
 #include "rf/link.hpp"
 #include "rf/models.hpp"
@@ -331,7 +332,7 @@ std::vector<Ray> planted_rays(const terrain::Terrain& t) {
 /// Seeded rays of the kinds the workloads shoot (UAV at altitude to a UE on
 /// the surface) plus low grazing rays, clamped endpoints and explicit steps.
 std::vector<Ray> random_rays(const terrain::Terrain& t, std::uint64_t seed, int n) {
-  std::mt19937_64 rng(seed);
+  geo::Mt19937_64 rng(seed);
   const geo::Rect wide = t.area().inflated(40.0);
   std::uniform_real_distribution<double> ux(wide.min.x, wide.max.x);
   std::uniform_real_distribution<double> uy(wide.min.y, wide.max.y);

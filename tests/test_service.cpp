@@ -4,9 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <random>
 
 #include "geo/contract.hpp"
+#include "geo/mt19937.hpp"
 #include "mobility/deployment.hpp"
 #include "sim/service.hpp"
 #include "uav/trajectory.hpp"
@@ -45,7 +45,7 @@ TEST(ServiceTest, FullBufferApproachesAmcBound) {
   ServiceConfig cfg;
   cfg.duration_s = 2.0;
   cfg.fading_sigma_db = 0.0;  // static channel: no staleness possible
-  std::mt19937_64 rng(2);
+  geo::Mt19937_64 rng(2);
   const ServiceReport r = run_service_hovering(world, uav, {lte::TrafficSpec{}}, cfg, rng);
   const double bound = lte::throughput_bps(world.snr_db(uav, world.ue_positions()[0]),
                                            world.carrier());
@@ -64,7 +64,7 @@ TEST(ServiceTest, CellSharedAcrossUes) {
   ServiceConfig cfg;
   cfg.duration_s = 1.0;
   cfg.fading_sigma_db = 0.0;
-  std::mt19937_64 rng(4);
+  geo::Mt19937_64 rng(4);
   const std::vector<lte::TrafficSpec> traffic(4, lte::TrafficSpec{});
   const ServiceReport r = run_service_hovering(world, uav, traffic, cfg, rng);
   // Equal-ish split under round robin on a flat world.
@@ -80,7 +80,7 @@ TEST(ServiceTest, CbrUnderloadServedWithLowDelay) {
   ServiceConfig cfg;
   cfg.duration_s = 2.0;
   cfg.fading_sigma_db = 0.0;
-  std::mt19937_64 rng(6);
+  geo::Mt19937_64 rng(6);
   // Far below capacity.
   const ServiceReport r = run_service_hovering(world, uav, {cbr(1e6)}, cfg, rng);
   EXPECT_DOUBLE_EQ(r.traffic.offered_bits, 1e6 * 2.0);
@@ -95,7 +95,7 @@ TEST(ServiceTest, CbrOverloadQueues) {
   const geo::Vec3 uav{10.0, 10.0, 60.0};
   ServiceConfig cfg;
   cfg.duration_s = 1.0;
-  std::mt19937_64 rng(8);
+  geo::Mt19937_64 rng(8);
   // Far above any LTE-10MHz capacity.
   const ServiceReport r = run_service_hovering(world, uav, {cbr(60e6)}, cfg, rng);
   EXPECT_LT(r.traffic.served_bits, r.traffic.offered_bits * 0.9);
@@ -114,7 +114,7 @@ TEST(ServiceTest, FlyingCostsThroughputOnRoughTerrain) {
   ServiceConfig cfg;
   cfg.duration_s = 3.0;
   cfg.cqi_period_ms = 10.0;
-  std::mt19937_64 rng(13);
+  geo::Mt19937_64 rng(13);
 
   const geo::Vec2 anchor = world.area().center() + geo::Vec2{40.0, -30.0};
   const ServiceReport hover =
@@ -136,7 +136,7 @@ TEST(ServiceTest, FlyingCostsThroughputOnRoughTerrain) {
 TEST(ServiceTest, Contracts) {
   World world = flat_world_with_ues(17, 2);
   ServiceConfig cfg;
-  std::mt19937_64 rng(18);
+  geo::Mt19937_64 rng(18);
   const std::vector<lte::TrafficSpec> two(2, lte::TrafficSpec{});
   EXPECT_THROW(run_service_hovering(world, {0, 0, 60}, {lte::TrafficSpec{}}, cfg, rng),
                ContractViolation);  // traffic count mismatch
@@ -149,7 +149,7 @@ TEST(ServiceTest, ZeroTtiDurationRejected) {
   // report NaN throughput (0/0) instead of failing the contract.
   World world = flat_world_with_ues(19, 2);
   const std::vector<lte::TrafficSpec> two(2, lte::TrafficSpec{});
-  std::mt19937_64 rng(20);
+  geo::Mt19937_64 rng(20);
   ServiceConfig cfg;
   cfg.duration_s = 0.0005;  // under one 1 ms TTI
   EXPECT_THROW(run_service_hovering(world, {0, 0, 60}, two, cfg, rng), ContractViolation);

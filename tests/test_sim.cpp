@@ -11,6 +11,7 @@
 
 #include "geo/contract.hpp"
 #include "geo/hash.hpp"
+#include "geo/mt19937.hpp"
 #include "kernels/kernels.hpp"
 #include "mobility/deployment.hpp"
 #include "sim/baselines.hpp"
@@ -104,7 +105,7 @@ TEST(MeasurementTest, ReportsLandInRems) {
   rem::RemBank rems = bank_for(world, world.ue_positions());
   const geo::Path track({{50.0, 50.0}, {250.0, 50.0}});
   const uav::FlightPlan plan = uav::FlightPlan::at_altitude(track, 60.0);
-  std::mt19937_64 rng(9);
+  geo::Mt19937_64 rng(9);
   const std::size_t reports = run_measurement_flight(world, plan, rems, {}, rng);
   EXPECT_GT(reports, 100u);  // 200 m at 30 km/h and 100 Hz -> ~2400 reports
   EXPECT_FALSE(rems.estimates_current());  // deposits mark cells dirty
@@ -130,7 +131,7 @@ TEST(MeasurementTest, MeasuredSnrNearTruth) {
   world.ue_positions() = {geo::Vec3{120.0, 120.0, 1.5}};
   rem::RemBank rems = bank_for(world, world.ue_positions());
   const geo::Path track({{50.0, 150.0}, {250.0, 150.0}});
-  std::mt19937_64 rng(10);
+  geo::Mt19937_64 rng(10);
   MeasurementConfig cfg;
   cfg.fading_sigma_db = 0.5;
   run_measurement_flight(world, uav::FlightPlan::at_altitude(track, 60.0), rems, cfg, rng);
@@ -149,7 +150,7 @@ TEST(MeasurementTest, Contracts) {
   World world = make_campus_world(8);
   const uav::FlightPlan plan =
       uav::FlightPlan::at_altitude(geo::Path({{0.0, 0.0}, {10.0, 0.0}}), 60.0);
-  std::mt19937_64 rng(1);
+  geo::Mt19937_64 rng(1);
   const std::vector<geo::Vec3> three{world.ue_positions()[0], world.ue_positions()[1],
                                      world.ue_positions()[1]};
   rem::RemBank wrong_count = bank_for(world, three);
@@ -190,7 +191,7 @@ TEST(MeasurementTest, FaultedRayTracedFlightPinned) {
       .add({FaultKind::kSrsSnrSag, 6.0, 14.0, 7.5, 0.0})
       .add({FaultKind::kBackhaulOutage, 12.0, 17.0, 0.0, 0.0});
   FaultInjector faults(plan);
-  std::mt19937_64 rng(21);
+  geo::Mt19937_64 rng(21);
   const std::size_t reports = run_measurement_flight(
       world, uav::FlightPlan::at_altitude(track, 60.0), rems, {}, rng, &faults, 1.5);
   EXPECT_EQ(reports, 2881u);

@@ -404,6 +404,37 @@ TEST(GenerationStoreTest, ForeignSessionNewestFallsBackToOwnGeneration) {
   EXPECT_NE(store.last_errors()[0].find("snapshot seed"), std::string::npos);
 }
 
+// A new session started where another left higher-numbered generations
+// keeps what it writes: save prunes only below the generation it wrote, and
+// the walk rejects the foreign ones and restores this session's.
+TEST(GenerationStoreTest, ForeignHigherGenerationsDoNotPruneANewSession) {
+  TempDir dir("mgr_foreign_higher");
+  sim::GenerationStore store = testcampaign::snapshot_store(dir.path);
+  core::Snapshot foreign = sample_snapshot();
+  foreign.seed = testcampaign::kCampaignSeed + 1;
+  for (int e = 3; e <= 4; ++e) {
+    foreign.epoch = e;
+    save(store, foreign);
+  }
+  sim::World world(testcampaign::world_config());
+  core::SkyRan session(world, testcampaign::skyran_config(1), testcampaign::kCampaignSeed);
+  testcampaign::run_epochs(session, world, 1);
+  const core::Snapshot own = session.snapshot();
+  ASSERT_EQ(own.epoch, 1);
+  const fs::path own_path = save(store, own);
+  EXPECT_TRUE(fs::exists(own_path));
+  EXPECT_EQ(store.generations().size(), 3u);
+
+  sim::World fresh_world(testcampaign::world_config());
+  core::SkyRan resumed(fresh_world, testcampaign::skyran_config(1),
+                       testcampaign::kCampaignSeed);
+  EXPECT_EQ(testcampaign::restore_snapshot(store, resumed), 1);
+  EXPECT_EQ(to_bytes(resumed.snapshot()), to_bytes(own));
+  ASSERT_EQ(store.last_errors().size(), 2u);
+  EXPECT_NE(store.last_errors()[0].find("ckpt-00000004.skyc"), std::string::npos);
+  EXPECT_NE(store.last_errors()[1].find("ckpt-00000003.skyc"), std::string::npos);
+}
+
 // ----------------------------------------------------------- shutdown flag --
 
 TEST(ShutdownFlagTest, SignalSetsFlagOnce) {
