@@ -83,11 +83,9 @@ int main(int argc, char** argv) {
         rem::PlannerConfig pc;
         pc.k_min = kmin;
         pc.k_max = kmax;
-        pc.budget_m = remaining;
-        pc.seed = 860 + s;
-        rems.estimate_all(pc.idw);
+        rems.estimate_all();
         const rem::PlannedTrajectory plan =
-            rem::plan_measurement_trajectory(rems, histories, start, pc);
+            rem::plan_measurement_trajectory(rems, histories, start, remaining, 860 + s, pc);
         if (plan.cost_m < 1.0) break;
         sim::run_measurement_flight(world,
                                     uav::FlightPlan::at_altitude(plan.path, kAltitude), rems,
@@ -120,12 +118,9 @@ int main(int argc, char** argv) {
       geo::Path first;
       geo::Vec2 start = world.area().center();
       for (int round = 0; round < 2; ++round) {
-        rem::PlannerConfig pc;
-        pc.budget_m = 300.0;
-        pc.seed = 880 + s + round;
-        rems.estimate_all(pc.idw);
+        rems.estimate_all();
         const rem::PlannedTrajectory plan =
-            rem::plan_measurement_trajectory(rems, histories, start, pc);
+            rem::plan_measurement_trajectory(rems, histories, start, 300.0, 880 + s + round);
         sim::run_measurement_flight(world,
                                     uav::FlightPlan::at_altitude(plan.path, kAltitude), rems,
                                     {}, rng);

@@ -145,12 +145,9 @@ inline double run_planner_rounds(const sim::World& world, rem::RemBank& bank, do
   double flown = 0.0;
   geo::Vec2 start = world.area().center();
   while (remaining > std::max(60.0, 0.1 * budget_m)) {
-    rem::PlannerConfig pc;
-    pc.budget_m = remaining;
-    pc.seed = seed++;
-    bank.estimate_all(pc.idw);
+    bank.estimate_all();
     const rem::PlannedTrajectory plan =
-        rem::plan_measurement_trajectory(bank, histories, start, pc);
+        rem::plan_measurement_trajectory(bank, histories, start, remaining, seed++);
     if (plan.cost_m < 1.0) break;
     sim::run_measurement_flight(world, uav::FlightPlan::at_altitude(plan.path, altitude_m),
                                 bank, {}, rng);

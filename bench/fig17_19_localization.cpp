@@ -24,13 +24,11 @@ int main(int argc, char** argv) {
                                              world.area().center(), 20.0, 9.0, 200 + s);
     const auto samples =
         uav::fly(uav::FlightPlan::at_altitude(track, 60.0), 1.0 / rc.gps_rate_hz);
-    const localization::ChannelLosOracle los(world.channel());
     geo::Mt19937_64 rng(210 + s);
     for (std::size_t u = 0; u < 3; ++u) {
       uav::GpsSensor gps(220 + s * 3 + u);
       const localization::GpsTofSeries tuples = localization::collect_gps_tof(
-          samples, world.ue_positions()[u], world.channel(), los, world.budget(), gps, rc,
-          rng);
+          samples, world.ue_positions()[u], world.channel(), world.budget(), gps, rc, rng);
       for (const localization::GpsTofTuple& t : tuples)
         rng_err[u].push_back(std::abs(
             t.range_m - (t.uav_position.dist(world.ue_positions()[u]) +

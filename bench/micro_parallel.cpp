@@ -179,11 +179,10 @@ int main(int argc, char** argv) {
     for (int i = 0; i < 8; ++i) bank.add_ue({{u(rng), u(rng)}, 1.5});
     for (std::size_t i = 0; i < bank.ue_count(); ++i)
       for (int m = 0; m < 150; ++m) bank.add_measurement(i, {u(rng), u(rng)}, snr(rng));
-    const rem::PlannerConfig cfg;
-    bank.estimate_all(cfg.idw);
+    bank.estimate_all();
     const std::vector<rem::TrajectoryHistory> history(bank.ue_count());
     const auto run = [&] {
-      return rem::plan_measurement_trajectory(bank, history, {200.0, 200.0}, cfg);
+      return rem::plan_measurement_trajectory(bank, history, {200.0, 200.0}, 0.0, 7);
     };
     report("plan_trajectory", run().high_gradient_cells, workers, reps, run,
            [](const rem::PlannedTrajectory& a, const rem::PlannedTrajectory& b) {

@@ -217,8 +217,6 @@ EpochReport SkyRan::run_epoch() {
   // spent. Each round replans from the previous tour's endpoint with that
   // tour added to the history, so successive rounds explore new regions
   // (the info-gain term steers them away from what was just flown).
-  rem::PlannerConfig planner = config_.planner;
-  planner.idw = config_.idw;
   const double budget = config_.measurement_budget_m;
   double remaining = budget > 0.0 ? budget : 0.0;
   geo::Vec2 tour_start = world_.area().clamp(position_);
@@ -236,13 +234,13 @@ EpochReport SkyRan::run_epoch() {
       break;
     }
     SKYRAN_TRACE_SPAN("epoch.measure_round");
-    planner.budget_m = budget > 0.0 ? remaining : 0.0;
-    planner.seed = rng_();
+    const std::uint64_t plan_seed = rng_();
     // Refresh: UEs the previous round deposited into are re-rastered, the
     // rest are served from the cache (every UE on the first round).
-    bank_->estimate_all(planner.idw);
-    const rem::PlannedTrajectory plan =
-        rem::plan_measurement_trajectory(*bank_, histories, tour_start, planner);
+    bank_->estimate_all(config_.idw);
+    const rem::PlannedTrajectory plan = rem::plan_measurement_trajectory(
+        *bank_, histories, tour_start, budget > 0.0 ? remaining : 0.0, plan_seed,
+        config_.planner);
     if (plan.cost_m < 1.0) break;
     if (first_round) {
       report.planned_k = plan.k;

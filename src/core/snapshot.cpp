@@ -6,6 +6,7 @@
 #include "core/skyran.hpp"
 #include "geo/binio.hpp"
 #include "geo/hash.hpp"
+#include "sim/config_hash.hpp"
 #include "sim/generation_store.hpp"
 
 namespace skyran::core {
@@ -34,6 +35,8 @@ std::uint64_t config_digest(const SkyRanConfig& c) {
   h.pod(c.battery.forward_power_w_per_mps);
   h.pod(c.planner.k_min);
   h.pod(c.planner.k_max);
+  h.pod(c.planner.info.i_max);
+  h.pod(c.planner.info.sample_spacing_m);
   h.pod(c.idw.k_neighbors);
   h.pod(c.idw.power);
   h.pod(c.idw.max_radius_m);
@@ -43,22 +46,36 @@ std::uint64_t config_digest(const SkyRanConfig& c) {
   h.pod(c.localizer.flight_altitude_m);
   h.pod(c.localizer.cruise_mps);
   h.pod(c.localizer.gps_sigma_m);
+  const localization::RangingConfig& r = c.localizer.ranging;
+  sim::hash_config(h, r.srs.carrier);
+  h.pod(r.srs.sounding_prb);
+  h.pod(r.srs.comb);
+  h.pod(r.srs.comb_offset);
+  h.pod(r.srs.zc_root);
+  h.pod(r.k_factor);
+  h.pod(r.processing_offset_m);
+  h.pod(r.srs_rate_hz);
+  h.pod(r.gps_rate_hz);
+  h.pod(r.min_snr_db);
+  h.pod(r.min_peak_to_side_db);
+  h.pod(r.nlos_taps);
+  h.pod(r.nlos_mean_excess_ns);
+  h.pod(r.nlos_first_tap_power_db);
+  h.pod(r.nlos_tap_decay_db);
   h.pod(c.measurement.report_rate_hz);
   h.pod(c.measurement.fading_sigma_db);
   h.pod(static_cast<std::int32_t>(c.objective));
   h.pod(c.service.ttis);
-  h.pod(static_cast<std::int32_t>(c.service.ue_traffic.model));
-  h.pod(c.service.ue_traffic.rate_bps);
-  h.pod(c.faults.seed);
-  h.pod(static_cast<std::uint64_t>(c.faults.windows.size()));
-  for (const sim::FaultWindow& w : c.faults.windows) {
-    h.pod(static_cast<std::int32_t>(w.kind));
-    h.pod(w.start_s);
-    h.pod(w.end_s);
-    h.pod(w.magnitude);
-    h.pod(w.heading_rad);
-    h.pod(w.cell);
-  }
+  sim::hash_config(h, c.service.plane);  // run_epoch sets its carrier and seed
+  const lte::TrafficSpec& t = c.service.ue_traffic;
+  h.pod(static_cast<std::int32_t>(t.model));
+  h.pod(t.rate_bps);
+  h.pod(t.mean_on_ttis);
+  h.pod(t.mean_off_ttis);
+  h.pod(t.frame_interval_ttis);
+  h.pod(t.gop_frames);
+  h.pod(t.multicast_subscriber);
+  sim::hash_config(h, c.faults);
   // threads intentionally excluded: serial == N-worker bit-identity makes
   // the worker count resume-neutral.
   return h.value();

@@ -27,7 +27,6 @@ LocalizationRun UeLocalizer::localize(geo::Vec2 start, std::vector<geo::Vec3> tr
   const std::vector<uav::FlightSample> samples =
       uav::fly(plan, 1.0 / config_.ranging.gps_rate_hz);
 
-  const ChannelLosOracle los(channel_);
   LocalizationRun run;
   run.flight_length_m = plan.length_m();
   run.flight_duration_s = plan.duration_s();
@@ -44,10 +43,8 @@ LocalizationRun UeLocalizer::localize(geo::Vec2 start, std::vector<geo::Vec3> tr
   ue_altitudes.reserve(true_ue_positions.size());
   for (std::size_t i = 0; i < true_ue_positions.size(); ++i) {
     uav::GpsSensor gps(seed ^ (0x9125ULL + i), config_.gps_sigma_m);
-    if (config_.gps_outage_probability > 0.0)
-      gps.set_outage_model(config_.gps_outage_probability, config_.gps_outage_mean_samples);
-    per_ue_tuples.push_back(collect_gps_tof(samples, true_ue_positions[i], channel_, los,
-                                            budget_, gps, config_.ranging, rng, faults));
+    per_ue_tuples.push_back(collect_gps_tof(samples, true_ue_positions[i], channel_, budget_,
+                                            gps, config_.ranging, rng, faults));
     ue_altitudes.push_back(true_ue_positions[i].z);
   }
 

@@ -23,10 +23,6 @@ struct LocalizerConfig {
   double flight_altitude_m = 60.0;
   double cruise_mps = uav::kDefaultCruiseMps;
   double gps_sigma_m = 1.5;
-  /// Optional GPS outage model (Gilbert): probability of losing lock per
-  /// 50 Hz sample and mean outage length in samples. 0 = never.
-  double gps_outage_probability = 0.0;
-  double gps_outage_mean_samples = 10.0;
 };
 
 struct UeLocationEstimate {
@@ -44,7 +40,8 @@ struct LocalizationRun {
 
 class UeLocalizer {
  public:
-  /// `channel` is the ground-truth propagation world (also the LOS oracle).
+  /// `channel` is the ground-truth propagation world (path loss and line of
+  /// sight).
   UeLocalizer(const rf::RayTraceChannel& channel, rf::LinkBudget budget,
               LocalizerConfig config);
 

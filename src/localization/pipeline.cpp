@@ -11,10 +11,9 @@
 namespace skyran::localization {
 
 GpsTofSeries collect_gps_tof(const std::vector<uav::FlightSample>& flight, geo::Vec3 ue_position,
-                             const rf::ChannelModel& channel, const LosOracle& los,
-                             const rf::LinkBudget& budget, uav::GpsSensor& gps,
-                             const RangingConfig& config, geo::Mt19937_64& rng,
-                             RangingFaultModel* faults) {
+                             const rf::RayTraceChannel& channel, const rf::LinkBudget& budget,
+                             uav::GpsSensor& gps, const RangingConfig& config,
+                             geo::Mt19937_64& rng, RangingFaultModel* faults) {
   expects(config.srs_rate_hz >= config.gps_rate_hz,
           "collect_gps_tof: SRS must report at least as fast as GPS");
   // An empty or single-point flight has zero measurement intervals. Bail out
@@ -36,9 +35,8 @@ GpsTofSeries collect_gps_tof(const std::vector<uav::FlightSample>& flight, geo::
   // the output bit-identical to a fully serial sweep; only the serial ones
   // draw from an RNG, and they draw in flight order:
   //   1. serial: each symbol's geometry and the injected SRS loss;
-  //   2. parallel: path loss, sag and SNR gate, and line of sight where the
-  //      gate passes (pure functions of geometry; one ray trace gives both
-  //      when the oracle is the channel's own);
+  //   2. parallel: one ray trace per symbol for path loss and line of
+  //      sight, then sag and the SNR gate (pure functions of geometry);
   //   3. serial (span `loc.collect.draws`): the NLOS tap draws and the
   //      receiver noise into the symbol's own buffer. Noise is written on
   //      the occupied bins only, which are all the correlator reads, but
@@ -55,10 +53,6 @@ GpsTofSeries collect_gps_tof(const std::vector<uav::FlightSample>& flight, geo::
   const std::size_t batch_intervals =
       std::max<std::size_t>(1, kBatchSymbolBudget / static_cast<std::size_t>(srs_per_gps));
   const std::size_t n_intervals = flight.size() - 1;
-  // When the oracle answers from `channel` itself, one ray march per symbol
-  // gives both the path loss and the line of sight.
-  const rf::RayTraceChannel* own_trace = los.ray_trace_channel();
-  if (own_trace != &channel) own_trace = nullptr;
 
   SKYRAN_TRACE_SPAN("loc.collect_gps_tof");
   std::uint64_t dropped_low_snr = 0;
@@ -103,16 +97,11 @@ GpsTofSeries collect_gps_tof(const std::vector<uav::FlightSample>& flight, geo::
 
     core::parallel_for(candidates.size(), [&](std::size_t k) {
       Candidate& c = candidates[k];
-      rf::RayTraceChannel::Link link;
-      if (own_trace != nullptr)
-        link = own_trace->trace(c.uav, ue_position);
-      else
-        link.path_loss_db = channel.path_loss_db(c.uav, ue_position);
+      const rf::RayTraceChannel::Link link = channel.trace(c.uav, ue_position);
       c.snr_db = budget.snr_db(link.path_loss_db);
       if (faults != nullptr) c.snr_db -= faults->srs_snr_sag_db(c.time_s);
       c.decoded = c.snr_db >= config.min_snr_db;  // else the decoder lost the symbol
-      c.los = c.decoded && (own_trace != nullptr ? link.line_of_sight
-                                                 : los.line_of_sight(c.uav, ue_position));
+      c.los = c.decoded && link.line_of_sight;
     });
 
     std::size_t n_received = 0;

@@ -45,23 +45,10 @@ struct RangingConfig {
   double nlos_tap_decay_db = 4.0;
 };
 
-/// Whether a UE is reachable by a direct ray from a UAV position; feeds the
-/// multipath decision. Provided by RayTraceChannel in practice. Queried
-/// concurrently from pool threads, so line_of_sight must not mutate state.
-class LosOracle {
- public:
-  virtual ~LosOracle() = default;
-  virtual bool line_of_sight(geo::Vec3 uav, geo::Vec3 ue) const = 0;
-  /// The ray-traced channel this oracle answers from, if any. When it is
-  /// also the path-loss channel, collect_gps_tof reads both values from one
-  /// RayTraceChannel::trace.
-  virtual const rf::RayTraceChannel* ray_trace_channel() const { return nullptr; }
-};
-
 /// Scripted degradation applied to the ranging pipeline (fault injection).
-/// Implemented by sim::FaultInjector; defined here (like LosOracle) so the
-/// localization layer stays independent of the simulation layer. Times are
-/// seconds of epoch flight time (the localization flight starts at t = 0).
+/// Implemented by sim::FaultInjector; defined here so the localization layer
+/// stays independent of the simulation layer. Times are seconds of epoch
+/// flight time (the localization flight starts at t = 0).
 class RangingFaultModel {
  public:
   virtual ~RangingFaultModel() = default;
@@ -76,37 +63,24 @@ class RangingFaultModel {
   virtual bool gps_forced_outage(double t) const = 0;
 };
 
-/// LosOracle over a ray-traced channel.
-class ChannelLosOracle final : public LosOracle {
- public:
-  explicit ChannelLosOracle(const rf::RayTraceChannel& channel) : channel_(channel) {}
-  bool line_of_sight(geo::Vec3 uav, geo::Vec3 ue) const override {
-    return channel_.line_of_sight(uav, ue);
-  }
-  const rf::RayTraceChannel* ray_trace_channel() const override { return &channel_; }
-
- private:
-  const rf::RayTraceChannel& channel_;
-};
-
 /// Collect GPS-ToF tuples for one UE over a flown trajectory.
 ///
 /// `flight` must be sampled at the GPS rate (uav::fly with dt = 1/gps_rate).
 /// A flight with fewer than two samples has no measurement interval and
 /// yields an empty series — legitimate for a UAV that spent the whole epoch
 /// at the depot (battery swap) or had its tour truncated to nothing.
-/// `channel` provides true path losses (for SRS SNR); `los` drives the
-/// multipath profile; `gps` adds receiver position noise. `faults`, when
-/// non-null, injects scripted SRS loss / SNR sag / GPS outage windows; the
-/// pipeline degrades by dropping the affected tuples (never by aborting).
-/// Path loss, sag, line of sight and the per-symbol channel response run on
-/// the thread pool; srs_symbol_lost, every `rng` draw and the GPS sensor stay
-/// on the calling thread in flight order, so the output is bit-identical for
-/// any worker count.
+/// `channel` is the ground truth: one ray trace per symbol gives the path
+/// loss (for SRS SNR) and the line of sight (LOS symbols are clean, NLOS
+/// ones get multipath echoes); `gps` adds receiver position noise. `faults`,
+/// when non-null, injects scripted SRS loss / SNR sag / GPS outage windows;
+/// the pipeline degrades by dropping the affected tuples (never by aborting).
+/// Ray traces, sag and the per-symbol channel response run on the thread
+/// pool; srs_symbol_lost, every `rng` draw and the GPS sensor stay on the
+/// calling thread in flight order, so the output is bit-identical for any
+/// worker count.
 GpsTofSeries collect_gps_tof(const std::vector<uav::FlightSample>& flight, geo::Vec3 ue_position,
-                             const rf::ChannelModel& channel, const LosOracle& los,
-                             const rf::LinkBudget& budget, uav::GpsSensor& gps,
-                             const RangingConfig& config, geo::Mt19937_64& rng,
-                             RangingFaultModel* faults = nullptr);
+                             const rf::RayTraceChannel& channel, const rf::LinkBudget& budget,
+                             uav::GpsSensor& gps, const RangingConfig& config,
+                             geo::Mt19937_64& rng, RangingFaultModel* faults = nullptr);
 
 }  // namespace skyran::localization

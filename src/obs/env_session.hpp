@@ -5,10 +5,13 @@
 //
 // Instrumentation is enabled during static initialization (before main)
 // and the dump happens after main returns, so the whole run is covered
-// without any per-binary code. Off (and zero-cost beyond one atomic load
-// per instrumentation site) when the variable is unset.
+// without any per-binary code. A path that cannot be opened is reported on
+// stderr. Off (and zero-cost beyond one atomic load per instrumentation
+// site) when the variable is unset. tools/metrics_report.py validates and
+// renders a dump.
 #pragma once
 
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <string>
@@ -28,7 +31,10 @@ class EnvSession {
   ~EnvSession() {
     if (path_.empty()) return;
     std::ofstream os(path_);
-    if (os) write_json_lines(os);
+    if (os)
+      write_json_lines(os);
+    else
+      std::fprintf(stderr, "error: cannot open SKYRAN_METRICS_OUT=%s\n", path_.c_str());
   }
   EnvSession(const EnvSession&) = delete;
   EnvSession& operator=(const EnvSession&) = delete;

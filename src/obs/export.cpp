@@ -1,9 +1,7 @@
 #include "obs/export.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <map>
 #include <ostream>
 #include <vector>
 
@@ -71,83 +69,6 @@ void write_json_lines(std::ostream& os) {
        << "\",\"epoch\":" << e.epoch << ",\"depth\":" << e.depth
        << ",\"thread\":" << e.thread_id << ",\"start_us\":" << json_number(e.start_us)
        << ",\"dur_us\":" << json_number(e.duration_us) << "}\n";
-}
-
-namespace {
-
-/// Pad `s` to `width` (left-aligned).
-std::string pad(std::string s, std::size_t width) {
-  if (s.size() < width) s.append(width - s.size(), ' ');
-  return s;
-}
-
-std::string fmt(double v, int decimals) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.*f", decimals, v);
-  return buf;
-}
-
-}  // namespace
-
-void write_summary(std::ostream& os) {
-  const MetricsSnapshot snap = MetricsRegistry::instance().snapshot();
-  const std::vector<TraceEvent> spans = TraceJournal::instance().events();
-
-  std::size_t name_w = 24;
-  for (const auto& c : snap.counters) name_w = std::max(name_w, c.name.size());
-  for (const auto& g : snap.gauges) name_w = std::max(name_w, g.name.size());
-  for (const auto& h : snap.histograms) name_w = std::max(name_w, h.name.size());
-  name_w += 2;
-
-  if (!snap.counters.empty()) {
-    os << "== counters ==\n";
-    for (const auto& c : snap.counters)
-      os << "  " << pad(c.name, name_w) << c.value << "\n";
-  }
-  if (!snap.gauges.empty()) {
-    os << "== gauges ==\n";
-    for (const auto& g : snap.gauges)
-      os << "  " << pad(g.name, name_w) << fmt(g.value, 4) << "\n";
-  }
-  if (!snap.histograms.empty()) {
-    os << "== histograms ==\n";
-    os << "  " << pad("name", name_w) << pad("count", 10) << pad("mean", 12)
-       << pad("p50", 12) << pad("p90", 12) << pad("max", 12) << "\n";
-    for (const auto& h : snap.histograms) {
-      // Span-duration histograms are redundant with the span table below.
-      if (h.name.rfind("span.", 0) == 0) continue;
-      os << "  " << pad(h.name, name_w) << pad(std::to_string(h.count), 10)
-         << pad(fmt(h.mean, 3), 12) << pad(fmt(h.p50, 3), 12) << pad(fmt(h.p90, 3), 12)
-         << pad(fmt(h.max, 3), 12) << "\n";
-    }
-  }
-
-  if (!spans.empty()) {
-    struct SpanAgg {
-      std::uint64_t count = 0;
-      double total_us = 0.0;
-    };
-    std::map<std::string, SpanAgg> agg;
-    for (const TraceEvent& e : spans) {
-      SpanAgg& a = agg[e.name];
-      ++a.count;
-      a.total_us += e.duration_us;
-    }
-    std::vector<std::pair<std::string, SpanAgg>> rows(agg.begin(), agg.end());
-    std::sort(rows.begin(), rows.end(), [](const auto& a, const auto& b) {
-      return a.second.total_us > b.second.total_us;
-    });
-    os << "== spans (" << spans.size() << " events";
-    if (TraceJournal::instance().dropped() > 0)
-      os << ", " << TraceJournal::instance().dropped() << " dropped";
-    os << ") ==\n";
-    os << "  " << pad("name", name_w) << pad("count", 10) << pad("total_ms", 12)
-       << pad("mean_ms", 12) << "\n";
-    for (const auto& [name, a] : rows)
-      os << "  " << pad(name, name_w) << pad(std::to_string(a.count), 10)
-         << pad(fmt(a.total_us / 1e3, 3), 12)
-         << pad(fmt(a.total_us / 1e3 / static_cast<double>(a.count), 3), 12) << "\n";
-  }
 }
 
 }  // namespace skyran::obs

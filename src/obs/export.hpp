@@ -1,9 +1,9 @@
-// Exporters for the observability subsystem: machine-readable JSON lines
+// Exporter for the observability subsystem: machine-readable JSON lines
 // (one object per line: a meta header, one line per metric, one line per
-// trace span — schema in docs/OBSERVABILITY.md) and a human-readable
-// summary (aligned metric tables plus a per-epoch span breakdown). Both
-// read the process-wide MetricsRegistry and TraceJournal; neither mutates
-// them, so a run can be exported to several sinks.
+// trace span — schema in docs/OBSERVABILITY.md). It reads the process-wide
+// MetricsRegistry and TraceJournal without mutating them, so a run can be
+// exported to several sinks. tools/metrics_report.py renders a dump for
+// people.
 #pragma once
 
 #include <iosfwd>
@@ -24,11 +24,6 @@ inline constexpr int kJsonSchemaVersion = 1;
 ///   {"type":"span","name":...,"epoch":...,"depth":...,"thread":...,
 ///    "start_us":...,"dur_us":...}
 void write_json_lines(std::ostream& os);
-
-/// Human-readable summary: counters and gauges as name/value tables,
-/// histograms with count/mean/p50/p90/max, and span totals (count, total
-/// ms, mean ms) sorted by total time descending.
-void write_summary(std::ostream& os);
 
 /// Minimal JSON string escaping (quotes, backslash, control characters).
 std::string json_escape(std::string_view s);

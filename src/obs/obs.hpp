@@ -9,8 +9,9 @@
 //    simulation outputs are bit-identical with instrumentation on or off
 //    because recording never feeds back into simulation state.
 //  - Compiling with -DSKYRAN_OBS_DISABLED removes the macro bodies
-//    entirely (true zero overhead) at the price of losing --metrics-out /
-//    --trace at runtime; the default build keeps them.
+//    entirely (true zero overhead) at the price of losing the
+//    SKYRAN_METRICS_OUT dump (obs/env_session.hpp) at runtime; the default
+//    build keeps them.
 //
 // Naming conventions and the exported schema: docs/OBSERVABILITY.md.
 #pragma once

@@ -14,7 +14,8 @@ namespace skyran::rem {
 
 PlannedTrajectory plan_measurement_trajectory(const RemBank& bank,
                                               const std::vector<TrajectoryHistory>& history,
-                                              geo::Vec2 start, const PlannerConfig& config) {
+                                              geo::Vec2 start, double budget_m,
+                                              std::uint64_t seed, const PlannerConfig& config) {
   expects(bank.ue_count() > 0, "plan_measurement_trajectory: need at least one REM");
   expects(history.size() == bank.ue_count(),
           "plan_measurement_trajectory: history size must match REM count");
@@ -60,11 +61,10 @@ PlannedTrajectory plan_measurement_trajectory(const RemBank& bank,
       n_k,
       [&](std::size_t i) {
         const int k = config.k_min + static_cast<int>(i);
-        const KMeansResult clusters =
-            kmeans(points, k, config.seed + static_cast<std::uint64_t>(k));
+        const KMeansResult clusters = kmeans(points, k, seed + static_cast<std::uint64_t>(k));
         Candidate& c = candidates[i];
         c.tour = plan_tour(start, clusters.centroids);
-        if (config.budget_m > 0.0) c.tour = uav::truncate_to_budget(c.tour, config.budget_m);
+        if (budget_m > 0.0) c.tour = uav::truncate_to_budget(c.tour, budget_m);
         c.cost = c.tour.length();
         if (c.cost > 0.0) c.gain = average_info_gain(c.tour, history, config.info);
       },

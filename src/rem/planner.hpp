@@ -21,10 +21,6 @@ struct PlannerConfig {
   int k_min = 4;
   int k_max = 12;
   InfoGainParams info{};
-  IdwParams idw{};
-  /// Optional hard cap on the tour length (measurement budget); 0 = none.
-  double budget_m = 0.0;
-  std::uint64_t seed = 7;
 };
 
 struct PlannedTrajectory {
@@ -38,11 +34,14 @@ struct PlannedTrajectory {
 
 /// Plan the next measurement tour from `bank`'s cached per-UE estimates
 /// (possibly sparse REMs). Requires bank.estimates_current(): call
-/// RemBank::estimate_all with config.idw first. `history` holds the
-/// trajectories already flown per UE (bank order); `start` is the UAV's
-/// current ground position.
+/// RemBank::estimate_all first. `history` holds the trajectories already
+/// flown per UE (bank order); `start` is the UAV's current ground position.
+/// `budget_m` caps the tour length (0 = none); `seed` keys the k-means
+/// initialisation (K adds to it).
 PlannedTrajectory plan_measurement_trajectory(const RemBank& bank,
                                               const std::vector<TrajectoryHistory>& history,
-                                              geo::Vec2 start, const PlannerConfig& config);
+                                              geo::Vec2 start, double budget_m,
+                                              std::uint64_t seed,
+                                              const PlannerConfig& config = {});
 
 }  // namespace skyran::rem

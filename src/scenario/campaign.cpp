@@ -12,6 +12,7 @@
 #include "geo/stats.hpp"
 #include "lte/sampling.hpp"
 #include "obs/obs.hpp"
+#include "sim/config_hash.hpp"
 #include "sim/crash_point.hpp"
 
 namespace skyran::scenario {
@@ -91,7 +92,12 @@ std::uint64_t config_digest(const CampaignConfig& c) {
   h.pod(c.base_rate_bps);
   h.pod(c.min_service_sinr_db);
   h.pod(c.commuter_fraction);
-  // Fleet template (resume-relevant radio/mobility knobs).
+  // Fleet template (resume-relevant radio/mobility knobs; make_fleet sets
+  // its seed and the fleet its plane seeds; weather windows are appended to
+  // the fault template and hashed below).
+  sim::hash_config(h, c.fleet.plane);
+  sim::hash_config(h, c.fleet.plane.carrier);
+  sim::hash_config(h, c.fleet.faults);
   h.pod(c.fleet.cell_tx_power_dbm);
   h.pod(c.fleet.cell_antenna_gain_dbi);
   h.pod(c.fleet.ue_antenna_gain_dbi);

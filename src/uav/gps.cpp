@@ -12,43 +12,16 @@ GpsSensor::GpsSensor(std::uint64_t seed, double horizontal_sigma_m, double verti
   expects(vertical_sigma_m >= 0.0, "GpsSensor: vertical sigma must be >= 0");
 }
 
-void GpsSensor::set_outage_model(double enter_probability, double mean_length_samples) {
-  expects(enter_probability >= 0.0 && enter_probability < 1.0,
-          "GpsSensor: outage probability must be in [0,1)");
-  expects(mean_length_samples >= 1.0 || enter_probability == 0.0,
-          "GpsSensor: mean outage length must be >= 1 sample");
-  outage_enter_prob_ = enter_probability;
-  outage_mean_len_ = mean_length_samples;
-}
-
 GpsFix GpsSensor::sample(geo::Vec3 p, double t) {
   if (outage_left_ > 0) {
     --outage_left_;
     return {t, have_last_ ? last_valid_ : p, false};
-  }
-  if (outage_enter_prob_ > 0.0) {
-    std::uniform_real_distribution<double> u01(0.0, 1.0);
-    if (u01(rng_) < outage_enter_prob_) {
-      outage_left_ = sample_outage_length();
-      --outage_left_;
-      return {t, have_last_ ? last_valid_ : p, false};
-    }
   }
   const GpsFix fix{t, {p.x + horizontal_(rng_), p.y + horizontal_(rng_), p.z + vertical_(rng_)},
                    true};
   last_valid_ = fix.position;
   have_last_ = true;
   return fix;
-}
-
-int GpsSensor::sample_outage_length() {
-  // An outage is 1 + Geometric(1/mean) samples long, which has mean
-  // `outage_mean_len_`. geometric_distribution requires p strictly inside
-  // (0,1): mean == 1 maps to p == 1 (undefined behavior), so outages of the
-  // minimum mean length are emitted as exactly one sample instead.
-  if (outage_mean_len_ <= 1.0) return 1;
-  std::geometric_distribution<int> len(1.0 / outage_mean_len_);
-  return 1 + len(rng_);
 }
 
 void GpsSensor::force_outage_for(int samples) {

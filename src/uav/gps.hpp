@@ -27,13 +27,9 @@ class GpsSensor {
   /// fix repeats the last valid position with `valid = false`.
   GpsFix sample(geo::Vec3 p, double t);
 
-  /// Enable a two-state (Gilbert) outage model: per-sample probability of
-  /// entering an outage, and mean outage length in samples. Multirotor GPS
-  /// loses lock near structures; localization must tolerate gaps.
-  void set_outage_model(double enter_probability, double mean_length_samples);
-
-  /// Force the next `samples` fixes to be outages (fault injection: a
-  /// scripted outage window drives the same machinery as the random model).
+  /// Force the next `samples` fixes to be outages. Multirotor GPS loses
+  /// lock near structures; a scripted sim::FaultPlan kGpsOutage window
+  /// drives this so localization is tested against the gaps.
   void force_outage_for(int samples);
 
   bool in_outage() const { return outage_left_ > 0; }
@@ -41,13 +37,9 @@ class GpsSensor {
   static constexpr double kRateHz = 50.0;
 
  private:
-  int sample_outage_length();
-
   geo::Mt19937_64 rng_;
   std::normal_distribution<double> horizontal_;
   std::normal_distribution<double> vertical_;
-  double outage_enter_prob_ = 0.0;
-  double outage_mean_len_ = 0.0;
   int outage_left_ = 0;
   geo::Vec3 last_valid_;
   bool have_last_ = false;

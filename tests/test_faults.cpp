@@ -353,36 +353,7 @@ TEST(BatteryAccounting, MidFlightAbortKeepsPartialDeposits) {
 
 // ----------------------------------------------------------------- gps -----
 
-TEST(GpsOutageFix, MeanLengthOneIsDefinedBehavior) {
-  // set_outage_model(p, 1.0) used to construct geometric_distribution with
-  // p == 1.0 — undefined behavior (UBSan caught it). Outages of mean length
-  // one must now last exactly one sample.
-  uav::GpsSensor gps(5);
-  gps.set_outage_model(0.5, 1.0);
-  int invalid = 0, valid = 0;
-  for (int i = 0; i < 4000; ++i) {
-    const uav::GpsFix fix = gps.sample({10.0, 20.0, 60.0}, 0.02 * i);
-    fix.valid ? ++valid : ++invalid;
-    // A mean-1 outage never spans into the next sample.
-    EXPECT_FALSE(gps.in_outage());
-  }
-  EXPECT_GT(invalid, 1000);
-  EXPECT_GT(valid, 1000);
-}
-
-TEST(GpsOutageFix, LongerMeansStillProduceMultiSampleOutages) {
-  uav::GpsSensor gps(6);
-  gps.set_outage_model(0.2, 8.0);
-  int longest = 0, current = 0;
-  for (int i = 0; i < 4000; ++i) {
-    const uav::GpsFix fix = gps.sample({0.0, 0.0, 60.0}, 0.02 * i);
-    current = fix.valid ? 0 : current + 1;
-    longest = std::max(longest, current);
-  }
-  EXPECT_GT(longest, 3);
-}
-
-TEST(GpsOutageFix, ForcedOutageDrivesExistingModel) {
+TEST(GpsOutageFix, ForcedOutageRepeatsLastValidFix) {
   uav::GpsSensor gps(7);
   const uav::GpsFix before = gps.sample({1.0, 2.0, 60.0}, 0.0);
   ASSERT_TRUE(before.valid);

@@ -175,12 +175,11 @@ TEST_F(PipelineFixture, TuplesTrackTrueRangePlusOffset) {
   const geo::Path track =
       uav::random_walk(world_->area().inflated(-10.0), {150.0, 150.0}, 30.0, 9.0, 5);
   const auto samples = uav::fly(uav::FlightPlan::at_altitude(track, 60.0), 1.0 / rc.gps_rate_hz);
-  const ChannelLosOracle los(world_->channel());
   uav::GpsSensor gps(6);
   geo::Mt19937_64 rng(7);
   const geo::Vec3 ue = world_->ue_positions()[0];
   const GpsTofSeries tuples =
-      collect_gps_tof(samples, ue, world_->channel(), los, world_->budget(), gps, rc, rng);
+      collect_gps_tof(samples, ue, world_->channel(), world_->budget(), gps, rc, rng);
   ASSERT_GE(tuples.size(), 20u);
   std::vector<double> errors;
   for (const GpsTofTuple& t : tuples)
@@ -196,11 +195,10 @@ TEST_F(PipelineFixture, LowSnrReportsDropped) {
   const geo::Path track =
       uav::random_walk(world_->area().inflated(-10.0), {150.0, 150.0}, 20.0, 9.0, 5);
   const auto samples = uav::fly(uav::FlightPlan::at_altitude(track, 60.0), 1.0 / rc.gps_rate_hz);
-  const ChannelLosOracle los(world_->channel());
   uav::GpsSensor gps(6);
   geo::Mt19937_64 rng(7);
   const GpsTofSeries tuples = collect_gps_tof(samples, world_->ue_positions()[0],
-                                              world_->channel(), los, world_->budget(), gps,
+                                              world_->channel(), world_->budget(), gps,
                                               rc, rng);
   EXPECT_TRUE(tuples.empty());
 }
@@ -210,17 +208,16 @@ TEST_F(PipelineFixture, EmptyOrSinglePointFlightYieldsEmptySeries) {
   // flight to ~2^64 intervals. A UAV that spent the whole epoch at the depot
   // (battery swap) legitimately hands the pipeline a zero-length flight.
   RangingConfig rc;
-  const ChannelLosOracle los(world_->channel());
   uav::GpsSensor gps(6);
   geo::Mt19937_64 rng(7);
   const geo::Vec3 ue = world_->ue_positions()[0];
   const std::vector<uav::FlightSample> empty;
   EXPECT_TRUE(
-      collect_gps_tof(empty, ue, world_->channel(), los, world_->budget(), gps, rc, rng)
+      collect_gps_tof(empty, ue, world_->channel(), world_->budget(), gps, rc, rng)
           .empty());
   const std::vector<uav::FlightSample> single{{0.0, {150.0, 150.0, 60.0}, 0.0}};
   EXPECT_TRUE(
-      collect_gps_tof(single, ue, world_->channel(), los, world_->budget(), gps, rc, rng)
+      collect_gps_tof(single, ue, world_->channel(), world_->budget(), gps, rc, rng)
           .empty());
 }
 
@@ -238,7 +235,6 @@ TEST_F(PipelineFixture, FaultedRayTracedTuplesPinned) {
       .add({sim::FaultKind::kSrsSnrSag, 2.5, 5.0, 30.0, 0.0})
       .add({sim::FaultKind::kGpsOutage, 5.5, 6.5, 0.0, 0.0});
   sim::FaultInjector faults(plan);
-  const ChannelLosOracle los(world_->channel());
   geo::Mt19937_64 rng(7);
   struct Pinned {
     std::size_t tuples;
@@ -254,10 +250,11 @@ TEST_F(PipelineFixture, FaultedRayTracedTuplesPinned) {
   for (std::size_t i = 0; i < world_->ue_positions().size(); ++i) {
     SCOPED_TRACE(i);
     const geo::Vec3 ue = world_->ue_positions()[i];
-    for (const uav::FlightSample& s : samples) nlos_samples += !los.line_of_sight(s.position, ue);
+    for (const uav::FlightSample& s : samples)
+      nlos_samples += !world_->channel().line_of_sight(s.position, ue);
     uav::GpsSensor gps(6 + i);
     const GpsTofSeries tuples =
-        collect_gps_tof(samples, ue, world_->channel(), los, world_->budget(), gps, rc, rng, &faults);
+        collect_gps_tof(samples, ue, world_->channel(), world_->budget(), gps, rc, rng, &faults);
     geo::Fnv1a h;
     for (const GpsTofTuple& t : tuples) h.pod(t);
     EXPECT_EQ(tuples.size(), pinned[i].tuples);
@@ -287,11 +284,21 @@ TEST_F(PipelineFixture, LocalizerEndToEndAccuracy) {
 
 TEST_F(PipelineFixture, LocalizerToleratesGpsOutages) {
   LocalizerConfig lc;
-  lc.gps_outage_probability = 0.05;  // frequent short outages
-  lc.gps_outage_mean_samples = 6.0;
   const UeLocalizer localizer(world_->channel(), world_->budget(), lc);
+  const LocalizationRun clean = localizer.localize({150.0, 150.0}, world_->ue_positions(), 77);
+  // Frequent short outages: a 0.25 s window (about 12 GPS fixes) every
+  // second, so about a quarter of the fixes are lost.
+  sim::FaultPlan plan;
+  for (double t = 0.5; t < clean.flight_duration_s; t += 1.0)
+    plan.add({sim::FaultKind::kGpsOutage, t, t + 0.25, 0.0, 0.0});
+  ASSERT_GE(plan.windows.size(), 3u);
+  sim::FaultInjector faults(plan);
   const LocalizationRun run =
-      localizer.localize({150.0, 150.0}, world_->ue_positions(), 77);
+      localizer.localize({150.0, 150.0}, world_->ue_positions(), 77, &faults);
+  bool moved = false;
+  for (std::size_t i = 0; i < run.estimates.size(); ++i)
+    moved = moved || run.estimates[i].position != clean.estimates[i].position;
+  EXPECT_TRUE(moved);  // the windows took tuples away
   std::vector<double> errs;
   for (std::size_t i = 0; i < run.estimates.size(); ++i)
     if (run.estimates[i].valid)

@@ -452,14 +452,12 @@ TEST(ParallelEquivalenceTest, PlanMeasurementTrajectory) {
   std::vector<rem::TrajectoryHistory> history(bank.ue_count());
   history[0].push_back(uav::random_walk(area, {150.0, 150.0}, 200.0, 40.0, 3));
   history[3].push_back(uav::random_walk(area, {60.0, 220.0}, 120.0, 30.0, 4));
-  rem::PlannerConfig cfg;
-  bank.estimate_all(cfg.idw);
+  bank.estimate_all();
   const geo::Vec2 start{20.0, 30.0};
 
   for (const double budget : {0.0, 180.0}) {
-    cfg.budget_m = budget;
     const auto plans = at_worker_counts(
-        [&] { return rem::plan_measurement_trajectory(bank, history, start, cfg); });
+        [&] { return rem::plan_measurement_trajectory(bank, history, start, budget, 7); });
     for (std::size_t w = 1; w < plans.size(); ++w) {
       SCOPED_TRACE(testing::Message() << "budget " << budget << " run " << w);
       EXPECT_EQ(plans[w].path.points(), plans[0].path.points());
@@ -547,38 +545,6 @@ TEST(ParallelEquivalenceTest, TofEstimateBatch) {
   EXPECT_EQ(est.estimate_batch(std::span<const lte::SrsSymbol>(received.data(), 1)).size(), 1u);
 }
 
-/// LOS decided by a pure function of geometry so the oracle needs no channel.
-class StripedLosOracle final : public localization::LosOracle {
- public:
-  bool line_of_sight(geo::Vec3 uav, geo::Vec3 ue) const override {
-    return static_cast<int>(uav.dist(ue) / 40.0) % 2 == 0;
-  }
-};
-
-TEST(ParallelEquivalenceTest, CollectGpsTofRanging) {
-  const auto run = [] {
-    geo::Path track({{20.0, 20.0}, {80.0, 30.0}, {60.0, 90.0}});
-    const uav::FlightPlan plan = uav::FlightPlan::at_altitude(track, 60.0);
-    const std::vector<uav::FlightSample> flight = uav::fly(plan, 1.0 / 50.0);
-    const rf::FsplChannel fspl(2.6e9);
-    const StripedLosOracle los;
-    uav::GpsSensor gps(99, 1.5);
-    geo::Mt19937_64 rng(31);
-    return localization::collect_gps_tof(flight, {120.0, 40.0, 1.5}, fspl, los,
-                                         rf::LinkBudget{}, gps, {}, rng);
-  };
-  const auto [serial, parallel] = serial_and_parallel(run);
-  ASSERT_EQ(serial.size(), parallel.size());
-  ASSERT_GT(serial.size(), 10u);
-  for (std::size_t i = 0; i < serial.size(); ++i) {
-    EXPECT_EQ(serial[i].time_s, parallel[i].time_s);
-    EXPECT_EQ(serial[i].range_m, parallel[i].range_m);
-    EXPECT_EQ(serial[i].uav_position.x, parallel[i].uav_position.x);
-    EXPECT_EQ(serial[i].uav_position.y, parallel[i].uav_position.y);
-    EXPECT_EQ(serial[i].uav_position.z, parallel[i].uav_position.z);
-  }
-}
-
 /// Ray-traced campus with four UEs of mixed visibility.
 sim::World campus_world() {
   sim::WorldConfig wc;
@@ -619,7 +585,6 @@ TEST(ParallelEquivalenceTest, MeasurementFlightFaulted) {
 
 TEST(ParallelEquivalenceTest, CollectGpsTofFaultedRayTraced) {
   const sim::World world = campus_world();
-  const localization::ChannelLosOracle los(world.channel());
   const localization::RangingConfig rc;
   const geo::Path track =
       uav::random_walk(world.area().inflated(-10.0), {150.0, 150.0}, 70.0, 9.0, 5);
@@ -637,7 +602,7 @@ TEST(ParallelEquivalenceTest, CollectGpsTofFaultedRayTraced) {
     for (std::size_t i = 0; i < world.ue_positions().size(); ++i) {
       uav::GpsSensor gps(6 + i);
       for (const localization::GpsTofTuple& t :
-           localization::collect_gps_tof(flight, world.ue_positions()[i], world.channel(), los,
+           localization::collect_gps_tof(flight, world.ue_positions()[i], world.channel(),
                                          world.budget(), gps, rc, rng, &faults))
         out.insert(out.end(), {t.time_s, t.uav_position.x, t.uav_position.y,
                                t.uav_position.z, t.range_m});

@@ -38,13 +38,11 @@ TEST_P(SeedSweep, PlannerToursStayInsideAreaAndBudget) {
   std::normal_distribution<double> g(10.0, 8.0);
   for (int i = 0; i < 300; ++i) map.add_measurement(0, {u(rng), u(rng)}, g(rng));
 
-  rem::PlannerConfig cfg;
-  cfg.budget_m = 100.0 + 50.0 * (seed() % 7);
-  cfg.seed = seed();
-  map.estimate_all(cfg.idw);
+  const double budget_m = 100.0 + 50.0 * (seed() % 7);
+  map.estimate_all();
   const rem::PlannedTrajectory plan =
-      rem::plan_measurement_trajectory(map, {{}}, {100.0, 100.0}, cfg);
-  EXPECT_LE(plan.cost_m, cfg.budget_m + 1e-6);
+      rem::plan_measurement_trajectory(map, {{}}, {100.0, 100.0}, budget_m, seed());
+  EXPECT_LE(plan.cost_m, budget_m + 1e-6);
   for (const geo::Vec2 p : plan.path.points())
     EXPECT_TRUE(map.area().contains(p)) << p;
 }

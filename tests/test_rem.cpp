@@ -277,11 +277,11 @@ TEST(PlannerTest, ProducesTourWithinBudget) {
   for (double x = 5.0; x < 95.0; x += 5.0)
     rem.add_measurement(0, {x, 50.0}, x < 50.0 ? 0.0 : 25.0);
 
-  PlannerConfig cfg;
-  cfg.budget_m = 150.0;
-  rem.estimate_all(cfg.idw);
+  const PlannerConfig cfg;
+  rem.estimate_all();
   const std::vector<TrajectoryHistory> history{{}};
-  const PlannedTrajectory plan = plan_measurement_trajectory(rem, history, {0.0, 0.0}, cfg);
+  const PlannedTrajectory plan =
+      plan_measurement_trajectory(rem, history, {0.0, 0.0}, 150.0, 7, cfg);
   EXPECT_LE(plan.cost_m, 150.0 + 1e-6);
   EXPECT_GT(plan.cost_m, 0.0);
   EXPECT_GE(plan.k, cfg.k_min);
@@ -297,31 +297,29 @@ TEST(PlannerTest, AvoidsRepeatingHistory) {
   for (double x = 5.0; x < 95.0; x += 5.0)
     for (double y = 5.0; y < 95.0; y += 25.0) rem.add_measurement(0, {x, y}, x + y);
 
-  PlannerConfig cfg;
-  rem.estimate_all(cfg.idw);
+  rem.estimate_all();
   // First plan with no history, then replan with that tour as history: the
   // second tour must differ (higher info gain elsewhere).
-  const PlannedTrajectory first = plan_measurement_trajectory(rem, {{}}, {0.0, 0.0}, cfg);
+  const PlannedTrajectory first = plan_measurement_trajectory(rem, {{}}, {0.0, 0.0}, 0.0, 7);
   const std::vector<TrajectoryHistory> history{{first.path}};
-  const PlannedTrajectory second = plan_measurement_trajectory(rem, history, {0.0, 0.0}, cfg);
+  const PlannedTrajectory second =
+      plan_measurement_trajectory(rem, history, {0.0, 0.0}, 0.0, 7);
   EXPECT_GT(second.path.mean_distance_to(first.path, 5.0), 1.0);
 }
 
 TEST(PlannerTest, HistorySizeMismatchRejected) {
   RemBank rem = one_ue(area100(), 5.0, {50.0, 50.0, 1.5});
   rem.estimate_all();
-  EXPECT_THROW(plan_measurement_trajectory(rem, {{}, {}}, {0.0, 0.0}, PlannerConfig{}),
+  EXPECT_THROW(plan_measurement_trajectory(rem, {{}, {}}, {0.0, 0.0}, 0.0, 7),
                ContractViolation);
 }
 
 TEST(PlannerTest, StaleOrEmptyBankRejected) {
   RemBank rem = one_ue(area100(), 5.0, {50.0, 50.0, 1.5});
-  EXPECT_THROW(plan_measurement_trajectory(rem, {{}}, {0.0, 0.0}, PlannerConfig{}),
-               ContractViolation);
+  EXPECT_THROW(plan_measurement_trajectory(rem, {{}}, {0.0, 0.0}, 0.0, 7), ContractViolation);
   RemBank empty(area100(), 5.0, 50.0);
   empty.estimate_all();
-  EXPECT_THROW(plan_measurement_trajectory(empty, {}, {0.0, 0.0}, PlannerConfig{}),
-               ContractViolation);
+  EXPECT_THROW(plan_measurement_trajectory(empty, {}, {0.0, 0.0}, 0.0, 7), ContractViolation);
 }
 
 /// One K of the selection-rule oracle: the tour it produced and its scores.
@@ -336,8 +334,8 @@ struct OracleK {
 /// ratio. `table` receives every K's cost and ratio.
 PlannedTrajectory serial_plan_oracle(const RemBank& bank,
                                      const std::vector<TrajectoryHistory>& history,
-                                     geo::Vec2 start, const PlannerConfig& config,
-                                     std::vector<OracleK>& table) {
+                                     geo::Vec2 start, double budget_m, std::uint64_t seed,
+                                     const PlannerConfig& config, std::vector<OracleK>& table) {
   geo::Grid2D<double> aggregate = bank.estimate_grid(0);
   for (std::size_t i = 1; i < bank.ue_count(); ++i) {
     const geo::FieldView<const double> est = bank.estimate(i);
@@ -355,9 +353,9 @@ PlannedTrajectory serial_plan_oracle(const RemBank& bank,
   bool have_best = false;
   table.clear();
   for (int k = config.k_min; k <= config.k_max; ++k) {
-    const KMeansResult clusters = kmeans(points, k, config.seed + static_cast<std::uint64_t>(k));
+    const KMeansResult clusters = kmeans(points, k, seed + static_cast<std::uint64_t>(k));
     geo::Path tour = plan_tour(start, clusters.centroids);
-    if (config.budget_m > 0.0) tour = uav::truncate_to_budget(tour, config.budget_m);
+    if (budget_m > 0.0) tour = uav::truncate_to_budget(tour, budget_m);
     const double cost = tour.length();
     table.push_back({k, cost, 0.0});
     if (cost <= 0.0) continue;
@@ -405,13 +403,15 @@ TEST(PlannerSelectionTest, EarliestKWinsAnEqualRatioTie) {
   cfg.k_max = 7;
   const std::vector<TrajectoryHistory> history(3);
   std::vector<OracleK> table;
-  const PlannedTrajectory want = serial_plan_oracle(bank, history, {5.0, 5.0}, cfg, table);
+  const PlannedTrajectory want =
+      serial_plan_oracle(bank, history, {5.0, 5.0}, 0.0, 7, cfg, table);
   ASSERT_EQ(want.high_gradient_cells, 0u);  // the fallback points were used
   for (const OracleK& row : table) {
     EXPECT_GT(row.cost, 0.0);
     EXPECT_EQ(row.ratio, table.front().ratio) << "K " << row.k << " is not tied";
   }
-  const PlannedTrajectory got = plan_measurement_trajectory(bank, history, {5.0, 5.0}, cfg);
+  const PlannedTrajectory got =
+      plan_measurement_trajectory(bank, history, {5.0, 5.0}, 0.0, 7, cfg);
   EXPECT_EQ(got.k, 3);
   expect_same_plan(got, want);
 }
@@ -426,10 +426,12 @@ TEST(PlannerSelectionTest, ZeroCostKIsSkipped) {
   cfg.k_max = 4;
   const std::vector<TrajectoryHistory> history(3);
   std::vector<OracleK> table;
-  const PlannedTrajectory want = serial_plan_oracle(bank, history, {50.0, 50.0}, cfg, table);
+  const PlannedTrajectory want =
+      serial_plan_oracle(bank, history, {50.0, 50.0}, 0.0, 7, cfg, table);
   ASSERT_EQ(table.front().k, 1);
   ASSERT_EQ(table.front().cost, 0.0);
-  const PlannedTrajectory got = plan_measurement_trajectory(bank, history, {50.0, 50.0}, cfg);
+  const PlannedTrajectory got =
+      plan_measurement_trajectory(bank, history, {50.0, 50.0}, 0.0, 7, cfg);
   EXPECT_NE(got.k, 1);
   EXPECT_GT(got.cost_m, 0.0);
   expect_same_plan(got, want);
@@ -448,14 +450,14 @@ TEST(PlannerSelectionTest, MatchesSerialOracleOnSeededBanks) {
     history[1].push_back(
         uav::random_walk(geo::Rect::square(200.0), {100.0, 100.0}, 150.0, 30.0, seed));
     for (const double budget : {0.0, 140.0}) {
-      PlannerConfig cfg;
-      cfg.budget_m = budget;
-      cfg.seed = seed;
-      bank.estimate_all(cfg.idw);
+      const PlannerConfig cfg;
+      bank.estimate_all();
       std::vector<OracleK> table;
       const geo::Vec2 start{pos(rng), pos(rng)};
-      const PlannedTrajectory want = serial_plan_oracle(bank, history, start, cfg, table);
-      const PlannedTrajectory got = plan_measurement_trajectory(bank, history, start, cfg);
+      const PlannedTrajectory want =
+          serial_plan_oracle(bank, history, start, budget, seed, cfg, table);
+      const PlannedTrajectory got =
+          plan_measurement_trajectory(bank, history, start, budget, seed, cfg);
       SCOPED_TRACE(testing::Message() << "seed " << seed << " budget " << budget);
       expect_same_plan(got, want);
     }
@@ -634,8 +636,9 @@ TEST_P(PlannerKSweep, TourVisitsRoughlyKClusters) {
   PlannerConfig cfg;
   cfg.k_min = GetParam();
   cfg.k_max = GetParam();  // pin K
-  rem.estimate_all(cfg.idw);
-  const PlannedTrajectory plan = plan_measurement_trajectory(rem, {{}}, {0.0, 0.0}, cfg);
+  rem.estimate_all();
+  const PlannedTrajectory plan =
+      plan_measurement_trajectory(rem, {{}}, {0.0, 0.0}, 0.0, 7, cfg);
   EXPECT_EQ(plan.k, GetParam());
   // Tour has start + K nodes.
   EXPECT_EQ(plan.path.size(), static_cast<std::size_t>(GetParam()) + 1);

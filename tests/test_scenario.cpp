@@ -375,6 +375,33 @@ TEST(CampaignCheckpoint, RejectsForeignFingerprintAndStaysUnchanged) {
   EXPECT_EQ(victim.state_hash(), before);
 }
 
+TEST(CampaignCheckpoint, RejectsFleetTemplateChanges) {
+  scenario::Campaign source(tiny_campaign(1, 4));
+  source.run_hour();
+  std::ostringstream saved;
+  source.save(saved);
+  const auto restores = [&](const auto& skew) {
+    scenario::CampaignConfig cfg = tiny_campaign(1, 4);
+    skew(cfg);
+    scenario::Campaign other(cfg);
+    std::istringstream in(saved.str());
+    other.restore(in);
+  };
+
+  EXPECT_THROW(restores([](scenario::CampaignConfig& c) { c.fleet.plane.harq_max_retx += 1; }),
+               geo::StateMismatchError);
+  EXPECT_THROW(restores([](scenario::CampaignConfig& c) {
+                 c.fleet.plane.carrier = lte::bandwidth_config(5.0);
+               }),
+               geo::StateMismatchError);
+  EXPECT_THROW(restores([](scenario::CampaignConfig& c) {
+                 c.fleet.faults.add({sim::FaultKind::kSrsSnrSag, 1.0, 2.0, 3.0, 0.0});
+               }),
+               geo::StateMismatchError);
+  // The fleet derives every plane seed itself: resume-neutral.
+  EXPECT_NO_THROW(restores([](scenario::CampaignConfig& c) { c.fleet.plane.seed += 1; }));
+}
+
 TEST(CampaignCheckpoint, RejectsCorruptionAndStaysUnchanged) {
   scenario::Campaign source(tiny_campaign(1, 4));
   source.run_hour();

@@ -241,6 +241,36 @@ TEST(SnapshotFormatTest, RestoreRejectsWrongSession) {
   EXPECT_NO_THROW(other_threads.restore(snap));
 }
 
+TEST(SnapshotFormatTest, RestoreRejectsEverySubConfigChange) {
+  sim::World world(testcampaign::world_config());
+  const core::SkyRanConfig base = testcampaign::skyran_config(1);
+  core::SkyRan skyran(world, base, testcampaign::kCampaignSeed);
+  testcampaign::run_epochs(skyran, world, 1);
+  const core::Snapshot snap = skyran.snapshot();
+  const auto restores = [&](const auto& skew) {
+    core::SkyRanConfig cfg = base;
+    skew(cfg);
+    core::SkyRan other(world, cfg, testcampaign::kCampaignSeed);
+    other.restore(snap);
+  };
+
+  // One field of each sub-config the session reads across epochs.
+  EXPECT_THROW(restores([](core::SkyRanConfig& c) { c.planner.info.i_max += 1.0; }),
+               geo::StateMismatchError);
+  EXPECT_THROW(restores([](core::SkyRanConfig& c) { c.localizer.ranging.min_snr_db -= 1.0; }),
+               geo::StateMismatchError);
+  EXPECT_THROW(restores([](core::SkyRanConfig& c) { c.localizer.ranging.srs.zc_root += 1; }),
+               geo::StateMismatchError);
+  EXPECT_THROW(restores([](core::SkyRanConfig& c) { c.service.plane.harq_max_retx += 1; }),
+               geo::StateMismatchError);
+  EXPECT_THROW(restores([](core::SkyRanConfig& c) { c.service.ue_traffic.gop_frames += 1; }),
+               geo::StateMismatchError);
+  // run_epoch overwrites the plane's seed and carrier: both resume-neutral.
+  EXPECT_NO_THROW(restores([](core::SkyRanConfig& c) { c.service.plane.seed += 1; }));
+  EXPECT_NO_THROW(restores(
+      [](core::SkyRanConfig& c) { c.service.plane.carrier = lte::bandwidth_config(5.0); }));
+}
+
 // A snapshot that fails after the session checks must not half-apply: the
 // epoch, pose, flight and battery come before the RNG text in the snapshot,
 // but none of them may land when the RNG does not parse. A battery no save

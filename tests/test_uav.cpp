@@ -69,37 +69,6 @@ TEST(GpsTest, NoiseStatistics) {
   EXPECT_NEAR(std::sqrt(sum_v2 / n), 3.0, 0.3);
 }
 
-TEST(GpsTest, OutageModelDropsFixes) {
-  GpsSensor gps(5);
-  gps.set_outage_model(0.1, 8.0);
-  int invalid = 0;
-  for (int i = 0; i < 2000; ++i) {
-    const GpsFix fix = gps.sample({1.0 * i, 0.0, 60.0}, i * 0.02);
-    if (!fix.valid) ++invalid;
-  }
-  // ~10% entry chance x mean 8 samples: a large share of fixes drop, but
-  // not all of them.
-  EXPECT_GT(invalid, 300);
-  EXPECT_LT(invalid, 1950);
-}
-
-TEST(GpsTest, OutageRepeatsLastValidPosition) {
-  GpsSensor gps(6);
-  const GpsFix good = gps.sample({10.0, 20.0, 60.0}, 0.0);
-  ASSERT_TRUE(good.valid);
-  gps.set_outage_model(0.999, 5.0);  // essentially always in outage now
-  const GpsFix bad = gps.sample({99.0, 99.0, 60.0}, 0.02);
-  EXPECT_FALSE(bad.valid);
-  EXPECT_EQ(bad.position, good.position);
-}
-
-TEST(GpsTest, OutageContracts) {
-  GpsSensor gps(7);
-  EXPECT_THROW(gps.set_outage_model(1.5, 5.0), skyran::ContractViolation);
-  EXPECT_THROW(gps.set_outage_model(0.1, 0.5), skyran::ContractViolation);
-  EXPECT_NO_THROW(gps.set_outage_model(0.0, 0.0));
-}
-
 TEST(GpsTest, DeterministicInSeed) {
   GpsSensor a(9);
   GpsSensor b(9);

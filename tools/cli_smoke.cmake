@@ -1,9 +1,9 @@
 # ctest driver for the skyran_cli smoke checks: run the CLI with ARGS and
-# require exit status RC and, when OUT is given, stdout matching that regular
-# expression.
+# require exit status RC and, when OUT / ERR are given, stdout / stderr
+# matching those regular expressions.
 #
 # Expected -D definitions: EXE (the CLI binary), ARGS (space-separated), RC;
-# optional OUT.
+# optional OUT and ERR.
 if(NOT EXE OR NOT DEFINED RC)
   message(FATAL_ERROR "cli_smoke.cmake needs -DEXE=... and -DRC=...")
 endif()
@@ -19,4 +19,7 @@ if(NOT rc EQUAL RC)
 endif()
 if(DEFINED OUT AND NOT out MATCHES "${OUT}")
   message(FATAL_ERROR "${EXE} ${ARGS} stdout does not match '${OUT}':\n${out}")
+endif()
+if(DEFINED ERR AND NOT err MATCHES "${ERR}")
+  message(FATAL_ERROR "${EXE} ${ARGS} stderr does not match '${ERR}':\n${err}")
 endif()

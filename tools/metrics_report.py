@@ -7,7 +7,7 @@ Usage:
 
 Exits non-zero if any line is not valid JSON or violates the schema, so it
 doubles as the checked-in parser for the exporter's output (used by CI and
-by hand after `skyran_cli --metrics-out`).
+by hand on any `SKYRAN_METRICS_OUT` dump).
 """
 import json
 import sys

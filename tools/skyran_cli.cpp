@@ -4,12 +4,11 @@
 //
 //   skyran_cli --terrain nyc --ues 6 --epochs 4 --budget 800 --move 0.5
 //              --scheme skyran --seed 7 [--csv out.csv] [--phy-localization]
-//              [--metrics-out metrics.jsonl] [--trace]
 //
 // Schemes: skyran | uniform | centroid | random.
-// --metrics-out / --trace enable the observability layer (docs/OBSERVABILITY.md):
-// the former dumps counters/histograms/trace spans as JSON lines, the latter
-// prints a human-readable telemetry summary after the run.
+// With $SKYRAN_METRICS_OUT set, the run's counters, histograms and trace
+// spans are dumped there as JSON lines (docs/OBSERVABILITY.md); render them
+// with tools/metrics_report.py.
 //
 // With $SKYRAN_CKPT_DIR set, the skyran scheme saves the session after every
 // epoch (`ckpt-<epoch>.skyc`) and, on start, resumes from the newest
@@ -22,7 +21,7 @@
 
 #include "core/snapshot.hpp"
 #include "mobility/model.hpp"
-#include "obs/obs.hpp"
+#include "obs/env_session.hpp"
 #include "sim/generation_store.hpp"
 #include "skyran.hpp"
 #include "sim/table.hpp"
@@ -42,8 +41,6 @@ struct CliOptions {
   std::optional<std::string> csv_path;
   bool phy_localization = false;
   bool clustered = false;
-  std::optional<std::string> metrics_path;  ///< JSON-lines telemetry dump
-  bool trace = false;                       ///< print telemetry summary
 };
 
 [[noreturn]] void usage(const char* argv0, const std::string& error = {}) {
@@ -53,10 +50,10 @@ struct CliOptions {
                "       [--budget METERS] [--move FRACTION] [--scheme skyran|uniform|"
                "centroid|random]\n"
                "       [--seed N] [--csv PATH] [--phy-localization] [--clustered]\n"
-               "       [--metrics-out PATH]   enable instrumentation; dump telemetry\n"
-               "                              as JSON lines (docs/OBSERVABILITY.md)\n"
-               "       [--trace]              enable instrumentation; print a\n"
-               "                              telemetry summary after the run\n";
+               "environment:\n"
+               "  SKYRAN_METRICS_OUT=PATH  dump telemetry as JSON lines\n"
+               "                           (docs/OBSERVABILITY.md; tools/metrics_report.py)\n"
+               "  SKYRAN_CKPT_DIR=DIR      checkpoint and resume the skyran scheme\n";
   std::exit(error.empty() ? 0 : 2);
 }
 
@@ -88,8 +85,6 @@ CliOptions parse(int argc, char** argv) {
     else if (a == "--csv") opt.csv_path = next(i);
     else if (a == "--phy-localization") opt.phy_localization = true;
     else if (a == "--clustered") opt.clustered = true;
-    else if (a == "--metrics-out") opt.metrics_path = next(i);
-    else if (a == "--trace") opt.trace = true;
     else usage(argv[0], "unknown flag '" + a + "'");
   }
   if (opt.ues < 1) usage(argv[0], "--ues must be >= 1");
@@ -102,30 +97,10 @@ CliOptions parse(int argc, char** argv) {
   return opt;
 }
 
-/// Dump telemetry per the CLI flags. Returns false when the metrics file
-/// could not be written.
-bool finish_telemetry(const CliOptions& opt) {
-  if (opt.trace) {
-    std::cout << "\n-- telemetry (--trace) --\n";
-    obs::write_summary(std::cout);
-  }
-  if (opt.metrics_path) {
-    std::ofstream os(*opt.metrics_path);
-    if (!os) {
-      std::cerr << "error: cannot open " << *opt.metrics_path << "\n";
-      return false;
-    }
-    obs::write_json_lines(os);
-    std::cout << "wrote " << *opt.metrics_path << "\n";
-  }
-  return true;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   const CliOptions opt = parse(argc, argv);
-  if (opt.metrics_path || opt.trace) obs::set_enabled(true);
 
   sim::WorldConfig wc;
   wc.terrain_kind = opt.terrain;
@@ -226,5 +201,5 @@ int main(int argc, char** argv) {
     table.write_csv(os);
     std::cout << "wrote " << *opt.csv_path << "\n";
   }
-  return finish_telemetry(opt) ? 0 : 1;
+  return 0;
 }
