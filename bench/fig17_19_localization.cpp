@@ -23,7 +23,7 @@ int main(int argc, char** argv) {
     const geo::Path track = uav::random_walk(world.area().inflated(-10.0),
                                              world.area().center(), 20.0, 9.0, 200 + s);
     const auto samples =
-        uav::fly(uav::FlightPlan::at_altitude(track, 60.0), 1.0 / rc.gps_rate_hz);
+        uav::fly(uav::FlightPlan::at_altitude(track, 60.0), 1.0 / localization::kGpsRateHz);
     geo::Mt19937_64 rng(210 + s);
     for (std::size_t u = 0; u < 3; ++u) {
       uav::GpsSensor gps(220 + s * 3 + u);
@@ -32,7 +32,7 @@ int main(int argc, char** argv) {
       for (const localization::GpsTofTuple& t : tuples)
         rng_err[u].push_back(std::abs(
             t.range_m - (t.uav_position.dist(world.ue_positions()[u]) +
-                         rc.processing_offset_m)));
+                         localization::kProcessingOffsetM)));
     }
   }
   {

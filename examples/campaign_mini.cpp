@@ -14,6 +14,7 @@
 #include <cstdlib>
 #include <iostream>
 
+#include "obs/env_session.hpp"
 #include "scenario/campaign.hpp"
 #include "sim/generation_store.hpp"
 #include "sim/table.hpp"

@@ -14,6 +14,7 @@
 #include "lte/ranging.hpp"
 #include "lte/srs_channel.hpp"
 #include "mobility/deployment.hpp"
+#include "obs/env_session.hpp"
 #include "rf/units.hpp"
 #include "sim/table.hpp"
 #include "sim/world.hpp"

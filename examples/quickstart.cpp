@@ -8,6 +8,7 @@
 
 #include "core/skyran.hpp"
 #include "mobility/deployment.hpp"
+#include "obs/env_session.hpp"
 #include "sim/baselines.hpp"
 #include "sim/ground_truth.hpp"
 #include "sim/table.hpp"

@@ -13,6 +13,7 @@
 #include "geo/mt19937.hpp"
 #include "lte/backhaul.hpp"
 #include "mobility/deployment.hpp"
+#include "obs/env_session.hpp"
 #include "sim/ground_truth.hpp"
 #include "sim/service.hpp"
 #include "sim/table.hpp"

@@ -10,6 +10,7 @@
 #include "core/skyran.hpp"
 #include "mobility/deployment.hpp"
 #include "mobility/model.hpp"
+#include "obs/env_session.hpp"
 #include "sim/ground_truth.hpp"
 #include "sim/table.hpp"
 

@@ -1,6 +1,8 @@
-// Configuration for the SkyRAN epoch state machine: all operator-settable
+// Configuration for the SkyRAN epoch state machine: the operator-settable
 // knobs the paper names (epoch trigger threshold ~10%, REM reuse radius R =
-// 10 m, measurement budget, K range, placement objective).
+// 10 m, measurement budget, K range, placement objective) plus the settings
+// its evaluations and tools vary. Every field is one some caller sets; the
+// fixed physical and airframe constants sit next to the code that reads them.
 #pragma once
 
 #include <cstdint>
@@ -61,13 +63,6 @@ struct SkyRanConfig {
   LocalizationMode localization_mode = LocalizationMode::kPhy;
   /// Mean localization error injected in kGaussianError mode, meters.
   double injected_error_m = 0.0;
-
-  /// Optimal-altitude search parameters (Step 5).
-  double start_altitude_m = 120.0;
-  double min_altitude_m = 40.0;
-  double altitude_step_m = 10.0;
-
-  double cruise_mps = uav::kDefaultCruiseMps;
 
   /// Measurement tours stop once the battery falls to this fraction: the
   /// remainder is reserved for serving and returning home (Sec 2.5: "the

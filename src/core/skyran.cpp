@@ -16,6 +16,18 @@
 
 namespace skyran::core {
 
+namespace {
+
+using uav::kDefaultCruiseMps;
+
+// Optimal-altitude search (Step 5): descend from the start altitude in
+// fixed steps, never below the floor.
+constexpr double kStartAltitudeM = 120.0;
+constexpr double kMinAltitudeM = 40.0;
+constexpr double kAltitudeStepM = 10.0;
+
+}  // namespace
+
 SkyRan::SkyRan(sim::World& world, SkyRanConfig config, std::uint64_t seed)
     : world_(world),
       config_(config),
@@ -132,12 +144,11 @@ double SkyRan::ensure_altitude(const std::vector<geo::Vec2>& ue_estimates,
     ue3.emplace_back(p, world_.terrain().ground_height(p) + 1.5);
 
   const rem::AltitudeSearchResult found = rem::find_optimal_altitude(
-      world_.channel(), centroid, ue3, config_.start_altitude_m, config_.min_altitude_m,
-      config_.altitude_step_m);
+      world_.channel(), centroid, ue3, kStartAltitudeM, kMinAltitudeM, kAltitudeStepM);
   altitude_ = found.altitude_m;
   altitude_known_ = true;
   report.altitude_flight_m =
-      (config_.start_altitude_m - altitude_) + found.probes * 2.0;  // descent + hover settling
+      (kStartAltitudeM - altitude_) + found.probes * 2.0;  // descent + hover settling
   position_ = centroid;
   return altitude_;
 }
@@ -186,12 +197,12 @@ EpochReport SkyRan::run_epoch() {
   // loop's reserve check reads the remaining charge. (Draining them after
   // the loop let the check see a charge excluding this epoch's own flights,
   // and the altitude descent was never drained at all.)
-  battery_.drain((report.localization_flight_m + report.altitude_flight_m) / config_.cruise_mps,
-                 config_.cruise_mps);
+  battery_.drain((report.localization_flight_m + report.altitude_flight_m) / kDefaultCruiseMps,
+                 kDefaultCruiseMps);
   // Epoch flight-time cursor: where measurement tours land on the fault
   // plan's time axis.
   double epoch_time_s =
-      (report.localization_flight_m + report.altitude_flight_m) / config_.cruise_mps;
+      (report.localization_flight_m + report.altitude_flight_m) / kDefaultCruiseMps;
 
   // REM setup with positional reuse (Sec 3.5): one shared-geometry bank for
   // the whole epoch instead of independent per-UE grids.
@@ -248,23 +259,22 @@ EpochReport SkyRan::run_epoch() {
     }
     SKYRAN_COUNTER_INC("epoch.measurement.rounds");
 
-    uav::FlightPlan flight =
-        uav::FlightPlan::at_altitude(plan.path, altitude, config_.cruise_mps);
+    uav::FlightPlan flight = uav::FlightPlan::at_altitude(plan.path, altitude);
     // Mid-flight abort (degraded path): a tour the remaining charge cannot
     // finish is flown only to where the energy runs out. Whatever the
     // partial tour deposited stays in the bank — a short tour's REM beats
     // an unflown one.
     const double max_flight_s =
-        battery_.remaining_wh() * 3600.0 / battery_.power_w(config_.cruise_mps);
+        battery_.remaining_wh() * 3600.0 / battery_.power_w(kDefaultCruiseMps);
     const bool aborted = flight.duration_s() > max_flight_s;
     if (aborted) {
-      flight = uav::truncated(flight, max_flight_s * config_.cruise_mps);
+      flight = uav::truncated(flight, max_flight_s * kDefaultCruiseMps);
       epoch_degraded_ = true;
       SKYRAN_COUNTER_INC("fault.battery.mid_flight_aborts");
     }
     sim::run_measurement_flight(world_, flight, *bank_, config_.measurement, rng_, faults,
                                 epoch_time_s);
-    battery_.drain(flight.duration_s(), config_.cruise_mps);
+    battery_.drain(flight.duration_s(), kDefaultCruiseMps);
     epoch_time_s += flight.duration_s();
     ++report.measurement_rounds;
 
@@ -303,17 +313,17 @@ EpochReport SkyRan::run_epoch() {
 
   report.total_flight_m = report.localization_flight_m + report.altitude_flight_m +
                           report.measurement_flight_m + reposition_m;
-  report.flight_time_s = report.total_flight_m / config_.cruise_mps;
+  report.flight_time_s = report.total_flight_m / kDefaultCruiseMps;
   total_flight_m_ += report.total_flight_m;
   // Localization and altitude flights were drained before the measurement
   // loop; only the reposition hop remains.
-  battery_.drain(reposition_m / config_.cruise_mps, config_.cruise_mps);
+  battery_.drain(reposition_m / kDefaultCruiseMps, kDefaultCruiseMps);
 
   throughput_at_placement_bps_ = current_mean_throughput_bps();
   report.served_mean_throughput_bps = throughput_at_placement_bps_;
   report.degraded = report.degraded || epoch_degraded_;
   last_estimates_ = report.estimated_ue_positions;
-  epoch_time_s += reposition_m / config_.cruise_mps;
+  epoch_time_s += reposition_m / kDefaultCruiseMps;
   sim::crash_point("epoch.place");
 
   // Service phase: carry per-TTI MAC-level traffic from the placement so the

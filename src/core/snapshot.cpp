@@ -25,10 +25,6 @@ std::uint64_t config_digest(const SkyRanConfig& c) {
   h.pod(c.measurement_budget_m);
   h.pod(static_cast<std::int32_t>(c.localization_mode));
   h.pod(c.injected_error_m);
-  h.pod(c.start_altitude_m);
-  h.pod(c.min_altitude_m);
-  h.pod(c.altitude_step_m);
-  h.pod(c.cruise_mps);
   h.pod(c.battery_reserve_fraction);
   h.pod(c.battery.capacity_wh);
   h.pod(c.battery.hover_power_w);
@@ -36,32 +32,20 @@ std::uint64_t config_digest(const SkyRanConfig& c) {
   h.pod(c.planner.k_min);
   h.pod(c.planner.k_max);
   h.pod(c.planner.info.i_max);
-  h.pod(c.planner.info.sample_spacing_m);
   h.pod(c.idw.k_neighbors);
   h.pod(c.idw.power);
   h.pod(c.idw.max_radius_m);
   h.pod(c.idw.background_blend_m);
   h.pod(c.localizer.flight_length_m);
   h.pod(c.localizer.flight_leg_m);
-  h.pod(c.localizer.flight_altitude_m);
-  h.pod(c.localizer.cruise_mps);
-  h.pod(c.localizer.gps_sigma_m);
   const localization::RangingConfig& r = c.localizer.ranging;
   sim::hash_config(h, r.srs.carrier);
   h.pod(r.srs.sounding_prb);
   h.pod(r.srs.comb);
   h.pod(r.srs.comb_offset);
   h.pod(r.srs.zc_root);
-  h.pod(r.k_factor);
-  h.pod(r.processing_offset_m);
-  h.pod(r.srs_rate_hz);
-  h.pod(r.gps_rate_hz);
   h.pod(r.min_snr_db);
   h.pod(r.min_peak_to_side_db);
-  h.pod(r.nlos_taps);
-  h.pod(r.nlos_mean_excess_ns);
-  h.pod(r.nlos_first_tap_power_db);
-  h.pod(r.nlos_tap_decay_db);
   h.pod(c.measurement.report_rate_hz);
   h.pod(c.measurement.fading_sigma_db);
   h.pod(static_cast<std::int32_t>(c.objective));

@@ -25,6 +25,14 @@ constexpr std::uint32_t kVersion = 2;
 
 using geo::mix64;
 
+// Downlink budget: the cell EIRP toward a UE and the UE-side noise floor.
+constexpr double kCellTxPowerDbm = 36.0;
+constexpr double kCellAntennaGainDbi = 5.0;
+constexpr double kUeAntennaGainDbi = 0.0;
+constexpr double kEirpDbm = kCellTxPowerDbm + kCellAntennaGainDbi + kUeAntennaGainDbi;
+constexpr double kBandwidthHz = 10e6;
+constexpr double kUeNoiseFigureDb = 9.0;
+
 // Reads a slab's u64 count, checks it against the slab's fixed length and
 // returns the slab's byte size.
 template <typename T>
@@ -51,7 +59,6 @@ Fleet::Fleet(FleetConfig config, const rf::ChannelModel& channel)
           "Fleet: steering step/max_cio must be >= 0");
   expects(config_.steering.util_deadband >= 0.0,
           "Fleet: steering util_deadband must be >= 0");
-  expects(config_.bandwidth_hz > 0.0, "Fleet: bandwidth_hz must be positive");
   // Validate the fault plan eagerly (same contract as the epoch pipeline).
   sim::FaultInjector probe(config_.faults, 0);
   (void)probe;
@@ -105,14 +112,12 @@ void Fleet::phase_measure(double fault_t) {
     sag_db_[c] = injector.active()
                      ? injector.cell_snr_sag_db(fault_t, static_cast<std::int32_t>(c))
                      : 0.0;
-  const double eirp_dbm =
-      config_.cell_tx_power_dbm + config_.cell_antenna_gain_dbi + config_.ue_antenna_gain_dbi;
   rsrp_dbm_.resize(n * c_count);
   core::parallel_for(n, [&](std::size_t i) {
     const geo::Vec3 ue = ue_pos_[i];
     double* row = rsrp_dbm_.data() + i * c_count;
     for (std::size_t c = 0; c < c_count; ++c)
-      row[c] = eirp_dbm - channel_->path_loss_db(cell_pos_[c], ue) - sag_db_[c];
+      row[c] = kEirpDbm - channel_->path_loss_db(cell_pos_[c], ue) - sag_db_[c];
   });
 }
 
@@ -214,7 +219,7 @@ void Fleet::phase_sinr() {
   const std::size_t n = ue_pos_.size();
   const std::size_t c_count = cell_pos_.size();
   const double noise_mw =
-      rf::dbm_to_milliwatt(rf::noise_floor_dbm(config_.bandwidth_hz, config_.ue_noise_figure_db));
+      rf::dbm_to_milliwatt(rf::noise_floor_dbm(kBandwidthHz, kUeNoiseFigureDb));
   core::parallel_for(n, [&](std::size_t i) {
     const double* row = rsrp_dbm_.data() + i * c_count;
     const std::int32_t s = serving_[i];
@@ -421,15 +426,13 @@ PlacementRefresh Fleet::refresh_placement(const rem::RemBank& bank,
 
   // Assign every REM pseudo-UE to its strongest cell (unbiased RSRP: the
   // geometric association, independent of the steering CIOs).
-  const double eirp_dbm =
-      config_.cell_tx_power_dbm + config_.cell_antenna_gain_dbi + config_.ue_antenna_gain_dbi;
   std::vector<std::size_t> points;
   for (std::size_t p = 0; p < bank.ue_count(); ++p) {
     const geo::Vec3 pos = bank.ue_position(p);
     std::size_t best = 0;
     double best_dbm = -std::numeric_limits<double>::infinity();
     for (std::size_t c = 0; c < c_count; ++c) {
-      const double dbm = eirp_dbm - channel_->path_loss_db(cell_pos_[c], pos);
+      const double dbm = kEirpDbm - channel_->path_loss_db(cell_pos_[c], pos);
       if (dbm > best_dbm) {
         best = c;
         best_dbm = dbm;

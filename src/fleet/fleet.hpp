@@ -95,12 +95,6 @@ struct FleetConfig {
   /// Template for every cell's per-epoch TrafficPlane; `seed` inside it is
   /// ignored (the fleet derives a per-(cell, epoch) plane seed).
   lte::TrafficPlaneConfig plane{};
-  /// Downlink budget: cell EIRP and the UE-side noise floor.
-  double cell_tx_power_dbm = 36.0;
-  double cell_antenna_gain_dbi = 5.0;
-  double ue_antenna_gain_dbi = 0.0;
-  double bandwidth_hz = 10e6;
-  double ue_noise_figure_db = 9.0;
   /// TTIs each cell's traffic plane advances per fleet epoch.
   int ttis_per_epoch = 200;
   A3Config a3{};

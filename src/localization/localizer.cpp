@@ -8,6 +8,13 @@
 
 namespace skyran::localization {
 
+namespace {
+
+constexpr double kFlightAltitudeM = 60.0;
+constexpr double kGpsSigmaM = 1.5;  ///< receiver position noise
+
+}  // namespace
+
 UeLocalizer::UeLocalizer(const rf::RayTraceChannel& channel, rf::LinkBudget budget,
                          LocalizerConfig config)
     : channel_(channel), budget_(budget), config_(config) {
@@ -22,10 +29,8 @@ LocalizationRun UeLocalizer::localize(geo::Vec2 start, std::vector<geo::Vec3> tr
 
   const geo::Path track = uav::random_walk(area.inflated(-5.0), area.inflated(-5.0).clamp(start),
                                            config_.flight_length_m, config_.flight_leg_m, seed);
-  const uav::FlightPlan plan =
-      uav::FlightPlan::at_altitude(track, config_.flight_altitude_m, config_.cruise_mps);
-  const std::vector<uav::FlightSample> samples =
-      uav::fly(plan, 1.0 / config_.ranging.gps_rate_hz);
+  const uav::FlightPlan plan = uav::FlightPlan::at_altitude(track, kFlightAltitudeM);
+  const std::vector<uav::FlightSample> samples = uav::fly(plan, 1.0 / kGpsRateHz);
 
   LocalizationRun run;
   run.flight_length_m = plan.length_m();
@@ -42,7 +47,7 @@ LocalizationRun UeLocalizer::localize(geo::Vec2 start, std::vector<geo::Vec3> tr
   per_ue_tuples.reserve(true_ue_positions.size());
   ue_altitudes.reserve(true_ue_positions.size());
   for (std::size_t i = 0; i < true_ue_positions.size(); ++i) {
-    uav::GpsSensor gps(seed ^ (0x9125ULL + i), config_.gps_sigma_m);
+    uav::GpsSensor gps(seed ^ (0x9125ULL + i), kGpsSigmaM);
     per_ue_tuples.push_back(collect_gps_tof(samples, true_ue_positions[i], channel_, budget_,
                                             gps, config_.ranging, rng, faults));
     ue_altitudes.push_back(true_ue_positions[i].z);

@@ -20,9 +20,6 @@ struct LocalizerConfig {
   /// spatial aperture (what localization geometry cares about) close to the
   /// flown length.
   double flight_leg_m = 9.0;
-  double flight_altitude_m = 60.0;
-  double cruise_mps = uav::kDefaultCruiseMps;
-  double gps_sigma_m = 1.5;
 };
 
 struct UeLocationEstimate {

@@ -10,12 +10,22 @@
 
 namespace skyran::localization {
 
+namespace {
+
+// NLOS echo profile (echoes below the direct path): they widen the ToF
+// spread to the ~25 ns the paper reports without biasing the median,
+// matching Fig. 17's environment-independent ranging accuracy.
+constexpr int kNlosTaps = 3;
+constexpr double kNlosMeanExcessNs = 50.0;
+constexpr double kNlosFirstTapPowerDb = -4.0;
+constexpr double kNlosTapDecayDb = 4.0;
+
+}  // namespace
+
 GpsTofSeries collect_gps_tof(const std::vector<uav::FlightSample>& flight, geo::Vec3 ue_position,
                              const rf::RayTraceChannel& channel, const rf::LinkBudget& budget,
                              uav::GpsSensor& gps, const RangingConfig& config,
                              geo::Mt19937_64& rng, RangingFaultModel* faults) {
-  expects(config.srs_rate_hz >= config.gps_rate_hz,
-          "collect_gps_tof: SRS must report at least as fast as GPS");
   // An empty or single-point flight has zero measurement intervals. Bail out
   // before the interval count below: `flight.size() - 1` on a std::size_t
   // would underflow an empty flight to ~2^64 intervals. Depot-swapped UAVs
@@ -24,10 +34,9 @@ GpsTofSeries collect_gps_tof(const std::vector<uav::FlightSample>& flight, geo::
 
   const lte::SrsSymbol tx = lte::make_srs_symbol(config.srs);
   const std::vector<int> res = lte::occupied_subcarriers(config.srs);
-  const lte::TofEstimator estimator(config.srs, config.k_factor, 0.0, 0.6, true,
+  const lte::TofEstimator estimator(config.srs, kUpsampleFactor, 0.0, 0.6, true,
                                     config.min_peak_to_side_db);
-  const int srs_per_gps =
-      std::max(1, static_cast<int>(std::round(config.srs_rate_hz / config.gps_rate_hz)));
+  const int srs_per_gps = std::max(1, static_cast<int>(std::round(kSrsRateHz / kGpsRateHz)));
 
   // The flight is processed in bounded batches of GPS intervals so peak
   // memory stays capped (each buffered symbol is fft_size complex doubles; a
@@ -118,13 +127,12 @@ GpsTofSeries collect_gps_tof(const std::vector<uav::FlightSample>& flight, geo::
           received_interval.push_back(0);
         }
         lte::SrsChannelParams& ch = channels[n_received];
-        ch.delay_s = (c.uav.dist(ue_position) + config.processing_offset_m) / rf::kSpeedOfLight;
+        ch.delay_s = (c.uav.dist(ue_position) + kProcessingOffsetM) / rf::kSpeedOfLight;
         ch.snr_db = c.snr_db;
         ch.taps.clear();
         if (!c.los) {
-          ch.taps = lte::make_nlos_taps(config.nlos_taps, config.nlos_mean_excess_ns * 1e-9,
-                                        config.nlos_first_tap_power_db,
-                                        config.nlos_tap_decay_db, rng);
+          ch.taps = lte::make_nlos_taps(kNlosTaps, kNlosMeanExcessNs * 1e-9,
+                                        kNlosFirstTapPowerDb, kNlosTapDecayDb, rng);
         }
         lte::draw_srs_noise(ch.snr_db, rng, res, received[n_received].freq);
         received_interval[n_received] = c.interval;

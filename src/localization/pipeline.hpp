@@ -19,14 +19,19 @@
 
 namespace skyran::localization {
 
+/// SRS upsampling factor K of the ToF correlator (the paper uses 4).
+inline constexpr int kUpsampleFactor = 4;
+/// Constant onboard processing delay expressed as distance; unknown to the
+/// solver (it estimates it as the offset `b`).
+inline constexpr double kProcessingOffsetM = 40.0;
+/// SRS and GPS report rates: the ToF values between two GPS fixes are
+/// averaged into one tuple.
+inline constexpr double kSrsRateHz = 100.0;
+inline constexpr double kGpsRateHz = 50.0;
+static_assert(kSrsRateHz >= kGpsRateHz, "SRS must report at least as fast as GPS");
+
 struct RangingConfig {
   lte::SrsConfig srs{};
-  int k_factor = 4;  ///< SRS upsampling factor (paper uses 4)
-  /// Constant onboard processing delay expressed as distance; unknown to the
-  /// solver (it estimates it as the offset `b`).
-  double processing_offset_m = 40.0;
-  double srs_rate_hz = 100.0;
-  double gps_rate_hz = 50.0;
   /// SRS reports below this SNR are discarded. The correlator enjoys the
   /// sequence's processing gain (~25 dB for 288 REs), so ranging works well
   /// below the data-decode threshold.
@@ -36,13 +41,6 @@ struct RangingConfig {
   /// per-interval average (they carry no delay information, only bias). 0
   /// disables the gate, which keeps the legacy zero-fault path bit-identical.
   double min_peak_to_side_db = 0.0;
-  /// NLOS echo profile parameters (echoes below the direct path; they widen
-  /// the ToF spread to the ~25 ns the paper reports without biasing the
-  /// median, matching Fig. 17's environment-independent ranging accuracy).
-  int nlos_taps = 3;
-  double nlos_mean_excess_ns = 50.0;
-  double nlos_first_tap_power_db = -4.0;
-  double nlos_tap_decay_db = 4.0;
 };
 
 /// Scripted degradation applied to the ranging pipeline (fault injection).
@@ -65,7 +63,7 @@ class RangingFaultModel {
 
 /// Collect GPS-ToF tuples for one UE over a flown trajectory.
 ///
-/// `flight` must be sampled at the GPS rate (uav::fly with dt = 1/gps_rate).
+/// `flight` must be sampled at the GPS rate (uav::fly with dt = 1/kGpsRateHz).
 /// A flight with fewer than two samples has no measurement interval and
 /// yields an empty series — legitimate for a UAV that spent the whole epoch
 /// at the depot (battery swap) or had its tour truncated to nothing.

@@ -7,13 +7,21 @@
 
 namespace skyran::lte {
 
+namespace {
+
+/// LTE tether: achievable rate of a commercial subscription.
+constexpr double kLteRateBps = 80e6;
+/// mmWave: peak rate and usable range (rain/oxygen-limited).
+constexpr double kMmWavePeakBps = 1.2e9;
+constexpr double kMmWaveRangeM = 800.0;
+/// WiFi: half-rate distance of the rate-vs-range curve.
+constexpr double kWifiHalfRangeM = 250.0;
+
+}  // namespace
+
 Backhaul::Backhaul(const rf::RayTraceChannel& channel, BackhaulConfig config)
     : channel_(channel), config_(config) {
-  expects(config.lte_rate_bps > 0.0 && config.mmwave_peak_bps > 0.0 &&
-              config.wifi_peak_bps > 0.0,
-          "Backhaul: rates must be positive");
-  expects(config.mmwave_range_m > 0.0 && config.wifi_half_range_m > 0.0,
-          "Backhaul: ranges must be positive");
+  expects(config.wifi_peak_bps > 0.0, "Backhaul: rates must be positive");
 }
 
 double Backhaul::capacity_bps(geo::Vec3 uav) const {
@@ -21,21 +29,19 @@ double Backhaul::capacity_bps(geo::Vec3 uav) const {
   switch (config_.tech) {
     case BackhaulTech::kLteTether:
       // Macro coverage: a flat commercial rate while within ~10 km.
-      return d < 10000.0 ? config_.lte_rate_bps : 0.0;
+      return d < 10000.0 ? kLteRateBps : 0.0;
     case BackhaulTech::kMmWave: {
       // Strict LOS; linear rate decay to the range edge past half range.
       if (!channel_.line_of_sight(uav, config_.gateway)) return 0.0;
-      if (d >= config_.mmwave_range_m) return 0.0;
-      const double half = config_.mmwave_range_m / 2.0;
-      if (d <= half) return config_.mmwave_peak_bps;
-      return config_.mmwave_peak_bps * (config_.mmwave_range_m - d) /
-             (config_.mmwave_range_m - half);
+      if (d >= kMmWaveRangeM) return 0.0;
+      const double half = kMmWaveRangeM / 2.0;
+      if (d <= half) return kMmWavePeakBps;
+      return kMmWavePeakBps * (kMmWaveRangeM - d) / (kMmWaveRangeM - half);
     }
     case BackhaulTech::kWifi: {
       // Shannon-flavored rate-vs-range: halves every half_range; NLOS
       // penalizes by an extra factor of 4.
-      double rate = config_.wifi_peak_bps *
-                    std::pow(0.5, d / config_.wifi_half_range_m);
+      double rate = config_.wifi_peak_bps * std::pow(0.5, d / kWifiHalfRangeM);
       if (!channel_.line_of_sight(uav, config_.gateway)) rate /= 4.0;
       return rate;
     }

@@ -23,14 +23,8 @@ enum class BackhaulTech {
 struct BackhaulConfig {
   BackhaulTech tech = BackhaulTech::kLteTether;
   geo::Vec3 gateway{0.0, 0.0, 10.0};  ///< ground station / donor site
-  /// LTE tether: achievable rate of a commercial subscription.
-  double lte_rate_bps = 80e6;
-  /// mmWave: peak rate and usable range (rain/oxygen-limited).
-  double mmwave_peak_bps = 1.2e9;
-  double mmwave_range_m = 800.0;
-  /// WiFi: peak rate and half-rate distance of the rate-vs-range curve.
+  /// WiFi: peak rate of the rate-vs-range curve.
   double wifi_peak_bps = 300e6;
-  double wifi_half_range_m = 250.0;
 };
 
 class Backhaul {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <limits>
 
 #include "geo/contract.hpp"
@@ -14,6 +15,8 @@ namespace skyran::lte {
 namespace {
 
 constexpr double kFullBufferBits = 1e12;
+constexpr double kEwmaAlpha = 0.01;     ///< PF long-term rate horizon (~100 ms)
+constexpr double kBlerHalvingDb = 1.0;  ///< margin that halves the first-tx BLER
 
 // Counter-based randomness: every draw is a pure function of
 // (seed, stream, ue, tti), so no generator state is carried between UEs or
@@ -38,6 +41,9 @@ double cqi_threshold_db(int cqi) {
 /// MBSFN-capable subframe positions within a 10 ms frame (3GPP: all but the
 /// PSS/SSS/PBCH and paging subframes 0, 4, 5, 9).
 constexpr int kMbsfnPositions[6] = {1, 2, 3, 6, 7, 8};
+/// MBSFN subframes per frame at most (3GPP cap: 6 of 10 subframes).
+constexpr int kMaxMbsfnPerFrame = 6;
+static_assert(kMaxMbsfnPerFrame <= static_cast<int>(std::size(kMbsfnPositions)));
 
 }  // namespace
 
@@ -52,16 +58,9 @@ void validate(const TrafficSpec& spec) {
 
 TrafficPlane::TrafficPlane(TrafficPlaneConfig config) : config_(config) {
   expects(config_.carrier.n_prb > 0, "TrafficPlane: carrier must have PRBs");
-  expects(config_.ewma_alpha > 0.0 && config_.ewma_alpha <= 1.0,
-          "TrafficPlane: ewma_alpha must be in (0,1]");
-  expects(config_.harq_processes >= 1 && config_.harq_processes <= 16,
-          "TrafficPlane: harq_processes must be in [1,16]");
   expects(config_.harq_max_retx >= 0, "TrafficPlane: harq_max_retx must be >= 0");
   expects(config_.target_bler >= 0.0 && config_.target_bler <= 1.0,
           "TrafficPlane: target_bler must be in [0,1]");
-  expects(config_.bler_halving_db > 0.0, "TrafficPlane: bler_halving_db must be positive");
-  expects(config_.max_mbsfn_per_frame >= 0 && config_.max_mbsfn_per_frame <= 6,
-          "TrafficPlane: max_mbsfn_per_frame must be in [0,6]");
   expects(config_.multicast_rate_bps >= 0.0,
           "TrafficPlane: multicast_rate_bps must be >= 0");
 }
@@ -95,7 +94,7 @@ std::size_t TrafficPlane::add_ue(std::uint32_t rnti, double snr_db,
                                                                      : 0.0);
   ewma_bps_.push_back(1.0);  // PF floor: avoids divide-by-zero in the metric
 
-  const std::size_t h = static_cast<std::size_t>(config_.harq_processes);
+  const std::size_t h = static_cast<std::size_t>(kHarqProcesses);
   harq_bits_.resize(harq_bits_.size() + h, 0.0);
   harq_prb_.resize(harq_prb_.size() + h, 0);
   harq_retx_.resize(harq_retx_.size() + h, 0);
@@ -115,7 +114,7 @@ std::size_t TrafficPlane::add_ue(std::uint32_t rnti, double snr_db,
 }
 
 void TrafficPlane::reserve(std::size_t n_ues) {
-  const std::size_t h = n_ues * static_cast<std::size_t>(config_.harq_processes);
+  const std::size_t h = n_ues * static_cast<std::size_t>(kHarqProcesses);
   const auto per_ue = [n_ues](auto&... v) { (v.reserve(n_ues), ...); };
   per_ue(rnti_, snr_db_, snr_offset_db_, cqi_, rate_1prb_, model_, rate_bps_, p_on_off_,
          p_off_on_, burst_on_, frame_interval_, gop_frames_, subscribed_, backlog_bits_,
@@ -145,7 +144,7 @@ void TrafficPlane::set_snr_offset_db(std::size_t ue, double offset_db) {
 
 double TrafficPlane::in_flight_bits(std::size_t ue) const {
   expects(ue < n_ues_, "TrafficPlane::in_flight_bits: UE index out of range");
-  const std::size_t h = static_cast<std::size_t>(config_.harq_processes);
+  const std::size_t h = static_cast<std::size_t>(kHarqProcesses);
   double bits = 0.0;
   for (std::size_t p = 0; p < h; ++p)
     if (harq_active_[ue * h + p]) bits += harq_bits_[ue * h + p];
@@ -153,22 +152,22 @@ double TrafficPlane::in_flight_bits(std::size_t ue) const {
 }
 
 bool TrafficPlane::harq_active(std::size_t ue, int process) const {
-  expects(ue < n_ues_ && process >= 0 && process < config_.harq_processes,
+  expects(ue < n_ues_ && process >= 0 && process < kHarqProcesses,
           "TrafficPlane::harq_active: index out of range");
-  return harq_active_[ue * static_cast<std::size_t>(config_.harq_processes) +
+  return harq_active_[ue * static_cast<std::size_t>(kHarqProcesses) +
                       static_cast<std::size_t>(process)] != 0;
 }
 
 int TrafficPlane::harq_retx_count(std::size_t ue, int process) const {
-  expects(ue < n_ues_ && process >= 0 && process < config_.harq_processes,
+  expects(ue < n_ues_ && process >= 0 && process < kHarqProcesses,
           "TrafficPlane::harq_retx_count: index out of range");
-  return harq_retx_[ue * static_cast<std::size_t>(config_.harq_processes) +
+  return harq_retx_[ue * static_cast<std::size_t>(kHarqProcesses) +
                     static_cast<std::size_t>(process)];
 }
 
 void TrafficPlane::phase1_arrivals_and_metrics(std::int64_t t) {
   const bool pf = config_.policy == SchedulerPolicy::kProportionalFair;
-  const std::size_t h = static_cast<std::size_t>(config_.harq_processes);
+  const std::size_t h = static_cast<std::size_t>(kHarqProcesses);
   const std::size_t process =
       static_cast<std::size_t>(t % static_cast<std::int64_t>(h));
   for (std::size_t i = 0; i < n_ues_; ++i) {
@@ -260,7 +259,7 @@ void TrafficPlane::refresh_mbsfn_pattern(std::int64_t t) {
       mcast_backlog_bits_ + config_.multicast_rate_bps * kTtiSeconds * 10.0;
   const int needed =
       static_cast<int>(std::ceil(frame_demand / mbsfn_capacity_bits_));
-  mbsfn_this_frame_ = std::clamp(needed, 0, config_.max_mbsfn_per_frame);
+  mbsfn_this_frame_ = std::clamp(needed, 0, kMaxMbsfnPerFrame);
 }
 
 void TrafficPlane::phase2_allocate(std::int64_t t) {
@@ -286,7 +285,7 @@ void TrafficPlane::phase2_allocate(std::int64_t t) {
     }
   }
 
-  const std::size_t h = static_cast<std::size_t>(config_.harq_processes);
+  const std::size_t h = static_cast<std::size_t>(kHarqProcesses);
   const std::size_t process =
       static_cast<std::size_t>(t % static_cast<std::int64_t>(h));
   int prb_left = total_prb;
@@ -417,10 +416,9 @@ void TrafficPlane::phase2_allocate(std::int64_t t) {
 }
 
 void TrafficPlane::phase3_transmit(std::int64_t t) {
-  const std::size_t h = static_cast<std::size_t>(config_.harq_processes);
+  const std::size_t h = static_cast<std::size_t>(kHarqProcesses);
   const auto p_fail = [&](double margin_db) {
-    const double p =
-        config_.target_bler * std::exp2(-margin_db / config_.bler_halving_db);
+    const double p = config_.target_bler * std::exp2(-margin_db / kBlerHalvingDb);
     return std::clamp(p, 0.0, 1.0);
   };
 
@@ -488,7 +486,7 @@ void TrafficPlane::phase3_transmit(std::int64_t t) {
 }
 
 void TrafficPlane::phase4_decay() {
-  const double alpha = config_.ewma_alpha;
+  const double alpha = kEwmaAlpha;
   for (std::size_t i = 0; i < n_ues_; ++i) {
     ewma_bps_[i] = (1.0 - alpha) * ewma_bps_[i] +
                    alpha * (ewma_add_[i] / kTtiSeconds);

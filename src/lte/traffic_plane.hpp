@@ -68,25 +68,23 @@ struct TrafficSpec {
 /// store it, so a bad spec never reaches a plane mid-epoch.
 void validate(const TrafficSpec& spec);
 
+/// HARQ: synchronous stop-and-wait over this many parallel processes per UE.
+inline constexpr int kHarqProcesses = 8;
+
 struct TrafficPlaneConfig {
   BandwidthConfig carrier = bandwidth_config(10.0);
   SchedulerPolicy policy = SchedulerPolicy::kProportionalFair;
   std::uint64_t seed = 1;
-  double ewma_alpha = 0.01;  ///< PF long-term rate horizon (~100 ms)
 
-  // HARQ: synchronous stop-and-wait, `harq_processes` parallel processes.
-  int harq_processes = 8;
   int harq_max_retx = 4;                ///< retransmissions before drop
   double harq_combining_gain_db = 3.0;  ///< chase-combining SNR gain / retx
   /// First-transmission BLER when the channel sits exactly on the chosen
-  /// CQI's switching threshold; halves per `bler_halving_db` of margin.
+  /// CQI's switching threshold; halves per dB of margin.
   double target_bler = 0.1;
-  double bler_halving_db = 1.0;
 
   // Adaptive multicast/unicast subframe split (MBSFN style).
   bool adaptive_mbsfn = false;
   double multicast_rate_bps = 0.0;  ///< offered broadcast load
-  int max_mbsfn_per_frame = 6;      ///< 3GPP cap: 6 of 10 subframes
 };
 
 /// Aggregate outcome of a run_ttis window. Every field is a deterministic
@@ -222,7 +220,7 @@ class TrafficPlane {
   std::vector<double> backlog_bits_;
   std::vector<double> ewma_bps_;
 
-  // HARQ slabs, n_ues x harq_processes flattened.
+  // HARQ slabs, n_ues x kHarqProcesses flattened.
   std::vector<double> harq_bits_;
   std::vector<std::uint16_t> harq_prb_;
   std::vector<std::uint8_t> harq_retx_;

@@ -20,6 +20,10 @@ constexpr std::uint64_t kStreamOfficeJitterR = 0x105;
 constexpr std::uint64_t kStreamOfficeJitterA = 0x106;
 constexpr std::uint64_t kStreamDepart = 0x107;
 
+constexpr int kResidentialClusters = 3;
+constexpr int kOfficeClusters = 2;
+constexpr double kClusterRadiusM = 90.0;
+
 geo::Vec2 clamp_to_area(const CommuterPlan& plan, geo::Vec2 p) {
   return {std::clamp(p.x, plan.area_min.x, plan.area_max.x),
           std::clamp(p.y, plan.area_min.y, plan.area_max.y)};
@@ -37,17 +41,16 @@ geo::Vec2 cluster_center(const CommuterPlan& plan, std::uint64_t stream, int c) 
 geo::Vec2 cluster_point(const CommuterPlan& plan, std::size_t ue, int clusters,
                         std::uint64_t cluster_stream, std::uint64_t r_stream,
                         std::uint64_t a_stream) {
-  const int c = static_cast<int>(ue % static_cast<std::size_t>(std::max(clusters, 1)));
+  const int c = static_cast<int>(ue % static_cast<std::size_t>(clusters));
   const geo::Vec2 center = cluster_center(plan, cluster_stream, c);
   // sqrt(u) radius => uniform density over the cluster disk.
-  const double r = plan.cluster_radius_m * std::sqrt(u01(plan.seed, r_stream, ue));
+  const double r = kClusterRadiusM * std::sqrt(u01(plan.seed, r_stream, ue));
   const double a = 2.0 * M_PI * u01(plan.seed, a_stream, ue);
   const geo::Vec2 p{center.x + r * std::cos(a), center.y + r * std::sin(a)};
   return snap_to_street_grid(plan, p);
 }
 
 double snap_axis(double v, double lo, double pitch) {
-  if (pitch <= 0.0) return v;
   return lo + std::round((v - lo) / pitch) * pitch;
 }
 
@@ -55,8 +58,8 @@ double snap_axis(double v, double lo, double pitch) {
 
 geo::Vec2 snap_to_street_grid(const CommuterPlan& plan, geo::Vec2 p) {
   p = clamp_to_area(plan, p);
-  const double ax = snap_axis(p.x, plan.area_min.x, plan.street_pitch_x_m);
-  const double sy = snap_axis(p.y, plan.area_min.y, plan.street_pitch_y_m);
+  const double ax = snap_axis(p.x, plan.area_min.x, kStreetPitchXM);
+  const double sy = snap_axis(p.y, plan.area_min.y, kStreetPitchYM);
   // Snap to whichever grid line is closer: the nearest avenue (fix x) or the
   // nearest street (fix y) — walkers stand on a road, not inside a block.
   if (std::abs(ax - p.x) <= std::abs(sy - p.y)) {
@@ -66,21 +69,17 @@ geo::Vec2 snap_to_street_grid(const CommuterPlan& plan, geo::Vec2 p) {
 }
 
 geo::Vec2 commuter_home(const CommuterPlan& plan, std::size_t ue) {
-  return cluster_point(plan, ue, plan.residential_clusters, kStreamHomeCluster,
+  return cluster_point(plan, ue, kResidentialClusters, kStreamHomeCluster,
                        kStreamHomeJitterR, kStreamHomeJitterA);
 }
 
 geo::Vec2 commuter_office(const CommuterPlan& plan, std::size_t ue) {
-  return cluster_point(plan, ue, plan.office_clusters, kStreamOfficeCluster,
+  return cluster_point(plan, ue, kOfficeClusters, kStreamOfficeCluster,
                        kStreamOfficeJitterR, kStreamOfficeJitterA);
 }
 
 double commute_progress(const CommuterPlan& plan, std::size_t ue, double hour) {
   expects(hour >= 0.0 && hour < 24.0, "commute_progress: hour must be in [0,24)");
-  expects(plan.morning_start_h < plan.morning_end_h &&
-                   plan.morning_end_h <= plan.evening_start_h &&
-                   plan.evening_start_h < plan.evening_end_h,
-               "commute_progress: windows must be ordered morning < evening");
   // Departure staggered over the first 30% of each window; the remaining 70%
   // is this UE's walk duration, so the latest departure still arrives.
   const double stagger = 0.3 * u01(plan.seed, kStreamDepart, ue);
@@ -89,12 +88,10 @@ double commute_progress(const CommuterPlan& plan, std::size_t ue, double hour) {
     const double depart = start + stagger * w;
     return std::clamp((t - depart) / (0.7 * w), 0.0, 1.0);
   };
-  if (hour < plan.morning_start_h) return 0.0;
-  if (hour < plan.morning_end_h) return walk(hour, plan.morning_start_h, plan.morning_end_h);
-  if (hour < plan.evening_start_h) return 1.0;
-  if (hour < plan.evening_end_h) {
-    return 1.0 - walk(hour, plan.evening_start_h, plan.evening_end_h);
-  }
+  if (hour < kMorningStartH) return 0.0;
+  if (hour < kMorningEndH) return walk(hour, kMorningStartH, kMorningEndH);
+  if (hour < kEveningStartH) return 1.0;
+  if (hour < kEveningEndH) return 1.0 - walk(hour, kEveningStartH, kEveningEndH);
   return 0.0;
 }
 

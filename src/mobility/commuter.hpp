@@ -19,27 +19,28 @@
 
 namespace skyran::mobility {
 
-/// Parameters of one commuter population. Cluster centers and per-UE
-/// assignments are derived from `seed`; the commute windows are wall-clock
-/// hours of a 24 h day (fractional hours allowed).
+/// Manhattan street grid the walkers snap to: avenues run north-south every
+/// kStreetPitchXM, streets east-west every kStreetPitchYM (terrain::make_nyc
+/// uses the same 85 m / 65 m).
+inline constexpr double kStreetPitchXM = 85.0;
+inline constexpr double kStreetPitchYM = 65.0;
+
+/// Commute windows [start, end) in wall-clock hours of a 24 h day. Walkers
+/// depart staggered across the first 30% of a window and spend the rest
+/// walking: home -> office in the morning, office -> home in the evening.
+inline constexpr double kMorningStartH = 7.0;
+inline constexpr double kMorningEndH = 9.5;
+inline constexpr double kEveningStartH = 17.0;
+inline constexpr double kEveningEndH = 19.5;
+static_assert(kMorningStartH < kMorningEndH && kMorningEndH <= kEveningStartH &&
+                  kEveningStartH < kEveningEndH,
+              "commute windows must be ordered morning < evening");
+
+/// One commuter population. Cluster centers and per-UE assignments are
+/// derived from `seed`.
 struct CommuterPlan {
   geo::Vec2 area_min{0.0, 0.0};
   geo::Vec2 area_max{1200.0, 1200.0};
-  /// Manhattan street grid the walkers snap to: avenues run north-south
-  /// every pitch_x, streets east-west every pitch_y (terrain::make_nyc uses
-  /// 85 m / 65 m; defaults match).
-  double street_pitch_x_m = 85.0;
-  double street_pitch_y_m = 65.0;
-  int residential_clusters = 3;
-  int office_clusters = 2;
-  double cluster_radius_m = 90.0;
-  /// Morning commute window [start, end): walkers depart staggered across
-  /// the first 30% of the window and spend the rest walking.
-  double morning_start_h = 7.0;
-  double morning_end_h = 9.5;
-  /// Evening window, office -> home.
-  double evening_start_h = 17.0;
-  double evening_end_h = 19.5;
   std::uint64_t seed = 1;
 };
 

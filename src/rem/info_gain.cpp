@@ -6,6 +6,12 @@
 
 namespace skyran::rem {
 
+namespace {
+
+constexpr double kSampleSpacingM = 8.0;  ///< candidate-path sampling pitch
+
+}  // namespace
+
 double info_gain_for_ue(const geo::Path& candidate, const TrajectoryHistory& history,
                         const InfoGainParams& params) {
   expects(!candidate.empty(), "info_gain_for_ue: empty candidate path");
@@ -13,7 +19,7 @@ double info_gain_for_ue(const geo::Path& candidate, const TrajectoryHistory& his
   double gain = params.i_max;
   for (const geo::Path& prior : history) {
     if (prior.empty()) continue;
-    gain = std::min(gain, candidate.mean_distance_to(prior, params.sample_spacing_m));
+    gain = std::min(gain, candidate.mean_distance_to(prior, kSampleSpacingM));
   }
   return gain;
 }

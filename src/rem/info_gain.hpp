@@ -14,8 +14,7 @@ namespace skyran::rem {
 using TrajectoryHistory = std::vector<geo::Path>;
 
 struct InfoGainParams {
-  double i_max = 250.0;        ///< gain assigned to a UE with no history, m
-  double sample_spacing_m = 8.0;  ///< candidate-path sampling pitch
+  double i_max = 250.0;  ///< gain assigned to a UE with no history, m
 };
 
 /// Gain of `candidate` for one UE: the minimum over historical trajectories

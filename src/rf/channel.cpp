@@ -25,6 +25,9 @@ void FsplChannel::path_loss_db_row(const geo::Vec3* a, std::size_t n, geo::Vec3 
 
 namespace {
 
+/// Decorrelation distance of the LOS shadowing field (NLOS: 0.6 of it).
+constexpr double kShadowingCorrelationM = 30.0;
+
 std::shared_ptr<const terrain::Terrain> non_null(std::shared_ptr<const terrain::Terrain> t) {
   expects(t != nullptr, "RayTraceChannel: terrain must not be null");
   return t;
@@ -37,19 +40,17 @@ RayTraceChannel::RayTraceChannel(std::shared_ptr<const terrain::Terrain> terrain
     : terrain_(non_null(std::move(terrain))),
       ceiling_(*terrain_),
       params_(params),
-      los_shadowing_(seed ^ 0x105ULL, params.shadowing_sigma_db, params.shadowing_correlation_m),
+      los_shadowing_(seed ^ 0x105ULL, params.shadowing_sigma_db, kShadowingCorrelationM),
       nlos_shadowing_(seed ^ 0x4105ULL, params.shadowing_sigma_db + params.nlos_extra_sigma_db,
-                      params.shadowing_correlation_m * 0.6) {
-  expects(params.frequency_hz > 0.0, "RayTraceChannel: frequency must be positive");
-}
+                      kShadowingCorrelationM * 0.6) {}
 
 RayTraceChannel::Link RayTraceChannel::trace(geo::Vec3 a, geo::Vec3 b) const {
   const RayObstruction ray = trace_ray(*terrain_, ceiling_, a, b);
-  const double fspl = fspl_db(ray.total_length_m, params_.frequency_hz);
-  double excess = obstruction_loss_db(ray, params_.obstruction);
+  const double fspl = fspl_db(ray.total_length_m, kCarrierHz);
+  double excess = obstruction_loss_db(ray);
   if (params_.use_knife_edge && !ray.line_of_sight()) {
     // Whichever field is stronger arrives: through-material or diffracted.
-    excess = std::min(excess, knife_edge_loss_db(*terrain_, a, b, params_.frequency_hz));
+    excess = std::min(excess, knife_edge_loss_db(*terrain_, a, b, kCarrierHz));
   }
   const double shadow =
       ray.line_of_sight() ? los_shadowing_.loss_db(a, b) : nlos_shadowing_.loss_db(a, b);

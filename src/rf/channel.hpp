@@ -53,12 +53,12 @@ class FsplChannel final : public ChannelModel {
   double frequency_hz_;
 };
 
+/// Carrier of the ground-truth channel: LTE band 7 mid-band.
+inline constexpr double kCarrierHz = 2.6e9;
+
 /// Tuning knobs for the ray-traced ground-truth channel.
 struct RayTraceChannelParams {
-  double frequency_hz = 2.6e9;  ///< LTE band 7 mid-band
-  ObstructionLossParams obstruction{};
   double shadowing_sigma_db = 4.0;
-  double shadowing_correlation_m = 30.0;
   /// Extra shadowing applied when the direct ray is obstructed (NLOS links
   /// fluctuate more than LOS ones).
   double nlos_extra_sigma_db = 2.5;
@@ -85,7 +85,7 @@ class RayTraceChannel final : public ChannelModel {
   Link trace(geo::Vec3 a, geo::Vec3 b) const;
 
   double path_loss_db(geo::Vec3 a, geo::Vec3 b) const override;
-  double frequency_hz() const override { return params_.frequency_hz; }
+  double frequency_hz() const override { return kCarrierHz; }
 
   /// True when a->b has an unobstructed direct ray.
   bool line_of_sight(geo::Vec3 a, geo::Vec3 b) const;

@@ -136,11 +136,11 @@ double knife_edge_loss_db(const terrain::Terrain& t, geo::Vec3 a, geo::Vec3 b,
   return 6.9 + 20.0 * std::log10(std::sqrt(t1 * t1 + 1.0) + t1);
 }
 
-double obstruction_loss_db(const RayObstruction& ray, const ObstructionLossParams& params) {
-  double loss = ray.building_length_m * params.building_db_per_m +
-                ray.foliage_length_m * params.foliage_db_per_m;
-  if (ray.below_ground) loss = std::max(loss, params.below_ground_db);
-  return std::min(loss, params.max_excess_db);
+double obstruction_loss_db(const RayObstruction& ray) {
+  double loss = ray.building_length_m * kBuildingLossDbPerM +
+                ray.foliage_length_m * kFoliageLossDbPerM;
+  if (ray.below_ground) loss = std::max(loss, kBelowGroundLossDb);
+  return std::min(loss, kMaxExcessLossDb);
 }
 
 }  // namespace skyran::rf

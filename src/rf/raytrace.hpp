@@ -65,20 +65,18 @@ class SurfaceCeiling {
 RayObstruction trace_ray(const terrain::Terrain& t, const SurfaceCeiling& ceiling, geo::Vec3 a,
                          geo::Vec3 b, double step_m = 0.0);
 
-/// Parameters mapping an obstruction measurement to excess loss.
-struct ObstructionLossParams {
-  double building_db_per_m = 1.8;
-  double foliage_db_per_m = 0.45;
-  /// Excess loss is capped here: beyond this, diffracted/multipath energy
-  /// dominates the through-path (keeps deep-NLOS cells finite, as observed
-  /// in real urban measurements).
-  double max_excess_db = 65.0;
-  /// Flat penalty once the direct ray is below ground (pure diffraction).
-  double below_ground_db = 65.0;
-};
+/// Penetration loss per meter of the ray inside buildings and foliage.
+inline constexpr double kBuildingLossDbPerM = 1.8;
+inline constexpr double kFoliageLossDbPerM = 0.45;
+/// Excess loss is capped here: beyond this, diffracted/multipath energy
+/// dominates the through-path (keeps deep-NLOS cells finite, as observed in
+/// real urban measurements).
+inline constexpr double kMaxExcessLossDb = 65.0;
+/// Flat penalty once the direct ray is below ground (pure diffraction).
+inline constexpr double kBelowGroundLossDb = 65.0;
 
 /// Excess (non-free-space) loss in dB for an obstruction measurement.
-double obstruction_loss_db(const RayObstruction& ray, const ObstructionLossParams& params);
+double obstruction_loss_db(const RayObstruction& ray);
 
 /// Single knife-edge diffraction loss (ITU-R P.526): find the dominant
 /// obstruction along a->b (the point maximizing the Fresnel parameter v) and

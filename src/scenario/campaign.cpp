@@ -31,6 +31,17 @@ constexpr std::uint64_t kStreamModel = 0x304;
 constexpr std::uint64_t kStreamRate = 0x305;
 constexpr std::uint64_t kStreamBattery = 0x306;
 
+constexpr double kAreaM = 1200.0;  ///< side of the square service area
+constexpr double kCellAltitudeM = 60.0;
+/// A (UE, epoch) sample counts as served when attached with SINR at or
+/// above this.
+constexpr double kMinServiceSinrDb = -3.0;
+constexpr double kCommuterFraction = 0.6;  ///< the rest of the UEs are static
+/// A cell ferries to the depot once its pack falls below this fraction.
+constexpr double kReserveFraction = 0.25;
+/// Ferry energy charged per swap round trip (depot side, not the pack).
+constexpr double kSwapEnergyWh = 30.0;
+
 double wrap24(double hour) { return hour - 24.0 * std::floor(hour / 24.0); }
 
 // FNV-1a basis of the campaign digests and Campaign::state_hash: the
@@ -86,23 +97,13 @@ std::uint64_t config_digest(const CampaignConfig& c) {
   h.pod(c.epochs_per_hour);
   h.pod(static_cast<std::uint64_t>(c.n_ues));
   h.pod(c.cells_per_side);
-  h.pod(c.area_m);
-  h.pod(c.cell_altitude_m);
-  h.pod(c.carrier_hz);
   h.pod(c.base_rate_bps);
-  h.pod(c.min_service_sinr_db);
-  h.pod(c.commuter_fraction);
   // Fleet template (resume-relevant radio/mobility knobs; make_fleet sets
   // its seed and the fleet its plane seeds; weather windows are appended to
   // the fault template and hashed below).
   sim::hash_config(h, c.fleet.plane);
   sim::hash_config(h, c.fleet.plane.carrier);
   sim::hash_config(h, c.fleet.faults);
-  h.pod(c.fleet.cell_tx_power_dbm);
-  h.pod(c.fleet.cell_antenna_gain_dbi);
-  h.pod(c.fleet.ue_antenna_gain_dbi);
-  h.pod(c.fleet.bandwidth_hz);
-  h.pod(c.fleet.ue_noise_figure_db);
   h.pod(c.fleet.ttis_per_epoch);
   h.pod(c.fleet.a3.offset_db);
   h.pod(c.fleet.a3.hysteresis_db);
@@ -113,23 +114,6 @@ std::uint64_t config_digest(const CampaignConfig& c) {
   h.pod(c.fleet.steering.step_db);
   h.pod(c.fleet.steering.max_cio_db);
   h.pod(c.fleet.steering.util_deadband);
-  // Commute windows/clusters (area + seed are campaign-resolved).
-  h.pod(c.commute.street_pitch_x_m);
-  h.pod(c.commute.street_pitch_y_m);
-  h.pod(c.commute.residential_clusters);
-  h.pod(c.commute.office_clusters);
-  h.pod(c.commute.cluster_radius_m);
-  h.pod(c.commute.morning_start_h);
-  h.pod(c.commute.morning_end_h);
-  h.pod(c.commute.evening_start_h);
-  h.pod(c.commute.evening_end_h);
-  h.pod(c.diurnal.night_floor);
-  h.pod(c.diurnal.morning_peak_h);
-  h.pod(c.diurnal.morning_level);
-  h.pod(c.diurnal.morning_width_h);
-  h.pod(c.diurnal.evening_peak_h);
-  h.pod(c.diurnal.evening_level);
-  h.pod(c.diurnal.evening_width_h);
   h.pod(static_cast<std::uint64_t>(c.weather.size()));
   for (const WeatherFront& w : c.weather) {
     h.pod(w.start_h);
@@ -152,9 +136,7 @@ std::uint64_t config_digest(const CampaignConfig& c) {
   h.pod(c.depot.battery.capacity_wh);
   h.pod(c.depot.battery.hover_power_w);
   h.pod(c.depot.battery.forward_power_w_per_mps);
-  h.pod(c.depot.reserve_fraction);
   h.pod(c.depot.swap_epochs);
-  h.pod(c.depot.swap_energy_wh);
   h.pod(c.depot.position.x);
   h.pod(c.depot.position.y);
   h.pod(c.depot.position.z);
@@ -191,25 +173,22 @@ std::uint64_t campaign_digest(const CampaignReport& report) {
 }
 
 Campaign::Campaign(CampaignConfig config)
-    : config_(std::move(config)), channel_(config_.carrier_hz), fleet_(make_fleet()) {
+    : config_(std::move(config)),
+      commute_{.area_min = {0.0, 0.0}, .area_max = {kAreaM, kAreaM}, .seed = config_.seed},
+      channel_(rf::kCarrierHz),
+      fleet_(make_fleet()) {
   expects(config_.hours > 0, "Campaign: hours must be positive");
   expects(config_.epochs_per_hour > 0, "Campaign: epochs_per_hour must be positive");
   expects(config_.n_ues > 0, "Campaign: need at least one UE");
   expects(config_.cells_per_side > 0, "Campaign: need at least one cell");
   expects(config_.depot.swap_epochs > 0, "Campaign: swap must take at least one epoch");
 
-  // Resolve the commute plan onto the campaign's own area and seed; from
-  // here on config_ is frozen (config_digest hashes the resolved form).
-  config_.commute.area_min = {0.0, 0.0};
-  config_.commute.area_max = {config_.area_m, config_.area_m};
-  config_.commute.seed = config_.seed;
-
   // Cell stations: a cells_per_side x cells_per_side grid of hover points.
   const int side = config_.cells_per_side;
-  const double pitch = config_.area_m / side;
+  const double pitch = kAreaM / side;
   for (int gy = 0; gy < side; ++gy) {
     for (int gx = 0; gx < side; ++gx) {
-      station_.push_back({(gx + 0.5) * pitch, (gy + 0.5) * pitch, config_.cell_altitude_m});
+      station_.push_back({(gx + 0.5) * pitch, (gy + 0.5) * pitch, kCellAltitudeM});
     }
   }
   // Staggered initial packs — comfortably above the reserve, spread out so
@@ -218,9 +197,9 @@ Campaign::Campaign(CampaignConfig config)
   swap_left_.assign(station_.size(), 0);
   for (std::size_t c = 0; c < station_.size(); ++c) {
     uav::Battery b(config_.depot.battery);
-    const double reserve = config_.depot.reserve_fraction;
     const double frac = std::min(
-        1.0, reserve + 0.1 + (0.9 - reserve) * u01(config_.seed, kStreamBattery, c));
+        1.0, kReserveFraction + 0.1 +
+                 (0.9 - kReserveFraction) * u01(config_.seed, kStreamBattery, c));
     b.restore_remaining_wh(frac * b.capacity_wh());
     battery_.push_back(b);
   }
@@ -233,10 +212,10 @@ Campaign::Campaign(CampaignConfig config)
   commuter_.resize(config_.n_ues);
   static_pos_.resize(config_.n_ues);
   for (std::size_t i = 0; i < config_.n_ues; ++i) {
-    commuter_[i] = u01(config_.seed, kStreamCommuter, i) < config_.commuter_fraction ? 1 : 0;
+    commuter_[i] = u01(config_.seed, kStreamCommuter, i) < kCommuterFraction ? 1 : 0;
     static_pos_[i] = mobility::snap_to_street_grid(
-        config_.commute, {u01(config_.seed, kStreamStaticX, i) * config_.area_m,
-                          u01(config_.seed, kStreamStaticY, i) * config_.area_m});
+        commute_, {u01(config_.seed, kStreamStaticX, i) * kAreaM,
+                   u01(config_.seed, kStreamStaticY, i) * kAreaM});
     lte::TrafficSpec spec;
     const double m = u01(config_.seed, kStreamModel, i);
     spec.model = m < 0.55   ? lte::TrafficModel::kCbr
@@ -282,7 +261,7 @@ std::vector<double> Campaign::crowd_engagements(double hod) const {
 
 geo::Vec3 Campaign::ue_position_at(std::size_t ue, double hod,
                                    std::span<const double> engagement) const {
-  geo::Vec2 p = commuter_[ue] != 0 ? mobility::commuter_position(config_.commute, ue, hod)
+  geo::Vec2 p = commuter_[ue] != 0 ? mobility::commuter_position(commute_, ue, hod)
                                    : static_pos_[ue];
   for (std::size_t k = 0; k < config_.crowds.size(); ++k) {
     const FlashCrowd& crowd = config_.crowds[k];
@@ -312,14 +291,14 @@ void Campaign::step_logistics(double epoch_s, HourReport& hr) {
     const double spent = before - battery_[c].remaining_wh();
     hr.energy_wh += spent;
     energy_wh_ += spent;
-    if (battery_[c].remaining_fraction() < config_.depot.reserve_fraction) {
+    if (battery_[c].remaining_fraction() < kReserveFraction) {
       // Reserve tripped: ferry to the depot. The cell's RSRP collapses from
       // there, so the next A3 evaluations drain its UEs to the neighbors.
       swap_left_[c] = config_.depot.swap_epochs;
       ++hr.swaps_started;
       ++swaps_;
-      hr.energy_wh += config_.depot.swap_energy_wh;
-      energy_wh_ += config_.depot.swap_energy_wh;
+      hr.energy_wh += kSwapEnergyWh;
+      energy_wh_ += kSwapEnergyWh;
       fleet_.set_cell_position(c, config_.depot.position);
     }
   }
@@ -332,7 +311,7 @@ HourReport Campaign::run_hour() {
   HourReport hr;
   hr.hour = hour_;
   const double mid = wrap24(hour_ + 0.5);
-  hr.diurnal_level = diurnal_level(config_.diurnal, mid);
+  hr.diurnal_level = diurnal_level(mid);
 
   // Hour inputs: every UE's spec is its base model at the diurnal level,
   // boosted by any crowd it participates in at mid-hour. Pure function of
@@ -343,7 +322,7 @@ HourReport Campaign::run_hour() {
     const std::vector<double> engagement = crowd_engagements(mid);
     core::parallel_for(config_.n_ues, [&](std::size_t i) {
       const geo::Vec2 base = commuter_[i] != 0
-                                 ? mobility::commuter_position(config_.commute, i, mid)
+                                 ? mobility::commuter_position(commute_, i, mid)
                                  : static_pos_[i];
       double m = hr.diurnal_level;
       for (std::size_t k = 0; k < config_.crowds.size(); ++k) {
@@ -390,7 +369,7 @@ HourReport Campaign::run_hour() {
             for (std::size_t i = begin; i < end; ++i) {
               hour_ue_bits_[i] += fleet_.ue_served_bits(i);
               if (fleet_.serving_cell(i) >= 0 &&
-                  fleet_.sinr_db(i) >= config_.min_service_sinr_db)
+                  fleet_.sinr_db(i) >= kMinServiceSinrDb)
                 ++served;
             }
             return served;
@@ -583,7 +562,7 @@ CampaignConfig example_day_config(std::uint64_t seed, std::size_t n_ues, int cel
   stadium.fill_h = 1.0;
   stadium.hold_h = 2.5;
   stadium.drain_h = 1.0;
-  stadium.center = {0.75 * cfg.area_m, 0.75 * cfg.area_m};
+  stadium.center = {0.75 * kAreaM, 0.75 * kAreaM};
   stadium.radius_m = 90.0;
   stadium.ue_fraction = 0.3;
   stadium.rate_boost = 3.0;
@@ -594,7 +573,7 @@ CampaignConfig example_day_config(std::uint64_t seed, std::size_t n_ues, int cel
   evac.fill_h = 0.25;
   evac.hold_h = 1.0;
   evac.drain_h = 0.75;
-  evac.center = {0.4 * cfg.area_m, 0.45 * cfg.area_m};
+  evac.center = {0.4 * kAreaM, 0.45 * kAreaM};
   evac.radius_m = 150.0;
   evac.rate_boost = 2.0;
   cfg.crowds.push_back(evac);

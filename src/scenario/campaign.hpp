@@ -1,7 +1,7 @@
 // scenario::Campaign — a day-in-the-life campaign driver composing the
 // existing layers over a simulated 24 h horizon (ROADMAP item 5):
 //
-//   traffic   the DiurnalCurve modulates every UE's base rate hour by hour;
+//   traffic   the diurnal curve modulates every UE's base rate hour by hour;
 //             FlashCrowd scripts (stadium fill/drain, outage evacuation)
 //             boost participants' demand while engaged
 //   mobility  a commuter fraction of the population follows
@@ -50,15 +50,12 @@ struct WeatherFront {
   double snr_sag_db = 6.0;
 };
 
-/// Battery swap logistics. A cell whose pack falls below reserve_fraction
-/// ferries to `position` (off the service area), sits out swap_epochs
-/// epochs, and returns to station with a full pack.
+/// Battery swap logistics. A cell whose pack falls below a quarter of its
+/// capacity ferries to `position` (off the service area), sits out
+/// swap_epochs epochs, and returns to station with a full pack.
 struct DepotConfig {
   uav::BatteryParams battery{};
-  double reserve_fraction = 0.25;
   int swap_epochs = 2;
-  /// Ferry energy charged per swap round trip (depot side, not the pack).
-  double swap_energy_wh = 30.0;
   geo::Vec3 position{-150.0, -150.0, 20.0};
 };
 
@@ -67,26 +64,15 @@ struct CampaignConfig {
   int hours = 24;
   int epochs_per_hour = 6;
   std::size_t n_ues = 1000;
-  /// UAV cells on a cells_per_side x cells_per_side grid over the area.
+  /// UAV cells on a cells_per_side x cells_per_side grid over the 1200 m
+  /// square service area.
   int cells_per_side = 3;
-  double area_m = 1200.0;
-  double cell_altitude_m = 60.0;
-  double carrier_hz = 2.6e9;
   /// Per-UE mean demand at the diurnal peak; individual UEs draw a base
   /// rate in [0.5, 1.5) of this.
   double base_rate_bps = 4e5;
-  /// A (UE, epoch) sample counts as served when attached with SINR at or
-  /// above this.
-  double min_service_sinr_db = -3.0;
-  /// Fraction of UEs that commute; the rest are static.
-  double commuter_fraction = 0.6;
   /// Template for the fleet; seed/threads/faults and the plane seed are
   /// filled in by the campaign (weather owns the appended fault windows).
   fleet::FleetConfig fleet{};
-  /// Commute windows and cluster tuning; area and seed are overridden from
-  /// the campaign's own.
-  mobility::CommuterPlan commute{};
-  DiurnalCurve diurnal{};
   std::vector<WeatherFront> weather;
   std::vector<FlashCrowd> crowds;
   DepotConfig depot{};
@@ -169,6 +155,8 @@ class Campaign {
   int hours_run() const { return hour_; }
   bool done() const { return hour_ >= config_.hours; }
   const CampaignConfig& config() const { return config_; }
+  /// The commuter population: the service area and the campaign's seed.
+  const mobility::CommuterPlan& commute_plan() const { return commute_; }
   const fleet::Fleet& fleet() const { return fleet_; }
   std::size_t cell_count() const { return fleet_.cell_count(); }
   bool cell_at_depot(std::size_t cell) const { return swap_left_[cell] > 0; }
@@ -210,6 +198,7 @@ class Campaign {
   void step_logistics(double epoch_s, HourReport& hr);
 
   CampaignConfig config_;
+  mobility::CommuterPlan commute_;
   rf::FsplChannel channel_;
   fleet::Fleet fleet_;
 

@@ -27,12 +27,10 @@ double bump(double hour, double peak, double level, double width) {
 
 }  // namespace
 
-double diurnal_level(const DiurnalCurve& curve, double hour) {
+double diurnal_level(double hour) {
   hour = hour - 24.0 * std::floor(hour / 24.0);
-  const double level =
-      curve.night_floor +
-      bump(hour, curve.morning_peak_h, curve.morning_level, curve.morning_width_h) +
-      bump(hour, curve.evening_peak_h, curve.evening_level, curve.evening_width_h);
+  const double level = kNightFloor + bump(hour, kMorningPeakH, kMorningLevel, kMorningWidthH) +
+                       bump(hour, kEveningPeakH, kEveningLevel, kEveningWidthH);
   return std::clamp(level, 0.0, 1.0);
 }
 

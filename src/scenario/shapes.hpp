@@ -17,21 +17,20 @@
 namespace skyran::scenario {
 
 /// Two-bump diurnal demand curve: an overnight floor plus Gaussian morning
-/// and evening bumps, clamped to 1.0 at the evening peak. Values are
-/// multipliers on each UE's base rate, in (0, 1].
-struct DiurnalCurve {
-  double night_floor = 0.15;
-  double morning_peak_h = 9.0;
-  double morning_level = 0.7;
-  double morning_width_h = 1.8;
-  double evening_peak_h = 20.5;
-  double evening_level = 1.0;
-  double evening_width_h = 2.2;
-};
+/// and evening bumps (peak hour, level, width in hours), clamped to 1.0 at
+/// the evening peak.
+inline constexpr double kNightFloor = 0.15;
+inline constexpr double kMorningPeakH = 9.0;
+inline constexpr double kMorningLevel = 0.7;
+inline constexpr double kMorningWidthH = 1.8;
+inline constexpr double kEveningPeakH = 20.5;
+inline constexpr double kEveningLevel = 1.0;
+inline constexpr double kEveningWidthH = 2.2;
 
-/// Demand multiplier at fractional hour-of-day `hour` (wraps mod 24, so the
-/// evening bump's tail reaches past midnight).
-double diurnal_level(const DiurnalCurve& curve, double hour);
+/// Demand multiplier of the diurnal curve at fractional hour-of-day `hour`,
+/// in (0, 1]: a multiplier on each UE's base rate. Wraps mod 24, so the
+/// evening bump's tail reaches past midnight.
+double diurnal_level(double hour);
 
 enum class CrowdKind : std::uint8_t {
   kStadium,     ///< a fraction of UEs converge on a venue, then drain home

@@ -8,9 +8,15 @@
 
 namespace skyran::sim {
 
+namespace {
+
+constexpr double kZigzagSpacingM = 40.0;
+
+}  // namespace
+
 SchemeResult run_uniform(const World& world, const UniformConfig& config, std::uint64_t seed) {
   expects(config.budget_m > 0.0, "run_uniform: budget must be positive");
-  const geo::Path full = uav::zigzag(world.area().inflated(-5.0), config.zigzag_spacing_m);
+  const geo::Path full = uav::zigzag(world.area().inflated(-5.0), kZigzagSpacingM);
   const geo::Path track = uav::truncate_to_budget(full, config.budget_m);
   const uav::FlightPlan plan = uav::FlightPlan::at_altitude(track, config.altitude_m);
 

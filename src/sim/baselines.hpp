@@ -26,11 +26,10 @@ struct SchemeResult {
 
 struct UniformConfig {
   double altitude_m = 60.0;
-  double budget_m = 1000.0;      ///< measurement budget (trajectory length)
-  double zigzag_spacing_m = 40.0;
-  double rem_cell_m = 5.0;       ///< REM raster used by the scheme
+  double budget_m = 1000.0;  ///< measurement budget (trajectory length)
+  double rem_cell_m = 5.0;   ///< REM raster used by the scheme
   MeasurementConfig measurement{};
-  rem::IdwParams idw{8, 2.0, 1e9};  ///< unlimited radius: no location prior
+  rem::IdwParams idw{};  ///< unlimited radius: no location prior
   rem::PlacementObjective objective = rem::PlacementObjective::kMaxMin;
 };
 

@@ -23,15 +23,11 @@ inline void hash_config(geo::Fnv1a& h, const lte::BandwidthConfig& c) {
 /// overwrite it.
 inline void hash_config(geo::Fnv1a& h, const lte::TrafficPlaneConfig& c) {
   h.pod(static_cast<std::int32_t>(c.policy));
-  h.pod(c.ewma_alpha);
-  h.pod(c.harq_processes);
   h.pod(c.harq_max_retx);
   h.pod(c.harq_combining_gain_db);
   h.pod(c.target_bler);
-  h.pod(c.bler_halving_db);
   h.pod(c.adaptive_mbsfn);
   h.pod(c.multicast_rate_bps);
-  h.pod(c.max_mbsfn_per_frame);
 }
 
 inline void hash_config(geo::Fnv1a& h, const FaultPlan& plan) {

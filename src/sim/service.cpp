@@ -12,6 +12,7 @@ namespace skyran::sim {
 namespace {
 
 constexpr double kTtiMs = 1.0;
+constexpr double kHoverCoherenceS = 0.2;  ///< fading coherence of a hovering cell
 
 ServiceReport run_service(const World& world,
                           const std::function<geo::Vec3(double)>& position_at,
@@ -52,8 +53,8 @@ ServiceReport run_service(const World& world,
     const double speed = uav.dist(prev_pos) / (kTtiMs / 1000.0);
     prev_pos = uav;
     const double coherence_s =
-        speed > 0.05 ? std::min(config.hover_coherence_s, wavelength / (2.0 * speed))
-                     : config.hover_coherence_s;
+        speed > 0.05 ? std::min(kHoverCoherenceS, wavelength / (2.0 * speed))
+                     : kHoverCoherenceS;
     const double rho = std::exp(-(kTtiMs / 1000.0) / std::max(1e-4, coherence_s));
     for (double& f : fade_state)
       f = rho * f + std::sqrt(std::max(0.0, 1.0 - rho * rho)) *

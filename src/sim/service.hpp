@@ -25,11 +25,9 @@ struct ServiceConfig {
   double cqi_period_ms = 5.0;
   /// Fast-fading magnitude. The fading process is AR(1) with a coherence
   /// time set by motion: lambda/(2*speed) when flying (classic Doppler
-  /// decorrelation - ~7 ms at 30 km/h and 2.6 GHz) and
-  /// `hover_coherence_s` when hovering. This is precisely why probing
-  /// motion breaks the CQI loop (Sec 2.5).
+  /// decorrelation - ~7 ms at 30 km/h and 2.6 GHz) and 0.2 s when hovering.
+  /// This is precisely why probing motion breaks the CQI loop (Sec 2.5).
   double fading_sigma_db = 1.8;
-  double hover_coherence_s = 0.2;
 };
 
 struct ServiceReport {

@@ -5,12 +5,23 @@
 # later change) silently moved numeric behavior instead of routing through
 # the dispatch layer.
 #
-# Expected -D definitions: EXE (example binary), GOLDEN (committed stdout).
+# With METRICS set, the run also dumps its telemetry there
+# (SKYRAN_METRICS_OUT): stdout must still match the golden, and
+# tools/metrics_report.py (REPORT, run by PYTHON) must accept the dump.
+#
+# Expected -D definitions: EXE (example binary), GOLDEN (committed stdout);
+# optional METRICS, with PYTHON and REPORT.
 if(NOT EXE OR NOT GOLDEN)
   message(FATAL_ERROR "golden_replay.cmake needs -DEXE=... and -DGOLDEN=...")
 endif()
 
 set(ENV{SKYRAN_SIMD} "off")
+if(METRICS)
+  get_filename_component(metrics_dir ${METRICS} DIRECTORY)
+  file(MAKE_DIRECTORY ${metrics_dir})
+  file(REMOVE ${METRICS})
+  set(ENV{SKYRAN_METRICS_OUT} ${METRICS})
+endif()
 execute_process(
   COMMAND ${EXE}
   OUTPUT_VARIABLE actual
@@ -27,4 +38,15 @@ if(NOT actual STREQUAL expected)
     "SKYRAN_SIMD=off stdout of ${EXE} is not byte-identical to ${GOLDEN}. "
     "Fresh output written next to it as .actual; diff the two. If the "
     "change is intentional, re-capture the golden with SKYRAN_SIMD=off.")
+endif()
+
+if(METRICS)
+  execute_process(
+    COMMAND ${PYTHON} ${REPORT} ${METRICS}
+    OUTPUT_VARIABLE report
+    ERROR_VARIABLE report_err
+    RESULT_VARIABLE report_rc)
+  if(NOT report_rc EQUAL 0)
+    message(FATAL_ERROR "metrics_report.py rejects the dump of ${EXE}:\n${report}${report_err}")
+  endif()
 endif()

@@ -26,6 +26,7 @@
 namespace {
 
 using namespace skyran;
+using uav::kDefaultCruiseMps;
 
 constexpr std::uint64_t kSeed = 99;
 constexpr double kInf = std::numeric_limits<double>::infinity();
@@ -278,8 +279,8 @@ TEST(BatteryAccounting, PreLoopDrainStopsMeasurementAtTheReserve) {
   ASSERT_GT(full.measurement_rounds, 0);
   const double preflight_m = full.localization_flight_m + full.altitude_flight_m;
   ASSERT_GT(preflight_m, 0.0);
-  const double power_w = uav::Battery(cfg.battery).power_w(cfg.cruise_mps);
-  const double preflight_wh = power_w * (preflight_m / cfg.cruise_mps) / 3600.0;
+  const double power_w = uav::Battery(cfg.battery).power_w(kDefaultCruiseMps);
+  const double preflight_wh = power_w * (preflight_m / kDefaultCruiseMps) / 3600.0;
 
   // Second pass: capacity sized so the pre-loop drain alone crosses the
   // reserve (full charge is above it, charge minus the localization +
@@ -313,9 +314,9 @@ TEST(BatteryAccounting, AltitudeDescentIsDrained) {
   ASSERT_GT(r.altitude_flight_m, 0.0);
   ASSERT_EQ(r.measurement_flight_m, 0.0);
   const double reposition_m = r.total_flight_m - r.altitude_flight_m;
-  const double power_w = uav::Battery(cfg.battery).power_w(cfg.cruise_mps);
+  const double power_w = uav::Battery(cfg.battery).power_w(kDefaultCruiseMps);
   const double expected_wh =
-      power_w * ((r.altitude_flight_m + reposition_m) / cfg.cruise_mps) / 3600.0;
+      power_w * ((r.altitude_flight_m + reposition_m) / kDefaultCruiseMps) / 3600.0;
   const double drained_wh = cfg.battery.capacity_wh - skyran.battery().remaining_wh();
   EXPECT_NEAR(drained_wh, expected_wh, 1e-9);
 }
@@ -330,10 +331,10 @@ TEST(BatteryAccounting, MidFlightAbortKeepsPartialDeposits) {
   core::SkyRan probe(probe_world, cfg, kSeed);
   const core::EpochReport full = probe.run_epoch();
   ASSERT_GT(full.measurement_flight_m, 100.0);
-  const double power_w = uav::Battery(cfg.battery).power_w(cfg.cruise_mps);
+  const double power_w = uav::Battery(cfg.battery).power_w(kDefaultCruiseMps);
   const double preflight_wh = power_w *
-      ((full.localization_flight_m + full.altitude_flight_m) / cfg.cruise_mps) / 3600.0;
-  const double half_tour_wh = power_w * (60.0 / cfg.cruise_mps) / 3600.0;
+      ((full.localization_flight_m + full.altitude_flight_m) / kDefaultCruiseMps) / 3600.0;
+  const double half_tour_wh = power_w * (60.0 / kDefaultCruiseMps) / 3600.0;
 
   cfg.battery.capacity_wh = preflight_wh + half_tour_wh;
   cfg.battery_reserve_fraction = 0.01;

@@ -174,7 +174,7 @@ TEST_F(PipelineFixture, TuplesTrackTrueRangePlusOffset) {
   RangingConfig rc;
   const geo::Path track =
       uav::random_walk(world_->area().inflated(-10.0), {150.0, 150.0}, 30.0, 9.0, 5);
-  const auto samples = uav::fly(uav::FlightPlan::at_altitude(track, 60.0), 1.0 / rc.gps_rate_hz);
+  const auto samples = uav::fly(uav::FlightPlan::at_altitude(track, 60.0), 1.0 / kGpsRateHz);
   uav::GpsSensor gps(6);
   geo::Mt19937_64 rng(7);
   const geo::Vec3 ue = world_->ue_positions()[0];
@@ -183,7 +183,7 @@ TEST_F(PipelineFixture, TuplesTrackTrueRangePlusOffset) {
   ASSERT_GE(tuples.size(), 20u);
   std::vector<double> errors;
   for (const GpsTofTuple& t : tuples)
-    errors.push_back(t.range_m - (t.uav_position.dist(ue) + rc.processing_offset_m));
+    errors.push_back(t.range_m - (t.uav_position.dist(ue) + kProcessingOffsetM));
   std::sort(errors.begin(), errors.end());
   const double med = errors[errors.size() / 2];
   EXPECT_LT(std::abs(med), 8.0);  // small bias (LOS ~0, NLOS up to ~6 m)
@@ -194,7 +194,7 @@ TEST_F(PipelineFixture, LowSnrReportsDropped) {
   rc.min_snr_db = 1e9;  // absurd threshold: everything dropped
   const geo::Path track =
       uav::random_walk(world_->area().inflated(-10.0), {150.0, 150.0}, 20.0, 9.0, 5);
-  const auto samples = uav::fly(uav::FlightPlan::at_altitude(track, 60.0), 1.0 / rc.gps_rate_hz);
+  const auto samples = uav::fly(uav::FlightPlan::at_altitude(track, 60.0), 1.0 / kGpsRateHz);
   uav::GpsSensor gps(6);
   geo::Mt19937_64 rng(7);
   const GpsTofSeries tuples = collect_gps_tof(samples, world_->ue_positions()[0],
@@ -228,7 +228,7 @@ TEST_F(PipelineFixture, FaultedRayTracedTuplesPinned) {
   RangingConfig rc;
   const geo::Path track =
       uav::random_walk(world_->area().inflated(-10.0), {150.0, 150.0}, 70.0, 9.0, 5);
-  const auto samples = uav::fly(uav::FlightPlan::at_altitude(track, 60.0), 1.0 / rc.gps_rate_hz);
+  const auto samples = uav::fly(uav::FlightPlan::at_altitude(track, 60.0), 1.0 / kGpsRateHz);
   sim::FaultPlan plan;
   plan.seed = 3;
   plan.add({sim::FaultKind::kSrsSymbolLoss, 1.0, 4.0, 0.3, 0.0})

@@ -589,7 +589,7 @@ TEST(ParallelEquivalenceTest, CollectGpsTofFaultedRayTraced) {
   const geo::Path track =
       uav::random_walk(world.area().inflated(-10.0), {150.0, 150.0}, 70.0, 9.0, 5);
   const std::vector<uav::FlightSample> flight =
-      uav::fly(uav::FlightPlan::at_altitude(track, 60.0), 1.0 / rc.gps_rate_hz);
+      uav::fly(uav::FlightPlan::at_altitude(track, 60.0), 1.0 / localization::kGpsRateHz);
   const auto run = [&] {
     sim::FaultPlan plan;
     plan.seed = 3;

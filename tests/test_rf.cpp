@@ -116,7 +116,7 @@ TEST(RayTraceTest, WaterDoesNotObstructAboveGround) {
   EXPECT_DOUBLE_EQ(r.building_length_m, 0.0);
   EXPECT_DOUBLE_EQ(r.foliage_length_m, 0.0);
   EXPECT_FALSE(r.below_ground);
-  EXPECT_DOUBLE_EQ(obstruction_loss_db(r, ObstructionLossParams{}), 0.0);
+  EXPECT_DOUBLE_EQ(obstruction_loss_db(r), 0.0);
 }
 
 TEST(RayTraceTest, ZeroLengthRay) {
@@ -127,21 +127,19 @@ TEST(RayTraceTest, ZeroLengthRay) {
 }
 
 TEST(RayTraceTest, ObstructionLossCapsAtMax) {
-  ObstructionLossParams p;
   RayObstruction r;
   r.building_length_m = 1000.0;
-  EXPECT_DOUBLE_EQ(obstruction_loss_db(r, p), p.max_excess_db);
+  EXPECT_DOUBLE_EQ(obstruction_loss_db(r), kMaxExcessLossDb);
   r.building_length_m = 10.0;
-  EXPECT_DOUBLE_EQ(obstruction_loss_db(r, p), 10.0 * p.building_db_per_m);
+  EXPECT_DOUBLE_EQ(obstruction_loss_db(r), 10.0 * kBuildingLossDbPerM);
   // Concrete attenuates more per meter than foliage.
-  EXPECT_GT(p.building_db_per_m, p.foliage_db_per_m);
+  EXPECT_GT(kBuildingLossDbPerM, kFoliageLossDbPerM);
 }
 
 TEST(RayTraceTest, BelowGroundGetsFloorPenalty) {
-  ObstructionLossParams p;
   RayObstruction r;
   r.below_ground = true;
-  EXPECT_DOUBLE_EQ(obstruction_loss_db(r, p), p.below_ground_db);
+  EXPECT_DOUBLE_EQ(obstruction_loss_db(r), kBelowGroundLossDb);
 }
 
 TEST(RayTraceTest, NonFiniteInputsRejected) {

@@ -52,23 +52,22 @@ std::filesystem::path fresh_dir(const std::string& name) {
 // --- shapes -----------------------------------------------------------------
 
 TEST(Diurnal, FloorBumpsAndClamp) {
-  const scenario::DiurnalCurve c;
   // Deep night sits near the floor (the bumps' tails still contribute).
   double night_min = 1.0;
   for (double h = 1.0; h < 6.0; h += 0.1) {
-    night_min = std::min(night_min, scenario::diurnal_level(c, h));
+    night_min = std::min(night_min, scenario::diurnal_level(h));
   }
-  EXPECT_GE(night_min, c.night_floor);
-  EXPECT_LT(night_min, c.night_floor + 0.1);
-  EXPECT_GT(scenario::diurnal_level(c, c.morning_peak_h), 0.5);
-  EXPECT_DOUBLE_EQ(scenario::diurnal_level(c, c.evening_peak_h), 1.0);  // clamped
+  EXPECT_GE(night_min, scenario::kNightFloor);
+  EXPECT_LT(night_min, scenario::kNightFloor + 0.1);
+  EXPECT_GT(scenario::diurnal_level(scenario::kMorningPeakH), 0.5);
+  EXPECT_DOUBLE_EQ(scenario::diurnal_level(scenario::kEveningPeakH), 1.0);  // clamped
   for (double h = 0.0; h < 24.0; h += 0.25) {
-    const double level = scenario::diurnal_level(c, h);
+    const double level = scenario::diurnal_level(h);
     EXPECT_GT(level, 0.0);
     EXPECT_LE(level, 1.0);
   }
   // 24 h wrap: the curve is continuous across midnight.
-  EXPECT_NEAR(scenario::diurnal_level(c, 23.999), scenario::diurnal_level(c, 0.001), 1e-3);
+  EXPECT_NEAR(scenario::diurnal_level(23.999), scenario::diurnal_level(0.001), 1e-3);
 }
 
 TEST(FlashCrowdShape, TrapezoidEngagement) {
@@ -137,7 +136,7 @@ TEST(Commuter, ProgressMonotoneAndStaggered) {
   plan.seed = 42;
   for (std::size_t ue = 0; ue < 20; ++ue) {
     double prev = -1.0;
-    for (double h = plan.morning_start_h; h <= plan.morning_end_h; h += 0.05) {
+    for (double h = mobility::kMorningStartH; h <= mobility::kMorningEndH; h += 0.05) {
       const double s = mobility::commute_progress(plan, ue, h);
       EXPECT_GE(s, prev);
       prev = s;
@@ -146,7 +145,7 @@ TEST(Commuter, ProgressMonotoneAndStaggered) {
   }
   // Stagger: at the same instant mid-window, different UEs are at different
   // points of the walk.
-  const double mid = 0.5 * (plan.morning_start_h + plan.morning_end_h);
+  const double mid = 0.5 * (mobility::kMorningStartH + mobility::kMorningEndH);
   double lo = 1.0;
   double hi = 0.0;
   for (std::size_t ue = 0; ue < 50; ++ue) {
@@ -163,7 +162,7 @@ TEST(Commuter, WalkStaysOnLPathInsideArea) {
   for (std::size_t ue = 0; ue < 20; ++ue) {
     const geo::Vec2 home = mobility::commuter_home(plan, ue);
     const geo::Vec2 office = mobility::commuter_office(plan, ue);
-    for (double h = plan.morning_start_h; h < plan.morning_end_h; h += 0.1) {
+    for (double h = mobility::kMorningStartH; h < mobility::kMorningEndH; h += 0.1) {
       const geo::Vec2 p = mobility::commuter_position(plan, ue, h);
       EXPECT_GE(p.x, plan.area_min.x);
       EXPECT_LE(p.x, plan.area_max.x);
@@ -180,10 +179,10 @@ TEST(Commuter, SnapLandsOnGridLine) {
   for (double x = 3.0; x < 1200.0; x += 97.3) {
     for (double y = 11.0; y < 1200.0; y += 89.7) {
       const geo::Vec2 p = mobility::snap_to_street_grid(plan, {x, y});
-      const double ax = std::abs(p.x / plan.street_pitch_x_m -
-                                 std::round(p.x / plan.street_pitch_x_m));
-      const double sy = std::abs(p.y / plan.street_pitch_y_m -
-                                 std::round(p.y / plan.street_pitch_y_m));
+      const double ax = std::abs(p.x / mobility::kStreetPitchXM -
+                                 std::round(p.x / mobility::kStreetPitchXM));
+      const double sy = std::abs(p.y / mobility::kStreetPitchYM -
+                                 std::round(p.y / mobility::kStreetPitchYM));
       EXPECT_TRUE(ax < 1e-9 || sy < 1e-9) << "off-grid point " << p.x << "," << p.y;
     }
   }
@@ -292,7 +291,7 @@ TEST(Campaign, HourLoopsMatchAcrossWorkers) {
   scenario::Campaign serial(config(1));
   scenario::Campaign four(config(4));
   scenario::Campaign eight(config(8));
-  const mobility::CommuterPlan& plan = serial.config().commute;
+  const mobility::CommuterPlan& plan = serial.commute_plan();
   const scenario::FlashCrowd& stadium = serial.config().crowds.at(0);
   ASSERT_EQ(stadium.kind, scenario::CrowdKind::kStadium);
   const auto in_venue = [&] {
@@ -398,6 +397,23 @@ TEST(CampaignCheckpoint, RejectsFleetTemplateChanges) {
                  c.fleet.faults.add({sim::FaultKind::kSrsSnrSag, 1.0, 2.0, 3.0, 0.0});
                }),
                geo::StateMismatchError);
+  EXPECT_THROW(restores([](scenario::CampaignConfig& c) { c.fleet.ttis_per_epoch += 1; }),
+               geo::StateMismatchError);
+  EXPECT_THROW(restores([](scenario::CampaignConfig& c) { c.fleet.a3.offset_db += 0.5; }),
+               geo::StateMismatchError);
+  EXPECT_THROW(restores([](scenario::CampaignConfig& c) { c.fleet.steering.step_db += 0.5; }),
+               geo::StateMismatchError);
+  // The rest of the campaign's own sub-configs.
+  EXPECT_THROW(restores([](scenario::CampaignConfig& c) { c.depot.swap_epochs += 1; }),
+               geo::StateMismatchError);
+  EXPECT_THROW(
+      restores([](scenario::CampaignConfig& c) { c.depot.battery.capacity_wh += 1.0; }),
+      geo::StateMismatchError);
+  EXPECT_THROW(restores([](scenario::CampaignConfig& c) { c.crowds.at(0).rate_boost += 1.0; }),
+               geo::StateMismatchError);
+  EXPECT_THROW(
+      restores([](scenario::CampaignConfig& c) { c.weather.push_back({1.0, 2.0, 3.0}); }),
+      geo::StateMismatchError);
   // The fleet derives every plane seed itself: resume-neutral.
   EXPECT_NO_THROW(restores([](scenario::CampaignConfig& c) { c.fleet.plane.seed += 1; }));
 }

@@ -14,6 +14,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -255,9 +256,28 @@ TEST(SnapshotFormatTest, RestoreRejectsEverySubConfigChange) {
   };
 
   // One field of each sub-config the session reads across epochs.
+  EXPECT_THROW(restores([](core::SkyRanConfig& c) { c.planner.k_max += 1; }),
+               geo::StateMismatchError);
   EXPECT_THROW(restores([](core::SkyRanConfig& c) { c.planner.info.i_max += 1.0; }),
                geo::StateMismatchError);
+  EXPECT_THROW(restores([](core::SkyRanConfig& c) { c.idw.power += 0.5; }),
+               geo::StateMismatchError);
+  EXPECT_THROW(restores([](core::SkyRanConfig& c) { c.localizer.flight_leg_m += 1.0; }),
+               geo::StateMismatchError);
   EXPECT_THROW(restores([](core::SkyRanConfig& c) { c.localizer.ranging.min_snr_db -= 1.0; }),
+               geo::StateMismatchError);
+  EXPECT_THROW(
+      restores([](core::SkyRanConfig& c) { c.localizer.ranging.min_peak_to_side_db += 1.0; }),
+      geo::StateMismatchError);
+  EXPECT_THROW(restores([](core::SkyRanConfig& c) { c.measurement.report_rate_hz += 1.0; }),
+               geo::StateMismatchError);
+  EXPECT_THROW(restores([](core::SkyRanConfig& c) { c.battery.capacity_wh += 1.0; }),
+               geo::StateMismatchError);
+  EXPECT_THROW(restores([](core::SkyRanConfig& c) { c.service.ttis += 1; }),
+               geo::StateMismatchError);
+  EXPECT_THROW(restores([](core::SkyRanConfig& c) {
+                 c.faults.add({sim::FaultKind::kSrsSnrSag, 1.0, 2.0, 3.0, 0.0});
+               }),
                geo::StateMismatchError);
   EXPECT_THROW(restores([](core::SkyRanConfig& c) { c.localizer.ranging.srs.zc_root += 1; }),
                geo::StateMismatchError);
@@ -487,14 +507,21 @@ struct ReferenceRun {
   std::vector<std::string> snapshots;  // snapshots[k]: taken after epoch k+1
 };
 
-ReferenceRun reference_run(int threads) {
-  ReferenceRun ref;
-  sim::World world(testcampaign::world_config());
-  core::SkyRan skyran(world, testcampaign::skyran_config(threads), testcampaign::kCampaignSeed);
-  ref.digests = testcampaign::run_epochs(skyran, world, kEpochs, [&](int, std::uint64_t) {
-    ref.snapshots.push_back(to_bytes(skyran.snapshot()));
-  });
-  return ref;
+/// The uninterrupted run on `threads` workers, built once per process: the
+/// tests below only read it.
+const ReferenceRun& reference_run(int threads) {
+  static std::map<int, ReferenceRun> runs;
+  const auto [it, fresh] = runs.try_emplace(threads);
+  if (fresh) {
+    ReferenceRun& ref = it->second;
+    sim::World world(testcampaign::world_config());
+    core::SkyRan skyran(world, testcampaign::skyran_config(threads),
+                        testcampaign::kCampaignSeed);
+    ref.digests = testcampaign::run_epochs(skyran, world, kEpochs, [&](int, std::uint64_t) {
+      ref.snapshots.push_back(to_bytes(skyran.snapshot()));
+    });
+  }
+  return it->second;
 }
 
 void expect_resume_matches(const ReferenceRun& ref, int resume_after, int threads) {
@@ -512,20 +539,20 @@ void expect_resume_matches(const ReferenceRun& ref, int resume_after, int thread
 }
 
 TEST(DeterministicResumeTest, ResumeAtEveryEpochMatchesUninterruptedSerial) {
-  const ReferenceRun ref = reference_run(1);
+  const ReferenceRun& ref = reference_run(1);
   ASSERT_EQ(ref.digests.size(), static_cast<std::size_t>(kEpochs));
   for (int k = 1; k < kEpochs; ++k) expect_resume_matches(ref, k, 1);
 }
 
 TEST(DeterministicResumeTest, ResumeAtEveryEpochMatchesUninterruptedEightWorkers) {
-  const ReferenceRun ref = reference_run(8);
+  const ReferenceRun& ref = reference_run(8);
   ASSERT_EQ(ref.digests.size(), static_cast<std::size_t>(kEpochs));
   for (int k = 1; k < kEpochs; ++k) expect_resume_matches(ref, k, 8);
 }
 
 TEST(DeterministicResumeTest, SerialAndEightWorkerRunsAreBitIdentical) {
-  const ReferenceRun serial = reference_run(1);
-  const ReferenceRun parallel = reference_run(8);
+  const ReferenceRun& serial = reference_run(1);
+  const ReferenceRun& parallel = reference_run(8);
   EXPECT_EQ(serial.digests, parallel.digests);
   // Snapshots are bit-identical too: the entire session state — store,
   // histories, RNG, battery — is worker-count-neutral, so a serial run can
@@ -535,9 +562,9 @@ TEST(DeterministicResumeTest, SerialAndEightWorkerRunsAreBitIdentical) {
 
 TEST(DeterministicResumeTest, CrossWorkerResumeMatches) {
   // Checkpoint under serial execution, resume under 8 workers (and reverse).
-  const ReferenceRun serial = reference_run(1);
+  const ReferenceRun& serial = reference_run(1);
   expect_resume_matches(serial, 4, 8);
-  const ReferenceRun parallel = reference_run(8);
+  const ReferenceRun& parallel = reference_run(8);
   expect_resume_matches(parallel, 4, 1);
 }
 

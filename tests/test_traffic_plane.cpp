@@ -452,7 +452,7 @@ TEST(TrafficPlaneHarq, PerUeOffsetSagsOnlyThatUe) {
   plane.set_snr_offset_db(1, -60.0);
   for (int t = 0; t < 200; ++t) {
     plane.run_ttis(1);
-    for (int p = 0; p < cfg.harq_processes; ++p)
+    for (int p = 0; p < kHarqProcesses; ++p)
       EXPECT_FALSE(plane.harq_active(0, p)) << "tti " << t << " process " << p;
   }
   EXPECT_GT(plane.served_bits(0), 0.0);
@@ -635,16 +635,6 @@ TEST(TrafficPlaneReportTest, EmptyPlaneIsWellFormed) {
 }
 
 TEST(TrafficPlaneReportTest, ContractsRejectBadInputs) {
-  TrafficPlaneConfig bad;
-  bad.ewma_alpha = 0.0;
-  EXPECT_THROW(TrafficPlane{bad}, ContractViolation);
-  bad = TrafficPlaneConfig{};
-  bad.harq_processes = 0;
-  EXPECT_THROW(TrafficPlane{bad}, ContractViolation);
-  bad = TrafficPlaneConfig{};
-  bad.max_mbsfn_per_frame = 7;
-  EXPECT_THROW(TrafficPlane{bad}, ContractViolation);
-
   TrafficPlane plane(TrafficPlaneConfig{});
   EXPECT_THROW(plane.add_ue(61, std::nan(""), {}), ContractViolation);
   TrafficSpec spec;
