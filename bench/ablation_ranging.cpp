@@ -28,7 +28,7 @@ double median_abs_ranging_error(const lte::TofEstimator& est, const lte::SrsSymb
     ch.snr_db = snr_db;
     // Resolvable echoes (excess beyond the ~116 ns correlation lobe) expose
     // the max-peak estimator's failure mode.
-    if (nlos) ch.taps = lte::make_nlos_taps(3, 400e-9, -1.0, 3.0, rng);
+    if (nlos) lte::make_nlos_taps(3, 400e-9, -1.0, 3.0, rng, ch.taps);
     const lte::TofEstimate e = est.estimate(lte::apply_srs_channel(tx, ch, rng));
     errs.push_back(std::abs(e.distance_m - d));
   }

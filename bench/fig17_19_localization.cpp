@@ -25,11 +25,12 @@ int main(int argc, char** argv) {
     const auto samples =
         uav::fly(uav::FlightPlan::at_altitude(track, 60.0), 1.0 / localization::kGpsRateHz);
     geo::Mt19937_64 rng(210 + s);
+    std::vector<uav::GpsSensor> gps;
+    for (std::size_t u = 0; u < 3; ++u) gps.emplace_back(220 + s * 3 + u);
+    const std::vector<localization::GpsTofSeries> tuples = localization::collect_gps_tof(
+        samples, world.ue_positions(), world.channel(), world.budget(), gps, rc, rng);
     for (std::size_t u = 0; u < 3; ++u) {
-      uav::GpsSensor gps(220 + s * 3 + u);
-      const localization::GpsTofSeries tuples = localization::collect_gps_tof(
-          samples, world.ue_positions()[u], world.channel(), world.budget(), gps, rc, rng);
-      for (const localization::GpsTofTuple& t : tuples)
+      for (const localization::GpsTofTuple& t : tuples[u])
         rng_err[u].push_back(std::abs(
             t.range_m - (t.uav_position.dist(world.ue_positions()[u]) +
                          localization::kProcessingOffsetM)));

@@ -201,7 +201,7 @@ int main(int argc, char** argv) {
     constexpr int kSymbols = 50;
     constexpr int kBlocks = 21;
     constexpr double kSnrDb = 12.0;
-    lte::CplxVec lib_rx(cfg.carrier.fft_size), own_rx(cfg.carrier.fft_size);
+    lte::CplxVec lib_rx(cfg.carrier.fft_size), own_noise(res.size());
     std::mt19937_64 lib_rng(21);
     geo::Mt19937_64 own_rng(21);
     bool equal = true;
@@ -210,14 +210,15 @@ int main(int argc, char** argv) {
       const auto t0 = Clock::now();
       for (int s = 0; s < kSymbols; ++s) library_noise(kSnrDb, lib_rng, lib_rx);
       const auto t1 = Clock::now();
-      for (int s = 0; s < kSymbols; ++s) lte::draw_srs_noise(kSnrDb, own_rng, res, own_rx);
+      for (int s = 0; s < kSymbols; ++s)
+        lte::draw_srs_noise(kSnrDb, own_rng, res, cfg.carrier.fft_size, own_noise);
       const auto t2 = Clock::now();
       lib_ms.push_back(std::chrono::duration<double, std::milli>(t1 - t0).count() / kSymbols);
       own_ms.push_back(std::chrono::duration<double, std::milli>(t2 - t1).count() / kSymbols);
       // The last symbol of each block, occupied bins only, and the streams.
-      for (const int sc : res) {
-        const std::size_t bin = lte::fft_bin(sc, cfg.carrier.fft_size);
-        equal = equal && std::memcmp(&lib_rx[bin], &own_rx[bin], sizeof(lte::Cplx)) == 0;
+      for (std::size_t t = 0; t < res.size(); ++t) {
+        const std::size_t bin = lte::fft_bin(res[t], cfg.carrier.fft_size);
+        equal = equal && std::memcmp(&lib_rx[bin], &own_noise[t], sizeof(lte::Cplx)) == 0;
       }
       std::ostringstream lib_state, own_state;
       lib_state << lib_rng;

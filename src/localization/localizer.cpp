@@ -42,16 +42,16 @@ LocalizationRun UeLocalizer::localize(geo::Vec2 start, std::vector<geo::Vec3> tr
   // and sharing it across UEs breaks the per-UE radial degeneracy that a
   // short flight aperture leaves.
   geo::Mt19937_64 rng(seed ^ 0x10ca112eULL);
-  std::vector<GpsTofSeries> per_ue_tuples;
+  std::vector<uav::GpsSensor> gps;
   std::vector<double> ue_altitudes;
-  per_ue_tuples.reserve(true_ue_positions.size());
+  gps.reserve(true_ue_positions.size());
   ue_altitudes.reserve(true_ue_positions.size());
   for (std::size_t i = 0; i < true_ue_positions.size(); ++i) {
-    uav::GpsSensor gps(seed ^ (0x9125ULL + i), kGpsSigmaM);
-    per_ue_tuples.push_back(collect_gps_tof(samples, true_ue_positions[i], channel_, budget_,
-                                            gps, config_.ranging, rng, faults));
+    gps.emplace_back(seed ^ (0x9125ULL + i), kGpsSigmaM);
     ue_altitudes.push_back(true_ue_positions[i].z);
   }
+  const std::vector<GpsTofSeries> per_ue_tuples = collect_gps_tof(
+      samples, true_ue_positions, channel_, budget_, gps, config_.ranging, rng, faults);
 
   // Degraded path: when no UE kept enough tuples (total SRS loss, a GPS
   // outage covering the flight, the quality gate rejecting everything), the

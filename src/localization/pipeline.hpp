@@ -7,6 +7,8 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
+#include <vector>
 
 #include "geo/mt19937.hpp"
 #include "localization/tuples.hpp"
@@ -61,24 +63,33 @@ class RangingFaultModel {
   virtual bool gps_forced_outage(double t) const = 0;
 };
 
-/// Collect GPS-ToF tuples for one UE over a flown trajectory.
+/// Collect GPS-ToF tuples for several UEs over one flown trajectory: out[u]
+/// is UE u's series, from `ue_positions[u]` and its own GPS sensor `gps[u]`
+/// (gps.size() == ue_positions.size()).
 ///
 /// `flight` must be sampled at the GPS rate (uav::fly with dt = 1/kGpsRateHz).
 /// A flight with fewer than two samples has no measurement interval and
-/// yields an empty series — legitimate for a UAV that spent the whole epoch
+/// yields empty series — legitimate for a UAV that spent the whole epoch
 /// at the depot (battery swap) or had its tour truncated to nothing.
 /// `channel` is the ground truth: one ray trace per symbol gives the path
 /// loss (for SRS SNR) and the line of sight (LOS symbols are clean, NLOS
 /// ones get multipath echoes); `gps` adds receiver position noise. `faults`,
 /// when non-null, injects scripted SRS loss / SNR sag / GPS outage windows;
 /// the pipeline degrades by dropping the affected tuples (never by aborting).
-/// Ray traces, sag and the per-symbol channel response run on the thread
-/// pool; srs_symbol_lost, every `rng` draw and the GPS sensor stay on the
-/// calling thread in flight order, so the output is bit-identical for any
-/// worker count.
-GpsTofSeries collect_gps_tof(const std::vector<uav::FlightSample>& flight, geo::Vec3 ue_position,
-                             const rf::RayTraceChannel& channel, const rf::LinkBudget& budget,
-                             uav::GpsSensor& gps, const RangingConfig& config,
-                             geo::Mt19937_64& rng, RangingFaultModel* faults = nullptr);
+///
+/// The UEs are processed one after another, each in batches of symbols,
+/// and every draw follows that order: srs_symbol_lost and the GPS sensors
+/// on the calling thread, and the `rng` draws (NLOS taps, receiver noise)
+/// on one pool lane at a time, each batch's while the other lanes correlate
+/// the batch before it. The output and the state `rng`, `gps` and `faults`
+/// are left in are therefore those of one collect_gps_tof call per UE in
+/// order, bit for bit, for any worker count.
+std::vector<GpsTofSeries> collect_gps_tof(const std::vector<uav::FlightSample>& flight,
+                                          std::span<const geo::Vec3> ue_positions,
+                                          const rf::RayTraceChannel& channel,
+                                          const rf::LinkBudget& budget,
+                                          std::span<uav::GpsSensor> gps,
+                                          const RangingConfig& config, geo::Mt19937_64& rng,
+                                          RangingFaultModel* faults = nullptr);
 
 }  // namespace skyran::localization

@@ -14,15 +14,14 @@ constexpr double kLteRateBps = 80e6;
 /// mmWave: peak rate and usable range (rain/oxygen-limited).
 constexpr double kMmWavePeakBps = 1.2e9;
 constexpr double kMmWaveRangeM = 800.0;
-/// WiFi: half-rate distance of the rate-vs-range curve.
+/// WiFi: peak rate and half-rate distance of the rate-vs-range curve.
+constexpr double kWifiPeakBps = 300e6;
 constexpr double kWifiHalfRangeM = 250.0;
 
 }  // namespace
 
 Backhaul::Backhaul(const rf::RayTraceChannel& channel, BackhaulConfig config)
-    : channel_(channel), config_(config) {
-  expects(config.wifi_peak_bps > 0.0, "Backhaul: rates must be positive");
-}
+    : channel_(channel), config_(config) {}
 
 double Backhaul::capacity_bps(geo::Vec3 uav) const {
   const double d = uav.dist(config_.gateway);
@@ -41,7 +40,7 @@ double Backhaul::capacity_bps(geo::Vec3 uav) const {
     case BackhaulTech::kWifi: {
       // Shannon-flavored rate-vs-range: halves every half_range; NLOS
       // penalizes by an extra factor of 4.
-      double rate = config_.wifi_peak_bps * std::pow(0.5, d / kWifiHalfRangeM);
+      double rate = kWifiPeakBps * std::pow(0.5, d / kWifiHalfRangeM);
       if (!channel_.line_of_sight(uav, config_.gateway)) rate /= 4.0;
       return rate;
     }

@@ -23,8 +23,6 @@ enum class BackhaulTech {
 struct BackhaulConfig {
   BackhaulTech tech = BackhaulTech::kLteTether;
   geo::Vec3 gateway{0.0, 0.0, 10.0};  ///< ground station / donor site
-  /// WiFi: peak rate of the rate-vs-range curve.
-  double wifi_peak_bps = 300e6;
 };
 
 class Backhaul {

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
+#include <mutex>
 #include <numbers>
 
 #include "core/thread_pool.hpp"
@@ -232,16 +234,47 @@ TofEstimate TofEstimator::pick_peak(std::span<const Cplx> up) const {
   return out;
 }
 
-std::vector<TofEstimate> TofEstimator::estimate_batch(
-    std::span<const SrsSymbol> received) const {
+std::vector<TofEstimate> TofEstimator::estimate_batch(std::size_t n, const SymbolSource& source,
+                                                      const std::function<void()>& head) const {
   SKYRAN_TRACE_SPAN("lte.tof.estimate_batch");
-  std::vector<TofEstimate> out(received.size());
-  core::parallel_for_chunks(received.size(), 0,
-                            [&](std::size_t, std::size_t begin, std::size_t end) {
-                              CplxVec scratch;  // one per chunk, so one per lane at a time
-                              for (std::size_t i = begin; i < end; ++i)
-                                out[i] = estimate(received[i], scratch);
-                            });
+  std::vector<TofEstimate> out(n);
+  // Lane scratch: a chunk takes a free one (or makes one) and hands it back,
+  // so no more exist than lanes ran at once.
+  struct Scratch {
+    SrsSymbol symbol;
+    CplxVec correlation;
+  };
+  std::mutex mu;
+  std::vector<std::unique_ptr<Scratch>> free;
+  const auto take = [&] {
+    {
+      std::lock_guard<std::mutex> lk(mu);
+      if (!free.empty()) {
+        std::unique_ptr<Scratch> s = std::move(free.back());
+        free.pop_back();
+        return s;
+      }
+    }
+    return std::make_unique<Scratch>(
+        Scratch{{config_, CplxVec(config_.carrier.fft_size)}, CplxVec{}});
+  };
+  // One item per chunk of `grain` symbols, behind the head when there is
+  // one. Lanes claim items in index order, so the head starts first.
+  const std::size_t grain = core::ThreadPool::default_grain(n);
+  const std::size_t first = head ? 1 : 0;
+  const std::size_t items = first + (n + grain - 1) / grain;
+  core::parallel_for_chunks(items, 1, [&](std::size_t, std::size_t item, std::size_t) {
+    if (item < first) {
+      head();
+      return;
+    }
+    std::unique_ptr<Scratch> s = take();
+    const std::size_t begin = (item - first) * grain;
+    for (std::size_t i = begin; i < std::min(n, begin + grain); ++i)
+      out[i] = estimate(source(i, s->symbol), s->correlation);
+    std::lock_guard<std::mutex> lk(mu);
+    free.push_back(std::move(s));
+  });
   SKYRAN_COUNTER_ADD("lte.tof.correlations", out.size());
   SKYRAN_HISTOGRAM_OBSERVE("lte.tof.batch_symbols", out.size());
   if (obs::enabled()) {
@@ -253,6 +286,13 @@ std::vector<TofEstimate> TofEstimator::estimate_batch(
     }
   }
   return out;
+}
+
+std::vector<TofEstimate> TofEstimator::estimate_batch(
+    std::span<const SrsSymbol> received) const {
+  return estimate_batch(received.size(), [&](std::size_t i, SrsSymbol&) -> const SrsSymbol& {
+    return received[i];
+  });
 }
 
 }  // namespace skyran::lte

@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <vector>
 
@@ -69,10 +70,23 @@ class TofEstimator {
   /// that is degenerate (a sub-bin max_delay_samples).
   std::size_t window() const { return window_; }
 
-  /// estimate() over a batch of received symbols, parallelized across
-  /// symbols on the global thread pool, with one scratch buffer per chunk.
-  /// out[i] == estimate(received[i]) bit-for-bit regardless of the worker
-  /// count.
+  /// Where estimate_batch's symbols come from: source(i, scratch) returns
+  /// symbol i, either one the caller holds or one it builds in `scratch`, a
+  /// symbol of this config's FFT size that belongs to the running lane for
+  /// the call: it starts zeroed and keeps whatever the lane's earlier
+  /// symbols wrote into it.
+  using SymbolSource = std::function<const SrsSymbol&(std::size_t, SrsSymbol&)>;
+
+  /// estimate() of `n` symbols from `source`, spread across the global
+  /// thread pool in one dispatch; each lane reuses one correlation scratch.
+  /// `head`, when set, is the dispatch's first item: it runs once, on one
+  /// lane, while the other lanes estimate (serial work the caller overlaps
+  /// with the correlator; it must not touch what `source` reads). out[i] ==
+  /// estimate(symbol i) bit for bit regardless of the worker count.
+  std::vector<TofEstimate> estimate_batch(std::size_t n, const SymbolSource& source,
+                                          const std::function<void()>& head = {}) const;
+
+  /// estimate_batch over symbols the caller holds.
   std::vector<TofEstimate> estimate_batch(std::span<const SrsSymbol> received) const;
 
   const SrsConfig& config() const { return config_; }

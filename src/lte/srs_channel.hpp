@@ -21,10 +21,14 @@ struct MultipathTap {
   double power_db = 0.0;        ///< power relative to the direct path
 };
 
+/// Most NLOS echoes one channel may carry (add_srs_signal keeps their
+/// amplitudes in a fixed array).
+inline constexpr std::size_t kMaxSrsTaps = 8;
+
 struct SrsChannelParams {
   double delay_s = 0.0;    ///< direct-path propagation + processing delay
   double snr_db = 20.0;    ///< per-occupied-subcarrier SNR at the receiver
-  std::vector<MultipathTap> taps;  ///< NLOS echoes (empty for pure LOS)
+  std::vector<MultipathTap> taps;  ///< NLOS echoes (empty for pure LOS), at most kMaxSrsTaps
 };
 
 /// Pass `tx` through the channel. Occupied subcarriers get the multi-tap
@@ -33,20 +37,25 @@ struct SrsChannelParams {
 SrsSymbol apply_srs_channel(const SrsSymbol& tx, const SrsChannelParams& params,
                             geo::Mt19937_64& rng);
 
-/// The RNG half of apply_srs_channel: overwrite the occupied bins of `rx`
-/// (`res`, in ascending subcarrier order as occupied_subcarriers returns
-/// them) with white Gaussian receiver noise for unit-magnitude REs at
-/// `snr_db`, and leave the other bins as they are; nothing reads them.
+/// The RNG half of apply_srs_channel: white Gaussian receiver noise for
+/// unit-magnitude REs at `snr_db` on the occupied bins of an `fft_size`-bin
+/// symbol, stored compactly: noise[t] is the value of subcarrier res[t]
+/// (`res` in ascending subcarrier order, as occupied_subcarriers returns
+/// it; noise.size() == res.size()). place_occupied puts it in its bins.
 ///
 /// The stream is that of `std::normal_distribution<double>(0, sigma)` in
 /// libstdc++ drawing the imaginary then the real part of every bin in bin
-/// order: each of the rx.size() bins consumes one accepted polar pair
+/// order: each of the fft_size bins consumes one accepted polar pair
 /// (polar_pair below), occupied or not, so `rng` advances exactly as a
 /// draw over every bin would, and each occupied bin's value is bit-equal to
 /// that draw's. Only occupied bins pay for the log and sqrt. The candidate
 /// pairs are tested a whole engine block at a time, without a branch.
 void draw_srs_noise(double snr_db, geo::Mt19937_64& rng, std::span<const int> res,
-                    std::span<Cplx> rx);
+                    std::size_t fft_size, std::span<Cplx> noise);
+
+/// Write the compact values (`values[t]` for subcarrier res[t]) into their
+/// FFT bins of `rx`; the other bins are left as they are.
+void place_occupied(std::span<const Cplx> values, std::span<const int> res, std::span<Cplx> rx);
 
 /// libstdc++'s `std::generate_canonical<double, 53>` over a full-range
 /// 64-bit generator that draws the word u, bit for bit: u rounded once to
@@ -102,11 +111,11 @@ PolarPair polar_pair(Urbg& g) {
 void add_srs_signal(const SrsSymbol& tx, const SrsChannelParams& params,
                     std::span<const int> res, std::span<Cplx> rx);
 
-/// Standard NLOS echo profile: `n_taps` echoes with exponentially
-/// distributed excess delays (mean `mean_excess_s`) and powers fading
-/// `tap_decay_db` per tap below the direct path.
-std::vector<MultipathTap> make_nlos_taps(int n_taps, double mean_excess_s,
-                                         double first_tap_power_db, double tap_decay_db,
-                                         geo::Mt19937_64& rng);
+/// Standard NLOS echo profile: `n_taps` (at most kMaxSrsTaps) echoes with
+/// exponentially distributed excess delays (mean `mean_excess_s`) and powers
+/// fading `tap_decay_db` per tap below the direct path, written over `taps`
+/// (its capacity is reused).
+void make_nlos_taps(int n_taps, double mean_excess_s, double first_tap_power_db,
+                    double tap_decay_db, geo::Mt19937_64& rng, std::vector<MultipathTap>& taps);
 
 }  // namespace skyran::lte

@@ -181,9 +181,10 @@ void RemBank::estimate_all(const IdwParams& params) {
   }
 
   // One flat sweep over (stale UE, row) pairs on the pool. Each cell is
-  // decided independently, so chunk boundaries cannot change results.
+  // decided independently, so chunk boundaries cannot change results. Each
+  // chunk reuses one search scratch across its cells.
   const std::size_t rows = static_cast<std::size_t>(ny_);
-  core::parallel_for(stale_ues.size() * rows, [&](std::size_t item) {
+  const auto estimate_row = [&](std::size_t item, IdwInterpolator::Scratch& scratch) {
     const std::size_t ue = stale_ues[item / rows];
     const int iy = static_cast<int>(item % rows);
     // Temporal aggregation: fresh measurements dominate near the tour, the
@@ -201,7 +202,7 @@ void RemBank::estimate_all(const IdwParams& params) {
       }
       const std::optional<IdwInterpolator::EstimateWithDistance> est =
           idw[ue]->estimate_with_distance(center_of({ix, iy}), params.k_neighbors,
-                                          params.power, params.max_radius_m);
+                                          params.power, params.max_radius_m, scratch);
       if (est && blend) {
         const double w = std::exp(-est->nearest_m / params.background_blend_m);
         estimate_[f] = w * est->value + (1.0 - w) * background_[f];
@@ -213,7 +214,13 @@ void RemBank::estimate_all(const IdwParams& params) {
         estimate_[f] = 0.0;
       }
     }
-  });
+  };
+  core::parallel_for_chunks(stale_ues.size() * rows, 0,
+                            [&](std::size_t, std::size_t begin, std::size_t end) {
+                              IdwInterpolator::Scratch scratch;
+                              for (std::size_t item = begin; item < end; ++item)
+                                estimate_row(item, scratch);
+                            });
 
   for (std::size_t ue = 0; ue < n_ue; ++ue) {
     stale_[ue] = 0;

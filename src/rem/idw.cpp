@@ -34,41 +34,49 @@ std::optional<double> IdwInterpolator::estimate(geo::Vec2 p, int k, double power
 
 std::optional<IdwInterpolator::EstimateWithDistance> IdwInterpolator::estimate_with_distance(
     geo::Vec2 p, int k, double power, double max_radius_m) const {
+  Scratch scratch;
+  return estimate_with_distance(p, k, power, max_radius_m, scratch);
+}
+
+std::optional<IdwInterpolator::EstimateWithDistance> IdwInterpolator::estimate_with_distance(
+    geo::Vec2 p, int k, double power, double max_radius_m, Scratch& scratch) const {
   expects(power > 0.0, "IdwInterpolator::estimate: power must be positive");
-  const std::vector<Neighbor> neighbors = nearest(p, k, max_radius_m);
-  if (neighbors.empty()) return std::nullopt;
+  const std::size_t use = search(p, k, max_radius_m, scratch.found);
+  if (use == 0) return std::nullopt;
   // Gather to SoA and hand the accumulation to the kernels layer. The
   // exact-hit shortcut keeps its historical first-in-order semantics: any
   // neighbor closer than 1e-6 m wins before any weight is accumulated.
-  constexpr std::size_t kStack = 32;
-  double dist_stack[kStack];
-  double val_stack[kStack];
-  std::vector<double> heap;
-  double* dist = dist_stack;
-  double* val = val_stack;
-  if (neighbors.size() > kStack) {
-    heap.resize(2 * neighbors.size());
-    dist = heap.data();
-    val = heap.data() + neighbors.size();
+  scratch.dist.resize(use);
+  scratch.val.resize(use);
+  for (std::size_t i = 0; i < use; ++i) {
+    const Scratch::Candidate& c = scratch.found[i];
+    const double d = std::sqrt(c.dist2);
+    const double v = samples_[static_cast<std::size_t>(c.index)].value;
+    if (d < 1e-6) return EstimateWithDistance{v, d};  // exact hit
+    scratch.dist[i] = d;
+    scratch.val[i] = v;
   }
-  std::size_t n = 0;
-  for (const Neighbor& nb : neighbors) {
-    const double v = samples_[static_cast<std::size_t>(nb.index)].value;
-    if (nb.distance_m < 1e-6) return EstimateWithDistance{v, nb.distance_m};  // exact hit
-    dist[n] = nb.distance_m;
-    val[n] = v;
-    ++n;
-  }
-  const kernels::IdwAccum acc = kernels::idw_weigh(dist, val, n, power);
-  return EstimateWithDistance{acc.vsum / acc.wsum, neighbors.front().distance_m};
+  const kernels::IdwAccum acc =
+      kernels::idw_weigh(scratch.dist.data(), scratch.val.data(), use, power);
+  return EstimateWithDistance{acc.vsum / acc.wsum, scratch.dist[0]};
 }
 
 std::vector<IdwInterpolator::Neighbor> IdwInterpolator::nearest(geo::Vec2 p, int k,
                                                                 double max_radius_m) const {
+  std::vector<Scratch::Candidate> found;
+  const std::size_t use = search(p, k, max_radius_m, found);
+  std::vector<Neighbor> out;
+  out.reserve(use);
+  for (std::size_t i = 0; i < use; ++i) out.push_back({found[i].index, std::sqrt(found[i].dist2)});
+  return out;
+}
+
+std::size_t IdwInterpolator::search(geo::Vec2 p, int k, double max_radius_m,
+                                    std::vector<Scratch::Candidate>& found) const {
   expects(k >= 1, "IdwInterpolator::nearest: k must be >= 1");
   expects(max_radius_m >= 0.0, "IdwInterpolator::nearest: max_radius_m must be >= 0");
-  std::vector<Neighbor> out;
-  if (samples_.empty()) return out;
+  found.clear();
+  if (samples_.empty()) return 0;
 
   const geo::Vec2 q = buckets_.area().clamp(p);
   const geo::CellIndex center = buckets_.cell_of(q);
@@ -77,46 +85,50 @@ std::vector<IdwInterpolator::Neighbor> IdwInterpolator::nearest(geo::Vec2 p, int
   const int grid_span = std::max(buckets_.nx(), buckets_.ny()) + 1;
   const int max_ring = static_cast<int>(std::min<double>(
       grid_span, std::ceil(max_radius_m / buckets_.cell_size()) + 1.0));
-
-  struct Found {
-    double dist2;
-    int index;
+  const double max_d2 = max_radius_m * max_radius_m;
+  const auto visit = [&](int dx, int dy) {
+    for (const int idx : buckets_.at_unchecked({center.ix + dx, center.iy + dy})) {
+      const IdwSample& s = samples_[static_cast<std::size_t>(idx)];
+      const double d2 = (s.position - p).norm2();
+      if (d2 <= max_d2) found.push_back({d2, idx});
+    }
   };
-  std::vector<Found> found;
+  const auto by_distance = [](const Scratch::Candidate& a, const Scratch::Candidate& b) {
+    return a.dist2 < b.dist2;
+  };
 
   // Ring search: expand square rings of buckets until we have k candidates
-  // whose distance is certainly not beaten by unexplored rings.
+  // whose distance is certainly not beaten by unexplored rings. Each ring
+  // visits only its shell's in-bounds buckets, row by row (dy, then dx
+  // ascending), so candidates arrive in the same order as a sweep of the
+  // full square would give them; nth_element and partial_sort see the same
+  // sequence, and distance ties resolve the same way.
   for (int ring = 0; ring <= max_ring; ++ring) {
-    for (int dy = -ring; dy <= ring; ++dy) {
-      for (int dx = -ring; dx <= ring; ++dx) {
-        if (std::max(std::abs(dx), std::abs(dy)) != ring) continue;  // ring shell only
-        const geo::CellIndex c{center.ix + dx, center.iy + dy};
-        if (!buckets_.in_bounds(c)) continue;
-        for (int idx : buckets_.at(c)) {
-          const IdwSample& s = samples_[static_cast<std::size_t>(idx)];
-          const double d2 = (s.position - p).norm2();
-          if (d2 <= max_radius_m * max_radius_m) found.push_back({d2, idx});
-        }
+    const int dx_lo = std::max(-ring, -center.ix);
+    const int dx_hi = std::min(ring, buckets_.nx() - 1 - center.ix);
+    const int dy_lo = std::max(-ring, -center.iy);
+    const int dy_hi = std::min(ring, buckets_.ny() - 1 - center.iy);
+    for (int dy = dy_lo; dy <= dy_hi; ++dy) {
+      if (dy == -ring || dy == ring) {
+        for (int dx = dx_lo; dx <= dx_hi; ++dx) visit(dx, dy);
+      } else {
+        if (dx_lo == -ring) visit(-ring, dy);
+        if (dx_hi == ring) visit(ring, dy);
       }
     }
     if (static_cast<int>(found.size()) >= k) {
       // Any sample in a farther ring is at least (ring * bucket) away from
       // the query's bucket boundary; once the k-th best is closer, stop.
-      std::nth_element(found.begin(), found.begin() + (k - 1), found.end(),
-                       [](const Found& a, const Found& b) { return a.dist2 < b.dist2; });
+      std::nth_element(found.begin(), found.begin() + (k - 1), found.end(), by_distance);
       const double kth = std::sqrt(found[static_cast<std::size_t>(k - 1)].dist2);
       const double safe = ring * buckets_.cell_size();
       if (kth <= safe) break;
     }
   }
-  const int use = std::min<int>(k, static_cast<int>(found.size()));
-  std::partial_sort(found.begin(), found.begin() + use, found.end(),
-                    [](const Found& a, const Found& b) { return a.dist2 < b.dist2; });
-  out.reserve(static_cast<std::size_t>(use));
-  for (int i = 0; i < use; ++i)
-    out.push_back({found[static_cast<std::size_t>(i)].index,
-                   std::sqrt(found[static_cast<std::size_t>(i)].dist2)});
-  return out;
+  const std::size_t use = std::min(static_cast<std::size_t>(k), found.size());
+  std::partial_sort(found.begin(), found.begin() + static_cast<std::ptrdiff_t>(use), found.end(),
+                    by_distance);
+  return use;
 }
 
 geo::Grid2D<double> IdwInterpolator::estimate_grid(double cell_size, int k, double power,

@@ -53,10 +53,26 @@ class IdwInterpolator {
     double nearest_m = 0.0;  ///< distance to the closest contributing sample
   };
 
+  /// Working memory of a run of queries on one thread (the REM bank keeps
+  /// one per parallel chunk): reusing it spares each query's allocations.
+  struct Scratch {
+    struct Candidate {
+      double dist2;
+      int index;
+    };
+    std::vector<Candidate> found;
+    std::vector<double> dist;
+    std::vector<double> val;
+  };
+
   /// estimate() plus the distance to the closest contributing sample (the
   /// REM bank blends against a prior background with it).
   std::optional<EstimateWithDistance> estimate_with_distance(geo::Vec2 p, int k, double power,
                                                              double max_radius_m) const;
+  /// The same, working in `scratch`.
+  std::optional<EstimateWithDistance> estimate_with_distance(geo::Vec2 p, int k, double power,
+                                                             double max_radius_m,
+                                                             Scratch& scratch) const;
 
   /// Full-raster estimate over the interpolator's area: one estimate() per
   /// cell center, parallelized across cells on the global thread pool.
@@ -80,6 +96,12 @@ class IdwInterpolator {
   const geo::Rect& area() const { return buckets_.area(); }
 
  private:
+  /// The ring search behind nearest(): leaves the k nearest candidates (or
+  /// all, when fewer are in range) at the front of `found`, nearest first,
+  /// and returns their count.
+  std::size_t search(geo::Vec2 p, int k, double max_radius_m,
+                     std::vector<Scratch::Candidate>& found) const;
+
   std::vector<IdwSample> samples_;
   geo::Grid2D<std::vector<int>> buckets_;
 };

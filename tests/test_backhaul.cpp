@@ -78,9 +78,6 @@ TEST_F(BackhaulFixture, EndToEndBottleneck) {
 }
 
 TEST_F(BackhaulFixture, Contracts) {
-  BackhaulConfig bad = config(BackhaulTech::kWifi);
-  bad.wifi_peak_bps = 0.0;
-  EXPECT_THROW(Backhaul(channel_, bad), ContractViolation);
   const Backhaul bh(channel_, config(BackhaulTech::kLteTether));
   EXPECT_THROW(bh.end_to_end_mean_bps({}, {0, 0, 60}), ContractViolation);
   const std::vector<double> negative{-1.0};

@@ -3,10 +3,17 @@
 // UeLocalizer.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <memory>
 #include <random>
+#include <span>
+#include <sstream>
+#include <string>
+#include <vector>
 
+#include "core/thread_pool.hpp"
 #include "geo/contract.hpp"
 #include "geo/hash.hpp"
 #include "geo/mt19937.hpp"
@@ -14,6 +21,7 @@
 #include "localization/multilateration.hpp"
 #include "localization/pipeline.hpp"
 #include "mobility/deployment.hpp"
+#include "rf/units.hpp"
 #include "sim/faults.hpp"
 #include "sim/world.hpp"
 #include "uav/trajectory.hpp"
@@ -167,6 +175,14 @@ class PipelineFixture : public ::testing::Test {
     world_ = std::make_unique<sim::World>(wc);
     world_->ue_positions() = mobility::deploy_mixed_visibility(world_->terrain(), 4, 78);
   }
+  /// collect_gps_tof for one UE.
+  GpsTofSeries collect_one(const std::vector<uav::FlightSample>& flight, geo::Vec3 ue,
+                           uav::GpsSensor& gps, const RangingConfig& rc, geo::Mt19937_64& rng,
+                           RangingFaultModel* faults = nullptr) const {
+    return collect_gps_tof(flight, std::span<const geo::Vec3>(&ue, 1), world_->channel(),
+                           world_->budget(), std::span<uav::GpsSensor>(&gps, 1), rc, rng, faults)
+        .front();
+  }
   std::unique_ptr<sim::World> world_;
 };
 
@@ -179,7 +195,7 @@ TEST_F(PipelineFixture, TuplesTrackTrueRangePlusOffset) {
   geo::Mt19937_64 rng(7);
   const geo::Vec3 ue = world_->ue_positions()[0];
   const GpsTofSeries tuples =
-      collect_gps_tof(samples, ue, world_->channel(), world_->budget(), gps, rc, rng);
+      collect_one(samples, ue, gps, rc, rng);
   ASSERT_GE(tuples.size(), 20u);
   std::vector<double> errors;
   for (const GpsTofTuple& t : tuples)
@@ -197,9 +213,7 @@ TEST_F(PipelineFixture, LowSnrReportsDropped) {
   const auto samples = uav::fly(uav::FlightPlan::at_altitude(track, 60.0), 1.0 / kGpsRateHz);
   uav::GpsSensor gps(6);
   geo::Mt19937_64 rng(7);
-  const GpsTofSeries tuples = collect_gps_tof(samples, world_->ue_positions()[0],
-                                              world_->channel(), world_->budget(), gps,
-                                              rc, rng);
+  const GpsTofSeries tuples = collect_one(samples, world_->ue_positions()[0], gps, rc, rng);
   EXPECT_TRUE(tuples.empty());
 }
 
@@ -213,12 +227,10 @@ TEST_F(PipelineFixture, EmptyOrSinglePointFlightYieldsEmptySeries) {
   const geo::Vec3 ue = world_->ue_positions()[0];
   const std::vector<uav::FlightSample> empty;
   EXPECT_TRUE(
-      collect_gps_tof(empty, ue, world_->channel(), world_->budget(), gps, rc, rng)
-          .empty());
+      collect_one(empty, ue, gps, rc, rng).empty());
   const std::vector<uav::FlightSample> single{{0.0, {150.0, 150.0, 60.0}, 0.0}};
   EXPECT_TRUE(
-      collect_gps_tof(single, ue, world_->channel(), world_->budget(), gps, rc, rng)
-          .empty());
+      collect_one(single, ue, gps, rc, rng).empty());
 }
 
 TEST_F(PipelineFixture, FaultedRayTracedTuplesPinned) {
@@ -254,7 +266,7 @@ TEST_F(PipelineFixture, FaultedRayTracedTuplesPinned) {
       nlos_samples += !world_->channel().line_of_sight(s.position, ue);
     uav::GpsSensor gps(6 + i);
     const GpsTofSeries tuples =
-        collect_gps_tof(samples, ue, world_->channel(), world_->budget(), gps, rc, rng, &faults);
+        collect_one(samples, ue, gps, rc, rng, &faults);
     geo::Fnv1a h;
     for (const GpsTofTuple& t : tuples) h.pod(t);
     EXPECT_EQ(tuples.size(), pinned[i].tuples);
@@ -338,6 +350,199 @@ TEST_P(NoiseSweep, FixedOffsetErrorScalesWithNoise) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Noises, NoiseSweep, ::testing::Values(0.0, 0.5, 1.0, 2.0, 4.0));
+
+// ---------------------------------------------------------------------------
+// The pipelined collection against the per-UE sequential loop it replaced.
+
+/// collect_gps_tof for one UE as it read before the UEs' batches were
+/// pipelined: per batch, the five passes in turn, every symbol in a full
+/// FFT-size buffer, the draws on the calling thread. Called once per UE in
+/// order on one `rng` and `faults`, it is the oracle of the pipeline.
+GpsTofSeries sequential_collect(const std::vector<uav::FlightSample>& flight,
+                                geo::Vec3 ue_position, const rf::RayTraceChannel& channel,
+                                const rf::LinkBudget& budget, uav::GpsSensor& gps,
+                                const RangingConfig& config, geo::Mt19937_64& rng,
+                                RangingFaultModel* faults) {
+  if (flight.size() < 2) return {};
+  const lte::SrsSymbol tx = lte::make_srs_symbol(config.srs);
+  const std::vector<int> res = lte::occupied_subcarriers(config.srs);
+  const lte::TofEstimator estimator(config.srs, kUpsampleFactor, 0.0, 0.6, true,
+                                    config.min_peak_to_side_db);
+  const int srs_per_gps = std::max(1, static_cast<int>(std::round(kSrsRateHz / kGpsRateHz)));
+  const std::size_t batch_intervals =
+      std::max<std::size_t>(1, 512 / static_cast<std::size_t>(srs_per_gps));
+  const std::size_t n_intervals = flight.size() - 1;
+  GpsTofSeries out;
+  struct Candidate {
+    geo::Vec3 uav;
+    double time_s = 0.0;
+    std::size_t interval = 0;
+    double snr_db = 0.0;
+    bool decoded = false;
+    bool los = false;
+  };
+  for (std::size_t base = 0; base < n_intervals; base += batch_intervals) {
+    const std::size_t last = std::min(n_intervals, base + batch_intervals);
+    std::vector<Candidate> candidates;
+    for (std::size_t i = base; i < last; ++i) {
+      const uav::FlightSample& a = flight[i];
+      const uav::FlightSample& b = flight[i + 1];
+      for (int m = 0; m < srs_per_gps; ++m) {
+        const double frac = static_cast<double>(m) / srs_per_gps;
+        const geo::Vec3 uav_true = a.position + (b.position - a.position) * frac;
+        const double symbol_time_s = a.time_s + frac * (b.time_s - a.time_s);
+        if (faults != nullptr && faults->srs_symbol_lost(symbol_time_s)) continue;
+        candidates.push_back({uav_true, symbol_time_s, i - base});
+      }
+    }
+    for (Candidate& c : candidates) {
+      const rf::RayTraceChannel::Link link = channel.trace(c.uav, ue_position);
+      c.snr_db = budget.snr_db(link.path_loss_db);
+      if (faults != nullptr) c.snr_db -= faults->srs_snr_sag_db(c.time_s);
+      c.decoded = c.snr_db >= config.min_snr_db;
+      c.los = c.decoded && link.line_of_sight;
+    }
+    std::vector<lte::SrsChannelParams> channels;
+    std::vector<lte::SrsSymbol> received;
+    std::vector<std::size_t> received_interval;
+    lte::CplxVec noise(res.size());
+    for (const Candidate& c : candidates) {
+      if (!c.decoded) continue;
+      lte::SrsChannelParams& ch = channels.emplace_back();
+      ch.delay_s = (c.uav.dist(ue_position) + kProcessingOffsetM) / rf::kSpeedOfLight;
+      ch.snr_db = c.snr_db;
+      if (!c.los) lte::make_nlos_taps(3, 50e-9, -4.0, 4.0, rng, ch.taps);
+      lte::draw_srs_noise(ch.snr_db, rng, res, tx.freq.size(), noise);
+      received.push_back({tx.config, lte::CplxVec(tx.freq.size())});
+      lte::place_occupied(noise, res, received.back().freq);
+      received_interval.push_back(c.interval);
+    }
+    for (std::size_t k = 0; k < received.size(); ++k)
+      lte::add_srs_signal(tx, channels[k], res, received[k].freq);
+    const std::vector<lte::TofEstimate> estimates = estimator.estimate_batch(received);
+    std::vector<double> distance_sums(last - base, 0.0);
+    std::vector<int> tof_counts(last - base, 0);
+    for (std::size_t s = 0; s < estimates.size(); ++s) {
+      if (!estimates[s].quality_ok) continue;
+      distance_sums[received_interval[s]] += estimates[s].distance_m;
+      ++tof_counts[received_interval[s]];
+    }
+    for (std::size_t i = base; i < last; ++i) {
+      if (tof_counts[i - base] == 0) continue;
+      const uav::FlightSample& a = flight[i];
+      if (faults != nullptr && faults->gps_forced_outage(a.time_s) && !gps.in_outage())
+        gps.force_outage_for(1);
+      const uav::GpsFix fix = gps.sample(a.position, a.time_s);
+      if (!fix.valid) continue;
+      out.push_back({fix.time_s, fix.position, distance_sums[i - base] / tof_counts[i - base]});
+    }
+  }
+  return out;
+}
+
+/// Every byte of a series.
+std::string series_bytes(const GpsTofSeries& series) {
+  std::string out(series.size() * sizeof(GpsTofTuple), '\0');
+  if (!series.empty()) std::memcpy(out.data(), series.data(), out.size());
+  return out;
+}
+
+/// Where a generator stands, as its text state.
+std::string engine_state(const geo::Mt19937_64& g) {
+  std::ostringstream os;
+  os << g;
+  return os.str();
+}
+
+class CollectPipelineTest : public PipelineFixture {
+ protected:
+  /// SRS loss (it draws from the injector's RNG), SNR sag and a GPS outage.
+  static sim::FaultPlan fault_plan() {
+    sim::FaultPlan plan;
+    plan.seed = 11;
+    plan.add({sim::FaultKind::kSrsSymbolLoss, 0.5, 3.5, 0.4, 0.0})
+        .add({sim::FaultKind::kSrsSnrSag, 2.0, 4.5, 25.0, 0.0})
+        .add({sim::FaultKind::kGpsOutage, 4.0, 5.5, 0.0, 0.0});
+    return plan;
+  }
+  /// A flight of ~8.5 s: two 512-symbol batches per UE.
+  std::vector<uav::FlightSample> long_flight() const {
+    const geo::Path track =
+        uav::random_walk(world_->area().inflated(-10.0), {150.0, 150.0}, 70.0, 9.0, 12);
+    return uav::fly(uav::FlightPlan::at_altitude(track, 60.0), 1.0 / kGpsRateHz);
+  }
+};
+
+TEST_F(CollectPipelineTest, MatchesPerUeSequentialOracleAtAnyWorkerCount) {
+  const RangingConfig rc;
+  const std::vector<uav::FlightSample> flight = long_flight();
+  ASSERT_GT((flight.size() - 1) * 2, 512u);
+  const std::vector<geo::Vec3>& ues = world_->ue_positions();
+  ASSERT_GE(ues.size(), 3u);
+
+  sim::FaultInjector want_faults(fault_plan());
+  geo::Mt19937_64 want_rng(21);
+  std::vector<uav::GpsSensor> want_gps;
+  std::vector<GpsTofSeries> want;
+  for (std::size_t i = 0; i < ues.size(); ++i) {
+    want_gps.emplace_back(30 + i);
+    want.push_back(sequential_collect(flight, ues[i], world_->channel(), world_->budget(),
+                                      want_gps[i], rc, want_rng, &want_faults));
+  }
+  std::size_t tuples = 0;
+  for (const GpsTofSeries& s : want) tuples += s.size();
+  ASSERT_GT(tuples, 1000u);
+
+  for (const int workers : {1, 4, 8}) {
+    SCOPED_TRACE(::testing::Message() << workers << " workers");
+    const core::ScopedWorkers scoped(workers);
+    sim::FaultInjector faults(fault_plan());
+    geo::Mt19937_64 rng(21);
+    std::vector<uav::GpsSensor> gps;
+    for (std::size_t i = 0; i < ues.size(); ++i) gps.emplace_back(30 + i);
+    const std::vector<GpsTofSeries> got =
+        collect_gps_tof(flight, ues, world_->channel(), world_->budget(), gps, rc, rng, &faults);
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < got.size(); ++i)
+      EXPECT_EQ(series_bytes(got[i]), series_bytes(want[i])) << "UE " << i;
+    EXPECT_EQ(engine_state(rng), engine_state(want_rng));
+    // The injector's RNG and the GPS sensors stand where the oracle's do.
+    sim::FaultInjector want_next = want_faults;
+    for (int draw = 0; draw < 64; ++draw)
+      ASSERT_EQ(faults.srs_symbol_lost(1.0), want_next.srs_symbol_lost(1.0)) << "draw " << draw;
+    for (std::size_t i = 0; i < gps.size(); ++i) {
+      uav::GpsSensor want_sensor = want_gps[i];
+      const uav::GpsFix a = gps[i].sample({1.0, 2.0, 3.0}, 99.0);
+      const uav::GpsFix b = want_sensor.sample({1.0, 2.0, 3.0}, 99.0);
+      EXPECT_EQ(a.position, b.position) << "UE " << i;
+      EXPECT_EQ(a.valid, b.valid) << "UE " << i;
+    }
+  }
+}
+
+TEST_F(CollectPipelineTest, DegenerateInputs) {
+  const RangingConfig rc;
+  const std::vector<uav::FlightSample> flight = long_flight();
+  geo::Mt19937_64 rng(3);
+  const std::string start = engine_state(rng);
+  // No UE: nothing to collect, nothing drawn.
+  EXPECT_TRUE(collect_gps_tof(flight, std::span<const geo::Vec3>(), world_->channel(),
+                              world_->budget(), std::span<uav::GpsSensor>(), rc, rng)
+                  .empty());
+  // A flight with no interval: one empty series per UE, nothing drawn.
+  std::vector<uav::GpsSensor> gps(3, uav::GpsSensor(1));
+  const std::vector<uav::FlightSample> single{flight.front()};
+  const std::vector<GpsTofSeries> none = collect_gps_tof(
+      single, std::span<const geo::Vec3>(world_->ue_positions()).first(3), world_->channel(),
+      world_->budget(), gps, rc, rng);
+  ASSERT_EQ(none.size(), 3u);
+  for (const GpsTofSeries& s : none) EXPECT_TRUE(s.empty());
+  EXPECT_EQ(engine_state(rng), start);
+  // One sensor per UE.
+  EXPECT_THROW(collect_gps_tof(flight, world_->ue_positions(), world_->channel(),
+                               world_->budget(), gps, rc, rng),
+               ContractViolation);
+}
 
 }  // namespace
 }  // namespace skyran::localization

@@ -236,13 +236,17 @@ TEST(SrsChannelTest, NoiselessDelayOnly) {
 
 TEST(SrsChannelTest, NlosTapsHaveConfiguredShape) {
   geo::Mt19937_64 rng(6);
-  const auto taps = make_nlos_taps(4, 50e-9, -3.0, 2.0, rng);
+  std::vector<MultipathTap> taps;
+  make_nlos_taps(4, 50e-9, -3.0, 2.0, rng, taps);
   ASSERT_EQ(taps.size(), 4u);
   for (std::size_t i = 0; i < taps.size(); ++i) {
     EXPECT_GE(taps[i].excess_delay_s, 0.0);
     EXPECT_DOUBLE_EQ(taps[i].power_db, -3.0 - 2.0 * static_cast<double>(i));
   }
-  EXPECT_TRUE(make_nlos_taps(0, 50e-9, -3.0, 2.0, rng).empty());
+  make_nlos_taps(0, 50e-9, -3.0, 2.0, rng, taps);  // overwrites
+  EXPECT_TRUE(taps.empty());
+  EXPECT_THROW(make_nlos_taps(static_cast<int>(kMaxSrsTaps) + 1, 50e-9, -3.0, 2.0, rng, taps),
+               ContractViolation);
 }
 
 // ---------------------------------------------------------------------------
@@ -288,12 +292,9 @@ TEST(SrsNoiseTest, OccupiedBinsMatchTheLibraryDrawBitForBit) {
   configs[3].sounding_prb = 6;
   constexpr double kSnrsDb[] = {-12.0, 0.0, 7.5, 23.0, 300.0};
   constexpr double kMeanExcessS = 50e-9;
-  const Cplx kUntouched(7.0, -7.0);
   for (std::uint64_t seed = 0; seed < 120; ++seed) {
     const SrsConfig& cfg = configs[seed % configs.size()];
     const std::vector<int> res = occupied_subcarriers(cfg);
-    std::vector<bool> occupied(cfg.carrier.fft_size, false);
-    for (const int sc : res) occupied[fft_bin(sc, cfg.carrier.fft_size)] = true;
     std::mt19937_64 want_rng(seed);
     geo::Mt19937_64 got_rng(seed);
     // 0-3 leading words move where the candidate pairs meet the engine's
@@ -303,20 +304,19 @@ TEST(SrsNoiseTest, OccupiedBinsMatchTheLibraryDrawBitForBit) {
     for (int symbol = 0; symbol < 4; ++symbol) {
       const double snr_db = kSnrsDb[(seed + symbol) % std::size(kSnrsDb)];
       CplxVec want(cfg.carrier.fft_size);
-      CplxVec got(cfg.carrier.fft_size, kUntouched);
+      CplxVec got(res.size());
       library_noise(snr_db, want_rng, want);
-      draw_srs_noise(snr_db, got_rng, res, got);
-      for (std::size_t b = 0; b < got.size(); ++b) {
-        if (occupied[b])
-          ASSERT_TRUE(same_bits(got[b], want[b])) << "seed " << seed << " symbol " << symbol
-                                                  << " bin " << b;
-        else
-          ASSERT_EQ(got[b], kUntouched) << "seed " << seed << " unread bin " << b;
+      draw_srs_noise(snr_db, got_rng, res, want.size(), got);
+      for (std::size_t t = 0; t < res.size(); ++t) {
+        const std::size_t b = fft_bin(res[t], want.size());
+        ASSERT_TRUE(same_bits(got[t], want[b])) << "seed " << seed << " symbol " << symbol
+                                                << " bin " << b;
       }
       ASSERT_EQ(text_state(got_rng), text_state(want_rng))
           << "seed " << seed << " symbol " << symbol;
       if (symbol % 2 == 1) {  // NLOS taps between symbols, as collect_gps_tof draws them
-        const auto got_taps = make_nlos_taps(3, kMeanExcessS, -4.0, 4.0, got_rng);
+        std::vector<MultipathTap> got_taps;
+        make_nlos_taps(3, kMeanExcessS, -4.0, 4.0, got_rng, got_taps);
         std::exponential_distribution<double> excess(1.0 / kMeanExcessS);
         ASSERT_EQ(got_taps.size(), 3u);
         for (const MultipathTap& tap : got_taps)
@@ -400,8 +400,10 @@ TEST(SrsNoiseTest, KnownAnswerForSeedOne) {
   const SrsConfig cfg;
   const std::vector<int> res = occupied_subcarriers(cfg);
   geo::Mt19937_64 rng(1);
+  CplxVec noise(res.size());
+  draw_srs_noise(10.0, rng, res, cfg.carrier.fft_size, noise);
   CplxVec rx(cfg.carrier.fft_size);
-  draw_srs_noise(10.0, rng, res, rx);
+  place_occupied(noise, res, rx);
   EXPECT_DOUBLE_EQ(rx[1].real(), -0.055666430725755618);
   EXPECT_DOUBLE_EQ(rx[1].imag(), 0.15357843457587594);
   EXPECT_DOUBLE_EQ(rx[3].real(), 0.22381976779952276);
@@ -504,7 +506,7 @@ TEST(TofTest, PlannedCorrelatorMatchesDenseIfft) {
     SrsChannelParams ch;
     ch.delay_s = delay(rng) / cfg.carrier.sample_rate_hz;
     ch.snr_db = snr;
-    if (nlos) ch.taps = make_nlos_taps(4, 100e-9, -3.0, 2.0, rng);
+    if (nlos) make_nlos_taps(4, 100e-9, -3.0, 2.0, rng, ch.taps);
     const SrsSymbol rx = apply_srs_channel(tx, ch, rng);
     const CplxVec dense = dense_correlation(rx, tx, k);
     const std::string where = "bw " + std::to_string(cfg.carrier.fft_size) + " K " +
@@ -573,7 +575,7 @@ TEST(TofTest, PlannedCorrelatorBatchesMatchOracleOnFourWorkers) {
       SrsChannelParams ch;
       ch.delay_s = (2.0 + 1.7 * i) / cfg.carrier.sample_rate_hz;
       ch.snr_db = 5.0;
-      ch.taps = make_nlos_taps(3, 100e-9, -3.0, 2.0, rng);
+      make_nlos_taps(3, 100e-9, -3.0, 2.0, rng, ch.taps);
       rx.push_back(apply_srs_channel(make_srs_symbol(cfg), ch, rng));
     }
     return rx;

@@ -598,15 +598,15 @@ TEST(ParallelEquivalenceTest, CollectGpsTofFaultedRayTraced) {
         .add({sim::FaultKind::kGpsOutage, 5.5, 6.5, 0.0, 0.0});
     sim::FaultInjector faults(plan);
     geo::Mt19937_64 rng(7);
+    std::vector<uav::GpsSensor> gps;
+    for (std::size_t i = 0; i < world.ue_positions().size(); ++i) gps.emplace_back(6 + i);
     std::vector<double> out;  // every tuple of every UE, flattened
-    for (std::size_t i = 0; i < world.ue_positions().size(); ++i) {
-      uav::GpsSensor gps(6 + i);
-      for (const localization::GpsTofTuple& t :
-           localization::collect_gps_tof(flight, world.ue_positions()[i], world.channel(),
-                                         world.budget(), gps, rc, rng, &faults))
+    for (const localization::GpsTofSeries& series :
+         localization::collect_gps_tof(flight, world.ue_positions(), world.channel(),
+                                       world.budget(), gps, rc, rng, &faults))
+      for (const localization::GpsTofTuple& t : series)
         out.insert(out.end(), {t.time_s, t.uav_position.x, t.uav_position.y,
                                t.uav_position.z, t.range_m});
-    }
     return std::pair{out, rng()};
   };
   const auto [serial, parallel] = serial_and_parallel(run);
@@ -623,7 +623,7 @@ TEST(ParallelEquivalenceTest, SrsChannelDeterministicAcrossWorkerCounts) {
     lte::SrsChannelParams ch;
     ch.delay_s = 4e-7;
     ch.snr_db = 10.0;
-    ch.taps = lte::make_nlos_taps(3, 50e-9, -4.0, 4.0, rng);
+    lte::make_nlos_taps(3, 50e-9, -4.0, 4.0, rng, ch.taps);
     return lte::apply_srs_channel(tx, ch, rng).freq;
   };
   const auto [serial, parallel] = serial_and_parallel(run);

@@ -4,12 +4,15 @@
 // (the first, full estimate_all of a never-estimated twin fed the same
 // deposits), serially and on the thread pool. Also covers geo::FieldView,
 // the geo::PointIndex spatial index and the REM store's put/find against
-// brute-force models of the historical linear scans, and the placement view
-// overloads. Run under TSan in CI.
+// brute-force models of the historical linear scans, the placement view
+// overloads, and the IDW ring search and the bank's raster against a copy of
+// the full-square search they replaced. Run under TSan in CI.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <optional>
 #include <ostream>
@@ -23,7 +26,9 @@
 #include "geo/field_view.hpp"
 #include "geo/mt19937.hpp"
 #include "geo/point_index.hpp"
+#include "kernels/kernels.hpp"
 #include "rem/bank.hpp"
+#include "rem/idw.hpp"
 #include "rem/placement.hpp"
 #include "rem/store.hpp"
 #include "rf/channel.hpp"
@@ -628,6 +633,261 @@ TEST(RemBankPlacementTest, ViewPathSerialEqualsParallel) {
     return out;
   });
   EXPECT_EQ(mismatches(serial, parallel), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Exact IDW raster: the shell-only ring search with reused scratch against
+// the full-square search with per-call vectors it replaced.
+
+/// IdwInterpolator's ring search and estimate as they read before the search
+/// visited only each ring's shell: every ring sweeps the full (2r+1)² square
+/// of buckets and skips the interior, and every call allocates. Same bucket
+/// grid, same candidate order, same nth_element / partial_sort calls.
+class FullSquareIdw {
+ public:
+  FullSquareIdw(std::vector<rem::IdwSample> samples, geo::Rect area, double bucket_m = 16.0)
+      : samples_(std::move(samples)), buckets_(area, bucket_m) {
+    for (std::size_t i = 0; i < samples_.size(); ++i)
+      buckets_.value_at(area.clamp(samples_[i].position)).push_back(static_cast<int>(i));
+  }
+
+  std::vector<rem::IdwInterpolator::Neighbor> nearest(geo::Vec2 p, int k,
+                                                      double max_radius_m) const {
+    std::vector<rem::IdwInterpolator::Neighbor> out;
+    if (samples_.empty()) return out;
+    const geo::Vec2 q = buckets_.area().clamp(p);
+    const geo::CellIndex center = buckets_.cell_of(q);
+    const int grid_span = std::max(buckets_.nx(), buckets_.ny()) + 1;
+    const int max_ring = static_cast<int>(std::min<double>(
+        grid_span, std::ceil(max_radius_m / buckets_.cell_size()) + 1.0));
+    struct Found {
+      double dist2;
+      int index;
+    };
+    std::vector<Found> found;
+    for (int ring = 0; ring <= max_ring; ++ring) {
+      for (int dy = -ring; dy <= ring; ++dy) {
+        for (int dx = -ring; dx <= ring; ++dx) {
+          if (std::max(std::abs(dx), std::abs(dy)) != ring) continue;
+          const geo::CellIndex c{center.ix + dx, center.iy + dy};
+          if (!buckets_.in_bounds(c)) continue;
+          for (int idx : buckets_.at(c)) {
+            const rem::IdwSample& s = samples_[static_cast<std::size_t>(idx)];
+            const double d2 = (s.position - p).norm2();
+            if (d2 <= max_radius_m * max_radius_m) found.push_back({d2, idx});
+          }
+        }
+      }
+      if (static_cast<int>(found.size()) >= k) {
+        std::nth_element(found.begin(), found.begin() + (k - 1), found.end(),
+                         [](const Found& a, const Found& b) { return a.dist2 < b.dist2; });
+        const double kth = std::sqrt(found[static_cast<std::size_t>(k - 1)].dist2);
+        const double safe = ring * buckets_.cell_size();
+        if (kth <= safe) break;
+      }
+    }
+    const int use = std::min<int>(k, static_cast<int>(found.size()));
+    std::partial_sort(found.begin(), found.begin() + use, found.end(),
+                      [](const Found& a, const Found& b) { return a.dist2 < b.dist2; });
+    for (int i = 0; i < use; ++i)
+      out.push_back({found[static_cast<std::size_t>(i)].index,
+                     std::sqrt(found[static_cast<std::size_t>(i)].dist2)});
+    return out;
+  }
+
+  std::optional<rem::IdwInterpolator::EstimateWithDistance> estimate_with_distance(
+      geo::Vec2 p, int k, double power, double max_radius_m) const {
+    const std::vector<rem::IdwInterpolator::Neighbor> neighbors = nearest(p, k, max_radius_m);
+    if (neighbors.empty()) return std::nullopt;
+    std::vector<double> dist, val;
+    for (const rem::IdwInterpolator::Neighbor& nb : neighbors) {
+      const double v = samples_[static_cast<std::size_t>(nb.index)].value;
+      if (nb.distance_m < 1e-6) return rem::IdwInterpolator::EstimateWithDistance{v, nb.distance_m};
+      dist.push_back(nb.distance_m);
+      val.push_back(v);
+    }
+    const kernels::IdwAccum acc = kernels::idw_weigh(dist.data(), val.data(), dist.size(), power);
+    return rem::IdwInterpolator::EstimateWithDistance{acc.vsum / acc.wsum,
+                                                      neighbors.front().distance_m};
+  }
+
+ private:
+  std::vector<rem::IdwSample> samples_;
+  geo::Grid2D<std::vector<int>> buckets_;
+};
+
+template <typename T>
+bool same_bits(const T& a, const T& b) {
+  return std::memcmp(&a, &b, sizeof(T)) == 0;
+}
+
+constexpr int kIdwKs[] = {1, 8, 40};
+constexpr double kIdwRadii[] = {std::numeric_limits<double>::infinity(), 1e9, 12.5, 3.0};
+
+/// Samples at the centers of a 1 m lattice over a 64 m square, so distances
+/// from a lattice query tie everywhere (also at the k-th boundary): a sparse
+/// spread over the whole area when `clustered` is false, else a dense patch
+/// in one corner that far queries reach only after many rings.
+std::vector<rem::IdwSample> lattice_samples(bool clustered, std::uint64_t seed) {
+  geo::Mt19937_64 rng(seed);
+  std::uniform_int_distribution<int> cell(0, clustered ? 9 : 63);
+  std::uniform_real_distribution<double> value(-20.0, 30.0);
+  std::vector<rem::IdwSample> out;
+  for (int i = 0; i < (clustered ? 60 : 250); ++i)
+    out.push_back({{cell(rng) + 0.5, cell(rng) + 0.5}, value(rng)});
+  return out;
+}
+
+/// Corners, edge midpoints, exact hits on samples, and every lattice center
+/// and lattice corner of a coarse sweep.
+std::vector<geo::Vec2> idw_queries(const std::vector<rem::IdwSample>& samples) {
+  std::vector<geo::Vec2> q{{0.0, 0.0},  {64.0, 0.0},  {0.0, 64.0}, {64.0, 64.0},
+                           {32.0, 0.0}, {0.0, 32.5},  {64.0, 17.5}, {40.5, 64.0}};
+  for (std::size_t i = 0; i < samples.size(); i += 7) q.push_back(samples[i].position);
+  for (int y = 0; y <= 64; y += 3)
+    for (int x = 0; x <= 64; x += 3) {
+      q.push_back({x + 0.5, y + 0.5});
+      q.push_back({static_cast<double>(x), static_cast<double>(y)});
+    }
+  return q;
+}
+
+TEST(IdwRingSearchTest, MatchesFullSquareSearchBitForBit) {
+  const geo::Rect area = geo::Rect::square(64.0);
+  for (const bool clustered : {false, true}) {
+    const std::vector<rem::IdwSample> samples = lattice_samples(clustered, clustered ? 5 : 6);
+    const rem::IdwInterpolator idw(samples, area);
+    const FullSquareIdw oracle(samples, area);
+    const std::vector<geo::Vec2> queries = idw_queries(samples);
+    rem::IdwInterpolator::Scratch scratch;  // reused across every query below
+    std::size_t exact_hits = 0;
+    for (const int k : kIdwKs) {
+      for (const double radius : kIdwRadii) {
+        for (const geo::Vec2 p : queries) {
+          SCOPED_TRACE(::testing::Message() << "clustered " << clustered << " k " << k
+                                            << " radius " << radius << " at " << p.x << ","
+                                            << p.y);
+          const auto got = idw.nearest(p, k, radius);
+          const auto want = oracle.nearest(p, k, radius);
+          ASSERT_EQ(got.size(), want.size());
+          for (std::size_t i = 0; i < got.size(); ++i) {
+            ASSERT_EQ(got[i].index, want[i].index) << "neighbor " << i;
+            ASSERT_TRUE(same_bits(got[i].distance_m, want[i].distance_m)) << "neighbor " << i;
+          }
+          const auto want_est = oracle.estimate_with_distance(p, k, 2.0, radius);
+          for (const auto& got_est : {idw.estimate_with_distance(p, k, 2.0, radius),
+                                      idw.estimate_with_distance(p, k, 2.0, radius, scratch)}) {
+            ASSERT_EQ(got_est.has_value(), want_est.has_value());
+            if (!want_est) continue;
+            ASSERT_TRUE(same_bits(got_est->value, want_est->value));
+            ASSERT_TRUE(same_bits(got_est->nearest_m, want_est->nearest_m));
+          }
+          exact_hits += want_est && want_est->nearest_m < 1e-6;
+        }
+      }
+    }
+    EXPECT_GT(exact_hits, 0u);
+  }
+}
+
+TEST(IdwRingSearchTest, EmptyInterpolatorFindsNothing) {
+  const rem::IdwInterpolator idw({}, geo::Rect::square(64.0));
+  rem::IdwInterpolator::Scratch scratch;
+  for (const int k : kIdwKs) {
+    EXPECT_TRUE(idw.nearest({10.0, 10.0}, k, 1e9).empty());
+    EXPECT_FALSE(idw.estimate_with_distance({0.0, 64.0}, k, 2.0, 1e9, scratch).has_value());
+  }
+}
+
+/// `bank`'s estimate slab for `ue` as estimate_all computed it before the
+/// exact raster: the same per-cell rule over the full-square search.
+std::vector<double> full_square_slab(const rem::RemBank& bank, std::size_t ue,
+                                     const rem::IdwParams& params) {
+  const geo::Rect area = bank.area();
+  const double cell = bank.cell_size();
+  const auto center = [&](int ix, int iy) {
+    return geo::Vec2{area.min.x + (ix + 0.5) * cell, area.min.y + (iy + 0.5) * cell};
+  };
+  std::vector<rem::IdwSample> samples;
+  for (int iy = 0; iy < bank.ny(); ++iy)
+    for (int ix = 0; ix < bank.nx(); ++ix)
+      if (const std::optional<double> m = bank.measured_snr(ue, {ix, iy}))
+        samples.push_back({center(ix, iy), *m});
+  const FullSquareIdw oracle(std::move(samples), area);
+  const rem::RemBank::BackgroundSource source = bank.background_source(ue);
+  const bool blend =
+      source == rem::RemBank::BackgroundSource::kPrior && params.background_blend_m > 0.0;
+  const geo::FieldView<const double> background = bank.background(ue);
+  std::vector<double> out;
+  for (int iy = 0; iy < bank.ny(); ++iy) {
+    for (int ix = 0; ix < bank.nx(); ++ix) {
+      const double bg = background[out.size()];
+      if (const std::optional<double> m = bank.measured_snr(ue, {ix, iy})) {
+        out.push_back(*m);
+        continue;
+      }
+      const auto est = oracle.estimate_with_distance(center(ix, iy), params.k_neighbors,
+                                                     params.power, params.max_radius_m);
+      if (est && blend) {
+        const double w = std::exp(-est->nearest_m / params.background_blend_m);
+        out.push_back(w * est->value + (1.0 - w) * bg);
+      } else if (est) {
+        out.push_back(est->value);
+      } else {
+        out.push_back(source != rem::RemBank::BackgroundSource::kNone ? bg : 0.0);
+      }
+    }
+  }
+  return out;
+}
+
+TEST(IdwRingSearchTest, BankSlabMatchesFullSquareSearch) {
+  // A 1 m raster over 64 m with deposits on the cell centers (a lattice):
+  // a model-seeded UE, a prior-blended UE and a UE with no background.
+  const geo::Rect area = geo::Rect::square(64.0);
+  rem::RemBank prior(area, 1.0, 60.0);
+  prior.add_ue({30.0, 30.0, 1.5});
+  prior.add_measurement(0, {20.5, 20.5}, 8.0);
+  const rf::FsplChannel fspl(2.6e9);
+  geo::Mt19937_64 rng(41);
+  std::uniform_real_distribution<double> snr(-25.0, 35.0);
+  for (const int k : kIdwKs) {
+    for (const double radius : {1e9, 12.5}) {
+      rem::IdwParams params;
+      params.k_neighbors = k;
+      params.max_radius_m = radius;
+      params.background_blend_m = 20.0;
+      rem::RemBank bank(area, 1.0, 60.0);
+      for (std::size_t ue = 0; ue < 3; ++ue) bank.add_ue({10.0 + 20.0 * ue, 40.0, 1.5});
+      bank.seed_from_model(0, fspl, rf::LinkBudget{});
+      bank.seed_from(1, prior, params);
+      const std::vector<double> prior_slab = full_square_slab(prior, 0, params);
+      EXPECT_EQ(std::memcmp(&bank.background(1)[0], prior_slab.data(),
+                            prior_slab.size() * sizeof(double)),
+                0);
+      for (const rem::IdwSample& s : lattice_samples(false, 7 + k))
+        bank.add_measurement(0, s.position, s.value);
+      for (const rem::IdwSample& s : lattice_samples(true, 8 + k)) {
+        bank.add_measurement(1, s.position, s.value);
+        bank.add_measurement(2, s.position, snr(rng));
+      }
+      for (const int workers : {1, 8}) {
+        SCOPED_TRACE(::testing::Message() << "k " << k << " radius " << radius << " workers "
+                                          << workers);
+        core::set_global_workers(workers);
+        rem::RemBank live = bank;
+        live.estimate_all(params);
+        core::set_global_workers(0);
+        for (std::size_t ue = 0; ue < live.ue_count(); ++ue) {
+          const std::vector<double> want = full_square_slab(bank, ue, params);
+          const geo::FieldView<const double> got = live.estimate(ue);
+          ASSERT_EQ(got.size(), want.size());
+          EXPECT_EQ(std::memcmp(&got[0], want.data(), want.size() * sizeof(double)), 0)
+              << "UE " << ue;
+        }
+      }
+    }
+  }
 }
 
 }  // namespace
