@@ -23,6 +23,7 @@
 #include "core/skyran.hpp"
 #include "core/snapshot.hpp"
 #include "geo/binio.hpp"
+#include "kernels/kernels.hpp"
 #include "scenario/campaign.hpp"
 #include "sim/generation_store.hpp"
 #include "sim/shutdown.hpp"
@@ -49,15 +50,33 @@ core::Snapshot from_bytes(const std::string& bytes) {
 
 /// A short campaign (3 epochs) whose snapshot exercises every section:
 /// non-empty store, multi-entry history, drained battery, advanced RNG.
-/// The campaign runs once per binary; each caller gets its own copy.
-core::Snapshot sample_snapshot() {
-  static const core::Snapshot sample = [] {
+/// It runs on the scalar kernels, so its bytes are the same on every ISA,
+/// and once per binary.
+struct Sample {
+  core::Snapshot snapshot;
+  std::string store_bytes;  ///< the session's RemStore, saved on its own
+};
+
+const Sample& sample() {
+  static const Sample sample = [] {
+    const kernels::ScopedScalarKernels scalar;
     sim::World world(testcampaign::world_config());
     core::SkyRan skyran(world, testcampaign::skyran_config(1), testcampaign::kCampaignSeed);
     testcampaign::run_epochs(skyran, world, 3);
-    return skyran.snapshot();
+    std::ostringstream store;
+    skyran.rem_store().save(store);
+    return Sample{skyran.snapshot(), std::move(store).str()};
   }();
   return sample;
+}
+
+/// Each caller gets its own copy.
+core::Snapshot sample_snapshot() { return sample().snapshot; }
+
+std::uint64_t fnv1a(const std::string& bytes) {
+  geo::Fnv1a h;
+  h.bytes(bytes.data(), bytes.size());
+  return h.value();
 }
 
 /// The element counts of a snapshot payload, in stream order.
@@ -148,6 +167,20 @@ TEST(SnapshotFormatTest, RoundTripPreservesEveryField) {
   EXPECT_GT(s.history.size(), 0u);
   EXPECT_LT(s.battery_remaining_wh, testcampaign::skyran_config(1).battery.capacity_wh);
   EXPECT_FALSE(s.rng_state.empty());
+}
+
+// The SKYS v3 bytes of the sample session and the SKYR v2 bytes of its
+// multi-entry REM store, pinned: any change to what a checkpoint writes
+// must fail here first.
+TEST(SnapshotFormatTest, SampleBytesPinned) {
+  const std::string snapshot = to_bytes(sample_snapshot());
+  EXPECT_EQ(snapshot.size(), 84686u);
+  EXPECT_EQ(fnv1a(snapshot), 0xe393cdca9e9151a9ULL);
+  const std::string& store = sample().store_bytes;
+  EXPECT_EQ(store.size(), 76273u);
+  EXPECT_EQ(fnv1a(store), 0x33b7063087f130d2ULL);
+  // The store travels inside the snapshot as the same bytes.
+  EXPECT_NE(snapshot.find(store), std::string::npos);
 }
 
 // ------------------------------------------------- corrupt-input rejection --
