@@ -1,8 +1,8 @@
 #include "core/skyran.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <numbers>
-
 #include <random>
 #include <sstream>
 
@@ -378,72 +378,125 @@ double SkyRan::served_performance_ratio() const {
 
 Snapshot SkyRan::snapshot() const {
   SKYRAN_TRACE_SPAN("ckpt.capture");
-  Snapshot s;
-  s.seed = seed_;
-  s.config_fingerprint = config_digest(config_);
-  s.epoch = epoch_;
-  s.position = position_;
-  s.altitude_m = altitude_;
-  s.altitude_known = altitude_known_;
-  s.total_flight_m = total_flight_m_;
-  s.throughput_at_placement_bps = throughput_at_placement_bps_;
-  s.battery_remaining_wh = battery_.remaining_wh();
-  std::ostringstream rng_bytes;
-  rng_bytes << rng_;  // standard text round-trip is bit-exact
-  s.rng_state = rng_bytes.str();
-  s.last_estimates = last_estimates_;
-  s.ue_positions = world_.ue_positions();
-  s.store = store_;
-  s.history.reserve(history_.size());
-  for (const HistoryEntry& e : history_) s.history.push_back({e.position, e.trajectories});
-  return s;
+  return Snapshot(geo::sized_payload([this](auto& sink) { write_state(sink); }));
 }
 
 void SkyRan::restore(const Snapshot& s) {
   SKYRAN_TRACE_SPAN("ckpt.apply");
-  if (s.seed != seed_)
-    throw geo::StateMismatchError("SkyRan::restore: snapshot seed " + std::to_string(s.seed) +
+  geo::BinReader r(s.payload_);
+  read_state(r);
+  SKYRAN_COUNTER_INC("ckpt.applied");
+  SKYRAN_GAUGE_SET("ckpt.resume_epoch", static_cast<double>(epoch_));
+}
+
+template <class Sink>
+void SkyRan::write_state(Sink& sink) const {
+  sink.pod(seed_);
+  sink.pod(config_digest(config_));
+  sink.pod(static_cast<std::int32_t>(epoch_));
+  sink.pod(position_);
+  sink.pod(altitude_);
+  sink.pod(static_cast<std::uint8_t>(altitude_known_));
+  sink.pod(total_flight_m_);
+  sink.pod(throughput_at_placement_bps_);
+  sink.pod(battery_.remaining_wh());
+  std::ostringstream rng_text;
+  rng_text << rng_;  // standard text round-trip is bit-exact
+  geo::write_counted(sink, std::move(rng_text).str());
+  geo::write_counted(sink, last_estimates_);
+  geo::write_counted(sink, world_.ue_positions());
+  geo::nested_envelope(sink, rem::RemStore::kMagic, rem::RemStore::kVersion,
+                       [this](auto& store_sink) { store_.write_state(store_sink); });
+  sink.pod(static_cast<std::uint64_t>(history_.size()));
+  for (const HistoryEntry& e : history_) {
+    sink.pod(e.position);
+    sink.pod(static_cast<std::uint64_t>(e.trajectories.size()));
+    for (const geo::Path& p : e.trajectories) geo::write_counted(sink, p.points());
+  }
+}
+
+template void SkyRan::write_state(geo::BinWriter&) const;
+template void SkyRan::write_state(geo::Fnv1a&) const;
+template void SkyRan::write_state(geo::ByteCount&) const;
+
+void SkyRan::read_state(geo::BinReader& r) {
+  const auto seed = r.pod<std::uint64_t>();
+  if (seed != seed_)
+    throw geo::StateMismatchError("SkyRan::restore: snapshot seed " + std::to_string(seed) +
                                   " != session seed " + std::to_string(seed_));
-  if (s.config_fingerprint != config_digest(config_))
+  if (r.pod<std::uint64_t>() != config_digest(config_))
     throw geo::StateMismatchError(
         "SkyRan::restore: snapshot was taken under a different resume-relevant config");
-  // Everything that can throw runs before the first member changes, so a
-  // rejected snapshot leaves the session as it was.
+  // Fields no save can hold are corrupt. Everything is parsed into locals
+  // and checked before the first member changes, so a rejected snapshot
+  // leaves the session as it was.
+  const auto corrupt_unless = [](bool ok, const char* what) {
+    if (!ok) throw geo::BinCorruptError(std::string("SkyRan::restore: ") + what);
+  };
+  const auto all_finite = [](const auto& points) {
+    return std::all_of(points.begin(), points.end(), [](auto p) { return geo::finite(p); });
+  };
+  const auto epoch = r.pod<std::int32_t>();
+  corrupt_unless(epoch >= 0, "epoch must be >= 0");
+  const auto position = r.pod<geo::Vec2>();
+  const auto altitude = r.pod<double>();
+  corrupt_unless(geo::finite(position) && std::isfinite(altitude), "UAV pose must be finite");
+  const auto altitude_known = r.pod<std::uint8_t>();
+  corrupt_unless(altitude_known <= 1, "altitude-known flag must be 0 or 1");
+  const auto total_flight = r.pod<double>();
+  corrupt_unless(std::isfinite(total_flight) && total_flight >= 0.0,
+                 "total flight must be finite and >= 0");
+  const auto throughput = r.pod<double>();
+  corrupt_unless(std::isfinite(throughput), "throughput at placement must be finite");
+  const auto battery_wh = r.pod<double>();
+  corrupt_unless(battery_wh >= 0.0, "battery energy must be >= 0");
   geo::Mt19937_64 rng;
-  {
-    std::istringstream rng_bytes(s.rng_state);
-    rng_bytes >> rng;
-    if (rng_bytes.fail()) throw geo::BinCorruptError("SkyRan::restore: bad RNG state");
+  std::istringstream rng_text(r.str());
+  corrupt_unless(!(rng_text >> rng).fail(), "bad RNG state");
+  std::vector<geo::Vec2> last_estimates = r.vec<geo::Vec2>();
+  corrupt_unless(all_finite(last_estimates), "UE estimates must be finite");
+  std::vector<geo::Vec3> ue_positions = r.vec<geo::Vec3>();
+  corrupt_unless(all_finite(ue_positions), "UE positions must be finite");
+  std::istringstream store_bytes(r.str());
+  rem::RemStore store = rem::RemStore::load(store_bytes);
+  corrupt_unless(store_bytes.peek() == std::istringstream::traits_type::eof(),
+                 "trailing bytes after the REM store");
+  // Smallest encodings: a history entry is a position plus a path count; a
+  // path is at least its point count.
+  const std::size_t n_history = r.count(sizeof(geo::Vec2) + sizeof(std::uint64_t));
+  std::vector<HistoryEntry> history(n_history);
+  for (HistoryEntry& e : history) {
+    e.position = r.pod<geo::Vec2>();
+    corrupt_unless(geo::finite(e.position), "history position must be finite");
+    e.trajectories.resize(r.count(sizeof(std::uint64_t)));
+    for (geo::Path& p : e.trajectories) {
+      p = geo::Path(r.vec<geo::Vec2>());
+      corrupt_unless(all_finite(p.points()), "history points must be finite");
+    }
   }
-  if (!(s.battery_remaining_wh >= 0.0))
-    throw geo::BinCorruptError("SkyRan::restore: battery energy must be >= 0");
-  uav::Battery battery(config_.battery);
-  battery.restore_remaining_wh(s.battery_remaining_wh);
+  corrupt_unless(r.done(), "trailing bytes after last field");
 
-  epoch_ = s.epoch;
-  position_ = s.position;
-  altitude_ = s.altitude_m;
-  altitude_known_ = s.altitude_known;
-  total_flight_m_ = s.total_flight_m;
-  throughput_at_placement_bps_ = s.throughput_at_placement_bps;
-  battery_ = battery;
+  battery_ = uav::Battery(config_.battery);
+  battery_.restore_remaining_wh(battery_wh);  // checked >= 0 above
+  epoch_ = epoch;
+  position_ = position;
+  altitude_ = altitude;
+  altitude_known_ = altitude_known != 0;
+  total_flight_m_ = total_flight;
+  throughput_at_placement_bps_ = throughput;
   rng_ = rng;
-  last_estimates_ = s.last_estimates;
-  world_.ue_positions() = s.ue_positions;
-  store_ = s.store;
-  history_.clear();
+  last_estimates_ = std::move(last_estimates);
+  world_.ue_positions() = std::move(ue_positions);
+  store_ = std::move(store);
+  history_ = std::move(history);
   history_index_ = geo::PointIndex(std::max(config_.reuse_radius_m, 1e-9));
-  for (const Snapshot::HistoryEntry& e : s.history) {
-    history_index_.insert(e.position, history_.size());
-    history_.push_back({e.position, e.trajectories});
-  }
+  for (std::size_t i = 0; i < history_.size(); ++i)
+    history_index_.insert(history_[i].position, i);
   // Per-epoch scratch state is rebuilt at the top of the next run_epoch.
   bank_.reset();
   faults_ = sim::FaultInjector();
   battery_sag_applied_ = 0.0;
   epoch_degraded_ = false;
-  SKYRAN_COUNTER_INC("ckpt.applied");
-  SKYRAN_GAUGE_SET("ckpt.resume_epoch", static_cast<double>(epoch_));
 }
 
 bool SkyRan::should_trigger_epoch() const {

@@ -3,6 +3,8 @@
 // -> (3) gradient/cluster/TSP measurement tour -> (4) REM update -> (5)
 // max-min placement -> (6) serve until aggregate performance degrades past
 // the trigger threshold, with REM and trajectory-history reuse across epochs.
+// The state carried between epochs is listed once, in write_state(), and
+// read back once, by read_state(); core::Snapshot seals those bytes.
 #pragma once
 
 #include <cstdint>
@@ -18,9 +20,13 @@
 #include "sim/world.hpp"
 #include "uav/battery.hpp"
 
+namespace skyran::geo {
+class BinReader;
+}
+
 namespace skyran::core {
 
-struct Snapshot;
+class Snapshot;
 
 /// Everything that happened in one epoch.
 struct EpochReport {
@@ -79,20 +85,28 @@ class SkyRan {
   const uav::Battery& battery() const { return battery_; }
   const SkyRanConfig& config() const { return config_; }
 
-  /// Capture the full between-epoch session state (epoch counter, RNG, REM
-  /// store, trajectory histories, UAV pose/battery, last estimates, world UE
-  /// positions). Only meaningful between run_epoch() calls.
+  /// Capture the full between-epoch session state: write_state() into a
+  /// payload sized before it is written. Only meaningful between
+  /// run_epoch() calls.
   Snapshot snapshot() const;
 
   /// Restore state captured by snapshot(): run_epoch() then continues the
   /// session bit-identically to the uninterrupted run (see core/snapshot.hpp
   /// for the resume contract). The world's UE positions are restored too.
-  /// Throws geo::StateMismatchError when the snapshot's seed or
-  /// resume-relevant config fingerprint differs from this instance's, and
-  /// geo::BinCorruptError when its RNG state does not parse or its battery
-  /// energy is negative or NaN. All or nothing: on any throw the session is
-  /// unchanged.
+  /// Throws what read_state() throws, and then leaves the session unchanged.
   void restore(const Snapshot& snapshot);
+
+  /// The one list of the persisted state, into a geo::BinWriter,
+  /// geo::Fnv1a or geo::ByteCount: seed, config_digest, epoch, pose, flight,
+  /// throughput at placement, battery, RNG text, last estimates, world UE
+  /// positions, the REM store as a nested envelope, trajectory histories.
+  template <class Sink>
+  void write_state(Sink& sink) const;
+
+  /// Read what write_state() wrote. Throws geo::StateMismatchError for
+  /// another session's seed or config and geo::BinFormatError for bytes no
+  /// save holds. All or nothing: on any throw the session is unchanged.
+  void read_state(geo::BinReader& r);
 
  private:
   std::vector<geo::Vec2> localize_ues(EpochReport& report);

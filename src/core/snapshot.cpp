@@ -1,7 +1,5 @@
 #include "core/snapshot.hpp"
 
-#include <sstream>
-
 #include "core/config.hpp"
 #include "core/skyran.hpp"
 #include "geo/binio.hpp"
@@ -111,79 +109,12 @@ std::uint64_t report_digest(const EpochReport& r) {
 }
 
 void Snapshot::save(std::ostream& os) const {
-  geo::BinWriter w;
-  w.pod(seed);
-  w.pod(config_fingerprint);
-  w.pod(static_cast<std::int32_t>(epoch));
-  w.pod(position);
-  w.pod(altitude_m);
-  w.pod(static_cast<std::uint8_t>(altitude_known));
-  w.pod(total_flight_m);
-  w.pod(throughput_at_placement_bps);
-  w.pod(battery_remaining_wh);
-  w.str(rng_state);
-  w.pod(static_cast<std::uint64_t>(last_estimates.size()));
-  w.bytes(last_estimates.data(), last_estimates.size() * sizeof(geo::Vec2));
-  w.pod(static_cast<std::uint64_t>(ue_positions.size()));
-  w.bytes(ue_positions.data(), ue_positions.size() * sizeof(geo::Vec3));
-  {
-    std::ostringstream store_bytes;
-    store.save(store_bytes);
-    w.str(std::move(store_bytes).str());
-  }
-  w.pod(static_cast<std::uint64_t>(history.size()));
-  for (const HistoryEntry& e : history) {
-    w.pod(e.position);
-    w.pod(static_cast<std::uint64_t>(e.trajectories.size()));
-    for (const geo::Path& p : e.trajectories) {
-      w.pod(static_cast<std::uint64_t>(p.points().size()));
-      w.bytes(p.points().data(), p.points().size() * sizeof(geo::Vec2));
-    }
-  }
-  geo::write_envelope(os, kMagic, kVersion, w);
+  geo::write_envelope(os, kMagic, kVersion, payload_);
   if (!os) throw sim::CheckpointIoError("Snapshot::save: write failed");
 }
 
 Snapshot Snapshot::load(std::istream& is) {
-  const std::string payload = geo::read_envelope(is, kMagic, kVersion, "Snapshot::load");
-  geo::BinReader r(payload);
-  Snapshot s;
-  s.seed = r.pod<std::uint64_t>();
-  s.config_fingerprint = r.pod<std::uint64_t>();
-  s.epoch = r.pod<std::int32_t>();
-  s.position = r.pod<geo::Vec2>();
-  s.altitude_m = r.pod<double>();
-  s.altitude_known = r.pod<std::uint8_t>() != 0;
-  s.total_flight_m = r.pod<double>();
-  s.throughput_at_placement_bps = r.pod<double>();
-  s.battery_remaining_wh = r.pod<double>();
-  s.rng_state = r.str();
-  s.last_estimates.resize(r.count(sizeof(geo::Vec2)));
-  for (geo::Vec2& v : s.last_estimates) v = r.pod<geo::Vec2>();
-  s.ue_positions.resize(r.count(sizeof(geo::Vec3)));
-  for (geo::Vec3& v : s.ue_positions) v = r.pod<geo::Vec3>();
-  {
-    std::istringstream store_bytes(r.str());
-    s.store = rem::RemStore::load(store_bytes);
-  }
-  // Smallest encodings: a history entry is a position plus a path count; a
-  // path is at least its point count.
-  const std::size_t n_history = r.count(sizeof(geo::Vec2) + sizeof(std::uint64_t));
-  s.history.reserve(n_history);
-  for (std::size_t i = 0; i < n_history; ++i) {
-    HistoryEntry e;
-    e.position = r.pod<geo::Vec2>();
-    const std::size_t n_paths = r.count(sizeof(std::uint64_t));
-    e.trajectories.reserve(n_paths);
-    for (std::size_t p = 0; p < n_paths; ++p) {
-      std::vector<geo::Vec2> pts(r.count(sizeof(geo::Vec2)));
-      for (geo::Vec2& v : pts) v = r.pod<geo::Vec2>();
-      e.trajectories.emplace_back(std::move(pts));
-    }
-    s.history.push_back(std::move(e));
-  }
-  if (!r.done()) throw geo::BinCorruptError("Snapshot::load: trailing bytes after last field");
-  return s;
+  return Snapshot(geo::read_envelope(is, kMagic, kVersion, "Snapshot::load"));
 }
 
 }  // namespace skyran::core

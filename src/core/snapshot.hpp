@@ -1,13 +1,14 @@
 // Crash-safe checkpoint/restore for the epoch state machine. A Snapshot is
 // the full between-epoch session state — epoch counter, RNG, REM store,
 // trajectory histories, UAV pose/battery, last UE estimates, the world's UE
-// positions — serialized into one versioned, CRC-guarded binary envelope
-// (shared geo::binio format). sim::GenerationStore persists generations of
-// that envelope as `ckpt-<epoch>.skyc` files (write-tmp -> fsync ->
+// positions — as the sealed payload of one CRC-guarded geo::binio envelope,
+// bytes written by SkyRan::write_state and parsed by SkyRan::read_state.
+// sim::GenerationStore persists generations of that
+// envelope as `ckpt-<epoch>.skyc` files (write-tmp -> fsync ->
 // atomic-rename -> fsync directory, previous generation retained), so a
 // SIGKILL at any byte of a write can never corrupt the last good checkpoint:
 //
-//   store.save(sky.epochs_run(), bytes);
+//   store.save(sky.epochs_run(), bytes);  // what sky.snapshot().save() wrote
 //   store.restore_latest([&](std::istream& is) { sky.restore(Snapshot::load(is)); });
 //
 // Resume contract (verified by tests/test_snapshot.cpp and the kill.skyran_cli
@@ -22,11 +23,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <string>
-#include <vector>
-
-#include "geo/path.hpp"
-#include "geo/vec.hpp"
-#include "rem/store.hpp"
+#include <utility>
 
 namespace skyran::core {
 
@@ -46,39 +43,25 @@ std::uint64_t config_digest(const SkyRanConfig& config);
 /// currency of the resume contract.
 std::uint64_t report_digest(const EpochReport& report);
 
-/// The full between-epoch session state of one SkyRan.
-struct Snapshot {
+/// The full between-epoch session state of one SkyRan, sealed: the SKYS
+/// payload SkyRan::snapshot() wrote, which only SkyRan::restore() parses.
+class Snapshot {
+ public:
   /// v3 dropped v2's trailing per-UE service-load field; only v3 loads.
   static constexpr std::uint32_t kVersion = 3;
 
-  std::uint64_t seed = 0;            ///< SkyRan construction seed
-  std::uint64_t config_fingerprint = 0;  ///< config_digest at capture time
-  int epoch = 0;                     ///< epochs completed when captured
-  geo::Vec2 position{};              ///< UAV operating position
-  double altitude_m = 0.0;
-  bool altitude_known = false;
-  double total_flight_m = 0.0;
-  double throughput_at_placement_bps = 0.0;
-  double battery_remaining_wh = 0.0;
-  std::string rng_state;             ///< geo::Mt19937_64 text, the standard engine's format
-  std::vector<geo::Vec2> last_estimates;  ///< localization fallback family
-  std::vector<geo::Vec3> ue_positions;    ///< world UE truth at capture
-  rem::RemStore store;               ///< positional-reuse REM store
-  struct HistoryEntry {
-    geo::Vec2 position;
-    std::vector<geo::Path> trajectories;
-  };
-  std::vector<HistoryEntry> history;  ///< per-position trajectory history
-
-  /// Serialize as one CRC-guarded envelope. Throws sim::CheckpointIoError
-  /// when the stream fails.
+  /// Write the envelope. Throws sim::CheckpointIoError when the stream fails.
   void save(std::ostream& os) const;
 
-  /// Parse + verify. Throws geo::BinTruncatedError / BinCorruptError /
-  /// BinVersionError; never returns a partially-filled snapshot. Every
-  /// element count is checked against the bytes left in the payload before
-  /// anything is allocated, so no count can surface as std::bad_alloc.
+  /// Check magic, version, length and CRC: geo::BinTruncatedError /
+  /// BinCorruptError / BinVersionError. SkyRan::restore checks the fields.
   static Snapshot load(std::istream& is);
+
+ private:
+  friend class SkyRan;
+  explicit Snapshot(std::string payload) : payload_(std::move(payload)) {}
+
+  std::string payload_;
 };
 
 }  // namespace skyran::core

@@ -496,13 +496,8 @@ void Fleet::write_state(Sink& sink) const {
   sink.pod(static_cast<std::uint64_t>(cell_pos_.size()));
   sink.pod(static_cast<std::uint64_t>(ue_pos_.size()));
   sink.pod(epoch_);
-  std::apply(
-      [&sink](const auto&... slab) {
-        ((sink.pod(static_cast<std::uint64_t>(slab.size())),
-          sink.bytes(slab.data(), slab.size() * sizeof(slab[0]))),
-         ...);
-      },
-      slabs(*this));
+  std::apply([&sink](const auto&... slab) { (geo::write_counted(sink, slab), ...); },
+             slabs(*this));
   sink.pod(totals_);
 }
 

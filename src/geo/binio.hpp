@@ -1,7 +1,8 @@
-// Shared binary-envelope I/O for every on-disk format in the codebase:
+// Shared binary-envelope I/O for every on-disk format in the codebase, each
+// written by one write_state(Sink&) walk and read by one BinReader walk:
 //
-//   SKYR v2  rem::RemStore (nested inside each SKYS snapshot)
-//   SKYS v3  core::Snapshot, the single-UAV checkpoint
+//   SKYR v2  rem::RemStore (nested inside each SKYS payload)
+//   SKYS v3  core::SkyRan, sealed as core::Snapshot: the single-UAV checkpoint
 //   SKYF v2  fleet::Fleet
 //   SKYD v2  scenario::Campaign; its payload ends with the fleet state
 //            inline, so a campaign file holds one envelope
@@ -10,9 +11,10 @@
 //
 //   magic(4) | version(u32) | payload_size(u64) | crc32(u32) | payload
 //
-// The CRC covers the payload only; the writer buffers the payload so the
-// header can be emitted first, and the reader slurps + verifies the payload
-// before a single field is parsed. A flipped byte anywhere is rejected:
+// The CRC covers the payload only; the writer sizes the payload with a
+// counting walk and fills it (sized_payload) so the header can be emitted
+// first, and the reader slurps + verifies the payload before a single field
+// is parsed. A flipped byte anywhere is rejected:
 // magic -> BinCorruptError, version -> BinVersionError, size -> truncation
 // or CRC mismatch, payload/crc -> BinCorruptError. All integers and doubles
 // are raw little-endian host representation (the project targets a single
@@ -40,6 +42,8 @@
 #include <string>
 #include <string_view>
 #include <type_traits>
+#include <utility>
+#include <vector>
 
 #include "geo/hash.hpp"
 
@@ -149,33 +153,77 @@ class BinWriter {
     buf_.append(static_cast<const char*>(data), n);
   }
 
-  /// Length-prefixed (u64) byte string.
-  void str(std::string_view s) {
-    pod(static_cast<std::uint64_t>(s.size()));
-    buf_.append(s.data(), s.size());
-  }
-
   /// Make room for `n` payload bytes in total, so appends up to that size
   /// never regrow the buffer.
   void reserve(std::size_t n) { buf_.reserve(n); }
 
-  const std::string& buffer() const { return buf_; }
+  std::size_t size() const { return buf_.size(); }
+
+  /// Overwrite the bytes at `at` with `v`: a header field whose value is
+  /// known only once the payload behind it is written.
+  template <typename T>
+  void patch(std::size_t at, const T& v) {
+    static_assert(std::is_trivially_copyable_v<T>, "BinWriter::patch needs a trivial type");
+    std::memcpy(buf_.data() + at, &v, sizeof(T));
+  }
+
+  const std::string& buffer() const& { return buf_; }
+  std::string buffer() && { return std::move(buf_); }
 
  private:
   std::string buf_;
 };
 
+/// A u64 element count, then the elements' raw bytes: a string or a vector
+/// of trivial elements, as BinReader::str / BinReader::vec read them back.
+template <class Sink, class Range>
+void write_counted(Sink& sink, const Range& elems) {
+  sink.pod(static_cast<std::uint64_t>(std::size(elems)));
+  sink.bytes(std::data(elems), std::size(elems) * sizeof(*std::data(elems)));
+}
+
 /// The payload `walk(sink)` writes, in a buffer sized by one counting walk
 /// first: `walk` takes any pod()/bytes() sink and must emit the same bytes
 /// on both calls.
 template <class Walk>
-BinWriter sized_payload(const Walk& walk) {
+std::string sized_payload(const Walk& walk) {
   ByteCount count;
   walk(count);
   BinWriter w;
   w.reserve(count.value());
   walk(w);
-  return w;
+  return std::move(w).buffer();
+}
+
+inline constexpr std::size_t kEnvelopeHeaderBytes = 20;
+
+/// `walk`'s payload as a complete envelope behind a u64 length, written
+/// straight into an outer payload. The payload is walked once: a counting
+/// pass only counts it, a BinWriter writes it in place and fills in the
+/// length, size and CRC after it, and any other sink takes those bytes.
+template <class Sink, class Walk>
+void nested_envelope(Sink& sink, const char magic[4], std::uint32_t version, const Walk& walk) {
+  if constexpr (std::is_same_v<Sink, ByteCount>) {
+    sink.bytes(nullptr, sizeof(std::uint64_t) + kEnvelopeHeaderBytes);
+    walk(sink);
+  } else if constexpr (std::is_same_v<Sink, BinWriter>) {
+    const std::size_t at = sink.size();
+    sink.pod(std::uint64_t{0});  // length, patched below
+    sink.bytes(magic, 4);
+    sink.pod(version);
+    sink.pod(std::uint64_t{0});  // payload size, patched below
+    sink.pod(std::uint32_t{0});  // CRC, patched below
+    const std::size_t payload_at = sink.size();
+    walk(sink);
+    const std::size_t size = sink.size() - payload_at;
+    sink.patch(at, static_cast<std::uint64_t>(kEnvelopeHeaderBytes + size));
+    sink.patch(payload_at - 12, static_cast<std::uint64_t>(size));
+    sink.patch(payload_at - 4, Crc32::of(std::string_view(sink.buffer()).substr(payload_at)));
+  } else {
+    BinWriter w;
+    nested_envelope(w, magic, version, walk);
+    sink.bytes(w.buffer().data(), w.size());
+  }
 }
 
 /// Payload parser over an in-memory, CRC-verified buffer. Throws
@@ -202,12 +250,16 @@ class BinReader {
   void skip(std::size_t n) { take(n); }
 
   std::string str() {
-    const auto n = pod<std::uint64_t>();
-    if (static_cast<std::uint64_t>(end_ - p_) < n)
-      throw BinTruncatedError("binio: truncated payload string");
-    std::string s(p_, static_cast<std::size_t>(n));
-    p_ += n;
-    return s;
+    const std::size_t n = count(1);
+    return std::string(take(n), n);
+  }
+
+  /// A vector write_counted() wrote.
+  template <typename T>
+  std::vector<T> vec() {
+    std::vector<T> v(count(sizeof(T)));
+    bytes(v.data(), v.size() * sizeof(T));
+    return v;
   }
 
   /// u64 element count, refused with BinTruncatedError when the rest of the
@@ -238,16 +290,15 @@ class BinReader {
 
 /// Emit the full envelope for `payload` under `magic` (exactly 4 bytes).
 inline void write_envelope(std::ostream& os, const char magic[4], std::uint32_t version,
-                           const BinWriter& payload) {
+                           std::string_view payload) {
   os.write(magic, 4);
   const auto write_pod = [&os](const auto& v) {
     os.write(reinterpret_cast<const char*>(&v), sizeof(v));
   };
   write_pod(version);
-  write_pod(static_cast<std::uint64_t>(payload.buffer().size()));
-  write_pod(Crc32::of(payload.buffer()));
-  os.write(payload.buffer().data(),
-           static_cast<std::streamsize>(payload.buffer().size()));
+  write_pod(static_cast<std::uint64_t>(payload.size()));
+  write_pod(Crc32::of(payload));
+  os.write(payload.data(), static_cast<std::streamsize>(payload.size()));
 }
 
 /// Read and verify one envelope; returns its payload. `context` prefixes

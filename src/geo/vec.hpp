@@ -69,6 +69,9 @@ struct Vec3 {
 
 constexpr Vec3 operator*(double s, Vec3 v) { return v * s; }
 
+inline bool finite(Vec2 v) { return std::isfinite(v.x) && std::isfinite(v.y); }
+inline bool finite(Vec3 v) { return finite(v.xy()) && std::isfinite(v.z); }
+
 inline std::ostream& operator<<(std::ostream& os, Vec2 v) {
   return os << '(' << v.x << ", " << v.y << ')';
 }

@@ -14,11 +14,6 @@
 
 namespace {
 
-constexpr char kMagic[4] = {'S', 'K', 'Y', 'R'};
-// v1 was the bare field stream (truncation-detectable only); v2 wraps the
-// same payload in the shared geo::binio CRC envelope so any byte flip —
-// not just a short read — is rejected. v1 streams are no longer accepted.
-constexpr std::uint32_t kVersion = 2;
 // Largest raster an entry may declare (2^24 cells, ~350 MB of bank slabs).
 // A CRC-valid payload beyond it is corrupt, not a REM worth allocating.
 constexpr double kMaxRasterCells = 16777216.0;
@@ -61,40 +56,42 @@ const RemBank* RemStore::find_near(geo::Vec2 position) const {
   return hit ? &entries_[*hit] : nullptr;
 }
 
-void RemStore::save(std::ostream& os) const {
-  geo::BinWriter w;
-  w.pod(reuse_radius_m_);
-  w.pod(static_cast<std::uint32_t>(entries_.size()));
+template <class Sink>
+void RemStore::write_state(Sink& sink) const {
+  sink.pod(reuse_radius_m_);
+  sink.pod(static_cast<std::uint32_t>(entries_.size()));
   for (const RemBank& r : entries_) {
-    w.pod(r.area().min.x);
-    w.pod(r.area().min.y);
-    w.pod(r.area().max.x);
-    w.pod(r.area().max.y);
-    w.pod(r.cell_size());
-    w.pod(r.altitude_m());
-    w.pod(r.ue_position(0).x);
-    w.pod(r.ue_position(0).y);
-    w.pod(r.ue_position(0).z);
-    w.pod(static_cast<std::uint32_t>(r.measured_cells(0)));
+    sink.pod(r.area());  // min.x, min.y, max.x, max.y
+    sink.pod(r.cell_size());
+    sink.pod(r.altitude_m());
+    sink.pod(r.ue_position(0));
+    sink.pod(static_cast<std::uint32_t>(r.measured_cells(0)));
     for (int iy = 0; iy < r.ny(); ++iy)
       for (int ix = 0; ix < r.nx(); ++ix) {
         const int n = r.measurement_count(0, {ix, iy});
         if (n == 0) continue;
-        w.pod(static_cast<std::int32_t>(ix));
-        w.pod(static_cast<std::int32_t>(iy));
-        w.pod(*r.measured_snr(0, {ix, iy}) * n);  // sum
-        w.pod(static_cast<std::int32_t>(n));
+        sink.pod(static_cast<std::int32_t>(ix));
+        sink.pod(static_cast<std::int32_t>(iy));
+        sink.pod(*r.measured_snr(0, {ix, iy}) * n);  // sum
+        sink.pod(static_cast<std::int32_t>(n));
       }
     // Background raster + provenance (new in v2). v1 dropped these, which
     // made a reloaded store seed the next epoch's REMs from a different
     // fallback than the live store — fatal for bit-identical resume.
-    w.pod(static_cast<std::uint8_t>(r.background_source(0)));
+    sink.pod(static_cast<std::uint8_t>(r.background_source(0)));
     if (r.background_source(0) != RemBank::BackgroundSource::kNone) {
       const geo::FieldView<const double> bg = r.background(0);
-      for (std::size_t i = 0; i < bg.size(); ++i) w.pod(bg[i]);
+      sink.bytes(bg.data(), bg.size() * sizeof(double));
     }
   }
-  geo::write_envelope(os, kMagic, kVersion, w);
+}
+
+template void RemStore::write_state(geo::BinWriter&) const;
+template void RemStore::write_state(geo::ByteCount&) const;
+
+void RemStore::save(std::ostream& os) const {
+  geo::write_envelope(os, kMagic, kVersion,
+                      geo::sized_payload([this](auto& sink) { write_state(sink); }));
   if (!os) throw std::runtime_error("RemStore::save: write failed");
 }
 
@@ -106,30 +103,24 @@ RemStore RemStore::load(std::istream& is) {
   RemStore store(radius);
   const auto n_entries = r.pod<std::uint32_t>();
   for (std::uint32_t e = 0; e < n_entries; ++e) {
-    const double min_x = r.pod<double>();
-    const double min_y = r.pod<double>();
-    const double max_x = r.pod<double>();
-    const double max_y = r.pod<double>();
+    const auto area = r.pod<geo::Rect>();
     const double cell = r.pod<double>();
     const double altitude = r.pod<double>();
-    const double ux = r.pod<double>();
-    const double uy = r.pod<double>();
-    const double uz = r.pod<double>();
+    const auto ue = r.pod<geo::Vec3>();
     const auto n_cells = r.pod<std::uint32_t>();
-    require(std::isfinite(min_x) && std::isfinite(min_y) && std::isfinite(max_x) &&
-                std::isfinite(max_y) && max_x > min_x && max_y > min_y,
+    require(geo::finite(area.min) && geo::finite(area.max) && area.max.x > area.min.x &&
+                area.max.y > area.min.y,
             "area must be finite and non-empty");
     require(finite_positive(cell), "cell size must be finite and positive");
     require(finite_positive(altitude), "altitude must be finite and positive");
-    require(std::isfinite(ux) && std::isfinite(uy) && std::isfinite(uz),
-            "UE position must be finite");
+    require(geo::finite(ue), "UE position must be finite");
     // Same layout formula as RemBank, in doubles so a huge raster cannot
     // overflow the int cell counts before it is rejected.
-    const double nx = std::max(std::ceil((max_x - min_x) / cell - 1e-9), 1.0);
-    const double ny = std::max(std::ceil((max_y - min_y) / cell - 1e-9), 1.0);
+    const double nx = std::max(std::ceil(area.width() / cell - 1e-9), 1.0);
+    const double ny = std::max(std::ceil(area.height() / cell - 1e-9), 1.0);
     require(nx * ny <= kMaxRasterCells, "raster too large");
-    RemBank bank(geo::Rect{{min_x, min_y}, {max_x, max_y}}, cell, altitude);
-    bank.add_ue({ux, uy, uz});
+    RemBank bank(area, cell, altitude);
+    bank.add_ue(ue);
     require(n_cells <= bank.cells_per_ue(), "measured-cell count exceeds the raster");
     for (std::uint32_t i = 0; i < n_cells; ++i) {
       const auto ix = r.pod<std::int32_t>();
@@ -149,7 +140,7 @@ RemStore RemStore::load(std::istream& is) {
       if (r.remaining() / sizeof(double) < bank.cells_per_ue())
         throw geo::BinTruncatedError("RemStore::load: truncated background raster");
       std::vector<double> background(bank.cells_per_ue());
-      for (double& v : background) v = r.pod<double>();
+      r.bytes(background.data(), background.size() * sizeof(double));
       bank.restore_background(0, background, source);
     }
     store.index_.insert(bank.ue_position(0).xy(), store.entries_.size());

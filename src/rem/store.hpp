@@ -5,6 +5,7 @@
 // one-UE rem::RemBank.
 #pragma once
 
+#include <cstdint>
 #include <iosfwd>
 #include <vector>
 
@@ -34,10 +35,17 @@ class RemStore {
   double reuse_radius_m() const { return reuse_radius_m_; }
   const std::vector<RemBank>& entries() const { return entries_; }
 
+  /// geo::binio envelope; v1 (the bare field stream) no longer loads.
+  static constexpr char kMagic[4] = {'S', 'K', 'Y', 'R'};
+  static constexpr std::uint32_t kVersion = 2;
+
   /// Persist the store (measured sums and counts, background raster and its
-  /// provenance) so the next mission over the same area starts warm.
-  /// Versioned binary; load() rejects any malformed stream with a typed
-  /// geo::BinFormatError.
+  /// provenance) so the next mission over the same area starts warm:
+  /// write_state() walks it into a geo::BinWriter or ByteCount, and
+  /// save() seals that payload. load() rejects any malformed stream with a
+  /// typed geo::BinFormatError.
+  template <class Sink>
+  void write_state(Sink& sink) const;
   void save(std::ostream& os) const;
   static RemStore load(std::istream& is);
 

@@ -18,10 +18,6 @@ constexpr int kSpanSteps = 16;
 /// arithmetic differently from the loop's.
 constexpr double kCeilingMarginM = 1e-9;
 
-bool finite(geo::Vec3 p) {
-  return std::isfinite(p.x) && std::isfinite(p.y) && std::isfinite(p.z);
-}
-
 }  // namespace
 
 SurfaceCeiling::SurfaceCeiling(const terrain::Terrain& t)
@@ -63,7 +59,7 @@ bool SurfaceCeiling::clears(const terrain::Terrain& t, geo::Vec3 p, geo::Vec3 q)
 
 RayObstruction trace_ray(const terrain::Terrain& t, const SurfaceCeiling& ceiling, geo::Vec3 a,
                          geo::Vec3 b, double step_m) {
-  expects(finite(a) && finite(b), "trace_ray: endpoints must be finite");
+  expects(geo::finite(a) && geo::finite(b), "trace_ray: endpoints must be finite");
   expects(std::isfinite(step_m), "trace_ray: step must be finite");
   expects(ceiling.fits(t), "trace_ray: ceiling must be built from this terrain");
   RayObstruction out;

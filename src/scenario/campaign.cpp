@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
+#include <tuple>
+#include <type_traits>
 #include <utility>
 
 #include "core/thread_pool.hpp"
@@ -49,42 +51,25 @@ double wrap24(double hour) { return hour - 24.0 * std::floor(hour / 24.0); }
 // pinned reference digest depends on it, so it stays.
 constexpr std::uint64_t kDigestBasis = 1469598103934665603ULL;
 
+/// An hour row's persisted fields, in stream order: the one list that
+/// write_hour and read_hour walk.
+template <class Row>
+auto hour_fields(Row& hr) {
+  return std::tie(hr.hour, hr.diurnal_level, hr.offered_bits, hr.served_bits, hr.availability,
+                  hr.mean_sinr_db, hr.p5_tput_bps, hr.p50_tput_bps, hr.p95_tput_bps,
+                  hr.handovers, hr.pingpongs, hr.steering_steps, hr.swaps_started,
+                  hr.depot_epochs, hr.energy_wh);
+}
+
 template <class Sink>
 void write_hour(Sink& w, const HourReport& hr) {
-  w.pod(hr.hour);
-  w.pod(hr.diurnal_level);
-  w.pod(hr.offered_bits);
-  w.pod(hr.served_bits);
-  w.pod(hr.availability);
-  w.pod(hr.mean_sinr_db);
-  w.pod(hr.p5_tput_bps);
-  w.pod(hr.p50_tput_bps);
-  w.pod(hr.p95_tput_bps);
-  w.pod(hr.handovers);
-  w.pod(hr.pingpongs);
-  w.pod(hr.steering_steps);
-  w.pod(hr.swaps_started);
-  w.pod(hr.depot_epochs);
-  w.pod(hr.energy_wh);
+  std::apply([&w](const auto&... f) { (w.pod(f), ...); }, hour_fields(hr));
 }
 
 HourReport read_hour(geo::BinReader& r) {
   HourReport hr;
-  hr.hour = r.pod<int>();
-  hr.diurnal_level = r.pod<double>();
-  hr.offered_bits = r.pod<double>();
-  hr.served_bits = r.pod<double>();
-  hr.availability = r.pod<double>();
-  hr.mean_sinr_db = r.pod<double>();
-  hr.p5_tput_bps = r.pod<double>();
-  hr.p50_tput_bps = r.pod<double>();
-  hr.p95_tput_bps = r.pod<double>();
-  hr.handovers = r.pod<std::uint64_t>();
-  hr.pingpongs = r.pod<std::uint64_t>();
-  hr.steering_steps = r.pod<std::uint64_t>();
-  hr.swaps_started = r.pod<std::uint64_t>();
-  hr.depot_epochs = r.pod<std::uint64_t>();
-  hr.energy_wh = r.pod<double>();
+  std::apply([&r](auto&... f) { ((f = r.pod<std::remove_reference_t<decltype(f)>>()), ...); },
+             hour_fields(hr));
   return hr;
 }
 

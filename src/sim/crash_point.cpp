@@ -6,10 +6,6 @@
 #include <cstring>
 #include <string>
 
-#if defined(_WIN32)
-#include <process.h>
-#endif
-
 namespace skyran::sim {
 
 namespace {

@@ -11,10 +11,8 @@
 #include "obs/obs.hpp"
 #include "sim/crash_point.hpp"
 
-#if !defined(_WIN32)
 #include <fcntl.h>
 #include <unistd.h>
-#endif
 
 namespace skyran::sim {
 
@@ -28,7 +26,6 @@ GenerationStore::GenerationStore(std::filesystem::path dir, std::string prefix,
 
 namespace {
 
-#if !defined(_WIN32)
 /// Write `bytes` to `path` with fsync, visiting the mid-write crash point
 /// halfway through so the harness can tear the file at a byte boundary.
 void write_file_synced(const std::filesystem::path& path, const std::string& bytes) {
@@ -62,19 +59,6 @@ void sync_directory(const std::filesystem::path& dir) {
   ::fsync(fd);
   ::close(fd);
 }
-#else
-void write_file_synced(const std::filesystem::path& path, const std::string& bytes) {
-  std::ofstream os(path, std::ios::binary | std::ios::trunc);
-  const std::size_t half = bytes.size() / 2;
-  os.write(bytes.data(), static_cast<std::streamsize>(half));
-  crash_point("ckpt.mid_write");
-  os.write(bytes.data() + half, static_cast<std::streamsize>(bytes.size() - half));
-  os.flush();
-  if (!os) throw CheckpointIoError("GenerationStore: write failed on " + path.string());
-}
-
-void sync_directory(const std::filesystem::path&) {}
-#endif
 
 }  // namespace
 

@@ -1,7 +1,8 @@
 // Envelope surgery shared by the checkpoint suites (tests/test_fleet.cpp,
-// tests/test_scenario.cpp): edit a geo::binio stream's payload and seal it
-// again under the stream's own magic and version, so the decoder sees a
-// CRC-valid envelope around exactly the edited bytes.
+// tests/test_scenario.cpp, tests/test_snapshot.cpp): edit a geo::binio
+// stream's payload and seal it again under the stream's own magic and
+// version, so the decoder sees a CRC-valid envelope around exactly the
+// edited bytes.
 #pragma once
 
 #include <cstdint>
@@ -21,10 +22,8 @@ std::string reseal(const std::string& bytes, Edit edit) {
   std::istringstream in(bytes);
   std::string payload = geo::read_envelope(in, magic.c_str(), version, "reseal");
   edit(payload);
-  geo::BinWriter w;
-  w.bytes(payload.data(), payload.size());
   std::ostringstream out;
-  geo::write_envelope(out, magic.c_str(), version, w);
+  geo::write_envelope(out, magic.c_str(), version, payload);
   return out.str();
 }
 

@@ -581,7 +581,7 @@ TEST(FleetSnapshot, SaveMatchesUnsizedWriter) {
   geo::BinWriter w;
   f.write_state(w);
   std::ostringstream expected;
-  geo::write_envelope(expected, "SKYF", 2, w);
+  geo::write_envelope(expected, "SKYF", 2, w.buffer());
   EXPECT_EQ(saved.str(), expected.str());
 }
 

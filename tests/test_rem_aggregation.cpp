@@ -392,7 +392,7 @@ std::string store_bytes(const EntryFields& f) {
   w.pod(std::uint8_t{0});  // no background
   std::stringstream ss;
   const char magic[4] = {'S', 'K', 'Y', 'R'};
-  geo::write_envelope(ss, magic, 2, w);
+  geo::write_envelope(ss, magic, 2, w.buffer());
   return ss.str();
 }
 

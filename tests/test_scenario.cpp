@@ -502,7 +502,7 @@ TEST(CampaignCheckpoint, SaveMatchesUnsizedWriter) {
   w.bytes(state.data(), state.size());
   campaign.fleet().write_state(w);
   std::ostringstream expected;
-  geo::write_envelope(expected, "SKYD", 2, w);
+  geo::write_envelope(expected, "SKYD", 2, w.buffer());
   EXPECT_EQ(bytes, expected.str());
 }
 

@@ -1,15 +1,17 @@
-// Checkpoint/restore suite: envelope round-trips, every-prefix truncation +
-// whole-stream byte-flip rejection with typed errors, oversized element
-// counts in a CRC-valid payload, version-skew and session-mismatch
-// rejection, all-or-nothing SkyRan::restore, the sim::GenerationStore
-// generation files and their newest-first fallback walk, and the
-// headline resume contract — a campaign resumed from the checkpoint taken
-// after epoch k produces bit-identical EpochReports for epochs k+1..N to
-// the uninterrupted run, serial and 8-worker. The SIGKILL side of the
-// contract is the kill-and-resume suite of the shipped binaries
+// Checkpoint/restore suite: envelope round-trips, pinned SKYS and SKYR
+// bytes, every-prefix truncation + whole-stream byte-flip rejection with
+// typed errors, oversized element counts and impossible fields in a
+// CRC-valid payload, version-skew and session-mismatch rejection,
+// all-or-nothing SkyRan::restore, the sim::GenerationStore generation files
+// and their newest-first fallback walk, and the headline resume contract —
+// a session resumed from the checkpoint taken after epoch k runs epoch k+1
+// to the uninterrupted run's digest and snapshot bytes, serial and
+// 8-worker, and across worker counts to the last epoch. The SIGKILL side of
+// the contract is the kill-and-resume suite of the shipped binaries
 // (tests/kill_resume.cmake).
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <filesystem>
@@ -18,15 +20,18 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/skyran.hpp"
 #include "core/snapshot.hpp"
 #include "geo/binio.hpp"
+#include "geo/mt19937.hpp"
 #include "kernels/kernels.hpp"
 #include "scenario/campaign.hpp"
 #include "sim/generation_store.hpp"
 #include "sim/shutdown.hpp"
+#include "reseal.hpp"
 #include "snapshot_campaign.hpp"
 
 namespace {
@@ -79,17 +84,23 @@ std::uint64_t fnv1a(const std::string& bytes) {
   return h.value();
 }
 
+/// A session of the sample's seed and config, before its first epoch.
+struct Session {
+  sim::World world{testcampaign::world_config()};
+  core::SkyRan skyran{world, testcampaign::skyran_config(1), testcampaign::kCampaignSeed};
+};
+
 /// The element counts of a snapshot payload, in stream order.
 enum class CountField { kLastEstimates, kUePositions, kHistory, kTrajectories, kPoints, kNone };
 
-/// CRC-valid snapshot bytes whose `field` count claims `n` elements and
-/// whose payload ends right after that count. Every earlier field is well
-/// formed; with kNone the bytes are a complete, loadable snapshot holding
-/// one history entry with one empty path.
+/// CRC-valid snapshot bytes of the sample's session whose `field` count
+/// claims `n` elements and whose payload ends right after that count. Every
+/// earlier field is well formed; with kNone the bytes are a complete,
+/// restorable snapshot holding one history entry with one empty path.
 std::string bytes_with_count(CountField field, std::uint64_t n) {
   geo::BinWriter w;
-  w.pod(std::uint64_t{1});  // seed
-  w.pod(std::uint64_t{2});  // config fingerprint
+  w.pod(testcampaign::kCampaignSeed);
+  w.pod(core::config_digest(testcampaign::skyran_config(1)));
   w.pod(std::int32_t{3});   // epoch
   w.pod(geo::Vec2{});       // position
   w.pod(60.0);              // altitude
@@ -97,10 +108,12 @@ std::string bytes_with_count(CountField field, std::uint64_t n) {
   w.pod(0.0);               // total flight
   w.pod(0.0);               // throughput at placement
   w.pod(0.0);               // battery
-  w.str("rng");
+  std::ostringstream rng;
+  rng << geo::Mt19937_64();
+  geo::write_counted(w, rng.str());
   const auto seal = [&w] {
     std::ostringstream os;
-    geo::write_envelope(os, "SKYS", core::Snapshot::kVersion, w);
+    geo::write_envelope(os, "SKYS", core::Snapshot::kVersion, w.buffer());
     return os.str();
   };
   // Writes `valid` unless this is the oversized field; true when it was.
@@ -111,12 +124,69 @@ std::string bytes_with_count(CountField field, std::uint64_t n) {
   if (count(CountField::kLastEstimates, 0) || count(CountField::kUePositions, 0)) return seal();
   std::ostringstream store;
   rem::RemStore().save(store);
-  w.str(store.str());
+  geo::write_counted(w, store.str());
   if (count(CountField::kHistory, 1)) return seal();
   w.pod(geo::Vec2{});  // entry position
   if (count(CountField::kTrajectories, 1)) return seal();
   count(CountField::kPoints, 0);
   return seal();
+}
+
+/// Payload offsets of the sample snapshot's fields, found by walking its
+/// layout (the RNG text and the arrays make them sample-specific).
+struct SampleLayout {
+  std::size_t first_estimate = 0;     ///< last_estimates[0]
+  std::size_t first_ue = 0;           ///< ue_positions[0]
+  std::size_t store_payload_end = 0;  ///< one past the nested store's payload
+  std::size_t first_history = 0;      ///< history[0].position
+  std::size_t first_point = 0;        ///< history[0].trajectories[0].points()[0]
+};
+
+SampleLayout sample_layout(const std::string& bytes) {
+  std::istringstream in(bytes);
+  const std::string payload =
+      geo::read_envelope(in, "SKYS", core::Snapshot::kVersion, "layout");
+  geo::BinReader r(payload);
+  const auto at = [&] { return payload.size() - r.remaining(); };
+  SampleLayout l;
+  r.skip(69);  // seed through battery
+  r.str();     // RNG text
+  l.first_estimate = at() + 8;
+  r.vec<geo::Vec2>();
+  l.first_ue = at() + 8;
+  r.vec<geo::Vec3>();
+  l.store_payload_end = at() + 8 + r.str().size();
+  l.first_history = at() + 8;
+  r.count(1);
+  r.skip(sizeof(geo::Vec2));
+  r.count(1);
+  l.first_point = at() + 8;
+  return l;
+}
+
+/// The sample's bytes with one field no save can hold, one case per check
+/// SkyRan::read_state makes past the CRC.
+std::vector<std::pair<std::string, std::string>> bad_field_snapshots() {
+  using testbinio::patched;
+  const std::string bytes = to_bytes(sample_snapshot());
+  const SampleLayout l = sample_layout(bytes);
+  const double nan = std::nan("");
+  const double inf = HUGE_VAL;
+  return {
+      {"negative epoch", patched(bytes, 16, std::int32_t{-1})},
+      {"NaN position x", patched(bytes, 20, nan)},
+      {"infinite position y", patched(bytes, 28, -inf)},
+      {"NaN altitude", patched(bytes, 36, nan)},
+      {"altitude flag 2", patched(bytes, 44, std::uint8_t{2})},
+      {"infinite total flight", patched(bytes, 45, inf)},
+      {"negative total flight", patched(bytes, 45, -1.0)},
+      {"NaN throughput at placement", patched(bytes, 53, nan)},
+      {"negative battery", patched(bytes, 61, -1.0)},
+      {"NaN last estimate", patched(bytes, l.first_estimate, nan)},
+      {"infinite UE position", patched(bytes, l.first_ue + 16, inf)},
+      {"NaN history position", patched(bytes, l.first_history, nan)},
+      {"NaN history point", patched(bytes, l.first_point + 8, nan)},
+  };
 }
 
 /// Unique scratch directory removed at scope exit.
@@ -133,40 +203,23 @@ struct TempDir {
 // ------------------------------------------------------------- round trip --
 
 TEST(SnapshotFormatTest, RoundTripPreservesEveryField) {
-  const core::Snapshot s = sample_snapshot();
-  const core::Snapshot r = from_bytes(to_bytes(s));
-  EXPECT_EQ(r.seed, s.seed);
-  EXPECT_EQ(r.config_fingerprint, s.config_fingerprint);
-  EXPECT_EQ(r.epoch, s.epoch);
-  EXPECT_EQ(r.position.x, s.position.x);
-  EXPECT_EQ(r.position.y, s.position.y);
-  EXPECT_EQ(r.altitude_m, s.altitude_m);
-  EXPECT_EQ(r.altitude_known, s.altitude_known);
-  EXPECT_EQ(r.total_flight_m, s.total_flight_m);
-  EXPECT_EQ(r.throughput_at_placement_bps, s.throughput_at_placement_bps);
-  EXPECT_EQ(r.battery_remaining_wh, s.battery_remaining_wh);
-  EXPECT_EQ(r.rng_state, s.rng_state);
-  ASSERT_EQ(r.last_estimates.size(), s.last_estimates.size());
-  for (std::size_t i = 0; i < s.last_estimates.size(); ++i) {
-    EXPECT_EQ(r.last_estimates[i].x, s.last_estimates[i].x);
-    EXPECT_EQ(r.last_estimates[i].y, s.last_estimates[i].y);
-  }
-  ASSERT_EQ(r.ue_positions.size(), s.ue_positions.size());
-  ASSERT_EQ(r.store.size(), s.store.size());
-  ASSERT_EQ(r.history.size(), s.history.size());
-  for (std::size_t i = 0; i < s.history.size(); ++i) {
-    EXPECT_EQ(r.history[i].position.x, s.history[i].position.x);
-    ASSERT_EQ(r.history[i].trajectories.size(), s.history[i].trajectories.size());
-    for (std::size_t p = 0; p < s.history[i].trajectories.size(); ++p)
-      EXPECT_EQ(r.history[i].trajectories[p].points(), s.history[i].trajectories[p].points());
-  }
+  const std::string bytes = to_bytes(sample_snapshot());
+  Session s;
+  s.skyran.restore(from_bytes(bytes));
+  // Every field is in the bytes, so equal bytes after a restore and a
+  // fresh capture mean every field came back.
+  EXPECT_EQ(to_bytes(s.skyran.snapshot()), bytes);
+  // A hashing walk sees the payload the envelope seals, byte for byte.
+  geo::Fnv1a h;
+  s.skyran.write_state(h);
+  EXPECT_EQ(h.value(), fnv1a(bytes.substr(geo::kEnvelopeHeaderBytes)));
   // Snapshot content is non-trivial: a 3-epoch campaign has stored REMs,
   // flown tours, and a drained battery.
-  EXPECT_EQ(s.epoch, 3);
-  EXPECT_GT(s.store.size(), 0u);
-  EXPECT_GT(s.history.size(), 0u);
-  EXPECT_LT(s.battery_remaining_wh, testcampaign::skyran_config(1).battery.capacity_wh);
-  EXPECT_FALSE(s.rng_state.empty());
+  EXPECT_EQ(s.skyran.epochs_run(), 3);
+  EXPECT_GT(s.skyran.rem_store().size(), 1u);
+  EXPECT_GT(s.skyran.total_flight_m(), 0.0);
+  EXPECT_LT(s.skyran.battery().remaining_wh(),
+            testcampaign::skyran_config(1).battery.capacity_wh);
 }
 
 // The SKYS v3 bytes of the sample session and the SKYR v2 bytes of its
@@ -188,19 +241,23 @@ TEST(SnapshotFormatTest, SampleBytesPinned) {
 TEST(SnapshotFormatTest, EveryPrefixRejected) {
   const std::string bytes = to_bytes(sample_snapshot());
   ASSERT_GT(bytes.size(), 20u);
+  Session s;
   for (std::size_t len = 0; len < bytes.size(); ++len) {
     std::istringstream cut(bytes.substr(0, len));
-    EXPECT_THROW(core::Snapshot::load(cut), geo::BinFormatError) << "prefix length " << len;
+    EXPECT_THROW(s.skyran.restore(core::Snapshot::load(cut)), geo::BinFormatError)
+        << "prefix length " << len;
   }
 }
 
 TEST(SnapshotFormatTest, EveryByteFlipRejected) {
   const std::string bytes = to_bytes(sample_snapshot());
+  Session s;
   for (std::size_t pos = 0; pos < bytes.size(); ++pos) {
     std::string bad = bytes;
     bad[pos] = static_cast<char>(bad[pos] ^ 0x5a);
     std::istringstream is(bad);
-    EXPECT_THROW(core::Snapshot::load(is), geo::BinFormatError) << "flip at " << pos;
+    EXPECT_THROW(s.skyran.restore(core::Snapshot::load(is)), geo::BinFormatError)
+        << "flip at " << pos;
   }
 }
 
@@ -236,10 +293,11 @@ TEST(SnapshotFormatTest, TypedErrorsDistinguishFailureModes) {
 
 TEST(SnapshotFormatTest, OversizedCountsRejectedBeforeAllocating) {
   // The builder's layout matches the reader's: with no oversized count the
-  // bytes load.
-  const core::Snapshot ok = from_bytes(bytes_with_count(CountField::kNone, 0));
-  ASSERT_EQ(ok.history.size(), 1u);
-  ASSERT_EQ(ok.history[0].trajectories.size(), 1u);
+  // bytes restore, and the session captures them back unchanged.
+  Session s;
+  const std::string ok = bytes_with_count(CountField::kNone, 0);
+  s.skyran.restore(from_bytes(ok));
+  EXPECT_EQ(to_bytes(s.skyran.snapshot()), ok);
   // A count the rest of the payload cannot hold is a typed truncation —
   // never std::length_error (2^61) or std::bad_alloc (2^40) from a resize
   // or reserve on the raw count.
@@ -248,10 +306,19 @@ TEST(SnapshotFormatTest, OversizedCountsRejectedBeforeAllocating) {
                              CountField::kPoints}) {
     for (const std::uint64_t n : {std::uint64_t{1}, std::uint64_t{1} << 40,
                                   std::uint64_t{1} << 61}) {
-      EXPECT_THROW(from_bytes(bytes_with_count(f, n)), geo::BinTruncatedError)
+      EXPECT_THROW(s.skyran.restore(from_bytes(bytes_with_count(f, n))), geo::BinTruncatedError)
           << "field " << static_cast<int>(f) << " count " << n;
     }
   }
+}
+
+// A CRC-valid payload can still hold a field no save writes: each is a
+// typed corruption, never a contract failure or a value that re-saves
+// differently.
+TEST(SnapshotFormatTest, BadFieldsRejectedAsCorrupt) {
+  Session s;
+  for (const auto& [what, bytes] : bad_field_snapshots())
+    EXPECT_THROW(s.skyran.restore(from_bytes(bytes)), geo::BinCorruptError) << what;
 }
 
 TEST(SnapshotFormatTest, RestoreRejectsWrongSession) {
@@ -325,28 +392,50 @@ TEST(SnapshotFormatTest, RestoreRejectsEverySubConfigChange) {
 }
 
 // A snapshot that fails after the session checks must not half-apply: the
-// epoch, pose, flight and battery come before the RNG text in the snapshot,
-// but none of them may land when the RNG does not parse. A battery no save
-// can hold is corrupt too, not a contract failure.
+// epoch, pose, flight and battery come before everything read_state can
+// reject, but none of them may land when a later field fails. Each class of
+// rejection past the envelope is tried on one session, whose bytes must
+// stay those of before.
 TEST(SnapshotFormatTest, RestoreIsAllOrNothing) {
-  sim::World world(testcampaign::world_config());
-  core::SkyRan skyran(world, testcampaign::skyran_config(1), testcampaign::kCampaignSeed);
-  const std::string before = to_bytes(skyran.snapshot());
-  core::Snapshot bad = sample_snapshot();
-  bad.rng_state = "not an engine";
-  EXPECT_THROW(skyran.restore(bad), geo::BinCorruptError);
-  EXPECT_EQ(to_bytes(skyran.snapshot()), before);
-  bad = sample_snapshot();
-  bad.battery_remaining_wh = -1.0;
-  EXPECT_THROW(skyran.restore(bad), geo::BinCorruptError);
-  EXPECT_EQ(to_bytes(skyran.snapshot()), before);
+  using testbinio::reseal;
+  Session s;
+  const std::string before = to_bytes(s.skyran.snapshot());
+  const std::string sample = to_bytes(sample_snapshot());
+  const SampleLayout l = sample_layout(sample);
+  std::vector<std::pair<std::string, std::string>> rejected = bad_field_snapshots();
+  for (const CountField f : {CountField::kLastEstimates, CountField::kUePositions,
+                             CountField::kHistory, CountField::kTrajectories,
+                             CountField::kPoints})
+    rejected.emplace_back("oversized count " + std::to_string(static_cast<int>(f)),
+                          bytes_with_count(f, std::uint64_t{1} << 61));
+  rejected.emplace_back("trailing bytes",
+                        reseal(sample, [](std::string& p) { p.append(1, '\0'); }));
+  // The RNG text starts right after its u64 length at offset 69.
+  rejected.emplace_back("bad RNG text", reseal(sample, [](std::string& p) { p[77] = 'x'; }));
+  // A flipped byte in the nested store's payload fails its own CRC.
+  rejected.emplace_back("corrupt nested store", reseal(sample, [&](std::string& p) {
+                          p[l.store_payload_end - 1] ^= 0x5a;
+                        }));
+  for (const auto& [what, bytes] : rejected) {
+    EXPECT_THROW(s.skyran.restore(from_bytes(bytes)), geo::BinFormatError) << what;
+    EXPECT_EQ(to_bytes(s.skyran.snapshot()), before) << what;
+  }
+  // The sample itself applies, so the cases above failed on their one bad
+  // field.
+  s.skyran.restore(from_bytes(sample));
+  EXPECT_EQ(to_bytes(s.skyran.snapshot()), sample);
 }
 
 // --------------------------------------------------------- generation files --
 
-/// `s` saved as generation s.epoch.
-fs::path save(sim::GenerationStore& store, const core::Snapshot& s) {
-  return store.save(s.epoch, to_bytes(s));
+/// `s` saved as generation `generation`.
+fs::path save(sim::GenerationStore& store, int generation, const core::Snapshot& s) {
+  return store.save(generation, to_bytes(s));
+}
+
+/// The sample's bytes as saved by a session with another seed.
+std::string foreign_sample_bytes() {
+  return testbinio::patched(to_bytes(sample_snapshot()), 0, testcampaign::kCampaignSeed + 1);
 }
 
 /// The epoch of the newest generation that loads, or nullopt.
@@ -357,11 +446,8 @@ std::optional<int> load_latest(sim::GenerationStore& store) {
 TEST(GenerationStoreTest, KeepsNewestGenerationsAndPrunesRest) {
   TempDir dir("mgr_prune");
   sim::GenerationStore store = testcampaign::snapshot_store(dir.path);
-  core::Snapshot s = sample_snapshot();
-  for (int e = 1; e <= 4; ++e) {
-    s.epoch = e;
-    save(store, s);
-  }
+  const core::Snapshot s = sample_snapshot();
+  for (int e = 1; e <= 4; ++e) save(store, e, s);
   const auto gens = store.generations();
   ASSERT_EQ(gens.size(), static_cast<std::size_t>(sim::GenerationStore::kKeep));
   EXPECT_EQ(gens.back().filename().string(), "ckpt-00000004.skyc");
@@ -372,11 +458,9 @@ TEST(GenerationStoreTest, KeepsNewestGenerationsAndPrunesRest) {
 TEST(GenerationStoreTest, CorruptNewestFallsBackToPreviousGeneration) {
   TempDir dir("mgr_fallback");
   sim::GenerationStore store = testcampaign::snapshot_store(dir.path);
-  core::Snapshot s = sample_snapshot();
-  s.epoch = 1;
-  save(store, s);
-  s.epoch = 2;
-  const fs::path newest = save(store, s);
+  const core::Snapshot s = sample_snapshot();
+  save(store, 1, s);
+  const fs::path newest = save(store, 2, s);
 
   // Flip one payload byte of the newest generation.
   std::string bytes;
@@ -397,16 +481,15 @@ TEST(GenerationStoreTest, CorruptNewestFallsBackToPreviousGeneration) {
 TEST(GenerationStoreTest, OversizedCountInNewestFallsBackToPreviousGeneration) {
   TempDir dir("mgr_oversized");
   sim::GenerationStore store = testcampaign::snapshot_store(dir.path);
-  core::Snapshot s = sample_snapshot();
-  s.epoch = 1;
-  save(store, s);
+  save(store, 1, sample_snapshot());
   // A newer generation whose CRC verifies but whose history count claims
-  // 2^61 entries.
+  // 2^61 entries: the envelope loads, the restore rejects it.
   const std::string bad = bytes_with_count(CountField::kHistory, std::uint64_t{1} << 61);
   std::ofstream(dir.path / "ckpt-00000002.skyc", std::ios::binary)
       .write(bad.data(), static_cast<std::streamsize>(bad.size()));
 
-  EXPECT_EQ(load_latest(store), 1);
+  Session s;
+  EXPECT_EQ(testcampaign::restore_snapshot(store, s.skyran), 1);
   ASSERT_EQ(store.last_errors().size(), 1u);
   EXPECT_NE(store.last_errors()[0].find("ckpt-00000002.skyc"), std::string::npos);
 }
@@ -424,9 +507,7 @@ TEST(GenerationStoreTest, StrayTempFilesAreIgnoredAndCleaned) {
   TempDir dir("mgr_tmp");
   sim::GenerationStore store = testcampaign::snapshot_store(dir.path);
   std::ofstream(dir.path / "ckpt-00000009.skyc.tmp", std::ios::binary) << "torn write";
-  core::Snapshot s = sample_snapshot();
-  s.epoch = 1;
-  save(store, s);
+  save(store, 1, sample_snapshot());
   EXPECT_EQ(store.generations().size(), 1u);
   EXPECT_FALSE(fs::exists(dir.path / "ckpt-00000009.skyc.tmp"));
   EXPECT_EQ(load_latest(store), 1);
@@ -438,14 +519,13 @@ TEST(GenerationStoreTest, KindsSharingADirectoryStaySeparate) {
   TempDir dir("mgr_shared");
   sim::GenerationStore sessions = testcampaign::snapshot_store(dir.path);
   sim::GenerationStore campaigns(dir.path, "camp-", ".skyd");
-  core::Snapshot s = sample_snapshot();
+  const core::Snapshot s = sample_snapshot();
   scenario::CampaignConfig cfg = scenario::example_day_config(5, 20, 2);
   cfg.hours = 2;
   scenario::Campaign campaign(cfg);
   // Interleaved, the campaign's generations numbered past the session's.
   for (int g = 1; g <= 3; ++g) {
-    s.epoch = g;
-    save(sessions, s);
+    save(sessions, g, s);
     std::ostringstream bytes;
     campaign.save(bytes);
     campaigns.save(g + 5, std::move(bytes).str());
@@ -471,11 +551,8 @@ TEST(GenerationStoreTest, ForeignSessionNewestFallsBackToOwnGeneration) {
   TempDir dir("mgr_foreign");
   sim::GenerationStore store = testcampaign::snapshot_store(dir.path);
   const core::Snapshot own = sample_snapshot();  // epoch 3, kCampaignSeed
-  save(store, own);
-  core::Snapshot foreign = own;
-  foreign.seed = testcampaign::kCampaignSeed + 1;
-  foreign.epoch = 4;
-  save(store, foreign);
+  save(store, 3, own);
+  store.save(4, foreign_sample_bytes());
 
   sim::World world(testcampaign::world_config());
   core::SkyRan skyran(world, testcampaign::skyran_config(1), testcampaign::kCampaignSeed);
@@ -493,18 +570,13 @@ TEST(GenerationStoreTest, ForeignSessionNewestFallsBackToOwnGeneration) {
 TEST(GenerationStoreTest, ForeignHigherGenerationsDoNotPruneANewSession) {
   TempDir dir("mgr_foreign_higher");
   sim::GenerationStore store = testcampaign::snapshot_store(dir.path);
-  core::Snapshot foreign = sample_snapshot();
-  foreign.seed = testcampaign::kCampaignSeed + 1;
-  for (int e = 3; e <= 4; ++e) {
-    foreign.epoch = e;
-    save(store, foreign);
-  }
+  for (int e = 3; e <= 4; ++e) store.save(e, foreign_sample_bytes());
   sim::World world(testcampaign::world_config());
   core::SkyRan session(world, testcampaign::skyran_config(1), testcampaign::kCampaignSeed);
   testcampaign::run_epochs(session, world, 1);
+  ASSERT_EQ(session.epochs_run(), 1);
   const core::Snapshot own = session.snapshot();
-  ASSERT_EQ(own.epoch, 1);
-  const fs::path own_path = save(store, own);
+  const fs::path own_path = save(store, 1, own);
   EXPECT_TRUE(fs::exists(own_path));
   EXPECT_EQ(store.generations().size(), 3u);
 
@@ -557,6 +629,29 @@ const ReferenceRun& reference_run(int threads) {
   return it->second;
 }
 
+/// Resume on `threads` workers from the checkpoint taken after epoch
+/// `resume_after` and run one epoch: its digest and the snapshot after it
+/// must be the reference's. The snapshot holds the whole session state and
+/// the campaign's inputs are a pure function of (seed, epoch), so equal
+/// bytes after one epoch imply every later digest.
+void expect_one_epoch_matches(const ReferenceRun& ref, int resume_after, int threads) {
+  sim::World world(testcampaign::world_config());
+  core::SkyRan skyran(world, testcampaign::skyran_config(threads), testcampaign::kCampaignSeed);
+  const auto k = static_cast<std::size_t>(resume_after);
+  skyran.restore(from_bytes(ref.snapshots[k - 1]));
+  ASSERT_EQ(skyran.epochs_run(), resume_after);
+  const std::vector<std::uint64_t> resumed =
+      testcampaign::run_epochs(skyran, world, resume_after + 1);
+  ASSERT_EQ(resumed.size(), 1u);
+  EXPECT_EQ(resumed[0], ref.digests[k])
+      << "epoch " << resume_after + 1 << " diverged after resume at " << resume_after
+      << " (threads=" << threads << ")";
+  EXPECT_EQ(to_bytes(skyran.snapshot()), ref.snapshots[k])
+      << "state after epoch " << resume_after + 1 << " diverged after resume at "
+      << resume_after << " (threads=" << threads << ")";
+}
+
+/// Resume as above and run to the last epoch, comparing every digest.
 void expect_resume_matches(const ReferenceRun& ref, int resume_after, int threads) {
   sim::World world(testcampaign::world_config());
   core::SkyRan skyran(world, testcampaign::skyran_config(threads), testcampaign::kCampaignSeed);
@@ -574,13 +669,13 @@ void expect_resume_matches(const ReferenceRun& ref, int resume_after, int thread
 TEST(DeterministicResumeTest, ResumeAtEveryEpochMatchesUninterruptedSerial) {
   const ReferenceRun& ref = reference_run(1);
   ASSERT_EQ(ref.digests.size(), static_cast<std::size_t>(kEpochs));
-  for (int k = 1; k < kEpochs; ++k) expect_resume_matches(ref, k, 1);
+  for (int k = 1; k < kEpochs; ++k) expect_one_epoch_matches(ref, k, 1);
 }
 
 TEST(DeterministicResumeTest, ResumeAtEveryEpochMatchesUninterruptedEightWorkers) {
   const ReferenceRun& ref = reference_run(8);
   ASSERT_EQ(ref.digests.size(), static_cast<std::size_t>(kEpochs));
-  for (int k = 1; k < kEpochs; ++k) expect_resume_matches(ref, k, 8);
+  for (int k = 1; k < kEpochs; ++k) expect_one_epoch_matches(ref, k, 8);
 }
 
 TEST(DeterministicResumeTest, SerialAndEightWorkerRunsAreBitIdentical) {
@@ -594,7 +689,8 @@ TEST(DeterministicResumeTest, SerialAndEightWorkerRunsAreBitIdentical) {
 }
 
 TEST(DeterministicResumeTest, CrossWorkerResumeMatches) {
-  // Checkpoint under serial execution, resume under 8 workers (and reverse).
+  // Checkpoint under serial execution, resume under 8 workers (and reverse),
+  // each run to the last epoch.
   const ReferenceRun& serial = reference_run(1);
   expect_resume_matches(serial, 4, 8);
   const ReferenceRun& parallel = reference_run(8);
