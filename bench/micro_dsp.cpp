@@ -1,17 +1,22 @@
 // Micro benches for the DSP hot paths. Scalar-vs-SIMD throughput for the
-// two kernels with an AVX2 variant (IDW accumulate, FSPL path-loss
+// two TOLERANCE kernels with an AVX2 variant (IDW accumulate, FSPL path-loss
 // batches): each row runs the same inputs under ScopedScalarKernels and at
 // the active level and asserts the documented exactness/tolerance contract
 // in-bench. The `tof_estimate_planned` row times the full SRS ToF estimate two
 // ways, the composed reference (dense mul-conj + upsample + IFFT, then the
-// peak pick) against TofEstimator's planned correlator, and asserts every
-// estimate field is bit-identical. The `srs_noise` row times one symbol's
+// peak pick) against TofEstimator's planned correlator at the active level,
+// and asserts every estimate field is bit-identical, also to the planned
+// estimate under ScopedScalarKernels (the EXACT radix2_stage). The `srs_noise` row times one symbol's
 // receiver-noise draw (lte::draw_srs_noise on geo::Mt19937_64) against the
 // standard library's std::normal_distribution over every bin on
 // std::mt19937_64, the draw it replays, and asserts bit-equal occupied bins
 // and engine text states; each column is the median over
 // 21 blocks of symbols (whatever the repetitions) with its IQR over that
-// median. Each row prints one machine-readable JSON line. Not a
+// median. The `srs_noise_walk` row splits that draw as collect_gps_tof
+// runs it: the serial stream walk (lte::draw_srs_noise_words) against the
+// whole draw, with the walk's share of it, and asserts that the walk
+// finished by lte::place_srs_noise equals the whole draw bit for bit, engine
+// states included. Each row prints one machine-readable JSON line. Not a
 // google-benchmark binary: the JSON contract is the point
 // (tools/bench_snapshot.py gates it in CI).
 //
@@ -177,12 +182,19 @@ int main(int argc, char** argv) {
     };
     const lte::TofEstimate want = composed();
     const lte::TofEstimate got = planned();
+    lte::TofEstimate got_scalar;
+    {
+      kernels::ScopedScalarKernels scalar;
+      got_scalar = planned();
+    }
     const double composed_ms = best_of_ms(reps, composed);
     const double planned_ms = best_of_ms(reps, planned);
-    const bool equal = got.delay_samples == want.delay_samples && got.delay_s == want.delay_s &&
-                       got.distance_m == want.distance_m &&
-                       got.peak_to_side_db == want.peak_to_side_db &&
-                       got.quality_ok == want.quality_ok;
+    const auto same = [](const lte::TofEstimate& a, const lte::TofEstimate& b) {
+      return a.delay_samples == b.delay_samples && a.delay_s == b.delay_s &&
+             a.distance_m == b.distance_m && a.peak_to_side_db == b.peak_to_side_db &&
+             a.quality_ok == b.quality_ok;
+    };
+    const bool equal = same(got, want) && same(got_scalar, want);
     std::printf(
         "{\"bench\":\"micro_dsp\",\"kernel\":\"tof_estimate_planned\",\"n\":%zu,"
         "\"composed_ms\":%.3f,\"planned_ms\":%.3f,\"speedup\":%.3f,\"equal\":%s}\n",
@@ -233,6 +245,48 @@ int main(int argc, char** argv) {
         "\"draw_iqr_frac\":%.3f,\"speedup\":%.3f,\"equal\":%s}\n",
         cfg.carrier.fft_size, lib.median_ms, own.median_ms, lib.iqr_frac, own.iqr_frac,
         lib.median_ms / own.median_ms, equal ? "true" : "false");
+    std::fflush(stdout);
+  }
+
+  {
+    // The same draw split in two: the stream walk alone (the serial share
+    // in collect_gps_tof), against the whole draw. Blocks alternate sides.
+    const lte::SrsConfig cfg;
+    const std::vector<int> res = lte::occupied_subcarriers(cfg);
+    const std::size_t n = cfg.carrier.fft_size;
+    constexpr int kSymbols = 50;
+    constexpr int kBlocks = 21;
+    constexpr double kSnrDb = 12.0;
+    lte::CplxVec noise(res.size()), whole_rx(n), split_rx(n);
+    std::vector<lte::PolarWords> words(res.size());
+    geo::Mt19937_64 whole_rng(21), split_rng(21);
+    bool equal = true;
+    std::vector<double> draw_ms, walk_ms;
+    for (int b = 0; b < kBlocks; ++b) {
+      const auto t0 = Clock::now();
+      for (int s = 0; s < kSymbols; ++s) lte::draw_srs_noise(kSnrDb, whole_rng, res, n, noise);
+      const auto t1 = Clock::now();
+      for (int s = 0; s < kSymbols; ++s) lte::draw_srs_noise_words(split_rng, res, n, words);
+      const auto t2 = Clock::now();
+      draw_ms.push_back(std::chrono::duration<double, std::milli>(t1 - t0).count() / kSymbols);
+      walk_ms.push_back(std::chrono::duration<double, std::milli>(t2 - t1).count() / kSymbols);
+      // The last symbol of each block, finished, and the streams.
+      lte::place_occupied(noise, res, whole_rx);
+      lte::place_srs_noise(kSnrDb, words, res, split_rx);
+      equal = equal && std::memcmp(whole_rx.data(), split_rx.data(), n * sizeof(lte::Cplx)) == 0;
+      std::ostringstream whole_state, split_state;
+      whole_state << whole_rng;
+      split_state << split_rng;
+      equal = equal && whole_state.str() == split_state.str();
+    }
+    const Timing draw = median_iqr(draw_ms);
+    const Timing walk = median_iqr(walk_ms);
+    std::printf(
+        "{\"bench\":\"micro_dsp\",\"kernel\":\"srs_noise_walk\",\"n\":%zu,"
+        "\"draw_ms\":%.5f,\"walk_ms\":%.5f,\"draw_iqr_frac\":%.3f,"
+        "\"walk_iqr_frac\":%.3f,\"walk_share\":%.3f,\"equal\":%s}\n",
+        n, draw.median_ms, walk.median_ms, draw.iqr_frac, walk.iqr_frac,
+        walk.median_ms / draw.median_ms, equal ? "true" : "false");
     std::fflush(stdout);
   }
 

@@ -1,12 +1,14 @@
-// AVX2 variants of the two TOLERANCE kernels (x86-64 only). This translation
-// unit is compiled with -mavx2 and must only be entered after the runtime
-// CPU-feature check in dispatch.cpp. No FMA anywhere: -mavx2 alone does not
-// enable it, so the compiler cannot contract the mul/add pairs whose order
-// the tolerance bounds were measured for.
+// AVX2 variants of the two TOLERANCE kernels and of the EXACT radix2_stage
+// (x86-64 only). This translation unit is compiled with -mavx2 and must only
+// be entered after the runtime CPU-feature check in dispatch.cpp. No FMA
+// anywhere: -mavx2 alone does not enable it, so the compiler cannot contract
+// the mul/add pairs whose order the tolerance bounds were measured for, or
+// those radix2_stage must round exactly as the scalar variant does.
 #if defined(__x86_64__) || defined(_M_X64)
 
 #include <immintrin.h>
 
+#include <algorithm>
 #include <numbers>
 
 #include "kernels/detail.hpp"
@@ -57,7 +59,52 @@ inline __m256d log10_pd(__m256d x) {
   return _mm256_add_pd(_mm256_mul_pd(e, log10_2), _mm256_mul_pd(ln_m, inv_ln10));
 }
 
+/// Two complex products x·y per register, interleaved (re, im, re, im):
+/// (ac − bd, bc + ad), the scalar variant's (ac − bd, ad + bc) with one sum
+/// commuted, which IEEE addition allows. addsub subtracts in the even lanes
+/// and adds in the odd ones.
+inline __m256d cmul_pd(__m256d x, __m256d y) {
+  return _mm256_addsub_pd(_mm256_mul_pd(x, _mm256_movedup_pd(y)),
+                          _mm256_mul_pd(_mm256_permute_pd(x, 0x5), _mm256_permute_pd(y, 0xF)));
+}
+
+inline __m256d load2(const Cplx* p) { return _mm256_loadu_pd(reinterpret_cast<const double*>(p)); }
+inline void store2(Cplx* p, __m256d v) { _mm256_storeu_pd(reinterpret_cast<double*>(p), v); }
+
 }  // namespace
+
+void radix2_stage(Cplx* a, const Radix2Block* blocks, std::size_t n_blocks, std::size_t half,
+                  const Cplx* tw, std::size_t n_minus, std::size_t n_plus) {
+  const __m256d sign = _mm256_set1_pd(-0.0);
+  for (std::size_t bi = 0; bi < n_blocks; ++bi) {
+    Cplx* const lo = a + blocks[bi].start;
+    Cplx* const hi = lo + half;
+    std::size_t j = 0;
+    switch (blocks[bi].kind) {
+      case Radix2Block::kBoth:
+        for (; j < n_minus; j += 2) {
+          const __m256d u = load2(lo + j);
+          const __m256d v = cmul_pd(load2(hi + j), load2(tw + j));
+          store2(lo + j, _mm256_add_pd(u, v));
+          store2(hi + j, _mm256_sub_pd(u, v));
+        }
+        for (; j < n_plus; j += 2)
+          store2(lo + j, _mm256_add_pd(load2(lo + j), cmul_pd(load2(hi + j), load2(tw + j))));
+        break;
+      case Radix2Block::kLowerOnly:
+        std::copy(lo, lo + n_minus, hi);
+        break;
+      case Radix2Block::kUpperOnly:
+        for (; j < n_minus; j += 2) {
+          const __m256d v = cmul_pd(load2(hi + j), load2(tw + j));
+          store2(lo + j, v);
+          store2(hi + j, _mm256_xor_pd(v, sign));
+        }
+        for (; j < n_plus; j += 2) store2(lo + j, cmul_pd(load2(hi + j), load2(tw + j)));
+        break;
+    }
+  }
+}
 
 IdwAccum idw_weigh(const double* dist_m, const double* value, std::size_t n, double power) {
   // Dispatch guarantees power is 1.0 or 2.0 here; anything else runs scalar.

@@ -1,5 +1,5 @@
 // Runtime dispatch: resolve the SIMD level once per process (SKYRAN_SIMD env
-// > CPU feature probe) and route the two TOLERANCE kernels to their AVX2
+// > CPU feature probe) and route the kernels that have one to their AVX2
 // variant when it is active. The level is a process-wide atomic, not
 // thread-local, so pool workers always agree with the thread that launched
 // them — that keeps the serial==parallel bit-identity contract intact at any
@@ -86,6 +86,18 @@ PowerPeak power_peak_scan(const Cplx* v, std::size_t n) {
   SKYRAN_COUNTER_INC("kernel.peak_scan.calls");
   SKYRAN_COUNTER_ADD("kernel.peak_scan.elems", n);
   return scalar::power_peak_scan(v, n);
+}
+
+void radix2_stage(Cplx* a, const Radix2Block* blocks, std::size_t n_blocks, std::size_t half,
+                  const Cplx* tw, std::size_t n_minus, std::size_t n_plus) {
+  // No counters: the correlator runs a dozen stages per SRS symbol. The
+  // AVX2 variant takes two values per register and leaves no odd one over,
+  // so odd counts (the first stage's, where half == 1) run scalar.
+#if defined(SKYRAN_KERNELS_HAVE_AVX2)
+  if (active_level() == SimdLevel::kAvx2 && n_minus % 2 == 0 && n_plus % 2 == 0)
+    return avx2::radix2_stage(a, blocks, n_blocks, half, tw, n_minus, n_plus);
+#endif
+  scalar::radix2_stage(a, blocks, n_blocks, half, tw, n_minus, n_plus);
 }
 
 IdwAccum idw_weigh(const double* dist_m, const double* value, std::size_t n, double power) {

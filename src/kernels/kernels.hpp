@@ -1,13 +1,16 @@
 // Kernel layer (lowest compute layer, below geo/).
 //
 // Each kernel is a small SoA math primitive with one scalar implementation.
-// Two TOLERANCE kernels, idw_weigh and fspl_db, also have an AVX2 (x86-64)
-// variant, picked once per process from CPU features; SKYRAN_SIMD=off (or
-// scalar, or 0) forces scalar, any other value probes the CPU.
+// Two TOLERANCE kernels, idw_weigh and fspl_db, and one EXACT kernel,
+// radix2_stage, also have an AVX2 (x86-64) variant, picked once per process
+// from CPU features; SKYRAN_SIMD=off (or scalar, or 0) forces scalar, any
+// other value probes the CPU.
 //
 // Contract per kernel (asserted in tests/test_kernels and, for the AVX2
 // variants, in-bench by micro_dsp):
-//  - EXACT kernels run the same scalar code at every level.
+//  - EXACT kernels run the same scalar code at every level, or an AVX2
+//    variant that computes every value with the same operations in the same
+//    order, so its output is bit-equal.
 //  - TOLERANCE kernels reassociate a reduction (lane partial sums) or use a
 //    polynomial log10 under AVX2; scalar and AVX2 results agree within the
 //    stated bound. Their scalar path is always the pre-kernel-layer loop
@@ -18,6 +21,7 @@
 // |---------------------|-----------|----------------------------------------|
 // | multiply_conjugate  | EXACT     | scalar at every level                  |
 // | power_peak_scan     | EXACT     | scalar at every level                  |
+// | radix2_stage        | EXACT     | AVX2 bit-equal (finite operands)       |
 // | idw_weigh           | TOLERANCE | wsum/vsum rel <= 1e-12 (power 1 or 2;  |
 // |                     |           | other powers run scalar: EXACT)        |
 // | kmeans_assign       | EXACT     | scalar at every level                  |
@@ -30,6 +34,7 @@
 
 #include <complex>
 #include <cstddef>
+#include <cstdint>
 
 namespace skyran::kernels {
 
@@ -86,6 +91,27 @@ struct PowerPeak {
 /// power, and the total power summed in index order. n == 0 returns a
 /// zeroed result.
 PowerPeak power_peak_scan(const Cplx* v, std::size_t n);
+
+/// One block of a pruned radix-2 stage: its first slot, and which of its
+/// halves holds values (a block whose halves are both zero is left out).
+struct Radix2Block {
+  std::uint32_t start;
+  enum Kind : std::uint8_t { kBoth, kLowerOnly, kUpperOnly } kind;
+};
+
+/// One decimation-in-time stage of an in-place radix-2 transform, over the
+/// listed blocks of 2·half slots of `a`, with lo = a + start, hi = lo + half
+/// and twiddles tw[0, half). For j < n_minus a block writes both outputs,
+/// lo[j] = u + v and hi[j] = u − v with u = lo[j], v = hi[j]·tw[j]; for
+/// n_minus <= j < n_plus only lo[j] = u + v (a stage whose upper outputs
+/// nobody reads). A zero half is never read: kLowerOnly copies lo into hi,
+/// kUpperOnly writes v and −v, which differ from the full butterfly at most
+/// in the sign of an exact zero. Each product is (ac − bd, ad + bc), as
+/// -fcx-limited-range compiles std::complex multiplication; the AVX2
+/// variant (for even n_minus and n_plus; odd ones run scalar) computes the
+/// same expressions without FMA, so both are bit-equal for finite operands.
+void radix2_stage(Cplx* a, const Radix2Block* blocks, std::size_t n_blocks, std::size_t half,
+                  const Cplx* tw, std::size_t n_minus, std::size_t n_plus);
 
 // ---------------------------------------------------------------------------
 // Weighted accumulate (IDW interpolation)

@@ -1,6 +1,7 @@
 // Scalar reference kernels. These bodies are the pre-kernel-layer inner
 // loops verbatim: SKYRAN_SIMD=off must reproduce historical outputs
 // byte-for-byte (the golden-replay test pins this).
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <numbers>
@@ -35,6 +36,36 @@ PowerPeak power_peak_scan(const Cplx* v, std::size_t n) {
     }
   }
   return out;
+}
+
+void radix2_stage(Cplx* a, const Radix2Block* blocks, std::size_t n_blocks, std::size_t half,
+                  const Cplx* tw, std::size_t n_minus, std::size_t n_plus) {
+  for (std::size_t bi = 0; bi < n_blocks; ++bi) {
+    Cplx* const lo = a + blocks[bi].start;
+    Cplx* const hi = lo + half;
+    switch (blocks[bi].kind) {
+      case Radix2Block::kBoth:
+        for (std::size_t j = 0; j < n_minus; ++j) {
+          const Cplx u = lo[j];
+          const Cplx v = hi[j] * tw[j];
+          lo[j] = u + v;
+          hi[j] = u - v;
+        }
+        for (std::size_t j = n_minus; j < n_plus; ++j) lo[j] = lo[j] + hi[j] * tw[j];
+        break;
+      case Radix2Block::kLowerOnly:
+        std::copy(lo, lo + n_minus, hi);
+        break;
+      case Radix2Block::kUpperOnly:
+        for (std::size_t j = 0; j < n_minus; ++j) {
+          const Cplx v = hi[j] * tw[j];
+          lo[j] = v;
+          hi[j] = -v;
+        }
+        for (std::size_t j = n_minus; j < n_plus; ++j) lo[j] = hi[j] * tw[j];
+        break;
+    }
+  }
 }
 
 IdwAccum idw_weigh(const double* dist_m, const double* value, std::size_t n, double power) {

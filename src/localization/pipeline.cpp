@@ -55,12 +55,14 @@ std::vector<GpsTofSeries> collect_gps_tof(const std::vector<uav::FlightSample>& 
   //   2. parallel: one ray trace per symbol for path loss and line of
   //      sight, then sag and the SNR gate (pure functions of geometry);
   //   3. serial (span `loc.collect.draws`): the NLOS tap draws and the
-  //      receiver noise, the only `rng` draws. Noise is stored compactly,
-  //      the occupied bins only, which are all the correlator reads; the
-  //      stream still advances over every bin as a full draw would;
-  //   4. parallel: put each symbol's noise into its lane's scratch symbol,
-  //      add the transmitted symbol through the channel and cross-correlate
-  //      (each symbol's estimate is independent of the others);
+  //      receiver noise's stream walk, the only `rng` draws. The walk stores
+  //      the accepted word pair of each occupied bin, which are all the
+  //      correlator reads; the stream still advances over every bin as a
+  //      full draw would;
+  //   4. parallel: turn each symbol's words into noise values in its lane's
+  //      scratch symbol (the log, sqrt and divide per bin), add the
+  //      transmitted symbol through the channel and cross-correlate (each
+  //      symbol's estimate is independent of the others);
   //   5. serial: aggregate per GPS interval in interval order, consuming the
   //      UE's GPS sensor.
   // The units are pipelined over two slots: unit j+1's passes 1-2 run, then
@@ -100,7 +102,7 @@ std::vector<GpsTofSeries> collect_gps_tof(const std::vector<uav::FlightSample>& 
     // are reused, so their first n_received entries are this unit's.
     std::vector<lte::SrsChannelParams> channels;
     std::vector<std::size_t> received_interval;
-    lte::CplxVec noise;  // n_occ values per symbol, in `res` order
+    std::vector<lte::PolarWords> noise_words;  // n_occ per symbol, in `res` order
   };
 
   // Passes 1-2 of unit j.
@@ -138,7 +140,7 @@ std::vector<GpsTofSeries> collect_gps_tof(const std::vector<uav::FlightSample>& 
         u.candidates.begin(), u.candidates.end(), [](const Candidate& c) { return c.decoded; }));
     if (u.channels.size() < n_decoded) {
       u.received_interval.resize(n_decoded);
-      u.noise.resize(n_decoded * n_occ);
+      u.noise_words.resize(n_decoded * n_occ);
       u.channels.reserve(n_decoded);
       while (u.channels.size() < n_decoded) u.channels.emplace_back().taps.reserve(kNlosTaps);
     }
@@ -163,8 +165,9 @@ std::vector<GpsTofSeries> collect_gps_tof(const std::vector<uav::FlightSample>& 
         lte::make_nlos_taps(kNlosTaps, kNlosMeanExcessNs * 1e-9, kNlosFirstTapPowerDb,
                             kNlosTapDecayDb, rng, ch.taps);
       }
-      lte::draw_srs_noise(ch.snr_db, rng, res, tx.freq.size(),
-                          std::span<lte::Cplx>(u.noise).subspan(u.n_received * n_occ, n_occ));
+      lte::draw_srs_noise_words(
+          rng, res, tx.freq.size(),
+          std::span<lte::PolarWords>(u.noise_words).subspan(u.n_received * n_occ, n_occ));
       u.received_interval[u.n_received] = c.interval;
       ++u.n_received;
     }
@@ -214,8 +217,10 @@ std::vector<GpsTofSeries> collect_gps_tof(const std::vector<uav::FlightSample>& 
     const std::vector<lte::TofEstimate> estimates = estimator.estimate_batch(
         cur.n_received,
         [&](std::size_t k, lte::SrsSymbol& rx) -> const lte::SrsSymbol& {
-          lte::place_occupied(std::span<const lte::Cplx>(cur.noise).subspan(k * n_occ, n_occ),
-                              res, rx.freq);
+          lte::place_srs_noise(
+              cur.channels[k].snr_db,
+              std::span<const lte::PolarWords>(cur.noise_words).subspan(k * n_occ, n_occ), res,
+              rx.freq);
           lte::add_srs_signal(tx, cur.channels[k], res, rx.freq);
           return rx;
         },

@@ -88,6 +88,7 @@ TofEstimator::TofEstimator(SrsConfig config, int k_factor, double max_delay_samp
       const bool hi = nonzero[2 * b + 1] != 0;
       if (!lo && !hi) continue;
       next[b] = 1;
+      using Block = kernels::Radix2Block;
       blocks_.push_back({static_cast<std::uint32_t>(2 * half * b),
                          lo && hi ? Block::kBoth : lo ? Block::kLowerOnly : Block::kUpperOnly});
     }
@@ -112,7 +113,14 @@ std::span<const Cplx> TofEstimator::correlate(const SrsSymbol& received,
 
   // y = ifft(upsample(s . h*))  (paper eq. 1-2), on the occupied bins only:
   // every other product is an exact zero.
-  for (std::size_t k = 0; k < n_occ; ++k) gathered[k] = received.freq[bins_[k]];
+  // The inline complex multiplies below hold only for finite operands
+  // (ranging.hpp): a NaN or infinite bin is refused before the butterflies.
+  bool finite = true;
+  for (std::size_t k = 0; k < n_occ; ++k) {
+    gathered[k] = received.freq[bins_[k]];
+    finite &= std::isfinite(gathered[k].real()) & std::isfinite(gathered[k].imag());
+  }
+  if (!finite) return {};
   kernels::multiply_conjugate(gathered, ref_.data(), prod, n_occ);
   for (std::size_t k = 0; k < n_occ; ++k) a[slots_[k]] = prod[k];
 
@@ -125,36 +133,11 @@ std::span<const Cplx> TofEstimator::correlate(const SrsSymbol& received,
   const std::size_t n_stages = stage_begin_.size() - 1;
   std::size_t half = 1;
   for (std::size_t s = 0; s < n_stages; ++s, half <<= 1) {
-    const Cplx* const tw = twiddles_.data() + half - 1;
     const bool last = s + 1 == n_stages;
     const std::size_t n_plus = last ? std::min(window_, half) : half;
     const std::size_t n_minus = last ? (window_ > half ? window_ - half : 0) : half;
-    for (std::size_t bi = stage_begin_[s]; bi < stage_begin_[s + 1]; ++bi) {
-      Cplx* const lo = a + blocks_[bi].start;
-      Cplx* const hi = lo + half;
-      switch (blocks_[bi].kind) {
-        case Block::kBoth:
-          for (std::size_t j = 0; j < n_minus; ++j) {
-            const Cplx u = lo[j];
-            const Cplx v = hi[j] * tw[j];
-            lo[j] = u + v;
-            hi[j] = u - v;
-          }
-          for (std::size_t j = n_minus; j < n_plus; ++j) lo[j] = lo[j] + hi[j] * tw[j];
-          break;
-        case Block::kLowerOnly:
-          std::copy(lo, lo + n_minus, hi);
-          break;
-        case Block::kUpperOnly:
-          for (std::size_t j = 0; j < n_minus; ++j) {
-            const Cplx v = hi[j] * tw[j];
-            lo[j] = v;
-            hi[j] = -v;
-          }
-          for (std::size_t j = n_minus; j < n_plus; ++j) lo[j] = hi[j] * tw[j];
-          break;
-      }
-    }
+    kernels::radix2_stage(a, blocks_.data() + stage_begin_[s], stage_begin_[s + 1] - stage_begin_[s],
+                          half, twiddles_.data() + half - 1, n_minus, n_plus);
   }
   const double scale = 1.0 / static_cast<double>(m);
   for (std::size_t j = 0; j < window_; ++j) a[j] *= scale;
@@ -178,7 +161,15 @@ TofEstimate TofEstimator::estimate(const SrsSymbol& received, CplxVec& scratch) 
     flagged.quality_ok = false;
     return flagged;
   }
-  return pick_peak(correlate(received, scratch));
+  const std::span<const Cplx> window = correlate(received, scratch);
+  if (window.empty()) {
+    // A NaN or infinite occupied bin: no usable delay.
+    SKYRAN_COUNTER_INC("lte.tof.nonfinite_input");
+    TofEstimate flagged;
+    flagged.quality_ok = false;
+    return flagged;
+  }
+  return pick_peak(window);
 }
 
 TofEstimate TofEstimator::pick_peak(std::span<const Cplx> up) const {

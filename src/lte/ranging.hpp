@@ -2,6 +2,20 @@
 // cross-correlate the received against the known symbol via an IFFT, after
 // K-fold zero-pad upsampling for sub-sample delay resolution; the magnitude
 // peak position is the delay estimate.
+//
+// Finite inputs. skyran_lte is compiled with -fcx-limited-range, so a
+// complex multiply is (ac - bd, ad + bc) inline rather than a __muldc3 call
+// that recovers infinities from NaN products. The two agree bit for bit on
+// finite operands, and every operand the correlator multiplies is finite:
+// the reference is a unit-magnitude Zadoff-Chu sequence and the twiddles
+// are cosines and sines; a received symbol built by add_srs_signal holds
+// tx·h with |h| at most 1 plus the tap amplitudes (a finite sum of finite
+// terms), plus noise from draw_srs_noise or place_srs_noise, whose polar
+// candidates have r2 in (0, 1] and so a finite log and quotient. The
+// butterflies only add values and multiply them by unit twiddles, so no
+// intermediate grows past the transform size (at most 2^13) times the
+// largest input. correlate() refuses a symbol with a non-finite occupied
+// bin before its butterflies run, and estimate() flags it.
 #pragma once
 
 #include <cstdint>
@@ -9,6 +23,7 @@
 #include <span>
 #include <vector>
 
+#include "kernels/kernels.hpp"
 #include "lte/srs.hpp"
 
 namespace skyran::lte {
@@ -49,7 +64,8 @@ class TofEstimator {
 
   /// Estimate the delay of `received` relative to the known transmitted
   /// symbol for this config: correlate(), then pick_peak(). A degenerate
-  /// window() (0) returns a flagged estimate.
+  /// window() (0), or a NaN or infinite value in an occupied bin, returns a
+  /// flagged estimate without correlating.
   TofEstimate estimate(const SrsSymbol& received) const;
 
   /// The planned correlator: the first window() samples of
@@ -59,7 +75,9 @@ class TofEstimator {
   /// blocks whose inputs are structurally zero and every output past the
   /// window. `scratch` (any prior contents) is resized to K * fft_size plus
   /// room for the occupied bins; the returned span points into it. Requires
-  /// window() >= 1.
+  /// window() >= 1. Returns an empty span, before any butterfly runs, when
+  /// an occupied bin of `received` is NaN or infinite (see the top of this
+  /// file).
   std::span<const Cplx> correlate(const SrsSymbol& received, CplxVec& scratch) const;
 
   /// Delay estimate from a correlation window (eq. 3 plus leading-edge
@@ -98,12 +116,6 @@ class TofEstimator {
   /// estimate() reusing the caller's correlation scratch buffer.
   TofEstimate estimate(const SrsSymbol& received, CplxVec& scratch) const;
 
-  /// One radix-2 block of a planned stage whose inputs are not all zero.
-  struct Block {
-    std::uint32_t start;
-    enum Kind : std::uint8_t { kBoth, kLowerOnly, kUpperOnly } kind;
-  };
-
   SrsConfig config_;
   int k_factor_;
   std::size_t window_ = 0;
@@ -113,7 +125,7 @@ class TofEstimator {
   std::vector<std::size_t> slots_;  ///< bit-reversed K*N slot of each bin
   /// Stage twiddles: stage `half` (blocks of 2*half) at offset half - 1.
   CplxVec twiddles_;
-  std::vector<Block> blocks_;             ///< every stage's non-zero blocks
+  std::vector<kernels::Radix2Block> blocks_;  ///< every stage's non-zero blocks
   std::vector<std::size_t> stage_begin_;  ///< stage s's blocks in blocks_
 
   double max_delay_samples_;

@@ -22,32 +22,49 @@ SrsSymbol apply_srs_channel(const SrsSymbol& tx, const SrsChannelParams& params,
   return rx;
 }
 
+namespace {
+
+/// Per-complex-dimension sigma of unit-magnitude REs at `snr_db`:
+/// sqrt(1 / (2 * snr_lin)).
+double noise_sigma(double snr_db) { return std::sqrt(0.5 / rf::db_to_linear(snr_db)); }
+
+/// The noise value of one accepted candidate. std::normal_distribution
+/// returns y·m first (the imaginary part), then the saved x·m, each as
+/// value·sigma + mean.
+Cplx noise_value(const PolarWords& w, double sigma) {
+  const PolarPair p = PolarPair::from_words(w.u, w.v);
+  const double m = std::sqrt(-2.0 * std::log(p.r2) / p.r2);
+  return Cplx(p.x * m * sigma + 0.0, p.y * m * sigma + 0.0);
+}
+
+}  // namespace
+
 void draw_srs_noise(double snr_db, geo::Mt19937_64& rng, std::span<const int> res,
                     std::size_t fft_size, std::span<Cplx> noise) {
   expects(noise.size() == res.size(), "draw_srs_noise: one noise value per occupied RE");
-  // Unit-magnitude REs at `snr_db` imply per-complex-dimension sigma of
-  // sqrt(1 / (2 * snr_lin)).
-  const double sigma = std::sqrt(0.5 / rf::db_to_linear(snr_db));
+  std::vector<PolarWords> words(res.size());
+  draw_srs_noise_words(rng, res, fft_size, words);
+  const double sigma = noise_sigma(snr_db);
+  for (std::size_t t = 0; t < res.size(); ++t) noise[t] = noise_value(words[t], sigma);
+}
+
+void draw_srs_noise_words(geo::Mt19937_64& rng, std::span<const int> res, std::size_t fft_size,
+                          std::span<PolarWords> out) {
+  expects(out.size() == res.size(), "draw_srs_noise_words: one word pair per occupied RE");
   // Ascending subcarriers reach their bins in ascending order when the
   // positive ones (bin sc) go before the negative ones (bin n + sc).
   const auto first_nonneg = std::partition_point(res.begin(), res.end(),
                                                  [](int sc) { return sc < 0; });
   const std::size_t n_neg = static_cast<std::size_t>(first_nonneg - res.begin());
   const std::size_t n_nonneg = res.size() - n_neg;
-  // Position in `res` (and in `noise`) of the t-th occupied bin in bin order.
+  // Position in `res` (and in `out`) of the t-th occupied bin in bin order.
   const auto res_index = [&](std::size_t t) { return t < n_nonneg ? n_neg + t : t - n_nonneg; };
   const auto occupied_bin = [&](std::size_t t) { return fft_bin(res[res_index(t)], fft_size); };
   std::size_t t = 0;        // next occupied bin, in the order above
   std::size_t t_floor = 0;  // lowest bin it may be
-  const auto write = [&](const PolarPair& p) {
-    const double m = std::sqrt(-2.0 * std::log(p.r2) / p.r2);
-    // std::normal_distribution returns y·m first (the imaginary part),
-    // then the saved x·m, each as value·sigma + mean.
-    noise[res_index(t)] = Cplx(p.x * m * sigma + 0.0, p.y * m * sigma + 0.0);
-  };
   const auto next_occupied = [&] {
     const std::size_t target = occupied_bin(t);
-    expects(target >= t_floor, "draw_srs_noise: occupied subcarriers must ascend");
+    expects(target >= t_floor, "draw_srs_noise_words: occupied subcarriers must ascend");
     return target;
   };
 
@@ -64,13 +81,13 @@ void draw_srs_noise(double snr_db, geo::Mt19937_64& rng, std::span<const int> re
       n_acc += PolarPair::from_words(words[2 * i], words[2 * i + 1]).accepted();
     }
     // Bins bin .. bin + take - 1 get the accepted pairs in order; only the
-    // occupied ones among them are computed.
+    // occupied ones among them are stored.
     const std::size_t take = std::min(n_acc, fft_size - bin);
     for (; t < res.size(); ++t) {
       const std::size_t target = next_occupied();
       if (target >= bin + take) break;
       const std::size_t i = accepted[target - bin];
-      write(PolarPair::from_words(words[2 * i], words[2 * i + 1]));
+      out[res_index(t)] = {words[2 * i], words[2 * i + 1]};
       t_floor = target + 1;
     }
     // Short of the last bin, every pair of the block was drawn: the rejected
@@ -80,15 +97,23 @@ void draw_srs_noise(double snr_db, geo::Mt19937_64& rng, std::span<const int> re
     rng.advance(bin < fft_size ? 2 * n_cand : 2 * (accepted[take - 1] + std::size_t{1}));
     if (bin < fft_size && words.size() % 2 == 1) {
       // One word is left: the next candidate pair spans two blocks.
-      const PolarPair p = polar_pair(rng);
+      const PolarWords w = polar_words(rng);
       if (t < res.size() && next_occupied() == bin) {
-        write(p);
+        out[res_index(t)] = w;
         t_floor = bin + 1;
         ++t;
       }
       ++bin;
     }
   }
+}
+
+void place_srs_noise(double snr_db, std::span<const PolarWords> words, std::span<const int> res,
+                     std::span<Cplx> rx) {
+  expects(words.size() == res.size(), "place_srs_noise: one word pair per occupied RE");
+  const double sigma = noise_sigma(snr_db);
+  for (std::size_t t = 0; t < res.size(); ++t)
+    rx[fft_bin(res[t], rx.size())] = noise_value(words[t], sigma);
 }
 
 void place_occupied(std::span<const Cplx> values, std::span<const int> res, std::span<Cplx> rx) {

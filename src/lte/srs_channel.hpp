@@ -46,12 +46,35 @@ SrsSymbol apply_srs_channel(const SrsSymbol& tx, const SrsChannelParams& params,
 /// The stream is that of `std::normal_distribution<double>(0, sigma)` in
 /// libstdc++ drawing the imaginary then the real part of every bin in bin
 /// order: each of the fft_size bins consumes one accepted polar pair
-/// (polar_pair below), occupied or not, so `rng` advances exactly as a
+/// (polar_words below), occupied or not, so `rng` advances exactly as a
 /// draw over every bin would, and each occupied bin's value is bit-equal to
-/// that draw's. Only occupied bins pay for the log and sqrt. The candidate
-/// pairs are tested a whole engine block at a time, without a branch.
+/// that draw's. The composition of its two halves: draw_srs_noise_words
+/// walks the stream, and only the occupied bins pay for the log and sqrt.
 void draw_srs_noise(double snr_db, geo::Mt19937_64& rng, std::span<const int> res,
                     std::size_t fft_size, std::span<Cplx> noise);
+
+/// The two engine words of one accepted polar candidate, u then v
+/// (PolarPair::from_words(u, v) below).
+struct PolarWords {
+  std::uint64_t u = 0;
+  std::uint64_t v = 0;
+};
+
+/// The stream walk of draw_srs_noise: advances `rng` exactly as
+/// draw_srs_noise does and stores the accepted words of each occupied bin,
+/// words[t] for subcarrier res[t] (words.size() == res.size()), for
+/// place_srs_noise to finish. Candidate pairs are tested a whole engine
+/// block at a time, without a branch; no log, sqrt or divide runs here.
+void draw_srs_noise_words(geo::Mt19937_64& rng, std::span<const int> res, std::size_t fft_size,
+                          std::span<PolarWords> words);
+
+/// The arithmetic of draw_srs_noise: the noise value at `snr_db` of each
+/// occupied bin from its accepted words (draw_srs_noise_words), written into
+/// its FFT bin of `rx`; the other bins are left as they are. Bit-equal to
+/// place_occupied over draw_srs_noise's output. Touches only `rx`, so calls
+/// on distinct buffers may run concurrently.
+void place_srs_noise(double snr_db, std::span<const PolarWords> words, std::span<const int> res,
+                     std::span<Cplx> rx);
 
 /// Write the compact values (`values[t]` for subcarrier res[t]) into their
 /// FFT bins of `rx`; the other bins are left as they are.
@@ -91,14 +114,16 @@ struct PolarPair {
   bool accepted() const { return !(r2 > 1.0) & !(r2 == 0.0); }
 };
 
+/// One accepted candidate of the polar method, drawn word by word: the
+/// candidates `g` yields until one is kept.
 template <class Urbg>
-PolarPair polar_pair(Urbg& g) {
+PolarWords polar_words(Urbg& g) {
   static_assert(Urbg::min() == 0 && Urbg::max() == ~std::uint64_t{0},
-                "polar_pair needs a generator of full 64-bit words");
+                "polar_words needs a generator of full 64-bit words");
   for (;;) {
     const std::uint64_t u = g();
-    const PolarPair p = PolarPair::from_words(u, g());
-    if (p.accepted()) return p;
+    const std::uint64_t v = g();
+    if (PolarPair::from_words(u, v).accepted()) return {u, v};
   }
 }
 

@@ -1,13 +1,14 @@
 // Kernels layer: known-answer tests of the scalar kernels against naive
-// loops, and scalar-vs-AVX2 parity for the two TOLERANCE kernels, which must
-// stay within the bounds documented in src/kernels/kernels.hpp. Each parity
-// check runs the same inputs under ScopedScalarKernels and at the active
-// level.
+// loops, scalar-vs-AVX2 parity for the two TOLERANCE kernels, which must
+// stay within the bounds documented in src/kernels/kernels.hpp, and bit
+// equality for the EXACT radix2_stage. Each parity check runs the same
+// inputs under ScopedScalarKernels and at the active level.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <complex>
+#include <cstring>
 #include <limits>
 #include <random>
 #include <vector>
@@ -108,6 +109,54 @@ TEST(KernelParity, FsplWithinDbTolerance) {
     fspl_db(dist.data(), simd.data(), dist.size(), freq);
     for (std::size_t i = 0; i < dist.size(); ++i) {
       EXPECT_NEAR(ref[i], simd[i], kDbAbsTol) << "freq=" << freq << " d=" << dist[i];
+    }
+  }
+}
+
+TEST(KernelParity, Radix2StageBitIdentical) {
+  // Every block kind, with both output halves, the lower ones only, and odd
+  // counts, which run scalar at every level.
+  const std::size_t counts[][2] = {{1, 1}, {2, 2}, {8, 8}, {0, 5}, {3, 8}, {0, 0}, {7, 7}};
+  for (const std::size_t half : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
+    for (const auto& [n_minus_max, n_plus_max] : counts) {
+      const std::size_t n_plus = std::min(n_plus_max, half);
+      const std::size_t n_minus = std::min(n_minus_max, n_plus);
+      const std::vector<Radix2Block> blocks = {
+          {0, Radix2Block::kBoth},
+          {static_cast<std::uint32_t>(2 * half), Radix2Block::kLowerOnly},
+          {static_cast<std::uint32_t>(4 * half), Radix2Block::kUpperOnly},
+          {static_cast<std::uint32_t>(8 * half), Radix2Block::kBoth}};
+      const auto input = random_cplx(10 * half, 0x90 + half + n_minus * 7 + n_plus);
+      const auto tw = random_cplx(half, 0xA0 + half);
+      std::vector<Cplx> ref = input, simd = input;
+      {
+        ScopedScalarKernels scalar;
+        radix2_stage(ref.data(), blocks.data(), blocks.size(), half, tw.data(), n_minus, n_plus);
+      }
+      radix2_stage(simd.data(), blocks.data(), blocks.size(), half, tw.data(), n_minus, n_plus);
+      ASSERT_EQ(std::memcmp(ref.data(), simd.data(), ref.size() * sizeof(Cplx)), 0)
+          << "half=" << half << " n_minus=" << n_minus << " n_plus=" << n_plus;
+      // The scalar variant against the butterfly written out.
+      for (const Radix2Block& b : blocks) {
+        for (std::size_t j = 0; j < half; ++j) {
+          const Cplx u = input[b.start + j];
+          const Cplx h = input[b.start + half + j];
+          const Cplx v(h.real() * tw[j].real() - h.imag() * tw[j].imag(),
+                       h.real() * tw[j].imag() + h.imag() * tw[j].real());
+          Cplx lo = u, hi = h;
+          if (b.kind == Radix2Block::kBoth) {
+            if (j < n_plus) lo = u + v;
+            if (j < n_minus) hi = u - v;
+          } else if (b.kind == Radix2Block::kLowerOnly) {
+            if (j < n_minus) hi = u;
+          } else {
+            if (j < n_plus) lo = v;
+            if (j < n_minus) hi = -v;
+          }
+          EXPECT_EQ(ref[b.start + j], lo) << "start=" << b.start << " j=" << j;
+          EXPECT_EQ(ref[b.start + half + j], hi) << "start=" << b.start << " j=" << j;
+        }
+      }
     }
   }
 }

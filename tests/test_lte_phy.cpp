@@ -24,6 +24,7 @@
 #include "lte/srs.hpp"
 #include "lte/srs_channel.hpp"
 #include "lte/zadoff_chu.hpp"
+#include "obs/obs.hpp"
 #include "rf/units.hpp"
 
 namespace skyran::lte {
@@ -386,7 +387,8 @@ TEST(SrsNoiseTest, PlantedWordsMatchTheLibrary) {
     std::normal_distribution<double> gauss(0.0, 1.0);
     const double first = gauss(lib);
     const double second = gauss(lib);
-    const PolarPair p = polar_pair(own);
+    const PolarWords w = polar_words(own);
+    const PolarPair p = PolarPair::from_words(w.u, w.v);
     const double m = std::sqrt(-2.0 * std::log(p.r2) / p.r2);
     EXPECT_EQ(p.y * m * 1.0 + 0.0, first) << "stream " << s;
     EXPECT_EQ(p.x * m * 1.0 + 0.0, second) << "stream " << s;
@@ -412,6 +414,134 @@ TEST(SrsNoiseTest, KnownAnswerForSeedOne) {
   EXPECT_DOUBLE_EQ(rx[736].imag(), -0.31242864250536007);
   EXPECT_EQ(rx[0], Cplx{});  // DC is never occupied
   EXPECT_EQ(rng(), 16553767748004550722u);
+}
+
+/// A geo::Mt19937_64 that counts the words it hands out.
+struct CountingEngine {
+  using result_type = std::uint64_t;
+  static constexpr result_type min() { return geo::Mt19937_64::min(); }
+  static constexpr result_type max() { return geo::Mt19937_64::max(); }
+  geo::Mt19937_64 g;
+  std::uint64_t drawn = 0;
+  result_type operator()() {
+    ++drawn;
+    return g();
+  }
+};
+
+TEST(SrsNoiseTest, SplitDrawMatchesTheWholeDraw) {
+  // The pipeline's split, draw_srs_noise_words on the serial lane and
+  // place_srs_noise on the correlating one, against draw_srs_noise then
+  // place_occupied; the stored words against a bin-by-bin polar_words walk,
+  // the definition of the stream.
+  std::vector<SrsConfig> configs(3);
+  configs[1].carrier = bandwidth_config(20.0);
+  configs[1].comb_offset = 1;
+  configs[2].carrier = bandwidth_config(1.4);
+  configs[2].sounding_prb = 6;
+  // -35 dB is an SNR sagged far below any decode floor.
+  constexpr double kSnrsDb[] = {-35.0, -12.0, 0.0, 10.0, 23.0};
+  std::size_t straddling_occupied = 0;
+  for (std::uint64_t seed = 0; seed < 24; ++seed) {
+    const SrsConfig& cfg = configs[seed % configs.size()];
+    const std::size_t n = cfg.carrier.fft_size;
+    const std::vector<int> res = occupied_subcarriers(cfg);
+    std::vector<bool> occupied(n, false);
+    for (const int sc : res) occupied[fft_bin(sc, n)] = true;
+    geo::Mt19937_64 whole(seed);
+    geo::Mt19937_64 split(seed);
+    CountingEngine walk{geo::Mt19937_64(seed)};
+    // 0-3 leading words move the candidate pairs across the 312-word
+    // block boundaries.
+    for (std::uint64_t w = 0; w < seed % 4; ++w) {
+      whole();
+      split();
+      walk();
+    }
+    for (int symbol = 0; symbol < 5; ++symbol) {
+      const double snr_db = kSnrsDb[(seed + symbol) % std::size(kSnrsDb)];
+      CplxVec noise(res.size());
+      CplxVec want(n), got(n);
+      draw_srs_noise(snr_db, whole, res, n, noise);
+      place_occupied(noise, res, want);
+      std::vector<PolarWords> words(res.size());
+      draw_srs_noise_words(split, res, n, words);
+      place_srs_noise(snr_db, words, res, got);
+      ASSERT_EQ(std::memcmp(got.data(), want.data(), n * sizeof(Cplx)), 0)
+          << "seed " << seed << " symbol " << symbol;
+
+      std::vector<PolarWords> walked(n);
+      for (std::size_t bin = 0; bin < n; ++bin) {
+        walked[bin] = polar_words(walk);
+        // The fresh engine's first word opens a block, so word k is the
+        // (k mod 312)-th of its block: an accepted pair that ends on word
+        // 0 of a block began on the last word of the one before.
+        straddling_occupied +=
+            occupied[bin] && walk.drawn % geo::Mt19937_64::kBlockWords == 1;
+      }
+      for (std::size_t t = 0; t < res.size(); ++t) {
+        const PolarWords& w = walked[fft_bin(res[t], n)];
+        ASSERT_EQ(words[t].u, w.u) << "seed " << seed << " symbol " << symbol << " t " << t;
+        ASSERT_EQ(words[t].v, w.v) << "seed " << seed << " symbol " << symbol << " t " << t;
+      }
+    }
+    // All three engines stand at the same word.
+    for (int w = 0; w < 16; ++w) {
+      const std::uint64_t next = walk();
+      ASSERT_EQ(whole(), next) << "seed " << seed << " word " << w;
+      ASSERT_EQ(split(), next) << "seed " << seed << " word " << w;
+    }
+  }
+  EXPECT_GT(straddling_occupied, 0u) << "no occupied bin drew the pair that spans two blocks";
+}
+
+TEST(TofTest, NonFiniteOccupiedBinFlaggedBeforeCorrelating) {
+  SrsConfig cfg;
+  const SrsSymbol tx = make_srs_symbol(cfg);
+  const TofEstimator est(cfg, 4);
+  geo::Mt19937_64 rng(12);
+  SrsChannelParams ch;
+  ch.delay_s = 6.0 / cfg.carrier.sample_rate_hz;
+  ch.snr_db = 20.0;
+  const SrsSymbol clean = apply_srs_channel(tx, ch, rng);
+  const TofEstimate want = est.estimate(clean);
+  ASSERT_TRUE(want.quality_ok);
+  const std::vector<int> res = occupied_subcarriers(cfg);
+  const std::size_t n = cfg.carrier.fft_size;
+
+  std::vector<SrsSymbol> symbols(4, clean);
+  symbols[1].freq[fft_bin(res[17], n)] = {std::numeric_limits<double>::quiet_NaN(), 0.5};
+  symbols[2].freq[fft_bin(res.back(), n)] = {0.5, -std::numeric_limits<double>::infinity()};
+  // DC is never occupied, so the correlator never reads it.
+  ASSERT_EQ(clean.freq[0], Cplx{});
+  symbols[3].freq[0] = {std::numeric_limits<double>::infinity(), 0.0};
+
+  const obs::Counter& nonfinite =
+      obs::MetricsRegistry::instance().counter("lte.tof.nonfinite_input");
+  obs::set_enabled(true);
+  const std::uint64_t before = nonfinite.value();
+  const std::vector<TofEstimate> got = est.estimate_batch(symbols);
+  const std::uint64_t flagged = nonfinite.value() - before;
+  obs::set_enabled(false);
+  ASSERT_EQ(got.size(), symbols.size());
+  CplxVec scratch;
+  for (const std::size_t s : {std::size_t{1}, std::size_t{2}}) {
+    EXPECT_FALSE(got[s].quality_ok) << "symbol " << s;
+    EXPECT_EQ(got[s].delay_samples, 0.0) << "symbol " << s;
+    EXPECT_FALSE(est.estimate(symbols[s]).quality_ok) << "symbol " << s;
+    EXPECT_TRUE(est.correlate(symbols[s], scratch).empty()) << "symbol " << s;
+  }
+  EXPECT_EQ(est.correlate(symbols[3], scratch).size(), est.window());
+  for (const std::size_t s : {std::size_t{0}, std::size_t{3}}) {
+    EXPECT_TRUE(got[s].quality_ok) << "symbol " << s;
+    EXPECT_EQ(got[s].delay_samples, want.delay_samples) << "symbol " << s;
+    EXPECT_EQ(got[s].peak_to_side_db, want.peak_to_side_db) << "symbol " << s;
+  }
+#ifndef SKYRAN_OBS_DISABLED
+  EXPECT_EQ(flagged, 2u);
+#else
+  (void)flagged;
+#endif
 }
 
 TEST(TofTest, ExactSampleDelays) {
